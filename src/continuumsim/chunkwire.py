@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-MIN_CHUNK_SIZE = 64
+from .domain import MIN_CHUNK_SIZE
 
 
 class ChunkError(Exception):

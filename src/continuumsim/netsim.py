@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Generator, Optional
 
 from .domain import LinkParams
@@ -253,9 +254,12 @@ class SimLink:
         self.bytes_sent += nbytes
         return Transmission(wire_start, wire_end, wire_end + self.params.latency, nbytes)
 
-    def deliver(self, nbytes: int, handler: Callable[[], None]) -> Transmission:
-        tx = self.transmit(nbytes)
-        self._loop.schedule_at(tx.arrival, handler)
+    def deliver(self, key: object, payload: bytes,
+                handler: Callable[[object, bytes], None]) -> Transmission:
+        """Book ``payload`` and call ``handler(key, payload)`` at its arrival.
+        ``key`` is opaque to the link (a pub/sub topic, or None)."""
+        tx = self.transmit(len(payload))
+        self._loop.schedule_at(tx.arrival, partial(handler, key, payload))
         return tx
 
 

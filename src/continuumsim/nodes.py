@@ -180,56 +180,21 @@ class Collector:
 
 
 # ---------------------------------------------------------------------------
-# Uplink facades: one contract, two transports.
-
-
-class BlockingUplink:
-    """Far->edge leg over the blocking session: each wire message suspends
-    the pipeline until its ack returns."""
-
-    is_blocking = True
-
-    def __init__(self, loop: EventLoop, session: SessionEndpoint):
-        self._loop = loop
-        self._session = session
-
-    def send(self, message: bytes) -> Gate:
-        return self._session.send(message)
-
-    def flush(self) -> Gate:
-        gate = Gate(self._loop)
-        gate.set(None)
-        return gate
-
-
-class PubSubUplink:
-    """Far->edge leg over the pub/sub fabric: puts enqueue and return."""
-
-    is_blocking = False
-
-    def __init__(self, fabric: PubSubFabric, publisher: Publisher, route):
-        self._fabric = fabric
-        self._publisher = publisher
-        self._route = route
-
-    def put(self, message: bytes) -> PutTicket:
-        return self._publisher.put(message)
-
-    def flush(self) -> Gate:
-        return self._route.flush()
-
-
-# ---------------------------------------------------------------------------
 # Far edge.
 
 
 class FarEdgeNode:
+    """Reads, detects and uploads. ``uplink`` is the far end of the blocking
+    session, or with pub/sub the publisher of detected faces."""
+
     def __init__(self, loop: EventLoop, cfg: ScenarioConfig, dataset,
-                 uplink, collector: Collector, core0: SimCore, core1: SimCore):
+                 uplink: SessionEndpoint | Publisher, collector: Collector,
+                 core0: SimCore, core1: SimCore):
         self._loop = loop
         self._cfg = cfg
         self._dataset = dataset
         self._uplink = uplink
+        self._blocking = cfg.transport is TransportKind.BLOCKING_SESSION
         self._collector = collector
         self._core0 = core0
         self._core1 = core1
@@ -242,7 +207,7 @@ class FarEdgeNode:
         if self._cfg.parallelism:
             read_q = BoundedQueue(self._loop, self._cfg.queue_capacity)
             spawn(self._loop, self._reader(read_q), name="far-reader")
-            if self._uplink.is_blocking:
+            if self._blocking:
                 # The blocking transport offers no background transmission:
                 # the send call itself holds the detect stage.
                 spawn(self._loop, self._worker(read_q, None), name="far-worker")
@@ -283,8 +248,8 @@ class FarEdgeNode:
                 tr.t_infer2 = detection.t_infer2
                 if detection.face_found:
                     yield from self._upload(image, tr)
-                    if not self._uplink.is_blocking:
-                        yield self._uplink.flush()
+                    if not self._blocking:
+                        yield self._uplink.fabric.route("far", "edge").flush()
                 else:
                     self._collector.finalize(tr, "none", False, None, False)
         except TransportError as exc:
@@ -352,7 +317,7 @@ class FarEdgeNode:
         self._pending[image.id] = tr
         tr.timeout_handle = self._loop.schedule(
             self._cfg.image_timeout_s, lambda: self._on_timeout(image.id))
-        if self._uplink.is_blocking:
+        if self._blocking:
             last_receipt: SendReceipt = None
             for msg in messages:
                 receipt = yield self._uplink.send(msg)
@@ -603,16 +568,15 @@ class CloudService:
                 "expires_at": grant.expires_at,
             }, separators=(",", ":")).encode("utf-8"))
         elif doc.get("msg_type") == "cloud_upload":
+            image = self._ground_truth.get(image_id)
+            if image is None:
+                self._reject(image_id, f"no record of image {image_id}")
+                return
             try:
                 self.redeem(doc.get("upload_token", ""), image_id)
             except (InvalidGrant, ExpiredGrant) as exc:
-                self._send_to_edge(image_id, json.dumps({
-                    "msg_type": "upload_rejected",
-                    "image_id": image_id,
-                    "reason": str(exc),
-                }, separators=(",", ":")).encode("utf-8"))
+                self._reject(image_id, str(exc))
                 return
-            image = self._ground_truth[image_id]
             verdict = workload.cloud_recognize(
                 image, self._cfg.fp_rate, self._fp_rng, self._latency())
             payload = encode_result(ResultMessage(
@@ -624,6 +588,13 @@ class CloudService:
             ))
             self._loop.schedule(verdict.t_cloud,
                                 lambda: self._send_to_edge(image_id, payload))
+
+    def _reject(self, image_id: str, reason: str) -> None:
+        self._send_to_edge(image_id, json.dumps({
+            "msg_type": "upload_rejected",
+            "image_id": image_id,
+            "reason": reason,
+        }, separators=(",", ":")).encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -654,8 +625,8 @@ def build_dataset(cfg: ScenarioConfig):
 def run_scenario(cfg: ScenarioConfig) -> RunResult:
     """Execute one scenario and aggregate its metrics.
 
-    VIRTUAL mode runs on the deterministic event loop; WALLCLOCK_TCP mode is
-    delegated to the loopback-TCP runner.
+    VIRTUAL mode runs the tiers on the deterministic event loop over booked
+    links; WALLCLOCK_TCP mode runs the same tiers on the loopback-TCP driver.
     """
     check = validate_config(cfg)
     if not check.ok:
@@ -665,6 +636,19 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         return run_tcp_scenario(cfg)
 
     loop = EventLoop()
+    links = (SimLink(loop, cfg.link_far_to_edge, "far->edge"),
+             SimLink(loop, cfg.link_far_to_edge, "edge->far"),
+             SimLink(loop, cfg.link_edge_to_cloud, "edge->cloud"),
+             SimLink(loop, cfg.link_edge_to_cloud, "cloud->edge"))
+    return run_tiers(cfg, loop, links, SessionEndpoint)
+
+
+def run_tiers(cfg: ScenarioConfig, loop: EventLoop, links: tuple,
+              session_type: type) -> RunResult:
+    """Wire the three tiers of ``cfg`` over ``links`` (far->edge, edge->far,
+    edge->cloud, cloud->edge), run ``loop`` until it drains and aggregate the
+    metrics. Both time modes run here; they differ in the loop, the links and
+    the class of the blocking session's endpoints."""
     db, dataset = build_dataset(cfg)
     embeddings = {img.id: img.embedding for img in dataset}
     ground_truth = {img.id: img for img in dataset}
@@ -674,10 +658,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     core1 = SimCore(loop, 1)
     edge_core = SimCore(loop, 2)
 
-    uplink_link = SimLink(loop, cfg.link_far_to_edge, "far->edge")
-    downlink_link = SimLink(loop, cfg.link_far_to_edge, "edge->far")
-    up_cloud_link = SimLink(loop, cfg.link_edge_to_cloud, "edge->cloud")
-    down_cloud_link = SimLink(loop, cfg.link_edge_to_cloud, "cloud->edge")
+    uplink_link, downlink_link, up_cloud_link, down_cloud_link = links
 
     # The edge<->cloud leg always rides the pub/sub fabric; the architectures
     # differ only between far edge and edge.
@@ -717,7 +698,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     result_pubs: dict[str, Publisher] = {}
 
     if cfg.transport is TransportKind.PUBSUB:
-        up_route = fabric.connect("far", "edge", uplink_link)
+        fabric.connect("far", "edge", uplink_link)
         fabric.connect("edge", "far", downlink_link)
 
         def send_result(data: bytes) -> None:
@@ -737,13 +718,13 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
             KEY_CLOUD_RESULTS_PREFIX + "*", lambda _k, d: edge.on_cloud_message(d))
 
         faces_pub = fabric.declare_publisher("far", KEY_FACES_DETECTED)
-        uplink = PubSubUplink(fabric, faces_pub, up_route)
-        far = FarEdgeNode(loop, cfg, dataset, uplink, collector, core0, core1)
+        far = FarEdgeNode(loop, cfg, dataset, faces_pub, collector, core0, core1)
         fabric.endpoint("far").subscribe(
             KEY_RESULTS_PREFIX + "*", lambda _k, d: far.on_result_message(d))
     else:
         far_sess, edge_sess = session_pair(loop, uplink_link, downlink_link,
-                                           timeout=cfg.send_timeout_s)
+                                           timeout=cfg.send_timeout_s,
+                                           endpoint=session_type)
 
         def send_result(data: bytes) -> None:
             def _proc():
@@ -757,8 +738,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
                 KEY_CLOUD_RESULTS_PREFIX + "*", lambda _k, d: edge.on_cloud_message(d))
         edge_sess.on_message(edge.on_upload_message)
 
-        uplink = BlockingUplink(loop, far_sess)
-        far = FarEdgeNode(loop, cfg, dataset, uplink, collector, core0, core1)
+        far = FarEdgeNode(loop, cfg, dataset, far_sess, collector, core0, core1)
         far_sess.on_message(far.on_result_message)
 
     far.start()

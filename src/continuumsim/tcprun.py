@@ -1,432 +1,245 @@
-"""Loopback-TCP integration mode.
+"""Loopback-TCP mode: the virtual-time tiers on real sockets and real time.
 
-Runs the same three-tier protocol as the virtual simulator, but each node is
-a real thread talking over real TCP sockets and compute stages are real
-sleeps scaled by ``time_scale``. Wire format: 4-byte big-endian length prefix
-followed by one JSON message (the same chunk/meta/result documents the
-virtual mode uses, plus per-message "ack" frames for the blocking transport).
+``run_tcp_scenario`` runs the tier wiring of virtual time
+(:func:`nodes.run_tiers`) with two substitutions: the loop is a
+:class:`WallClock`, whose clock reads real seconds, and each link is a
+:class:`SocketLink`, one direction of a loopback TCP connection, in place of
+a booked ``SimLink``. One connection carries the far edge <-> edge leg and
+one the edge <-> cloud leg. Everything runs on the calling thread: the clock
+waits in a selector for the next timer or socket frame, and no write blocks.
 
-Timing metrics from this mode are wall-clock measurements and are inherently
-noisy; the mode exists to exercise the protocol end to end, not to reproduce
-calibrated numbers.
+Frames: a ``>IH`` header (payload length, key length), the pub/sub key in
+UTF-8 (empty on the blocking session), then the payload, which is the same
+document virtual time carries. The blocking session answers each data frame
+with an ack frame whose payload is empty.
+
+Time: ``time_scale`` multiplies the modeled durations (stage times, cloud
+latency mean and jitter, ``parallel_handoff_s``, ``parallel_io_penalty_s``),
+which become real waits. Timeouts and the grant TTL are real seconds. Every
+time the run reports is wall-clock.
 """
 
 from __future__ import annotations
 
-import base64
-import json
-import queue
+import selectors
 import socket
 import struct
-import threading
 import time
-from dataclasses import dataclass
-from typing import Optional
+from collections import deque
+from dataclasses import fields, replace
+from functools import partial
+from typing import Callable
 
-from . import chunkwire, workload
-from .domain import ScenarioConfig, TransportKind
-from .metrics import MetricsRecord, summarize
-from .nodes import ResultMessage, RunResult, build_dataset, decode_result, encode_result
+from .domain import ScenarioConfig
+from .netsim import EventLoop, Gate, Transmission
+from .nodes import RunResult, run_tiers
+from .transport import ConnectionClosed, KeyExpr, SendReceipt, SendTimeout, SessionEndpoint
 
-_FRAME_HEADER = struct.Struct(">I")
+# perfbench/tracer.py wraps these names on this module; nothing here calls them.
+from .metrics import summarize  # noqa: F401
+from .nodes import build_dataset, decode_result, encode_result  # noqa: F401
 
-
-def _send_frame(sock: socket.socket, lock: threading.Lock, payload: bytes) -> None:
-    with lock:
-        sock.sendall(_FRAME_HEADER.pack(len(payload)) + payload)
-
-
-def _recv_frame(sock: socket.socket) -> Optional[bytes]:
-    header = _recv_exact(sock, _FRAME_HEADER.size)
-    if header is None:
-        return None
-    (length,) = _FRAME_HEADER.unpack(header)
-    return _recv_exact(sock, length)
+_HEADER = struct.Struct(">IH")
+_RECV_BYTES = 1 << 16
 
 
-def _recv_exact(sock: socket.socket, n: int) -> Optional[bytes]:
-    buf = b""
-    while len(buf) < n:
-        try:
-            part = sock.recv(n - len(buf))
-        except OSError:
-            return None
-        if not part:
-            return None
-        buf += part
-    return buf
+class WallClock(EventLoop):
+    """EventLoop whose clock reads real seconds since ``run`` started (0
+    before). ``now`` is read once per callback, as a loop tick."""
 
+    def __init__(self) -> None:
+        super().__init__()
+        self._origin = 0.0
+        # select(2) takes microsecond timeouts; epoll and poll round up to
+        # milliseconds, which would stretch every scaled stage.
+        self._selector = selectors.SelectSelector()
+        self._links: list[SocketLink] = []
 
-class _GrantRegistry:
-    def __init__(self, ttl: float):
-        self._ttl = ttl
-        self._grants: dict[str, tuple[str, float, bool]] = {}
-        self._counter = 0
-        self._lock = threading.Lock()
+    def _tick(self) -> float:
+        self.now = time.monotonic() - self._origin
+        return self.now
 
-    def issue(self, image_id: str) -> dict:
-        with self._lock:
-            self._counter += 1
-            token = f"grant-{self._counter:06d}"
-            expires = time.monotonic() + self._ttl
-            self._grants[token] = (image_id, expires, False)
-        return {"upload_token": token, "expires_at": expires}
+    def connect(self, port: int) -> tuple[SocketLink, SocketLink]:
+        """Open one loopback connection, listening on ``port`` (0: any free
+        port); returns its two directions, client->server and server->client."""
+        with socket.create_server(("127.0.0.1", port)) as server:
+            client = socket.create_connection(server.getsockname())
+            accepted, _ = server.accept()
+        a, b = _End(self._selector, client), _End(self._selector, accepted)
+        links = (SocketLink(self, a, b), SocketLink(self, b, a))
+        self._links.extend(links)
+        return links
 
-    def redeem(self, token: str, image_id: str) -> bool:
-        with self._lock:
-            entry = self._grants.get(token)
-            if entry is None:
-                return False
-            gid, expires, used = entry
-            if used or gid != image_id or time.monotonic() > expires:
-                return False
-            self._grants[token] = (gid, expires, True)
-            return True
-
-
-class _CloudServer(threading.Thread):
-    def __init__(self, cfg: ScenarioConfig, ground_truth: dict, port: int):
-        super().__init__(daemon=True, name="tcp-cloud")
-        self._cfg = cfg
-        self._ground_truth = ground_truth
-        self._grants = _GrantRegistry(cfg.grant_ttl_s)
-        self._rng = workload.Prng(workload.substream(cfg.rng_seed, 3))
-        self._rng_lock = threading.Lock()
-        self._listener = socket.create_server(("127.0.0.1", port))
-        self.port = self._listener.getsockname()[1]
-
-    def run(self) -> None:
-        try:
-            conn, _ = self._listener.accept()
-        except OSError:
-            return
-        lock = threading.Lock()
+    def run(self) -> int:
+        """Fire timers as they fall due and deliver frames as they arrive,
+        until no live timer is left and no frame is in flight."""
+        self._origin = time.monotonic()
+        count = 0
         while True:
-            data = _recv_frame(conn)
-            if data is None:
-                break
-            doc = json.loads(data.decode("utf-8"))
-            if doc.get("msg_type") == "grant_request":
-                grant = self._grants.issue(doc["image_id"])
-                grant.update({"msg_type": "grant", "image_id": doc["image_id"]})
-                _send_frame(conn, lock, json.dumps(grant).encode("utf-8"))
-            elif doc.get("msg_type") == "cloud_upload":
-                image_id = doc["image_id"]
-                if not self._grants.redeem(doc.get("upload_token", ""), image_id):
-                    _send_frame(conn, lock, json.dumps({
-                        "msg_type": "upload_rejected", "image_id": image_id,
-                    }).encode("utf-8"))
-                    continue
-                threading.Thread(
-                    target=self._recognize, args=(conn, lock, image_id),
-                    daemon=True).start()
-        conn.close()
-
-    def _recognize(self, conn, lock, image_id: str) -> None:
-        with self._rng_lock:
-            verdict = workload.cloud_recognize(
-                self._ground_truth[image_id], self._cfg.fp_rate, self._rng,
-                self._cfg.stage_durations.cloud_latency_mean)
-        time.sleep(verdict.t_cloud * self._cfg.time_scale)
-        _send_frame(conn, lock, encode_result(ResultMessage(
-            image_id=image_id,
-            origin="cloud",
-            recognized=verdict.outcome is workload.CloudOutcome.MATCH,
-            label=verdict.label,
-            is_false_positive=verdict.is_false_positive,
-        )))
-
-    def close(self) -> None:
-        self._listener.close()
-
-
-class _EdgeServer(threading.Thread):
-    """Reassembles uploads from the far edge, identifies, escalates."""
-
-    def __init__(self, cfg: ScenarioConfig, db, embeddings: dict, port: int,
-                 cloud_port: Optional[int]):
-        super().__init__(daemon=True, name="tcp-edge")
-        self._cfg = cfg
-        self._db = db
-        self._embeddings = embeddings
-        self._listener = socket.create_server(("127.0.0.1", port))
-        self.port = self._listener.getsockname()[1]
-        self._cloud_port = cloud_port
-        self._cloud_sock: Optional[socket.socket] = None
-        self._cloud_lock = threading.Lock()
-        self._cloud_pending: dict[str, queue.Queue] = {}
-        self._serve_q: "queue.Queue[tuple[str, bytes] | None]" = queue.Queue()
-
-    def run(self) -> None:
-        if self._cloud_port is not None:
-            self._cloud_sock = socket.create_connection(("127.0.0.1", self._cloud_port))
-            threading.Thread(target=self._cloud_receiver, daemon=True).start()
-        try:
-            conn, _ = self._listener.accept()
-        except OSError:
-            return
-        far_lock = threading.Lock()
-        threading.Thread(target=self._serve_worker, args=(conn, far_lock),
-                         daemon=True).start()
-        sessions: dict[str, chunkwire.ReassemblySession] = {}
-        ack_needed = self._cfg.transport is TransportKind.BLOCKING_SESSION
-        while True:
-            data = _recv_frame(conn)
-            if data is None:
-                break
-            if ack_needed:
-                _send_frame(conn, far_lock, b'{"msg_type":"ack"}')
-            msg_type = chunkwire.peek_msg_type(data)
-            if msg_type == "meta":
-                meta = chunkwire.decode_meta(data)
-                sessions.setdefault(meta.image_id, chunkwire.ReassemblySession(meta))
-            elif msg_type == "chunk":
-                env = chunkwire.decode_envelope(data)
-                session = sessions.get(env.image_id)
-                if session is None:
-                    continue
-                status = session.accept(env)
-                if status is chunkwire.ReassemblyStatus.COMPLETE:
-                    sessions.pop(env.image_id, None)
-                    self._serve_q.put((env.image_id, session.payload))
-        self._serve_q.put(None)
-        conn.close()
-
-    def _serve_worker(self, conn, far_lock) -> None:
-        # One worker thread: identification is serialized like a single core.
-        while True:
-            item = self._serve_q.get()
-            if item is None:
-                return
-            image_id, payload = item
-            time.sleep(self._cfg.stage_durations.t_identify * self._cfg.time_scale)
-            embedding = self._embeddings.get(image_id)
-            result = None
-            if embedding is not None:
-                ident = workload.identify(
-                    embedding, self._db, self._cfg.similarity_threshold,
-                    self._cfg.stage_durations.t_identify, image_id)
-                if ident.recognized:
-                    result = ResultMessage(image_id, "edge", True,
-                                           ident.best_person.label, False)
-            if result is None and self._cloud_sock is not None:
-                threading.Thread(target=self._cloud_flow,
-                                 args=(conn, far_lock, image_id, payload),
-                                 daemon=True).start()
+            handle = self._pop_due(self._tick())
+            if handle is not None:
+                handle.action()
+                count += 1
                 continue
-            if result is None:
-                result = ResultMessage(image_id, "edge", False, None, False)
-            _send_frame(conn, far_lock, encode_result(result))
-
-    def _cloud_flow(self, conn, far_lock, image_id: str, payload: bytes) -> None:
-        replies: queue.Queue = queue.Queue()
-        self._cloud_pending[image_id] = replies
-        timeout = max(1.0, self._cfg.cloud_timeout_s * self._cfg.time_scale)
-        _send_frame(self._cloud_sock, self._cloud_lock, json.dumps(
-            {"msg_type": "grant_request", "image_id": image_id}).encode("utf-8"))
-        result = ResultMessage(image_id, "cloud", False, None, False)
-        try:
-            grant = replies.get(timeout=timeout)
-            if grant.get("msg_type") == "grant":
-                _send_frame(self._cloud_sock, self._cloud_lock, json.dumps({
-                    "msg_type": "cloud_upload",
-                    "image_id": image_id,
-                    "upload_token": grant["upload_token"],
-                    "payload_b64": base64.b64encode(payload).decode("ascii"),
-                }).encode("utf-8"))
-                verdict = replies.get(timeout=timeout)
-                if verdict.get("msg_type") == "result":
-                    result = ResultMessage(
-                        image_id=verdict["image_id"],
-                        origin=verdict["origin"],
-                        recognized=verdict["recognized"],
-                        label=verdict["label"],
-                        is_false_positive=verdict["is_false_positive"],
-                    )
-        except queue.Empty:
-            pass
-        finally:
-            self._cloud_pending.pop(image_id, None)
-        _send_frame(conn, far_lock, encode_result(result))
-
-    def _cloud_receiver(self) -> None:
-        while True:
-            data = _recv_frame(self._cloud_sock)
-            if data is None:
-                return
-            doc = json.loads(data.decode("utf-8"))
-            pending = self._cloud_pending.get(doc.get("image_id", ""))
-            if pending is not None:
-                pending.put(doc)
+            if not self._heap and not any(link.in_flight for link in self._links):
+                break
+            timeout = self._heap[0].fire_at - self.now if self._heap else None
+            for key, mask in self._selector.select(timeout):
+                end = key.data
+                if mask & selectors.EVENT_WRITE:
+                    end.flush()
+                if mask & selectors.EVENT_READ:
+                    for frame_key, payload in end.read():
+                        self._tick()
+                        end.on_frame(frame_key, payload)
+        self.executed += count
+        return count
 
     def close(self) -> None:
-        self._listener.close()
-        if self._cloud_sock is not None:
-            try:
-                self._cloud_sock.close()
-            except OSError:
-                pass
+        self._selector.close()
+        for link in self._links:
+            link.writer.sock.close()
 
 
-@dataclass
-class _FarState:
-    uploads: int = 0
-    results: dict[str, ResultMessage] = None
-    duplicate_results: int = 0
+class _End:
+    """One end of a connection. Outgoing frames are buffered and written as
+    far as the socket takes them; incoming bytes are cut into frames."""
+
+    def __init__(self, selector: selectors.BaseSelector, sock: socket.socket):
+        sock.setblocking(False)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.sock = sock
+        self.on_frame: Callable[[str, bytes], None] | None = None
+        self._selector = selector
+        self._out = bytearray()
+        self._in = bytearray()
+        self._events = selectors.EVENT_READ
+        selector.register(sock, self._events, self)
+
+    def write(self, key: bytes, payload: bytes) -> None:
+        self._out += _HEADER.pack(len(payload), len(key))
+        self._out += key
+        self._out += payload
+        self.flush()
+
+    def flush(self) -> None:
+        try:
+            del self._out[:self.sock.send(self._out)]
+        except BlockingIOError:
+            pass
+        events = selectors.EVENT_READ | (selectors.EVENT_WRITE if self._out else 0)
+        if events != self._events:
+            self._events = events
+            self._selector.modify(self.sock, events, self)
+
+    def read(self) -> list[tuple[str, bytes]]:
+        """Receive once; returns every frame now complete, as (key, payload)."""
+        data = self.sock.recv(_RECV_BYTES)
+        if not data:
+            raise ConnectionError("loopback peer closed the connection")
+        buf = self._in
+        buf += data
+        frames, pos = [], 0
+        while len(buf) - pos >= _HEADER.size:
+            size, key_size = _HEADER.unpack_from(buf, pos)
+            start = pos + _HEADER.size + key_size
+            if start + size > len(buf):
+                break
+            frames.append((buf[pos + _HEADER.size:start].decode("utf-8"),
+                           bytes(buf[start:start + size])))
+            pos = start + size
+        del buf[:pos]
+        return frames
+
+
+class SocketLink:
+    """One direction of a connection, with ``SimLink.deliver``'s contract:
+    the frame goes to the socket at once and ``handler(key, payload)`` runs
+    when the other end reads it. TCP keeps frames in order, so the handlers
+    wait in a FIFO. The sender cannot see arrival, so the returned
+    Transmission ends at the write."""
+
+    def __init__(self, loop: WallClock, writer: _End, reader: _End):
+        self._loop = loop
+        self.writer = writer
+        self._handlers: deque = deque()
+        reader.on_frame = self._arrived
+
+    @property
+    def in_flight(self) -> int:
+        return len(self._handlers)
+
+    def deliver(self, key: KeyExpr | None, payload: bytes,
+                handler: Callable[[KeyExpr | None, bytes], None]) -> Transmission:
+        self._handlers.append(handler)
+        self.writer.write(b"" if key is None else str(key).encode("utf-8"), payload)
+        now = self._loop.now
+        return Transmission(now, now, now, len(payload))
+
+    def _arrived(self, key: str, payload: bytes) -> None:
+        self._handlers.popleft()(KeyExpr.parse(key) if key else None, payload)
+
+
+class SocketSession(SessionEndpoint):
+    """Blocking session over socket links. The receiver answers each data
+    frame with an empty ack frame on the reverse link; ``send`` resumes on
+    that ack, or fails the connection after ``timeout`` real seconds. The
+    sender sees no instant between its write and the ack, so the receipt's
+    wire end and arrival are the ack instant."""
+
+    def __init__(self, loop: EventLoop, out_link: SocketLink, timeout: float = 30.0,
+                 name: str = "session"):
+        super().__init__(loop, out_link, timeout, name)
+        self._unacked: deque = deque()
+
+    def send(self, payload: bytes) -> Gate:
+        gate = Gate(self._loop)
+        if self.closed or self.peer is None or self.peer.closed:
+            gate.set(ConnectionClosed(f"{self.name}: send on closed connection"))
+            return gate
+        timer = self._loop.schedule(self.timeout, partial(self._time_out, gate))
+        self._unacked.append((gate, self._loop.now, timer))
+        self._out_link.deliver(None, payload, self.peer._receive)
+        return gate
+
+    def _receive(self, _key: None, payload: bytes) -> None:
+        self._out_link.deliver(None, b"", self.peer._acked)
+        if not self.closed and self._handler is not None:
+            self._handler(payload)
+
+    def _acked(self, _key: None, _payload: bytes) -> None:
+        gate, start, timer = self._unacked.popleft()
+        timer.cancel()
+        if not gate.is_set:
+            now = self._loop.now
+            gate.set(SendReceipt(start, now, now, now))
+
+    def _time_out(self, gate: Gate) -> None:
+        self.closed = self.peer.closed = True
+        gate.set(SendTimeout(f"{self.name}: no ack within {self.timeout}s"))
 
 
 def run_tcp_scenario(cfg: ScenarioConfig) -> RunResult:
-    """Run one scenario over loopback TCP; returns wall-clock metrics."""
-    db, dataset = build_dataset(cfg)
-    embeddings = {img.id: img.embedding for img in dataset}
-    ground_truth = {img.id: img for img in dataset}
+    """Run one scenario over loopback TCP on the calling thread. The result
+    carries ``cfg`` as given; its times are wall-clock seconds."""
+    loop = WallClock()
+    try:
+        links = loop.connect(cfg.tcp_port_edge) + loop.connect(cfg.tcp_port_cloud)
+        result = run_tiers(_scaled(cfg), loop, links, SocketSession)
+    finally:
+        loop.close()
+    return replace(result, config=cfg)
 
-    cloud = None
-    cloud_port = None
-    if cfg.cloud_enabled:
-        cloud = _CloudServer(cfg, ground_truth, cfg.tcp_port_cloud)
-        cloud.start()
-        cloud_port = cloud.port
-    edge = _EdgeServer(cfg, db, embeddings, cfg.tcp_port_edge, cloud_port)
-    edge.start()
 
-    sock = socket.create_connection(("127.0.0.1", edge.port))
-    sock_lock = threading.Lock()
-    state = _FarState(results={})
-    results_done = threading.Event()
-    ack_q: "queue.Queue[None]" = queue.Queue()
-    traces: dict[str, dict] = {}
-    t0 = time.monotonic()
-
-    def receiver() -> None:
-        while True:
-            data = _recv_frame(sock)
-            if data is None:
-                return
-            doc = json.loads(data.decode("utf-8"))
-            if doc.get("msg_type") == "ack":
-                ack_q.put(None)
-                continue
-            msg = decode_result(data)
-            if msg.image_id in state.results:
-                state.duplicate_results += 1
-            else:
-                state.results[msg.image_id] = msg
-                traces[msg.image_id]["result_at"] = time.monotonic() - t0
-            if len(state.results) >= state.uploads and pipeline_done.is_set():
-                results_done.set()
-
-    pipeline_done = threading.Event()
-    threading.Thread(target=receiver, daemon=True).start()
-
+def _scaled(cfg: ScenarioConfig) -> ScenarioConfig:
+    """``cfg`` with every modeled duration times ``time_scale``. Timeouts
+    and the grant TTL stay as given, in real seconds."""
     scale = cfg.time_scale
-    durations = cfg.stage_durations
-    blocking = cfg.transport is TransportKind.BLOCKING_SESSION
-
-    send_q: "queue.Queue[bytes | None]" = queue.Queue(maxsize=cfg.queue_capacity)
-
-    def pubsub_sender() -> None:
-        while True:
-            msg = send_q.get()
-            if msg is None:
-                return
-            with sock_lock:
-                sock.sendall(_FRAME_HEADER.pack(len(msg)) + msg)
-            send_q.task_done()
-
-    if not blocking:
-        threading.Thread(target=pubsub_sender, daemon=True).start()
-
-    def upload(image) -> None:
-        meta, envelopes = chunkwire.fragment(
-            image.payload, image.id, cfg.chunk_size_bytes,
-            (image.width_px, image.height_px), image.format.value)
-        messages = [chunkwire.encode_meta(meta)]
-        messages.extend(chunkwire.encode_envelope(e) for e in envelopes)
-        start = time.monotonic()
-        for msg in messages:
-            if blocking:
-                _send_frame(sock, sock_lock, msg)
-                ack_q.get(timeout=10.0)
-            else:
-                send_q.put(msg)
-        traces[image.id]["upload_s"] = time.monotonic() - start
-        traces[image.id]["upload_start"] = start - t0
-        state.uploads += 1
-
-    def detect_and_upload(image) -> None:
-        time.sleep(durations.t_detect_total * scale)
-        tr = traces.setdefault(image.id, {})
-        tr["detect"] = durations.t_detect_total
-        if image.has_face:
-            upload(image)
-        else:
-            tr["result_at"] = time.monotonic() - t0
-
-    if cfg.parallelism:
-        handoff: "queue.Queue[object]" = queue.Queue(maxsize=cfg.queue_capacity)
-
-        def reader() -> None:
-            for image in dataset:
-                time.sleep(durations.t_read_decode * scale)
-                traces.setdefault(image.id, {})
-                handoff.put(image)
-            handoff.put(None)
-
-        threading.Thread(target=reader, daemon=True).start()
-        while True:
-            image = handoff.get()
-            if image is None:
-                break
-            detect_and_upload(image)
-    else:
-        for image in dataset:
-            time.sleep(durations.t_read_decode * scale)
-            traces.setdefault(image.id, {})
-            detect_and_upload(image)
-            if not blocking:
-                send_q.join()
-
-    pipeline_done.set()
-    if state.uploads == len(state.results):
-        results_done.set()
-    deadline = max(5.0, cfg.image_timeout_s * scale * len(dataset))
-    results_done.wait(timeout=deadline)
-
-    wall = time.monotonic() - t0
-    sock.close()
-    edge.close()
-    if cloud is not None:
-        cloud.close()
-
-    records = []
-    for image in dataset:
-        tr = traces.get(image.id, {})
-        msg = state.results.get(image.id)
-        records.append(MetricsRecord(
-            image_id=image.id,
-            t_read_decode=durations.t_read_decode,
-            t_quality=durations.t_quality,
-            t_infer1=durations.t_infer1,
-            t_infer2=durations.t_infer2,
-            t_upload=tr.get("upload_s", 0.0),
-            t_identify=durations.t_identify if msg is not None else 0.0,
-            edge_rtt=(tr.get("result_at", 0.0) - tr.get("upload_start", 0.0))
-            if msg is not None and msg.origin == "edge" else 0.0,
-            cloud_rtt=(tr.get("result_at", 0.0) - tr.get("upload_start", 0.0))
-            if msg is not None and msg.origin == "cloud" else None,
-            origin=msg.origin if msg is not None else "none",
-            recognized=msg.recognized if msg is not None else False,
-            label=msg.label if msg is not None else None,
-            completion_s=tr.get("result_at", wall),
-            is_false_positive=msg.is_false_positive if msg is not None else False,
-        ))
-    summary = summarize(records, {0: 0.0, 1: 0.0}, wall)
-    failure = None
-    if len(state.results) < state.uploads:
-        failure = (f"missing results: {state.uploads - len(state.results)}"
-                   f" of {state.uploads} uploads unanswered")
-    if state.duplicate_results:
-        failure = f"duplicate results received: {state.duplicate_results}"
-    return RunResult(config=cfg, records=records, summary=summary,
-                     wall=wall, failure=failure)
+    sd = cfg.stage_durations
+    return replace(
+        cfg,
+        stage_durations=replace(sd, **{f.name: getattr(sd, f.name) * scale
+                                       for f in fields(sd)}),
+        parallel_handoff_s=cfg.parallel_handoff_s * scale,
+        parallel_io_penalty_s=cfg.parallel_io_penalty_s * scale,
+    )

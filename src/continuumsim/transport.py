@@ -147,9 +147,10 @@ class SessionEndpoint:
 
 
 def session_pair(loop: EventLoop, link_ab: SimLink, link_ba: SimLink,
-                 timeout: float = 30.0) -> tuple[SessionEndpoint, SessionEndpoint]:
-    a = SessionEndpoint(loop, link_ab, timeout, name="session-a")
-    b = SessionEndpoint(loop, link_ba, timeout, name="session-b")
+                 timeout: float = 30.0,
+                 endpoint: type = SessionEndpoint) -> tuple[SessionEndpoint, SessionEndpoint]:
+    a = endpoint(loop, link_ab, timeout, name="session-a")
+    b = endpoint(loop, link_ba, timeout, name="session-b")
     a.peer = b
     b.peer = a
     return a, b
@@ -157,13 +158,12 @@ def session_pair(loop: EventLoop, link_ab: SimLink, link_ba: SimLink,
 
 @dataclass
 class PutTicket:
-    """Handle on one published message: when it was accepted into the queue,
-    when it hit the wire, and when it was delivered."""
+    """Handle on one published message: when it was accepted into the queue
+    and when it hit the wire."""
 
     accepted: Gate
     enqueued_at: float = 0.0
     transmissions: list[Transmission] = field(default_factory=list)
-    delivered_at: Optional[float] = None
 
 
 @dataclass
@@ -265,9 +265,8 @@ class _Route:
                 yield self._wakeup
                 continue
             key, payload, ticket = self._items[0]
-            tx = self.link.transmit(len(payload))
+            tx = self.link.deliver(key, payload, self.dst.dispatch)
             ticket.transmissions.append(tx)
-            self._loop.schedule_at(tx.arrival, partial(self._deliver, key, payload, ticket))
             if tx.wire_end > self._loop.now:
                 yield tx.wire_end - self._loop.now
             self._items.popleft()
@@ -279,10 +278,6 @@ class _Route:
                 waiters, self._flush_waiters = self._flush_waiters, []
                 for w in waiters:
                     w.set(None)
-
-    def _deliver(self, key: KeyExpr, payload: bytes, ticket: PutTicket) -> None:
-        ticket.delivered_at = self._loop.now
-        self.dst.dispatch(key, payload)
 
 
 class Publisher:

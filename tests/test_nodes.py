@@ -301,6 +301,22 @@ def test_rejected_upload_becomes_negative_cloud_result():
     assert all(rec.origin == "cloud" and not rec.recognized for rec in r.records)
 
 
+def test_upload_for_unknown_image_is_rejected():
+    loop = EventLoop()
+    cfg = tiny_config(n=1, cloud=True)
+    replies = []
+    cloud = CloudService(loop, cfg, {},
+                         send_to_edge=lambda _id, data: replies.append(json.loads(data)))
+    cloud.on_message(b'{"msg_type":"grant_request","image_id":"ghost"}')
+    cloud.on_message(json.dumps({
+        "msg_type": "cloud_upload", "image_id": "ghost",
+        "upload_token": replies[0]["upload_token"], "payload_b64": "",
+    }).encode("utf-8"))
+    loop.run()
+    assert [r["msg_type"] for r in replies] == ["grant", "upload_rejected"]
+    assert replies[1]["image_id"] == "ghost"
+
+
 # ---------------------------------------------------------------------------
 # Result message wire format.
 

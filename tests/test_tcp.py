@@ -1,17 +1,21 @@
-"""Loopback-TCP mode: same protocol, real sockets, scaled real time."""
+"""Loopback-TCP mode: the virtual-time tiers on real sockets and real time."""
 
+import threading
 import time
 from dataclasses import replace
 
+import pytest
+
 from continuumsim.domain import TimeMode, TransportKind
+from continuumsim.nodes import run_scenario
 from continuumsim.presets import base_config
 from continuumsim.tcprun import run_tcp_scenario
 
 
-def tcp_config(transport, n=5, cloud=True):
+def tcp_config(transport, n=5, cloud=True, seed=7):
     return replace(
         base_config(transport, parallelism=True, cloud_enabled=cloud,
-                    dataset_size=n),
+                    dataset_size=n, seed=seed),
         time_mode=TimeMode.WALLCLOCK_TCP,
         time_scale=0.002,
         payload_bytes=8192,
@@ -35,9 +39,24 @@ def test_tcp_blocking_round_trip_exactly_once():
     assert len(result.records) == 5
 
 
-def test_tcp_results_match_virtual_mode_outcomes():
-    cfg = tcp_config(TransportKind.PUBSUB, n=6)
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("cloud", [True, False], ids=["cloud", "no_cloud"])
+@pytest.mark.parametrize("transport", [TransportKind.PUBSUB, TransportKind.BLOCKING_SESSION],
+                         ids=["pubsub", "blocking"])
+def test_tcp_results_match_virtual_mode_outcomes(transport, cloud, seed):
+    cfg = tcp_config(transport, n=6, cloud=cloud, seed=seed)
     tcp = run_tcp_scenario(cfg)
-    from continuumsim.nodes import run_scenario
     virtual = run_scenario(replace(cfg, time_mode=TimeMode.VIRTUAL))
     assert tcp.result_multiset == virtual.result_multiset
+
+
+def test_tcp_runs_on_one_thread_with_scaled_model_times():
+    cfg = tcp_config(TransportKind.BLOCKING_SESSION, n=4)
+    threads = threading.active_count()
+    tcp = run_tcp_scenario(cfg)
+    assert threading.active_count() == threads
+    assert tcp.config == cfg
+    assert tcp.summary.core0_util > 0.0 and tcp.summary.core1_util > 0.0
+    virtual = run_scenario(replace(cfg, time_mode=TimeMode.VIRTUAL))
+    expected = {r.image_id: r.t_read_decode * cfg.time_scale for r in virtual.records}
+    assert {r.image_id: r.t_read_decode for r in tcp.records} == pytest.approx(expected)
