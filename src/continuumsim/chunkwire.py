@@ -87,6 +87,10 @@ class ChunkEnvelope:
     payload_len: int
     payload_b64: str
     crc32_chunk: int
+    # The bytes ``payload_b64`` decodes to, once ``decode_envelope`` has
+    # checked them, so that reassembly does not decode them again. Not part
+    # of the envelope's value, and not copied by ``dataclasses.replace``.
+    decoded: Optional[bytes] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.seq < self.total_chunks:
@@ -184,7 +188,7 @@ class ReassemblySession:
             return ReassemblyStatus.SEQ_OUT_OF_RANGE
         if self.state is ReassemblyState.COMPLETE or env.seq in self.chunks:
             return ReassemblyStatus.DUPLICATE
-        raw = env.payload()
+        raw = env.decoded if env.decoded is not None else env.payload()
         if len(raw) != env.payload_len:
             return ReassemblyStatus.LENGTH_MISMATCH
         if crc32(raw) != env.crc32_chunk:
@@ -240,13 +244,20 @@ def encode_meta(meta: TransferMetadata) -> bytes:
     return json.dumps(doc, separators=(",", ":")).encode("utf-8")
 
 
-def _parse(data: bytes, expected_type: str, keys: tuple[str, ...]) -> dict:
+def parse_object(data: bytes) -> dict:
+    """The JSON object a wire message holds; ``MalformedJson`` if the bytes
+    are not UTF-8, not JSON, or not a JSON object."""
     try:
         doc = json.loads(data.decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise MalformedJson(str(exc)) from None
     if not isinstance(doc, dict):
         raise MalformedJson("wire message must be a JSON object")
+    return doc
+
+
+def _parse(data: bytes, expected_type: str, keys: tuple[str, ...]) -> dict:
+    doc = parse_object(data)
     for key in keys:
         if key not in doc:
             raise MissingField(key)
@@ -271,8 +282,10 @@ def decode_envelope(data: bytes) -> ChunkEnvelope:
         )
     except (TypeError, ValueError) as exc:
         raise MalformedJson(str(exc)) from None
-    if len(env.payload()) != env.payload_len:
+    raw = env.payload()
+    if len(raw) != env.payload_len:
         raise MalformedJson("payload_len does not match decoded payload")
+    object.__setattr__(env, "decoded", raw)
     return env
 
 
@@ -295,10 +308,7 @@ def decode_meta(data: bytes) -> TransferMetadata:
 
 def peek_msg_type(data: bytes) -> str:
     """Cheap dispatch helper: returns the msg_type of a wire message."""
-    try:
-        doc = json.loads(data.decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise MalformedJson(str(exc)) from None
-    if not isinstance(doc, dict) or "msg_type" not in doc:
+    doc = parse_object(data)
+    if "msg_type" not in doc:
         raise MalformedJson("wire message lacks msg_type")
     return doc["msg_type"]

@@ -82,12 +82,7 @@ def encode_result(msg: ResultMessage) -> bytes:
 
 
 def decode_result(data: bytes) -> ResultMessage:
-    try:
-        doc = json.loads(data.decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise MalformedJson(str(exc)) from None
-    if not isinstance(doc, dict):
-        raise MalformedJson("result message must be a JSON object")
+    doc = chunkwire.parse_object(data)
     for key in _RESULT_KEYS:
         if key not in doc:
             raise MissingField(key)
@@ -373,6 +368,7 @@ class EdgeService:
         self._done_ids: set[str] = set()
         self._pending_cloud: dict[str, Gate] = {}
         self.dropped_chunks = 0
+        self.malformed_messages = 0
 
     # Transport-facing entry point for both meta and chunk messages.
     def on_upload_message(self, data: bytes) -> None:
@@ -483,7 +479,11 @@ class EdgeService:
         )
 
     def on_cloud_message(self, data: bytes) -> None:
-        doc = json.loads(data.decode("utf-8"))
+        try:
+            doc = chunkwire.parse_object(data)
+        except MalformedJson:
+            self.malformed_messages += 1
+            return
         gate = self._pending_cloud.pop(doc.get("image_id", ""), None)
         if gate is not None and not gate.is_set:
             gate.set(doc)
@@ -529,6 +529,7 @@ class CloudService:
         self._latency_rng = workload.Prng(workload.substream(cfg.rng_seed, 4))
         self._grants: dict[str, PresignedGrant] = {}
         self._counter = 0
+        self.malformed_messages = 0
 
     def issue_grant(self, image_id: str) -> PresignedGrant:
         self._counter += 1
@@ -557,7 +558,11 @@ class CloudService:
         return max(0.0, sd.cloud_latency_mean + spread)
 
     def on_message(self, data: bytes) -> None:
-        doc = json.loads(data.decode("utf-8"))
+        try:
+            doc = chunkwire.parse_object(data)
+        except MalformedJson:
+            self.malformed_messages += 1
+            return
         image_id = doc.get("image_id", "")
         if doc.get("msg_type") == "grant_request":
             grant = self.issue_grant(image_id)

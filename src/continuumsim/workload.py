@@ -7,13 +7,19 @@ latency plus false-positive injection model calibrated through the scenario
 config.
 
 All randomness flows through splitmix64 so runs replay identically on any
-platform.
+platform. Payload bytes are the bulk of it, so ``Prng.randbytes`` computes
+them a block at a time: splitmix64's state after k steps is
+``seed + k*gamma mod 2**64``, so one Python int holding 128 lanes of 128 bits
+carries 128 consecutive states, and the finalizer runs on all lanes at once
+(SWAR, "SIMD within a register"). A shift is followed by a mask that clears
+the bits it moved in from the neighbouring lane, and a 64x64-bit product fits
+in its 128-bit lane, so no lane ever carries into the next. The low 8 bytes
+of each lane are the output word, in the byte order of the scalar stream.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -30,7 +36,16 @@ from .domain import (
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 _TO_UNIT = 2.0 ** -53
+
+# Lane constants for Prng.randbytes, one lane of 128 bits per output word:
+# 1 in every lane, k*gamma in lane k-1, and the low 64 bits of every lane.
+_LANES = 128
+_LANE_ONES = sum(1 << 128 * k for k in range(_LANES))
+_LANE_RAMP = sum((k + 1) * _GOLDEN << 128 * k for k in range(_LANES))
+_LANE_MASK = _LANE_ONES * _MASK64
 
 # Cosine distance of a perturbed copy to its source stays ~0.96, far above
 # any sensible threshold, while fresh random vectors score near zero.
@@ -44,8 +59,8 @@ class EmptyDatabase(ValueError):
 
 
 def _mix(z: int) -> int:
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+    z = (z ^ (z >> 30)) * _MIX1 & _MASK64
+    z = (z ^ (z >> 27)) * _MIX2 & _MASK64
     return z ^ (z >> 31)
 
 
@@ -82,9 +97,32 @@ class Prng:
         return radius * math.cos(theta)
 
     def randbytes(self, n: int) -> bytes:
-        n_words = (n + 7) // 8
-        words = [self.u64() for _ in range(n_words)]
-        return struct.pack(f"<{n_words}Q", *words)[:n]
+        """The next ``n`` bytes of the stream: ``ceil(n/8)`` words of
+        ``u64()``, each little-endian, cut to ``n`` bytes."""
+        words = (n + 7) // 8
+        state = self.state
+        blocks = []
+        for start in range(0, words, _LANES):
+            lanes = words - start
+            if lanes < _LANES:
+                keep = (1 << 128 * lanes) - 1
+                z = (_LANE_ONES & keep) * state + (_LANE_RAMP & keep) & _LANE_MASK
+            else:
+                lanes = _LANES
+                z = _LANE_ONES * state + _LANE_RAMP & _LANE_MASK
+            z = (z ^ z >> 30) & _LANE_MASK
+            z = z * _MIX1 & _LANE_MASK
+            z = (z ^ z >> 27) & _LANE_MASK
+            z = z * _MIX2 & _LANE_MASK
+            z ^= z >> 31 & _LANE_MASK
+            # Keep the low 8 bytes of every 16-byte lane. The view's 8-byte
+            # items are copied, never read as numbers, so the host's byte
+            # order does not matter.
+            lane_bytes = memoryview(z.to_bytes(16 * lanes, "little"))
+            blocks.append(lane_bytes.cast("Q")[::2].tobytes())
+            state = (state + _LANES * _GOLDEN) & _MASK64
+        self.state = (self.state + words * _GOLDEN) & _MASK64
+        return b"".join(blocks)[:n]
 
     def randrange(self, n: int) -> int:
         if n < 1:

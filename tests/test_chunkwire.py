@@ -166,6 +166,22 @@ def test_envelope_base64_example_and_round_trip():
     assert env.payload() == b"AB"
 
 
+def test_wire_chunk_is_base64_decoded_once(monkeypatch):
+    payload = Prng(3).randbytes(300)
+    meta, envs = fragment(payload, "img", 64, (1, 1), "PNG")
+    decoded = [decode_envelope(encode_envelope(env)) for env in envs]
+    assert decoded == envs and list(map(repr, decoded)) == list(map(repr, envs))
+    calls = []
+    original = ChunkEnvelope.payload
+    monkeypatch.setattr(ChunkEnvelope, "payload",
+                        lambda env: calls.append(env.seq) or original(env))
+    session = ReassemblySession(meta)
+    for env in envs:
+        session.accept(decode_envelope(encode_envelope(env)))
+    assert session.payload == payload
+    assert calls == [env.seq for env in envs]
+
+
 def test_envelope_wire_field_names_are_exact():
     _, envs = fragment(b"\x01" * 100, "img", 64, (1, 1), "PNG")
     import json

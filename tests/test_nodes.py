@@ -12,7 +12,7 @@ from continuumsim.domain import (
     TransportKind,
 )
 from continuumsim.metrics import MetricsRecord
-from continuumsim.netsim import EventLoop
+from continuumsim.netsim import EventLoop, SimCore
 from continuumsim.nodes import (
     CloudService,
     Collector,
@@ -253,7 +253,6 @@ def test_reassembly_corruption_yields_negative_result_without_cloud_call():
     cfg = tiny_config(n=1, cloud=True)
     db = make_face_db(cfg.rng_seed, cfg.db_size)
     collector = Collector(loop)
-    from continuumsim.netsim import SimCore
     sent = []
     cloud_calls = []
     edge = EdgeService(loop, cfg, db, {}, collector, SimCore(loop, 2),
@@ -315,6 +314,25 @@ def test_upload_for_unknown_image_is_rejected():
     loop.run()
     assert [r["msg_type"] for r in replies] == ["grant", "upload_rejected"]
     assert replies[1]["image_id"] == "ghost"
+
+
+MALFORMED_CLOUD_LEG = [b"\xff\xfe{}", b"{not json", b'["msg_type","grant"]']
+
+
+@pytest.mark.parametrize("data", MALFORMED_CLOUD_LEG, ids=["non_utf8", "non_json", "non_object"])
+def test_malformed_cloud_leg_message_is_dropped_and_counted(data):
+    loop = EventLoop()
+    cfg = tiny_config(n=1, cloud=True)
+    replies = []
+    cloud = CloudService(loop, cfg, {}, send_to_edge=lambda _id, d: replies.append(d))
+    edge = EdgeService(loop, cfg, make_face_db(cfg.rng_seed, cfg.db_size), {},
+                       Collector(loop), SimCore(loop, 2), send_result=replies.append,
+                       cloud_send=lambda _id, d: replies.append(d))
+    cloud.on_message(data)
+    edge.on_cloud_message(data)
+    loop.run()
+    assert (cloud.malformed_messages, edge.malformed_messages) == (1, 1)
+    assert replies == []
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,36 @@ def test_randbytes_is_deterministic_and_sized():
     assert Prng(5).randbytes(17) != Prng(6).randbytes(17)
 
 
+class ScalarSplitmix64:
+    """Reference stream: one finalized word per state step."""
+
+    def __init__(self, seed):
+        self.state = seed % 2**64
+
+    def u64(self):
+        self.state = (self.state + 0x9E3779B97F4A7C15) % 2**64
+        z = self.state
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
+        return z ^ (z >> 31)
+
+    def randbytes(self, n):
+        words = b"".join(self.u64().to_bytes(8, "little") for _ in range((n + 7) // 8))
+        return words[:n]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**63, 2**64 - 1, 123456789])
+def test_randbytes_matches_scalar_reference(seed):
+    # randbytes works in blocks of 128 words, 1024 bytes.
+    for n in (0, 1, 7, 8, 9, 1023, 1024, 1025, 2047, 2048, 2049, 102400):
+        fast, ref = Prng(seed), ScalarSplitmix64(seed)
+        assert fast.randbytes(n) == ref.randbytes(n), n
+        assert fast.state == ref.state, n
+        assert fast.u64() == ref.u64(), n
+    empty = Prng(seed)
+    assert empty.randbytes(0) == b"" and empty.state == seed
+
+
 def test_substreams_are_decorrelated():
     a = Prng(substream(7, 1))
     b = Prng(substream(7, 2))
