@@ -2,7 +2,10 @@
 
 The engine is strictly single-threaded. Events fire in (fire_at, seq_no)
 order, so two events scheduled for the same instant run in scheduling order
-and a fixed scenario replays bit-identically on any platform.
+and a fixed scenario replays bit-identically on any platform. The queue is a
+heap of ``(fire_at, seq_no, handle)`` tuples: ``seq_no`` is unique, so
+``heapq`` orders entries by comparing two numbers in C and never compares
+handles.
 
 Concurrency is expressed as generator processes. A process yields either a
 non-negative delay (seconds of virtual time) or a :class:`Gate`, a one-shot
@@ -27,21 +30,17 @@ class NegativeDelay(ValueError):
 
 
 class EventHandle:
-    """Cancelable scheduled callback."""
+    """Cancelable scheduled callback. Its firing time and sequence number
+    live in its heap entry."""
 
-    __slots__ = ("fire_at", "seq_no", "action", "cancelled")
+    __slots__ = ("action", "cancelled")
 
-    def __init__(self, fire_at: float, seq_no: int, action: Callable[[], None]):
-        self.fire_at = fire_at
-        self.seq_no = seq_no
+    def __init__(self, action: Callable[[], None]):
         self.action = action
         self.cancelled = False
 
     def cancel(self) -> None:
         self.cancelled = True
-
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.fire_at, self.seq_no) < (other.fire_at, other.seq_no)
 
 
 class EventLoop:
@@ -49,30 +48,33 @@ class EventLoop:
 
     def __init__(self) -> None:
         self.now = 0.0
-        self._heap: list[EventHandle] = []
+        self._heap: list[tuple[float, int, EventHandle]] = []
         self._seq = 0
         self.executed = 0
 
     def schedule(self, delay: float, action: Callable[[], None]) -> EventHandle:
         if delay < 0:
             raise NegativeDelay(f"delay must be >= 0, got {delay}")
-        handle = EventHandle(self.now + delay, self._seq, action)
+        handle = EventHandle(action)
+        heapq.heappush(self._heap, (self.now + delay, self._seq, handle))
         self._seq += 1
-        heapq.heappush(self._heap, handle)
         return handle
 
     def schedule_at(self, fire_at: float, action: Callable[[], None]) -> EventHandle:
         return self.schedule(max(0.0, fire_at - self.now), action)
 
-    def _pop_due(self, t_end: Optional[float]) -> Optional[EventHandle]:
-        while self._heap:
-            head = self._heap[0]
+    def _pop_due(self, t_end: float) -> Optional[tuple[float, int, EventHandle]]:
+        """The first live heap entry due by ``t_end``, removed; cancelled
+        entries ahead of it are discarded."""
+        heap = self._heap
+        while heap:
+            fire_at, _, head = heap[0]
             if head.cancelled:
-                heapq.heappop(self._heap)
+                heapq.heappop(heap)
                 continue
-            if t_end is not None and head.fire_at > t_end:
+            if fire_at > t_end:
                 return None
-            return heapq.heappop(self._heap)
+            return heapq.heappop(heap)
         return None
 
     def run_until(self, t_end: float) -> int:
@@ -81,10 +83,10 @@ class EventLoop:
             raise ValueError("run_until target precedes current time")
         count = 0
         while True:
-            handle = self._pop_due(t_end)
-            if handle is None:
+            entry = self._pop_due(t_end)
+            if entry is None:
                 break
-            self.now = handle.fire_at
+            self.now, _, handle = entry
             handle.action()
             count += 1
         self.now = t_end
@@ -93,12 +95,13 @@ class EventLoop:
 
     def run(self) -> int:
         """Drain the queue completely; clock ends at the last event."""
+        heap = self._heap
         count = 0
-        while True:
-            handle = self._pop_due(None)
-            if handle is None:
-                break
-            self.now = handle.fire_at
+        while heap:
+            fire_at, _, handle = heapq.heappop(heap)
+            if handle.cancelled:
+                continue
+            self.now = fire_at
             handle.action()
             count += 1
         self.executed += count

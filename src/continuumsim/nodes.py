@@ -17,18 +17,17 @@ the detect stage until the ack returns.
 from __future__ import annotations
 
 import base64
-import json
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import chunkwire, workload
 from .chunkwire import (
+    ChunkError,
     MalformedJson,
-    MissingField,
     ReassemblySession,
     ReassemblyState,
     ReassemblyStatus,
-    UnknownField,
+    TransferMetadata,
 )
 from .domain import ScenarioConfig, TimeMode, TransportKind, validate_config
 from .metrics import MetricsRecord, RunSummary, summarize
@@ -58,6 +57,10 @@ class IncompleteRecord(ValueError):
 
 _RESULT_KEYS = ("msg_type", "image_id", "origin", "recognized", "label",
                 "is_false_positive")
+_RESULT_KEY_SET = frozenset(_RESULT_KEYS)
+# The cloud's answer to a grant request.
+_GRANT_KEYS = ("msg_type", "image_id", "upload_token", "expires_at")
+_GRANT_KEY_SET = frozenset(_GRANT_KEYS)
 
 
 @dataclass(frozen=True)
@@ -70,25 +73,21 @@ class ResultMessage:
 
 
 def encode_result(msg: ResultMessage) -> bytes:
-    doc = {
+    return chunkwire.encode_object({
         "msg_type": "result",
         "image_id": msg.image_id,
         "origin": msg.origin,
         "recognized": msg.recognized,
         "label": msg.label,
         "is_false_positive": msg.is_false_positive,
-    }
-    return json.dumps(doc, separators=(",", ":")).encode("utf-8")
+    })
 
 
-def decode_result(data: bytes) -> ResultMessage:
-    doc = chunkwire.parse_object(data)
-    for key in _RESULT_KEYS:
-        if key not in doc:
-            raise MissingField(key)
-    unknown = sorted(set(doc) - set(_RESULT_KEYS))
-    if unknown:
-        raise UnknownField(f"unknown fields: {', '.join(unknown)}")
+def decode_result(data: bytes | dict) -> ResultMessage:
+    """A result message, as wire bytes or as the object
+    ``chunkwire.parse_object`` returned for them."""
+    doc = data if isinstance(data, dict) else chunkwire.parse_object(data)
+    chunkwire.check_keys(doc, _RESULT_KEYS, _RESULT_KEY_SET)
     if doc["msg_type"] != "result":
         raise MalformedJson("msg_type must be 'result'")
     return ResultMessage(
@@ -354,6 +353,8 @@ class EdgeService:
                  edge_core: SimCore,
                  send_result: Callable[[bytes], None],
                  cloud_send: Optional[Callable[[str, bytes], None]] = None):
+        """``cloud_send(key, data)`` publishes ``data`` towards the cloud
+        under the pub/sub key ``key``."""
         self._loop = loop
         self._cfg = cfg
         self._db = db
@@ -370,18 +371,23 @@ class EdgeService:
         self.dropped_chunks = 0
         self.malformed_messages = 0
 
-    # Transport-facing entry point for both meta and chunk messages.
+    # Transport-facing entry point for both meta and chunk messages. A
+    # message that does not decode is dropped and counted; its image then
+    # ends through the far edge's image timeout.
     def on_upload_message(self, data: bytes) -> None:
-        msg_type = chunkwire.peek_msg_type(data)
-        if msg_type == "meta":
-            meta = chunkwire.decode_meta(data)
-            if meta.image_id in self._done_ids or meta.image_id in self._sessions:
-                return
-            self._sessions[meta.image_id] = ReassemblySession(meta)
-            self._fed[meta.image_id] = 0
-            self._corrupt[meta.image_id] = 0
+        try:
+            msg = chunkwire.decode_upload(data)
+        except ChunkError:
+            self.malformed_messages += 1
             return
-        env = chunkwire.decode_envelope(data)
+        if isinstance(msg, TransferMetadata):
+            if msg.image_id in self._done_ids or msg.image_id in self._sessions:
+                return
+            self._sessions[msg.image_id] = ReassemblySession(msg)
+            self._fed[msg.image_id] = 0
+            self._corrupt[msg.image_id] = 0
+            return
+        env = msg
         session = self._sessions.get(env.image_id)
         if session is None:
             self.dropped_chunks += 1
@@ -444,39 +450,43 @@ class EdgeService:
 
     def _cloud_flow(self, image_id: str, payload: bytes):
         """Presigned-grant escalation; forwards the cloud's verdict verbatim.
-        A timeout at any step degrades to a negative cloud result."""
+        A timeout at any step, a refusal, or a grant or verdict without its
+        exact keys degrades to a negative cloud result; the last two are
+        also counted in ``malformed_messages``."""
         cfg = self._cfg
+        negative = ResultMessage(image_id, "cloud", False, None, False)
         gate = Gate(self._loop)
         self._pending_cloud[image_id] = gate
         handle = self._loop.schedule(cfg.cloud_timeout_s,
                                      lambda: self._cloud_timeout(image_id))
-        self._cloud_send(image_id, json.dumps(
-            {"msg_type": "grant_request", "image_id": image_id},
-            separators=(",", ":")).encode("utf-8"))
+        self._cloud_send(KEY_CLOUD_REQUESTS_PREFIX + image_id, chunkwire.encode_object(
+            {"msg_type": "grant_request", "image_id": image_id}))
         reply = yield gate
         if reply is None or reply.get("msg_type") != "grant":
-            return ResultMessage(image_id, "cloud", False, None, False)
+            return negative
+        try:
+            chunkwire.check_keys(reply, _GRANT_KEYS, _GRANT_KEY_SET)
+        except ChunkError:
+            self.malformed_messages += 1
+            return negative
         gate = Gate(self._loop)
         self._pending_cloud[image_id] = gate
-        upload = {
+        self._cloud_send(KEY_CLOUD_UPLOADS_PREFIX + image_id, chunkwire.encode_object({
             "msg_type": "cloud_upload",
             "image_id": image_id,
             "upload_token": reply["upload_token"],
             "payload_b64": base64.b64encode(payload).decode("ascii"),
-        }
-        self._cloud_send(image_id, json.dumps(upload, separators=(",", ":")).encode("utf-8"))
+        }))
         verdict = yield gate
         handle.cancel()
         self._pending_cloud.pop(image_id, None)
         if verdict is None or verdict.get("msg_type") != "result":
-            return ResultMessage(image_id, "cloud", False, None, False)
-        return ResultMessage(
-            image_id=verdict["image_id"],
-            origin=verdict["origin"],
-            recognized=verdict["recognized"],
-            label=verdict["label"],
-            is_false_positive=verdict["is_false_positive"],
-        )
+            return negative
+        try:
+            return decode_result(verdict)
+        except ChunkError:
+            self.malformed_messages += 1
+            return negative
 
     def on_cloud_message(self, data: bytes) -> None:
         try:
@@ -566,12 +576,12 @@ class CloudService:
         image_id = doc.get("image_id", "")
         if doc.get("msg_type") == "grant_request":
             grant = self.issue_grant(image_id)
-            self._send_to_edge(image_id, json.dumps({
+            self._send_to_edge(image_id, chunkwire.encode_object({
                 "msg_type": "grant",
                 "image_id": image_id,
                 "upload_token": grant.upload_token,
                 "expires_at": grant.expires_at,
-            }, separators=(",", ":")).encode("utf-8"))
+            }))
         elif doc.get("msg_type") == "cloud_upload":
             image = self._ground_truth.get(image_id)
             if image is None:
@@ -595,11 +605,11 @@ class CloudService:
                                 lambda: self._send_to_edge(image_id, payload))
 
     def _reject(self, image_id: str, reason: str) -> None:
-        self._send_to_edge(image_id, json.dumps({
+        self._send_to_edge(image_id, chunkwire.encode_object({
             "msg_type": "upload_rejected",
             "image_id": image_id,
             "reason": reason,
-        }, separators=(",", ":")).encode("utf-8"))
+        }))
 
 
 # ---------------------------------------------------------------------------
@@ -673,11 +683,7 @@ def run_tiers(cfg: ScenarioConfig, loop: EventLoop, links: tuple,
 
     edge_cloud_pubs: dict[tuple[str, str], Publisher] = {}
 
-    def edge_to_cloud(image_id: str, data: bytes) -> None:
-        key = KEY_CLOUD_REQUESTS_PREFIX + image_id
-        doc_type = json.loads(data.decode("utf-8")).get("msg_type")
-        if doc_type == "cloud_upload":
-            key = KEY_CLOUD_UPLOADS_PREFIX + image_id
+    def edge_to_cloud(key: str, data: bytes) -> None:
         pub = edge_cloud_pubs.get(("edge", key))
         if pub is None:
             pub = fabric.declare_publisher("edge", key)

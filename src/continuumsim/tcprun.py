@@ -76,14 +76,14 @@ class WallClock(EventLoop):
         self._origin = time.monotonic()
         count = 0
         while True:
-            handle = self._pop_due(self._tick())
-            if handle is not None:
-                handle.action()
+            entry = self._pop_due(self._tick())
+            if entry is not None:
+                entry[2].action()
                 count += 1
                 continue
             if not self._heap and not any(link.in_flight for link in self._links):
                 break
-            timeout = self._heap[0].fire_at - self.now if self._heap else None
+            timeout = self._heap[0][0] - self.now if self._heap else None
             for key, mask in self._selector.select(timeout):
                 end = key.data
                 if mask & selectors.EVENT_WRITE:

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from continuumsim.chunkwire import (
@@ -15,10 +17,12 @@ from continuumsim.chunkwire import (
     crc32,
     decode_envelope,
     decode_meta,
+    decode_upload,
     encode_envelope,
     encode_meta,
     fragment,
 )
+from continuumsim.domain import MIN_CHUNK_SIZE
 from continuumsim.workload import Prng
 
 
@@ -247,3 +251,40 @@ def test_wire_overhead_shrinks_with_chunk_size():
         ratios.append(wire / len(payload))
     assert all(r > 1.0 for r in ratios)
     assert ratios == sorted(ratios, reverse=True)
+
+
+def _json_oracle(doc: dict) -> bytes:
+    return json.dumps(doc, separators=(",", ":")).encode("utf-8")
+
+
+# Characters json.dumps escapes: a quote, a backslash, non-ASCII and U+2028.
+ODD_IMAGE_IDS = ['img"q', "img\\q", "img\u00e9", "img\u2028", 'a"\\\u00e9\u2028b']
+
+
+@pytest.mark.parametrize("chunk_size", sorted({MIN_CHUNK_SIZE, 64, 1000, 1024}))
+def test_encoders_match_json_dumps_byte_for_byte(chunk_size):
+    rng = Prng(2028 + chunk_size)
+    for case in range(40):
+        payload = rng.randbytes(1 + rng.randrange(3 * chunk_size))
+        image_id = ODD_IMAGE_IDS[case % len(ODD_IMAGE_IDS)] + str(case)
+        meta, envs = fragment(payload, image_id, chunk_size,
+                              (1 + rng.randrange(4096), 1 + rng.randrange(4096)), "PNG")
+        assert encode_meta(meta) == _json_oracle({
+            "msg_type": "meta", "image_id": image_id, "total_bytes": meta.total_bytes,
+            "total_chunks": meta.total_chunks, "chunk_size_bytes": chunk_size,
+            "crc32_full": meta.crc32_full, "width_px": meta.width_px,
+            "height_px": meta.height_px, "format": "PNG"})
+        for env in envs:
+            assert encode_envelope(env) == _json_oracle({
+                "msg_type": "chunk", "image_id": image_id, "seq": env.seq,
+                "total_chunks": env.total_chunks, "payload_len": env.payload_len,
+                "payload_b64": env.payload_b64, "crc32_chunk": env.crc32_chunk})
+
+
+def test_decode_upload_dispatches_on_msg_type():
+    meta, envs = fragment(b"\x42" * 200, 'img"\u2028', 64, (3, 4), "PNG")
+    assert decode_upload(encode_meta(meta)) == meta
+    assert [decode_upload(encode_envelope(env)) for env in envs] == envs
+    with pytest.raises(MissingField) as err:
+        decode_upload(b'{"image_id":"img"}')
+    assert err.value.name == "msg_type"

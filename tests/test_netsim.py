@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from continuumsim.domain import LinkParams
@@ -30,6 +32,41 @@ def test_equal_fire_times_run_in_scheduling_order():
     loop.schedule(0.5, lambda: seen.append("c"))
     loop.run()
     assert seen == ["c", "a", "b"]
+
+
+def test_same_instant_events_with_cancellations_fire_in_fire_at_seq_order():
+    loop = EventLoop()
+    rng = Prng(31)
+    seq_no = itertools.count()
+    live = set()  # (fire_at, seq_no) of every event scheduled and not cancelled
+    handles = []
+    fired = []
+
+    def schedule(delay):
+        key = (loop.now + delay, next(seq_no))
+
+        def fire():
+            fired.append(key)
+            if rng.uniform() < 0.2:  # same-instant follow-up, scheduled while running
+                schedule(0.0)
+
+        handles.append((key, loop.schedule(delay, fire)))
+        live.add(key)
+
+    for _ in range(600):
+        schedule((0.0, 1.0, 1.0, 2.5)[rng.randrange(4)])
+        if rng.uniform() < 0.3:
+            key, handle = handles[rng.randrange(len(handles))]
+            handle.cancel()
+            live.discard(key)
+    loop.run_until(1.0)
+    # Between the two runs, cancel the last event that is live and unfired.
+    key, handle = next((k, h) for k, h in reversed(handles) if k in live and k not in fired)
+    handle.cancel()
+    live.remove(key)
+    loop.run()
+    assert fired == sorted(live)
+    assert len(fired) > 300
 
 
 def test_negative_delay_rejected():

@@ -26,6 +26,7 @@ from continuumsim.nodes import (
     encode_result,
     run_scenario,
 )
+from continuumsim.transport import KEY_CLOUD_REQUESTS_PREFIX, KEY_CLOUD_UPLOADS_PREFIX
 from continuumsim.workload import Prng, make_face_db
 
 
@@ -314,6 +315,100 @@ def test_upload_for_unknown_image_is_rejected():
     loop.run()
     assert [r["msg_type"] for r in replies] == ["grant", "upload_rejected"]
     assert replies[1]["image_id"] == "ghost"
+
+
+def _upload_messages(image_id: str, payload: bytes, chunk_size: int = 64) -> list[bytes]:
+    meta, envs = chunkwire.fragment(payload, image_id, chunk_size, (2, 2), "RAW")
+    return [chunkwire.encode_meta(meta)] + [chunkwire.encode_envelope(e) for e in envs]
+
+
+MALFORMED_UPLOADS = {
+    "non_utf8": b"\xff\xfe{}",
+    "non_json": b"{not json",
+    "non_object": b'["msg_type","meta"]',
+    "missing_key": b'{"msg_type":"meta","image_id":"img00000"}',
+    "unknown_key": _upload_messages("img00000", b"\x01" * 64)[1][:-1] + b',"hops":1}',
+    "bad_base64": _upload_messages("img00000", b"\x01" * 64)[1].replace(
+        b'"payload_b64":"', b'"payload_b64":"@@'),
+    "non_string_base64": b'{"msg_type":"chunk","image_id":"img00000","seq":0,'
+                         b'"total_chunks":1,"payload_len":1,"payload_b64":5,"crc32_chunk":0}',
+}
+
+
+@pytest.mark.parametrize("data", MALFORMED_UPLOADS.values(), ids=MALFORMED_UPLOADS.keys())
+def test_malformed_upload_message_is_dropped_counted_and_times_out(data, monkeypatch):
+    loop = EventLoop()
+    cfg = tiny_config(n=1)
+    edge = EdgeService(loop, cfg, make_face_db(cfg.rng_seed, cfg.db_size), {},
+                       Collector(loop), SimCore(loop, 2), send_result=None)
+    edge.on_upload_message(data)
+    assert edge.malformed_messages == 1
+
+    # In a run, the first image's meta message is replaced by ``data``: the
+    # edge drops it and every chunk after it, and the image ends through the
+    # far edge's image timeout with exactly one result.
+    encode_meta = chunkwire.encode_meta
+    monkeypatch.setattr(chunkwire, "encode_meta", lambda meta: (
+        data if meta.image_id == "img00000" else encode_meta(meta)))
+    for transport in TransportKind:
+        r = run_scenario(tiny_config(transport, n=3, image_timeout_s=30.0))
+        assert r.failure is None
+        assert sorted(rec.image_id for rec in r.records) == ["img00000", "img00001", "img00002"]
+        first = next(rec for rec in r.records if rec.image_id == "img00000")
+        assert first.origin == "none" and first.completion_s >= 30.0
+        assert all(rec.origin == "edge" for rec in r.records if rec is not first)
+
+
+def test_upload_message_is_parsed_once(monkeypatch):
+    loop = EventLoop()
+    cfg = tiny_config(n=1)
+    edge = EdgeService(loop, cfg, make_face_db(cfg.rng_seed, cfg.db_size), {},
+                       Collector(loop), SimCore(loop, 2), send_result=lambda _d: None)
+    messages = _upload_messages("imgP", Prng(8).randbytes(300))
+    parses = []
+    parse_object = chunkwire.parse_object
+    monkeypatch.setattr(chunkwire, "parse_object",
+                        lambda data: parses.append(data) or parse_object(data))
+    for data in messages:
+        edge.on_upload_message(data)
+    assert parses == messages
+    assert edge.malformed_messages == edge.dropped_chunks == 0
+
+
+GRANT_WITHOUT_TOKEN = b'{"msg_type":"grant","image_id":"imgQ"}'
+RESULT_WITHOUT_LABEL = (b'{"msg_type":"result","image_id":"imgQ","origin":"cloud",'
+                        b'"recognized":true,"is_false_positive":false}')
+
+
+@pytest.mark.parametrize("bad_reply", ["grant", "result"],
+                         ids=["grant_without_token", "result_without_label"])
+def test_cloud_reply_without_its_keys_is_a_negative_counted_result(bad_reply):
+    loop = EventLoop()
+    cfg = tiny_config(n=1, cloud=True)
+    sent, cloud_keys = [], []
+    replies = {
+        "grant_request": GRANT_WITHOUT_TOKEN if bad_reply == "grant" else
+        b'{"msg_type":"grant","image_id":"imgQ","upload_token":"grant-000001","expires_at":9.0}',
+        "cloud_upload": RESULT_WITHOUT_LABEL,
+    }
+
+    def cloud_send(key, data):
+        cloud_keys.append(key)
+        reply = replies[json.loads(data)["msg_type"]]
+        loop.schedule(0.1, lambda: edge.on_cloud_message(reply))
+
+    edge = EdgeService(loop, cfg, make_face_db(cfg.rng_seed, cfg.db_size), {},
+                       Collector(loop), SimCore(loop, 2), send_result=sent.append,
+                       cloud_send=cloud_send)
+    for data in _upload_messages("imgQ", b"\x33" * 200):
+        edge.on_upload_message(data)
+    loop.run()
+    assert [decode_result(d) for d in sent] == [ResultMessage("imgQ", "cloud", False, None, False)]
+    assert edge.malformed_messages == 1
+    expected_keys = [KEY_CLOUD_REQUESTS_PREFIX + "imgQ"]
+    if bad_reply == "result":
+        expected_keys.append(KEY_CLOUD_UPLOADS_PREFIX + "imgQ")
+    assert cloud_keys == expected_keys
 
 
 MALFORMED_CLOUD_LEG = [b"\xff\xfe{}", b"{not json", b'["msg_type","grant"]']
