@@ -18,7 +18,8 @@ bandwidth. A receiver parses a message once (``parse_object``) and hands the
 dict to the decoder of its type; ``decode_upload`` does that for the far
 edge's meta and chunk messages. Decoders check a message's exact key set
 with one set comparison and work out which key is missing or unknown only
-when that fails.
+when that fails. A string field must be a JSON string and an integer field a
+JSON integer (not a float or a boolean); anything else is ``MalformedJson``.
 """
 
 from __future__ import annotations
@@ -83,6 +84,8 @@ class TransferMetadata:
     def __post_init__(self) -> None:
         if self.total_bytes < 1:
             raise ValueError("total_bytes must be >= 1")
+        if self.chunk_size_bytes < 1:
+            raise ValueError("chunk_size_bytes must be >= 1")
         expected = math.ceil(self.total_bytes / self.chunk_size_bytes)
         if self.total_chunks != expected:
             raise ValueError("total_chunks inconsistent with total_bytes")
@@ -225,6 +228,8 @@ _META_KEYS = ("msg_type", "image_id", "total_bytes", "total_chunks",
               "chunk_size_bytes", "crc32_full", "width_px", "height_px", "format")
 _CHUNK_KEY_SET = frozenset(_CHUNK_KEYS)
 _META_KEY_SET = frozenset(_META_KEYS)
+_META_INT_KEYS = ("total_bytes", "total_chunks", "chunk_size_bytes", "crc32_full",
+                  "width_px", "height_px")
 
 # The chunk message in _CHUNK_KEYS order. String fields are filled in already
 # quoted and escaped, the integer fields with %d.
@@ -299,16 +304,15 @@ def decode_envelope(data: bytes | dict) -> ChunkEnvelope:
     """A chunk message, as wire bytes or as the object ``parse_object``
     returned for them."""
     doc = _parse(data, "chunk", _CHUNK_KEYS, _CHUNK_KEY_SET)
+    image_id, seq, total_chunks = doc["image_id"], doc["seq"], doc["total_chunks"]
+    payload_len, payload_b64, crc = doc["payload_len"], doc["payload_b64"], doc["crc32_chunk"]
+    if not (type(image_id) is str and type(payload_b64) is str and type(seq) is int
+            and type(total_chunks) is int and type(payload_len) is int
+            and type(crc) is int):
+        raise MalformedJson("chunk field of the wrong type")
     try:
-        env = ChunkEnvelope(
-            image_id=doc["image_id"],
-            seq=doc["seq"],
-            total_chunks=doc["total_chunks"],
-            payload_len=doc["payload_len"],
-            payload_b64=doc["payload_b64"],
-            crc32_chunk=doc["crc32_chunk"],
-        )
-    except (TypeError, ValueError) as exc:
+        env = ChunkEnvelope(image_id, seq, total_chunks, payload_len, payload_b64, crc)
+    except ValueError as exc:
         raise MalformedJson(str(exc)) from None
     raw = env.payload()
     if len(raw) != env.payload_len:
@@ -321,6 +325,9 @@ def decode_meta(data: bytes | dict) -> TransferMetadata:
     """A meta message, as wire bytes or as the object ``parse_object``
     returned for them."""
     doc = _parse(data, "meta", _META_KEYS, _META_KEY_SET)
+    if not (type(doc["image_id"]) is str and type(doc["format"]) is str
+            and all(type(doc[key]) is int for key in _META_INT_KEYS)):
+        raise MalformedJson("meta field of the wrong type")
     try:
         return TransferMetadata(
             image_id=doc["image_id"],
@@ -332,7 +339,7 @@ def decode_meta(data: bytes | dict) -> TransferMetadata:
             height_px=doc["height_px"],
             format=doc["format"],
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise MalformedJson(str(exc)) from None
 
 

@@ -148,7 +148,6 @@ class Process:
         self._loop = loop
         self._gen = gen
         self.name = name
-        self.done = Gate(loop)
         loop.schedule(0.0, lambda: self._step(None))
 
     def _step(self, value: object) -> None:
@@ -157,8 +156,7 @@ class Process:
                 cmd = self._gen.throw(value)
             else:
                 cmd = self._gen.send(value)
-        except StopIteration as stop:
-            self.done.set(stop.value)
+        except StopIteration:
             return
         if isinstance(cmd, Gate):
             cmd.add_waiter(self._step)
@@ -188,9 +186,6 @@ class BoundedQueue:
         self._items: list[object] = []
         self._getters: list[Gate] = []
         self._putters: list[tuple[Gate, object]] = []
-
-    def __len__(self) -> int:
-        return len(self._items)
 
     def put(self, item: object) -> Gate:
         gate = Gate(self._loop)
@@ -293,6 +288,3 @@ class SimCore:
         self.busy_time += duration
         self._loop.schedule_at(end, lambda: gate.set(end))
         return gate
-
-    def utilization(self, wall: float) -> float:
-        return self.busy_time / wall if wall > 0 else 0.0

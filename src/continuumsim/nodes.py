@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import base64
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 from . import chunkwire, workload
@@ -29,7 +30,7 @@ from .chunkwire import (
     ReassemblyStatus,
     TransferMetadata,
 )
-from .domain import ScenarioConfig, TimeMode, TransportKind, validate_config
+from .domain import PersonId, ScenarioConfig, TimeMode, TransportKind, validate_config
 from .metrics import MetricsRecord, RunSummary, summarize
 from .netsim import BoundedQueue, EventLoop, Gate, SimCore, SimLink, spawn
 from .transport import (
@@ -41,7 +42,6 @@ from .transport import (
     PubSubFabric,
     Publisher,
     PutTicket,
-    SendReceipt,
     SessionEndpoint,
     TransportError,
     session_pair,
@@ -61,6 +61,12 @@ _RESULT_KEY_SET = frozenset(_RESULT_KEYS)
 # The cloud's answer to a grant request.
 _GRANT_KEYS = ("msg_type", "image_id", "upload_token", "expires_at")
 _GRANT_KEY_SET = frozenset(_GRANT_KEYS)
+# The keys of the edge's requests to the cloud, by msg_type. Every value is
+# a string.
+_CLOUD_REQUEST_KEYS = {
+    "grant_request": ("msg_type", "image_id"),
+    "cloud_upload": ("msg_type", "image_id", "upload_token", "payload_b64"),
+}
 
 
 @dataclass(frozen=True)
@@ -133,13 +139,6 @@ class Collector:
             self.traces[image_id] = _ImageTrace(image_id)
         return self.traces[image_id]
 
-    def _resolve_transfer_start(self, tr: _ImageTrace) -> Optional[float]:
-        if tr.transfer_start is not None:
-            return tr.transfer_start
-        if tr.first_ticket is not None and tr.first_ticket.transmissions:
-            return tr.first_ticket.transmissions[0].wire_start
-        return None
-
     def finalize(self, tr: _ImageTrace, origin: str, recognized: bool,
                  label: Optional[str], is_fp: bool) -> None:
         if tr.finalized:
@@ -148,7 +147,9 @@ class Collector:
         if tr.timeout_handle is not None:
             tr.timeout_handle.cancel()
         now = self._loop.now
-        start = self._resolve_transfer_start(tr)
+        # A blocking upload records its start; a pub/sub one reads it off
+        # the ticket of its first message.
+        start = tr.first_ticket.wire_start if tr.first_ticket else tr.transfer_start
         t_upload = 0.0
         if tr.uploaded and start is not None:
             upload_end = tr.upload_end if tr.upload_end is not None else tr.reassembled_at
@@ -181,12 +182,11 @@ class FarEdgeNode:
     """Reads, detects and uploads. ``uplink`` is the far end of the blocking
     session, or with pub/sub the publisher of detected faces."""
 
-    def __init__(self, loop: EventLoop, cfg: ScenarioConfig, dataset,
+    def __init__(self, loop: EventLoop, cfg: ScenarioConfig,
                  uplink: SessionEndpoint | Publisher, collector: Collector,
                  core0: SimCore, core1: SimCore):
         self._loop = loop
         self._cfg = cfg
-        self._dataset = dataset
         self._uplink = uplink
         self._blocking = cfg.transport is TransportKind.BLOCKING_SESSION
         self._collector = collector
@@ -195,22 +195,25 @@ class FarEdgeNode:
         self._jitter_rng = workload.Prng(workload.substream(cfg.rng_seed, 2))
         self._pending: dict[str, _ImageTrace] = {}
         self.failure: Optional[str] = None
-        self.pipeline_done = Gate(loop)
 
-    def start(self) -> None:
+    def start(self, dataset) -> None:
+        """Spawn the pipeline over ``dataset``. Only its processes hold the
+        dataset, and each lets go of it when it ends: the node sits in
+        reference cycles with its handlers, so anything it kept would outlive
+        the run until the cyclic collector ran."""
         if self._cfg.parallelism:
             read_q = BoundedQueue(self._loop, self._cfg.queue_capacity)
-            spawn(self._loop, self._reader(read_q), name="far-reader")
-            if self._blocking:
-                # The blocking transport offers no background transmission:
-                # the send call itself holds the detect stage.
-                spawn(self._loop, self._worker(read_q, None), name="far-worker")
-            else:
-                upload_q = BoundedQueue(self._loop, self._cfg.queue_capacity)
-                spawn(self._loop, self._worker(read_q, upload_q), name="far-worker")
+            # The blocking transport offers no background transmission: the
+            # send call itself holds the detect stage.
+            upload_q = None if self._blocking else BoundedQueue(
+                self._loop, self._cfg.queue_capacity)
+            spawn(self._loop, self._reader(read_q, dataset), name="far-reader")
+            spawn(self._loop, self._worker(read_q, upload_q, len(dataset)),
+                  name="far-worker")
+            if upload_q is not None:
                 spawn(self._loop, self._uploader(upload_q), name="far-uploader")
         else:
-            spawn(self._loop, self._sequential(), name="far-sequential")
+            spawn(self._loop, self._sequential(dataset), name="far-sequential")
 
     # The result handler is transport-independent.
     def on_result_message(self, data: bytes) -> None:
@@ -226,10 +229,10 @@ class FarEdgeNode:
             return 1.0
         return 1.0 + self._cfg.jitter_pct * (2.0 * self._jitter_rng.uniform() - 1.0)
 
-    def _sequential(self):
+    def _sequential(self, dataset):
         durations = self._cfg.stage_durations
         try:
-            for image in self._dataset:
+            for image in dataset:
                 jitter = self._jitter_factor()
                 tr = self._collector.trace(image.id)
                 t_io = durations.t_read_decode * jitter
@@ -249,11 +252,10 @@ class FarEdgeNode:
         except TransportError as exc:
             self.failure = str(exc)
             self._abandon_pending()
-        self.pipeline_done.set()
 
-    def _reader(self, queue: BoundedQueue):
+    def _reader(self, queue: BoundedQueue, dataset):
         durations = self._cfg.stage_durations
-        for image in self._dataset:
+        for image in dataset:
             jitter = self._jitter_factor()
             tr = self._collector.trace(image.id)
             t_io = durations.t_read_decode * jitter + self._cfg.parallel_io_penalty_s
@@ -261,10 +263,11 @@ class FarEdgeNode:
             tr.t_read_decode = t_io
             yield queue.put((image, jitter))
 
-    def _worker(self, read_q: BoundedQueue, upload_q: Optional[BoundedQueue]):
+    def _worker(self, read_q: BoundedQueue, upload_q: Optional[BoundedQueue],
+                count: int):
         durations = self._cfg.stage_durations
         try:
-            for _ in range(len(self._dataset)):
+            for _ in range(count):
                 image, jitter = yield read_q.get()
                 tr = self._collector.trace(image.id)
                 detection = workload.detection_for(image, durations, jitter)
@@ -283,9 +286,7 @@ class FarEdgeNode:
         except TransportError as exc:
             self.failure = str(exc)
             self._abandon_pending()
-        if upload_q is None:
-            self.pipeline_done.set()
-        else:
+        if upload_q is not None:
             yield upload_q.put(None)
 
     def _uploader(self, upload_q: BoundedQueue):
@@ -299,7 +300,6 @@ class FarEdgeNode:
         except TransportError as exc:
             self.failure = str(exc)
             self._abandon_pending()
-        self.pipeline_done.set()
 
     def _upload(self, image, tr: _ImageTrace):
         meta, envelopes = chunkwire.fragment(
@@ -310,22 +310,18 @@ class FarEdgeNode:
         tr.uploaded = True
         self._pending[image.id] = tr
         tr.timeout_handle = self._loop.schedule(
-            self._cfg.image_timeout_s, lambda: self._on_timeout(image.id))
+            self._cfg.image_timeout_s, partial(self._on_timeout, image.id))
         if self._blocking:
-            last_receipt: SendReceipt = None
             for msg in messages:
                 receipt = yield self._uplink.send(msg)
                 if tr.transfer_start is None:
                     tr.transfer_start = receipt.wire_start
-                last_receipt = receipt
-            tr.upload_end = last_receipt.ack_at
+            tr.upload_end = receipt.ack_at
         else:
-            first = True
             for msg in messages:
                 ticket = self._uplink.put(msg)
-                if first:
+                if tr.first_ticket is None:
                     tr.first_ticket = ticket
-                    first = False
                 yield ticket.accepted
 
     def _on_timeout(self, image_id: str) -> None:
@@ -351,10 +347,11 @@ class EdgeService:
     def __init__(self, loop: EventLoop, cfg: ScenarioConfig, db,
                  embeddings: dict[str, object], collector: Collector,
                  edge_core: SimCore,
-                 send_result: Callable[[bytes], None],
+                 send_result: Callable[[str, bytes], None],
                  cloud_send: Optional[Callable[[str, bytes], None]] = None):
-        """``cloud_send(key, data)`` publishes ``data`` towards the cloud
-        under the pub/sub key ``key``."""
+        """``send_result(image_id, data)`` sends the result message ``data``
+        of ``image_id`` to the far edge; ``cloud_send(key, data)`` publishes
+        ``data`` towards the cloud under the pub/sub key ``key``."""
         self._loop = loop
         self._cfg = cfg
         self._db = db
@@ -424,7 +421,7 @@ class EdgeService:
         self._fed.pop(image_id, None)
         self._corrupt.pop(image_id, None)
         self._done_ids.add(image_id)
-        self._send_result(encode_result(ResultMessage(
+        self._send_result(image_id, encode_result(ResultMessage(
             image_id=image_id, origin="edge", recognized=False,
             label=None, is_false_positive=False)))
 
@@ -446,7 +443,7 @@ class EdgeService:
             result = yield from self._cloud_flow(image_id, payload)
         if result is None:
             result = ResultMessage(image_id, "edge", False, None, False)
-        self._send_result(encode_result(result))
+        self._send_result(image_id, encode_result(result))
 
     def _cloud_flow(self, image_id: str, payload: bytes):
         """Presigned-grant escalation; forwards the cloud's verdict verbatim.
@@ -494,7 +491,11 @@ class EdgeService:
         except MalformedJson:
             self.malformed_messages += 1
             return
-        gate = self._pending_cloud.pop(doc.get("image_id", ""), None)
+        image_id = doc.get("image_id")
+        if type(image_id) is not str:
+            self.malformed_messages += 1
+            return
+        gate = self._pending_cloud.pop(image_id, None)
         if gate is not None and not gate.is_set:
             gate.set(doc)
 
@@ -526,10 +527,14 @@ class PresignedGrant:
 
 class CloudService:
     """Issues single-use upload grants and runs the recognizer after the
-    configured service latency."""
+    configured service latency. ``ground_truth`` maps each image id to the
+    known person its face shows, or None for an unknown face. A request
+    without exactly the keys of its ``msg_type``, with a value that is not a
+    string, or of another ``msg_type`` is dropped and counted in
+    ``malformed_messages``."""
 
     def __init__(self, loop: EventLoop, cfg: ScenarioConfig,
-                 ground_truth: dict[str, object],
+                 ground_truth: dict[str, Optional[PersonId]],
                  send_to_edge: Callable[[str, bytes], None]):
         self._loop = loop
         self._cfg = cfg
@@ -570,11 +575,17 @@ class CloudService:
     def on_message(self, data: bytes) -> None:
         try:
             doc = chunkwire.parse_object(data)
-        except MalformedJson:
+            if not all(type(value) is str for value in doc.values()):
+                raise MalformedJson("cloud request values must be strings")
+            keys = _CLOUD_REQUEST_KEYS.get(doc.get("msg_type"))
+            if keys is None:
+                raise MalformedJson(f"unknown msg_type {doc.get('msg_type')!r}")
+            chunkwire.check_keys(doc, keys, frozenset(keys))
+        except ChunkError:
             self.malformed_messages += 1
             return
-        image_id = doc.get("image_id", "")
-        if doc.get("msg_type") == "grant_request":
+        image_id = doc["image_id"]
+        if doc["msg_type"] == "grant_request":
             grant = self.issue_grant(image_id)
             self._send_to_edge(image_id, chunkwire.encode_object({
                 "msg_type": "grant",
@@ -582,18 +593,18 @@ class CloudService:
                 "upload_token": grant.upload_token,
                 "expires_at": grant.expires_at,
             }))
-        elif doc.get("msg_type") == "cloud_upload":
-            image = self._ground_truth.get(image_id)
-            if image is None:
+        else:
+            if image_id not in self._ground_truth:
                 self._reject(image_id, f"no record of image {image_id}")
                 return
             try:
-                self.redeem(doc.get("upload_token", ""), image_id)
+                self.redeem(doc["upload_token"], image_id)
             except (InvalidGrant, ExpiredGrant) as exc:
                 self._reject(image_id, str(exc))
                 return
             verdict = workload.cloud_recognize(
-                image, self._cfg.fp_rate, self._fp_rng, self._latency())
+                image_id, self._ground_truth[image_id], self._cfg.fp_rate,
+                self._fp_rng, self._latency())
             payload = encode_result(ResultMessage(
                 image_id=image_id,
                 origin="cloud",
@@ -663,10 +674,13 @@ def run_tiers(cfg: ScenarioConfig, loop: EventLoop, links: tuple,
     """Wire the three tiers of ``cfg`` over ``links`` (far->edge, edge->far,
     edge->cloud, cloud->edge), run ``loop`` until it drains and aggregate the
     metrics. Both time modes run here; they differ in the loop, the links and
-    the class of the blocking session's endpoints."""
+    the class of the blocking session's endpoints.
+
+    Routes are connected edge<->cloud first, then far<->edge, all before
+    ``far.start``: each route's drain process schedules its first event at
+    time 0, so the connect order fixes the order of those same-instant
+    events, and through them the order of later ties."""
     db, dataset = build_dataset(cfg)
-    embeddings = {img.id: img.embedding for img in dataset}
-    ground_truth = {img.id: img for img in dataset}
     collector = Collector(loop)
 
     core0 = SimCore(loop, 0)
@@ -681,78 +695,53 @@ def run_tiers(cfg: ScenarioConfig, loop: EventLoop, links: tuple,
     fabric.connect("edge", "cloud", up_cloud_link)
     fabric.connect("cloud", "edge", down_cloud_link)
 
-    edge_cloud_pubs: dict[tuple[str, str], Publisher] = {}
+    # The handlers below look ``edge`` and ``far`` up when a message
+    # arrives, after both exist.
+    if cfg.transport is TransportKind.PUBSUB:
+        fabric.connect("far", "edge", uplink_link)
+        fabric.connect("edge", "far", downlink_link)
+        uplink = fabric.declare_publisher("far", KEY_FACES_DETECTED)
+        fabric.endpoint("edge").subscribe(
+            KEY_FACES_DETECTED, lambda _k, d: edge.on_upload_message(d))
+        fabric.endpoint("far").subscribe(
+            KEY_RESULTS_PREFIX + "*", lambda _k, d: far.on_result_message(d))
+
+        def send_result(image_id: str, data: bytes) -> None:
+            fabric.declare_publisher("edge", KEY_RESULTS_PREFIX + image_id).put(data)
+    else:
+        uplink, edge_sess = session_pair(loop, uplink_link, downlink_link,
+                                         timeout=cfg.send_timeout_s,
+                                         endpoint=session_type)
+        edge_sess.on_message(lambda d: edge.on_upload_message(d))
+        uplink.on_message(lambda d: far.on_result_message(d))
+
+        def send_result(_image_id: str, data: bytes) -> None:
+            def _proc():
+                yield edge_sess.send(data)
+            spawn(loop, _proc(), name="edge-result-send")
 
     def edge_to_cloud(key: str, data: bytes) -> None:
-        pub = edge_cloud_pubs.get(("edge", key))
-        if pub is None:
-            pub = fabric.declare_publisher("edge", key)
-            edge_cloud_pubs[("edge", key)] = pub
-        pub.put(data)
+        fabric.declare_publisher("edge", key).put(data)
 
-    def cloud_to_edge(image_id: str, data: bytes) -> None:
-        key = KEY_CLOUD_RESULTS_PREFIX + image_id
-        pub = edge_cloud_pubs.get(("cloud", key))
-        if pub is None:
-            pub = fabric.declare_publisher("cloud", key)
-            edge_cloud_pubs[("cloud", key)] = pub
-        pub.put(data)
+    edge = EdgeService(loop, cfg, db, {img.id: img.embedding for img in dataset},
+                       collector, edge_core, send_result,
+                       edge_to_cloud if cfg.cloud_enabled else None)
+    fabric.endpoint("edge").subscribe(
+        KEY_CLOUD_RESULTS_PREFIX + "*", lambda _k, d: edge.on_cloud_message(d))
+    far = FarEdgeNode(loop, cfg, uplink, collector, core0, core1)
 
-    cloud = None
     if cfg.cloud_enabled:
-        cloud = CloudService(loop, cfg, ground_truth, cloud_to_edge)
+        def cloud_to_edge(image_id: str, data: bytes) -> None:
+            fabric.declare_publisher("cloud", KEY_CLOUD_RESULTS_PREFIX + image_id).put(data)
+
+        cloud = CloudService(loop, cfg, {img.id: img.ground_truth for img in dataset},
+                             cloud_to_edge)
         fabric.endpoint("cloud").subscribe(
             KEY_CLOUD_REQUESTS_PREFIX + "*", lambda _k, d: cloud.on_message(d))
         fabric.endpoint("cloud").subscribe(
             KEY_CLOUD_UPLOADS_PREFIX + "*", lambda _k, d: cloud.on_message(d))
 
-    result_pubs: dict[str, Publisher] = {}
-
-    if cfg.transport is TransportKind.PUBSUB:
-        fabric.connect("far", "edge", uplink_link)
-        fabric.connect("edge", "far", downlink_link)
-
-        def send_result(data: bytes) -> None:
-            msg = decode_result(data)
-            key = KEY_RESULTS_PREFIX + msg.image_id
-            pub = result_pubs.get(key)
-            if pub is None:
-                pub = fabric.declare_publisher("edge", key)
-                result_pubs[key] = pub
-            pub.put(data)
-
-        edge = EdgeService(loop, cfg, db, embeddings, collector, edge_core,
-                           send_result, edge_to_cloud if cfg.cloud_enabled else None)
-        fabric.endpoint("edge").subscribe(
-            KEY_FACES_DETECTED, lambda _k, d: edge.on_upload_message(d))
-        fabric.endpoint("edge").subscribe(
-            KEY_CLOUD_RESULTS_PREFIX + "*", lambda _k, d: edge.on_cloud_message(d))
-
-        faces_pub = fabric.declare_publisher("far", KEY_FACES_DETECTED)
-        far = FarEdgeNode(loop, cfg, dataset, faces_pub, collector, core0, core1)
-        fabric.endpoint("far").subscribe(
-            KEY_RESULTS_PREFIX + "*", lambda _k, d: far.on_result_message(d))
-    else:
-        far_sess, edge_sess = session_pair(loop, uplink_link, downlink_link,
-                                           timeout=cfg.send_timeout_s,
-                                           endpoint=session_type)
-
-        def send_result(data: bytes) -> None:
-            def _proc():
-                yield edge_sess.send(data)
-            spawn(loop, _proc(), name="edge-result-send")
-
-        edge = EdgeService(loop, cfg, db, embeddings, collector, edge_core,
-                           send_result, edge_to_cloud if cfg.cloud_enabled else None)
-        if cfg.cloud_enabled:
-            fabric.endpoint("edge").subscribe(
-                KEY_CLOUD_RESULTS_PREFIX + "*", lambda _k, d: edge.on_cloud_message(d))
-        edge_sess.on_message(edge.on_upload_message)
-
-        far = FarEdgeNode(loop, cfg, dataset, far_sess, collector, core0, core1)
-        far_sess.on_message(far.on_result_message)
-
-    far.start()
+    far.start(dataset)
     loop.run()
 
     wall = loop.now if loop.now > 0 else 1e-9

@@ -33,7 +33,7 @@ from typing import Callable
 from .domain import ScenarioConfig
 from .netsim import EventLoop, Gate, Transmission
 from .nodes import RunResult, run_tiers
-from .transport import ConnectionClosed, KeyExpr, SendReceipt, SendTimeout, SessionEndpoint
+from .transport import ConnectionClosed, SendReceipt, SendTimeout, SessionEndpoint
 
 # perfbench/tracer.py wraps these names on this module; nothing here calls them.
 from .metrics import summarize  # noqa: F401
@@ -169,23 +169,23 @@ class SocketLink:
     def in_flight(self) -> int:
         return len(self._handlers)
 
-    def deliver(self, key: KeyExpr | None, payload: bytes,
-                handler: Callable[[KeyExpr | None, bytes], None]) -> Transmission:
+    def deliver(self, key: str | None, payload: bytes,
+                handler: Callable[[str, bytes], None]) -> Transmission:
         self._handlers.append(handler)
-        self.writer.write(b"" if key is None else str(key).encode("utf-8"), payload)
+        self.writer.write(b"" if key is None else key.encode("utf-8"), payload)
         now = self._loop.now
         return Transmission(now, now, now, len(payload))
 
     def _arrived(self, key: str, payload: bytes) -> None:
-        self._handlers.popleft()(KeyExpr.parse(key) if key else None, payload)
+        self._handlers.popleft()(key, payload)
 
 
 class SocketSession(SessionEndpoint):
     """Blocking session over socket links. The receiver answers each data
     frame with an empty ack frame on the reverse link; ``send`` resumes on
     that ack, or fails the connection after ``timeout`` real seconds. The
-    sender sees no instant between its write and the ack, so the receipt's
-    wire end and arrival are the ack instant."""
+    receipt's wire start is the write and its ack instant is the read of the
+    ack frame."""
 
     def __init__(self, loop: EventLoop, out_link: SocketLink, timeout: float = 30.0,
                  name: str = "session"):
@@ -202,17 +202,16 @@ class SocketSession(SessionEndpoint):
         self._out_link.deliver(None, payload, self.peer._receive)
         return gate
 
-    def _receive(self, _key: None, payload: bytes) -> None:
+    def _receive(self, _key: str, payload: bytes) -> None:
         self._out_link.deliver(None, b"", self.peer._acked)
         if not self.closed and self._handler is not None:
             self._handler(payload)
 
-    def _acked(self, _key: None, _payload: bytes) -> None:
+    def _acked(self, _key: str, _payload: bytes) -> None:
         gate, start, timer = self._unacked.popleft()
         timer.cancel()
         if not gate.is_set:
-            now = self._loop.now
-            gate.set(SendReceipt(start, now, now, now))
+            gate.set(SendReceipt(start, self._loop.now))
 
     def _time_out(self, gate: Gate) -> None:
         self.closed = self.peer.closed = True

@@ -8,7 +8,10 @@
   enqueues the message on the outbound queue of every route that leads to a
   matching subscriber and returns immediately; a background drain transmits
   queued messages in FIFO order. When a queue is full the put blocks until
-  space frees (backpressure).
+  space frees (backpressure). A key is matched against the subscriptions
+  once, when the message is enqueued: it is delivered to the handlers that
+  matched then. Routes, publishers and subscriptions live as long as the
+  fabric; there is no close or cancel.
 
 Key expressions are ``/``-separated segments where ``*`` matches exactly one
 segment and nothing else.
@@ -17,11 +20,11 @@ segment and nothing else.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
 
-from .netsim import EventLoop, Gate, SimLink, Transmission, spawn
+from .netsim import EventLoop, Gate, SimLink, spawn
 
 
 class TransportError(Exception):
@@ -33,10 +36,6 @@ class ConnectionClosed(TransportError):
 
 
 class SendTimeout(TransportError):
-    pass
-
-
-class QueueClosed(TransportError):
     pass
 
 
@@ -88,12 +87,10 @@ def match_key(pattern: KeyExpr, key: KeyExpr) -> bool:
 
 @dataclass
 class SendReceipt:
-    """Timeline of one blocking send: wire occupancy, delivery, and the
+    """Timeline of one blocking send: when it hit the wire and the
     acknowledgment instant at which the sender resumed."""
 
     wire_start: float
-    wire_end: float
-    arrival: float
     ack_at: float
 
 
@@ -137,7 +134,7 @@ class SessionEndpoint:
         peer = self.peer
         self._loop.schedule_at(tx.arrival, partial(self._deliver, peer, payload))
         gate.set_at(ack_at - self._loop.now,
-                    SendReceipt(tx.wire_start, tx.wire_end, tx.arrival, ack_at))
+                    SendReceipt(tx.wire_start, ack_at))
         return gate
 
     @staticmethod
@@ -158,41 +155,35 @@ def session_pair(loop: EventLoop, link_ab: SimLink, link_ba: SimLink,
 
 @dataclass
 class PutTicket:
-    """Handle on one published message: when it was accepted into the queue
-    and when it hit the wire."""
+    """Handle on one published message: ``accepted`` fires when every target
+    queue took it, and ``wire_start`` is when it first hit a wire."""
 
     accepted: Gate
-    enqueued_at: float = 0.0
-    transmissions: list[Transmission] = field(default_factory=list)
+    wire_start: Optional[float] = None
 
 
-@dataclass
-class Subscription:
-    pattern: KeyExpr
-    handler: Callable[[str, bytes], None]
-    active: bool = True
-
-    def cancel(self) -> None:
-        self.active = False
+Handler = Callable[[str, bytes], None]
+# One queued message: key, payload, the handlers it matched, its ticket.
+_Entry = tuple[str, bytes, list[Handler], PutTicket]
 
 
 class PubSubEndpoint:
     def __init__(self, name: str):
         self.name = name
-        self.subscriptions: list[Subscription] = []
+        self.subscriptions: list[tuple[KeyExpr, Handler]] = []
 
-    def subscribe(self, pattern: str, handler: Callable[[str, bytes], None]) -> Subscription:
-        sub = Subscription(KeyExpr.parse(pattern), handler)
-        self.subscriptions.append(sub)
-        return sub
+    def subscribe(self, pattern: str, handler: Handler) -> None:
+        self.subscriptions.append((KeyExpr.parse(pattern), handler))
 
-    def matches(self, key: KeyExpr) -> bool:
-        return any(s.active and match_key(s.pattern, key) for s in self.subscriptions)
+    def handlers(self, key: KeyExpr) -> list[Handler]:
+        """The handlers whose pattern matches ``key``, in subscription order."""
+        return [handler for pattern, handler in self.subscriptions
+                if match_key(pattern, key)]
 
-    def dispatch(self, key: KeyExpr, payload: bytes) -> None:
-        for sub in self.subscriptions:
-            if sub.active and match_key(sub.pattern, key):
-                sub.handler(str(key), payload)
+
+def _dispatch(handlers: list[Handler], key: str, payload: bytes) -> None:
+    for handler in handlers:
+        handler(key, payload)
 
 
 class _Route:
@@ -206,36 +197,23 @@ class _Route:
         self.link = link
         self.dst = dst
         self.capacity = capacity
-        self.closed = False
-        self._items: deque[tuple[KeyExpr, bytes, PutTicket]] = deque()
-        self._putters: deque[tuple[Gate, tuple[KeyExpr, bytes, PutTicket]]] = deque()
+        self._items: deque[_Entry] = deque()
+        self._putters: deque[tuple[Gate, _Entry]] = deque()
         self._wakeup: Optional[Gate] = None
         self._flush_waiters: list[Gate] = []
         spawn(loop, self._drain(), name=f"drain->{dst.name}")
 
-    @property
-    def occupancy(self) -> int:
-        return len(self._items)
-
-    def put(self, key: KeyExpr, payload: bytes, ticket: PutTicket) -> Gate:
+    def put(self, entry: _Entry) -> Gate:
         gate = Gate(self._loop)
-        if self.closed:
-            gate.set(QueueClosed("route closed"))
-            return gate
-        entry = (key, payload, ticket)
         if len(self._items) < self.capacity:
-            self._enqueue(entry)
+            self._items.append(entry)
+            if self._wakeup is not None:
+                wakeup, self._wakeup = self._wakeup, None
+                wakeup.set(None)
             gate.set(None)
         else:
             self._putters.append((gate, entry))
         return gate
-
-    def close(self) -> None:
-        self.closed = True
-        for gate, _ in self._putters:
-            gate.set(QueueClosed("route closed"))
-        self._putters.clear()
-        self._kick()
 
     def flush(self) -> Gate:
         """Gate that fires once every queued message has left the wire."""
@@ -246,33 +224,22 @@ class _Route:
             self._flush_waiters.append(gate)
         return gate
 
-    def _enqueue(self, entry: tuple[KeyExpr, bytes, PutTicket]) -> None:
-        entry[2].enqueued_at = self._loop.now
-        self._items.append(entry)
-        self._kick()
-
-    def _kick(self) -> None:
-        if self._wakeup is not None:
-            gate, self._wakeup = self._wakeup, None
-            gate.set(None)
-
     def _drain(self):
         while True:
             if not self._items:
-                if self.closed:
-                    return
                 self._wakeup = Gate(self._loop)
                 yield self._wakeup
                 continue
-            key, payload, ticket = self._items[0]
-            tx = self.link.deliver(key, payload, self.dst.dispatch)
-            ticket.transmissions.append(tx)
+            key, payload, handlers, ticket = self._items[0]
+            tx = self.link.deliver(key, payload, partial(_dispatch, handlers))
+            if ticket.wire_start is None:
+                ticket.wire_start = tx.wire_start
             if tx.wire_end > self._loop.now:
                 yield tx.wire_end - self._loop.now
             self._items.popleft()
             if self._putters:
                 gate, entry = self._putters.popleft()
-                self._enqueue(entry)
+                self._items.append(entry)
                 gate.set(None)
             if not self._items and not self._putters:
                 waiters, self._flush_waiters = self._flush_waiters, []
@@ -285,13 +252,9 @@ class Publisher:
         self.fabric = fabric
         self.endpoint = endpoint
         self.key = key
-        self.closed = False
 
     def put(self, payload: bytes) -> PutTicket:
         return self.fabric.put(self, payload)
-
-    def close(self) -> None:
-        self.closed = True
 
 
 class PubSubFabric:
@@ -308,10 +271,8 @@ class PubSubFabric:
             self.endpoints[name] = PubSubEndpoint(name)
         return self.endpoints[name]
 
-    def connect(self, src: str, dst: str, link: SimLink,
-                capacity: Optional[int] = None) -> _Route:
-        route = _Route(self._loop, link, self.endpoint(dst),
-                       capacity or self.queue_capacity)
+    def connect(self, src: str, dst: str, link: SimLink) -> _Route:
+        route = _Route(self._loop, link, self.endpoint(dst), self.queue_capacity)
         self._routes[(src, dst)] = route
         return route
 
@@ -326,30 +287,27 @@ class PubSubFabric:
 
     def put(self, publisher: Publisher, payload: bytes) -> PutTicket:
         """Enqueue ``payload`` toward every remote endpoint with a matching
-        subscription. The ticket's ``accepted`` gate fires when all target
-        queues took the message; with no matching subscriber the message is
-        dropped and the put completes immediately."""
+        subscription, for the handlers that match there now. The ticket's
+        ``accepted`` gate fires when all target queues took the message; with
+        no matching subscriber the message is dropped and the put completes
+        immediately."""
         ticket = PutTicket(accepted=Gate(self._loop))
-        if publisher.closed:
-            ticket.accepted.set(QueueClosed(f"publisher {publisher.key} closed"))
-            return ticket
+        key = str(publisher.key)
         gates = []
         for (src, _dst), route in self._routes.items():
-            if src == publisher.endpoint.name and route.dst.matches(publisher.key):
-                gates.append(route.put(publisher.key, payload, ticket))
+            if src == publisher.endpoint.name:
+                handlers = route.dst.handlers(publisher.key)
+                if handlers:
+                    gates.append(route.put((key, payload, handlers, ticket)))
         if not gates:
             ticket.accepted.set(None)
             return ticket
         remaining = len(gates)
 
-        def _one_done(value: object) -> None:
+        def _one_done(_value: object) -> None:
             nonlocal remaining
-            if isinstance(value, BaseException):
-                if not ticket.accepted.is_set:
-                    ticket.accepted.set(value)
-                return
             remaining -= 1
-            if remaining == 0 and not ticket.accepted.is_set:
+            if remaining == 0:
                 ticket.accepted.set(None)
 
         for g in gates:

@@ -295,20 +295,20 @@ class CloudResult:
     t_cloud: float
 
 
-def cloud_recognize(image: ImageRecord, fp_rate: float, rng: Prng,
-                    latency: float) -> CloudResult:
-    """Simulated large-scale recognizer: known identities resolve correctly;
-    an unknown face draws exactly one rng sample and is mislabeled as some
-    celebrity with probability ``fp_rate``."""
+def cloud_recognize(image_id: str, person: Optional[PersonId], fp_rate: float,
+                    rng: Prng, latency: float) -> CloudResult:
+    """Simulated large-scale recognizer for the face of image ``image_id``:
+    a known ``person`` resolves correctly; an unknown face (``person`` None)
+    draws exactly one rng sample and is mislabeled as some celebrity with
+    probability ``fp_rate``."""
     if not 0.0 <= fp_rate <= 1.0:
         raise ValueError("fp_rate must be in [0,1]")
-    if image.ground_truth is not None:
-        return CloudResult(image.id, CloudOutcome.MATCH,
-                           image.ground_truth.label, False, latency)
+    if person is not None:
+        return CloudResult(image_id, CloudOutcome.MATCH, person.label, False, latency)
     u = rng.uniform()
     if fp_rate > 0.0 and u < fp_rate:
         index = min(int(u / fp_rate * len(CELEBRITY_LABELS)),
                     len(CELEBRITY_LABELS) - 1)
-        return CloudResult(image.id, CloudOutcome.MATCH,
+        return CloudResult(image_id, CloudOutcome.MATCH,
                            CELEBRITY_LABELS[index], True, latency)
-    return CloudResult(image.id, CloudOutcome.NO_MATCH, None, False, latency)
+    return CloudResult(image_id, CloudOutcome.NO_MATCH, None, False, latency)

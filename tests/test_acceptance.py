@@ -266,7 +266,8 @@ def _fp_enumeration(cfg: ScenarioConfig) -> int:
     count = 0
     for image in dataset:
         if image.has_face and image.ground_truth is None:
-            count += cloud_recognize(image, cfg.fp_rate, rng, 0.0).is_false_positive
+            verdict = cloud_recognize(image.id, image.ground_truth, cfg.fp_rate, rng, 0.0)
+            count += verdict.is_false_positive
     return count
 
 

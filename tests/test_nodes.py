@@ -1,9 +1,11 @@
+import gc
 import json
+import weakref
 from dataclasses import replace
 
 import pytest
 
-from continuumsim import chunkwire
+from continuumsim import chunkwire, nodes
 from continuumsim.chunkwire import UnknownField
 from continuumsim.domain import (
     LinkParams,
@@ -257,7 +259,7 @@ def test_reassembly_corruption_yields_negative_result_without_cloud_call():
     sent = []
     cloud_calls = []
     edge = EdgeService(loop, cfg, db, {}, collector, SimCore(loop, 2),
-                       send_result=sent.append,
+                       send_result=lambda _id, d: sent.append(d),
                        cloud_send=lambda _id, _data: cloud_calls.append(_id))
     payload = b"\xee" * 2048
     meta, envs = chunkwire.fragment(payload, "imgX", 1024, (2, 2), "RAW")
@@ -322,6 +324,12 @@ def _upload_messages(image_id: str, payload: bytes, chunk_size: int = 64) -> lis
     return [chunkwire.encode_meta(meta)] + [chunkwire.encode_envelope(e) for e in envs]
 
 
+def _edited(data: bytes, **fields) -> bytes:
+    return chunkwire.encode_object({**json.loads(data), **fields})
+
+
+_META, _CHUNK0, _CHUNK1 = _upload_messages("img00000", b"\x01" * 128)
+
 MALFORMED_UPLOADS = {
     "non_utf8": b"\xff\xfe{}",
     "non_json": b"{not json",
@@ -332,6 +340,10 @@ MALFORMED_UPLOADS = {
         b'"payload_b64":"', b'"payload_b64":"@@'),
     "non_string_base64": b'{"msg_type":"chunk","image_id":"img00000","seq":0,'
                          b'"total_chunks":1,"payload_len":1,"payload_b64":5,"crc32_chunk":0}',
+    "non_string_image_id": _edited(_META, image_id=[]),
+    "zero_chunk_size": _edited(_META, chunk_size_bytes=0),
+    "bool_seq": _edited(_CHUNK1, seq=True),
+    "float_seq": _edited(_CHUNK0, seq=0.0),
 }
 
 
@@ -363,7 +375,7 @@ def test_upload_message_is_parsed_once(monkeypatch):
     loop = EventLoop()
     cfg = tiny_config(n=1)
     edge = EdgeService(loop, cfg, make_face_db(cfg.rng_seed, cfg.db_size), {},
-                       Collector(loop), SimCore(loop, 2), send_result=lambda _d: None)
+                       Collector(loop), SimCore(loop, 2), send_result=lambda _id, _d: None)
     messages = _upload_messages("imgP", Prng(8).randbytes(300))
     parses = []
     parse_object = chunkwire.parse_object
@@ -398,7 +410,8 @@ def test_cloud_reply_without_its_keys_is_a_negative_counted_result(bad_reply):
         loop.schedule(0.1, lambda: edge.on_cloud_message(reply))
 
     edge = EdgeService(loop, cfg, make_face_db(cfg.rng_seed, cfg.db_size), {},
-                       Collector(loop), SimCore(loop, 2), send_result=sent.append,
+                       Collector(loop), SimCore(loop, 2),
+                       send_result=lambda _id, d: sent.append(d),
                        cloud_send=cloud_send)
     for data in _upload_messages("imgQ", b"\x33" * 200):
         edge.on_upload_message(data)
@@ -411,23 +424,99 @@ def test_cloud_reply_without_its_keys_is_a_negative_counted_result(bad_reply):
     assert cloud_keys == expected_keys
 
 
-MALFORMED_CLOUD_LEG = [b"\xff\xfe{}", b"{not json", b'["msg_type","grant"]']
+MALFORMED_CLOUD_LEG = [b"\xff\xfe{}", b"{not json", b'["msg_type","grant"]',
+                       b'{"msg_type":"grant","image_id":[]}']
 
 
-@pytest.mark.parametrize("data", MALFORMED_CLOUD_LEG, ids=["non_utf8", "non_json", "non_object"])
+@pytest.mark.parametrize("data", MALFORMED_CLOUD_LEG,
+                         ids=["non_utf8", "non_json", "non_object", "non_string_id"])
 def test_malformed_cloud_leg_message_is_dropped_and_counted(data):
     loop = EventLoop()
     cfg = tiny_config(n=1, cloud=True)
     replies = []
     cloud = CloudService(loop, cfg, {}, send_to_edge=lambda _id, d: replies.append(d))
     edge = EdgeService(loop, cfg, make_face_db(cfg.rng_seed, cfg.db_size), {},
-                       Collector(loop), SimCore(loop, 2), send_result=replies.append,
+                       Collector(loop), SimCore(loop, 2),
+                       send_result=lambda _id, d: replies.append(d),
                        cloud_send=lambda _id, d: replies.append(d))
     cloud.on_message(data)
     edge.on_cloud_message(data)
     loop.run()
     assert (cloud.malformed_messages, edge.malformed_messages) == (1, 1)
     assert replies == []
+
+
+MALFORMED_CLOUD_REQUESTS = {
+    "grant_request_without_id": {"msg_type": "grant_request"},
+    "grant_request_with_extra_key": {"msg_type": "grant_request", "image_id": "imgA",
+                                     "hops": "1"},
+    "non_string_id": {"msg_type": "grant_request", "image_id": ["imgA"]},
+    "upload_without_token": {"msg_type": "cloud_upload", "image_id": "imgA",
+                             "payload_b64": ""},
+    "non_string_token": {"msg_type": "cloud_upload", "image_id": "imgA",
+                         "upload_token": [], "payload_b64": ""},
+    "unknown_msg_type": {"msg_type": "grant", "image_id": "imgA"},
+    "non_string_msg_type": {"msg_type": ["grant_request"], "image_id": "imgA"},
+}
+
+
+@pytest.mark.parametrize("doc", MALFORMED_CLOUD_REQUESTS.values(),
+                         ids=MALFORMED_CLOUD_REQUESTS.keys())
+def test_malformed_cloud_request_is_dropped_and_counted(doc):
+    loop = EventLoop()
+    cfg = tiny_config(n=1, cloud=True)
+    replies = []
+    cloud = CloudService(loop, cfg, {"imgA": None},
+                         send_to_edge=lambda _id, d: replies.append(d))
+    cloud.issue_grant("imgA")
+    cloud.on_message(chunkwire.encode_object(doc))
+    loop.run()
+    assert cloud.malformed_messages == 1
+    assert replies == []
+
+
+def test_grant_request_without_image_id_ends_in_a_negative_cloud_result(monkeypatch):
+    # In a run, the edge's grant request for the first image loses its
+    # image_id: the cloud drops it, and the edge's cloud timeout answers.
+    encode_object = chunkwire.encode_object
+
+    def drop_first_id(doc):
+        if doc.get("msg_type") == "grant_request" and doc["image_id"] == "img00000":
+            doc = {"msg_type": "grant_request"}
+        return encode_object(doc)
+
+    monkeypatch.setattr(chunkwire, "encode_object", drop_first_id)
+    for transport in TransportKind:
+        r = run_scenario(tiny_config(transport, n=3, cloud=True, known_prob=0.0,
+                                     cloud_timeout_s=20.0))
+        assert r.failure is None
+        assert sorted(rec.image_id for rec in r.records) == ["img00000", "img00001", "img00002"]
+        assert all(rec.origin == "cloud" for rec in r.records)
+        first = next(rec for rec in r.records if rec.image_id == "img00000")
+        assert not first.recognized and first.cloud_rtt >= 20.0
+
+
+@pytest.mark.parametrize("parallelism", [False, True], ids=["sequential", "parallel"])
+@pytest.mark.parametrize("cloud", [False, True], ids=["no_cloud", "cloud"])
+@pytest.mark.parametrize("transport", list(TransportKind), ids=lambda t: t.name.lower())
+def test_run_frees_its_dataset_without_the_cyclic_collector(transport, cloud, parallelism,
+                                                            monkeypatch):
+    refs = []
+    build_dataset = nodes.build_dataset
+
+    def build_and_watch(cfg):
+        db, dataset = build_dataset(cfg)
+        refs.extend(weakref.ref(image) for image in dataset)
+        return db, dataset
+
+    monkeypatch.setattr(nodes, "build_dataset", build_and_watch)
+    gc.disable()
+    try:
+        r = run_scenario(tiny_config(transport, parallelism, n=4, cloud=cloud))
+    finally:
+        gc.enable()
+    assert len(r.records) == len(refs) == 4
+    assert [ref() for ref in refs] == [None] * 4
 
 
 # ---------------------------------------------------------------------------

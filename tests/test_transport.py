@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from continuumsim import transport
 from continuumsim.domain import LinkParams
 from continuumsim.netsim import EventLoop, SimLink, spawn
 from continuumsim.transport import (
@@ -10,7 +11,6 @@ from continuumsim.transport import (
     InvalidPattern,
     KeyExpr,
     PubSubFabric,
-    QueueClosed,
     SendReceipt,
     SendTimeout,
     match_key,
@@ -182,23 +182,14 @@ def test_backpressure_with_capacity_one():
     assert accepted[1] == pytest.approx(1.0)
 
 
-def test_put_on_closed_publisher_raises_queue_closed():
+def test_ticket_wire_start_under_backpressure():
     loop = EventLoop()
-    fabric = _fabric(loop)
+    fabric = _fabric(loop, capacity=1, bandwidth=1000.0)
     fabric.endpoint("dst").subscribe("t/a", lambda k, d: None)
     pub = fabric.declare_publisher("src", "t/a")
-    pub.close()
-    caught = []
-
-    def publisher():
-        try:
-            yield pub.put(b"data").accepted
-        except QueueClosed:
-            caught.append(True)
-
-    spawn(loop, publisher())
+    tickets = [pub.put(b"a" * 1000), pub.put(b"b" * 1000)]  # 1 s of wire time each
     loop.run()
-    assert caught == [True]
+    assert [t.wire_start for t in tickets] == [0.0, pytest.approx(1.0)]
 
 
 def test_publisher_key_must_be_concrete():
@@ -222,6 +213,22 @@ def test_fanout_to_multiple_subscribers():
     spawn(loop, publisher())
     loop.run()
     assert got == ["sub1", "sub2"]
+
+
+def test_key_is_matched_once_at_put(monkeypatch):
+    loop = EventLoop()
+    fabric = _fabric(loop)
+    got = []
+    for name, pattern in (("first", "t/*"), ("other", "u/*"), ("last", "t/x")):
+        fabric.endpoint("dst").subscribe(
+            pattern, lambda k, d, name=name: got.append((name, k, d)))
+    calls = []
+    monkeypatch.setattr(transport, "match_key",
+                        lambda p, k: calls.append(str(p)) or match_key(p, k))
+    fabric.declare_publisher("src", "t/x").put(b"m")
+    loop.run()
+    assert calls == ["t/*", "u/*", "t/x"]
+    assert got == [("first", "t/x", b"m"), ("last", "t/x", b"m")]
 
 
 def test_per_publisher_fifo_order():
