@@ -19,7 +19,9 @@ dict to the decoder of its type; ``decode_upload`` does that for the far
 edge's meta and chunk messages. Decoders check a message's exact key set
 with one set comparison and work out which key is missing or unknown only
 when that fails. A string field must be a JSON string and an integer field a
-JSON integer (not a float or a boolean); anything else is ``MalformedJson``.
+JSON integer (not a float or a boolean), and an image id must be one pub/sub
+key segment (``domain.is_key_segment``), since the tiers publish under keys
+that end in it; anything else is ``MalformedJson``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .domain import MIN_CHUNK_SIZE
+from .domain import MIN_CHUNK_SIZE, is_key_segment
 
 
 class ChunkError(Exception):
@@ -310,6 +312,8 @@ def decode_envelope(data: bytes | dict) -> ChunkEnvelope:
             and type(total_chunks) is int and type(payload_len) is int
             and type(crc) is int):
         raise MalformedJson("chunk field of the wrong type")
+    if not is_key_segment(image_id):
+        raise MalformedJson(f"image_id {image_id!r} is not one key segment")
     try:
         env = ChunkEnvelope(image_id, seq, total_chunks, payload_len, payload_b64, crc)
     except ValueError as exc:
@@ -328,6 +332,8 @@ def decode_meta(data: bytes | dict) -> TransferMetadata:
     if not (type(doc["image_id"]) is str and type(doc["format"]) is str
             and all(type(doc[key]) is int for key in _META_INT_KEYS)):
         raise MalformedJson("meta field of the wrong type")
+    if not is_key_segment(doc["image_id"]):
+        raise MalformedJson(f"image_id {doc['image_id']!r} is not one key segment")
     try:
         return TransferMetadata(
             image_id=doc["image_id"],

@@ -19,6 +19,13 @@ EMBEDDING_NORM_TOL = 1e-6
 MIN_CHUNK_SIZE = 64
 
 
+def is_key_segment(text: str) -> bool:
+    """True iff ``text`` can stand as one concrete segment of a pub/sub key:
+    non-empty, with no ``/`` and no ``*``. The tiers publish an image's
+    messages under a key prefix plus its id, so an image id must be one."""
+    return bool(text) and "/" not in text and "*" not in text
+
+
 class ImageFormat(Enum):
     PNG = "PNG"
     RAW = "RAW"
@@ -81,12 +88,19 @@ class FaceDatabase:
 class ImageRecord:
     """One dataset item: opaque payload bytes plus synthetic ground truth.
 
+    The record holds the seed and size of its payload, not the bytes. Each
+    read of ``payload`` makes them anew: the first ``payload_size`` bytes of
+    the splitmix64 stream seeded with ``payload_seed``. Nothing is cached, so
+    the bytes of an image exist only while a caller holds them; a face-less
+    image, which is never uploaded, never makes them.
+
     ``ground_truth`` is set only when the pictured face belongs to a known
     database person; an unknown face has an embedding but no ground truth.
     """
 
     id: str
-    payload: bytes
+    payload_seed: int
+    payload_size: int
     width_px: int
     height_px: int
     format: ImageFormat
@@ -95,7 +109,7 @@ class ImageRecord:
     embedding: Optional[EmbeddingVec] = None
 
     def __post_init__(self) -> None:
-        if len(self.payload) < 1:
+        if self.payload_size < 1:
             raise ValueError("payload must be at least 1 byte")
         if self.width_px < 1 or self.height_px < 1:
             raise ValueError("image dimensions must be positive")
@@ -104,6 +118,12 @@ class ImageRecord:
                 raise ValueError("face-less image cannot carry identity or embedding")
         elif self.embedding is None:
             raise ValueError("image with a face must carry an embedding")
+
+    @property
+    def payload(self) -> bytes:
+        # workload imports this module, so its stream is looked up here.
+        from .workload import Prng
+        return Prng(self.payload_seed).randbytes(self.payload_size)
 
 
 @dataclass(frozen=True)

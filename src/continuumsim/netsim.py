@@ -175,7 +175,7 @@ class BoundedQueue:
 
     ``get`` hands the item over the moment it is available, freeing the slot
     immediately; that matches a consumer that pops its input before starting
-    to work on it.
+    to work on it. A consumer that stops for good calls ``close``.
     """
 
     def __init__(self, loop: EventLoop, capacity: int):
@@ -186,6 +186,7 @@ class BoundedQueue:
         self._items: list[object] = []
         self._getters: list[Gate] = []
         self._putters: list[tuple[Gate, object]] = []
+        self._closed = False
 
     def put(self, item: object) -> Gate:
         gate = Gate(self._loop)
@@ -195,9 +196,17 @@ class BoundedQueue:
         elif len(self._items) < self.capacity:
             self._items.append(item)
             gate.set(None)
-        else:
+        elif not self._closed:
             self._putters.append((gate, item))
         return gate
+
+    def close(self) -> None:
+        """No get will come again. A put that finds the queue full never
+        completes, as before, but the queue no longer holds its gate or item:
+        a process waiting on that put is then freed by reference counting
+        instead of staying in a cycle through the queue."""
+        self._closed = True
+        self._putters.clear()
 
     def get(self) -> Gate:
         gate = Gate(self._loop)

@@ -30,7 +30,14 @@ from .chunkwire import (
     ReassemblyStatus,
     TransferMetadata,
 )
-from .domain import PersonId, ScenarioConfig, TimeMode, TransportKind, validate_config
+from .domain import (
+    PersonId,
+    ScenarioConfig,
+    TimeMode,
+    TransportKind,
+    is_key_segment,
+    validate_config,
+)
 from .metrics import MetricsRecord, RunSummary, summarize
 from .netsim import BoundedQueue, EventLoop, Gate, SimCore, SimLink, spawn
 from .transport import (
@@ -286,6 +293,10 @@ class FarEdgeNode:
         except TransportError as exc:
             self.failure = str(exc)
             self._abandon_pending()
+            # Nothing takes from the read queue now. The reader still reads
+            # until the queue is full, but its last put then waits on nothing
+            # that holds it, so the dataset is freed by reference counting.
+            read_q.close()
         if upload_q is not None:
             yield upload_q.put(None)
 
@@ -302,6 +313,7 @@ class FarEdgeNode:
             self._abandon_pending()
 
     def _upload(self, image, tr: _ImageTrace):
+        # Each read of ``image.payload`` makes the bytes: read it once.
         meta, envelopes = chunkwire.fragment(
             image.payload, image.id, self._cfg.chunk_size_bytes,
             (image.width_px, image.height_px), image.format.value)
@@ -530,8 +542,8 @@ class CloudService:
     configured service latency. ``ground_truth`` maps each image id to the
     known person its face shows, or None for an unknown face. A request
     without exactly the keys of its ``msg_type``, with a value that is not a
-    string, or of another ``msg_type`` is dropped and counted in
-    ``malformed_messages``."""
+    string, with an image id that is not one key segment, or of another
+    ``msg_type`` is dropped and counted in ``malformed_messages``."""
 
     def __init__(self, loop: EventLoop, cfg: ScenarioConfig,
                  ground_truth: dict[str, Optional[PersonId]],
@@ -581,6 +593,8 @@ class CloudService:
             if keys is None:
                 raise MalformedJson(f"unknown msg_type {doc.get('msg_type')!r}")
             chunkwire.check_keys(doc, keys, frozenset(keys))
+            if not is_key_segment(doc["image_id"]):
+                raise MalformedJson(f"image_id {doc['image_id']!r} is not one key segment")
         except ChunkError:
             self.malformed_messages += 1
             return

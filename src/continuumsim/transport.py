@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
 
+from .domain import is_key_segment
 from .netsim import EventLoop, Gate, SimLink, spawn
 
 
@@ -57,14 +58,11 @@ class KeyExpr:
 
     @staticmethod
     def parse(text: str) -> "KeyExpr":
-        if not text:
-            raise InvalidPattern("key expression must be non-empty")
         segments = tuple(text.split("/"))
         for seg in segments:
-            if not seg:
-                raise InvalidPattern(f"empty segment in {text!r}")
-            if "*" in seg and seg != "*":
-                raise InvalidPattern(f"'*' must be a whole segment in {text!r}")
+            if seg != "*" and not is_key_segment(seg):
+                raise InvalidPattern(
+                    f"segment {seg!r} of {text!r} is empty or has a '*' in it")
         return KeyExpr(segments)
 
     @property

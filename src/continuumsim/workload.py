@@ -7,14 +7,18 @@ latency plus false-positive injection model calibrated through the scenario
 config.
 
 All randomness flows through splitmix64 so runs replay identically on any
-platform. Payload bytes are the bulk of it, so ``Prng.randbytes`` computes
-them a block at a time: splitmix64's state after k steps is
-``seed + k*gamma mod 2**64``, so one Python int holding 128 lanes of 128 bits
-carries 128 consecutive states, and the finalizer runs on all lanes at once
-(SWAR, "SIMD within a register"). A shift is followed by a mask that clears
-the bits it moved in from the neighbouring lane, and a 64x64-bit product fits
-in its 128-bit lane, so no lane ever carries into the next. The low 8 bytes
-of each lane are the output word, in the byte order of the scalar stream.
+platform. A generated record carries one 64-bit seed for its payload, drawn
+from the dataset stream, and no bytes: ``ImageRecord.payload`` makes them
+with ``Prng.randbytes`` on each read, so only images the far edge uploads
+ever have bytes, and only while they are being sent. Payload bytes are still
+the bulk of the randomness, so ``Prng.randbytes`` computes them a block at a
+time: splitmix64's state after k steps is ``seed + k*gamma mod 2**64``, so
+one Python int holding 128 lanes of 128 bits carries 128 consecutive states,
+and the finalizer runs on all lanes at once (SWAR, "SIMD within a
+register"). A shift is followed by a mask that clears the bits it moved in
+from the neighbouring lane, and a 64x64-bit product fits in its 128-bit
+lane, so no lane ever carries into the next. The low 8 bytes of each lane
+are the output word, in the byte order of the scalar stream.
 """
 
 from __future__ import annotations
@@ -176,7 +180,9 @@ def generate_dataset(
     Each record has a face with probability ``face_prob``; a face is a
     perturbed copy of a database embedding with probability ``known_prob``
     (carrying that person as ground truth), otherwise a fresh random unit
-    vector with no ground truth. Payloads are seeded pseudo-random bytes.
+    vector with no ground truth. Each payload is seeded pseudo-random bytes,
+    made when the record's ``payload`` is read; generating the dataset makes
+    none of them.
     """
     if n < 1:
         raise ValueError("dataset size must be >= 1")
@@ -199,11 +205,11 @@ def generate_dataset(
             else:
                 embedding = random_unit_vector(rng)
         # Payload bytes come from a per-image substream so identity draws do
-        # not depend on payload size.
-        payload_rng = Prng(rng.u64())
+        # not depend on payload size; the record makes them when read.
         records.append(ImageRecord(
             id=f"img{k:05d}",
-            payload=payload_rng.randbytes(payload_bytes),
+            payload_seed=rng.u64(),
+            payload_size=payload_bytes,
             width_px=width_px,
             height_px=height_px,
             format=format,

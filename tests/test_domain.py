@@ -141,13 +141,13 @@ def _unit(axis: int) -> EmbeddingVec:
 
 def test_image_record_invariants():
     with pytest.raises(ValueError, match="payload"):
-        ImageRecord("x", b"", 1, 1, ImageFormat.PNG, has_face=False)
+        ImageRecord("x", 5, 0, 1, 1, ImageFormat.PNG, has_face=False)
     with pytest.raises(ValueError, match="embedding"):
-        ImageRecord("x", b"a", 1, 1, ImageFormat.PNG, has_face=True)
+        ImageRecord("x", 5, 1, 1, 1, ImageFormat.PNG, has_face=True)
     with pytest.raises(ValueError, match="face-less"):
-        ImageRecord("x", b"a", 1, 1, ImageFormat.PNG, has_face=False,
+        ImageRecord("x", 5, 1, 1, 1, ImageFormat.PNG, has_face=False,
                     embedding=_unit(0))
-    record = ImageRecord("x", b"a", 1, 1, ImageFormat.PNG, has_face=True,
+    record = ImageRecord("x", 5, 1, 1, 1, ImageFormat.PNG, has_face=True,
                          embedding=_unit(0))
     assert record.ground_truth is None
 

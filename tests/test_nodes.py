@@ -344,6 +344,10 @@ MALFORMED_UPLOADS = {
     "zero_chunk_size": _edited(_META, chunk_size_bytes=0),
     "bool_seq": _edited(_CHUNK1, seq=True),
     "float_seq": _edited(_CHUNK0, seq=0.0),
+    "empty_image_id": _edited(_META, image_id=""),
+    "wildcard_image_id": _edited(_META, image_id="*"),
+    "image_id_with_slash": _edited(_META, image_id="a/b"),
+    "chunk_image_id_with_wildcard": _edited(_CHUNK0, image_id="img*"),
 }
 
 
@@ -369,6 +373,22 @@ def test_malformed_upload_message_is_dropped_counted_and_times_out(data, monkeyp
         first = next(rec for rec in r.records if rec.image_id == "img00000")
         assert first.origin == "none" and first.completion_s >= 30.0
         assert all(rec.origin == "edge" for rec in r.records if rec is not first)
+
+
+@pytest.mark.parametrize("bad_id", ["", "*", "a/b"], ids=["empty", "wildcard", "slash"])
+@pytest.mark.parametrize("transport", list(TransportKind), ids=lambda t: t.name.lower())
+def test_image_id_that_is_not_a_key_segment_ends_by_timeout(bad_id, transport, monkeypatch):
+    # The far edge sends the first image under ``bad_id``: the edge drops
+    # its messages, and the image ends through the far edge's image timeout.
+    fragment = chunkwire.fragment
+    monkeypatch.setattr(chunkwire, "fragment", lambda payload, image_id, *rest: fragment(
+        payload, bad_id if image_id == "img00000" else image_id, *rest))
+    r = run_scenario(tiny_config(transport, n=2, cloud=True, image_timeout_s=30.0))
+    assert r.failure is None
+    origins = {rec.image_id: rec.origin for rec in r.records}
+    assert origins["img00000"] == "none"
+    assert origins["img00001"] in ("edge", "cloud")
+    assert len(r.records) == 2
 
 
 def test_upload_message_is_parsed_once(monkeypatch):
@@ -457,6 +477,10 @@ MALFORMED_CLOUD_REQUESTS = {
                          "upload_token": [], "payload_b64": ""},
     "unknown_msg_type": {"msg_type": "grant", "image_id": "imgA"},
     "non_string_msg_type": {"msg_type": ["grant_request"], "image_id": "imgA"},
+    "empty_id": {"msg_type": "grant_request", "image_id": ""},
+    "wildcard_id": {"msg_type": "grant_request", "image_id": "*"},
+    "upload_id_with_slash": {"msg_type": "cloud_upload", "image_id": "imgA/b",
+                             "upload_token": "grant-000001", "payload_b64": ""},
 }
 
 
@@ -496,11 +520,9 @@ def test_grant_request_without_image_id_ends_in_a_negative_cloud_result(monkeypa
         assert not first.recognized and first.cloud_rtt >= 20.0
 
 
-@pytest.mark.parametrize("parallelism", [False, True], ids=["sequential", "parallel"])
-@pytest.mark.parametrize("cloud", [False, True], ids=["no_cloud", "cloud"])
-@pytest.mark.parametrize("transport", list(TransportKind), ids=lambda t: t.name.lower())
-def test_run_frees_its_dataset_without_the_cyclic_collector(transport, cloud, parallelism,
-                                                            monkeypatch):
+def _run_with_the_cyclic_collector_off(cfg, monkeypatch):
+    """Run ``cfg`` with ``gc`` disabled; returns the result and a weak
+    reference to each record of its dataset."""
     refs = []
     build_dataset = nodes.build_dataset
 
@@ -512,11 +534,50 @@ def test_run_frees_its_dataset_without_the_cyclic_collector(transport, cloud, pa
     monkeypatch.setattr(nodes, "build_dataset", build_and_watch)
     gc.disable()
     try:
-        r = run_scenario(tiny_config(transport, parallelism, n=4, cloud=cloud))
+        return run_scenario(cfg), refs
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("parallelism", [False, True], ids=["sequential", "parallel"])
+@pytest.mark.parametrize("cloud", [False, True], ids=["no_cloud", "cloud"])
+@pytest.mark.parametrize("transport", list(TransportKind), ids=lambda t: t.name.lower())
+def test_run_frees_its_dataset_without_the_cyclic_collector(transport, cloud, parallelism,
+                                                            monkeypatch):
+    r, refs = _run_with_the_cyclic_collector_off(
+        tiny_config(transport, parallelism, n=4, cloud=cloud), monkeypatch)
     assert len(r.records) == len(refs) == 4
     assert [ref() for ref in refs] == [None] * 4
+
+
+# t_io 0.05: the reader waits on the full read queue when the send times
+# out; t_io 0.2: it is still reading then, and fills the queue afterwards.
+@pytest.mark.parametrize("t_io", [0.05, 0.2])
+def test_failed_parallel_run_frees_its_dataset_without_the_cyclic_collector(
+        t_io, monkeypatch):
+    r, refs = _run_with_the_cyclic_collector_off(
+        tiny_config(TransportKind.BLOCKING_SESSION, True, n=6, t_io=t_io,
+                    link_far_to_edge=LinkParams(0.0, 50.0), send_timeout_s=0.5),
+        monkeypatch)
+    assert r.failure is not None
+    assert len(refs) == 6
+    assert [ref() for ref in refs] == [None] * 6
+
+
+@pytest.mark.parametrize("parallelism", [False, True], ids=["sequential", "parallel"])
+@pytest.mark.parametrize("transport", list(TransportKind), ids=lambda t: t.name.lower())
+def test_payload_bytes_are_made_once_per_uploaded_image(transport, parallelism,
+                                                        monkeypatch):
+    calls = []
+    randbytes = Prng.randbytes
+    monkeypatch.setattr(Prng, "randbytes",
+                        lambda rng, n: calls.append(n) or randbytes(rng, n))
+    r = run_scenario(tiny_config(transport, parallelism, n=5, face_prob=0.0,
+                                 known_prob=0.0))
+    assert len(r.records) == 5 and calls == []
+    r = run_scenario(tiny_config(transport, parallelism, n=5, cloud=True))
+    assert all(rec.origin in ("edge", "cloud") for rec in r.records)
+    assert calls == [2048] * 5
 
 
 # ---------------------------------------------------------------------------

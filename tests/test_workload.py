@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -89,6 +90,14 @@ def test_dataset_is_deterministic_per_seed():
            [(r.id, r.has_face, r.payload) for r in b]
     c = generate_dataset(2, 10, 0.8, 0.5, db, 256)
     assert [r.payload for r in a] != [r.payload for r in c]
+
+
+def test_dataset_payload_bytes_are_pinned():
+    dataset = generate_dataset(7, 5, 1.0, 0.5, make_face_db(7, 4), 1000)
+    payloads = b"".join(record.payload for record in dataset)
+    assert len(payloads) == 5000
+    assert hashlib.sha256(payloads).hexdigest() == \
+        "bbda91566d7e42c245c7b1f2032f36772e995b5bb41f77918ef61e2fed4ce906"
 
 
 def test_dataset_identity_draws_do_not_depend_on_payload_size():
