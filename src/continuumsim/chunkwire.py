@@ -11,14 +11,23 @@ Checksums are CRC-32/ISO-HDLC (the zlib/PNG polynomial, reflected, init and
 final xor 0xFFFFFFFF), which gives the well-known check value 0xCBF43926 for
 the ASCII bytes "123456789".
 
-Every wire message is compact JSON (``encode_object``). A chunk envelope is
-written by filling one ``%``-format template, whose output is byte-identical
-to ``encode_object`` on the same fields: wire size feeds the fitted link
-bandwidth. A receiver parses a message once (``parse_object``) and hands the
-dict to the decoder of its type; ``decode_upload`` does that for the far
-edge's meta and chunk messages. Decoders check a message's exact key set
-with one set comparison and work out which key is missing or unknown only
-when that fails. A string field must be a JSON string and an integer field a
+Every wire message is compact JSON (``encode_object``). The far edge goes
+from payload to wire messages in one step, ``encode_upload``: it slices,
+base64-encodes and CRCs each chunk (``_chunks``, which ``fragment`` shares)
+and fills each chunk message into one bytes template, with no
+``ChunkEnvelope`` in between; ``encode_envelope`` fills the same template
+from an envelope. The template's output is byte-identical to
+``encode_object`` on the same fields, because wire size feeds the fitted
+link bandwidth: the image id goes in quoted by the string encoder
+``json.dumps`` uses, once per transfer, and the base64 text goes in as it
+is, because its alphabet (RFC 4648 §4: ``A-Z a-z 0-9 + / =``) holds no
+character that JSON escapes.
+
+A receiver parses a message once (``parse_object``) and hands the dict to
+the decoder of its type; ``decode_upload`` does that for the far edge's meta
+and chunk messages. Decoders check a message's exact key set with one set
+comparison and work out which key is missing or unknown only when that
+fails. A string field must be a JSON string and an integer field a
 JSON integer (not a float or a boolean), and an image id must be one pub/sub
 key segment (``domain.is_key_segment``), since the tiers publish under keys
 that end in it; anything else is ``MalformedJson``.
@@ -120,6 +129,39 @@ class ChunkEnvelope:
         return raw
 
 
+def _transfer(
+    payload: bytes,
+    image_id: str,
+    chunk_size: int,
+    image_dims: tuple[int, int],
+    format: str,
+) -> TransferMetadata:
+    """The metadata of sending ``payload`` in chunks of ``chunk_size``."""
+    if len(payload) < 1:
+        raise EmptyPayload("payload must be at least 1 byte")
+    if chunk_size < MIN_CHUNK_SIZE:
+        raise ChunkSizeTooSmall(f"chunk_size must be >= {MIN_CHUNK_SIZE}")
+    return TransferMetadata(
+        image_id=image_id,
+        total_bytes=len(payload),
+        total_chunks=math.ceil(len(payload) / chunk_size),
+        chunk_size_bytes=chunk_size,
+        crc32_full=crc32(payload),
+        width_px=image_dims[0],
+        height_px=image_dims[1],
+        format=format,
+    )
+
+
+def _chunks(payload: bytes, chunk_size: int):
+    """Each chunk of ``payload`` in sequence order, as its raw length, its
+    base64 text as ASCII bytes and its CRC-32."""
+    view = memoryview(payload)
+    for start in range(0, len(payload), chunk_size):
+        raw = view[start:start + chunk_size]
+        yield len(raw), binascii.b2a_base64(raw, newline=False), crc32(raw)
+
+
 def fragment(
     payload: bytes,
     image_id: str,
@@ -132,33 +174,10 @@ def fragment(
     Every chunk except possibly the last is exactly ``chunk_size`` bytes, and
     decoding the envelopes in sequence order reproduces the payload.
     """
-    if len(payload) < 1:
-        raise EmptyPayload("payload must be at least 1 byte")
-    if chunk_size < MIN_CHUNK_SIZE:
-        raise ChunkSizeTooSmall(f"chunk_size must be >= {MIN_CHUNK_SIZE}")
-    total_chunks = math.ceil(len(payload) / chunk_size)
-    meta = TransferMetadata(
-        image_id=image_id,
-        total_bytes=len(payload),
-        total_chunks=total_chunks,
-        chunk_size_bytes=chunk_size,
-        crc32_full=crc32(payload),
-        width_px=image_dims[0],
-        height_px=image_dims[1],
-        format=format,
-    )
-    envelopes = []
-    for seq in range(total_chunks):
-        raw = payload[seq * chunk_size:(seq + 1) * chunk_size]
-        envelopes.append(ChunkEnvelope(
-            image_id=image_id,
-            seq=seq,
-            total_chunks=total_chunks,
-            payload_len=len(raw),
-            payload_b64=base64.b64encode(raw).decode("ascii"),
-            crc32_chunk=crc32(raw),
-        ))
-    return meta, envelopes
+    meta = _transfer(payload, image_id, chunk_size, image_dims, format)
+    return meta, [
+        ChunkEnvelope(image_id, seq, meta.total_chunks, length, b64.decode("ascii"), crc)
+        for seq, (length, b64, crc) in enumerate(_chunks(payload, chunk_size))]
 
 
 class ReassemblyState(Enum):
@@ -233,10 +252,10 @@ _META_KEY_SET = frozenset(_META_KEYS)
 _META_INT_KEYS = ("total_bytes", "total_chunks", "chunk_size_bytes", "crc32_full",
                   "width_px", "height_px")
 
-# The chunk message in _CHUNK_KEYS order. String fields are filled in already
-# quoted and escaped, the integer fields with %d.
-_CHUNK_TEMPLATE = ('{"msg_type":"chunk","image_id":%s,"seq":%d,"total_chunks":%d,'
-                   '"payload_len":%d,"payload_b64":%s,"crc32_chunk":%d}')
+# The chunk message in _CHUNK_KEYS order. The image id is filled in already
+# quoted and escaped, the base64 text as it is, the integer fields with %d.
+_CHUNK_TEMPLATE = (b'{"msg_type":"chunk","image_id":%s,"seq":%d,"total_chunks":%d,'
+                   b'"payload_len":%d,"payload_b64":"%s","crc32_chunk":%d}')
 # The string encoder json.dumps itself uses with its default ensure_ascii.
 _quote = json.encoder.encode_basestring_ascii
 
@@ -248,11 +267,12 @@ def encode_object(doc: dict) -> bytes:
 
 def encode_envelope(env: ChunkEnvelope) -> bytes:
     """The chunk message of ``env``, byte-identical to ``encode_object`` on
-    its fields in ``_CHUNK_KEYS`` order. Its integer fields must be ints, as
-    ``fragment`` makes them."""
-    return (_CHUNK_TEMPLATE % (
-        _quote(env.image_id), env.seq, env.total_chunks, env.payload_len,
-        _quote(env.payload_b64), env.crc32_chunk)).encode("ascii")
+    its fields in ``_CHUNK_KEYS`` order. Its integer fields must be ints and
+    its ``payload_b64`` base64 text, as ``fragment`` and ``decode_envelope``
+    make them."""
+    return _CHUNK_TEMPLATE % (
+        _quote(env.image_id).encode("ascii"), env.seq, env.total_chunks,
+        env.payload_len, env.payload_b64.encode("ascii"), env.crc32_chunk)
 
 
 def encode_meta(meta: TransferMetadata) -> bytes:
@@ -267,6 +287,27 @@ def encode_meta(meta: TransferMetadata) -> bytes:
         "height_px": meta.height_px,
         "format": meta.format,
     })
+
+
+def encode_upload(
+    payload: bytes,
+    image_id: str,
+    chunk_size: int,
+    image_dims: tuple[int, int],
+    format: str,
+) -> list[bytes]:
+    """The wire messages that send ``payload``: the meta message, then the
+    chunk messages in sequence order. Equal to ``encode_meta`` and
+    ``encode_envelope`` on what ``fragment`` returns for the same arguments,
+    without making the envelopes."""
+    meta = _transfer(payload, image_id, chunk_size, image_dims, format)
+    quoted_id = _quote(image_id).encode("ascii")
+    total_chunks = meta.total_chunks
+    messages = [encode_meta(meta)]
+    messages.extend(
+        _CHUNK_TEMPLATE % (quoted_id, seq, total_chunks, length, b64, crc)
+        for seq, (length, b64, crc) in enumerate(_chunks(payload, chunk_size)))
+    return messages
 
 
 def parse_object(data: bytes) -> dict:

@@ -98,16 +98,25 @@ def encode_result(msg: ResultMessage) -> bytes:
 
 def decode_result(data: bytes | dict) -> ResultMessage:
     """A result message, as wire bytes or as the object
-    ``chunkwire.parse_object`` returned for them."""
+    ``chunkwire.parse_object`` returned for them. Its image id must be one
+    key segment, its origin ``"edge"`` or ``"cloud"``, its two flags JSON
+    booleans and its label a string or null; else ``MalformedJson``."""
     doc = data if isinstance(data, dict) else chunkwire.parse_object(data)
     chunkwire.check_keys(doc, _RESULT_KEYS, _RESULT_KEY_SET)
     if doc["msg_type"] != "result":
         raise MalformedJson("msg_type must be 'result'")
+    image_id, label = doc["image_id"], doc["label"]
+    if not (type(image_id) is str and is_key_segment(image_id)
+            and doc["origin"] in ("edge", "cloud")
+            and type(doc["recognized"]) is bool
+            and type(doc["is_false_positive"]) is bool
+            and (label is None or type(label) is str)):
+        raise MalformedJson("result field of the wrong type or value")
     return ResultMessage(
-        image_id=doc["image_id"],
+        image_id=image_id,
         origin=doc["origin"],
         recognized=doc["recognized"],
-        label=doc["label"],
+        label=label,
         is_false_positive=doc["is_false_positive"],
     )
 
@@ -202,6 +211,7 @@ class FarEdgeNode:
         self._jitter_rng = workload.Prng(workload.substream(cfg.rng_seed, 2))
         self._pending: dict[str, _ImageTrace] = {}
         self.failure: Optional[str] = None
+        self.malformed_messages = 0
 
     def start(self, dataset) -> None:
         """Spawn the pipeline over ``dataset``. Only its processes hold the
@@ -222,9 +232,14 @@ class FarEdgeNode:
         else:
             spawn(self._loop, self._sequential(dataset), name="far-sequential")
 
-    # The result handler is transport-independent.
+    # The result handler is transport-independent. A message that does not
+    # decode is dropped and counted; its image then ends by its timeout.
     def on_result_message(self, data: bytes) -> None:
-        msg = decode_result(data)
+        try:
+            msg = decode_result(data)
+        except ChunkError:
+            self.malformed_messages += 1
+            return
         tr = self._pending.pop(msg.image_id, None)
         if tr is None:
             return  # late result after timeout: already finalized
@@ -263,6 +278,8 @@ class FarEdgeNode:
     def _reader(self, queue: BoundedQueue, dataset):
         durations = self._cfg.stage_durations
         for image in dataset:
+            if self.failure is not None:
+                return  # nothing will process what it would read
             jitter = self._jitter_factor()
             tr = self._collector.trace(image.id)
             t_io = durations.t_read_decode * jitter + self._cfg.parallel_io_penalty_s
@@ -293,9 +310,9 @@ class FarEdgeNode:
         except TransportError as exc:
             self.failure = str(exc)
             self._abandon_pending()
-            # Nothing takes from the read queue now. The reader still reads
-            # until the queue is full, but its last put then waits on nothing
-            # that holds it, so the dataset is freed by reference counting.
+            # Nothing takes from the read queue now, and the reader starts no
+            # new read. A put it waits on then waits on nothing that holds
+            # it, so the dataset is freed by reference counting.
             read_q.close()
         if upload_q is not None:
             yield upload_q.put(None)
@@ -314,11 +331,9 @@ class FarEdgeNode:
 
     def _upload(self, image, tr: _ImageTrace):
         # Each read of ``image.payload`` makes the bytes: read it once.
-        meta, envelopes = chunkwire.fragment(
+        messages = chunkwire.encode_upload(
             image.payload, image.id, self._cfg.chunk_size_bytes,
             (image.width_px, image.height_px), image.format.value)
-        messages = [chunkwire.encode_meta(meta)]
-        messages.extend(chunkwire.encode_envelope(env) for env in envelopes)
         tr.uploaded = True
         self._pending[image.id] = tr
         tr.timeout_handle = self._loop.schedule(

@@ -15,10 +15,13 @@ the bulk of the randomness, so ``Prng.randbytes`` computes them a block at a
 time: splitmix64's state after k steps is ``seed + k*gamma mod 2**64``, so
 one Python int holding 128 lanes of 128 bits carries 128 consecutive states,
 and the finalizer runs on all lanes at once (SWAR, "SIMD within a
-register"). A shift is followed by a mask that clears the bits it moved in
-from the neighbouring lane, and a 64x64-bit product fits in its 128-bit
-lane, so no lane ever carries into the next. The low 8 bytes of each lane
-are the output word, in the byte order of the scalar stream.
+register"). The next block's states are these plus ``128*gamma`` in every
+lane. A shift is followed by a mask that clears the bits it moved in from
+the neighbouring lane, and a 64x64-bit product fits in its 128-bit lane, so
+no lane ever carries into the next. The last shift needs no mask: the bits
+it moves in land above the low 8 bytes of a lane, and those bytes are the
+output word, in the byte order of the scalar stream. Each block writes its
+words straight into the one output buffer.
 """
 
 from __future__ import annotations
@@ -45,11 +48,13 @@ _MIX2 = 0x94D049BB133111EB
 _TO_UNIT = 2.0 ** -53
 
 # Lane constants for Prng.randbytes, one lane of 128 bits per output word:
-# 1 in every lane, k*gamma in lane k-1, and the low 64 bits of every lane.
+# 1 in every lane, k*gamma in lane k-1, the low 64 bits of every lane, and
+# the state step from one block of lanes to the next in every lane.
 _LANES = 128
 _LANE_ONES = sum(1 << 128 * k for k in range(_LANES))
 _LANE_RAMP = sum((k + 1) * _GOLDEN << 128 * k for k in range(_LANES))
 _LANE_MASK = _LANE_ONES * _MASK64
+_LANE_STEP = _LANE_ONES * (_LANES * _GOLDEN & _MASK64)
 
 # Cosine distance of a perturbed copy to its source stays ~0.96, far above
 # any sensible threshold, while fresh random vectors score near zero.
@@ -104,29 +109,27 @@ class Prng:
         """The next ``n`` bytes of the stream: ``ceil(n/8)`` words of
         ``u64()``, each little-endian, cut to ``n`` bytes."""
         words = (n + 7) // 8
-        state = self.state
-        blocks = []
+        out = bytearray(8 * words)
+        # The view's 8-byte items are copied, never read as numbers, so the
+        # host's byte order does not matter.
+        out_words = memoryview(out).cast("Q")
+        keep = (1 << 128 * min(words, _LANES)) - 1
+        states = (_LANE_ONES & keep) * self.state + (_LANE_RAMP & keep) & _LANE_MASK
         for start in range(0, words, _LANES):
-            lanes = words - start
-            if lanes < _LANES:
-                keep = (1 << 128 * lanes) - 1
-                z = (_LANE_ONES & keep) * state + (_LANE_RAMP & keep) & _LANE_MASK
-            else:
-                lanes = _LANES
-                z = _LANE_ONES * state + _LANE_RAMP & _LANE_MASK
+            if start:
+                states = states + _LANE_STEP & _LANE_MASK
+            lanes = min(words - start, _LANES)
+            z = states if lanes == _LANES else states & (1 << 128 * lanes) - 1
             z = (z ^ z >> 30) & _LANE_MASK
             z = z * _MIX1 & _LANE_MASK
             z = (z ^ z >> 27) & _LANE_MASK
             z = z * _MIX2 & _LANE_MASK
-            z ^= z >> 31 & _LANE_MASK
-            # Keep the low 8 bytes of every 16-byte lane. The view's 8-byte
-            # items are copied, never read as numbers, so the host's byte
-            # order does not matter.
-            lane_bytes = memoryview(z.to_bytes(16 * lanes, "little"))
-            blocks.append(lane_bytes.cast("Q")[::2].tobytes())
-            state = (state + _LANES * _GOLDEN) & _MASK64
+            z ^= z >> 31  # no mask: see the module docstring
+            # Keep the low 8 bytes of every 16-byte lane.
+            out_words[start:start + lanes] = memoryview(
+                z.to_bytes(16 * lanes, "little")).cast("Q")[::2]
         self.state = (self.state + words * _GOLDEN) & _MASK64
-        return b"".join(blocks)[:n]
+        return memoryview(out)[:n].tobytes()
 
     def randrange(self, n: int) -> int:
         if n < 1:

@@ -20,6 +20,7 @@ from continuumsim.chunkwire import (
     decode_upload,
     encode_envelope,
     encode_meta,
+    encode_upload,
     fragment,
 )
 from continuumsim.domain import MIN_CHUNK_SIZE
@@ -264,21 +265,28 @@ ODD_IMAGE_IDS = ['img"q', "img\\q", "img\u00e9", "img\u2028", 'a"\\\u00e9\u2028b
 @pytest.mark.parametrize("chunk_size", sorted({MIN_CHUNK_SIZE, 64, 1000, 1024}))
 def test_encoders_match_json_dumps_byte_for_byte(chunk_size):
     rng = Prng(2028 + chunk_size)
-    for case in range(40):
-        payload = rng.randbytes(1 + rng.randrange(3 * chunk_size))
+    # Payloads that fill their last chunk, then ones of random size.
+    sizes = [chunk_size, 2 * chunk_size, 3 * chunk_size]
+    sizes += [1 + rng.randrange(3 * chunk_size) for _ in range(40)]
+    for case, size in enumerate(sizes):
+        payload = rng.randbytes(size)
         image_id = ODD_IMAGE_IDS[case % len(ODD_IMAGE_IDS)] + str(case)
-        meta, envs = fragment(payload, image_id, chunk_size,
-                              (1 + rng.randrange(4096), 1 + rng.randrange(4096)), "PNG")
-        assert encode_meta(meta) == _json_oracle({
+        args = (payload, image_id, chunk_size,
+                (1 + rng.randrange(4096), 1 + rng.randrange(4096)), "PNG")
+        meta, envs = fragment(*args)
+        expected = [_json_oracle({
             "msg_type": "meta", "image_id": image_id, "total_bytes": meta.total_bytes,
             "total_chunks": meta.total_chunks, "chunk_size_bytes": chunk_size,
             "crc32_full": meta.crc32_full, "width_px": meta.width_px,
-            "height_px": meta.height_px, "format": "PNG"})
-        for env in envs:
-            assert encode_envelope(env) == _json_oracle({
-                "msg_type": "chunk", "image_id": image_id, "seq": env.seq,
-                "total_chunks": env.total_chunks, "payload_len": env.payload_len,
-                "payload_b64": env.payload_b64, "crc32_chunk": env.crc32_chunk})
+            "height_px": meta.height_px, "format": "PNG"})]
+        expected += [_json_oracle({
+            "msg_type": "chunk", "image_id": image_id, "seq": env.seq,
+            "total_chunks": env.total_chunks, "payload_len": env.payload_len,
+            "payload_b64": env.payload_b64, "crc32_chunk": env.crc32_chunk})
+            for env in envs]
+        assert [encode_meta(meta)] + [encode_envelope(env) for env in envs] == expected
+        assert encode_upload(*args) == expected
+        assert [encode_envelope(decode_envelope(msg)) for msg in expected[1:]] == expected[1:]
 
 
 def test_decode_upload_dispatches_on_msg_type():

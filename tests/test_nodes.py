@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from continuumsim import chunkwire, nodes
-from continuumsim.chunkwire import UnknownField
+from continuumsim.chunkwire import MalformedJson, UnknownField
 from continuumsim.domain import (
     LinkParams,
     ScenarioConfig,
@@ -380,8 +380,8 @@ def test_malformed_upload_message_is_dropped_counted_and_times_out(data, monkeyp
 def test_image_id_that_is_not_a_key_segment_ends_by_timeout(bad_id, transport, monkeypatch):
     # The far edge sends the first image under ``bad_id``: the edge drops
     # its messages, and the image ends through the far edge's image timeout.
-    fragment = chunkwire.fragment
-    monkeypatch.setattr(chunkwire, "fragment", lambda payload, image_id, *rest: fragment(
+    encode_upload = chunkwire.encode_upload
+    monkeypatch.setattr(chunkwire, "encode_upload", lambda payload, image_id, *rest: encode_upload(
         payload, bad_id if image_id == "img00000" else image_id, *rest))
     r = run_scenario(tiny_config(transport, n=2, cloud=True, image_timeout_s=30.0))
     assert r.failure is None
@@ -408,21 +408,25 @@ def test_upload_message_is_parsed_once(monkeypatch):
 
 
 GRANT_WITHOUT_TOKEN = b'{"msg_type":"grant","image_id":"imgQ"}'
+GRANT = b'{"msg_type":"grant","image_id":"imgQ","upload_token":"grant-000001","expires_at":9.0}'
 RESULT_WITHOUT_LABEL = (b'{"msg_type":"result","image_id":"imgQ","origin":"cloud",'
                         b'"recognized":true,"is_false_positive":false}')
+RESULT_OF_WRONG_TYPES = (b'{"msg_type":"result","image_id":"imgQ","origin":"moon",'
+                         b'"recognized":"yes","label":7,"is_false_positive":0}')
+BAD_CLOUD_REPLIES = {
+    "grant_without_token": (GRANT_WITHOUT_TOKEN, RESULT_WITHOUT_LABEL),
+    "result_without_label": (GRANT, RESULT_WITHOUT_LABEL),
+    "result_of_wrong_types": (GRANT, RESULT_OF_WRONG_TYPES),
+}
 
 
-@pytest.mark.parametrize("bad_reply", ["grant", "result"],
-                         ids=["grant_without_token", "result_without_label"])
-def test_cloud_reply_without_its_keys_is_a_negative_counted_result(bad_reply):
+@pytest.mark.parametrize("grant,verdict", BAD_CLOUD_REPLIES.values(),
+                         ids=BAD_CLOUD_REPLIES.keys())
+def test_cloud_reply_without_its_keys_is_a_negative_counted_result(grant, verdict):
     loop = EventLoop()
     cfg = tiny_config(n=1, cloud=True)
     sent, cloud_keys = [], []
-    replies = {
-        "grant_request": GRANT_WITHOUT_TOKEN if bad_reply == "grant" else
-        b'{"msg_type":"grant","image_id":"imgQ","upload_token":"grant-000001","expires_at":9.0}',
-        "cloud_upload": RESULT_WITHOUT_LABEL,
-    }
+    replies = {"grant_request": grant, "cloud_upload": verdict}
 
     def cloud_send(key, data):
         cloud_keys.append(key)
@@ -439,7 +443,7 @@ def test_cloud_reply_without_its_keys_is_a_negative_counted_result(bad_reply):
     assert [decode_result(d) for d in sent] == [ResultMessage("imgQ", "cloud", False, None, False)]
     assert edge.malformed_messages == 1
     expected_keys = [KEY_CLOUD_REQUESTS_PREFIX + "imgQ"]
-    if bad_reply == "result":
+    if grant is GRANT:
         expected_keys.append(KEY_CLOUD_UPLOADS_PREFIX + "imgQ")
     assert cloud_keys == expected_keys
 
@@ -564,6 +568,19 @@ def test_failed_parallel_run_frees_its_dataset_without_the_cyclic_collector(
     assert [ref() for ref in refs] == [None] * 6
 
 
+def test_failed_parallel_run_stops_reading_at_the_failure():
+    # The send of the first image times out at 1.0 s; the reader has read
+    # five images by then and must not book a sixth.
+    summaries = [run_scenario(tiny_config(
+        TransportKind.BLOCKING_SESSION, parallelism, n=8, t_io=0.2, t_ai=0.3,
+        link_far_to_edge=LinkParams(0.0, 50.0), send_timeout_s=0.5)).summary
+        for parallelism in (False, True)]
+    sequential, parallel = summaries
+    assert sequential.total_runtime == pytest.approx(1.0)
+    assert parallel.total_runtime == pytest.approx(1.0)
+    assert parallel.core1_util == pytest.approx(1.0)
+
+
 @pytest.mark.parametrize("parallelism", [False, True], ids=["sequential", "parallel"])
 @pytest.mark.parametrize("transport", list(TransportKind), ids=lambda t: t.name.lower())
 def test_payload_bytes_are_made_once_per_uploaded_image(transport, parallelism,
@@ -601,6 +618,55 @@ def test_result_message_rejects_unknown_fields():
     doc["extra"] = 1
     with pytest.raises(UnknownField):
         decode_result(json.dumps(doc).encode())
+
+
+BAD_RESULT_VALUES = {
+    "non_string_image_id": {"image_id": 5},
+    "image_id_with_slash": {"image_id": "a/b"},
+    "wildcard_image_id": {"image_id": "*"},
+    "unknown_origin": {"origin": "moon"},
+    "string_recognized": {"recognized": "yes"},
+    "integer_label": {"label": 7},
+    "integer_false_positive_flag": {"is_false_positive": 0},
+}
+
+
+@pytest.mark.parametrize("fields", BAD_RESULT_VALUES.values(), ids=BAD_RESULT_VALUES.keys())
+def test_result_message_rejects_values_of_the_wrong_type(fields):
+    doc = json.loads(encode_result(ResultMessage("a", "cloud", True, "Person 1", False)))
+    with pytest.raises(MalformedJson):
+        decode_result({**doc, **fields})
+
+
+MALFORMED_RESULTS = {
+    "non_json": b"not json",
+    "missing_keys": b'{"msg_type":"result"}',
+    "wrong_types": b'{"msg_type":"result","image_id":"img00000","origin":"moon",'
+                   b'"recognized":"yes","label":7,"is_false_positive":0}',
+}
+
+
+@pytest.mark.parametrize("data", MALFORMED_RESULTS.values(), ids=MALFORMED_RESULTS.keys())
+def test_malformed_result_is_dropped_counted_and_times_out(data, monkeypatch):
+    loop = EventLoop()
+    cfg = tiny_config(n=1)
+    far = nodes.FarEdgeNode(loop, cfg, None, Collector(loop), SimCore(loop, 0),
+                            SimCore(loop, 1))
+    far.on_result_message(data)
+    assert far.malformed_messages == 1
+
+    # In a run, the edge's result for the first image is replaced by
+    # ``data``: the far edge drops it, and the image ends by its timeout.
+    encode_result = nodes.encode_result
+    monkeypatch.setattr(nodes, "encode_result", lambda msg: (
+        data if msg.image_id == "img00000" else encode_result(msg)))
+    for transport in TransportKind:
+        r = run_scenario(tiny_config(transport, n=3, image_timeout_s=30.0))
+        assert r.failure is None
+        assert sorted(rec.image_id for rec in r.records) == ["img00000", "img00001", "img00002"]
+        first = next(rec for rec in r.records if rec.image_id == "img00000")
+        assert first.origin == "none" and first.completion_s >= 30.0
+        assert all(rec.origin == "edge" for rec in r.records if rec is not first)
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,11 @@ def test_randbytes_matches_scalar_reference(seed):
         assert fast.u64() == ref.u64(), n
     empty = Prng(seed)
     assert empty.randbytes(0) == b"" and empty.state == seed
+    # Two calls on one stream, each ending mid-word and mid-block.
+    fast, ref = Prng(seed), ScalarSplitmix64(seed)
+    for n in (1029, 2053):
+        assert fast.randbytes(n) == ref.randbytes(n), n
+        assert fast.state == ref.state, n
 
 
 def test_substreams_are_decorrelated():
