@@ -11,26 +11,30 @@ Checksums are CRC-32/ISO-HDLC (the zlib/PNG polynomial, reflected, init and
 final xor 0xFFFFFFFF), which gives the well-known check value 0xCBF43926 for
 the ASCII bytes "123456789".
 
-Every wire message is compact JSON (``encode_object``). The far edge goes
-from payload to wire messages in one step, ``encode_upload``: it slices,
-base64-encodes and CRCs each chunk (``_chunks``, which ``fragment`` shares)
-and fills each chunk message into one bytes template, with no
-``ChunkEnvelope`` in between; ``encode_envelope`` fills the same template
-from an envelope. The template's output is byte-identical to
-``encode_object`` on the same fields, because wire size feeds the fitted
-link bandwidth: the image id goes in quoted by the string encoder
-``json.dumps`` uses, once per transfer, and the base64 text goes in as it
-is, because its alphabet (RFC 4648 §4: ``A-Z a-z 0-9 + / =``) holds no
-character that JSON escapes.
+Every wire message is a compact JSON object (``encode_object``) whose
+``msg_type`` names one of seven types: ``meta``, ``chunk`` and ``result``
+between far edge and edge, ``grant_request``, ``grant``, ``cloud_upload``
+and ``upload_rejected`` between edge and cloud. ``SCHEMAS`` holds each
+type's class and its fields in wire order with the JSON types each may
+take, and the one ``encode`` and the one ``decode`` read it. ``decode``
+parses a message once (``parse_object``), requires its type's exact key set
+(one set comparison; which key is missing or unknown is worked out only when
+that fails) and value types, requires its image id to be one pub/sub key
+segment (``domain.is_key_segment``, since the tiers publish under keys that
+end in it) and builds its class; anything else raises a ``ChunkError``.
+A JSON integer is an ``int``, never a float or a boolean. Each tier's
+handler is ``decode_as`` with the types it takes.
 
-A receiver parses a message once (``parse_object``) and hands the dict to
-the decoder of its type; ``decode_upload`` does that for the far edge's meta
-and chunk messages. Decoders check a message's exact key set with one set
-comparison and work out which key is missing or unknown only when that
-fails. A string field must be a JSON string and an integer field a
-JSON integer (not a float or a boolean), and an image id must be one pub/sub
-key segment (``domain.is_key_segment``), since the tiers publish under keys
-that end in it; anything else is ``MalformedJson``.
+The far edge goes from payload to wire messages in one step,
+``encode_upload``: it slices, base64-encodes and CRCs each chunk
+(``_chunks``, which ``fragment`` shares) and fills each chunk message into
+one bytes template, with no ``ChunkEnvelope`` in between;
+``encode_envelope`` fills the same template from an envelope. The
+template's output is byte-identical to ``encode`` on the same envelope,
+because wire size feeds the fitted link bandwidth: the image id goes in
+quoted by the string encoder ``json.dumps`` uses, once per transfer, and the
+base64 text goes in as it is, because its alphabet (RFC 4648 §4:
+``A-Z a-z 0-9 + / =``) holds no character that JSON escapes.
 """
 
 from __future__ import annotations
@@ -41,7 +45,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from operator import contains
+from typing import NamedTuple, Optional, Union
 
 from .domain import MIN_CHUNK_SIZE, is_key_segment
 
@@ -83,6 +88,7 @@ def crc32(data: bytes) -> int:
 
 @dataclass(frozen=True)
 class TransferMetadata:
+    """The meta message that opens a transfer of one image's payload."""
     image_id: str
     total_bytes: int
     total_chunks: int
@@ -102,17 +108,20 @@ class TransferMetadata:
             raise ValueError("total_chunks inconsistent with total_bytes")
 
 
-@dataclass(frozen=True)
+# Not frozen: a frozen dataclass sets each field through
+# ``object.__setattr__``, and one envelope is built per wire chunk.
+@dataclass(slots=True)
 class ChunkEnvelope:
+    """The chunk message: one segment of a payload, in base64, with its CRC-32."""
     image_id: str
     seq: int
     total_chunks: int
     payload_len: int
     payload_b64: str
     crc32_chunk: int
-    # The bytes ``payload_b64`` decodes to, once ``decode_envelope`` has
-    # checked them, so that reassembly does not decode them again. Not part
-    # of the envelope's value, and not copied by ``dataclasses.replace``.
+    # The bytes ``payload_b64`` decodes to, once ``decode`` has checked
+    # them, so that reassembly does not decode them again. Not part of the
+    # envelope's value, and not copied by ``dataclasses.replace``.
     decoded: Optional[bytes] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -127,6 +136,46 @@ class ChunkEnvelope:
         except (binascii.Error, ValueError, TypeError) as exc:
             raise Base64Error(str(exc)) from None
         return raw
+
+
+@dataclass(frozen=True)
+class ResultMessage:
+    """The answer for one uploaded image, from the edge or the cloud."""
+    image_id: str
+    origin: str  # "edge" | "cloud"
+    recognized: bool
+    label: Optional[str]
+    is_false_positive: bool
+
+    def __post_init__(self) -> None:
+        if self.origin not in ("edge", "cloud"):
+            raise ValueError(f"origin must be 'edge' or 'cloud', got {self.origin!r}")
+
+
+class GrantRequest(NamedTuple):
+    image_id: str
+
+
+class Grant(NamedTuple):
+    """The cloud's single-use permission to upload one image."""
+    image_id: str
+    upload_token: str
+    expires_at: float
+
+
+class CloudUpload(NamedTuple):
+    image_id: str
+    upload_token: str
+    payload_b64: str
+
+
+class UploadRejected(NamedTuple):
+    image_id: str
+    reason: str
+
+
+Message = Union[TransferMetadata, ChunkEnvelope, ResultMessage, GrantRequest, Grant,
+                CloudUpload, UploadRejected]
 
 
 def _transfer(
@@ -242,17 +291,42 @@ class ReassemblySession:
         return ReassemblyStatus.COMPLETE
 
 
-# Wire field names are part of the protocol contract and must not drift.
-_CHUNK_KEYS = ("msg_type", "image_id", "seq", "total_chunks",
-               "payload_len", "payload_b64", "crc32_chunk")
-_META_KEYS = ("msg_type", "image_id", "total_bytes", "total_chunks",
-              "chunk_size_bytes", "crc32_full", "width_px", "height_px", "format")
-_CHUNK_KEY_SET = frozenset(_CHUNK_KEYS)
-_META_KEY_SET = frozenset(_META_KEYS)
-_META_INT_KEYS = ("total_bytes", "total_chunks", "chunk_size_bytes", "crc32_full",
-                  "width_px", "height_px")
+_STR, _INT, _BOOL = (str,), (int,), (bool,)
 
-# The chunk message in _CHUNK_KEYS order. The image id is filled in already
+# msg_type -> (class, ((field, JSON types), ...)). The fields are in wire
+# order, which is also the order of the class's constructor arguments, and
+# every type has an image id. Wire field names are part of the protocol
+# contract and must not drift.
+SCHEMAS = {
+    "meta": (TransferMetadata, (
+        ("image_id", _STR), ("total_bytes", _INT), ("total_chunks", _INT),
+        ("chunk_size_bytes", _INT), ("crc32_full", _INT), ("width_px", _INT),
+        ("height_px", _INT), ("format", _STR))),
+    "chunk": (ChunkEnvelope, (
+        ("image_id", _STR), ("seq", _INT), ("total_chunks", _INT),
+        ("payload_len", _INT), ("payload_b64", _STR), ("crc32_chunk", _INT))),
+    "result": (ResultMessage, (
+        ("image_id", _STR), ("origin", _STR), ("recognized", _BOOL),
+        ("label", (str, type(None))), ("is_false_positive", _BOOL))),
+    "grant_request": (GrantRequest, (("image_id", _STR),)),
+    "grant": (Grant, (
+        ("image_id", _STR), ("upload_token", _STR), ("expires_at", (int, float)))),
+    "cloud_upload": (CloudUpload, (
+        ("image_id", _STR), ("upload_token", _STR), ("payload_b64", _STR))),
+    "upload_rejected": (UploadRejected, (("image_id", _STR), ("reason", _STR))),
+}
+
+
+def _decoding(cls: type, fields: tuple) -> tuple:
+    names = tuple(name for name, _ in fields)
+    return cls, names, frozenset(("msg_type",) + names), tuple(types for _, types in fields)
+
+
+# What ``decode`` reads off SCHEMAS by msg_type, and ``encode`` by class.
+_DECODING = {msg_type: _decoding(*schema) for msg_type, schema in SCHEMAS.items()}
+_ENCODING = {cls: (msg_type, names) for msg_type, (cls, names, _, _) in _DECODING.items()}
+
+# The chunk message in wire order. The image id is filled in already
 # quoted and escaped, the base64 text as it is, the integer fields with %d.
 _CHUNK_TEMPLATE = (b'{"msg_type":"chunk","image_id":%s,"seq":%d,"total_chunks":%d,'
                    b'"payload_len":%d,"payload_b64":"%s","crc32_chunk":%d}')
@@ -265,28 +339,27 @@ def encode_object(doc: dict) -> bytes:
     return json.dumps(doc, separators=(",", ":")).encode("utf-8")
 
 
+def encode(msg: Message) -> bytes:
+    """``msg`` on the wire: its ``msg_type``, then its fields in
+    ``SCHEMAS`` order."""
+    msg_type, names = _ENCODING[type(msg)]
+    doc = {"msg_type": msg_type}
+    for name in names:
+        doc[name] = getattr(msg, name)
+    return encode_object(doc)
+
+
 def encode_envelope(env: ChunkEnvelope) -> bytes:
-    """The chunk message of ``env``, byte-identical to ``encode_object`` on
-    its fields in ``_CHUNK_KEYS`` order. Its integer fields must be ints and
-    its ``payload_b64`` base64 text, as ``fragment`` and ``decode_envelope``
-    make them."""
+    """``encode(env)``, byte for byte, from one template. Its integer
+    fields must be ints and its ``payload_b64`` base64 text, as ``fragment``
+    and ``decode`` make them."""
     return _CHUNK_TEMPLATE % (
         _quote(env.image_id).encode("ascii"), env.seq, env.total_chunks,
         env.payload_len, env.payload_b64.encode("ascii"), env.crc32_chunk)
 
 
 def encode_meta(meta: TransferMetadata) -> bytes:
-    return encode_object({
-        "msg_type": "meta",
-        "image_id": meta.image_id,
-        "total_bytes": meta.total_bytes,
-        "total_chunks": meta.total_chunks,
-        "chunk_size_bytes": meta.chunk_size_bytes,
-        "crc32_full": meta.crc32_full,
-        "width_px": meta.width_px,
-        "height_px": meta.height_px,
-        "format": meta.format,
-    })
+    return encode(meta)
 
 
 def encode_upload(
@@ -322,86 +395,67 @@ def parse_object(data: bytes) -> dict:
     return doc
 
 
-def check_keys(doc: dict, keys: tuple[str, ...], key_set: frozenset[str]) -> None:
-    """Require ``doc`` to have exactly ``keys``; ``key_set`` is
-    ``frozenset(keys)``. Raises ``MissingField`` for the first of ``keys``
-    it lacks, else ``UnknownField`` naming the keys it has beyond them."""
-    if doc.keys() == key_set:
-        return
-    for key in keys:
-        if key not in doc:
-            raise MissingField(key)
-    raise UnknownField(f"unknown fields: {', '.join(sorted(doc.keys() - key_set))}")
-
-
-def _parse(data: bytes | dict, expected_type: str, keys: tuple[str, ...],
-           key_set: frozenset[str]) -> dict:
-    doc = data if isinstance(data, dict) else parse_object(data)
-    check_keys(doc, keys, key_set)
-    if doc["msg_type"] != expected_type:
-        raise MalformedJson(f"expected msg_type {expected_type!r}, got {doc['msg_type']!r}")
-    return doc
-
-
-def decode_envelope(data: bytes | dict) -> ChunkEnvelope:
-    """A chunk message, as wire bytes or as the object ``parse_object``
-    returned for them."""
-    doc = _parse(data, "chunk", _CHUNK_KEYS, _CHUNK_KEY_SET)
-    image_id, seq, total_chunks = doc["image_id"], doc["seq"], doc["total_chunks"]
-    payload_len, payload_b64, crc = doc["payload_len"], doc["payload_b64"], doc["crc32_chunk"]
-    if not (type(image_id) is str and type(payload_b64) is str and type(seq) is int
-            and type(total_chunks) is int and type(payload_len) is int
-            and type(crc) is int):
-        raise MalformedJson("chunk field of the wrong type")
-    if not is_key_segment(image_id):
-        raise MalformedJson(f"image_id {image_id!r} is not one key segment")
-    try:
-        env = ChunkEnvelope(image_id, seq, total_chunks, payload_len, payload_b64, crc)
-    except ValueError as exc:
-        raise MalformedJson(str(exc)) from None
-    raw = env.payload()
-    if len(raw) != env.payload_len:
-        raise MalformedJson("payload_len does not match decoded payload")
-    object.__setattr__(env, "decoded", raw)
-    return env
-
-
-def decode_meta(data: bytes | dict) -> TransferMetadata:
-    """A meta message, as wire bytes or as the object ``parse_object``
-    returned for them."""
-    doc = _parse(data, "meta", _META_KEYS, _META_KEY_SET)
-    if not (type(doc["image_id"]) is str and type(doc["format"]) is str
-            and all(type(doc[key]) is int for key in _META_INT_KEYS)):
-        raise MalformedJson("meta field of the wrong type")
+def decode(data: bytes) -> Message:
+    """The message ``data`` holds, as the class ``SCHEMAS`` gives its
+    ``msg_type``. ``MissingField`` or ``UnknownField`` if its keys are not
+    exactly its type's; ``MalformedJson`` if it is not a JSON object, its
+    ``msg_type`` is unknown, a value is not of its field's JSON types, its
+    image id is not one key segment or its class rejects the values. A
+    chunk's base64 text is decoded here, once, and must hold
+    ``payload_len`` bytes."""
+    doc = parse_object(data)
+    msg_type = doc.get("msg_type")
+    schema = _DECODING.get(msg_type) if type(msg_type) is str else None
+    if schema is None:
+        if "msg_type" not in doc:
+            raise MissingField("msg_type")
+        raise MalformedJson(f"unknown msg_type {msg_type!r}")
+    cls, names, key_set, types = schema
+    if doc.keys() != key_set:
+        for name in names:
+            if name not in doc:
+                raise MissingField(name)
+        raise UnknownField(f"unknown fields: {', '.join(sorted(doc.keys() - key_set))}")
+    values = list(map(doc.__getitem__, names))
+    if not all(map(contains, types, map(type, values))):
+        raise MalformedJson(f"{msg_type} field of the wrong type")
     if not is_key_segment(doc["image_id"]):
         raise MalformedJson(f"image_id {doc['image_id']!r} is not one key segment")
     try:
-        return TransferMetadata(
-            image_id=doc["image_id"],
-            total_bytes=doc["total_bytes"],
-            total_chunks=doc["total_chunks"],
-            chunk_size_bytes=doc["chunk_size_bytes"],
-            crc32_full=doc["crc32_full"],
-            width_px=doc["width_px"],
-            height_px=doc["height_px"],
-            format=doc["format"],
-        )
+        msg = cls(*values)
     except ValueError as exc:
         raise MalformedJson(str(exc)) from None
+    if cls is ChunkEnvelope:
+        msg.decoded = msg.payload()
+        if len(msg.decoded) != msg.payload_len:
+            raise MalformedJson("payload_len does not match decoded payload")
+    return msg
 
 
-def decode_upload(data: bytes) -> TransferMetadata | ChunkEnvelope:
-    """A far-edge upload message, meta or chunk, parsed once and decoded by
-    its ``msg_type``. Raises a ``ChunkError`` if it is neither."""
-    doc = parse_object(data)
-    if doc.get("msg_type") == "meta":
-        return decode_meta(doc)
-    return decode_envelope(doc)
+def decode_as(data: bytes, kinds: type | tuple[type, ...]) -> Message:
+    """``decode(data)``, which must be an instance of ``kinds``: a
+    well-formed message of another type is ``MalformedJson`` too."""
+    msg = decode(data)
+    if not isinstance(msg, kinds):
+        raise MalformedJson(f"unexpected {_ENCODING[type(msg)][0]} message")
+    return msg
+
+
+def decode_envelope(data: bytes) -> ChunkEnvelope:
+    return decode_as(data, ChunkEnvelope)
+
+
+def decode_meta(data: bytes) -> TransferMetadata:
+    return decode_as(data, TransferMetadata)
+
+
+def decode_result(data: bytes) -> ResultMessage:
+    return decode_as(data, ResultMessage)
 
 
 def peek_msg_type(data: bytes) -> str:
-    """The msg_type of a wire message. The tiers dispatch with
-    ``decode_upload`` instead; ``perfbench/tracer.py`` still wraps this name."""
+    """The msg_type of a wire message. The tiers decode with ``decode_as``
+    instead; ``perfbench/tracer.py`` still wraps this name."""
     doc = parse_object(data)
     if "msg_type" not in doc:
         raise MalformedJson("wire message lacks msg_type")

@@ -12,6 +12,14 @@ parallelism on, read/decode of image k+1 overlaps detection of image k on
 separate cores, and the upload overlaps both whenever the transport allows
 it: a pub/sub put returns at enqueue time while a blocking session send holds
 the detect stage until the ack returns.
+
+The tiers exchange only the messages of ``chunkwire.SCHEMAS``, and every
+handler follows one rule: decode with ``chunkwire.decode_as``, naming the
+types it takes. The far edge takes results; the edge takes meta and chunk
+messages from the far edge and grants, refusals and results from the cloud;
+the cloud takes grant requests and uploads. Anything else is dropped and
+counted in the node's ``malformed_messages``, and its image ends by a
+timeout.
 """
 
 from __future__ import annotations
@@ -23,19 +31,27 @@ from typing import Callable, Optional
 
 from . import chunkwire, workload
 from .chunkwire import (
+    ChunkEnvelope,
     ChunkError,
-    MalformedJson,
+    CloudUpload,
+    Grant,
+    GrantRequest,
     ReassemblySession,
     ReassemblyState,
     ReassemblyStatus,
+    ResultMessage,
     TransferMetadata,
+    UploadRejected,
+    decode_result,
 )
+# Results are encoded through this name, which tests replace and
+# perfbench/tracer.py wraps; tcprun re-exports it with ``decode_result``.
+from .chunkwire import encode as encode_result
 from .domain import (
     PersonId,
     ScenarioConfig,
     TimeMode,
     TransportKind,
-    is_key_segment,
     validate_config,
 )
 from .metrics import MetricsRecord, RunSummary, summarize
@@ -57,68 +73,6 @@ from .transport import (
 
 class IncompleteRecord(ValueError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# Result message wire format.
-
-_RESULT_KEYS = ("msg_type", "image_id", "origin", "recognized", "label",
-                "is_false_positive")
-_RESULT_KEY_SET = frozenset(_RESULT_KEYS)
-# The cloud's answer to a grant request.
-_GRANT_KEYS = ("msg_type", "image_id", "upload_token", "expires_at")
-_GRANT_KEY_SET = frozenset(_GRANT_KEYS)
-# The keys of the edge's requests to the cloud, by msg_type. Every value is
-# a string.
-_CLOUD_REQUEST_KEYS = {
-    "grant_request": ("msg_type", "image_id"),
-    "cloud_upload": ("msg_type", "image_id", "upload_token", "payload_b64"),
-}
-
-
-@dataclass(frozen=True)
-class ResultMessage:
-    image_id: str
-    origin: str  # "edge" | "cloud"
-    recognized: bool
-    label: Optional[str]
-    is_false_positive: bool
-
-
-def encode_result(msg: ResultMessage) -> bytes:
-    return chunkwire.encode_object({
-        "msg_type": "result",
-        "image_id": msg.image_id,
-        "origin": msg.origin,
-        "recognized": msg.recognized,
-        "label": msg.label,
-        "is_false_positive": msg.is_false_positive,
-    })
-
-
-def decode_result(data: bytes | dict) -> ResultMessage:
-    """A result message, as wire bytes or as the object
-    ``chunkwire.parse_object`` returned for them. Its image id must be one
-    key segment, its origin ``"edge"`` or ``"cloud"``, its two flags JSON
-    booleans and its label a string or null; else ``MalformedJson``."""
-    doc = data if isinstance(data, dict) else chunkwire.parse_object(data)
-    chunkwire.check_keys(doc, _RESULT_KEYS, _RESULT_KEY_SET)
-    if doc["msg_type"] != "result":
-        raise MalformedJson("msg_type must be 'result'")
-    image_id, label = doc["image_id"], doc["label"]
-    if not (type(image_id) is str and is_key_segment(image_id)
-            and doc["origin"] in ("edge", "cloud")
-            and type(doc["recognized"]) is bool
-            and type(doc["is_false_positive"]) is bool
-            and (label is None or type(label) is str)):
-        raise MalformedJson("result field of the wrong type or value")
-    return ResultMessage(
-        image_id=image_id,
-        origin=doc["origin"],
-        recognized=doc["recognized"],
-        label=label,
-        is_false_positive=doc["is_false_positive"],
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +187,8 @@ class FarEdgeNode:
             spawn(self._loop, self._sequential(dataset), name="far-sequential")
 
     # The result handler is transport-independent. A message that does not
-    # decode is dropped and counted; its image then ends by its timeout.
+    # decode to a result is dropped and counted; its image then ends by its
+    # timeout.
     def on_result_message(self, data: bytes) -> None:
         try:
             msg = decode_result(data)
@@ -396,11 +351,11 @@ class EdgeService:
         self.malformed_messages = 0
 
     # Transport-facing entry point for both meta and chunk messages. A
-    # message that does not decode is dropped and counted; its image then
-    # ends through the far edge's image timeout.
+    # message that does not decode to one of them is dropped and counted;
+    # its image then ends through the far edge's image timeout.
     def on_upload_message(self, data: bytes) -> None:
         try:
-            msg = chunkwire.decode_upload(data)
+            msg = chunkwire.decode_as(data, (TransferMetadata, ChunkEnvelope))
         except ChunkError:
             self.malformed_messages += 1
             return
@@ -474,57 +429,41 @@ class EdgeService:
 
     def _cloud_flow(self, image_id: str, payload: bytes):
         """Presigned-grant escalation; forwards the cloud's verdict verbatim.
-        A timeout at any step, a refusal, or a grant or verdict without its
-        exact keys degrades to a negative cloud result; the last two are
-        also counted in ``malformed_messages``."""
-        cfg = self._cfg
-        negative = ResultMessage(image_id, "cloud", False, None, False)
+        A timeout at any step, or a reply of the wrong type such as a
+        refusal, degrades to a negative cloud result. The timeout is
+        cancelled on every way out, so it does not hold the run open."""
         gate = Gate(self._loop)
         self._pending_cloud[image_id] = gate
-        handle = self._loop.schedule(cfg.cloud_timeout_s,
+        handle = self._loop.schedule(self._cfg.cloud_timeout_s,
                                      lambda: self._cloud_timeout(image_id))
-        self._cloud_send(KEY_CLOUD_REQUESTS_PREFIX + image_id, chunkwire.encode_object(
-            {"msg_type": "grant_request", "image_id": image_id}))
-        reply = yield gate
-        if reply is None or reply.get("msg_type") != "grant":
-            return negative
         try:
-            chunkwire.check_keys(reply, _GRANT_KEYS, _GRANT_KEY_SET)
-        except ChunkError:
-            self.malformed_messages += 1
-            return negative
-        gate = Gate(self._loop)
-        self._pending_cloud[image_id] = gate
-        self._cloud_send(KEY_CLOUD_UPLOADS_PREFIX + image_id, chunkwire.encode_object({
-            "msg_type": "cloud_upload",
-            "image_id": image_id,
-            "upload_token": reply["upload_token"],
-            "payload_b64": base64.b64encode(payload).decode("ascii"),
-        }))
-        verdict = yield gate
-        handle.cancel()
-        self._pending_cloud.pop(image_id, None)
-        if verdict is None or verdict.get("msg_type") != "result":
-            return negative
-        try:
-            return decode_result(verdict)
-        except ChunkError:
-            self.malformed_messages += 1
-            return negative
+            self._cloud_send(KEY_CLOUD_REQUESTS_PREFIX + image_id,
+                             chunkwire.encode(GrantRequest(image_id)))
+            grant = yield gate
+            if type(grant) is Grant:
+                gate = Gate(self._loop)
+                self._pending_cloud[image_id] = gate
+                self._cloud_send(KEY_CLOUD_UPLOADS_PREFIX + image_id, chunkwire.encode(
+                    CloudUpload(image_id, grant.upload_token,
+                                base64.b64encode(payload).decode("ascii"))))
+                verdict = yield gate
+                if type(verdict) is ResultMessage:
+                    return verdict
+        finally:
+            handle.cancel()
+        return ResultMessage(image_id, "cloud", False, None, False)
 
+    # A cloud reply that does not decode to a grant, a refusal or a result is
+    # dropped and counted; its image then ends by the cloud timeout.
     def on_cloud_message(self, data: bytes) -> None:
         try:
-            doc = chunkwire.parse_object(data)
-        except MalformedJson:
+            msg = chunkwire.decode_as(data, (Grant, UploadRejected, ResultMessage))
+        except ChunkError:
             self.malformed_messages += 1
             return
-        image_id = doc.get("image_id")
-        if type(image_id) is not str:
-            self.malformed_messages += 1
-            return
-        gate = self._pending_cloud.pop(image_id, None)
+        gate = self._pending_cloud.pop(msg.image_id, None)
         if gate is not None and not gate.is_set:
-            gate.set(doc)
+            gate.set(msg)
 
     def _cloud_timeout(self, image_id: str) -> None:
         gate = self._pending_cloud.pop(image_id, None)
@@ -555,10 +494,9 @@ class PresignedGrant:
 class CloudService:
     """Issues single-use upload grants and runs the recognizer after the
     configured service latency. ``ground_truth`` maps each image id to the
-    known person its face shows, or None for an unknown face. A request
-    without exactly the keys of its ``msg_type``, with a value that is not a
-    string, with an image id that is not one key segment, or of another
-    ``msg_type`` is dropped and counted in ``malformed_messages``."""
+    known person its face shows, or None for an unknown face. A message that
+    does not decode to a grant request or an upload is dropped and counted in
+    ``malformed_messages``."""
 
     def __init__(self, loop: EventLoop, cfg: ScenarioConfig,
                  ground_truth: dict[str, Optional[PersonId]],
@@ -601,55 +539,39 @@ class CloudService:
 
     def on_message(self, data: bytes) -> None:
         try:
-            doc = chunkwire.parse_object(data)
-            if not all(type(value) is str for value in doc.values()):
-                raise MalformedJson("cloud request values must be strings")
-            keys = _CLOUD_REQUEST_KEYS.get(doc.get("msg_type"))
-            if keys is None:
-                raise MalformedJson(f"unknown msg_type {doc.get('msg_type')!r}")
-            chunkwire.check_keys(doc, keys, frozenset(keys))
-            if not is_key_segment(doc["image_id"]):
-                raise MalformedJson(f"image_id {doc['image_id']!r} is not one key segment")
+            msg = chunkwire.decode_as(data, (GrantRequest, CloudUpload))
         except ChunkError:
             self.malformed_messages += 1
             return
-        image_id = doc["image_id"]
-        if doc["msg_type"] == "grant_request":
+        image_id = msg.image_id
+        if type(msg) is GrantRequest:
             grant = self.issue_grant(image_id)
-            self._send_to_edge(image_id, chunkwire.encode_object({
-                "msg_type": "grant",
-                "image_id": image_id,
-                "upload_token": grant.upload_token,
-                "expires_at": grant.expires_at,
-            }))
-        else:
-            if image_id not in self._ground_truth:
-                self._reject(image_id, f"no record of image {image_id}")
-                return
-            try:
-                self.redeem(doc["upload_token"], image_id)
-            except (InvalidGrant, ExpiredGrant) as exc:
-                self._reject(image_id, str(exc))
-                return
-            verdict = workload.cloud_recognize(
-                image_id, self._ground_truth[image_id], self._cfg.fp_rate,
-                self._fp_rng, self._latency())
-            payload = encode_result(ResultMessage(
-                image_id=image_id,
-                origin="cloud",
-                recognized=verdict.outcome is workload.CloudOutcome.MATCH,
-                label=verdict.label,
-                is_false_positive=verdict.is_false_positive,
-            ))
-            self._loop.schedule(verdict.t_cloud,
-                                lambda: self._send_to_edge(image_id, payload))
+            self._send_to_edge(image_id, chunkwire.encode(
+                Grant(image_id, grant.upload_token, grant.expires_at)))
+            return
+        if image_id not in self._ground_truth:
+            self._reject(image_id, f"no record of image {image_id}")
+            return
+        try:
+            self.redeem(msg.upload_token, image_id)
+        except (InvalidGrant, ExpiredGrant) as exc:
+            self._reject(image_id, str(exc))
+            return
+        verdict = workload.cloud_recognize(
+            image_id, self._ground_truth[image_id], self._cfg.fp_rate,
+            self._fp_rng, self._latency())
+        payload = encode_result(ResultMessage(
+            image_id=image_id,
+            origin="cloud",
+            recognized=verdict.outcome is workload.CloudOutcome.MATCH,
+            label=verdict.label,
+            is_false_positive=verdict.is_false_positive,
+        ))
+        self._loop.schedule(verdict.t_cloud,
+                            lambda: self._send_to_edge(image_id, payload))
 
     def _reject(self, image_id: str, reason: str) -> None:
-        self._send_to_edge(image_id, chunkwire.encode_object({
-            "msg_type": "upload_rejected",
-            "image_id": image_id,
-            "reason": reason,
-        }))
+        self._send_to_edge(image_id, chunkwire.encode(UploadRejected(image_id, reason)))
 
 
 # ---------------------------------------------------------------------------

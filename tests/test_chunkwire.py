@@ -6,18 +6,24 @@ from continuumsim.chunkwire import (
     Base64Error,
     ChunkEnvelope,
     ChunkSizeTooSmall,
+    CloudUpload,
     EmptyPayload,
+    Grant,
+    GrantRequest,
     MalformedJson,
     MissingField,
     ReassemblySession,
     ReassemblyState,
     ReassemblyStatus,
+    ResultMessage,
     TransferMetadata,
     UnknownField,
+    UploadRejected,
     crc32,
+    decode,
     decode_envelope,
     decode_meta,
-    decode_upload,
+    encode,
     encode_envelope,
     encode_meta,
     encode_upload,
@@ -291,8 +297,46 @@ def test_encoders_match_json_dumps_byte_for_byte(chunk_size):
 
 def test_decode_upload_dispatches_on_msg_type():
     meta, envs = fragment(b"\x42" * 200, 'img"\u2028', 64, (3, 4), "PNG")
-    assert decode_upload(encode_meta(meta)) == meta
-    assert [decode_upload(encode_envelope(env)) for env in envs] == envs
+    assert decode(encode_meta(meta)) == meta
+    assert [decode(encode_envelope(env)) for env in envs] == envs
     with pytest.raises(MissingField) as err:
-        decode_upload(b'{"image_id":"img"}')
+        decode(b'{"image_id":"img"}')
     assert err.value.name == "msg_type"
+
+
+# One sample of each message type and its exact wire bytes. Wire size feeds
+# the link timing, so these bytes guard the golden metrics file too.
+WIRE_CONTRACT = {
+    "meta": (TransferMetadata("img00007", 200, 4, 64, 305419896, 3, 4, "PNG"),
+             b'{"msg_type":"meta","image_id":"img00007","total_bytes":200,"total_chunks":4,'
+             b'"chunk_size_bytes":64,"crc32_full":305419896,"width_px":3,"height_px":4,'
+             b'"format":"PNG"}'),
+    "chunk": (ChunkEnvelope("img00007", 0, 1, 2, "QUI=", 812207111),
+              b'{"msg_type":"chunk","image_id":"img00007","seq":0,"total_chunks":1,'
+              b'"payload_len":2,"payload_b64":"QUI=","crc32_chunk":812207111}'),
+    "result": (ResultMessage("img00007", "cloud", True, "Celebrity 03", True),
+               b'{"msg_type":"result","image_id":"img00007","origin":"cloud",'
+               b'"recognized":true,"label":"Celebrity 03","is_false_positive":true}'),
+    "result_without_label": (
+        ResultMessage("img00001", "edge", False, None, False),
+        b'{"msg_type":"result","image_id":"img00001","origin":"edge",'
+        b'"recognized":false,"label":null,"is_false_positive":false}'),
+    "grant_request": (GrantRequest("img00007"),
+                      b'{"msg_type":"grant_request","image_id":"img00007"}'),
+    "grant": (Grant("img00007", "grant-000001", 12.5),
+              b'{"msg_type":"grant","image_id":"img00007","upload_token":"grant-000001",'
+              b'"expires_at":12.5}'),
+    "cloud_upload": (CloudUpload("img00007", "grant-000001", "QUI="),
+                     b'{"msg_type":"cloud_upload","image_id":"img00007",'
+                     b'"upload_token":"grant-000001","payload_b64":"QUI="}'),
+    "upload_rejected": (UploadRejected("img00007", "grant expired for img00007"),
+                        b'{"msg_type":"upload_rejected","image_id":"img00007",'
+                        b'"reason":"grant expired for img00007"}'),
+}
+
+
+@pytest.mark.parametrize("msg,wire", WIRE_CONTRACT.values(), ids=WIRE_CONTRACT.keys())
+def test_wire_contract(msg, wire):
+    assert encode(msg) == wire
+    decoded = decode(wire)
+    assert type(decoded) is type(msg) and decoded == msg

@@ -423,6 +423,7 @@ BAD_CLOUD_REPLIES = {
 @pytest.mark.parametrize("grant,verdict", BAD_CLOUD_REPLIES.values(),
                          ids=BAD_CLOUD_REPLIES.keys())
 def test_cloud_reply_without_its_keys_is_a_negative_counted_result(grant, verdict):
+    # The edge drops the reply, and the image ends by the cloud timeout.
     loop = EventLoop()
     cfg = tiny_config(n=1, cloud=True)
     sent, cloud_keys = [], []
@@ -442,18 +443,26 @@ def test_cloud_reply_without_its_keys_is_a_negative_counted_result(grant, verdic
     loop.run()
     assert [decode_result(d) for d in sent] == [ResultMessage("imgQ", "cloud", False, None, False)]
     assert edge.malformed_messages == 1
+    assert loop.now >= cfg.cloud_timeout_s
     expected_keys = [KEY_CLOUD_REQUESTS_PREFIX + "imgQ"]
     if grant is GRANT:
         expected_keys.append(KEY_CLOUD_UPLOADS_PREFIX + "imgQ")
     assert cloud_keys == expected_keys
 
 
-MALFORMED_CLOUD_LEG = [b"\xff\xfe{}", b"{not json", b'["msg_type","grant"]',
-                       b'{"msg_type":"grant","image_id":[]}']
+MALFORMED_CLOUD_LEG = {
+    "non_utf8": b"\xff\xfe{}",
+    "non_json": b"{not json",
+    "non_object": b'["msg_type","grant"]',
+    "non_string_id": b'{"msg_type":"grant","image_id":[]}',
+    "non_string_token": _edited(GRANT, upload_token=1),
+    "rejection_with_extra_key": b'{"msg_type":"upload_rejected","image_id":"imgQ",'
+                                b'"reason":"expired","hops":1}',
+    "id_with_slash": b'{"msg_type":"upload_rejected","image_id":"a/b","reason":"expired"}',
+}
 
 
-@pytest.mark.parametrize("data", MALFORMED_CLOUD_LEG,
-                         ids=["non_utf8", "non_json", "non_object", "non_string_id"])
+@pytest.mark.parametrize("data", MALFORMED_CLOUD_LEG.values(), ids=MALFORMED_CLOUD_LEG.keys())
 def test_malformed_cloud_leg_message_is_dropped_and_counted(data):
     loop = EventLoop()
     cfg = tiny_config(n=1, cloud=True)
@@ -501,6 +510,62 @@ def test_malformed_cloud_request_is_dropped_and_counted(doc):
     loop.run()
     assert cloud.malformed_messages == 1
     assert replies == []
+
+
+WRONG_TYPE_MESSAGES = {
+    "meta_to_cloud": ("cloud", "on_message", _META),
+    "grant_request_to_far_edge": ("far", "on_result_message",
+                                  b'{"msg_type":"grant_request","image_id":"img00000"}'),
+    "result_to_edge_upload_handler": ("edge", "on_upload_message", encode_result(
+        ResultMessage("img00000", "edge", False, None, False))),
+    "chunk_to_edge_cloud_leg": ("edge", "on_cloud_message", _CHUNK0),
+}
+
+
+@pytest.mark.parametrize("node,handler,data", WRONG_TYPE_MESSAGES.values(),
+                         ids=WRONG_TYPE_MESSAGES.keys())
+def test_handler_drops_and_counts_a_message_of_a_type_it_does_not_take(node, handler, data):
+    loop = EventLoop()
+    cfg = tiny_config(n=1, cloud=True)
+    sent = []
+    tiers = {
+        "far": nodes.FarEdgeNode(loop, cfg, None, Collector(loop), SimCore(loop, 0),
+                                 SimCore(loop, 1)),
+        "edge": EdgeService(loop, cfg, make_face_db(cfg.rng_seed, cfg.db_size), {},
+                            Collector(loop), SimCore(loop, 2),
+                            send_result=lambda _id, d: sent.append(d),
+                            cloud_send=lambda _key, d: sent.append(d)),
+        "cloud": CloudService(loop, cfg, {"img00000": None},
+                              send_to_edge=lambda _id, d: sent.append(d)),
+    }
+    getattr(tiers[node], handler)(data)
+    loop.run()
+    assert tiers[node].malformed_messages == 1
+    assert sent == []
+
+
+@pytest.mark.parametrize("transport", list(TransportKind), ids=lambda t: t.name.lower())
+def test_refused_grant_request_leaves_no_timeout_running(transport, monkeypatch):
+    # The cloud's grant for the first image becomes a refusal: the edge
+    # answers at once, and the run ends with the last result, not with the
+    # cloud timeout of the first image.
+    encode_object = chunkwire.encode_object
+
+    def refuse_first_grant(doc):
+        if doc["msg_type"] == "grant" and doc["image_id"] == "img00000":
+            doc = {"msg_type": "upload_rejected", "image_id": "img00000", "reason": "busy"}
+        return encode_object(doc)
+
+    monkeypatch.setattr(chunkwire, "encode_object", refuse_first_grant)
+    r = run_scenario(tiny_config(transport, n=3, cloud=True, known_prob=0.0,
+                                 cloud_timeout_s=50.0))
+    assert r.failure is None and len(r.records) == 3
+    first = next(rec for rec in r.records if rec.image_id == "img00000")
+    assert first.origin == "cloud" and not first.recognized
+    # A blocking session's last result is acknowledged one link latency
+    # (1 ms) after it arrives.
+    last = max(rec.completion_s for rec in r.records)
+    assert r.summary.total_runtime == pytest.approx(last, abs=0.0011)
 
 
 def test_grant_request_without_image_id_ends_in_a_negative_cloud_result(monkeypatch):
@@ -601,18 +666,6 @@ def test_payload_bytes_are_made_once_per_uploaded_image(transport, parallelism,
 # Result message wire format.
 
 
-def test_result_message_round_trip_and_exact_keys():
-    msg = ResultMessage("img00007", "cloud", True, "Celebrity 03", True)
-    wire = encode_result(msg)
-    doc = json.loads(wire)
-    assert list(doc) == ["msg_type", "image_id", "origin", "recognized",
-                         "label", "is_false_positive"]
-    assert decode_result(wire) == msg
-    negative = ResultMessage("img00001", "edge", False, None, False)
-    assert decode_result(encode_result(negative)) == negative
-    assert b'"label":null' in encode_result(negative)
-
-
 def test_result_message_rejects_unknown_fields():
     doc = json.loads(encode_result(ResultMessage("a", "edge", False, None, False)))
     doc["extra"] = 1
@@ -635,7 +688,7 @@ BAD_RESULT_VALUES = {
 def test_result_message_rejects_values_of_the_wrong_type(fields):
     doc = json.loads(encode_result(ResultMessage("a", "cloud", True, "Person 1", False)))
     with pytest.raises(MalformedJson):
-        decode_result({**doc, **fields})
+        decode_result(chunkwire.encode_object({**doc, **fields}))
 
 
 MALFORMED_RESULTS = {
