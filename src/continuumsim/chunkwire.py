@@ -251,17 +251,23 @@ class ReassemblyStatus(Enum):
 @dataclass
 class ReassemblySession:
     """Receiver-side state for one transfer. Single-owner: exactly one
-    activity may feed it."""
+    activity may feed it.
+
+    ``discarded`` holds the sequence numbers whose only copies so far failed
+    the length or CRC check; a clean copy moves its number to ``chunks``.
+    The two are disjoint, so every number has arrived once when together
+    they hold ``total_chunks`` of them."""
 
     metadata: TransferMetadata
     chunks: dict[int, bytes] = field(default_factory=dict)
     state: ReassemblyState = ReassemblyState.AWAITING
     payload: Optional[bytes] = None
+    discarded: set[int] = field(default_factory=set)
 
     def accept(self, env: ChunkEnvelope) -> ReassemblyStatus:
-        """Feed one envelope. Duplicates are no-ops; a chunk whose CRC fails
-        is discarded (retransmission is the sender's concern); a full-payload
-        CRC failure is unrecoverable and latches the FAILED state."""
+        """Feed one envelope. Duplicates are no-ops; a chunk whose length or
+        CRC fails is discarded (retransmission is the sender's concern); a
+        full-payload failure is unrecoverable and latches the FAILED state."""
         if self.state is ReassemblyState.FAILED:
             return ReassemblyStatus.ALREADY_FAILED
         if env.image_id != self.metadata.image_id:
@@ -272,10 +278,14 @@ class ReassemblySession:
             return ReassemblyStatus.DUPLICATE
         raw = env.decoded if env.decoded is not None else env.payload()
         if len(raw) != env.payload_len:
+            self.discarded.add(env.seq)
             return ReassemblyStatus.LENGTH_MISMATCH
         if crc32(raw) != env.crc32_chunk:
+            self.discarded.add(env.seq)
             return ReassemblyStatus.CHUNK_CRC_MISMATCH
         self.chunks[env.seq] = raw
+        if self.discarded:
+            self.discarded.discard(env.seq)
         if len(self.chunks) < self.metadata.total_chunks:
             self.state = ReassemblyState.INCOMPLETE
             return ReassemblyStatus.ACCEPTED

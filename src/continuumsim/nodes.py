@@ -38,7 +38,6 @@ from .chunkwire import (
     GrantRequest,
     ReassemblySession,
     ReassemblyState,
-    ReassemblyStatus,
     ResultMessage,
     TransferMetadata,
     UploadRejected,
@@ -55,7 +54,7 @@ from .domain import (
     validate_config,
 )
 from .metrics import MetricsRecord, RunSummary, summarize
-from .netsim import BoundedQueue, EventLoop, Gate, SimCore, SimLink, spawn
+from .netsim import BoundedQueue, EventHandle, EventLoop, Gate, SimCore, SimLink, spawn
 from .transport import (
     KEY_CLOUD_REQUESTS_PREFIX,
     KEY_CLOUD_RESULTS_PREFIX,
@@ -86,14 +85,11 @@ class _ImageTrace:
     t_quality: float = 0.0
     t_infer1: float = 0.0
     t_infer2: float = 0.0
-    uploaded: bool = False
     transfer_start: Optional[float] = None
     first_ticket: Optional[PutTicket] = None
     upload_end: Optional[float] = None
     reassembled_at: Optional[float] = None
     t_identify: float = 0.0
-    timeout_handle: Optional[object] = None
-    finalized: bool = False
 
 
 class Collector:
@@ -111,17 +107,14 @@ class Collector:
 
     def finalize(self, tr: _ImageTrace, origin: str, recognized: bool,
                  label: Optional[str], is_fp: bool) -> None:
-        if tr.finalized:
-            return
-        tr.finalized = True
-        if tr.timeout_handle is not None:
-            tr.timeout_handle.cancel()
+        """Record ``tr``'s one result. Each image comes here once: from the
+        far edge's ``_resolve`` if it was uploaded, at detection if not."""
         now = self._loop.now
         # A blocking upload records its start; a pub/sub one reads it off
-        # the ticket of its first message.
+        # the ticket of its first message. Neither is set if nothing was sent.
         start = tr.first_ticket.wire_start if tr.first_ticket else tr.transfer_start
         t_upload = 0.0
-        if tr.uploaded and start is not None:
+        if start is not None:
             upload_end = tr.upload_end if tr.upload_end is not None else tr.reassembled_at
             if upload_end is not None:
                 t_upload = upload_end - start
@@ -163,7 +156,8 @@ class FarEdgeNode:
         self._core0 = core0
         self._core1 = core1
         self._jitter_rng = workload.Prng(workload.substream(cfg.rng_seed, 2))
-        self._pending: dict[str, _ImageTrace] = {}
+        # The images uploaded and not yet ended, with their timeouts.
+        self._pending: dict[str, tuple[_ImageTrace, EventHandle]] = {}
         self.failure: Optional[str] = None
         self.malformed_messages = 0
 
@@ -195,11 +189,28 @@ class FarEdgeNode:
         except ChunkError:
             self.malformed_messages += 1
             return
-        tr = self._pending.pop(msg.image_id, None)
-        if tr is None:
-            return  # late result after timeout: already finalized
-        self._collector.finalize(tr, msg.origin, msg.recognized, msg.label,
-                                 msg.is_false_positive)
+        self._resolve(msg.image_id, msg.origin, msg.recognized, msg.label,
+                      msg.is_false_positive)
+
+    def _resolve(self, image_id: str, origin: str, recognized: bool,
+                 label: Optional[str], is_fp: bool) -> None:
+        """End uploaded image ``image_id`` with this result. The first of its
+        answer, its image timeout and the run's failure gets here while it
+        is pending; whatever comes after finds nothing and is ignored."""
+        entry = self._pending.pop(image_id, None)
+        if entry is None:
+            return
+        tr, timeout = entry
+        timeout.cancel()
+        self._collector.finalize(tr, origin, recognized, label, is_fp)
+
+    def _fail(self, exc: TransportError) -> None:
+        """The pipeline cannot send: keep the first failure, and end every
+        pending image with no result."""
+        if self.failure is None:
+            self.failure = str(exc)
+        for image_id in list(self._pending):
+            self._resolve(image_id, "none", False, None, False)
 
     def _jitter_factor(self) -> float:
         if self._cfg.jitter_pct <= 0.0:
@@ -227,8 +238,7 @@ class FarEdgeNode:
                 else:
                     self._collector.finalize(tr, "none", False, None, False)
         except TransportError as exc:
-            self.failure = str(exc)
-            self._abandon_pending()
+            self._fail(exc)
 
     def _reader(self, queue: BoundedQueue, dataset):
         durations = self._cfg.stage_durations
@@ -263,8 +273,7 @@ class FarEdgeNode:
                 else:
                     yield upload_q.put(image)
         except TransportError as exc:
-            self.failure = str(exc)
-            self._abandon_pending()
+            self._fail(exc)
             # Nothing takes from the read queue now, and the reader starts no
             # new read. A put it waits on then waits on nothing that holds
             # it, so the dataset is freed by reference counting.
@@ -281,18 +290,16 @@ class FarEdgeNode:
                 tr = self._collector.trace(image.id)
                 yield from self._upload(image, tr)
         except TransportError as exc:
-            self.failure = str(exc)
-            self._abandon_pending()
+            self._fail(exc)
 
     def _upload(self, image, tr: _ImageTrace):
         # Each read of ``image.payload`` makes the bytes: read it once.
         messages = chunkwire.encode_upload(
             image.payload, image.id, self._cfg.chunk_size_bytes,
             (image.width_px, image.height_px), image.format.value)
-        tr.uploaded = True
-        self._pending[image.id] = tr
-        tr.timeout_handle = self._loop.schedule(
-            self._cfg.image_timeout_s, partial(self._on_timeout, image.id))
+        self._pending[image.id] = (tr, self._loop.schedule(
+            self._cfg.image_timeout_s,
+            partial(self._resolve, image.id, "none", False, None, False)))
         if self._blocking:
             for msg in messages:
                 receipt = yield self._uplink.send(msg)
@@ -305,15 +312,6 @@ class FarEdgeNode:
                 if tr.first_ticket is None:
                     tr.first_ticket = ticket
                 yield ticket.accepted
-
-    def _on_timeout(self, image_id: str) -> None:
-        tr = self._pending.pop(image_id, None)
-        if tr is not None:
-            self._collector.finalize(tr, "none", False, None, False)
-
-    def _abandon_pending(self) -> None:
-        for image_id in list(self._pending):
-            self._on_timeout(image_id)
 
 
 # ---------------------------------------------------------------------------
@@ -342,70 +340,47 @@ class EdgeService:
         self._core = edge_core
         self._send_result = send_result
         self._cloud_send = cloud_send
-        self._sessions: dict[str, ReassemblySession] = {}
-        self._fed: dict[str, int] = {}
-        self._corrupt: dict[str, int] = {}
-        self._done_ids: set[str] = set()
+        # Each transfer's reassembly, or None once the transfer has ended.
+        self._sessions: dict[str, Optional[ReassemblySession]] = {}
         self._pending_cloud: dict[str, Gate] = {}
         self.dropped_chunks = 0
         self.malformed_messages = 0
 
     # Transport-facing entry point for both meta and chunk messages. A
     # message that does not decode to one of them is dropped and counted;
-    # its image then ends through the far edge's image timeout.
+    # its image then ends through the far edge's image timeout. A transfer
+    # opens with its first meta message and ends when its session completes,
+    # fails, or can no longer complete; anything for it after that is
+    # ignored, and a chunk counts in ``dropped_chunks``.
     def on_upload_message(self, data: bytes) -> None:
         try:
             msg = chunkwire.decode_as(data, (TransferMetadata, ChunkEnvelope))
         except ChunkError:
             self.malformed_messages += 1
             return
+        image_id = msg.image_id
         if isinstance(msg, TransferMetadata):
-            if msg.image_id in self._done_ids or msg.image_id in self._sessions:
-                return
-            self._sessions[msg.image_id] = ReassemblySession(msg)
-            self._fed[msg.image_id] = 0
-            self._corrupt[msg.image_id] = 0
+            if image_id not in self._sessions:
+                self._sessions[image_id] = ReassemblySession(msg)
             return
-        env = msg
-        session = self._sessions.get(env.image_id)
+        session = self._sessions.get(image_id)
         if session is None:
             self.dropped_chunks += 1
             return
-        self._fed[env.image_id] += 1
-        status = session.accept(env)
-        if status is ReassemblyStatus.COMPLETE:
-            self._finish_session(env.image_id, session)
-            return
-        if status in (ReassemblyStatus.CHUNK_CRC_MISMATCH,
-                      ReassemblyStatus.LENGTH_MISMATCH):
-            self._corrupt[env.image_id] += 1
-        if status is ReassemblyStatus.FULL_CRC_MISMATCH:
-            self._fail_session(env.image_id)
-        elif (self._corrupt[env.image_id] > 0
-              and self._fed[env.image_id] >= session.metadata.total_chunks
-              and session.state is not ReassemblyState.COMPLETE):
-            # The sender pushed the whole transfer once and at least one chunk
-            # was discarded: with no retransmission it can never complete.
-            self._fail_session(env.image_id)
-
-    def _finish_session(self, image_id: str, session: ReassemblySession) -> None:
-        self._sessions.pop(image_id, None)
-        self._fed.pop(image_id, None)
-        self._corrupt.pop(image_id, None)
-        self._done_ids.add(image_id)
-        tr = self._collector.trace(image_id)
-        tr.reassembled_at = self._loop.now
-        spawn(self._loop, self._serve_image(image_id, session.payload),
-              name=f"edge-serve-{image_id}")
-
-    def _fail_session(self, image_id: str) -> None:
-        self._sessions.pop(image_id, None)
-        self._fed.pop(image_id, None)
-        self._corrupt.pop(image_id, None)
-        self._done_ids.add(image_id)
-        self._send_result(image_id, encode_result(ResultMessage(
-            image_id=image_id, origin="edge", recognized=False,
-            label=None, is_false_positive=False)))
+        session.accept(msg)
+        if session.state is ReassemblyState.COMPLETE:
+            self._sessions[image_id] = None
+            self._collector.trace(image_id).reassembled_at = self._loop.now
+            spawn(self._loop, self._serve_image(image_id, session.payload),
+                  name=f"edge-serve-{image_id}")
+        elif session.state is ReassemblyState.FAILED or (
+                session.discarded and len(session.chunks) + len(session.discarded)
+                == session.metadata.total_chunks):
+            # Every number arrived once and one is still discarded: the
+            # sender never retransmits, so the transfer cannot complete.
+            self._sessions[image_id] = None
+            self._send_result(image_id, encode_result(
+                ResultMessage(image_id, "edge", False, None, False)))
 
     def _serve_image(self, image_id: str, payload: bytes):
         cfg = self._cfg
@@ -435,7 +410,7 @@ class EdgeService:
         gate = Gate(self._loop)
         self._pending_cloud[image_id] = gate
         handle = self._loop.schedule(self._cfg.cloud_timeout_s,
-                                     lambda: self._cloud_timeout(image_id))
+                                     partial(self._wake, image_id, None))
         try:
             self._cloud_send(KEY_CLOUD_REQUESTS_PREFIX + image_id,
                              chunkwire.encode(GrantRequest(image_id)))
@@ -461,14 +436,15 @@ class EdgeService:
         except ChunkError:
             self.malformed_messages += 1
             return
-        gate = self._pending_cloud.pop(msg.image_id, None)
-        if gate is not None and not gate.is_set:
-            gate.set(msg)
+        self._wake(msg.image_id, msg)
 
-    def _cloud_timeout(self, image_id: str) -> None:
+    def _wake(self, image_id: str, reply: Optional[chunkwire.Message]) -> None:
+        """Resume ``image_id``'s cloud flow with ``reply``, or with None on its
+        cloud timeout. The flow waits on one gate at a time, and popping it
+        lets only the first wake-up through."""
         gate = self._pending_cloud.pop(image_id, None)
-        if gate is not None and not gate.is_set:
-            gate.set(None)
+        if gate is not None:
+            gate.set(reply)
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +644,10 @@ def run_tiers(cfg: ScenarioConfig, loop: EventLoop, links: tuple,
 
         def send_result(_image_id: str, data: bytes) -> None:
             def _proc():
-                yield edge_sess.send(data)
+                try:
+                    yield edge_sess.send(data)
+                except TransportError as exc:
+                    far._fail(exc)
             spawn(loop, _proc(), name="edge-result-send")
 
     def edge_to_cloud(key: str, data: bytes) -> None:

@@ -251,7 +251,29 @@ def test_send_timeout_aborts_run_with_partial_records():
     assert all(rec.origin == "none" for rec in r.records)
 
 
-def test_reassembly_corruption_yields_negative_result_without_cloud_call():
+def _corrupt(env: chunkwire.ChunkEnvelope) -> chunkwire.ChunkEnvelope:
+    return chunkwire.ChunkEnvelope(env.image_id, env.seq, env.total_chunks,
+                                   env.payload_len, env.payload_b64, env.crc32_chunk ^ 1)
+
+
+# Each case: the chunk count; the chunks the edge gets after the meta
+# message, by index in sequence order (negative: with its CRC flipped); and
+# whether the transfer completes.
+REASSEMBLY_FEEDS = {
+    "first_bad": (2, [~0, 1], False),
+    "bad_then_ok": (3, [~0, 0, 1, 2], True),
+    "last_bad": (3, [0, 1, ~2], False),
+}
+
+
+@pytest.mark.parametrize("total,feed,completes", REASSEMBLY_FEEDS.values(),
+                         ids=REASSEMBLY_FEEDS.keys())
+def test_reassembly_corruption_yields_negative_result_without_cloud_call(total, feed,
+                                                                         completes):
+    # A transfer ends with a negative edge result, and no cloud call, once
+    # every chunk has arrived and one has only failed its CRC. A clean copy
+    # of a discarded chunk still completes it: the image is then served,
+    # and with no local match it goes to the cloud, which here never answers.
     loop = EventLoop()
     cfg = tiny_config(n=1, cloud=True)
     db = make_face_db(cfg.rng_seed, cfg.db_size)
@@ -260,21 +282,51 @@ def test_reassembly_corruption_yields_negative_result_without_cloud_call():
     cloud_calls = []
     edge = EdgeService(loop, cfg, db, {}, collector, SimCore(loop, 2),
                        send_result=lambda _id, d: sent.append(d),
-                       cloud_send=lambda _id, _data: cloud_calls.append(_id))
-    payload = b"\xee" * 2048
-    meta, envs = chunkwire.fragment(payload, "imgX", 1024, (2, 2), "RAW")
-    corrupt = chunkwire.ChunkEnvelope(
-        envs[0].image_id, envs[0].seq, envs[0].total_chunks,
-        envs[0].payload_len, envs[0].payload_b64, envs[0].crc32_chunk ^ 1)
+                       cloud_send=lambda key, _data: cloud_calls.append(key))
+    meta, envs = chunkwire.fragment(b"\xee" * (1024 * total), "imgX", 1024, (2, 2), "RAW")
     edge.on_upload_message(chunkwire.encode_meta(meta))
-    edge.on_upload_message(chunkwire.encode_envelope(corrupt))
-    edge.on_upload_message(chunkwire.encode_envelope(envs[1]))
+    for i in feed:
+        env = envs[i] if i >= 0 else _corrupt(envs[~i])
+        edge.on_upload_message(chunkwire.encode_envelope(env))
+    assert len(sent) == (0 if completes else 1)
     loop.run()
-    assert len(sent) == 1
-    msg = decode_result(sent[0])
-    assert msg.image_id == "imgX" and msg.origin == "edge"
-    assert not msg.recognized
-    assert cloud_calls == []
+    assert edge.dropped_chunks == 0
+    assert (collector.trace("imgX").reassembled_at is not None) == completes
+    assert [decode_result(d) for d in sent] == [
+        ResultMessage("imgX", "cloud" if completes else "edge", False, None, False)]
+    assert cloud_calls == ([KEY_CLOUD_REQUESTS_PREFIX + "imgX"] if completes else [])
+
+
+def test_failed_result_send_ends_the_run_with_one_record_per_image():
+    # The edge's blocking result send times out while the far edge still
+    # has images pending: the run returns its failure, and every image has
+    # exactly one record.
+    r = run_scenario(tiny_config(
+        TransportKind.BLOCKING_SESSION, parallelism=True, n=12, cloud=True,
+        known_prob=0.5, payload_bytes=64, chunk_size_bytes=64, t_io=0.01, t_ai=0.01,
+        link_far_to_edge=LinkParams(0.0, 50.0), send_timeout_s=4.9, cloud_latency=7.5))
+    assert r.failure is not None
+    ids = [rec.image_id for rec in r.records]
+    assert sorted(ids) == [f"img{i:05d}" for i in range(12)]
+    origins = [rec.origin for rec in r.records]
+    assert (origins.count("edge"), origins.count("cloud"), origins.count("none")) == (7, 2, 3)
+
+
+@pytest.mark.parametrize("cloud", [False, True], ids=["no_cloud", "cloud"])
+@pytest.mark.parametrize("transport", list(TransportKind), ids=lambda t: t.name.lower())
+def test_duplicated_result_delivery_changes_nothing(transport, cloud, monkeypatch):
+    cfg = tiny_config(transport, n=6, cloud=cloud)
+    undisturbed = run_scenario(cfg)
+    on_result_message = nodes.FarEdgeNode.on_result_message
+
+    def deliver_twice(far, data):
+        on_result_message(far, data)
+        on_result_message(far, data)
+
+    monkeypatch.setattr(nodes.FarEdgeNode, "on_result_message", deliver_twice)
+    r = run_scenario(cfg)
+    assert r.records == undisturbed.records
+    assert r.summary.total_runtime == undisturbed.summary.total_runtime
 
 
 def test_presigned_grants_are_single_use_and_expire():
