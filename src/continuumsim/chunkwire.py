@@ -16,14 +16,29 @@ Every wire message is a compact JSON object (``encode_object``) whose
 between far edge and edge, ``grant_request``, ``grant``, ``cloud_upload``
 and ``upload_rejected`` between edge and cloud. ``SCHEMAS`` holds each
 type's class and its fields in wire order with the JSON types each may
-take, and the one ``encode`` and the one ``decode`` read it. ``decode``
-parses a message once (``parse_object``), requires its type's exact key set
-(one set comparison; which key is missing or unknown is worked out only when
-that fails) and value types, requires its image id to be one pub/sub key
-segment (``domain.is_key_segment``, since the tiers publish under keys that
-end in it) and builds its class; anything else raises a ``ChunkError``.
-A JSON integer is an ``int``, never a float or a boolean. Each tier's
+take, and the one ``encode`` and the one general decoder, ``decode_json``,
+read it. ``decode_json`` parses a message once (``parse_object``), requires
+its type's exact key set (one set comparison; which key is missing or
+unknown is worked out only when that fails) and value types, requires its
+image id to be one pub/sub key segment (``domain.is_key_segment``, since
+the tiers publish under keys that end in it) and builds its class; anything
+else raises a ``ChunkError``. A JSON integer is an ``int``, never a float
+or a boolean; the non-JSON constants ``NaN``, ``Infinity`` and
+``-Infinity``, an integer over the interpreter's digit limit and input
+nested past the recursion limit are ``MalformedJson`` too. Each tier's
 handler is ``decode_as`` with the types it takes.
+
+``decode`` first tries the one form the far edge writes, a chunk message
+in ``_CHUNK_TEMPLATE``'s canonical compact bytes, with one compiled
+pattern. The pattern admits only text whose JSON value is the captured
+text: an image id of printable ASCII without ``"``, ``\\``, ``/`` or
+``*``, integers without sign or leading zeros, and base64 text that the
+strict base64 decode then proves holds only its alphabet. On any miss (no
+match, an integer over the digit limit, a value the envelope rejects, bad
+base64 or a length that does not match) ``decode`` returns what
+``decode_json`` returns or raises on the same bytes. ``decode_json`` is the
+only path for the other message types and for valid JSON in another form
+(key order, whitespace, escapes), and the tests hold the fast path to it.
 
 The far edge goes from payload to wire messages in one step,
 ``encode_upload``: it slices, base64-encodes and CRCs each chunk
@@ -43,6 +58,7 @@ import base64
 import binascii
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import contains
@@ -393,19 +409,59 @@ def encode_upload(
     return messages
 
 
+def _reject_constant(name: str):
+    raise MalformedJson(f"{name} is not a JSON value")
+
+
+# ``json.loads`` would take NaN, Infinity and -Infinity (RFC 8259 §6 has
+# no such values).
+_JSON_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def parse_object(data: bytes) -> dict:
     """The JSON object a wire message holds; ``MalformedJson`` if the bytes
     are not UTF-8, not JSON, or not a JSON object."""
     try:
-        doc = json.loads(data.decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        doc = _JSON_DECODER.decode(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and an integer over
+        # sys.get_int_max_str_digits(); RecursionError, deep nesting.
         raise MalformedJson(str(exc)) from None
     if not isinstance(doc, dict):
         raise MalformedJson("wire message must be a JSON object")
     return doc
 
 
+# _CHUNK_TEMPLATE as a pattern: each %d an unsigned JSON integer, the
+# image id a quoted string that needs no escape and is one key segment
+# (printable ASCII but '"', '*', '/' and backslash), and the base64 text
+# anything up to the next quote, which ``ChunkEnvelope.payload`` checks.
+_UINT = rb"(0|[1-9][0-9]*)"
+_match_chunk = re.compile(re.escape(_CHUNK_TEMPLATE).replace(b"%d", b"%s") % (
+    rb'"([ !#-)+-.0-\[\]-~]+)"', _UINT, _UINT, _UINT, rb'([^"]*)', _UINT)).fullmatch
+
+
 def decode(data: bytes) -> Message:
+    """``decode_json(data)``, which it equals in value or exception; a
+    canonical chunk message is decoded without parsing JSON."""
+    match = _match_chunk(data)
+    if match is not None:
+        image_id, seq, total_chunks, payload_len, payload_b64, crc = match.groups()
+        try:
+            # latin-1 takes any byte; payload() then rejects all but base64.
+            env = ChunkEnvelope(image_id.decode("ascii"), int(seq), int(total_chunks),
+                                int(payload_len), payload_b64.decode("latin-1"), int(crc))
+            raw = env.payload()
+        except (ValueError, Base64Error):
+            pass
+        else:
+            if len(raw) == env.payload_len:
+                env.decoded = raw
+                return env
+    return decode_json(data)
+
+
+def decode_json(data: bytes) -> Message:
     """The message ``data`` holds, as the class ``SCHEMAS`` gives its
     ``msg_type``. ``MissingField`` or ``UnknownField`` if its keys are not
     exactly its type's; ``MalformedJson`` if it is not a JSON object, its

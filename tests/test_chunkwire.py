@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+from continuumsim import chunkwire
 from continuumsim.chunkwire import (
     Base64Error,
     ChunkEnvelope,
+    ChunkError,
     ChunkSizeTooSmall,
     CloudUpload,
     EmptyPayload,
@@ -22,10 +24,12 @@ from continuumsim.chunkwire import (
     crc32,
     decode,
     decode_envelope,
+    decode_json,
     decode_meta,
     encode,
     encode_envelope,
     encode_meta,
+    encode_object,
     encode_upload,
     fragment,
 )
@@ -302,6 +306,64 @@ def test_decode_upload_dispatches_on_msg_type():
     with pytest.raises(MissingField) as err:
         decode(b'{"image_id":"img"}')
     assert err.value.name == "msg_type"
+
+
+def _outcome(decoder, data: bytes):
+    """What ``decoder`` makes of ``data``: the message, its repr and its
+    decoded payload, or the type and text of the error it raises."""
+    try:
+        msg = decoder(data)
+    except ChunkError as exc:
+        return type(exc), str(exc)
+    return msg, repr(msg), msg.decoded
+
+
+# The last chunk of 1000 bytes is short at all three sizes.
+@pytest.mark.parametrize("chunk_size", [64, 1000, 1024])
+@pytest.mark.parametrize("image_id", ["img00007", "img 7", "img-._~7"])
+def test_canonical_chunk_decode_equals_json_decoder(chunk_size, image_id):
+    payload = Prng(chunk_size).randbytes(3000)
+    for data in encode_upload(payload, image_id, chunk_size, (2, 2), "RAW")[1:]:
+        assert chunkwire._match_chunk(data) is not None
+        assert _outcome(decode, data) == _outcome(decode_json, data)
+
+
+_CANONICAL = encode_upload(Prng(11).randbytes(100), "img0", 64, (2, 2), "RAW")[1]
+_B64 = json.loads(_CANONICAL)["payload_b64"].encode()
+
+
+def _with_b64(text: bytes) -> bytes:
+    return _CANONICAL.replace(_B64, text)
+
+
+# Chunk messages one edit away from _CANONICAL (seq 0, payload_len 64).
+# Some are valid JSON for the same envelope, the rest are malformed.
+NEAR_CANONICAL = {
+    "escaped_id": _CANONICAL.replace(b'"img0"', b'"img\\u0030"'),
+    "wildcard_id": _CANONICAL.replace(b'"img0"', b'"img*"'),
+    "escaped_base64_char": _with_b64(b"\\u%04x" % _B64[0] + _B64[1:]),
+    "escaped_slash_in_base64": _with_b64(b"\\/" + _B64[1:]),
+    "backslash_in_base64": _with_b64(b"\\\\" + _B64[1:]),
+    "non_ascii_in_base64": _with_b64("\u00e9".encode() + _B64[1:]),
+    "non_utf8_in_base64": _with_b64(b"\xff" + _B64[1:]),
+    "control_byte_in_base64": _with_b64(b"\x01" + _B64[1:]),
+    "bad_padding": _with_b64(_B64[:-1]),
+    "payload_len_plus_one": _CANONICAL.replace(b'"payload_len":64', b'"payload_len":65'),
+    "payload_len_minus_one": _CANONICAL.replace(b'"payload_len":64', b'"payload_len":63'),
+    "leading_zero": _CANONICAL.replace(b'"payload_len":64', b'"payload_len":064'),
+    "huge_int": _CANONICAL.replace(b'"payload_len":64', b'"payload_len":' + b"6" * 5000),
+    "negative_seq": _CANONICAL.replace(b'"seq":0', b'"seq":-1'),
+    "seq_past_total": _CANONICAL.replace(b'"seq":0', b'"seq":2'),
+    "reordered_keys": encode_object(dict(reversed(json.loads(_CANONICAL).items()))),
+    "space_after_colon": _CANONICAL.replace(b'"seq":', b'"seq": '),
+    "trailing_newline": _CANONICAL + b"\n",
+}
+
+
+@pytest.mark.parametrize("data", NEAR_CANONICAL.values(), ids=NEAR_CANONICAL.keys())
+def test_near_canonical_chunk_decodes_as_json_decoder(data):
+    assert data != _CANONICAL
+    assert _outcome(decode, data) == _outcome(decode_json, data)
 
 
 # One sample of each message type and its exact wire bytes. Wire size feeds

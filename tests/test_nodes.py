@@ -400,6 +400,8 @@ MALFORMED_UPLOADS = {
     "wildcard_image_id": _edited(_META, image_id="*"),
     "image_id_with_slash": _edited(_META, image_id="a/b"),
     "chunk_image_id_with_wildcard": _edited(_CHUNK0, image_id="img*"),
+    "huge_int_seq": _CHUNK0.replace(b'"seq":0,', b'"seq":' + b"1" * 5000 + b","),
+    "deeply_nested": _META.replace(b'"img00000"', b"[" * 100_000 + b"]" * 100_000),
 }
 
 
@@ -449,13 +451,24 @@ def test_upload_message_is_parsed_once(monkeypatch):
     edge = EdgeService(loop, cfg, make_face_db(cfg.rng_seed, cfg.db_size), {},
                        Collector(loop), SimCore(loop, 2), send_result=lambda _id, _d: None)
     messages = _upload_messages("imgP", Prng(8).randbytes(300))
-    parses = []
-    parse_object = chunkwire.parse_object
+    # A canonical chunk is parsed by the compiled pattern, anything else
+    # (here the meta message) by parse_object; each message exactly once.
+    parses, matches = [], []
+    parse_object, match_chunk = chunkwire.parse_object, chunkwire._match_chunk
+
+    def counted_match(data):
+        match = match_chunk(data)
+        if match is not None:
+            matches.append(data)
+        return match
+
     monkeypatch.setattr(chunkwire, "parse_object",
                         lambda data: parses.append(data) or parse_object(data))
+    monkeypatch.setattr(chunkwire, "_match_chunk", counted_match)
     for data in messages:
         edge.on_upload_message(data)
-    assert parses == messages
+    assert parses == messages[:1]
+    assert matches == messages[1:]
     assert edge.malformed_messages == edge.dropped_chunks == 0
 
 
@@ -511,6 +524,7 @@ MALFORMED_CLOUD_LEG = {
     "rejection_with_extra_key": b'{"msg_type":"upload_rejected","image_id":"imgQ",'
                                 b'"reason":"expired","hops":1}',
     "id_with_slash": b'{"msg_type":"upload_rejected","image_id":"a/b","reason":"expired"}',
+    "grant_with_nan_expiry": GRANT.replace(b"9.0", b"NaN"),
 }
 
 
