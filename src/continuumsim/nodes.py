@@ -342,9 +342,12 @@ class EdgeService:
         self._cloud_send = cloud_send
         # Each transfer's reassembly, or None once the transfer has ended.
         self._sessions: dict[str, Optional[ReassemblySession]] = {}
-        self._pending_cloud: dict[str, Gate] = {}
+        # Each escalation's gate, with the reply types of the steps it has
+        # passed.
+        self._pending_cloud: dict[str, tuple[Gate, tuple[type, ...]]] = {}
         self.dropped_chunks = 0
         self.malformed_messages = 0
+        self.stale_replies = 0
 
     # Transport-facing entry point for both meta and chunk messages. A
     # message that does not decode to one of them is dropped and counted;
@@ -405,10 +408,11 @@ class EdgeService:
     def _cloud_flow(self, image_id: str, payload: bytes):
         """Presigned-grant escalation; forwards the cloud's verdict verbatim.
         A timeout at any step, or a reply of the wrong type such as a
-        refusal, degrades to a negative cloud result. The timeout is
-        cancelled on every way out, so it does not hold the run open."""
+        refusal, degrades to a negative cloud result; a reply for a step
+        already passed is ignored (see ``_wake``). The timeout is cancelled
+        on every way out, so it does not hold the run open."""
         gate = Gate(self._loop)
-        self._pending_cloud[image_id] = gate
+        self._pending_cloud[image_id] = (gate, ())
         handle = self._loop.schedule(self._cfg.cloud_timeout_s,
                                      partial(self._wake, image_id, None))
         try:
@@ -417,7 +421,7 @@ class EdgeService:
             grant = yield gate
             if type(grant) is Grant:
                 gate = Gate(self._loop)
-                self._pending_cloud[image_id] = gate
+                self._pending_cloud[image_id] = (gate, (Grant, UploadRejected))
                 self._cloud_send(KEY_CLOUD_UPLOADS_PREFIX + image_id, chunkwire.encode(
                     CloudUpload(image_id, grant.upload_token,
                                 base64.b64encode(payload).decode("ascii"))))
@@ -441,10 +445,16 @@ class EdgeService:
     def _wake(self, image_id: str, reply: Optional[chunkwire.Message]) -> None:
         """Resume ``image_id``'s cloud flow with ``reply``, or with None on its
         cloud timeout. The flow waits on one gate at a time, and popping it
-        lets only the first wake-up through."""
-        gate = self._pending_cloud.pop(image_id, None)
-        if gate is not None:
-            gate.set(reply)
+        lets only the first wake-up through. A reply for a step the flow has
+        passed, such as a duplicated grant, or one that arrives when no flow
+        waits, is ignored and counted in ``stale_replies``."""
+        gate, passed = self._pending_cloud.get(image_id, (None, ()))
+        if gate is None or type(reply) in passed:
+            if reply is not None:
+                self.stale_replies += 1
+            return
+        del self._pending_cloud[image_id]
+        gate.set(reply)
 
 
 # ---------------------------------------------------------------------------

@@ -13,15 +13,18 @@ with ``Prng.randbytes`` on each read, so only images the far edge uploads
 ever have bytes, and only while they are being sent. Payload bytes are still
 the bulk of the randomness, so ``Prng.randbytes`` computes them a block at a
 time: splitmix64's state after k steps is ``seed + k*gamma mod 2**64``, so
-one Python int holding 128 lanes of 128 bits carries 128 consecutive states,
-and the finalizer runs on all lanes at once (SWAR, "SIMD within a
-register"). The next block's states are these plus ``128*gamma`` in every
-lane. A shift is followed by a mask that clears the bits it moved in from
-the neighbouring lane, and a 64x64-bit product fits in its 128-bit lane, so
-no lane ever carries into the next. The last shift needs no mask: the bits
-it moves in land above the low 8 bytes of a lane, and those bytes are the
-output word, in the byte order of the scalar stream. Each block writes its
-words straight into the one output buffer.
+two Python ints of 512 lanes of 128 bits carry 1,024 consecutive states, and
+the finalizer runs on all of them at once (SWAR, "SIMD within a register").
+Lane k of one int holds the state of word 2k, and lane k of the other that
+of word 2k+1, which is the first plus gamma; the next block's states are
+these plus ``1024*gamma``. Each state sits in the low 64 bits of its lane.
+A shift is followed by a mask that clears the bits it moved in from the
+neighbouring lane, and a 64x64-bit product fits in its 128-bit lane, so no
+lane ever carries into the next. After the two multiply rounds the ints
+combine as ``even | odd << 64``: dense 64-bit words in stream order. The
+last xor-shift runs once on that int, masked to the low 33 bits of every
+word, the only bits ``z >> 31`` reaches within one word. One little-endian
+``to_bytes`` then gives the block's bytes as the scalar stream writes them.
 """
 
 from __future__ import annotations
@@ -47,14 +50,21 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _TO_UNIT = 2.0 ** -53
 
-# Lane constants for Prng.randbytes, one lane of 128 bits per output word:
-# 1 in every lane, k*gamma in lane k-1, the low 64 bits of every lane, and
-# the state step from one block of lanes to the next in every lane.
-_LANES = 128
-_LANE_ONES = sum(1 << 128 * k for k in range(_LANES))
-_LANE_RAMP = sum((k + 1) * _GOLDEN << 128 * k for k in range(_LANES))
-_LANE_MASK = _LANE_ONES * _MASK64
-_LANE_STEP = _LANE_ONES * (_LANES * _GOLDEN & _MASK64)
+# Block constants for Prng.randbytes, 512 lanes of 128 bits: 1 in every
+# lane, the low 64 bits of every lane, gamma in every lane (the odd words'
+# state offset), (2k+1)*gamma in lane k, one block's state step in every
+# lane, and the low 33 bits of every 64-bit word. Each is built from a
+# repeated or joined byte pattern, in time linear in its size.
+_BLOCK_LANES = 512
+_BLOCK_WORDS = 2 * _BLOCK_LANES
+_ONES = int.from_bytes((1).to_bytes(16, "little") * _BLOCK_LANES, "little")
+_LOW_HALVES = _ONES * _MASK64
+_ODD_OFFSET = _ONES * _GOLDEN
+_EVEN_RAMP = int.from_bytes(b"".join(
+    ((2 * k + 1) * _GOLDEN & _MASK64).to_bytes(16, "little") for k in range(_BLOCK_LANES)),
+    "little")
+_BLOCK_STEP = _ONES * (_BLOCK_WORDS * _GOLDEN & _MASK64)
+_LOW33 = _ONES * (1 << 64 | 1) * ((1 << 33) - 1)
 
 # Cosine distance of a perturbed copy to its source stays ~0.96, far above
 # any sensible threshold, while fresh random vectors score near zero.
@@ -71,6 +81,14 @@ def _mix(z: int) -> int:
     z = (z ^ (z >> 30)) * _MIX1 & _MASK64
     z = (z ^ (z >> 27)) * _MIX2 & _MASK64
     return z ^ (z >> 31)
+
+
+def _mix_lanes(z: int) -> int:
+    """The finalizer's two multiply rounds on every 128-bit lane of ``z``."""
+    z = (z ^ z >> 30) & _LOW_HALVES
+    z = z * _MIX1 & _LOW_HALVES
+    z = (z ^ z >> 27) & _LOW_HALVES
+    return z * _MIX2 & _LOW_HALVES
 
 
 class Prng:
@@ -109,27 +127,24 @@ class Prng:
         """The next ``n`` bytes of the stream: ``ceil(n/8)`` words of
         ``u64()``, each little-endian, cut to ``n`` bytes."""
         words = (n + 7) // 8
-        out = bytearray(8 * words)
-        # The view's 8-byte items are copied, never read as numbers, so the
-        # host's byte order does not matter.
-        out_words = memoryview(out).cast("Q")
-        keep = (1 << 128 * min(words, _LANES)) - 1
-        states = (_LANE_ONES & keep) * self.state + (_LANE_RAMP & keep) & _LANE_MASK
-        for start in range(0, words, _LANES):
+        keep = (1 << 128 * min(words + 1 >> 1, _BLOCK_LANES)) - 1
+        even = (_ONES & keep) * self.state + (_EVEN_RAMP & keep) & _LOW_HALVES
+        odd = even + (_ODD_OFFSET & keep) & _LOW_HALVES
+        blocks = []
+        for start in range(0, words, _BLOCK_WORDS):
+            lanes = min(words - start + 1 >> 1, _BLOCK_LANES)
             if start:
-                states = states + _LANE_STEP & _LANE_MASK
-            lanes = min(words - start, _LANES)
-            z = states if lanes == _LANES else states & (1 << 128 * lanes) - 1
-            z = (z ^ z >> 30) & _LANE_MASK
-            z = z * _MIX1 & _LANE_MASK
-            z = (z ^ z >> 27) & _LANE_MASK
-            z = z * _MIX2 & _LANE_MASK
-            z ^= z >> 31  # no mask: see the module docstring
-            # Keep the low 8 bytes of every 16-byte lane.
-            out_words[start:start + lanes] = memoryview(
-                z.to_bytes(16 * lanes, "little")).cast("Q")[::2]
+                even = even + _BLOCK_STEP & _LOW_HALVES
+                odd = odd + _BLOCK_STEP & _LOW_HALVES
+                if lanes < _BLOCK_LANES:
+                    keep = (1 << 128 * lanes) - 1
+                    even &= keep
+                    odd &= keep
+            z = _mix_lanes(even) | _mix_lanes(odd) << 64
+            z ^= z >> 31 & _LOW33
+            blocks.append(z.to_bytes(16 * lanes, "little"))
         self.state = (self.state + words * _GOLDEN) & _MASK64
-        return memoryview(out)[:n].tobytes()
+        return b"".join(blocks)[:n]
 
     def randrange(self, n: int) -> int:
         if n < 1:

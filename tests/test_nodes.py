@@ -2,6 +2,7 @@ import gc
 import json
 import weakref
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
@@ -513,6 +514,62 @@ def test_cloud_reply_without_its_keys_is_a_negative_counted_result(grant, verdic
     if grant is GRANT:
         expected_keys.append(KEY_CLOUD_UPLOADS_PREFIX + "imgQ")
     assert cloud_keys == expected_keys
+
+
+def _edge_with_scripted_cloud(loop, cfg, replies, sent):
+    """An edge whose cloud answers each message type with ``replies[type]``:
+    a list of (delay, data) pairs fed to ``on_cloud_message``."""
+    def cloud_send(_key, data):
+        for delay, reply in replies.get(json.loads(data)["msg_type"], ()):
+            loop.schedule(delay, partial(edge.on_cloud_message, reply))
+
+    edge = EdgeService(loop, cfg, make_face_db(cfg.rng_seed, cfg.db_size), {},
+                       Collector(loop), SimCore(loop, 2),
+                       send_result=lambda _id, d: sent.append(d),
+                       cloud_send=cloud_send)
+    return edge
+
+
+VERDICT = ResultMessage("imgQ", "cloud", True, "Celebrity 03", True)
+
+
+def test_duplicated_grant_is_a_stale_reply_and_the_verdict_gets_through():
+    # The second grant reaches the edge while it waits for the verdict.
+    loop = EventLoop()
+    cfg = tiny_config(n=1, cloud=True)
+    sent = []
+    edge = _edge_with_scripted_cloud(loop, cfg, {
+        "grant_request": [(0.1, GRANT), (0.2, GRANT)],
+        "cloud_upload": [(0.3, encode_result(VERDICT))],
+    }, sent)
+    for data in _upload_messages("imgQ", b"\x33" * 200):
+        edge.on_upload_message(data)
+    loop.run()
+    assert [decode_result(d) for d in sent] == [VERDICT]
+    assert (edge.stale_replies, edge.malformed_messages) == (1, 0)
+    assert loop.now < cfg.cloud_timeout_s
+    # A reply after the escalation has ended is stale too.
+    edge.on_cloud_message(GRANT)
+    edge.on_cloud_message(encode_result(VERDICT))
+    loop.run()
+    assert len(sent) == 1 and edge.stale_replies == 3
+
+
+def test_result_in_answer_to_a_grant_request_is_a_negative_cloud_result():
+    # A reply for a step not yet reached is not stale: it does not fit the
+    # step, so the escalation ends at once.
+    loop = EventLoop()
+    cfg = tiny_config(n=1, cloud=True)
+    sent = []
+    edge = _edge_with_scripted_cloud(loop, cfg, {
+        "grant_request": [(0.1, encode_result(VERDICT))],
+    }, sent)
+    for data in _upload_messages("imgQ", b"\x33" * 200):
+        edge.on_upload_message(data)
+    loop.run()
+    assert [decode_result(d) for d in sent] == [ResultMessage("imgQ", "cloud", False, None, False)]
+    assert edge.stale_replies == 0
+    assert loop.now < cfg.cloud_timeout_s
 
 
 MALFORMED_CLOUD_LEG = {

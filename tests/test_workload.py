@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from continuumsim import workload
 from continuumsim.domain import EMBEDDING_DIM, EmbeddingVec, FaceDatabase, PersonId
 from continuumsim.workload import (
     CELEBRITY_LABELS,
@@ -62,19 +63,36 @@ class ScalarSplitmix64:
 
 @pytest.mark.parametrize("seed", [0, 7, 2**63, 2**64 - 1, 123456789])
 def test_randbytes_matches_scalar_reference(seed):
-    # randbytes works in blocks of 128 words, 1024 bytes.
-    for n in (0, 1, 7, 8, 9, 1023, 1024, 1025, 2047, 2048, 2049, 102400):
+    # randbytes works in blocks of 1,024 words, 8,192 bytes, two words to a
+    # 128-bit lane: 8,184 and 8,232 bytes end on a lane with no odd word.
+    for n in (0, 1, 7, 8, 9, 1023, 1024, 1025, 2047, 2048, 2049, 102400,
+              8184, 8191, 8192, 8193, 8232, 16383, 16384, 16385):
         fast, ref = Prng(seed), ScalarSplitmix64(seed)
         assert fast.randbytes(n) == ref.randbytes(n), n
         assert fast.state == ref.state, n
         assert fast.u64() == ref.u64(), n
     empty = Prng(seed)
     assert empty.randbytes(0) == b"" and empty.state == seed
-    # Two calls on one stream, each ending mid-word and mid-block.
-    fast, ref = Prng(seed), ScalarSplitmix64(seed)
-    for n in (1029, 2053):
-        assert fast.randbytes(n) == ref.randbytes(n), n
-        assert fast.state == ref.state, n
+    # Two calls on one stream, each ending mid-word and mid-block; in the
+    # second stream the second call crosses a block boundary.
+    for calls in ((1029, 2053), (5003, 12301)):
+        fast, ref = Prng(seed), ScalarSplitmix64(seed)
+        for n in calls:
+            assert fast.randbytes(n) == ref.randbytes(n), n
+            assert fast.state == ref.state, n
+
+
+def test_randbytes_block_constants_match_their_defining_sums():
+    lanes = workload._BLOCK_LANES
+    gamma, step = 0x9E3779B97F4A7C15, 2 * lanes * 0x9E3779B97F4A7C15 % 2**64
+    assert workload._BLOCK_WORDS == 2 * lanes
+    assert workload._ONES == sum(1 << 128 * k for k in range(lanes))
+    assert workload._LOW_HALVES == sum((2**64 - 1) << 128 * k for k in range(lanes))
+    assert workload._ODD_OFFSET == sum(gamma << 128 * k for k in range(lanes))
+    assert workload._EVEN_RAMP == sum(
+        ((2 * k + 1) * gamma % 2**64) << 128 * k for k in range(lanes))
+    assert workload._BLOCK_STEP == sum(step << 128 * k for k in range(lanes))
+    assert workload._LOW33 == sum((2**33 - 1) << 64 * j for j in range(2 * lanes))
 
 
 def test_substreams_are_decorrelated():
