@@ -342,9 +342,9 @@ class EdgeService:
         self._cloud_send = cloud_send
         # Each transfer's reassembly, or None once the transfer has ended.
         self._sessions: dict[str, Optional[ReassemblySession]] = {}
-        # Each escalation's gate, with the reply types of the steps it has
-        # passed.
-        self._pending_cloud: dict[str, tuple[Gate, tuple[type, ...]]] = {}
+        # Each escalation's gate, with the reply type of the step it has
+        # passed (None on the first step).
+        self._pending_cloud: dict[str, tuple[Gate, Optional[type]]] = {}
         self.dropped_chunks = 0
         self.malformed_messages = 0
         self.stale_replies = 0
@@ -412,7 +412,7 @@ class EdgeService:
         already passed is ignored (see ``_wake``). The timeout is cancelled
         on every way out, so it does not hold the run open."""
         gate = Gate(self._loop)
-        self._pending_cloud[image_id] = (gate, ())
+        self._pending_cloud[image_id] = (gate, None)
         handle = self._loop.schedule(self._cfg.cloud_timeout_s,
                                      partial(self._wake, image_id, None))
         try:
@@ -421,7 +421,7 @@ class EdgeService:
             grant = yield gate
             if type(grant) is Grant:
                 gate = Gate(self._loop)
-                self._pending_cloud[image_id] = (gate, (Grant, UploadRejected))
+                self._pending_cloud[image_id] = (gate, Grant)
                 self._cloud_send(KEY_CLOUD_UPLOADS_PREFIX + image_id, chunkwire.encode(
                     CloudUpload(image_id, grant.upload_token,
                                 base64.b64encode(payload).decode("ascii"))))
@@ -448,8 +448,8 @@ class EdgeService:
         lets only the first wake-up through. A reply for a step the flow has
         passed, such as a duplicated grant, or one that arrives when no flow
         waits, is ignored and counted in ``stale_replies``."""
-        gate, passed = self._pending_cloud.get(image_id, (None, ()))
-        if gate is None or type(reply) in passed:
+        gate, stale_type = self._pending_cloud.get(image_id, (None, None))
+        if gate is None or type(reply) is stale_type:
             if reply is not None:
                 self.stale_replies += 1
             return

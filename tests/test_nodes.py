@@ -7,7 +7,7 @@ from functools import partial
 import pytest
 
 from continuumsim import chunkwire, nodes
-from continuumsim.chunkwire import MalformedJson, UnknownField
+from continuumsim.chunkwire import MalformedJson, UnknownField, UploadRejected
 from continuumsim.domain import (
     LinkParams,
     ScenarioConfig,
@@ -553,6 +553,23 @@ def test_duplicated_grant_is_a_stale_reply_and_the_verdict_gets_through():
     edge.on_cloud_message(encode_result(VERDICT))
     loop.run()
     assert len(sent) == 1 and edge.stale_replies == 3
+
+
+def test_refused_upload_ends_the_escalation_at_once():
+    # A refusal answers the upload step itself, so it is not stale.
+    loop = EventLoop()
+    cfg = tiny_config(n=1, cloud=True)
+    sent = []
+    edge = _edge_with_scripted_cloud(loop, cfg, {
+        "grant_request": [(0.1, GRANT)],
+        "cloud_upload": [(0.1, chunkwire.encode(UploadRejected("imgQ", "expired")))],
+    }, sent)
+    for data in _upload_messages("imgQ", b"\x33" * 200):
+        edge.on_upload_message(data)
+    loop.run()
+    assert [decode_result(d) for d in sent] == [ResultMessage("imgQ", "cloud", False, None, False)]
+    assert (edge.stale_replies, edge.malformed_messages) == (0, 0)
+    assert loop.now < cfg.cloud_timeout_s
 
 
 def test_result_in_answer_to_a_grant_request_is_a_negative_cloud_result():
