@@ -97,9 +97,9 @@ class Base64Error(ChunkError):
     pass
 
 
-def crc32(data: bytes) -> int:
-    """CRC-32/ISO-HDLC of ``data`` as an unsigned 32-bit integer."""
-    return binascii.crc32(data) & 0xFFFFFFFF
+# CRC-32/ISO-HDLC of a bytes-like object. On Python 3 ``binascii.crc32``
+# already returns it as an unsigned 32-bit integer.
+crc32 = binascii.crc32
 
 
 @dataclass(frozen=True)

@@ -9,15 +9,19 @@ handles.
 
 Concurrency is expressed as generator processes. A process yields either a
 non-negative delay (seconds of virtual time) or a :class:`Gate`, a one-shot
-event that resumes every waiter, in wait order, when set. Links and cores are
-pure booking objects: a transmission or compute task reserves the next free
-interval of the resource at request time, which keeps FIFO order and
-exclusivity without extra event traffic.
+event that resumes every waiter, in wait order, when set. A process that
+yields a gate already set continues in place, in the same call, so a long run
+of such yields costs no stack depth. Links and cores are pure booking
+objects: a transmission or compute task reserves the next free interval of
+the resource at request time, which keeps FIFO order and exclusivity without
+extra event traffic. The callback of each scheduled event is a
+``functools.partial`` or a bound method, never a closure made per event.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Generator, Optional
@@ -61,7 +65,13 @@ class EventLoop:
         return handle
 
     def schedule_at(self, fire_at: float, action: Callable[[], None]) -> EventHandle:
-        return self.schedule(max(0.0, fire_at - self.now), action)
+        # ``now + (fire_at - now)`` is not always ``fire_at`` in floating
+        # point: the time is computed exactly as ``schedule`` computes it.
+        now = self.now
+        handle = EventHandle(action)
+        heapq.heappush(self._heap, (now + max(0.0, fire_at - now), self._seq, handle))
+        self._seq += 1
+        return handle
 
     def _pop_due(self, t_end: float) -> Optional[tuple[float, int, EventHandle]]:
         """The first live heap entry due by ``t_end``, removed; cancelled
@@ -129,7 +139,7 @@ class Gate:
             w(value)
 
     def set_at(self, delay: float, value: object = None) -> EventHandle:
-        return self._loop.schedule(delay, lambda: self.set(value))
+        return self._loop.schedule(delay, partial(self.set, value))
 
     def add_waiter(self, callback: Callable[[object], None]) -> None:
         if self.is_set:
@@ -142,28 +152,39 @@ ProcGen = Generator[object, object, None]
 
 
 class Process:
-    """Drives a generator, interpreting yielded delays and gates."""
+    """Drives a generator, interpreting yielded delays and gates.
+
+    The callbacks it schedules are partials made at each schedule and not
+    kept on the process: one stored on it would refer back to the process
+    and hold it, its generator and everything the generator holds in a
+    reference cycle."""
 
     def __init__(self, loop: EventLoop, gen: ProcGen, name: str = "proc"):
         self._loop = loop
         self._gen = gen
         self.name = name
-        loop.schedule(0.0, lambda: self._step(None))
+        loop.schedule(0.0, partial(self._step, None))
 
     def _step(self, value: object) -> None:
-        try:
-            if isinstance(value, BaseException):
-                cmd = self._gen.throw(value)
+        gen = self._gen
+        while True:
+            try:
+                if isinstance(value, BaseException):
+                    cmd = gen.throw(value)
+                else:
+                    cmd = gen.send(value)
+            except StopIteration:
+                return
+            if isinstance(cmd, Gate):
+                if not cmd.is_set:
+                    cmd._waiters.append(self._step)
+                    return
+                value = cmd.value
+            elif isinstance(cmd, (int, float)):
+                self._loop.schedule(float(cmd), partial(self._step, None))
+                return
             else:
-                cmd = self._gen.send(value)
-        except StopIteration:
-            return
-        if isinstance(cmd, Gate):
-            cmd.add_waiter(self._step)
-        elif isinstance(cmd, (int, float)):
-            self._loop.schedule(float(cmd), lambda: self._step(None))
-        else:
-            raise TypeError(f"process {self.name} yielded {cmd!r}")
+                raise TypeError(f"process {self.name} yielded {cmd!r}")
 
 
 def spawn(loop: EventLoop, gen: ProcGen, name: str = "proc") -> Process:
@@ -183,15 +204,15 @@ class BoundedQueue:
             raise ValueError("queue capacity must be >= 1")
         self._loop = loop
         self.capacity = capacity
-        self._items: list[object] = []
-        self._getters: list[Gate] = []
-        self._putters: list[tuple[Gate, object]] = []
+        self._items: deque[object] = deque()
+        self._getters: deque[Gate] = deque()
+        self._putters: deque[tuple[Gate, object]] = deque()
         self._closed = False
 
     def put(self, item: object) -> Gate:
         gate = Gate(self._loop)
         if self._getters:
-            self._getters.pop(0).set(item)
+            self._getters.popleft().set(item)
             gate.set(None)
         elif len(self._items) < self.capacity:
             self._items.append(item)
@@ -211,13 +232,13 @@ class BoundedQueue:
     def get(self) -> Gate:
         gate = Gate(self._loop)
         if self._items:
-            gate.set(self._items.pop(0))
+            gate.set(self._items.popleft())
             if self._putters:
-                pgate, pitem = self._putters.pop(0)
+                pgate, pitem = self._putters.popleft()
                 self._items.append(pitem)
                 pgate.set(None)
         elif self._putters:
-            pgate, pitem = self._putters.pop(0)
+            pgate, pitem = self._putters.popleft()
             pgate.set(None)
             gate.set(pitem)
         else:
@@ -225,7 +246,7 @@ class BoundedQueue:
         return gate
 
 
-@dataclass
+@dataclass(slots=True)
 class Transmission:
     """Booking record for one message on a link."""
 
@@ -253,7 +274,8 @@ class SimLink:
         scheduling delivery at ``arrival``."""
         if nbytes < 1:
             raise ValueError("nbytes must be >= 1")
-        wire_start = max(self._loop.now, self.busy_until)
+        now = self._loop.now
+        wire_start = now if now >= self.busy_until else self.busy_until
         serialization = nbytes / self.params.bandwidth
         wire_end = wire_start + serialization
         self.busy_until = wire_end
@@ -295,5 +317,5 @@ class SimCore:
         self.free_at = end
         self.busy_intervals.append((start, end))
         self.busy_time += duration
-        self._loop.schedule_at(end, lambda: gate.set(end))
+        self._loop.schedule_at(end, partial(gate.set, end))
         return gate

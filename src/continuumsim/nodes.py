@@ -614,7 +614,7 @@ def run_tiers(cfg: ScenarioConfig, loop: EventLoop, links: tuple,
     the class of the blocking session's endpoints.
 
     Routes are connected edge<->cloud first, then far<->edge, all before
-    ``far.start``: each route's drain process schedules its first event at
+    ``far.start``: each route's drain schedules its first event at
     time 0, so the connect order fixes the order of those same-instant
     events, and through them the order of later ties."""
     db, dataset = build_dataset(cfg)

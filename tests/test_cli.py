@@ -95,6 +95,18 @@ def test_runtime_failure_exits_3_with_partial_csv(tmp_path, capsys):
     assert "no ack" in capsys.readouterr().err
 
 
+def test_pubsub_scenario_with_a_deep_queue_exits_0(tmp_path):
+    # Exited 3 with "maximum recursion depth exceeded" while a process
+    # resumed through one nested call per put its queue took at once.
+    scenario = tmp_path / "deep.json"
+    scenario.write_text(config_to_json(replace(
+        base_config(dataset_size=3), payload_bytes=32768, chunk_size_bytes=64,
+        queue_capacity=2000)))
+    out = tmp_path / "out"
+    assert run_cli("--scenario", str(scenario), "--out", str(out)) == 0
+    assert (out / "metrics.csv").read_text().count("\n") == 4
+
+
 def test_preset_matrix_writes_comparison(tmp_path):
     out = tmp_path / "fig4"
     code = run_cli("--preset", "fig4_rtt", "--images", "6", "--out", str(out))

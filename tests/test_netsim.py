@@ -264,3 +264,26 @@ def test_deterministic_replay_same_event_count():
         return loop.now, loop.executed, link.busy_time
 
     assert storm() == storm()
+
+
+def test_process_continues_in_place_through_gates_already_set():
+    # Each set gate used to cost a nested call through ``add_waiter``: 10,000
+    # of them in a row overflowed the stack.
+    loop = EventLoop()
+    gates = []
+    for i in range(10_000):
+        gate = Gate(loop)
+        gate.set(i)
+        gates.append(gate)
+    seen = []
+
+    def proc():
+        for gate in gates:
+            seen.append((yield gate))
+        yield 1.5
+        seen.append(loop.now)
+
+    spawn(loop, proc())
+    loop.run()
+    assert seen == list(range(10_000)) + [1.5]
+

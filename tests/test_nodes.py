@@ -119,6 +119,48 @@ def test_pubsub_never_slower_than_blocking_session():
         assert pubsub.wall <= blocking.wall + 1e-9
 
 
+def _run_counting_events(cfg, monkeypatch):
+    """Run ``cfg``; returns its result and the events its loop executed."""
+    loops = []
+
+    class CountedLoop(EventLoop):
+        def __init__(self):
+            super().__init__()
+            loops.append(self)
+
+    monkeypatch.setattr(nodes, "EventLoop", CountedLoop)
+    r = run_scenario(cfg)
+    (loop,) = loops
+    return r, loop.executed
+
+
+# Event counts of these runs before the pub/sub drain became a callback chain
+# and a process stopped recursing through gates already set: the engine must
+# still schedule the same events.
+@pytest.mark.parametrize("cfg, events", [
+    (tiny_config(TransportKind.PUBSUB, True, n=3, cloud=True, chunk_size_bytes=64), 223),
+    (tiny_config(TransportKind.BLOCKING_SESSION, True, n=3, cloud=True,
+                 chunk_size_bytes=64), 223),
+    (no_upload_config(0.25, 0.5, 8, parallelism=True), 23),
+], ids=["pubsub", "blocking", "no_upload"])
+def test_event_count_is_pinned(cfg, events, monkeypatch):
+    r, executed = _run_counting_events(cfg, monkeypatch)
+    assert len(r.records) == cfg.dataset_size and r.failure is None
+    assert executed == events
+
+
+@pytest.mark.parametrize("parallelism", [False, True], ids=["sequential", "parallel"])
+def test_pubsub_run_with_a_deep_queue_completes(parallelism):
+    # 513 messages an image all fit in the far edge's route queue, so every
+    # put is taken at once: a process used to resume through one nested call
+    # per put and overflowed the stack.
+    r = run_scenario(tiny_config(n=3, parallelism=parallelism, cloud=True,
+                                 queue_capacity=2000, chunk_size_bytes=64,
+                                 payload_bytes=32768))
+    assert r.failure is None
+    assert sorted(rec.image_id for rec in r.records) == ["img00000", "img00001", "img00002"]
+
+
 # ---------------------------------------------------------------------------
 # Results and escalation.
 

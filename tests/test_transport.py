@@ -279,3 +279,67 @@ def test_route_flush_waits_for_wire_idle():
     spawn(loop, publisher())
     loop.run()
     assert flushed == [pytest.approx(2.0)]
+
+
+def test_subscribe_after_a_put_reaches_the_next_put_only():
+    loop = EventLoop()
+    fabric = _fabric(loop, bandwidth=100.0)
+    got = []
+    fabric.endpoint("dst").subscribe("t/*", lambda k, d: got.append(("first", d)))
+    pub = fabric.declare_publisher("src", "t/x")
+    pub.put(b"queued")  # 0.06 s on the wire
+    fabric.endpoint("dst").subscribe("t/x", lambda k, d: got.append(("second", d)))
+    pub.put(b"after")
+    loop.run()
+    assert got == [("first", b"queued"), ("first", b"after"), ("second", b"after")]
+
+
+def test_connect_after_a_put_routes_the_next_put_over_the_new_route():
+    loop = EventLoop()
+    fabric = _fabric(loop)
+    got = []
+    for dst in ("dst", "other"):
+        fabric.endpoint(dst).subscribe("t/x", lambda k, d, dst=dst: got.append((dst, d)))
+    pub = fabric.declare_publisher("src", "t/x")
+    pub.put(b"one")
+    fabric.connect("src", "other", SimLink(loop, LinkParams(0.0, 1000.0)))
+    pub.put(b"two")
+    loop.run()
+    assert sorted(got) == [("dst", b"one"), ("dst", b"two"), ("other", b"two")]
+
+
+def test_a_publisher_matches_its_key_once_while_the_topology_stands(monkeypatch):
+    loop = EventLoop()
+    fabric = _fabric(loop)
+    fabric.endpoint("dst").subscribe("t/*", lambda k, d: None)
+    calls = []
+    monkeypatch.setattr(transport, "match_key",
+                        lambda p, k: calls.append(str(p)) or match_key(p, k))
+    pub = fabric.declare_publisher("src", "t/x")
+
+    def publisher():
+        for _ in range(20):
+            yield pub.put(b"m").accepted
+
+    spawn(loop, publisher())
+    loop.run()
+    assert calls == ["t/*"]
+
+
+def test_put_to_two_full_queues_is_accepted_when_the_later_one_takes_it():
+    loop = EventLoop()
+    fabric = _fabric(loop, capacity=1, bandwidth=1000.0)  # 1 s per 1,000 B
+    fabric.connect("src", "other", SimLink(loop, LinkParams(0.0, 4000.0)))
+    for dst in ("dst", "other"):
+        fabric.endpoint(dst).subscribe("t/x", lambda k, d: None)
+    pub = fabric.declare_publisher("src", "t/x")
+    accepted = []
+
+    def publisher():
+        for _ in range(3):
+            yield pub.put(b"m" * 1000).accepted
+            accepted.append(loop.now)
+
+    spawn(loop, publisher())
+    loop.run()
+    assert accepted == [0.0, 1.0, 2.0]
