@@ -86,7 +86,7 @@ class _ImageTrace:
     t_infer1: float = 0.0
     t_infer2: float = 0.0
     transfer_start: Optional[float] = None
-    first_ticket: Optional[PutTicket] = None
+    upload_ticket: Optional[PutTicket] = None
     upload_end: Optional[float] = None
     reassembled_at: Optional[float] = None
     t_identify: float = 0.0
@@ -110,9 +110,10 @@ class Collector:
         """Record ``tr``'s one result. Each image comes here once: from the
         far edge's ``_resolve`` if it was uploaded, at detection if not."""
         now = self._loop.now
-        # A blocking upload records its start; a pub/sub one reads it off
-        # the ticket of its first message. Neither is set if nothing was sent.
-        start = tr.first_ticket.wire_start if tr.first_ticket else tr.transfer_start
+        # A blocking upload records its start when its last ack is back; a
+        # pub/sub one reads it off its ticket, once its first message is on
+        # the wire. Neither is set if nothing was sent.
+        start = tr.upload_ticket.wire_start if tr.upload_ticket else tr.transfer_start
         t_upload = 0.0
         if start is not None:
             upload_end = tr.upload_end if tr.upload_end is not None else tr.reassembled_at
@@ -206,7 +207,12 @@ class FarEdgeNode:
 
     def _fail(self, exc: TransportError) -> None:
         """The pipeline cannot send: keep the first failure, and end every
-        pending image with no result."""
+        pending image with no result. Only the text of ``exc`` is kept, and
+        its traceback is dropped: its frames hold the exception itself and,
+        on Python 3.12 and later, the frames that called them and through
+        those the run's dataset, in a cycle that only the cyclic collector
+        would free."""
+        exc.__traceback__ = None
         if self.failure is None:
             self.failure = str(exc)
         for image_id in list(self._pending):
@@ -301,17 +307,12 @@ class FarEdgeNode:
             self._cfg.image_timeout_s,
             partial(self._resolve, image.id, "none", False, None, False)))
         if self._blocking:
-            for msg in messages:
-                receipt = yield self._uplink.send(msg)
-                if tr.transfer_start is None:
-                    tr.transfer_start = receipt.wire_start
+            receipt = yield self._uplink.send_all(messages)
+            tr.transfer_start = receipt.wire_start
             tr.upload_end = receipt.ack_at
         else:
-            for msg in messages:
-                ticket = self._uplink.put(msg)
-                if tr.first_ticket is None:
-                    tr.first_ticket = ticket
-                yield ticket.accepted
+            tr.upload_ticket = self._uplink.put_all(messages)
+            yield tr.upload_ticket.accepted
 
 
 # ---------------------------------------------------------------------------
@@ -553,8 +554,7 @@ class CloudService:
             label=verdict.label,
             is_false_positive=verdict.is_false_positive,
         ))
-        self._loop.schedule(verdict.t_cloud,
-                            lambda: self._send_to_edge(image_id, payload))
+        self._loop.schedule(verdict.t_cloud, partial(self._send_to_edge, image_id, payload))
 
     def _reject(self, image_id: str, reason: str) -> None:
         self._send_to_edge(image_id, chunkwire.encode(UploadRejected(image_id, reason)))
@@ -643,8 +643,10 @@ def run_tiers(cfg: ScenarioConfig, loop: EventLoop, links: tuple,
         fabric.endpoint("far").subscribe(
             KEY_RESULTS_PREFIX + "*", lambda _k, d: far.on_result_message(d))
 
+        results = fabric.declare_publisher("edge", KEY_RESULTS_PREFIX)
+
         def send_result(image_id: str, data: bytes) -> None:
-            fabric.declare_publisher("edge", KEY_RESULTS_PREFIX + image_id).put(data)
+            results.put(data, image_id)
     else:
         uplink, edge_sess = session_pair(loop, uplink_link, downlink_link,
                                          timeout=cfg.send_timeout_s,
@@ -660,8 +662,14 @@ def run_tiers(cfg: ScenarioConfig, loop: EventLoop, links: tuple,
                     far._fail(exc)
             spawn(loop, _proc(), name="edge-result-send")
 
+    # One publisher per key prefix of the cloud leg: each put names its
+    # image id, and the prefix is matched against the subscriptions once.
+    to_cloud = {prefix: fabric.declare_publisher("edge", prefix)
+                for prefix in (KEY_CLOUD_REQUESTS_PREFIX, KEY_CLOUD_UPLOADS_PREFIX)}
+
     def edge_to_cloud(key: str, data: bytes) -> None:
-        fabric.declare_publisher("edge", key).put(data)
+        cut = key.rindex("/") + 1
+        to_cloud[key[:cut]].put(data, key[cut:])
 
     edge = EdgeService(loop, cfg, db, {img.id: img.embedding for img in dataset},
                        collector, edge_core, send_result,
@@ -671,8 +679,10 @@ def run_tiers(cfg: ScenarioConfig, loop: EventLoop, links: tuple,
     far = FarEdgeNode(loop, cfg, uplink, collector, core0, core1)
 
     if cfg.cloud_enabled:
+        cloud_results = fabric.declare_publisher("cloud", KEY_CLOUD_RESULTS_PREFIX)
+
         def cloud_to_edge(image_id: str, data: bytes) -> None:
-            fabric.declare_publisher("cloud", KEY_CLOUD_RESULTS_PREFIX + image_id).put(data)
+            cloud_results.put(data, image_id)
 
         cloud = CloudService(loop, cfg, {img.id: img.ground_truth for img in dataset},
                              cloud_to_edge)

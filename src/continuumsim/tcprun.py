@@ -28,12 +28,12 @@ import time
 from collections import deque
 from dataclasses import fields, replace
 from functools import partial
-from typing import Callable
+from typing import Callable, Iterator, Optional
 
 from .domain import ScenarioConfig
 from .netsim import EventLoop, Gate, Transmission
 from .nodes import RunResult, run_tiers
-from .transport import ConnectionClosed, SendReceipt, SendTimeout, SessionEndpoint
+from .transport import SendReceipt, SendTimeout, SessionEndpoint
 
 # perfbench/tracer.py wraps these names on this module; nothing here calls them.
 from .metrics import summarize  # noqa: F401
@@ -182,25 +182,27 @@ class SocketLink:
 
 class SocketSession(SessionEndpoint):
     """Blocking session over socket links. The receiver answers each data
-    frame with an empty ack frame on the reverse link; ``send`` resumes on
-    that ack, or fails the connection after ``timeout`` real seconds. The
-    receipt's wire start is the write and its ack instant is the read of the
-    ack frame."""
+    frame with an empty ack frame on the reverse link; the ack sends the next
+    message of its stream, and the last resumes the sender. A message not
+    acked within ``timeout`` real seconds fails the connection. The
+    receipt's wire start is the write of the first message and its ack
+    instant is the read of the last ack frame."""
 
     def __init__(self, loop: EventLoop, out_link: SocketLink, timeout: float = 30.0,
                  name: str = "session"):
         super().__init__(loop, out_link, timeout, name)
+        # The stream of each message in flight, in write order, with the
+        # timer of that message.
         self._unacked: deque = deque()
 
-    def send(self, payload: bytes) -> Gate:
-        gate = Gate(self._loop)
-        if self.closed or self.peer is None or self.peer.closed:
-            gate.set(ConnectionClosed(f"{self.name}: send on closed connection"))
-            return gate
+    def _book(self, gate: Gate, payload: bytes, payloads: Iterator[bytes],
+              receipt: Optional[SendReceipt]) -> None:
+        now = self._loop.now
+        if receipt is None:
+            receipt = SendReceipt(now, now)
         timer = self._loop.schedule(self.timeout, partial(self._time_out, gate))
-        self._unacked.append((gate, self._loop.now, timer))
+        self._unacked.append((gate, payloads, receipt, timer))
         self._out_link.deliver(None, payload, self.peer._receive)
-        return gate
 
     def _receive(self, _key: str, payload: bytes) -> None:
         self._out_link.deliver(None, b"", self.peer._acked)
@@ -208,10 +210,11 @@ class SocketSession(SessionEndpoint):
             self._handler(payload)
 
     def _acked(self, _key: str, _payload: bytes) -> None:
-        gate, start, timer = self._unacked.popleft()
+        gate, payloads, receipt, timer = self._unacked.popleft()
         timer.cancel()
         if not gate.is_set:
-            gate.set(SendReceipt(start, self._loop.now))
+            receipt.ack_at = self._loop.now
+            self._send_next(gate, payloads, receipt)
 
     def _time_out(self, gate: Gate) -> None:
         self.closed = self.peer.closed = True

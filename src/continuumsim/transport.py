@@ -13,11 +13,23 @@
   matched then. Routes, publishers and subscriptions live as long as the
   fabric; there is no close or cancel.
 
-  The drain is a chain of callbacks, not a process: sending the head
-  message schedules the end of its wire time, and that event frees the slot
-  and sends the next. A publisher's targets (each route with the handlers
-  that match there) are worked out at its first put and kept until a
-  ``connect`` or ``subscribe`` on the fabric moves the topology generation.
+Both transports also send a stream of messages in one call:
+``SessionEndpoint.send_all`` and ``Publisher.put_all`` resume the caller once,
+after the last message, where a loop of ``send`` or ``put`` would resume it
+after each. ``send`` and ``put`` are the one-message stream. A stream is a
+chain of callbacks, not a process: the ack event of a blocking message books
+the next one, and a pub/sub message is offered to the queues when every
+target queue has taken the one before it. The chain schedules the events a
+loop of single sends schedules, in the same order.
+
+The pub/sub drain is a chain of callbacks too: sending the head message
+schedules the end of its wire time, and that event frees the slot and sends
+the next. A publisher's targets (each route with the handlers that match
+there) are worked out at its first put and kept until a ``connect`` or
+``subscribe`` on the fabric moves the topology generation. A publisher
+declared on a key prefix (a key ending in ``/``) publishes under that prefix
+plus the one segment each put names: the tiers publish each image's results
+under its own key through one such publisher, routed once.
 
 Key expressions are ``/``-separated segments where ``*`` matches exactly one
 segment and nothing else.
@@ -28,7 +40,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .domain import is_key_segment
 from .netsim import EventLoop, Gate, SimLink
@@ -94,8 +106,9 @@ def match_key(pattern: KeyExpr, key: KeyExpr) -> bool:
 
 @dataclass(slots=True)
 class SendReceipt:
-    """Timeline of one blocking send: when it hit the wire and the
-    acknowledgment instant at which the sender resumed."""
+    """Timeline of one blocking send or stream: when its first message hit
+    the wire and the acknowledgment instant of its last, at which the sender
+    resumed."""
 
     wire_start: float
     ack_at: float
@@ -121,28 +134,50 @@ class SessionEndpoint:
         self.closed = True
 
     def send(self, payload: bytes) -> Gate:
-        """Book the message and return a gate that resumes the caller with a
-        :class:`SendReceipt` once the ack is back. Raises into the caller on a
-        closed connection or when the whole exchange would exceed the timeout
-        (the connection is then treated as dead and nothing is delivered)."""
+        """:meth:`send_all` of the one message ``payload``."""
+        return self.send_all((payload,))
+
+    def send_all(self, payloads: Iterable[bytes]) -> Gate:
+        """Send ``payloads`` in order, each booked when the ack of the one
+        before is back, and return a gate that resumes the caller once, with
+        a :class:`SendReceipt`, when the last ack is back. Raises into the
+        caller on a closed connection or when one exchange would exceed the
+        timeout (the connection is then treated as dead and nothing more is
+        delivered), at the instant a loop of ``send`` would."""
         gate = Gate(self._loop)
-        if self.closed or self.peer is None or self.peer.closed:
+        self._send_next(gate, iter(payloads), None)
+        return gate
+
+    def _send_next(self, gate: Gate, payloads: Iterator[bytes],
+                   receipt: Optional[SendReceipt]) -> None:
+        """Book the next of ``payloads``; with none left, resume the sender
+        with ``receipt``."""
+        payload = next(payloads, None)
+        if payload is None:
+            gate.set(receipt)
+        elif self.closed or self.peer is None or self.peer.closed:
             gate.set(ConnectionClosed(f"{self.name}: send on closed connection"))
-            return gate
-        latency = self._out_link.params.latency
+        else:
+            self._book(gate, payload, payloads, receipt)
+
+    def _book(self, gate: Gate, payload: bytes, payloads: Iterator[bytes],
+              receipt: Optional[SendReceipt]) -> None:
+        """Put ``payload`` on the link and schedule its delivery, then its
+        ack, which sends the rest of the stream."""
+        loop = self._loop
         tx = self._out_link.transmit(len(payload))
-        ack_at = tx.arrival + latency
-        if ack_at - self._loop.now > self.timeout:
-            self.closed = True
-            self.peer.closed = True
+        ack_at = tx.arrival + self._out_link.params.latency
+        if ack_at - loop.now > self.timeout:
+            self.closed = self.peer.closed = True
             gate.set_at(self.timeout,
                         SendTimeout(f"{self.name}: no ack within {self.timeout}s"))
-            return gate
-        peer = self.peer
-        self._loop.schedule_at(tx.arrival, partial(self._deliver, peer, payload))
-        gate.set_at(ack_at - self._loop.now,
-                    SendReceipt(tx.wire_start, ack_at))
-        return gate
+            return
+        loop.schedule_at(tx.arrival, partial(self._deliver, self.peer, payload))
+        if receipt is None:
+            receipt = SendReceipt(tx.wire_start, ack_at)
+        else:
+            receipt.ack_at = ack_at
+        loop.schedule(ack_at - loop.now, partial(self._send_next, gate, payloads, receipt))
 
     @staticmethod
     def _deliver(peer: "SessionEndpoint", payload: bytes) -> None:
@@ -162,19 +197,40 @@ def session_pair(loop: EventLoop, link_ab: SimLink, link_ba: SimLink,
 
 @dataclass(slots=True)
 class PutTicket:
-    """Handle on one published message: ``accepted`` fires when every target
-    queue took it, and ``wire_start`` is when it first hit a wire."""
+    """Handle on one put or put_all: ``accepted`` fires when every target
+    queue has taken the last message, and ``wire_start`` is when the first
+    message first hit a wire."""
 
     accepted: Gate
     wire_start: Optional[float] = None
-    # Target queues yet to take the message, plus one that the put holds
-    # until it has offered the message to every target.
+    # Target queues yet to take the message on offer, plus one that the
+    # offer holds until it has offered the message to every target.
     _untaken: int = 1
+    # The publisher, the segment a prefix publisher's put names (None for a
+    # whole key), the key text and the payloads not yet offered; None once
+    # every payload has been taken.
+    _stream: Optional[tuple["Publisher", Optional[str], str, Iterator[bytes]]] = None
 
     def _taken(self) -> None:
         self._untaken -= 1
         if self._untaken == 0:
-            self.accepted.set(None)
+            self._offer()
+
+    def _offer(self) -> None:
+        """Offer the next payloads to their target queues until one of them
+        must wait for a slot, whose admission calls ``_taken``, or none is
+        left. The targets are looked up again for each message."""
+        publisher, segment, key, payloads = self._stream
+        for payload in payloads:
+            self._untaken = 1
+            for route, dispatch in publisher._targets_for(segment):
+                if not route.put((key, payload, dispatch, self)):
+                    self._untaken += 1
+            self._untaken -= 1
+            if self._untaken:
+                return
+        self._stream = None
+        self.accepted.set(None)
 
 
 Handler = Callable[[str, bytes], None]
@@ -198,10 +254,31 @@ class PubSubEndpoint:
         return [handler for pattern, handler in self.subscriptions
                 if match_key(pattern, key)]
 
+    def tails(self, prefix: KeyExpr) -> list[tuple[str, Handler]]:
+        """Each handler whose pattern is ``prefix`` plus one segment, with
+        that last segment of its pattern, in subscription order."""
+        n = len(prefix.segments)
+        return [(pattern.segments[n], handler) for pattern, handler in self.subscriptions
+                if len(pattern.segments) == n + 1
+                and match_key(KeyExpr(pattern.segments[:n]), prefix)]
+
 
 def _dispatch(handlers: list[Handler], key: str, payload: bytes) -> None:
     for handler in handlers:
         handler(key, payload)
+
+
+def _dispatch_targets(route_handlers: list[tuple["_Route", list[Handler]]]
+                      ) -> list[tuple["_Route", Handler]]:
+    """Each route that has handlers, with the call that hands a message to
+    them."""
+    targets = []
+    for route, handlers in route_handlers:
+        if len(handlers) == 1:
+            targets.append((route, handlers[0]))
+        elif handlers:
+            targets.append((route, partial(_dispatch, handlers)))
+    return targets
 
 
 class _Route:
@@ -283,19 +360,42 @@ class _Route:
 
 
 class Publisher:
-    def __init__(self, fabric: "PubSubFabric", endpoint: PubSubEndpoint, key: KeyExpr):
+    """Publishes under ``key_text``. A prefix publisher's ``key_text`` ends
+    in ``/`` and ``key`` is the prefix without it; each of its puts names
+    the last segment of the key."""
+
+    def __init__(self, fabric: "PubSubFabric", endpoint: PubSubEndpoint, key: KeyExpr,
+                 prefix: bool = False):
         self.fabric = fabric
         self.endpoint = endpoint
         self.key = key
-        self.key_text = str(key)
-        # Each route out of ``endpoint`` with the call that hands a message
-        # to the handlers matching ``key`` there, as of topology generation
-        # ``_generation``.
+        self.prefix = prefix
+        self.key_text = str(key) + "/" if prefix else str(key)
+        # As of topology generation ``_generation``, each route out of
+        # ``endpoint``: for a whole key, with the call that hands a message
+        # to the handlers matching it there; for a prefix, with the handlers
+        # there whose pattern is the prefix plus one segment, and that
+        # segment.
         self._targets: list[tuple[_Route, Handler]] = []
+        self._tails: list[tuple[_Route, list[tuple[str, Handler]]]] = []
         self._generation = -1
 
-    def put(self, payload: bytes) -> PutTicket:
-        return self.fabric.put(self, payload)
+    def put(self, payload: bytes, segment: Optional[str] = None) -> PutTicket:
+        return self.fabric.put(self, payload, segment)
+
+    def put_all(self, payloads: Iterable[bytes]) -> PutTicket:
+        return self.fabric.put_all(self, payloads)
+
+    def _targets_for(self, segment: Optional[str]) -> list[tuple[_Route, Handler]]:
+        """The targets of a message put with ``segment``, routed again if
+        the topology has moved."""
+        if self._generation != self.fabric.generation:
+            self.fabric._route_publisher(self)
+        if segment is None:
+            return self._targets
+        return _dispatch_targets([
+            (route, [handler for tail, handler in tails if tail == "*" or tail == segment])
+            for route, tails in self._tails])
 
 
 class PubSubFabric:
@@ -325,38 +425,48 @@ class PubSubFabric:
         return self._routes[(src, dst)]
 
     def declare_publisher(self, endpoint_name: str, key: str) -> Publisher:
-        expr = KeyExpr.parse(key)
+        """A publisher of the concrete ``key``, or of a key prefix if
+        ``key`` ends in ``/``."""
+        prefix = key.endswith("/")
+        expr = KeyExpr.parse(key[:-1] if prefix else key)
         if not expr.is_concrete:
             raise InvalidPattern("publishers must declare a concrete key")
-        return Publisher(self, self.endpoint(endpoint_name), expr)
+        return Publisher(self, self.endpoint(endpoint_name), expr, prefix)
 
-    def put(self, publisher: Publisher, payload: bytes) -> PutTicket:
-        """Enqueue ``payload`` toward every remote endpoint with a matching
-        subscription, for the handlers that match there now. The ticket's
-        ``accepted`` gate fires when all target queues took the message; with
-        no matching subscriber the message is dropped and the put completes
-        immediately."""
-        ticket = PutTicket(Gate(self._loop))
-        if publisher._generation != self.generation:
-            self._route_publisher(publisher)
-        for route, dispatch in publisher._targets:
-            if not route.put((publisher.key_text, payload, dispatch, ticket)):
-                ticket._untaken += 1
-        ticket._taken()
+    def put(self, publisher: Publisher, payload: bytes,
+            segment: Optional[str] = None) -> PutTicket:
+        """:meth:`put_all` of the one message ``payload``."""
+        return self.put_all(publisher, (payload,), segment)
+
+    def put_all(self, publisher: Publisher, payloads: Iterable[bytes],
+                segment: Optional[str] = None) -> PutTicket:
+        """Enqueue each of ``payloads`` toward every remote endpoint with a
+        matching subscription, for the handlers that match there at its
+        turn, and each once the one before has been taken by every target
+        queue. A prefix publisher's puts name the last ``segment`` of their
+        key. The ticket's ``accepted`` gate fires when all target queues
+        took the last message; a message with no matching subscriber is
+        dropped and counts as taken."""
+        if publisher.prefix != (segment is not None) or (
+                segment is not None and not is_key_segment(segment)):
+            raise InvalidPattern(
+                f"put of segment {segment!r} under {publisher.key_text!r}: a prefix "
+                "takes one segment, a whole key none")
+        key = publisher.key_text if segment is None else publisher.key_text + segment
+        ticket = PutTicket(Gate(self._loop), _stream=(publisher, segment, key, iter(payloads)))
+        ticket._offer()
         return ticket
 
     def _route_publisher(self, publisher: Publisher) -> None:
-        """Work out ``publisher``'s targets at the current generation. They
-        are replaced, never changed in place: a queued message keeps the
-        handlers it matched at its put."""
+        """Work out ``publisher``'s targets, or its tails, at the current
+        generation. They are replaced, never changed in place: a queued
+        message keeps the handlers it matched at its put."""
         src = publisher.endpoint.name
-        targets = []
-        for (route_src, _dst), route in self._routes.items():
-            if route_src == src:
-                handlers = route.dst.handlers(publisher.key)
-                if len(handlers) == 1:
-                    targets.append((route, handlers[0]))
-                elif handlers:
-                    targets.append((route, partial(_dispatch, handlers)))
-        publisher._targets = targets
+        routes = [route for (route_src, _dst), route in self._routes.items()
+                  if route_src == src]
+        if publisher.prefix:
+            publisher._tails = [(route, route.dst.tails(publisher.key)) for route in routes]
+        else:
+            publisher._targets = _dispatch_targets(
+                [(route, route.dst.handlers(publisher.key)) for route in routes])
         publisher._generation = self.generation

@@ -6,7 +6,7 @@ from functools import partial
 
 import pytest
 
-from continuumsim import chunkwire, nodes
+from continuumsim import chunkwire, netsim, nodes
 from continuumsim.chunkwire import MalformedJson, UnknownField, UploadRejected
 from continuumsim.domain import (
     LinkParams,
@@ -159,6 +159,28 @@ def test_pubsub_run_with_a_deep_queue_completes(parallelism):
                                  payload_bytes=32768))
     assert r.failure is None
     assert sorted(rec.image_id for rec in r.records) == ["img00000", "img00001", "img00002"]
+
+
+@pytest.mark.parametrize("transport", list(TransportKind), ids=lambda t: t.name.lower())
+def test_far_edge_resumes_as_often_per_image_at_any_chunk_size(transport, monkeypatch):
+    # An image's upload is one stream, whatever its message count: 2,048 B
+    # is 3 messages at 1 KiB and 33 at 64 B. A capacity-1 queue makes the
+    # pub/sub upload wait at both sizes.
+    steps = []
+    step = netsim.Process._step
+
+    def counting_step(proc, value):
+        if proc.name.startswith("far-"):
+            steps[-1] += 1
+        step(proc, value)
+
+    monkeypatch.setattr(netsim.Process, "_step", counting_step)
+    for chunk in (1024, 64):
+        steps.append(0)
+        r = run_scenario(tiny_config(transport, n=3, chunk_size_bytes=chunk,
+                                     queue_capacity=1))
+        assert len(r.records) == 3 and r.failure is None
+    assert steps[0] == steps[1]
 
 
 # ---------------------------------------------------------------------------

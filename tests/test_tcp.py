@@ -2,6 +2,7 @@
 
 import threading
 import time
+from collections import deque
 from dataclasses import replace
 
 import pytest
@@ -9,7 +10,9 @@ import pytest
 from continuumsim.domain import TimeMode, TransportKind
 from continuumsim.nodes import run_scenario
 from continuumsim.presets import base_config
-from continuumsim.tcprun import run_tcp_scenario
+from continuumsim.netsim import spawn
+from continuumsim.tcprun import SocketSession, WallClock, run_tcp_scenario
+from continuumsim.transport import session_pair
 
 
 def tcp_config(transport, n=5, cloud=True, seed=7):
@@ -60,3 +63,28 @@ def test_tcp_runs_on_one_thread_with_scaled_model_times():
     virtual = run_scenario(replace(cfg, time_mode=TimeMode.VIRTUAL))
     expected = {r.image_id: r.t_read_decode * cfg.time_scale for r in virtual.records}
     assert {r.image_id: r.t_read_decode for r in tcp.records} == pytest.approx(expected)
+
+
+def test_socket_session_sends_a_stream_one_acked_message_at_a_time():
+    loop = WallClock()
+    try:
+        link_ab, link_ba = loop.connect(0)
+        a, b = session_pair(loop, link_ab, link_ba, timeout=10.0, endpoint=SocketSession)
+        got, in_flight = [], []
+        b.on_message(lambda data: got.append(data) or in_flight.append(len(a._unacked)))
+        payloads = [bytes([i]) * (i + 1) for i in range(20)]
+        resumed = []
+
+        def sender():
+            receipt = yield a.send_all(payloads)
+            resumed.append((loop.now, receipt))
+
+        spawn(loop, sender())
+        loop.run()
+    finally:
+        loop.close()
+    assert got == payloads
+    assert in_flight == [1] * 20  # the stream, not one gate per message
+    ((t_resume, receipt),) = resumed
+    assert 0.0 <= receipt.wire_start < receipt.ack_at == t_resume
+    assert a._unacked == deque()

@@ -1,4 +1,5 @@
 import itertools
+from functools import partial
 import re
 
 import pytest
@@ -343,3 +344,186 @@ def test_put_to_two_full_queues_is_accepted_when_the_later_one_takes_it():
     spawn(loop, publisher())
     loop.run()
     assert accepted == [0.0, 1.0, 2.0]
+
+
+# ---------------------------------------------------------------------------
+# Streams: send_all and put_all schedule what a loop of send or put does.
+
+
+def _blocking_run(stream, sizes, latency=0.01, bandwidth=1000.0, timeout=30.0,
+                  on_delivery=None):
+    """Send messages of ``sizes`` bytes from a to b, as one stream or as a
+    loop of sends; returns the deliveries, the outcome and the event count."""
+    loop = EventLoop()
+    a, b = _pair(loop, latency=latency, bandwidth=bandwidth, timeout=timeout)
+    got = []
+
+    def deliver(data):
+        got.append((loop.now, data))
+        if on_delivery is not None:
+            on_delivery(len(got), a, b)
+
+    b.on_message(deliver)
+    payloads = [bytes([i]) * size for i, size in enumerate(sizes)]
+    outcome = []
+
+    def sender():
+        try:
+            if stream:
+                receipt = yield a.send_all(payloads)
+            else:
+                first = None
+                for payload in payloads:
+                    receipt = yield a.send(payload)
+                    first = first or receipt
+                receipt = SendReceipt(first.wire_start, receipt.ack_at)
+            outcome.append((loop.now, receipt))
+        except (ConnectionClosed, SendTimeout) as exc:
+            outcome.append((loop.now, type(exc)))
+
+    spawn(loop, sender())
+    executed = loop.run()
+    return got, outcome, executed
+
+
+def test_send_all_delivers_and_resumes_as_a_loop_of_send():
+    sizes = [300, 5, 1000, 40, 7]
+    got, outcome, executed = _blocking_run(True, sizes)
+    assert (got, outcome, executed) == _blocking_run(False, sizes)
+    assert [len(data) for _t, data in got] == sizes
+    ((t_resume, receipt),) = outcome
+    assert receipt.wire_start == 0.0
+    assert receipt.ack_at == t_resume == pytest.approx(sum(sizes) / 1000.0 + 0.02 * len(sizes))
+
+
+def test_send_all_fails_like_a_loop_of_send_on_a_connection_closed_mid_stream():
+    def close_after_second(count, _a, b):
+        if count == 2:
+            b.close()
+
+    run = _blocking_run(True, [100] * 5, on_delivery=close_after_second)
+    assert run == _blocking_run(False, [100] * 5, on_delivery=close_after_second)
+    got, outcome, _executed = run
+    assert len(got) == 2
+    # The third message finds the connection closed when the second ack is back.
+    assert outcome == [(pytest.approx(2 * 0.12), ConnectionClosed)]
+
+
+def test_send_all_times_out_like_a_loop_of_send_and_delivers_nothing_after():
+    # 1.0 s and 1.0 s exchanges, then one of 20 s against a 5 s timeout.
+    sizes = [100, 100, 2000, 100]
+    run = _blocking_run(True, sizes, latency=0.0, bandwidth=100.0, timeout=5.0)
+    assert run == _blocking_run(False, sizes, latency=0.0, bandwidth=100.0, timeout=5.0)
+    got, outcome, _executed = run
+    assert [t for t, _data in got] == [1.0, 2.0]
+    assert outcome == [(7.0, SendTimeout)]
+
+
+def _pubsub_run(stream, payloads, capacity=1, second_route=False, at=None):
+    """Publish ``payloads`` on src/t/x, as one put_all or as a loop of puts,
+    to "dst" and optionally "other"; ``at`` is (time, action(fabric, log)),
+    run mid-stream. Returns the deliveries, the resume time, the first wire
+    start and the event count."""
+    loop = EventLoop()
+    fabric = _fabric(loop, capacity=capacity, bandwidth=1000.0)
+    if second_route:
+        fabric.connect("src", "other", SimLink(loop, LinkParams(0.0, 4000.0)))
+    got = []
+
+    def handler(name):
+        return lambda k, d: got.append((loop.now, name, k, d))
+
+    for dst in ("dst", "other"):
+        fabric.endpoint(dst).subscribe("t/*", handler(dst))
+    if at is not None:
+        time, action = at
+        loop.schedule(time, partial(action, fabric, handler))
+    pub = fabric.declare_publisher("src", "t/x")
+    resumed, tickets = [], []
+
+    def publisher():
+        if stream:
+            tickets.append(pub.put_all(payloads))
+            yield tickets[0].accepted
+        else:
+            for payload in payloads:
+                tickets.append(pub.put(payload))
+                yield tickets[-1].accepted
+        resumed.append(loop.now)
+
+    spawn(loop, publisher())
+    executed = loop.run()
+    return got, resumed, tickets[0].wire_start, executed
+
+
+_PAYLOADS = [bytes([i]) * (100 * (i % 3 + 1)) for i in range(8)]
+
+
+def test_put_all_is_a_loop_of_put_under_capacity_one_backpressure():
+    run = _pubsub_run(True, _PAYLOADS)
+    assert run == _pubsub_run(False, _PAYLOADS)
+    got, resumed, wire_start, _executed = run
+    assert [d for _t, _dst, _k, d in got] == _PAYLOADS
+    assert wire_start == 0.0
+    # Accepted when the last message takes the one slot: the one before has
+    # left the wire.
+    assert resumed == [pytest.approx(sum(len(p) for p in _PAYLOADS[:-1]) / 1000.0)]
+
+
+def test_put_all_is_a_loop_of_put_across_two_full_queues():
+    run = _pubsub_run(True, _PAYLOADS, second_route=True)
+    assert run == _pubsub_run(False, _PAYLOADS, second_route=True)
+    got, _resumed, _wire_start, _executed = run
+    assert sorted(d for _t, dst, _k, d in got if dst == "other") == sorted(_PAYLOADS)
+
+
+@pytest.mark.parametrize("change", ["subscribe", "connect"])
+def test_put_all_routes_each_message_as_a_put_would_after_a_change_mid_stream(change):
+    def subscribe(fabric, handler):
+        fabric.endpoint("dst").subscribe("t/x", handler("late"))
+
+    def connect(fabric, _handler):
+        fabric.connect("src", "other", SimLink(fabric._loop, LinkParams(0.0, 4000.0)))
+
+    at = (0.45, subscribe if change == "subscribe" else connect)
+    run = _pubsub_run(True, _PAYLOADS, at=at)
+    assert run == _pubsub_run(False, _PAYLOADS, at=at)
+    got, _resumed, _wire_start, _executed = run
+    late = "late" if change == "subscribe" else "other"
+    reached = [d for _t, dst, _k, d in got if dst == late]
+    # Only the messages offered after the change reach the new target.
+    assert reached and reached == _PAYLOADS[-len(reached):] and reached != _PAYLOADS
+
+
+# ---------------------------------------------------------------------------
+# Prefix publishers: each put names the last segment of its key.
+
+
+def test_a_prefix_publisher_delivers_each_key_to_the_subscriptions_it_matches(monkeypatch):
+    loop = EventLoop()
+    fabric = _fabric(loop)
+    got = []
+    for name, pattern in (("all", "t/*"), ("only_b", "t/b"), ("longer", "t/b/c"),
+                          ("other", "u/*")):
+        fabric.endpoint("dst").subscribe(
+            pattern, lambda k, d, name=name: got.append((name, k, d)))
+    calls = []
+    monkeypatch.setattr(transport, "match_key",
+                        lambda p, k: calls.append(str(p)) or match_key(p, k))
+    pub = fabric.declare_publisher("src", "t/")
+    for segment in ("a", "b", "c", "b"):
+        pub.put(segment.encode(), segment)
+    loop.run()
+    assert got == [("all", "t/a", b"a"), ("all", "t/b", b"b"), ("only_b", "t/b", b"b"),
+                   ("all", "t/c", b"c"), ("all", "t/b", b"b"), ("only_b", "t/b", b"b")]
+    # The prefix is matched once, against the patterns one segment longer.
+    assert calls == ["t", "t", "u"]
+
+
+@pytest.mark.parametrize("key, segment", [("t/", None), ("t/", "a/b"), ("t/", "*"),
+                                          ("t/", ""), ("t/x", "a")])
+def test_a_put_names_one_segment_under_a_prefix_and_none_under_a_key(key, segment):
+    loop = EventLoop()
+    pub = _fabric(loop).declare_publisher("src", key)
+    with pytest.raises(InvalidPattern):
+        pub.put(b"m", segment)
