@@ -256,6 +256,11 @@ class ConfigError(ValueError):
 
 
 _ENUM_FIELDS = {"transport": TransportKind, "time_mode": TimeMode}
+# The JSON values each scalar field type takes, by the type's name. A JSON
+# boolean is a Python int too, so only a bool field takes one.
+_JSON_TYPES = {"bool": ("true or false", (bool,)),
+               "int": ("an integer", (int,)),
+               "float": ("a number", (int, float))}
 _NESTED_FIELDS = {
     "stage_durations": StageDurations,
     "link_far_to_edge": LinkParams,
@@ -281,8 +286,8 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
     so typos in experiment files cannot silently fall back to defaults."""
     if not isinstance(doc, dict):
         raise ConfigError("scenario document must be a JSON object")
-    known = {f.name for f in fields(ScenarioConfig)}
-    unknown = sorted(set(doc) - known)
+    types = {f.name: f.type for f in fields(ScenarioConfig)}
+    unknown = sorted(set(doc) - set(types))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     kwargs: dict = {}
@@ -306,13 +311,24 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
             missing = sorted(nested_known - set(value))
             if missing:
                 raise ConfigError(f"missing keys in {name}: {', '.join(missing)}")
+            for f in fields(nested_cls):
+                _check_type(f"{name}.{f.name}", f.type, value[f.name])
             kwargs[name] = nested_cls(**value)
         else:
+            _check_type(name, types[name], value)
             kwargs[name] = value
     try:
         return ScenarioConfig(**kwargs)
     except TypeError as exc:
         raise ConfigError(str(exc)) from None
+
+
+def _check_type(name: str, type_name: str, value: object) -> None:
+    """Raise ConfigError unless ``value`` is a JSON value of the kind a field
+    of type ``type_name`` takes."""
+    kind, accepted = _JSON_TYPES[type_name]
+    if isinstance(value, bool) != (type_name == "bool") or not isinstance(value, accepted):
+        raise ConfigError(f"{name} must be {kind}, not {value!r}")
 
 
 def config_to_json(cfg: ScenarioConfig) -> str:

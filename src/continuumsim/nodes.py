@@ -70,10 +70,6 @@ from .transport import (
 )
 
 
-class IncompleteRecord(ValueError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Per-image measurement state, shared by the nodes of one run.
 
@@ -643,10 +639,8 @@ def run_tiers(cfg: ScenarioConfig, loop: EventLoop, links: tuple,
         fabric.endpoint("far").subscribe(
             KEY_RESULTS_PREFIX + "*", lambda _k, d: far.on_result_message(d))
 
-        results = fabric.declare_publisher("edge", KEY_RESULTS_PREFIX)
-
         def send_result(image_id: str, data: bytes) -> None:
-            results.put(data, image_id)
+            fabric.declare_publisher("edge", KEY_RESULTS_PREFIX + image_id).put(data)
     else:
         uplink, edge_sess = session_pair(loop, uplink_link, downlink_link,
                                          timeout=cfg.send_timeout_s,
@@ -662,14 +656,8 @@ def run_tiers(cfg: ScenarioConfig, loop: EventLoop, links: tuple,
                     far._fail(exc)
             spawn(loop, _proc(), name="edge-result-send")
 
-    # One publisher per key prefix of the cloud leg: each put names its
-    # image id, and the prefix is matched against the subscriptions once.
-    to_cloud = {prefix: fabric.declare_publisher("edge", prefix)
-                for prefix in (KEY_CLOUD_REQUESTS_PREFIX, KEY_CLOUD_UPLOADS_PREFIX)}
-
     def edge_to_cloud(key: str, data: bytes) -> None:
-        cut = key.rindex("/") + 1
-        to_cloud[key[:cut]].put(data, key[cut:])
+        fabric.declare_publisher("edge", key).put(data)
 
     edge = EdgeService(loop, cfg, db, {img.id: img.embedding for img in dataset},
                        collector, edge_core, send_result,
@@ -679,10 +667,8 @@ def run_tiers(cfg: ScenarioConfig, loop: EventLoop, links: tuple,
     far = FarEdgeNode(loop, cfg, uplink, collector, core0, core1)
 
     if cfg.cloud_enabled:
-        cloud_results = fabric.declare_publisher("cloud", KEY_CLOUD_RESULTS_PREFIX)
-
         def cloud_to_edge(image_id: str, data: bytes) -> None:
-            cloud_results.put(data, image_id)
+            fabric.declare_publisher("cloud", KEY_CLOUD_RESULTS_PREFIX + image_id).put(data)
 
         cloud = CloudService(loop, cfg, {img.id: img.ground_truth for img in dataset},
                              cloud_to_edge)
@@ -700,13 +686,3 @@ def run_tiers(cfg: ScenarioConfig, loop: EventLoop, links: tuple,
     return RunResult(config=cfg, records=collector.records, summary=summary,
                      wall=wall, failure=far.failure)
 
-
-def compute_rtts(records: list[MetricsRecord]) -> dict[str, tuple[float, Optional[float]]]:
-    """Per-image (edge_rtt, cloud_rtt) as recorded; raises on records that
-    never reached a result."""
-    out = {}
-    for r in records:
-        if r.origin not in ("edge", "cloud"):
-            raise IncompleteRecord(f"{r.image_id} has no result")
-        out[r.image_id] = (r.edge_rtt, r.cloud_rtt)
-    return out

@@ -8,10 +8,8 @@
   enqueues the message on the outbound queue of every route that leads to a
   matching subscriber and returns immediately; each route's drain transmits
   queued messages in FIFO order. When a queue is full the put blocks until
-  space frees (backpressure). A key is matched against the subscriptions
-  once, when the message is enqueued: it is delivered to the handlers that
-  matched then. Routes, publishers and subscriptions live as long as the
-  fabric; there is no close or cancel.
+  space frees (backpressure). Routes, publishers and subscriptions live as
+  long as the fabric; there is no close or cancel.
 
 Both transports also send a stream of messages in one call:
 ``SessionEndpoint.send_all`` and ``Publisher.put_all`` resume the caller once,
@@ -22,14 +20,16 @@ the next one, and a pub/sub message is offered to the queues when every
 target queue has taken the one before it. The chain schedules the events a
 loop of single sends schedules, in the same order.
 
+A put or ``put_all`` matches its publisher's key against the subscriptions
+once, at the call: every message of the stream goes to the routes and
+handlers that matched then, and a ``connect`` or ``subscribe`` made later
+reaches only later calls. The tiers make every connect and subscribe before
+the first put, send each image's upload as one ``put_all``, and publish each
+per-image key with one ``declare_publisher(...).put``.
+
 The pub/sub drain is a chain of callbacks too: sending the head message
 schedules the end of its wire time, and that event frees the slot and sends
-the next. A publisher's targets (each route with the handlers that match
-there) are worked out at its first put and kept until a ``connect`` or
-``subscribe`` on the fabric moves the topology generation. A publisher
-declared on a key prefix (a key ending in ``/``) publishes under that prefix
-plus the one segment each put names: the tiers publish each image's results
-under its own key through one such publisher, routed once.
+the next.
 
 Key expressions are ``/``-separated segments where ``*`` matches exactly one
 segment and nothing else.
@@ -206,10 +206,10 @@ class PutTicket:
     # Target queues yet to take the message on offer, plus one that the
     # offer holds until it has offered the message to every target.
     _untaken: int = 1
-    # The publisher, the segment a prefix publisher's put names (None for a
-    # whole key), the key text and the payloads not yet offered; None once
-    # every payload has been taken.
-    _stream: Optional[tuple["Publisher", Optional[str], str, Iterator[bytes]]] = None
+    # The key text, the targets every message goes to (each route with the
+    # call that hands a message to the handlers matched there) and the
+    # payloads not yet offered; None once every payload has been taken.
+    _stream: Optional[tuple[str, list[tuple[_Route, Handler]], Iterator[bytes]]] = None
 
     def _taken(self) -> None:
         self._untaken -= 1
@@ -217,13 +217,12 @@ class PutTicket:
             self._offer()
 
     def _offer(self) -> None:
-        """Offer the next payloads to their target queues until one of them
-        must wait for a slot, whose admission calls ``_taken``, or none is
-        left. The targets are looked up again for each message."""
-        publisher, segment, key, payloads = self._stream
+        """Offer the next payloads to the targets until one of them must
+        wait for a slot, whose admission calls ``_taken``, or none is left."""
+        key, targets, payloads = self._stream
         for payload in payloads:
             self._untaken = 1
-            for route, dispatch in publisher._targets_for(segment):
+            for route, dispatch in targets:
                 if not route.put((key, payload, dispatch, self)):
                     self._untaken += 1
             self._untaken -= 1
@@ -240,45 +239,22 @@ _Entry = tuple[str, bytes, Handler, PutTicket]
 
 
 class PubSubEndpoint:
-    def __init__(self, fabric: "PubSubFabric", name: str):
-        self._fabric = fabric
+    def __init__(self, name: str):
         self.name = name
         self.subscriptions: list[tuple[KeyExpr, Handler]] = []
 
     def subscribe(self, pattern: str, handler: Handler) -> None:
         self.subscriptions.append((KeyExpr.parse(pattern), handler))
-        self._fabric.generation += 1
 
     def handlers(self, key: KeyExpr) -> list[Handler]:
         """The handlers whose pattern matches ``key``, in subscription order."""
         return [handler for pattern, handler in self.subscriptions
                 if match_key(pattern, key)]
 
-    def tails(self, prefix: KeyExpr) -> list[tuple[str, Handler]]:
-        """Each handler whose pattern is ``prefix`` plus one segment, with
-        that last segment of its pattern, in subscription order."""
-        n = len(prefix.segments)
-        return [(pattern.segments[n], handler) for pattern, handler in self.subscriptions
-                if len(pattern.segments) == n + 1
-                and match_key(KeyExpr(pattern.segments[:n]), prefix)]
-
 
 def _dispatch(handlers: list[Handler], key: str, payload: bytes) -> None:
     for handler in handlers:
         handler(key, payload)
-
-
-def _dispatch_targets(route_handlers: list[tuple["_Route", list[Handler]]]
-                      ) -> list[tuple["_Route", Handler]]:
-    """Each route that has handlers, with the call that hands a message to
-    them."""
-    targets = []
-    for route, handlers in route_handlers:
-        if len(handlers) == 1:
-            targets.append((route, handlers[0]))
-        elif handlers:
-            targets.append((route, partial(_dispatch, handlers)))
-    return targets
 
 
 class _Route:
@@ -360,42 +336,16 @@ class _Route:
 
 
 class Publisher:
-    """Publishes under ``key_text``. A prefix publisher's ``key_text`` ends
-    in ``/`` and ``key`` is the prefix without it; each of its puts names
-    the last segment of the key."""
-
-    def __init__(self, fabric: "PubSubFabric", endpoint: PubSubEndpoint, key: KeyExpr,
-                 prefix: bool = False):
+    def __init__(self, fabric: "PubSubFabric", endpoint: PubSubEndpoint, key: KeyExpr):
         self.fabric = fabric
         self.endpoint = endpoint
         self.key = key
-        self.prefix = prefix
-        self.key_text = str(key) + "/" if prefix else str(key)
-        # As of topology generation ``_generation``, each route out of
-        # ``endpoint``: for a whole key, with the call that hands a message
-        # to the handlers matching it there; for a prefix, with the handlers
-        # there whose pattern is the prefix plus one segment, and that
-        # segment.
-        self._targets: list[tuple[_Route, Handler]] = []
-        self._tails: list[tuple[_Route, list[tuple[str, Handler]]]] = []
-        self._generation = -1
 
-    def put(self, payload: bytes, segment: Optional[str] = None) -> PutTicket:
-        return self.fabric.put(self, payload, segment)
+    def put(self, payload: bytes) -> PutTicket:
+        return self.fabric.put(self, payload)
 
     def put_all(self, payloads: Iterable[bytes]) -> PutTicket:
         return self.fabric.put_all(self, payloads)
-
-    def _targets_for(self, segment: Optional[str]) -> list[tuple[_Route, Handler]]:
-        """The targets of a message put with ``segment``, routed again if
-        the topology has moved."""
-        if self._generation != self.fabric.generation:
-            self.fabric._route_publisher(self)
-        if segment is None:
-            return self._targets
-        return _dispatch_targets([
-            (route, [handler for tail, handler in tails if tail == "*" or tail == segment])
-            for route, tails in self._tails])
 
 
 class PubSubFabric:
@@ -406,67 +356,45 @@ class PubSubFabric:
         self.queue_capacity = queue_capacity
         self.endpoints: dict[str, PubSubEndpoint] = {}
         self._routes: dict[tuple[str, str], _Route] = {}
-        # Moved by every connect and subscribe; a publisher whose targets
-        # were worked out at another generation works them out again.
-        self.generation = 0
 
     def endpoint(self, name: str) -> PubSubEndpoint:
         if name not in self.endpoints:
-            self.endpoints[name] = PubSubEndpoint(self, name)
+            self.endpoints[name] = PubSubEndpoint(name)
         return self.endpoints[name]
 
     def connect(self, src: str, dst: str, link: SimLink) -> _Route:
         route = _Route(self._loop, link, self.endpoint(dst), self.queue_capacity)
         self._routes[(src, dst)] = route
-        self.generation += 1
         return route
 
     def route(self, src: str, dst: str) -> _Route:
         return self._routes[(src, dst)]
 
     def declare_publisher(self, endpoint_name: str, key: str) -> Publisher:
-        """A publisher of the concrete ``key``, or of a key prefix if
-        ``key`` ends in ``/``."""
-        prefix = key.endswith("/")
-        expr = KeyExpr.parse(key[:-1] if prefix else key)
+        expr = KeyExpr.parse(key)
         if not expr.is_concrete:
             raise InvalidPattern("publishers must declare a concrete key")
-        return Publisher(self, self.endpoint(endpoint_name), expr, prefix)
+        return Publisher(self, self.endpoint(endpoint_name), expr)
 
-    def put(self, publisher: Publisher, payload: bytes,
-            segment: Optional[str] = None) -> PutTicket:
+    def put(self, publisher: Publisher, payload: bytes) -> PutTicket:
         """:meth:`put_all` of the one message ``payload``."""
-        return self.put_all(publisher, (payload,), segment)
+        return self.put_all(publisher, (payload,))
 
-    def put_all(self, publisher: Publisher, payloads: Iterable[bytes],
-                segment: Optional[str] = None) -> PutTicket:
+    def put_all(self, publisher: Publisher, payloads: Iterable[bytes]) -> PutTicket:
         """Enqueue each of ``payloads`` toward every remote endpoint with a
-        matching subscription, for the handlers that match there at its
-        turn, and each once the one before has been taken by every target
-        queue. A prefix publisher's puts name the last ``segment`` of their
-        key. The ticket's ``accepted`` gate fires when all target queues
-        took the last message; a message with no matching subscriber is
-        dropped and counts as taken."""
-        if publisher.prefix != (segment is not None) or (
-                segment is not None and not is_key_segment(segment)):
-            raise InvalidPattern(
-                f"put of segment {segment!r} under {publisher.key_text!r}: a prefix "
-                "takes one segment, a whole key none")
-        key = publisher.key_text if segment is None else publisher.key_text + segment
-        ticket = PutTicket(Gate(self._loop), _stream=(publisher, segment, key, iter(payloads)))
+        subscription that matches the publisher's key at this call, for the
+        handlers that match there, each once the one before has been taken
+        by every target queue. The ticket's ``accepted`` gate fires when all
+        target queues took the last message; with no matching subscriber
+        the messages are dropped and the put completes immediately."""
+        targets = []
+        for (src, _dst), route in self._routes.items():
+            if src == publisher.endpoint.name:
+                handlers = route.dst.handlers(publisher.key)
+                if len(handlers) == 1:
+                    targets.append((route, handlers[0]))
+                elif handlers:
+                    targets.append((route, partial(_dispatch, handlers)))
+        ticket = PutTicket(Gate(self._loop), _stream=(str(publisher.key), targets, iter(payloads)))
         ticket._offer()
         return ticket
-
-    def _route_publisher(self, publisher: Publisher) -> None:
-        """Work out ``publisher``'s targets, or its tails, at the current
-        generation. They are replaced, never changed in place: a queued
-        message keeps the handlers it matched at its put."""
-        src = publisher.endpoint.name
-        routes = [route for (route_src, _dst), route in self._routes.items()
-                  if route_src == src]
-        if publisher.prefix:
-            publisher._tails = [(route, route.dst.tails(publisher.key)) for route in routes]
-        else:
-            publisher._targets = _dispatch_targets(
-                [(route, route.dst.handlers(publisher.key)) for route in routes])
-        publisher._generation = self.generation

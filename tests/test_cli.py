@@ -68,6 +68,17 @@ def test_invalid_scenario_value_exits_2(tmp_path, capsys):
     assert "fp_rate" in capsys.readouterr().err
 
 
+def test_scenario_value_of_the_wrong_json_type_exits_2(tmp_path, capsys):
+    # A truthy string used to run with parallelism on.
+    scenario = tmp_path / "bad.json"
+    doc = json.loads(small_scenario_text())
+    doc["parallelism"] = "no"
+    scenario.write_text(json.dumps(doc))
+    assert run_cli("--scenario", str(scenario), "--out", str(tmp_path / "o")) == 2
+    assert "parallelism must be true or false" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_unknown_scenario_key_exits_2(tmp_path, capsys):
     scenario = tmp_path / "bad.json"
     doc = json.loads(small_scenario_text())

@@ -108,6 +108,29 @@ def test_bad_enum_value_is_a_config_error():
         config_from_dict(doc)
 
 
+@pytest.mark.parametrize("path, value", [
+    ("parallelism", "no"), ("parallelism", 1), ("cloud_enabled", None),
+    ("dataset_size", "5"), ("dataset_size", 5.0), ("dataset_size", True),
+    ("rng_seed", None), ("queue_capacity", [4]),
+    ("fp_rate", "0.5"), ("fp_rate", False), ("time_scale", None),
+    ("stage_durations.t_quality", "0.3"), ("link_far_to_edge.bandwidth", True),
+])
+def test_value_of_the_wrong_json_type_is_a_config_error(path, value):
+    doc = config_to_dict(base_config())
+    *outer, name = path.split(".")
+    (doc[outer[0]] if outer else doc)[name] = value
+    with pytest.raises(ConfigError, match=f"{path} must be "):
+        config_from_dict(doc)
+
+
+def test_numbers_of_either_json_kind_fill_a_float_field():
+    doc = config_to_dict(base_config())
+    doc["fp_rate"] = 1
+    doc["stage_durations"]["t_quality"] = 0
+    cfg = config_from_dict(doc)
+    assert cfg.fp_rate == 1 and cfg.stage_durations.t_quality == 0
+
+
 def test_embedding_must_be_unit_norm():
     values = [0.0] * 128
     values[0] = 1.0

@@ -14,22 +14,27 @@ from continuumsim.domain import (
     StageDurations,
     TransportKind,
 )
-from continuumsim.metrics import MetricsRecord
 from continuumsim.netsim import EventLoop, SimCore
 from continuumsim.nodes import (
     CloudService,
     Collector,
     EdgeService,
     ExpiredGrant,
-    IncompleteRecord,
     InvalidGrant,
     ResultMessage,
-    compute_rtts,
     decode_result,
     encode_result,
     run_scenario,
 )
-from continuumsim.transport import KEY_CLOUD_REQUESTS_PREFIX, KEY_CLOUD_UPLOADS_PREFIX
+from continuumsim.transport import (
+    KEY_CLOUD_REQUESTS_PREFIX,
+    KEY_CLOUD_RESULTS_PREFIX,
+    KEY_CLOUD_UPLOADS_PREFIX,
+    KEY_FACES_DETECTED,
+    KEY_RESULTS_PREFIX,
+    PubSubEndpoint,
+    PubSubFabric,
+)
 from continuumsim.workload import Prng, make_face_db
 
 
@@ -183,6 +188,37 @@ def test_far_edge_resumes_as_often_per_image_at_any_chunk_size(transport, monkey
     assert steps[0] == steps[1]
 
 
+def test_every_connect_and_subscribe_comes_before_the_first_put(monkeypatch):
+    # A put routes its messages once, at the call, and misses any later
+    # connect or subscribe: the tiers must wire the whole topology first.
+    calls = []
+
+    def spy(log, call):
+        def wrapper(*args):
+            calls.append(log(*args))
+            return call(*args)
+        return wrapper
+
+    monkeypatch.setattr(PubSubFabric, "connect",
+                        spy(lambda *_a: "connect", PubSubFabric.connect))
+    monkeypatch.setattr(PubSubEndpoint, "subscribe",
+                        spy(lambda *_a: "subscribe", PubSubEndpoint.subscribe))
+    monkeypatch.setattr(PubSubFabric, "put_all",
+                        spy(lambda _f, pub, _p: str(pub.key), PubSubFabric.put_all))
+    r = run_scenario(tiny_config(n=6, cloud=True))
+    assert len(r.records) == 6 and r.failure is None
+    first_put = next(i for i, c in enumerate(calls) if c not in ("connect", "subscribe"))
+    assert calls[:first_put].count("connect") == 4
+    puts = calls[first_put:]
+    assert "connect" not in puts and "subscribe" not in puts
+    # The far-edge uploads, the results and both directions of the cloud leg
+    # all put.
+    assert KEY_FACES_DETECTED in puts
+    for prefix in (KEY_RESULTS_PREFIX, KEY_CLOUD_REQUESTS_PREFIX, KEY_CLOUD_UPLOADS_PREFIX,
+                   KEY_CLOUD_RESULTS_PREFIX):
+        assert any(key.startswith(prefix) for key in puts), prefix
+
+
 # ---------------------------------------------------------------------------
 # Results and escalation.
 
@@ -273,14 +309,6 @@ def test_edge_rtt_is_additive_over_upload_identify_response():
     response = len(encode_result(ResultMessage(
         img.id, "edge", rec.recognized, rec.label, False))) / bandwidth
     assert rec.edge_rtt == pytest.approx(2.0 + 1.09 + response, abs=1e-9)
-
-
-def test_compute_rtts_requires_complete_records():
-    r = run_scenario(tiny_config(n=3, cloud=True))
-    table = compute_rtts(r.records)
-    assert set(table) == {rec.image_id for rec in r.records}
-    with pytest.raises(IncompleteRecord):
-        compute_rtts([MetricsRecord(image_id="ghost")])
 
 
 # ---------------------------------------------------------------------------
