@@ -207,6 +207,13 @@ def validate_config(cfg: ScenarioConfig) -> ValidationResult:
     range checks.
     """
     v: list[str] = []
+    # NaN fails every comparison below, so finiteness is checked on its own.
+    for prefix, value in (("", cfg), ("stage_durations.", cfg.stage_durations),
+                          ("link_far_to_edge.", cfg.link_far_to_edge),
+                          ("link_edge_to_cloud.", cfg.link_edge_to_cloud)):
+        for f in fields(value):
+            if f.type == "float" and not math.isfinite(getattr(value, f.name)):
+                v.append(f"{prefix}{f.name} must be finite")
     if cfg.dataset_size < 1:
         v.append("dataset_size must be >= 1")
     if cfg.chunk_size_bytes < MIN_CHUNK_SIZE:
@@ -335,9 +342,14 @@ def config_to_json(cfg: ScenarioConfig) -> str:
     return json.dumps(config_to_dict(cfg), indent=2, sort_keys=False) + "\n"
 
 
+def _reject_constant(name: str):
+    raise ConfigError(f"invalid JSON: {name} is not a JSON value")
+
+
 def config_from_json(text: str) -> ScenarioConfig:
     try:
-        doc = json.loads(text)
+        # ``json.loads`` alone would take NaN, Infinity and -Infinity.
+        doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON: {exc}") from None
     return config_from_dict(doc)

@@ -5,8 +5,11 @@
 :class:`WallClock`, whose clock reads real seconds, and each link is a
 :class:`SocketLink`, one direction of a loopback TCP connection, in place of
 a booked ``SimLink``. One connection carries the far edge <-> edge leg and
-one the edge <-> cloud leg. Everything runs on the calling thread: the clock
-waits in a selector for the next timer or socket frame, and no write blocks.
+one the edge <-> cloud leg. Everything runs on the calling thread, and no
+write blocks. Between timers the clock makes one read pass: it reads once
+from each link with frames in flight, which on loopback have nearly always
+arrived, and waits in a selector for the next timer or socket frame only
+when that pass read nothing.
 
 Frames: a ``>IH`` header (payload length, key length), the pub/sub key in
 UTF-8 (empty on the blocking session), then the payload, which is the same
@@ -66,13 +69,17 @@ class WallClock(EventLoop):
             client = socket.create_connection(server.getsockname())
             accepted, _ = server.accept()
         a, b = _End(self._selector, client), _End(self._selector, accepted)
-        links = (SocketLink(self, a, b), SocketLink(self, b, a))
-        self._links.extend(links)
-        return links
+        a_to_b, b_to_a = SocketLink(self, a, b), SocketLink(self, b, a)
+        # In the selector's registration order of their readers, the order
+        # in which select reports ends that are ready together.
+        self._links += (b_to_a, a_to_b)
+        return a_to_b, b_to_a
 
     def run(self) -> int:
         """Fire timers as they fall due and deliver frames as they arrive,
-        until no live timer is left and no frame is in flight."""
+        until no live timer is left and no frame is in flight. Once no timer
+        is due, a read pass reads what has arrived; the loop waits in the
+        selector only when that pass read nothing."""
         self._origin = time.monotonic()
         count = 0
         while True:
@@ -81,7 +88,10 @@ class WallClock(EventLoop):
                 entry[2].action()
                 count += 1
                 continue
-            if not self._heap and not any(link.in_flight for link in self._links):
+            read, in_flight = self._read_pass()
+            if read:
+                continue
+            if not self._heap and not in_flight:
                 break
             timeout = self._heap[0][0] - self.now if self._heap else None
             for key, mask in self._selector.select(timeout):
@@ -89,11 +99,36 @@ class WallClock(EventLoop):
                 if mask & selectors.EVENT_WRITE:
                     end.flush()
                 if mask & selectors.EVENT_READ:
-                    for frame_key, payload in end.read():
-                        self._tick()
-                        end.on_frame(frame_key, payload)
+                    self._receive(end)
         self.executed += count
         return count
+
+    def _read_pass(self) -> tuple[bool, bool]:
+        """Flush every partly written frame and read once from every link
+        with frames in flight, each link in turn, so that a busy link does
+        not starve the others. Returns whether any bytes were read and
+        whether any frame was in flight."""
+        read = in_flight = False
+        for link in self._links:
+            if link.writer.pending:
+                link.writer.flush()
+            if link.in_flight:
+                in_flight = True
+                if self._receive(link.reader):
+                    read = True
+        return read, in_flight
+
+    def _receive(self, end: _End) -> bool:
+        """Read once from ``end`` and hand on each frame now complete;
+        False if nothing had arrived."""
+        try:
+            frames = end.read()
+        except BlockingIOError:
+            return False
+        for key, payload in frames:
+            self._tick()
+            end.on_frame(key, payload)
+        return True
 
     def close(self) -> None:
         self._selector.close()
@@ -122,6 +157,11 @@ class _End:
         self._out += payload
         self.flush()
 
+    @property
+    def pending(self) -> bool:
+        """Whether part of a written frame still waits for the socket."""
+        return bool(self._out)
+
     def flush(self) -> None:
         try:
             del self._out[:self.sock.send(self._out)]
@@ -133,7 +173,8 @@ class _End:
             self._selector.modify(self.sock, events, self)
 
     def read(self) -> list[tuple[str, bytes]]:
-        """Receive once; returns every frame now complete, as (key, payload)."""
+        """Receive once; returns every frame now complete, as (key, payload).
+        Raises BlockingIOError when nothing has arrived."""
         data = self.sock.recv(_RECV_BYTES)
         if not data:
             raise ConnectionError("loopback peer closed the connection")
@@ -162,6 +203,7 @@ class SocketLink:
     def __init__(self, loop: WallClock, writer: _End, reader: _End):
         self._loop = loop
         self.writer = writer
+        self.reader = reader
         self._handlers: deque = deque()
         reader.on_frame = self._arrived
 

@@ -79,6 +79,24 @@ def test_scenario_value_of_the_wrong_json_type_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_non_finite_scenario_value_exits_2(tmp_path, capsys):
+    # A NaN timeout used to pass validation and run.
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(small_scenario_text().replace(
+        '"image_timeout_s": 120.0,', '"image_timeout_s": NaN,'))
+    assert run_cli("--scenario", str(scenario), "--out", str(tmp_path / "o")) == 2
+    assert "NaN is not a JSON value" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_time_scale_flag_exits_2(tmp_path, capsys, value):
+    assert run_cli("--images", "3", "--time-scale", value,
+                   "--out", str(tmp_path / "o")) == 2
+    assert "time_scale must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_unknown_scenario_key_exits_2(tmp_path, capsys):
     scenario = tmp_path / "bad.json"
     doc = json.loads(small_scenario_text())

@@ -131,6 +131,31 @@ def test_numbers_of_either_json_kind_fill_a_float_field():
     assert cfg.fp_rate == 1 and cfg.stage_durations.t_quality == 0
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("path", [
+    "image_timeout_s", "send_timeout_s", "time_scale", "fp_rate",
+    "stage_durations.t_quality", "stage_durations.cloud_latency_jitter",
+    "link_far_to_edge.latency", "link_edge_to_cloud.bandwidth",
+])
+def test_non_finite_float_is_flagged(path, value):
+    doc = config_to_dict(base_config())
+    *outer, name = path.split(".")
+    (doc[outer[0]] if outer else doc)[name] = value
+    result = validate_config(config_from_dict(doc))
+    assert not result.ok
+    assert f"{path} must be finite" in result.violations
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_non_json_number_constant_is_a_config_error(constant):
+    text = config_to_json(base_config())
+    assert '"image_timeout_s": 120.0,' in text
+    text = text.replace('"image_timeout_s": 120.0,', f'"image_timeout_s": {constant},')
+    with pytest.raises(ConfigError, match=f"{constant} is not a JSON value"):
+        config_from_json(text)
+
+
 def test_embedding_must_be_unit_norm():
     values = [0.0] * 128
     values[0] = 1.0

@@ -1,5 +1,6 @@
 """Loopback-TCP mode: the virtual-time tiers on real sockets and real time."""
 
+import socket
 import threading
 import time
 from collections import deque
@@ -88,3 +89,64 @@ def test_socket_session_sends_a_stream_one_acked_message_at_a_time():
     ((t_resume, receipt),) = resumed
     assert 0.0 <= receipt.wire_start < receipt.ack_at == t_resume
     assert a._unacked == deque()
+
+
+def test_a_stream_waits_in_select_less_often_than_it_sends():
+    loop = WallClock()
+    selects = 0
+    select = loop._selector.select
+
+    def counted(timeout=None):
+        nonlocal selects
+        selects += 1
+        return select(timeout)
+
+    loop._selector.select = counted
+    try:
+        a, b = session_pair(loop, *loop.connect(0), timeout=10.0, endpoint=SocketSession)
+        got = []
+        b.on_message(got.append)
+        payloads = [bytes([i]) * 100 for i in range(20)]
+        a.send_all(payloads)
+        loop.run()
+    finally:
+        loop.close()
+    assert got == payloads
+    assert selects < len(payloads)
+
+
+def test_a_frame_larger_than_the_send_buffer_arrives_intact():
+    loop = WallClock()
+    try:
+        link, _ = loop.connect(0)
+        link.writer.sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        payload = bytes(range(256)) * 8192  # 2 MiB
+        got = []
+        link.deliver("big", payload, lambda key, data: got.append((key, data)))
+        assert link.writer.pending  # the socket took only part of the frame
+        loop.run()
+    finally:
+        loop.close()
+    assert got == [("big", payload)]
+    assert link.in_flight == 0
+
+
+def test_one_pass_reads_every_connection_with_a_frame_in_flight():
+    # A far-edge stream keeps its connection busy; a frame already on the
+    # cloud connection is delivered in the pass that reads the stream's
+    # first message, not after the stream ends.
+    loop = WallClock()
+    try:
+        far, edge = session_pair(loop, *loop.connect(0), timeout=10.0,
+                                 endpoint=SocketSession)
+        cloud_link, _ = loop.connect(0)
+        log = []
+        edge.on_message(log.append)
+        cloud_link.deliver(None, b"cloud", lambda key, data: log.append(data))
+        payloads = [b"stream %d" % i for i in range(20)]
+        far.send_all(payloads)
+        loop.run()
+    finally:
+        loop.close()
+    assert sorted(log) == sorted(payloads + [b"cloud"])
+    assert log.index(b"cloud") <= 1
