@@ -80,7 +80,6 @@ def test_scenario_value_of_the_wrong_json_type_exits_2(tmp_path, capsys):
 
 
 def test_non_finite_scenario_value_exits_2(tmp_path, capsys):
-    # A NaN timeout used to pass validation and run.
     scenario = tmp_path / "bad.json"
     scenario.write_text(small_scenario_text().replace(
         '"image_timeout_s": 120.0,', '"image_timeout_s": NaN,'))
