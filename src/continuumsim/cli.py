@@ -138,7 +138,6 @@ def run(args: argparse.Namespace) -> int:
         results: dict[str, RunResult] = {}
         for preset_run in preset.runs:
             cfg = _apply_flags(preset_run.config, args)
-            cfg = replace(cfg, rng_seed=seed)  # --seed governs the matrix
             check = validate_config(cfg)
             if not check.ok:
                 print("error: " + "; ".join(check.violations), file=sys.stderr)

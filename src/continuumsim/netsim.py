@@ -24,7 +24,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Generator, Optional
+from typing import Callable, Generator
 
 from .domain import LinkParams
 
@@ -72,36 +72,6 @@ class EventLoop:
         heapq.heappush(self._heap, (now + max(0.0, fire_at - now), self._seq, handle))
         self._seq += 1
         return handle
-
-    def _pop_due(self, t_end: float) -> Optional[tuple[float, int, EventHandle]]:
-        """The first live heap entry due by ``t_end``, removed; cancelled
-        entries ahead of it are discarded."""
-        heap = self._heap
-        while heap:
-            fire_at, _, head = heap[0]
-            if head.cancelled:
-                heapq.heappop(heap)
-                continue
-            if fire_at > t_end:
-                return None
-            return heapq.heappop(heap)
-        return None
-
-    def run_until(self, t_end: float) -> int:
-        """Execute every event with fire_at <= t_end; clock ends at t_end."""
-        if t_end < self.now:
-            raise ValueError("run_until target precedes current time")
-        count = 0
-        while True:
-            entry = self._pop_due(t_end)
-            if entry is None:
-                break
-            self.now, _, handle = entry
-            handle.action()
-            count += 1
-        self.now = t_end
-        self.executed += count
-        return count
 
     def run(self) -> int:
         """Drain the queue completely; clock ends at the last event."""

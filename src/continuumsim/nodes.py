@@ -607,12 +607,7 @@ def run_tiers(cfg: ScenarioConfig, loop: EventLoop, links: tuple,
     """Wire the three tiers of ``cfg`` over ``links`` (far->edge, edge->far,
     edge->cloud, cloud->edge), run ``loop`` until it drains and aggregate the
     metrics. Both time modes run here; they differ in the loop, the links and
-    the class of the blocking session's endpoints.
-
-    Routes are connected edge<->cloud first, then far<->edge, all before
-    ``far.start``: each route's drain schedules its first event at
-    time 0, so the connect order fixes the order of those same-instant
-    events, and through them the order of later ties."""
+    the class of the blocking session's endpoints."""
     db, dataset = build_dataset(cfg)
     collector = Collector(loop)
 

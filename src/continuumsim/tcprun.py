@@ -24,6 +24,7 @@ time the run reports is wall-clock.
 
 from __future__ import annotations
 
+import heapq
 import selectors
 import socket
 import struct
@@ -34,7 +35,7 @@ from functools import partial
 from typing import Callable, Iterator, Optional
 
 from .domain import ScenarioConfig
-from .netsim import EventLoop, Gate, Transmission
+from .netsim import EventHandle, EventLoop, Gate, Transmission
 from .nodes import RunResult, run_tiers
 from .transport import SendReceipt, SendTimeout, SessionEndpoint
 
@@ -61,6 +62,20 @@ class WallClock(EventLoop):
     def _tick(self) -> float:
         self.now = time.monotonic() - self._origin
         return self.now
+
+    def _pop_due(self, t_end: float) -> Optional[tuple[float, int, EventHandle]]:
+        """The first live heap entry due by ``t_end``, removed; cancelled
+        entries ahead of it are discarded."""
+        heap = self._heap
+        while heap:
+            fire_at, _, head = heap[0]
+            if head.cancelled:
+                heapq.heappop(heap)
+                continue
+            if fire_at > t_end:
+                return None
+            return heapq.heappop(heap)
+        return None
 
     def connect(self, port: int) -> tuple[SocketLink, SocketLink]:
         """Open one loopback connection, listening on ``port`` (0: any free

@@ -260,11 +260,8 @@ def _dispatch(handlers: list[Handler], key: str, payload: bytes) -> None:
 class _Route:
     """Directional src -> dst path: bounded outbound queue plus a drain
     feeding one link. A message occupies its queue slot until its last byte
-    has left the wire, so queue capacity backpressures the publisher.
-
-    The drain starts with one event at time 0, scheduled here: ``run_tiers``
-    relies on it to order same-instant events. A put before that event only
-    queues; a put to an idle route sends at once, within the put."""
+    has left the wire, so queue capacity backpressures the publisher. A put
+    to an idle route sends at once, within the put."""
 
     def __init__(self, loop: EventLoop, link: SimLink, dst: PubSubEndpoint,
                  capacity: int):
@@ -274,9 +271,8 @@ class _Route:
         self.capacity = capacity
         self._items: deque[_Entry] = deque()
         self._putters: deque[_Entry] = deque()
-        self._idle = False
+        self._idle = True
         self._flush_waiters: list[Gate] = []
-        loop.schedule(0.0, self._send)
 
     def put(self, entry: _Entry) -> bool:
         """Queue ``entry``; False when the queue is full. The entry then

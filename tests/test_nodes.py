@@ -1,4 +1,6 @@
 import gc
+import heapq
+import itertools
 import json
 import weakref
 from dataclasses import replace
@@ -14,7 +16,7 @@ from continuumsim.domain import (
     StageDurations,
     TransportKind,
 )
-from continuumsim.netsim import EventLoop, SimCore
+from continuumsim.netsim import EventHandle, EventLoop, SimCore
 from continuumsim.nodes import (
     CloudService,
     Collector,
@@ -34,6 +36,7 @@ from continuumsim.transport import (
     KEY_RESULTS_PREFIX,
     PubSubEndpoint,
     PubSubFabric,
+    SessionEndpoint,
 )
 from continuumsim.workload import Prng, make_face_db
 
@@ -139,19 +142,146 @@ def _run_counting_events(cfg, monkeypatch):
     return r, loop.executed
 
 
-# Event counts of these runs before the pub/sub drain became a callback chain
-# and a process stopped recursing through gates already set: the engine must
-# still schedule the same events.
+# Exact event counts: the engine must schedule no event these runs do not
+# need. A pub/sub route schedules nothing before its first put, which sends
+# at once, so each count is one event per route (four in the pub/sub and
+# no-upload runs, two in the blocking run) below that of a route that starts
+# with an event at time 0.
 @pytest.mark.parametrize("cfg, events", [
-    (tiny_config(TransportKind.PUBSUB, True, n=3, cloud=True, chunk_size_bytes=64), 223),
+    (tiny_config(TransportKind.PUBSUB, True, n=3, cloud=True, chunk_size_bytes=64), 219),
     (tiny_config(TransportKind.BLOCKING_SESSION, True, n=3, cloud=True,
-                 chunk_size_bytes=64), 223),
-    (no_upload_config(0.25, 0.5, 8, parallelism=True), 23),
+                 chunk_size_bytes=64), 221),
+    (no_upload_config(0.25, 0.5, 8, parallelism=True), 19),
 ], ids=["pubsub", "blocking", "no_upload"])
 def test_event_count_is_pinned(cfg, events, monkeypatch):
     r, executed = _run_counting_events(cfg, monkeypatch)
     assert len(r.records) == cfg.dataset_size and r.failure is None
     assert executed == events
+
+
+# ---------------------------------------------------------------------------
+# Tie order: events due at the same instant may fire in any order.
+
+
+class ShuffledTies(EventLoop):
+    """Fires events due at the same instant in a seeded random order in
+    place of their scheduling order."""
+
+    def __init__(self, seed: int):
+        super().__init__()
+        self._rng = Prng(seed)
+
+    def schedule(self, delay, action):
+        if delay < 0:
+            raise netsim.NegativeDelay(f"delay must be >= 0, got {delay}")
+        return self._push(self.now + delay, action)
+
+    def schedule_at(self, fire_at, action):
+        now = self.now
+        return self._push(now + max(0.0, fire_at - now), action)
+
+    def _push(self, fire_at, action):
+        handle = EventHandle(action)
+        heapq.heappush(self._heap, (fire_at, (self._rng.u64(), self._seq), handle))
+        self._seq += 1
+        return handle
+
+
+def _is_delivery(action) -> bool:
+    """Whether a scheduled ``action`` hands a message to its receiver: a
+    blocking session's delivery, or a pub/sub handler called with its key."""
+    args = getattr(action, "args", ())
+    return getattr(action, "func", None) is SessionEndpoint._deliver or (
+        len(args) == 2 and isinstance(args[0], str) and args[0].startswith("tricloud/"))
+
+
+class TieCounting(EventLoop):
+    """The ordered loop, which also counts its delivery ties: events that
+    fire while another event due at the same instant waits in the queue,
+    where one of the two is a delivery. The order of such a pair is the
+    engine's choice."""
+
+    def __init__(self):
+        super().__init__()
+        self.delivery_ties = 0
+
+    def schedule(self, delay, action):
+        return super().schedule(delay, partial(self._fire, action))
+
+    def schedule_at(self, fire_at, action):
+        return super().schedule_at(fire_at, partial(self._fire, action))
+
+    def _fire(self, action):
+        heap = self._heap
+        if heap and heap[0][0] == self.now and not heap[0][2].cancelled:
+            waiting = heap[0][2].action.args[0]
+            self.delivery_ties += _is_delivery(action) or _is_delivery(waiting)
+        action()
+
+
+def _tie_order_matrix():
+    """(label, config) of every run of the tie-order test. Under the plain
+    timing same-instant events are rare and none is a delivery; the
+    tie-dense timing (zero-latency links, equal stage times, an instant
+    cloud) makes deliveries, acks and route events share instants. The
+    failure rows take the send timeout, image timeout, cloud timeout and
+    expired grant paths under both timings."""
+    timings = {
+        "plain": {},
+        "dense": dict(t_io=0.25, t_ai=0.25, cloud_latency=0.0,
+                      link_far_to_edge=LinkParams(0.0, 1e6),
+                      link_edge_to_cloud=LinkParams(0.0, 1e6)),
+    }
+    for (timing, times), transport, par, cloud, cap, chunk, jitter, n in itertools.product(
+            timings.items(), TransportKind, (False, True), (False, True), (1, 4),
+            (64, 1024, 4096), (0.0, 0.2), (6, 12)):
+        yield ((timing, transport.name, par, cloud, cap, chunk, jitter, n),
+               tiny_config(transport, par, n, cloud=cloud, queue_capacity=cap,
+                           chunk_size_bytes=chunk, jitter_pct=jitter, **times))
+    failures = {
+        "send_timeout": dict(link_far_to_edge=LinkParams(0.001, 2000.0), send_timeout_s=0.5),
+        "image_timeout": dict(image_timeout_s=0.055),
+        "cloud_timeout": dict(cloud_timeout_s=0.0),
+        "expired_grant": dict(grant_ttl_s=0.0),
+    }
+    for (name, fault), (timing, times), transport, par, cap in itertools.product(
+            failures.items(), timings.items(), TransportKind, (False, True), (1, 4)):
+        yield ((name, timing, transport.name, par, cap),
+               tiny_config(transport, par, 6, cloud=True, queue_capacity=cap,
+                           **{**times, **fault}))
+
+
+def test_outputs_do_not_depend_on_the_order_of_same_instant_events(monkeypatch):
+    # Deterministic simulation testing: the engine breaks ties between
+    # same-instant events by scheduling order, which the model leaves free,
+    # so every output must be the same under any other tie order.
+    build = nodes.build_dataset
+    datasets = {}
+
+    def shared_dataset(cfg):
+        # The matrix has two datasets; each is built once.
+        key = (cfg.rng_seed, cfg.db_size, cfg.dataset_size, cfg.face_prob,
+               cfg.known_prob, cfg.payload_bytes)
+        if key not in datasets:
+            datasets[key] = build(cfg)
+        return datasets[key]
+
+    monkeypatch.setattr(nodes, "build_dataset", shared_dataset)
+    differ, delivery_ties, runs = [], 0, 0
+    for seed, (label, cfg) in enumerate(_tie_order_matrix()):
+        ordered_loop = TieCounting()
+        monkeypatch.setattr(nodes, "EventLoop", lambda: ordered_loop)
+        ordered = run_scenario(cfg)
+        monkeypatch.setattr(nodes, "EventLoop", partial(ShuffledTies, seed))
+        shuffled = run_scenario(cfg)
+        runs += 1
+        delivery_ties += ordered_loop.delivery_ties
+        if ((list(shuffled.records), shuffled.summary, shuffled.failure)
+                != (list(ordered.records), ordered.summary, ordered.failure)):
+            differ.append(label)
+    assert runs == 448
+    assert differ == []
+    assert delivery_ties > 0
 
 
 @pytest.mark.parametrize("parallelism", [False, True], ids=["sequential", "parallel"])

@@ -161,6 +161,18 @@ def test_put_returns_at_enqueue_and_delivers_async():
     assert got == [(0.55, "topic/data", b"y" * 500)]
 
 
+def test_put_before_the_run_is_on_the_wire_within_the_put():
+    loop = EventLoop()
+    fabric = _fabric(loop, bandwidth=1000.0)
+    fabric.endpoint("dst").subscribe("t/a", lambda k, d: None)
+    route = fabric.route("src", "dst")
+    ticket = fabric.declare_publisher("src", "t/a").put(b"a" * 500)
+    assert ticket.wire_start == 0.0
+    assert route.link.busy_until == pytest.approx(0.5)
+    loop.run()
+    assert loop.now == pytest.approx(0.5)
+
+
 def test_backpressure_with_capacity_one():
     loop = EventLoop()
     fabric = _fabric(loop, capacity=1, bandwidth=1000.0)
