@@ -147,10 +147,18 @@ class ChunkEnvelope:
             raise ValueError("payload_len must be >= 1")
 
     def payload(self) -> bytes:
+        """The bytes ``payload_b64`` holds. Its length must be a multiple of
+        4, with ``=`` only as its last one or two characters. Python 3.10 to
+        3.12 decode some text that breaks this rule, and 3.13 does not. On
+        each of them the strict decode takes only base64 characters followed
+        by ``=`` padding; such text keeps the rule exactly when it is as long
+        as the standard encoding of the bytes it decodes to."""
         try:
             raw = base64.b64decode(self.payload_b64, validate=True)
         except (binascii.Error, ValueError, TypeError) as exc:
             raise Base64Error(str(exc)) from None
+        if len(self.payload_b64) != (len(raw) + 2) // 3 * 4:
+            raise Base64Error("base64 padding is not one or two final '='")
         return raw
 
 

@@ -15,6 +15,7 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Optional
 
 from .domain import (
     ConfigError,
@@ -24,8 +25,8 @@ from .domain import (
     config_from_json,
     validate_config,
 )
-from .metrics import compare, emit_csv, emit_summary_json, summary_to_dict
-from .nodes import RunResult, run_scenario
+from .metrics import RunSummary, compare, emit_csv, emit_summary_json, summary_to_dict
+from .nodes import run_scenario
 from .presets import PRESET_NAMES, DEFAULT_SEED, base_config, build_preset
 
 _TRANSPORT_FLAG = {"blocking": TransportKind.BLOCKING_SESSION,
@@ -75,18 +76,34 @@ def _apply_flags(cfg: ScenarioConfig, args: argparse.Namespace) -> ScenarioConfi
     return replace(cfg, **updates) if updates else cfg
 
 
-def _write_run(out_dir: Path, result: RunResult) -> None:
+def _run_and_write(cfg: ScenarioConfig, out_dir: Path, label: str) -> Optional[RunSummary]:
+    """Run ``cfg`` and write its files to ``out_dir``. Returns the run's
+    summary, or None once it has printed why the run failed; nothing else
+    of the run is kept."""
+    try:
+        result = run_scenario(cfg)
+    except Exception as exc:  # noqa: BLE001 - surfaced as exit code
+        print(f"error: {label}{exc}", file=sys.stderr)
+        return None
     out_dir.mkdir(parents=True, exist_ok=True)
     emit_csv(result.records, out_dir / "metrics.csv")
     emit_summary_json(result.summary, out_dir / "summary.json")
+    if result.failure:
+        print(f"error: {label}{result.failure}", file=sys.stderr)
+        return None
+    return result.summary
 
 
-def _preset_comparison(name: str, results: dict[str, RunResult]) -> dict:
+def _preset_comparison(name: str, summaries: dict[str, RunSummary],
+                       fp_rate: float) -> dict:
+    """The comparison of preset ``name`` from the summary of each of its
+    runs, by run name; ``fp_rate`` is the cloud's false-positive rate in
+    those runs."""
     if name == "fig3_parallelism":
         report = {}
         for tag in ("pubsub", "blocking"):
-            seq = results[f"{tag}_seq"].summary
-            par = results[f"{tag}_par"].summary
+            seq = summaries[f"{tag}_seq"]
+            par = summaries[f"{tag}_par"]
             delta = compare(seq, par)
             report[tag] = {
                 "runtime_reduction": delta.runtime_reduction,
@@ -98,7 +115,7 @@ def _preset_comparison(name: str, results: dict[str, RunResult]) -> dict:
     if name == "fig4_rtt":
         report = {}
         for tag in ("pubsub", "blocking"):
-            stats = results[tag].summary.stats
+            stats = summaries[tag].stats
             edge, cloud = stats["edge_rtt"], stats["cloud_rtt"]
             report[tag] = {
                 "edge_rtt": {"mean": edge.mean, "std": edge.std, "count": edge.count},
@@ -109,19 +126,19 @@ def _preset_comparison(name: str, results: dict[str, RunResult]) -> dict:
         return report
     if name == "fig5_datasets":
         report: dict[str, dict] = {"pubsub": {}, "blocking": {}}
-        for run_name, result in results.items():
+        for run_name, summary in summaries.items():
             tag, size = run_name.rsplit("_n", 1)
             report[tag][size] = {
-                "throughput": result.summary.throughput,
-                "total_runtime": result.summary.total_runtime,
+                "throughput": summary.throughput,
+                "total_runtime": summary.total_runtime,
             }
         return report
     if name == "fp_study":
-        result = results["fp_study"]
+        summary = summaries["fp_study"]
         return {
-            "n_images": result.summary.n_images,
-            "fp_rate": result.config.fp_rate,
-            "fp_count": result.summary.fp_count,
+            "n_images": summary.n_images,
+            "fp_rate": fp_rate,
+            "fp_count": summary.fp_count,
         }
     raise ValueError(f"unknown preset {name!r}")
 
@@ -135,24 +152,18 @@ def run(args: argparse.Namespace) -> int:
     if args.preset:
         seed = args.seed if args.seed is not None else DEFAULT_SEED
         preset = build_preset(args.preset, seed=seed)
-        results: dict[str, RunResult] = {}
+        summaries: dict[str, RunSummary] = {}
         for preset_run in preset.runs:
             cfg = _apply_flags(preset_run.config, args)
             check = validate_config(cfg)
             if not check.ok:
                 print("error: " + "; ".join(check.violations), file=sys.stderr)
                 return 2
-            try:
-                result = run_scenario(cfg)
-            except Exception as exc:  # noqa: BLE001 - surfaced as exit code
-                print(f"error: {preset_run.name}: {exc}", file=sys.stderr)
+            summary = _run_and_write(cfg, out_root / preset_run.name, f"{preset_run.name}: ")
+            if summary is None:
                 return 3
-            _write_run(out_root / preset_run.name, result)
-            results[preset_run.name] = result
-            if result.failure:
-                print(f"error: {preset_run.name}: {result.failure}", file=sys.stderr)
-                return 3
-        comparison = _preset_comparison(preset.name, results)
+            summaries[preset_run.name] = summary
+        comparison = _preset_comparison(preset.name, summaries, cfg.fp_rate)
         out_root.mkdir(parents=True, exist_ok=True)
         (out_root / "comparison.json").write_text(
             json.dumps(comparison, indent=2) + "\n", encoding="utf-8")
@@ -174,16 +185,7 @@ def run(args: argparse.Namespace) -> int:
     if not check.ok:
         print("error: " + "; ".join(check.violations), file=sys.stderr)
         return 2
-    try:
-        result = run_scenario(cfg)
-    except Exception as exc:  # noqa: BLE001 - surfaced as exit code
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    _write_run(out_root, result)
-    if result.failure:
-        print(f"error: {result.failure}", file=sys.stderr)
-        return 3
-    return 0
+    return 3 if _run_and_write(cfg, out_root, "") is None else 0
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -37,7 +37,7 @@ class MismatchedScenarios(ValueError):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class MetricsRecord:
     """Per-image stage timings plus the identification outcome.
 

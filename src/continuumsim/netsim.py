@@ -269,13 +269,12 @@ class SimCore:
         self._loop = loop
         self.core_id = core_id
         self.free_at = 0.0
-        self.busy_intervals: list[tuple[float, float]] = []
         self.busy_time = 0.0
 
     def execute(self, duration: float) -> Gate:
         """Reserve the core for ``duration`` starting at its next free
-        instant; the returned gate fires at completion. Zero-duration tasks
-        complete immediately and record no interval."""
+        instant; the returned gate fires at completion, with the end instant.
+        Zero-duration tasks complete immediately and add no busy time."""
         if duration < 0:
             raise ValueError("duration must be >= 0")
         gate = Gate(self._loop)
@@ -285,7 +284,6 @@ class SimCore:
         start = max(self._loop.now, self.free_at)
         end = start + duration
         self.free_at = end
-        self.busy_intervals.append((start, end))
         self.busy_time += duration
         self._loop.schedule_at(end, partial(gate.set, end))
         return gate

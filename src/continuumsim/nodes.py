@@ -74,7 +74,7 @@ from .transport import (
 # Per-image measurement state, shared by the nodes of one run.
 
 
-@dataclass
+@dataclass(slots=True)
 class _ImageTrace:
     image_id: str
     t_read_decode: float = 0.0
@@ -89,7 +89,9 @@ class _ImageTrace:
 
 
 class Collector:
-    """Run-global observer assembling MetricsRecords from both tiers."""
+    """Run-global observer assembling MetricsRecords from both tiers. It
+    holds an image's trace only while the image is in flight, from its read
+    to its result."""
 
     def __init__(self, loop: EventLoop):
         self._loop = loop
@@ -104,7 +106,9 @@ class Collector:
     def finalize(self, tr: _ImageTrace, origin: str, recognized: bool,
                  label: Optional[str], is_fp: bool) -> None:
         """Record ``tr``'s one result. Each image comes here once: from the
-        far edge's ``_resolve`` if it was uploaded, at detection if not."""
+        far edge's ``_resolve`` if it was uploaded, at detection if not.
+        The trace is dropped here."""
+        del self.traces[tr.image_id]
         now = self._loop.now
         # A blocking upload records its start when its last ack is back; a
         # pub/sub one reads it off its ticket, once its first message is on
@@ -160,9 +164,9 @@ class FarEdgeNode:
 
     def start(self, dataset) -> None:
         """Spawn the pipeline over ``dataset``. Only its processes hold the
-        dataset, and each lets go of it when it ends: the node sits in
-        reference cycles with its handlers, so anything it kept would outlive
-        the run until the cyclic collector ran."""
+        dataset, each until it ends. The node itself is freed by reference
+        counting once ``run_tiers`` has closed the transports that call its
+        handler."""
         if self._cfg.parallelism:
             read_q = BoundedQueue(self._loop, self._cfg.queue_capacity)
             # The blocking transport offers no background transmission: the
@@ -370,7 +374,9 @@ class EdgeService:
         session.accept(msg)
         if session.state is ReassemblyState.COMPLETE:
             self._sessions[image_id] = None
-            self._collector.trace(image_id).reassembled_at = self._loop.now
+            tr = self._collector.traces.get(image_id)
+            if tr is not None:  # None once the image has ended
+                tr.reassembled_at = self._loop.now
             spawn(self._loop, self._serve_image(image_id, session.payload),
                   name=f"edge-serve-{image_id}")
         elif session.state is ReassemblyState.FAILED or (
@@ -386,8 +392,9 @@ class EdgeService:
         cfg = self._cfg
         embedding = self._embeddings.get(image_id)
         yield self._core.execute(cfg.stage_durations.t_identify)
-        tr = self._collector.trace(image_id)
-        tr.t_identify = cfg.stage_durations.t_identify
+        tr = self._collector.traces.get(image_id)
+        if tr is not None:
+            tr.t_identify = cfg.stage_durations.t_identify
         result = None
         if embedding is not None:
             ident = workload.identify(embedding, self._db,
@@ -607,7 +614,13 @@ def run_tiers(cfg: ScenarioConfig, loop: EventLoop, links: tuple,
     """Wire the three tiers of ``cfg`` over ``links`` (far->edge, edge->far,
     edge->cloud, cloud->edge), run ``loop`` until it drains and aggregate the
     metrics. Both time modes run here; they differ in the loop, the links and
-    the class of the blocking session's endpoints."""
+    the class of the blocking session's endpoints.
+
+    The handlers below and the transports that call them refer to each
+    other. Once the loop has drained, a close step closes the fabric and the
+    session ends, which drop their routes, subscriptions, peers and
+    handlers, so that the run is freed by reference counting when the
+    caller lets go of its result."""
     db, dataset = build_dataset(cfg)
     collector = Collector(loop)
 
@@ -625,6 +638,7 @@ def run_tiers(cfg: ScenarioConfig, loop: EventLoop, links: tuple,
 
     # The handlers below look ``edge`` and ``far`` up when a message
     # arrives, after both exist.
+    sessions = ()
     if cfg.transport is TransportKind.PUBSUB:
         fabric.connect("far", "edge", uplink_link)
         fabric.connect("edge", "far", downlink_link)
@@ -637,9 +651,9 @@ def run_tiers(cfg: ScenarioConfig, loop: EventLoop, links: tuple,
         def send_result(image_id: str, data: bytes) -> None:
             fabric.declare_publisher("edge", KEY_RESULTS_PREFIX + image_id).put(data)
     else:
-        uplink, edge_sess = session_pair(loop, uplink_link, downlink_link,
-                                         timeout=cfg.send_timeout_s,
-                                         endpoint=session_type)
+        sessions = uplink, edge_sess = session_pair(
+            loop, uplink_link, downlink_link, timeout=cfg.send_timeout_s,
+            endpoint=session_type)
         edge_sess.on_message(lambda d: edge.on_upload_message(d))
         uplink.on_message(lambda d: far.on_result_message(d))
 
@@ -674,6 +688,9 @@ def run_tiers(cfg: ScenarioConfig, loop: EventLoop, links: tuple,
 
     far.start(dataset)
     loop.run()
+    fabric.close()
+    for end in sessions:
+        end.close()
 
     wall = loop.now if loop.now > 0 else 1e-9
     summary = summarize(collector.records,

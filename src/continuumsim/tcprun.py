@@ -146,9 +146,13 @@ class WallClock(EventLoop):
         return True
 
     def close(self) -> None:
+        """Close the sockets and drop the links, which refer back to the
+        clock and, through their readers, to themselves."""
         self._selector.close()
         for link in self._links:
             link.writer.sock.close()
+            link.reader.on_frame = None
+        self._links.clear()
 
 
 class _End:

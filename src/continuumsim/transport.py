@@ -8,8 +8,8 @@
   enqueues the message on the outbound queue of every route that leads to a
   matching subscriber and returns immediately; each route's drain transmits
   queued messages in FIFO order. When a queue is full the put blocks until
-  space frees (backpressure). Routes, publishers and subscriptions live as
-  long as the fabric; there is no close or cancel.
+  space frees (backpressure). Routes and subscriptions live until the
+  fabric's ``close``; there is no cancel.
 
 Both transports also send a stream of messages in one call:
 ``SessionEndpoint.send_all`` and ``Publisher.put_all`` resume the caller once,
@@ -131,7 +131,11 @@ class SessionEndpoint:
         self._handler = handler
 
     def close(self) -> None:
+        """Close this end: it sends and delivers nothing more, and lets go of
+        its peer and its handler."""
         self.closed = True
+        self.peer = None
+        self._handler = None
 
     def send(self, payload: bytes) -> Gate:
         """:meth:`send_all` of the one message ``payload``."""
@@ -365,6 +369,13 @@ class PubSubFabric:
 
     def route(self, src: str, dst: str) -> _Route:
         return self._routes[(src, dst)]
+
+    def close(self) -> None:
+        """Drop every route and every endpoint's subscriptions. A put after
+        this reaches no one."""
+        self._routes.clear()
+        for endpoint in self.endpoints.values():
+            endpoint.subscriptions.clear()
 
     def declare_publisher(self, endpoint_name: str, key: str) -> Publisher:
         expr = KeyExpr.parse(key)

@@ -366,6 +366,48 @@ def test_near_canonical_chunk_decodes_as_json_decoder(data):
     assert _outcome(decode, data) == _outcome(decode_json, data)
 
 
+# Base64 text and the bytes it holds, or None where it breaks the padding
+# rule: a length that is a multiple of 4, with '=' only as the last one or
+# two characters. Python 3.10-3.12 decode "QUJD=" and "QUJD==" to b"ABC",
+# and 3.11-3.12 "QUJD====" too; 3.13 rejects all three. Each interpreter
+# must give the results below.
+BASE64_PADDING = {
+    "QUJD": b"ABC",
+    "QUI=": b"AB",
+    "QQ==": b"A",
+    "QUJDREVG": b"ABCDEF",
+    "QUJD=": None,
+    "QUJD==": None,
+    "QUJD===": None,
+    "QUJD====": None,
+    "QUJ": None,
+    "QQ=A": None,
+    "Q===": None,
+    "====": None,
+    "QQ==QUJD": None,
+    "=QUJ": None,
+}
+
+
+@pytest.mark.parametrize("text,raw", BASE64_PADDING.items(), ids=BASE64_PADDING.keys())
+def test_base64_padding_rule_does_not_depend_on_the_interpreter(text, raw):
+    env = ChunkEnvelope("img0", 0, 1, 3, text, crc32(b"ABC"))
+    if raw is None:
+        with pytest.raises(Base64Error):
+            env.payload()
+    else:
+        assert env.payload() == raw
+    # As a chunk message of payload_len 3, the text is accepted only if it
+    # holds exactly b"ABC", by the fast path and the JSON decoder alike.
+    data = encode_envelope(env)
+    outcome = _outcome(decode, data)
+    assert outcome == _outcome(decode_json, data)
+    if raw == b"ABC":
+        assert outcome[0] == env and outcome[2] == b"ABC"
+    else:
+        assert outcome[0] is (Base64Error if raw is None else MalformedJson)
+
+
 # One sample of each message type and its exact wire bytes. Wire size feeds
 # the link timing, so these bytes guard the golden metrics file too.
 WIRE_CONTRACT = {

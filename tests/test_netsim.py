@@ -135,23 +135,45 @@ def test_link_busy_time_conservation_under_random_interleave():
     assert link.bytes_sent == total
 
 
+def _record_busy_intervals(loop, core):
+    """Record each task ``core`` runs as ``(start, end)``: ``start`` is the
+    first free instant at the call and ``end`` the instant its gate fires
+    with. Zero-duration tasks record nothing."""
+    intervals = []
+    execute = core.execute
+
+    def recorded(duration):
+        start = max(loop.now, core.free_at)
+        gate = execute(duration)
+        if duration > 0.0:
+            gate.add_waiter(lambda end: intervals.append((start, end)))
+        return gate
+
+    core.execute = recorded
+    return intervals
+
+
 def test_core_execute_records_busy_interval():
     loop = EventLoop()
     core = SimCore(loop, 0)
+    intervals = _record_busy_intervals(loop, core)
     done = []
     core.execute(4.45).add_waiter(lambda end: done.append(end))
     loop.run()
     assert done == [4.45]
-    assert core.busy_intervals == [(0.0, 4.45)]
+    assert intervals == [(0.0, 4.45)]
+    assert core.busy_time == 4.45
 
 
 def test_core_zero_duration_completes_immediately():
     loop = EventLoop()
     core = SimCore(loop, 0)
+    intervals = _record_busy_intervals(loop, core)
     done = []
     core.execute(0.0).add_waiter(lambda end: done.append(end))
     assert done == [0.0]
-    assert core.busy_intervals == []
+    assert intervals == []
+    assert core.busy_time == 0.0 and core.free_at == 0.0
 
 
 def test_core_runs_one_task_at_a_time():
@@ -167,6 +189,7 @@ def test_core_runs_one_task_at_a_time():
 def test_core_busy_intervals_never_overlap():
     loop = EventLoop()
     core = SimCore(loop, 1)
+    intervals = _record_busy_intervals(loop, core)
     rng = Prng(8)
 
     def proc():
@@ -176,7 +199,7 @@ def test_core_busy_intervals_never_overlap():
 
     spawn(loop, proc())
     loop.run()
-    intervals = core.busy_intervals
+    assert len(intervals) == 40
     assert all(a_end <= b_start for (_, a_end), (b_start, _) in
                zip(intervals, intervals[1:]))
     assert core.busy_time == pytest.approx(

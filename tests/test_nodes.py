@@ -3,6 +3,7 @@ import heapq
 import itertools
 import json
 import weakref
+from collections import Counter
 from dataclasses import replace
 from functools import partial
 
@@ -14,6 +15,7 @@ from continuumsim.domain import (
     LinkParams,
     ScenarioConfig,
     StageDurations,
+    TimeMode,
     TransportKind,
 )
 from continuumsim.netsim import EventHandle, EventLoop, SimCore
@@ -501,6 +503,7 @@ def test_reassembly_corruption_yields_negative_result_without_cloud_call(total, 
     cfg = tiny_config(n=1, cloud=True)
     db = make_face_db(cfg.rng_seed, cfg.db_size)
     collector = Collector(loop)
+    collector.trace("imgX")  # the far edge opens it when it reads the image
     sent = []
     cloud_calls = []
     edge = EdgeService(loop, cfg, db, {}, collector, SimCore(loop, 2),
@@ -952,8 +955,10 @@ def test_grant_request_without_image_id_ends_in_a_negative_cloud_result(monkeypa
 
 
 def _run_with_the_cyclic_collector_off(cfg, monkeypatch):
-    """Run ``cfg`` with ``gc`` disabled; returns the result and a weak
-    reference to each record of its dataset."""
+    """Run ``cfg`` with ``gc`` disabled. Returns the result, a weak reference
+    to each record of its dataset, and the count by class of the
+    ``continuumsim`` objects that a collection right after the run finds
+    unreachable: those that only the cyclic collector would free."""
     refs = []
     build_dataset = nodes.build_dataset
 
@@ -963,11 +968,19 @@ def _run_with_the_cyclic_collector_off(cfg, monkeypatch):
         return db, dataset
 
     monkeypatch.setattr(nodes, "build_dataset", build_and_watch)
+    gc.collect()
     gc.disable()
     try:
-        return run_scenario(cfg), refs
+        result = run_scenario(cfg)
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        cyclic = Counter(type(obj).__qualname__ for obj in gc.garbage
+                         if type(obj).__module__.startswith("continuumsim."))
     finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
         gc.enable()
+    return result, refs, cyclic
 
 
 @pytest.mark.parametrize("parallelism", [False, True], ids=["sequential", "parallel"])
@@ -975,10 +988,11 @@ def _run_with_the_cyclic_collector_off(cfg, monkeypatch):
 @pytest.mark.parametrize("transport", list(TransportKind), ids=lambda t: t.name.lower())
 def test_run_frees_its_dataset_without_the_cyclic_collector(transport, cloud, parallelism,
                                                             monkeypatch):
-    r, refs = _run_with_the_cyclic_collector_off(
+    r, refs, cyclic = _run_with_the_cyclic_collector_off(
         tiny_config(transport, parallelism, n=4, cloud=cloud), monkeypatch)
     assert len(r.records) == len(refs) == 4
     assert [ref() for ref in refs] == [None] * 4
+    assert cyclic == {}
 
 
 # t_io 0.05: the reader waits on the full read queue when the send times
@@ -986,13 +1000,56 @@ def test_run_frees_its_dataset_without_the_cyclic_collector(transport, cloud, pa
 @pytest.mark.parametrize("t_io", [0.05, 0.2])
 def test_failed_parallel_run_frees_its_dataset_without_the_cyclic_collector(
         t_io, monkeypatch):
-    r, refs = _run_with_the_cyclic_collector_off(
+    r, refs, cyclic = _run_with_the_cyclic_collector_off(
         tiny_config(TransportKind.BLOCKING_SESSION, True, n=6, t_io=t_io,
                     link_far_to_edge=LinkParams(0.0, 50.0), send_timeout_s=0.5),
         monkeypatch)
     assert r.failure is not None
     assert len(refs) == 6
     assert [ref() for ref in refs] == [None] * 6
+    assert cyclic == {}
+
+
+def test_failed_sequential_run_frees_its_dataset_without_the_cyclic_collector(monkeypatch):
+    r, refs, cyclic = _run_with_the_cyclic_collector_off(
+        tiny_config(TransportKind.BLOCKING_SESSION, False, n=6,
+                    link_far_to_edge=LinkParams(0.0, 50.0), send_timeout_s=0.5),
+        monkeypatch)
+    assert r.failure is not None
+    assert [ref() for ref in refs] == [None] * 6
+    assert cyclic == {}
+
+
+@pytest.mark.parametrize("transport", list(TransportKind), ids=lambda t: t.name.lower())
+def test_tcp_run_leaves_nothing_for_the_cyclic_collector(transport, monkeypatch):
+    r, refs, cyclic = _run_with_the_cyclic_collector_off(
+        tiny_config(transport, True, n=4, cloud=True, time_mode=TimeMode.WALLCLOCK_TCP,
+                    time_scale=0.001), monkeypatch)
+    assert r.failure is None and len(r.records) == 4
+    assert [ref() for ref in refs] == [None] * 4
+    assert cyclic == {}
+
+
+# Images end by their result, at detection (no face) and by the image
+# timeout, which in a blocking run fires before the edge has served them.
+@pytest.mark.parametrize("image_timeout_s", [30.0, 0.055])
+@pytest.mark.parametrize("transport", list(TransportKind), ids=lambda t: t.name.lower())
+def test_run_holds_no_trace_once_every_image_has_ended(transport, image_timeout_s,
+                                                       monkeypatch):
+    collectors = []
+
+    class Watched(Collector):
+        def __init__(self, loop):
+            super().__init__(loop)
+            collectors.append(self)
+
+    monkeypatch.setattr(nodes, "Collector", Watched)
+    r = run_scenario(tiny_config(transport, True, n=8, cloud=True, face_prob=0.5,
+                                 image_timeout_s=image_timeout_s))
+    assert r.failure is None and len(r.records) == 8
+    assert {rec.origin for rec in r.records} >= {"none"}
+    (collector,) = collectors
+    assert collector.traces == {}
 
 
 def test_failed_parallel_run_stops_reading_at_the_failure():
