@@ -207,11 +207,7 @@ class BoundedQueue:
                 pgate, pitem = self._putters.popleft()
                 self._items.append(pitem)
                 pgate.set(None)
-        elif self._putters:
-            pgate, pitem = self._putters.popleft()
-            pgate.set(None)
-            gate.set(pitem)
-        else:
+        else:  # putters wait only on a full queue, so none waits here
             self._getters.append(gate)
         return gate
 

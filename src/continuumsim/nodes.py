@@ -76,39 +76,34 @@ from .transport import (
 
 @dataclass(slots=True)
 class _ImageTrace:
+    """The far edge's record of one image, made at its read."""
+
     image_id: str
     t_read_decode: float = 0.0
-    t_quality: float = 0.0
-    t_infer1: float = 0.0
-    t_infer2: float = 0.0
+    detection: Optional[workload.DetectionResult] = None
     transfer_start: Optional[float] = None
     upload_ticket: Optional[PutTicket] = None
     upload_end: Optional[float] = None
     reassembled_at: Optional[float] = None
     t_identify: float = 0.0
+    timeout: Optional[EventHandle] = None
 
 
 class Collector:
-    """Run-global observer assembling MetricsRecords from both tiers. It
-    holds an image's trace only while the image is in flight, from its read
-    to its result."""
+    """Run-global observer assembling MetricsRecords from both tiers.
+    ``traces`` holds the uploaded images in flight: the far edge adds a trace
+    before its upload's first send and pops it at the result, and the edge
+    marks reassembly and identification on it. No other image enters it."""
 
     def __init__(self, loop: EventLoop):
         self._loop = loop
         self.traces: dict[str, _ImageTrace] = {}
         self.records: list[MetricsRecord] = []
 
-    def trace(self, image_id: str) -> _ImageTrace:
-        if image_id not in self.traces:
-            self.traces[image_id] = _ImageTrace(image_id)
-        return self.traces[image_id]
-
     def finalize(self, tr: _ImageTrace, origin: str, recognized: bool,
                  label: Optional[str], is_fp: bool) -> None:
         """Record ``tr``'s one result. Each image comes here once: from the
-        far edge's ``_resolve`` if it was uploaded, at detection if not.
-        The trace is dropped here."""
-        del self.traces[tr.image_id]
+        far edge's ``_resolve`` if it was uploaded, at detection if not."""
         now = self._loop.now
         # A blocking upload records its start when its last ack is back; a
         # pub/sub one reads it off its ticket, once its first message is on
@@ -120,12 +115,13 @@ class Collector:
             if upload_end is not None:
                 t_upload = upload_end - start
         span = (now - start) if (start is not None and origin in ("edge", "cloud")) else 0.0
+        detection = tr.detection
         self.records.append(MetricsRecord(
             image_id=tr.image_id,
             t_read_decode=tr.t_read_decode,
-            t_quality=tr.t_quality,
-            t_infer1=tr.t_infer1,
-            t_infer2=tr.t_infer2,
+            t_quality=detection.t_quality,
+            t_infer1=detection.t_infer1,
+            t_infer2=detection.t_infer2,
             t_upload=t_upload,
             t_identify=tr.t_identify,
             edge_rtt=span if origin == "edge" else 0.0,
@@ -157,16 +153,16 @@ class FarEdgeNode:
         self._core0 = core0
         self._core1 = core1
         self._jitter_rng = workload.Prng(workload.substream(cfg.rng_seed, 2))
-        # The images uploaded and not yet ended, with their timeouts.
-        self._pending: dict[str, tuple[_ImageTrace, EventHandle]] = {}
         self.failure: Optional[str] = None
         self.malformed_messages = 0
 
     def start(self, dataset) -> None:
         """Spawn the pipeline over ``dataset``. Only its processes hold the
-        dataset, each until it ends. The node itself is freed by reference
-        counting once ``run_tiers`` has closed the transports that call its
-        handler."""
+        dataset, each until it ends. Each image's trace is made at its read
+        and passed on with the image through the read and upload queues; an
+        upload adds it to the collector's ``traces``. The node itself is
+        freed by reference counting once ``run_tiers`` has closed the
+        transports that call its handler."""
         if self._cfg.parallelism:
             read_q = BoundedQueue(self._loop, self._cfg.queue_capacity)
             # The blocking transport offers no background transmission: the
@@ -196,26 +192,25 @@ class FarEdgeNode:
     def _resolve(self, image_id: str, origin: str, recognized: bool,
                  label: Optional[str], is_fp: bool) -> None:
         """End uploaded image ``image_id`` with this result. The first of its
-        answer, its image timeout and the run's failure gets here while it
-        is pending; whatever comes after finds nothing and is ignored."""
-        entry = self._pending.pop(image_id, None)
-        if entry is None:
+        answer, its image timeout and the run's failure pops its trace from
+        ``traces``; whatever comes after finds nothing and is ignored."""
+        tr = self._collector.traces.pop(image_id, None)
+        if tr is None:
             return
-        tr, timeout = entry
-        timeout.cancel()
+        tr.timeout.cancel()
         self._collector.finalize(tr, origin, recognized, label, is_fp)
 
     def _fail(self, exc: TransportError) -> None:
         """The pipeline cannot send: keep the first failure, and end every
-        pending image with no result. Only the text of ``exc`` is kept, and
-        its traceback is dropped: its frames hold the exception itself and,
-        on Python 3.12 and later, the frames that called them and through
-        those the run's dataset, in a cycle that only the cyclic collector
-        would free."""
+        uploaded image in flight with no result. Only the text of ``exc`` is
+        kept, and its traceback is dropped: its frames hold the exception
+        itself and, on Python 3.12 and later, the frames that called them
+        and through those the run's dataset, in a cycle that only the cyclic
+        collector would free."""
         exc.__traceback__ = None
         if self.failure is None:
             self.failure = str(exc)
-        for image_id in list(self._pending):
+        for image_id in list(self._collector.traces):
             self._resolve(image_id, "none", False, None, False)
 
     def _jitter_factor(self) -> float:
@@ -228,15 +223,12 @@ class FarEdgeNode:
         try:
             for image in dataset:
                 jitter = self._jitter_factor()
-                tr = self._collector.trace(image.id)
+                tr = _ImageTrace(image.id)
                 t_io = durations.t_read_decode * jitter
                 yield self._core1.execute(t_io)
                 tr.t_read_decode = t_io
-                detection = workload.detection_for(image, durations, jitter)
+                detection = tr.detection = workload.detection_for(image, durations, jitter)
                 yield self._core1.execute(detection.t_total)
-                tr.t_quality = detection.t_quality
-                tr.t_infer1 = detection.t_infer1
-                tr.t_infer2 = detection.t_infer2
                 if detection.face_found:
                     yield from self._upload(image, tr)
                     if not self._blocking:
@@ -252,24 +244,20 @@ class FarEdgeNode:
             if self.failure is not None:
                 return  # nothing will process what it would read
             jitter = self._jitter_factor()
-            tr = self._collector.trace(image.id)
+            tr = _ImageTrace(image.id)
             t_io = durations.t_read_decode * jitter + self._cfg.parallel_io_penalty_s
             yield self._core1.execute(t_io)
             tr.t_read_decode = t_io
-            yield queue.put((image, jitter))
+            yield queue.put((image, tr, jitter))
 
     def _worker(self, read_q: BoundedQueue, upload_q: Optional[BoundedQueue],
                 count: int):
         durations = self._cfg.stage_durations
         try:
             for _ in range(count):
-                image, jitter = yield read_q.get()
-                tr = self._collector.trace(image.id)
-                detection = workload.detection_for(image, durations, jitter)
+                image, tr, jitter = yield read_q.get()
+                detection = tr.detection = workload.detection_for(image, durations, jitter)
                 yield self._core0.execute(detection.t_total)
-                tr.t_quality = detection.t_quality
-                tr.t_infer1 = detection.t_infer1
-                tr.t_infer2 = detection.t_infer2
                 if self._cfg.parallel_handoff_s > 0.0:
                     yield self._cfg.parallel_handoff_s
                 if not detection.face_found:
@@ -277,7 +265,7 @@ class FarEdgeNode:
                 elif upload_q is None:
                     yield from self._upload(image, tr)
                 else:
-                    yield upload_q.put(image)
+                    yield upload_q.put((image, tr))
         except TransportError as exc:
             self._fail(exc)
             # Nothing takes from the read queue now, and the reader starts no
@@ -288,24 +276,19 @@ class FarEdgeNode:
             yield upload_q.put(None)
 
     def _uploader(self, upload_q: BoundedQueue):
-        try:
-            while True:
-                image = yield upload_q.get()
-                if image is None:
-                    break
-                tr = self._collector.trace(image.id)
-                yield from self._upload(image, tr)
-        except TransportError as exc:
-            self._fail(exc)
+        # A pub/sub put never raises a TransportError.
+        while (item := (yield upload_q.get())) is not None:
+            yield from self._upload(*item)
 
     def _upload(self, image, tr: _ImageTrace):
         # Each read of ``image.payload`` makes the bytes: read it once.
         messages = chunkwire.encode_upload(
             image.payload, image.id, self._cfg.chunk_size_bytes,
             (image.width_px, image.height_px), image.format.value)
-        self._pending[image.id] = (tr, self._loop.schedule(
+        tr.timeout = self._loop.schedule(
             self._cfg.image_timeout_s,
-            partial(self._resolve, image.id, "none", False, None, False)))
+            partial(self._resolve, image.id, "none", False, None, False))
+        self._collector.traces[image.id] = tr
         if self._blocking:
             receipt = yield self._uplink.send_all(messages)
             tr.transfer_start = receipt.wire_start
@@ -617,10 +600,11 @@ def run_tiers(cfg: ScenarioConfig, loop: EventLoop, links: tuple,
     the class of the blocking session's endpoints.
 
     The handlers below and the transports that call them refer to each
-    other. Once the loop has drained, a close step closes the fabric and the
-    session ends, which drop their routes, subscriptions, peers and
-    handlers, so that the run is freed by reference counting when the
-    caller lets go of its result."""
+    other. A blocking result send is a waiter on its send's gate, which the
+    gate drops when it is set. Once the loop has drained, a close step
+    closes the fabric and the session ends, which drop their routes,
+    subscriptions, peers and handlers, so that the run is freed by
+    reference counting when the caller lets go of its result."""
     db, dataset = build_dataset(cfg)
     collector = Collector(loop)
 
@@ -657,13 +641,12 @@ def run_tiers(cfg: ScenarioConfig, loop: EventLoop, links: tuple,
         edge_sess.on_message(lambda d: edge.on_upload_message(d))
         uplink.on_message(lambda d: far.on_result_message(d))
 
+        def result_sent(outcome: object) -> None:
+            if isinstance(outcome, TransportError):
+                far._fail(outcome)
+
         def send_result(_image_id: str, data: bytes) -> None:
-            def _proc():
-                try:
-                    yield edge_sess.send(data)
-                except TransportError as exc:
-                    far._fail(exc)
-            spawn(loop, _proc(), name="edge-result-send")
+            edge_sess.send(data).add_waiter(result_sent)
 
     def edge_to_cloud(key: str, data: bytes) -> None:
         fabric.declare_publisher("edge", key).put(data)

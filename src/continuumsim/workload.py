@@ -151,11 +151,6 @@ class Prng:
             raise ValueError("randrange needs n >= 1")
         return self.u64() % n
 
-    def shuffle(self, items: list) -> None:
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randrange(i + 1)
-            items[i], items[j] = items[j], items[i]
-
 
 def substream(seed: int, tag: int) -> int:
     """Derive an independent stream seed for one subsystem of a run."""

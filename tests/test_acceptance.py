@@ -85,12 +85,19 @@ def _crc32_bitwise(data: bytes) -> int:
     return crc ^ 0xFFFFFFFF
 
 
+def _shuffle(rng: Prng, items: list) -> None:
+    """Fisher-Yates shuffle of ``items`` in place, drawing from ``rng``."""
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
 def _round_trip(payload: bytes, chunk_size: int, rng: Prng) -> bool:
     meta, envs = fragment(payload, "img", chunk_size, (8, 8), "RAW")
     feed = list(envs)
     for _ in range(max(1, len(envs) // 10)):
         feed.append(envs[rng.randrange(len(envs))])
-    rng.shuffle(feed)
+    _shuffle(rng, feed)
     session = ReassemblySession(meta)
     done = any(session.accept(env) is ReassemblyStatus.COMPLETE for env in feed)
     return done and session.payload == payload

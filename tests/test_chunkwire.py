@@ -1,3 +1,4 @@
+import base64
 import json
 
 import pytest
@@ -156,6 +157,27 @@ def test_full_crc_mismatch_is_unrecoverable():
     assert session.state is ReassemblyState.FAILED
 
 
+def _shuffle(rng: Prng, items: list) -> None:
+    """Fisher-Yates shuffle of ``items`` in place, drawing from ``rng``."""
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+def test_chunks_short_of_total_bytes_fail_the_transfer():
+    # Each chunk passes its own length and CRC checks, but together they
+    # hold one byte less than the meta's total_bytes.
+    meta, envs = fragment(b"\x55" * 2048, "img", 1024, (2, 2), "RAW")
+    raw = envs[1].payload()[:-1]
+    short = ChunkEnvelope("img", 1, 2, len(raw), base64.b64encode(raw).decode("ascii"),
+                          crc32(raw))
+    session = ReassemblySession(meta)
+    assert session.accept(envs[0]) is ReassemblyStatus.ACCEPTED
+    assert session.accept(short) is ReassemblyStatus.LENGTH_MISMATCH
+    assert session.state is ReassemblyState.FAILED
+    assert session.accept(envs[1]) is ReassemblyStatus.ALREADY_FAILED
+
+
 def test_shuffled_duplicated_round_trip_over_seeded_payloads():
     rng = Prng(404)
     for case in range(60):
@@ -164,7 +186,7 @@ def test_shuffled_duplicated_round_trip_over_seeded_payloads():
         chunk_size = (64, 512, 1024, 4096)[case % 4]
         meta, envs = fragment(payload, f"case{case}", chunk_size, (8, 8), "RAW")
         feed = list(envs) + [envs[rng.randrange(len(envs))] for _ in range(3)]
-        rng.shuffle(feed)
+        _shuffle(rng, feed)
         session = ReassemblySession(meta)
         done = False
         for env in feed:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -56,6 +57,61 @@ def test_bad_link_and_stage_values_are_flagged():
     result = validate_config(bad)
     assert any("latency" in v for v in result.violations)
     assert any("bandwidth" in v for v in result.violations)
+
+
+# Each case sets one field past its range; the violation is that field's.
+OUT_OF_RANGE = {
+    "similarity_threshold_zero": ("similarity_threshold", 0.0,
+                                  "similarity_threshold must be in (0,1)"),
+    "similarity_threshold_one": ("similarity_threshold", 1.0,
+                                 "similarity_threshold must be in (0,1)"),
+    "negative_rng_seed": ("rng_seed", -1, "rng_seed must fit in 64 unsigned bits"),
+    "rng_seed_of_65_bits": ("rng_seed", 2**64, "rng_seed must fit in 64 unsigned bits"),
+    "queue_capacity": ("queue_capacity", 0, "queue_capacity must be >= 1"),
+    "payload_bytes": ("payload_bytes", 0, "payload_bytes must be >= 1"),
+    "face_prob": ("face_prob", 1.5, "face_prob must be in [0,1]"),
+    "known_prob": ("known_prob", -0.1, "known_prob must be in [0,1]"),
+    "db_size": ("db_size", 0, "db_size must be >= 1"),
+    "jitter_pct": ("jitter_pct", 1.0, "jitter_pct must be in [0,1)"),
+    "tcp_port_edge": ("tcp_port_edge", 65536,
+                      "tcp_port_edge must be a valid TCP port (0 = auto)"),
+    "tcp_port_cloud": ("tcp_port_cloud", -1,
+                       "tcp_port_cloud must be a valid TCP port (0 = auto)"),
+}
+
+
+@pytest.mark.parametrize("name, value, violation", OUT_OF_RANGE.values(),
+                         ids=OUT_OF_RANGE.keys())
+def test_each_scenario_rule_flags_its_field(name, value, violation):
+    assert validate_config(_with(base_config(), **{name: value})).violations == (violation,)
+
+
+def _without(doc: dict, *path: str) -> dict:
+    del (doc[path[0]] if len(path) > 1 else doc)[path[-1]]
+    return doc
+
+
+def _set(doc: dict, name: str, value) -> dict:
+    doc[name] = value
+    return doc
+
+
+# Each case: how the document is spoiled, and the error it gets.
+MALFORMED_DOCUMENTS = {
+    "non_object_document": (lambda doc: [doc], "scenario document must be a JSON object"),
+    "nested_non_object": (lambda doc: _set(doc, "link_far_to_edge", 5),
+                          "link_far_to_edge must be an object"),
+    "missing_nested_key": (lambda doc: _without(doc, "stage_durations", "t_identify"),
+                           "missing keys in stage_durations: t_identify"),
+    "missing_required_field": (lambda doc: _without(doc, "dataset_size"), "'dataset_size'"),
+}
+
+
+@pytest.mark.parametrize("spoil, error", MALFORMED_DOCUMENTS.values(),
+                         ids=MALFORMED_DOCUMENTS.keys())
+def test_malformed_document_is_a_config_error(spoil, error):
+    with pytest.raises(ConfigError, match=re.escape(error)):
+        config_from_dict(spoil(config_to_dict(base_config())))
 
 
 def _with(cfg: ScenarioConfig, **kwargs) -> ScenarioConfig:

@@ -1,3 +1,4 @@
+import base64
 import gc
 import heapq
 import itertools
@@ -28,6 +29,7 @@ from continuumsim.nodes import (
     ResultMessage,
     decode_result,
     encode_result,
+    _ImageTrace,
     run_scenario,
 )
 from continuumsim.transport import (
@@ -148,11 +150,13 @@ def _run_counting_events(cfg, monkeypatch):
 # need. A pub/sub route schedules nothing before its first put, which sends
 # at once, so each count is one event per route (four in the pub/sub and
 # no-upload runs, two in the blocking run) below that of a route that starts
-# with an event at time 0.
+# with an event at time 0. The edge's blocking result send waits on its
+# send's gate and starts no process, so the blocking run's count is one event
+# per result (three) below that of a send run as a process.
 @pytest.mark.parametrize("cfg, events", [
     (tiny_config(TransportKind.PUBSUB, True, n=3, cloud=True, chunk_size_bytes=64), 219),
     (tiny_config(TransportKind.BLOCKING_SESSION, True, n=3, cloud=True,
-                 chunk_size_bytes=64), 221),
+                 chunk_size_bytes=64), 218),
     (no_upload_config(0.25, 0.5, 8, parallelism=True), 19),
 ], ids=["pubsub", "blocking", "no_upload"])
 def test_event_count_is_pinned(cfg, events, monkeypatch):
@@ -481,13 +485,24 @@ def _corrupt(env: chunkwire.ChunkEnvelope) -> chunkwire.ChunkEnvelope:
                                    env.payload_len, env.payload_b64, env.crc32_chunk ^ 1)
 
 
+def _shorten(env: chunkwire.ChunkEnvelope) -> chunkwire.ChunkEnvelope:
+    """``env`` one byte shorter, with the length and CRC of what is left: a
+    chunk that passes its own checks."""
+    raw = env.payload()[:-1]
+    return chunkwire.ChunkEnvelope(env.image_id, env.seq, env.total_chunks, len(raw),
+                                   base64.b64encode(raw).decode("ascii"), chunkwire.crc32(raw))
+
+
 # Each case: the chunk count; the chunks the edge gets after the meta
-# message, by index in sequence order (negative: with its CRC flipped); and
-# whether the transfer completes.
+# message, each by its index in sequence order, or as (tamper, index) for
+# that chunk changed by ``tamper``; and whether the transfer completes.
 REASSEMBLY_FEEDS = {
-    "first_bad": (2, [~0, 1], False),
-    "bad_then_ok": (3, [~0, 0, 1, 2], True),
-    "last_bad": (3, [0, 1, ~2], False),
+    "first_bad": (2, [(_corrupt, 0), 1], False),
+    "bad_then_ok": (3, [(_corrupt, 0), 0, 1, 2], True),
+    "last_bad": (3, [0, 1, (_corrupt, 2)], False),
+    # Every chunk passes, but the chunks add up to less than the meta's
+    # total_bytes: the last one latches the session FAILED.
+    "short_total": (2, [0, (_shorten, 1)], False),
 }
 
 
@@ -496,14 +511,15 @@ REASSEMBLY_FEEDS = {
 def test_reassembly_corruption_yields_negative_result_without_cloud_call(total, feed,
                                                                          completes):
     # A transfer ends with a negative edge result, and no cloud call, once
-    # every chunk has arrived and one has only failed its CRC. A clean copy
+    # every chunk has arrived and one has only failed its CRC, or once its
+    # chunks add up to less than its total_bytes. A clean copy
     # of a discarded chunk still completes it: the image is then served,
     # and with no local match it goes to the cloud, which here never answers.
     loop = EventLoop()
     cfg = tiny_config(n=1, cloud=True)
     db = make_face_db(cfg.rng_seed, cfg.db_size)
     collector = Collector(loop)
-    collector.trace("imgX")  # the far edge opens it when it reads the image
+    collector.traces["imgX"] = _ImageTrace("imgX")  # as the far edge does at upload
     sent = []
     cloud_calls = []
     edge = EdgeService(loop, cfg, db, {}, collector, SimCore(loop, 2),
@@ -511,16 +527,39 @@ def test_reassembly_corruption_yields_negative_result_without_cloud_call(total, 
                        cloud_send=lambda key, _data: cloud_calls.append(key))
     meta, envs = chunkwire.fragment(b"\xee" * (1024 * total), "imgX", 1024, (2, 2), "RAW")
     edge.on_upload_message(chunkwire.encode_meta(meta))
-    for i in feed:
-        env = envs[i] if i >= 0 else _corrupt(envs[~i])
+    for item in feed:
+        env = envs[item] if isinstance(item, int) else item[0](envs[item[1]])
         edge.on_upload_message(chunkwire.encode_envelope(env))
     assert len(sent) == (0 if completes else 1)
     loop.run()
     assert edge.dropped_chunks == 0
-    assert (collector.trace("imgX").reassembled_at is not None) == completes
+    assert (collector.traces["imgX"].reassembled_at is not None) == completes
     assert [decode_result(d) for d in sent] == [
         ResultMessage("imgX", "cloud" if completes else "edge", False, None, False)]
     assert cloud_calls == ([KEY_CLOUD_REQUESTS_PREFIX + "imgX"] if completes else [])
+
+
+@pytest.mark.parametrize("jitter", [0.05, 0.5], ids=["below_mean", "above_mean"])
+def test_cloud_latency_jitter_stays_within_its_band_and_replays(jitter, monkeypatch):
+    # Each cloud service time is drawn from mean +- jitter and clipped at 0,
+    # which a jitter above the mean reaches.
+    mean = 0.2
+    latencies = []
+    latency = CloudService._latency
+    monkeypatch.setattr(CloudService, "_latency",
+                        lambda cloud: latencies.append(latency(cloud)) or latencies[-1])
+    cfg = tiny_config(n=30, cloud=True, cloud_latency=mean, known_prob=0.0)
+    cfg = replace(cfg, stage_durations=replace(cfg.stage_durations,
+                                               cloud_latency_jitter=jitter))
+    first = run_scenario(cfg)
+    calls = len(latencies)
+    assert calls == sum(rec.origin == "cloud" for rec in first.records) > 10
+    assert all(max(0.0, mean - jitter) <= t <= mean + jitter for t in latencies)
+    assert len(set(latencies)) > 1
+    assert (0.0 in latencies) == (jitter > mean)
+    again = run_scenario(cfg)
+    assert again.records == first.records
+    assert latencies[calls:] == latencies[:calls]
 
 
 def test_failed_result_send_ends_the_run_with_one_record_per_image():

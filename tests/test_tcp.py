@@ -5,6 +5,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
@@ -13,7 +14,7 @@ from continuumsim.nodes import run_scenario
 from continuumsim.presets import base_config
 from continuumsim.netsim import spawn
 from continuumsim.tcprun import SocketSession, WallClock, run_tcp_scenario
-from continuumsim.transport import session_pair
+from continuumsim.transport import SendTimeout, session_pair
 
 
 def tcp_config(transport, n=5, cloud=True, seed=7):
@@ -88,6 +89,45 @@ def test_socket_session_sends_a_stream_one_acked_message_at_a_time():
     assert in_flight == [1] * 20  # the stream, not one gate per message
     ((t_resume, receipt),) = resumed
     assert 0.0 <= receipt.wire_start < receipt.ack_at == t_resume
+    assert a._unacked == deque()
+
+
+class _LateTaker(SocketSession):
+    """Takes each data frame, and so sends its ack frame, only ``DELAY``
+    seconds after the frame has arrived."""
+
+    DELAY = 0.1
+
+    def _receive(self, key, payload):
+        self._loop.schedule(self.DELAY, partial(SocketSession._receive, self, key, payload))
+
+
+def test_socket_session_send_times_out_when_its_ack_is_withheld():
+    loop = WallClock()
+    try:
+        link_ab, link_ba = loop.connect(0)
+        a = SocketSession(loop, link_ab, timeout=0.02, name="sender")
+        b = _LateTaker(loop, link_ba, timeout=0.02, name="late-taker")
+        a.peer, b.peer = b, a
+        got, outcome = [], []
+        b.on_message(got.append)
+
+        def sender():
+            try:
+                yield a.send(b"late")
+            except SendTimeout as exc:
+                outcome.append((loop.now, exc))
+
+        spawn(loop, sender())
+        loop.run()
+    finally:
+        loop.close()
+    ((t_fail, _exc),) = outcome
+    assert 0.02 <= t_fail < _LateTaker.DELAY
+    assert a.closed and b.closed
+    # The data frame is taken after the timeout and reaches no handler; its
+    # ack comes back and resumes nothing.
+    assert got == []
     assert a._unacked == deque()
 
 
