@@ -512,9 +512,9 @@ def test_reassembly_corruption_yields_negative_result_without_cloud_call(total, 
                                                                          completes):
     # A transfer ends with a negative edge result, and no cloud call, once
     # every chunk has arrived and one has only failed its CRC, or once its
-    # chunks add up to less than its total_bytes. A clean copy
-    # of a discarded chunk still completes it: the image is then served,
-    # and with no local match it goes to the cloud, which here never answers.
+    # chunks add up to less than its total_bytes. A clean copy of a
+    # discarded chunk still completes it: the image is then served, and with
+    # no local match it goes to the cloud, which here never answers.
     loop = EventLoop()
     cfg = tiny_config(n=1, cloud=True)
     db = make_face_db(cfg.rng_seed, cfg.db_size)
