@@ -78,16 +78,20 @@ def _apply_flags(cfg: ScenarioConfig, args: argparse.Namespace) -> ScenarioConfi
 
 def _run_and_write(cfg: ScenarioConfig, out_dir: Path, label: str) -> Optional[RunSummary]:
     """Run ``cfg`` and write its files to ``out_dir``. Returns the run's
-    summary, or None once it has printed why the run failed; nothing else
-    of the run is kept."""
+    summary, or None once it has printed why the run failed or its files
+    could not be written; nothing else of the run is kept."""
     try:
         result = run_scenario(cfg)
     except Exception as exc:  # noqa: BLE001 - surfaced as exit code
         print(f"error: {label}{exc}", file=sys.stderr)
         return None
-    out_dir.mkdir(parents=True, exist_ok=True)
-    emit_csv(result.records, out_dir / "metrics.csv")
-    emit_summary_json(result.summary, out_dir / "summary.json")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        emit_csv(result.records, out_dir / "metrics.csv")
+        emit_summary_json(result.summary, out_dir / "summary.json")
+    except OSError as exc:
+        print(f"error: {label}cannot write to {out_dir}: {exc}", file=sys.stderr)
+        return None
     if result.failure:
         print(f"error: {label}{result.failure}", file=sys.stderr)
         return None
@@ -164,9 +168,12 @@ def run(args: argparse.Namespace) -> int:
                 return 3
             summaries[preset_run.name] = summary
         comparison = _preset_comparison(preset.name, summaries, cfg.fp_rate)
-        out_root.mkdir(parents=True, exist_ok=True)
-        (out_root / "comparison.json").write_text(
-            json.dumps(comparison, indent=2) + "\n", encoding="utf-8")
+        try:
+            (out_root / "comparison.json").write_text(
+                json.dumps(comparison, indent=2) + "\n", encoding="utf-8")
+        except OSError as exc:
+            print(f"error: cannot write to {out_root}: {exc}", file=sys.stderr)
+            return 3
         return 0
 
     if args.scenario:

@@ -219,7 +219,6 @@ class Transmission:
     wire_start: float
     wire_end: float
     arrival: float
-    nbytes: int
 
 
 class SimLink:
@@ -247,7 +246,7 @@ class SimLink:
         self.busy_until = wire_end
         self.busy_time += serialization
         self.bytes_sent += nbytes
-        return Transmission(wire_start, wire_end, wire_end + self.params.latency, nbytes)
+        return Transmission(wire_start, wire_end, wire_end + self.params.latency)
 
     def deliver(self, key: object, payload: bytes,
                 handler: Callable[[object, bytes], None]) -> Transmission:

@@ -63,8 +63,8 @@ from .transport import (
     KEY_RESULTS_PREFIX,
     PubSubFabric,
     Publisher,
-    PutTicket,
     SessionEndpoint,
+    StreamTicket,
     TransportError,
     session_pair,
 )
@@ -76,14 +76,13 @@ from .transport import (
 
 @dataclass(slots=True)
 class _ImageTrace:
-    """The far edge's record of one image, made at its read."""
+    """The far edge's record of one image, made at its read; an upload adds
+    its stream's ticket, the one timeline of its upload on either transport."""
 
     image_id: str
     t_read_decode: float = 0.0
     detection: Optional[workload.DetectionResult] = None
-    transfer_start: Optional[float] = None
-    upload_ticket: Optional[PutTicket] = None
-    upload_end: Optional[float] = None
+    upload_ticket: Optional[StreamTicket] = None
     reassembled_at: Optional[float] = None
     t_identify: float = 0.0
     timeout: Optional[EventHandle] = None
@@ -103,15 +102,15 @@ class Collector:
     def finalize(self, tr: _ImageTrace, origin: str, recognized: bool,
                  label: Optional[str], is_fp: bool) -> None:
         """Record ``tr``'s one result. Each image comes here once: from the
-        far edge's ``_resolve`` if it was uploaded, at detection if not."""
+        far edge's ``_resolve`` if it was uploaded, at detection if not. Its
+        upload runs from its ticket's ``wire_start`` to its last ack on a
+        session, else to its reassembly, and counts 0 if it had neither."""
         now = self._loop.now
-        # A blocking upload records its start when its last ack is back; a
-        # pub/sub one reads it off its ticket, once its first message is on
-        # the wire. Neither is set if nothing was sent.
-        start = tr.upload_ticket.wire_start if tr.upload_ticket else tr.transfer_start
+        ticket = tr.upload_ticket
+        start = ticket.wire_start if ticket else None
         t_upload = 0.0
         if start is not None:
-            upload_end = tr.upload_end if tr.upload_end is not None else tr.reassembled_at
+            upload_end = ticket.ack_at if ticket.ack_at is not None else tr.reassembled_at
             if upload_end is not None:
                 t_upload = upload_end - start
         span = (now - start) if (start is not None and origin in ("edge", "cloud")) else 0.0
@@ -289,13 +288,9 @@ class FarEdgeNode:
             self._cfg.image_timeout_s,
             partial(self._resolve, image.id, "none", False, None, False))
         self._collector.traces[image.id] = tr
-        if self._blocking:
-            receipt = yield self._uplink.send_all(messages)
-            tr.transfer_start = receipt.wire_start
-            tr.upload_end = receipt.ack_at
-        else:
-            tr.upload_ticket = self._uplink.put_all(messages)
-            yield tr.upload_ticket.accepted
+        stream = self._uplink.send_all if self._blocking else self._uplink.put_all
+        tr.upload_ticket = stream(messages)
+        yield tr.upload_ticket.accepted
 
 
 # ---------------------------------------------------------------------------

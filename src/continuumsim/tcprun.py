@@ -37,7 +37,7 @@ from typing import Callable, Iterator, Optional
 from .domain import ScenarioConfig
 from .netsim import EventHandle, EventLoop, Gate, Transmission
 from .nodes import RunResult, run_tiers
-from .transport import SendReceipt, SendTimeout, SessionEndpoint
+from .transport import SendTimeout, SessionEndpoint, StreamTicket
 
 # perfbench/tracer.py wraps these names on this module; nothing here calls them.
 from .metrics import summarize  # noqa: F401
@@ -235,7 +235,7 @@ class SocketLink:
         self._handlers.append(handler)
         self.writer.write(b"" if key is None else key.encode("utf-8"), payload)
         now = self._loop.now
-        return Transmission(now, now, now, len(payload))
+        return Transmission(now, now, now)
 
     def _arrived(self, key: str, payload: bytes) -> None:
         self._handlers.popleft()(key, payload)
@@ -246,36 +246,32 @@ class SocketSession(SessionEndpoint):
     frame with an empty ack frame on the reverse link; the ack sends the next
     message of its stream, and the last resumes the sender. A message not
     acked within ``timeout`` real seconds fails the connection. The
-    receipt's wire start is the write of the first message and its ack
+    ticket's wire start is the write of the first message and its ack
     instant is the read of the last ack frame."""
 
     def __init__(self, loop: EventLoop, out_link: SocketLink, timeout: float = 30.0,
                  name: str = "session"):
         super().__init__(loop, out_link, timeout, name)
-        # The stream of each message in flight, in write order, with the
-        # timer of that message.
+        # The ticket and the rest of the stream of each message in flight,
+        # in write order, with the timer of that message.
         self._unacked: deque = deque()
 
-    def _book(self, gate: Gate, payload: bytes, payloads: Iterator[bytes],
-              receipt: Optional[SendReceipt]) -> None:
-        now = self._loop.now
-        if receipt is None:
-            receipt = SendReceipt(now, now)
-        timer = self._loop.schedule(self.timeout, partial(self._time_out, gate))
-        self._unacked.append((gate, payloads, receipt, timer))
+    def _book(self, ticket: StreamTicket, payload: bytes, payloads: Iterator[bytes]) -> None:
+        if ticket.wire_start is None:
+            ticket.wire_start = self._loop.now
+        timer = self._loop.schedule(self.timeout, partial(self._time_out, ticket.accepted))
+        self._unacked.append((ticket, payloads, timer))
         self._out_link.deliver(None, payload, self.peer._receive)
 
-    def _receive(self, _key: str, payload: bytes) -> None:
+    def _receive(self, key: str, payload: bytes) -> None:
         self._out_link.deliver(None, b"", self.peer._acked)
-        if not self.closed and self._handler is not None:
-            self._handler(payload)
+        super()._receive(key, payload)
 
     def _acked(self, _key: str, _payload: bytes) -> None:
-        gate, payloads, receipt, timer = self._unacked.popleft()
+        ticket, payloads, timer = self._unacked.popleft()
         timer.cancel()
-        if not gate.is_set:
-            receipt.ack_at = self._loop.now
-            self._send_next(gate, payloads, receipt)
+        if not ticket.accepted.is_set:
+            self._send_next(ticket, payloads, self._loop.now)
 
     def _time_out(self, gate: Gate) -> None:
         self.closed = self.peer.closed = True

@@ -11,14 +11,15 @@
   space frees (backpressure). Routes and subscriptions live until the
   fabric's ``close``; there is no cancel.
 
-Both transports also send a stream of messages in one call:
-``SessionEndpoint.send_all`` and ``Publisher.put_all`` resume the caller once,
-after the last message, where a loop of ``send`` or ``put`` would resume it
-after each. ``send`` and ``put`` are the one-message stream. A stream is a
-chain of callbacks, not a process: the ack event of a blocking message books
-the next one, and a pub/sub message is offered to the queues when every
-target queue has taken the one before it. The chain schedules the events a
-loop of single sends schedules, in the same order.
+Both transports also send a stream of messages in one call, and return one
+handle for it, a :class:`StreamTicket`, which holds the stream's timeline.
+Its ``accepted`` gate resumes the caller once, after the last message, where
+a loop of ``send`` or ``put`` would resume it after each. ``put`` is the
+one-message stream, and ``send`` its gate. A stream is a chain of callbacks,
+not a process: the ack event of a blocking message books the next one, and a
+pub/sub message is offered to the queues when every target queue has taken
+the one before it. The chain schedules the events a loop of single sends
+schedules, in the same order.
 
 A put or ``put_all`` matches its publisher's key against the subscriptions
 once, at the call: every message of the stream goes to the routes and
@@ -105,108 +106,15 @@ def match_key(pattern: KeyExpr, key: KeyExpr) -> bool:
 
 
 @dataclass(slots=True)
-class SendReceipt:
-    """Timeline of one blocking send or stream: when its first message hit
-    the wire and the acknowledgment instant of its last, at which the sender
-    resumed."""
-
-    wire_start: float
-    ack_at: float
-
-
-class SessionEndpoint:
-    """One side of a blocking full-duplex session."""
-
-    def __init__(self, loop: EventLoop, out_link: SimLink, timeout: float = 30.0,
-                 name: str = "session"):
-        self._loop = loop
-        self._out_link = out_link
-        self.timeout = timeout
-        self.name = name
-        self.closed = False
-        self.peer: Optional["SessionEndpoint"] = None
-        self._handler: Optional[Callable[[bytes], None]] = None
-
-    def on_message(self, handler: Callable[[bytes], None]) -> None:
-        self._handler = handler
-
-    def close(self) -> None:
-        """Close this end: it sends and delivers nothing more, and lets go of
-        its peer and its handler."""
-        self.closed = True
-        self.peer = None
-        self._handler = None
-
-    def send(self, payload: bytes) -> Gate:
-        """:meth:`send_all` of the one message ``payload``."""
-        return self.send_all((payload,))
-
-    def send_all(self, payloads: Iterable[bytes]) -> Gate:
-        """Send ``payloads`` in order, each booked when the ack of the one
-        before is back, and return a gate that resumes the caller once, with
-        a :class:`SendReceipt`, when the last ack is back. Raises into the
-        caller on a closed connection or when one exchange would exceed the
-        timeout (the connection is then treated as dead and nothing more is
-        delivered), at the instant a loop of ``send`` would."""
-        gate = Gate(self._loop)
-        self._send_next(gate, iter(payloads), None)
-        return gate
-
-    def _send_next(self, gate: Gate, payloads: Iterator[bytes],
-                   receipt: Optional[SendReceipt]) -> None:
-        """Book the next of ``payloads``; with none left, resume the sender
-        with ``receipt``."""
-        payload = next(payloads, None)
-        if payload is None:
-            gate.set(receipt)
-        elif self.closed or self.peer is None or self.peer.closed:
-            gate.set(ConnectionClosed(f"{self.name}: send on closed connection"))
-        else:
-            self._book(gate, payload, payloads, receipt)
-
-    def _book(self, gate: Gate, payload: bytes, payloads: Iterator[bytes],
-              receipt: Optional[SendReceipt]) -> None:
-        """Put ``payload`` on the link and schedule its delivery, then its
-        ack, which sends the rest of the stream."""
-        loop = self._loop
-        tx = self._out_link.transmit(len(payload))
-        ack_at = tx.arrival + self._out_link.params.latency
-        if ack_at - loop.now > self.timeout:
-            self.closed = self.peer.closed = True
-            gate.set_at(self.timeout,
-                        SendTimeout(f"{self.name}: no ack within {self.timeout}s"))
-            return
-        loop.schedule_at(tx.arrival, partial(self._deliver, self.peer, payload))
-        if receipt is None:
-            receipt = SendReceipt(tx.wire_start, ack_at)
-        else:
-            receipt.ack_at = ack_at
-        loop.schedule(ack_at - loop.now, partial(self._send_next, gate, payloads, receipt))
-
-    @staticmethod
-    def _deliver(peer: "SessionEndpoint", payload: bytes) -> None:
-        if not peer.closed and peer._handler is not None:
-            peer._handler(payload)
-
-
-def session_pair(loop: EventLoop, link_ab: SimLink, link_ba: SimLink,
-                 timeout: float = 30.0,
-                 endpoint: type = SessionEndpoint) -> tuple[SessionEndpoint, SessionEndpoint]:
-    a = endpoint(loop, link_ab, timeout, name="session-a")
-    b = endpoint(loop, link_ba, timeout, name="session-b")
-    a.peer = b
-    b.peer = a
-    return a, b
-
-
-@dataclass(slots=True)
-class PutTicket:
-    """Handle on one put or put_all: ``accepted`` fires when every target
-    queue has taken the last message, and ``wire_start`` is when the first
-    message first hit a wire."""
+class StreamTicket:
+    """Handle on one ``send_all`` or ``put_all``: ``accepted`` fires when
+    the last ack is back or every target queue has taken the last message.
+    ``wire_start`` is when the first message first hit a wire; ``ack_at``,
+    set by a session only, is when its last ack came back."""
 
     accepted: Gate
     wire_start: Optional[float] = None
+    ack_at: Optional[float] = None
     # Target queues yet to take the message on offer, plus one that the
     # offer holds until it has offered the message to every target.
     _untaken: int = 1
@@ -236,10 +144,93 @@ class PutTicket:
         self.accepted.set(None)
 
 
+class SessionEndpoint:
+    """One side of a blocking full-duplex session."""
+
+    def __init__(self, loop: EventLoop, out_link: SimLink, timeout: float = 30.0,
+                 name: str = "session"):
+        self._loop = loop
+        self._out_link = out_link
+        self.timeout = timeout
+        self.name = name
+        self.closed = False
+        self.peer: Optional["SessionEndpoint"] = None
+        self._handler: Optional[Callable[[bytes], None]] = None
+
+    def on_message(self, handler: Callable[[bytes], None]) -> None:
+        self._handler = handler
+
+    def close(self) -> None:
+        """Close this end: it sends and delivers nothing more, and lets go of
+        its peer and its handler."""
+        self.closed = True
+        self.peer = None
+        self._handler = None
+
+    def send(self, payload: bytes) -> Gate:
+        """The ``accepted`` gate of :meth:`send_all` of ``(payload,)``."""
+        return self.send_all((payload,)).accepted
+
+    def send_all(self, payloads: Iterable[bytes]) -> StreamTicket:
+        """Send ``payloads`` in order, each booked when the ack of the one
+        before is back. The ticket's ``accepted`` gate resumes the caller
+        once, when the last ack is back; it raises into the caller on a
+        closed connection or when one exchange would exceed the timeout (the
+        connection is then treated as dead and nothing more is delivered),
+        at the instant a loop of ``send`` would."""
+        ticket = StreamTicket(Gate(self._loop))
+        self._send_next(ticket, iter(payloads), None)
+        return ticket
+
+    def _send_next(self, ticket: StreamTicket, payloads: Iterator[bytes],
+                   ack_at: Optional[float]) -> None:
+        """Book the next of ``payloads``, now that the ack of the one before
+        is back at ``ack_at``; with none left, that is the stream's end."""
+        payload = next(payloads, None)
+        if payload is None:
+            ticket.ack_at = ack_at
+            ticket.accepted.set(None)
+        elif self.closed or self.peer is None or self.peer.closed:
+            ticket.accepted.set(ConnectionClosed(f"{self.name}: send on closed connection"))
+        else:
+            self._book(ticket, payload, payloads)
+
+    def _book(self, ticket: StreamTicket, payload: bytes, payloads: Iterator[bytes]) -> None:
+        """Put ``payload`` on the link and schedule its delivery, then its
+        ack, which sends the rest of the stream."""
+        loop = self._loop
+        tx = self._out_link.transmit(len(payload))
+        ack_at = tx.arrival + self._out_link.params.latency
+        if ack_at - loop.now > self.timeout:
+            self.closed = self.peer.closed = True
+            ticket.accepted.set_at(
+                self.timeout, SendTimeout(f"{self.name}: no ack within {self.timeout}s"))
+            return
+        loop.schedule_at(tx.arrival, partial(self.peer._receive, None, payload))
+        if ticket.wire_start is None:
+            ticket.wire_start = tx.wire_start
+        loop.schedule(ack_at - loop.now, partial(self._send_next, ticket, payloads, ack_at))
+
+    def _receive(self, _key: Optional[str], payload: bytes) -> None:
+        """Hand an arrived message to the handler unless this end is closed."""
+        if not self.closed and self._handler is not None:
+            self._handler(payload)
+
+
+def session_pair(loop: EventLoop, link_ab: SimLink, link_ba: SimLink,
+                 timeout: float = 30.0,
+                 endpoint: type = SessionEndpoint) -> tuple[SessionEndpoint, SessionEndpoint]:
+    a = endpoint(loop, link_ab, timeout, name="session-a")
+    b = endpoint(loop, link_ba, timeout, name="session-b")
+    a.peer = b
+    b.peer = a
+    return a, b
+
+
 Handler = Callable[[str, bytes], None]
 # One queued message: key, payload, the call that hands it to the handlers
 # it matched, its ticket.
-_Entry = tuple[str, bytes, Handler, PutTicket]
+_Entry = tuple[str, bytes, Handler, StreamTicket]
 
 
 class PubSubEndpoint:
@@ -341,10 +332,10 @@ class Publisher:
         self.endpoint = endpoint
         self.key = key
 
-    def put(self, payload: bytes) -> PutTicket:
+    def put(self, payload: bytes) -> StreamTicket:
         return self.fabric.put(self, payload)
 
-    def put_all(self, payloads: Iterable[bytes]) -> PutTicket:
+    def put_all(self, payloads: Iterable[bytes]) -> StreamTicket:
         return self.fabric.put_all(self, payloads)
 
 
@@ -383,11 +374,11 @@ class PubSubFabric:
             raise InvalidPattern("publishers must declare a concrete key")
         return Publisher(self, self.endpoint(endpoint_name), expr)
 
-    def put(self, publisher: Publisher, payload: bytes) -> PutTicket:
+    def put(self, publisher: Publisher, payload: bytes) -> StreamTicket:
         """:meth:`put_all` of the one message ``payload``."""
         return self.put_all(publisher, (payload,))
 
-    def put_all(self, publisher: Publisher, payloads: Iterable[bytes]) -> PutTicket:
+    def put_all(self, publisher: Publisher, payloads: Iterable[bytes]) -> StreamTicket:
         """Enqueue each of ``payloads`` toward every remote endpoint with a
         subscription that matches the publisher's key at this call, for the
         handlers that match there, each once the one before has been taken
@@ -402,6 +393,7 @@ class PubSubFabric:
                     targets.append((route, handlers[0]))
                 elif handlers:
                     targets.append((route, partial(_dispatch, handlers)))
-        ticket = PutTicket(Gate(self._loop), _stream=(str(publisher.key), targets, iter(payloads)))
+        ticket = StreamTicket(Gate(self._loop),
+                              _stream=(str(publisher.key), targets, iter(payloads)))
         ticket._offer()
         return ticket

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from continuumsim import cli
 from continuumsim.cli import main
 from continuumsim.domain import config_from_json, config_to_json
 from continuumsim.presets import base_config
@@ -158,3 +159,68 @@ def test_preset_seed_override_changes_outputs(tmp_path):
     assert csv_a != csv_b
     comparison = json.loads((out_a / "comparison.json").read_text())
     assert set(comparison) == {"n_images", "fp_rate", "fp_count"}
+
+
+@pytest.mark.parametrize("preset", [[], ["--preset", "fig4_rtt"]], ids=["single", "preset"])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under_a_file"])
+def test_out_that_is_a_file_or_under_one_exits_3(tmp_path, capsys, preset, under):
+    blocker = tmp_path / "F"
+    blocker.write_text("")
+    out = blocker / "run" if under else blocker
+    assert run_cli("--images", "2", "--out", str(out), *preset) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(out) in err
+
+
+def _json(path):
+    return json.loads(path.read_text())
+
+
+def test_fig3_preset_comparison_is_computed_from_its_runs(tmp_path):
+    out = tmp_path / "fig3"
+    assert run_cli("--preset", "fig3_parallelism", "--images", "4", "--out", str(out)) == 0
+    comparison = _json(out / "comparison.json")
+    assert set(comparison) == {"pubsub", "blocking"}
+    for tag, report in comparison.items():
+        assert set(report) == {"runtime_reduction", "throughput_gain", "sequential", "parallel"}
+        seq = _json(out / f"{tag}_seq" / "summary.json")
+        par = _json(out / f"{tag}_par" / "summary.json")
+        assert seq["n_images"] == par["n_images"] == 4
+        assert (report["sequential"], report["parallel"]) == (seq, par)
+        assert report["runtime_reduction"] == (
+            (seq["total_runtime"] - par["total_runtime"]) / seq["total_runtime"])
+        assert report["throughput_gain"] == (
+            (par["throughput"] - seq["throughput"]) / seq["throughput"])
+
+
+def test_fig5_preset_comparison_reports_each_run_by_transport_and_size(tmp_path):
+    out = tmp_path / "fig5"
+    assert run_cli("--preset", "fig5_datasets", "--images", "2", "--out", str(out)) == 0
+    comparison = _json(out / "comparison.json")
+    assert set(comparison) == {"pubsub", "blocking"}
+    for tag, by_size in comparison.items():
+        assert set(by_size) == {"47", "100", "150", "200"}
+        for size, report in by_size.items():
+            summary = _json(out / f"{tag}_n{size}" / "summary.json")
+            assert report == {"throughput": summary["throughput"],
+                              "total_runtime": summary["total_runtime"]}
+
+
+def test_preset_with_a_flag_that_makes_its_runs_invalid_exits_2(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run_cli("--preset", "fig3_parallelism", "--chunk-size", "10",
+                   "--out", str(out)) == 2
+    assert "chunk_size_bytes" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_preset_run_that_raises_exits_3(tmp_path, capsys, monkeypatch):
+    def fail(_cfg):
+        raise RuntimeError("the run broke")
+
+    monkeypatch.setattr(cli, "run_scenario", fail)
+    out = tmp_path / "o"
+    assert run_cli("--preset", "fig4_rtt", "--images", "2", "--out", str(out)) == 3
+    assert capsys.readouterr().err == "error: pubsub: the run broke\n"
+    assert not (out / "comparison.json").exists()

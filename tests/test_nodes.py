@@ -197,7 +197,8 @@ def _is_delivery(action) -> bool:
     """Whether a scheduled ``action`` hands a message to its receiver: a
     blocking session's delivery, or a pub/sub handler called with its key."""
     args = getattr(action, "args", ())
-    return getattr(action, "func", None) is SessionEndpoint._deliver or (
+    receiver = getattr(action, "func", None)
+    return getattr(receiver, "__func__", None) is SessionEndpoint._receive or (
         len(args) == 2 and isinstance(args[0], str) and args[0].startswith("tricloud/"))
 
 
@@ -467,6 +468,27 @@ def test_image_timeout_is_recorded_and_run_continues():
     r = run_scenario(cfg)
     assert len(r.records) == 3
     assert all(rec.origin == "none" and not rec.recognized for rec in r.records)
+
+
+@pytest.mark.parametrize("transport, ack_latency", [
+    (TransportKind.BLOCKING_SESSION, 1.0), (TransportKind.PUBSUB, 0.0)],
+    ids=["blocking", "pubsub"])
+def test_image_ended_after_its_reassembly_counts_its_upload_to_the_reassembly(
+        transport, ack_latency):
+    # One image of 4 KiB in 1 KiB chunks over a 1 s link. A blocking upload
+    # completes one latency after its reassembly, when its last ack is back,
+    # and a pub/sub one at its reassembly. An image timeout half a second
+    # before that (blocking) or after it (pub/sub) lands between the
+    # reassembly and the result.
+    cfg = tiny_config(transport, n=1, payload_bytes=4096, chunk_size_bytes=1024,
+                      link_far_to_edge=LinkParams(1.0, 1e6))
+    (full,) = run_scenario(cfg).records
+    assert full.origin == "edge"
+    timeout = full.t_upload - 0.5 if ack_latency else full.t_upload + 0.5
+    (ended,) = run_scenario(replace(cfg, image_timeout_s=timeout)).records
+    assert ended.origin == "none" and ended.edge_rtt == 0.0
+    assert ended.t_upload == pytest.approx(full.t_upload - ack_latency)
+    assert ended.t_upload > 0.0
 
 
 def test_send_timeout_aborts_run_with_partial_records():

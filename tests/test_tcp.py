@@ -78,8 +78,9 @@ def test_socket_session_sends_a_stream_one_acked_message_at_a_time():
         resumed = []
 
         def sender():
-            receipt = yield a.send_all(payloads)
-            resumed.append((loop.now, receipt))
+            ticket = a.send_all(payloads)
+            yield ticket.accepted
+            resumed.append((loop.now, ticket))
 
         spawn(loop, sender())
         loop.run()
@@ -87,8 +88,8 @@ def test_socket_session_sends_a_stream_one_acked_message_at_a_time():
         loop.close()
     assert got == payloads
     assert in_flight == [1] * 20  # the stream, not one gate per message
-    ((t_resume, receipt),) = resumed
-    assert 0.0 <= receipt.wire_start < receipt.ack_at == t_resume
+    ((t_resume, ticket),) = resumed
+    assert 0.0 <= ticket.wire_start < ticket.ack_at == t_resume
     assert a._unacked == deque()
 
 

@@ -12,8 +12,8 @@ from continuumsim.transport import (
     InvalidPattern,
     KeyExpr,
     PubSubFabric,
-    SendReceipt,
     SendTimeout,
+    StreamTicket,
     match_key,
     session_pair,
 )
@@ -65,22 +65,23 @@ def test_blocking_send_blocks_for_transfer_plus_ack():
     a, b = _pair(loop, latency=0.01, bandwidth=1000.0)
     got = []
     b.on_message(lambda data: got.append((loop.now, data)))
-    receipts = []
+    resumed = []
 
     def sender():
-        receipt = yield a.send(b"x" * 500)
-        receipts.append((loop.now, receipt))
+        ticket = a.send_all((b"x" * 500,))
+        yield ticket.accepted
+        resumed.append((loop.now, ticket))
 
     spawn(loop, sender())
     loop.run()
     # 0.5 s serialization + 0.01 delivery latency + 0.01 ack latency
-    t_resume, receipt = receipts[0]
+    t_resume, ticket = resumed[0]
     assert t_resume == pytest.approx(0.52)
-    assert isinstance(receipt, SendReceipt)
+    assert isinstance(ticket, StreamTicket)
     assert got[0][0] == pytest.approx(0.51)
     assert got[0][1] == b"x" * 500
     # blocking law: block time >= serialization + 2 * latency
-    assert receipt.ack_at - receipt.wire_start >= 500 / 1000.0 + 2 * 0.01
+    assert ticket.ack_at - ticket.wire_start >= 500 / 1000.0 + 2 * 0.01
 
 
 def test_blocking_messages_arrive_in_send_order():
@@ -364,7 +365,8 @@ def test_put_to_two_full_queues_is_accepted_when_the_later_one_takes_it():
 def _blocking_run(stream, sizes, latency=0.01, bandwidth=1000.0, timeout=30.0,
                   on_delivery=None):
     """Send messages of ``sizes`` bytes from a to b, as one stream or as a
-    loop of sends; returns the deliveries, the outcome and the event count."""
+    loop of one-message streams; returns the deliveries, the outcome (with
+    the first wire start and the last ack instant) and the event count."""
     loop = EventLoop()
     a, b = _pair(loop, latency=latency, bandwidth=bandwidth, timeout=timeout)
     got = []
@@ -381,14 +383,15 @@ def _blocking_run(stream, sizes, latency=0.01, bandwidth=1000.0, timeout=30.0,
     def sender():
         try:
             if stream:
-                receipt = yield a.send_all(payloads)
+                first = ticket = a.send_all(payloads)
+                yield ticket.accepted
             else:
                 first = None
                 for payload in payloads:
-                    receipt = yield a.send(payload)
-                    first = first or receipt
-                receipt = SendReceipt(first.wire_start, receipt.ack_at)
-            outcome.append((loop.now, receipt))
+                    ticket = a.send_all((payload,))
+                    yield ticket.accepted
+                    first = first or ticket
+            outcome.append((loop.now, (first.wire_start, ticket.ack_at)))
         except (ConnectionClosed, SendTimeout) as exc:
             outcome.append((loop.now, type(exc)))
 
@@ -402,9 +405,9 @@ def test_send_all_delivers_and_resumes_as_a_loop_of_send():
     got, outcome, executed = _blocking_run(True, sizes)
     assert (got, outcome, executed) == _blocking_run(False, sizes)
     assert [len(data) for _t, data in got] == sizes
-    ((t_resume, receipt),) = outcome
-    assert receipt.wire_start == 0.0
-    assert receipt.ack_at == t_resume == pytest.approx(sum(sizes) / 1000.0 + 0.02 * len(sizes))
+    ((t_resume, (wire_start, ack_at)),) = outcome
+    assert wire_start == 0.0
+    assert ack_at == t_resume == pytest.approx(sum(sizes) / 1000.0 + 0.02 * len(sizes))
 
 
 def test_send_all_fails_like_a_loop_of_send_on_a_connection_closed_mid_stream():
