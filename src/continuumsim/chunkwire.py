@@ -33,12 +33,12 @@ in ``_CHUNK_TEMPLATE``'s canonical compact bytes, with one compiled
 pattern. The pattern admits only text whose JSON value is the captured
 text: an image id of printable ASCII without ``"``, ``\\``, ``/`` or
 ``*``, integers without sign or leading zeros, and base64 text that the
-strict base64 decode then proves holds only its alphabet. On any miss (no
+decode and the padding rule prove holds only its alphabet. On any miss (no
 match, an integer over the digit limit, a value the envelope rejects, bad
 base64 or a length that does not match) ``decode`` returns what
-``decode_json`` returns or raises on the same bytes. ``decode_json`` is the
-only path for the other message types and for valid JSON in another form
-(key order, whitespace, escapes), and the tests hold the fast path to it.
+``decode_json`` returns or raises on the same bytes; ``read_chunk`` takes
+exactly what it takes, without an envelope. ``decode_json`` is the only path
+for other messages and for valid JSON in another form; tests hold both to it.
 
 The far edge goes from payload to wire messages in one step,
 ``encode_upload``: it slices, base64-encodes and CRCs each chunk
@@ -272,6 +272,11 @@ class ReassemblyStatus(Enum):
     ALREADY_FAILED = "ALREADY_FAILED"
 
 
+# Read per chunk: a member read through its enum class costs 0.2 us on 3.11.
+_INCOMPLETE, _COMPLETE = ReassemblyState.INCOMPLETE, ReassemblyState.COMPLETE
+_FAILED, _ACCEPTED = ReassemblyState.FAILED, ReassemblyStatus.ACCEPTED
+
+
 @dataclass
 class ReassemblySession:
     """Receiver-side state for one transfer. Single-owner: exactly one
@@ -289,30 +294,36 @@ class ReassemblySession:
     discarded: set[int] = field(default_factory=set)
 
     def accept(self, env: ChunkEnvelope) -> ReassemblyStatus:
-        """Feed one envelope. Duplicates are no-ops; a chunk whose length or
-        CRC fails is discarded (retransmission is the sender's concern); a
-        full-payload failure is unrecoverable and latches the FAILED state."""
-        if self.state is ReassemblyState.FAILED:
+        """:meth:`add` of one envelope. One built by hand, not by a decoder,
+        has its text decoded here, before any check."""
+        return self.add(env.image_id, env.seq, env.decoded or env.payload(),
+                        env.crc32_chunk, env.payload_len)
+
+    def add(self, image_id: str, seq: int, raw: bytes, crc: int,
+            payload_len: int) -> ReassemblyStatus:
+        """Feed one chunk's bytes, with the fields its message gives. Duplicates
+        are no-ops; a chunk whose length or CRC fails is discarded
+        (retransmission is the sender's concern); a full-payload failure is
+        unrecoverable and latches the FAILED state."""
+        if self.state is _FAILED:
             return ReassemblyStatus.ALREADY_FAILED
-        if env.image_id != self.metadata.image_id:
+        if image_id != self.metadata.image_id:
             return ReassemblyStatus.ID_MISMATCH
-        if not 0 <= env.seq < self.metadata.total_chunks:
+        if not 0 <= seq < self.metadata.total_chunks:
             return ReassemblyStatus.SEQ_OUT_OF_RANGE
-        if self.state is ReassemblyState.COMPLETE or env.seq in self.chunks:
+        if self.state is _COMPLETE or seq in self.chunks:
             return ReassemblyStatus.DUPLICATE
-        raw = env.decoded if env.decoded is not None else env.payload()
-        if len(raw) != env.payload_len:
-            self.discarded.add(env.seq)
+        if len(raw) != payload_len:
+            self.discarded.add(seq)
             return ReassemblyStatus.LENGTH_MISMATCH
-        if crc32(raw) != env.crc32_chunk:
-            self.discarded.add(env.seq)
+        if crc32(raw) != crc:
+            self.discarded.add(seq)
             return ReassemblyStatus.CHUNK_CRC_MISMATCH
-        self.chunks[env.seq] = raw
-        if self.discarded:
-            self.discarded.discard(env.seq)
+        self.chunks[seq] = raw
+        self.discarded.discard(seq)
         if len(self.chunks) < self.metadata.total_chunks:
-            self.state = ReassemblyState.INCOMPLETE
-            return ReassemblyStatus.ACCEPTED
+            self.state = _INCOMPLETE
+            return _ACCEPTED
         assembled = b"".join(self.chunks[i] for i in range(self.metadata.total_chunks))
         if len(assembled) != self.metadata.total_bytes:
             self.state = ReassemblyState.FAILED
@@ -443,28 +454,55 @@ def parse_object(data: bytes) -> dict:
 # _CHUNK_TEMPLATE as a pattern: each %d an unsigned JSON integer, the
 # image id a quoted string that needs no escape and is one key segment
 # (printable ASCII but '"', '*', '/' and backslash), and the base64 text
-# anything up to the next quote, which ``ChunkEnvelope.payload`` checks.
+# anything up to the next quote, which the base64 decode checks.
 _UINT = rb"(0|[1-9][0-9]*)"
 _match_chunk = re.compile(re.escape(_CHUNK_TEMPLATE).replace(b"%d", b"%s") % (
     rb'"([ !#-)+-.0-\[\]-~]+)"', _UINT, _UINT, _UINT, rb'([^"]*)', _UINT)).fullmatch
 
 
+def _chunk_fields(data: bytes) -> Optional[tuple[str, int, int, int, str, int]]:
+    """A canonical chunk message's fields, as ``ChunkEnvelope`` takes them."""
+    match = _match_chunk(data)
+    if match is None:
+        return None
+    image_id, seq, total_chunks, payload_len, payload_b64, crc = match.groups()
+    try:
+        return (image_id.decode("ascii"), int(seq), int(total_chunks), int(payload_len),
+                payload_b64.decode("ascii"), int(crc))
+    except ValueError:
+        return None
+
+
+def read_chunk(data: bytes) -> Optional[tuple[str, int, bytes, int]]:
+    """The image id, sequence number, bytes and CRC-32 of a canonical chunk
+    message that passes every check ``decode`` makes, else None."""
+    fields = _chunk_fields(data)
+    if fields is None:
+        return None
+    image_id, seq, total_chunks, payload_len, payload_b64, crc = fields
+    if seq >= total_chunks or payload_len < 1 or len(payload_b64) != (payload_len + 2) // 3 * 4:
+        return None
+    # A lenient decode (3.10 has no strict one) skips non-base64 characters
+    # and stops at padding, so text it does not read whole breaks the rule.
+    try:
+        raw = binascii.a2b_base64(payload_b64)
+    except binascii.Error:
+        return None
+    return (image_id, seq, raw, crc) if len(raw) == payload_len else None
+
+
 def decode(data: bytes) -> Message:
     """``decode_json(data)``, which it equals in value or exception; a
     canonical chunk message is decoded without parsing JSON."""
-    match = _match_chunk(data)
-    if match is not None:
-        image_id, seq, total_chunks, payload_len, payload_b64, crc = match.groups()
+    fields = _chunk_fields(data)
+    if fields is not None:
         try:
-            # latin-1 takes any byte; payload() then rejects all but base64.
-            env = ChunkEnvelope(image_id.decode("ascii"), int(seq), int(total_chunks),
-                                int(payload_len), payload_b64.decode("latin-1"), int(crc))
-            raw = env.payload()
+            env = ChunkEnvelope(*fields)
+            env.decoded = env.payload()
         except (ValueError, Base64Error):
             pass
         else:
-            if len(raw) == env.payload_len:
-                env.decoded = raw
+            if len(env.decoded) == env.payload_len:
                 return env
     return decode_json(data)
 

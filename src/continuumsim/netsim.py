@@ -12,10 +12,10 @@ non-negative delay (seconds of virtual time) or a :class:`Gate`, a one-shot
 event that resumes every waiter, in wait order, when set. A process that
 yields a gate already set continues in place, in the same call, so a long run
 of such yields costs no stack depth. Links and cores are pure booking
-objects: a transmission or compute task reserves the next free interval of
-the resource at request time, which keeps FIFO order and exclusivity without
-extra event traffic. The callback of each scheduled event is a
-``functools.partial`` or a bound method, never a closure made per event.
+objects: a task reserves the next free interval of the resource when asked,
+keeping FIFO order and exclusivity, and a link keeps one delivery event at a
+time. The callback of each scheduled event is a ``functools.partial`` or a
+bound method, never a closure made per event.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Generator
+from typing import Callable, Generator, Optional
 
 from .domain import LinkParams
 
@@ -73,6 +73,15 @@ class EventLoop:
         self._seq += 1
         return handle
 
+    def schedule_exact(self, fire_at: float, action: Callable[[], None]) -> EventHandle:
+        """Schedule ``action`` at exactly ``fire_at``, which is not past."""
+        if fire_at < self.now:
+            raise NegativeDelay(f"{fire_at} is before now, {self.now}")
+        handle = EventHandle(action)
+        heapq.heappush(self._heap, (fire_at, self._seq, handle))
+        self._seq += 1
+        return handle
+
     def run(self) -> int:
         """Drain the queue completely; clock ends at the last event."""
         heap = self._heap
@@ -107,9 +116,6 @@ class Gate:
         waiters, self._waiters = self._waiters, []
         for w in waiters:
             w(value)
-
-    def set_at(self, delay: float, value: object = None) -> EventHandle:
-        return self._loop.schedule(delay, partial(self.set, value))
 
     def add_waiter(self, callback: Callable[[object], None]) -> None:
         if self.is_set:
@@ -223,7 +229,8 @@ class Transmission:
 
 class SimLink:
     """Serializing point-to-point link: n/bandwidth wire time plus fixed
-    one-way latency. Transmissions never overlap and keep FIFO order."""
+    one-way latency. Transmissions never overlap and keep FIFO order, and
+    its deliveries wait in a FIFO whose head is their one event in the loop."""
 
     def __init__(self, loop: EventLoop, params: LinkParams, name: str = "link"):
         self._loop = loop
@@ -232,14 +239,16 @@ class SimLink:
         self.busy_until = 0.0
         self.busy_time = 0.0
         self.bytes_sent = 0
+        # Per delivery not yet made, not as a tuple: instant, key, payload, handler.
+        self._due: deque = deque()
 
-    def transmit(self, nbytes: int) -> Transmission:
-        """Book ``nbytes`` on the wire starting at the link's next free
-        instant; returns the booked timeline. The caller is responsible for
-        scheduling delivery at ``arrival``."""
+    def transmit(self, nbytes: int, at: Optional[float] = None) -> Transmission:
+        """Book ``nbytes`` on the wire at the link's next free instant from
+        ``at`` (by default now); returns the booked timeline. The caller is
+        responsible for scheduling delivery at ``arrival``."""
         if nbytes < 1:
             raise ValueError("nbytes must be >= 1")
-        now = self._loop.now
+        now = self._loop.now if at is None else at
         wire_start = now if now >= self.busy_until else self.busy_until
         serialization = nbytes / self.params.bandwidth
         wire_end = wire_start + serialization
@@ -249,12 +258,24 @@ class SimLink:
         return Transmission(wire_start, wire_end, wire_end + self.params.latency)
 
     def deliver(self, key: object, payload: bytes,
-                handler: Callable[[object, bytes], None]) -> Transmission:
-        """Book ``payload`` and call ``handler(key, payload)`` at its arrival.
-        ``key`` is opaque to the link (a pub/sub topic, or None)."""
-        tx = self.transmit(len(payload))
-        self._loop.schedule_at(tx.arrival, partial(handler, key, payload))
+                handler: Callable[[object, bytes], None], at: float) -> Transmission:
+        """Book ``payload`` from instant ``at`` (not before now or an earlier
+        booking) and call ``handler(key, payload)`` where an event scheduled
+        at ``at`` for its arrival would fire. ``key`` is opaque to the link."""
+        tx = self.transmit(len(payload), at)
+        due = self._due
+        due.extend((at + max(0.0, tx.arrival - at), key, payload, handler))
+        if len(due) == 4:
+            self._loop.schedule_exact(due[0], self._arrive)
         return tx
+
+    def _arrive(self) -> None:
+        """Make the head delivery, after booking the event of the next."""
+        pop = self._due.popleft
+        _instant, key, payload, handler = pop(), pop(), pop(), pop()
+        if self._due:
+            self._loop.schedule_exact(self._due[0], self._arrive)
+        handler(key, payload)
 
 
 class SimCore:

@@ -19,7 +19,8 @@ types it takes. The far edge takes results; the edge takes meta and chunk
 messages from the far edge and grants, refusals and results from the cloud;
 the cloud takes grant requests and uploads. Anything else is dropped and
 counted in the node's ``malformed_messages``, and its image ends by a
-timeout.
+timeout. The edge reads a canonical chunk with ``chunkwire.read_chunk``,
+which takes what ``decode`` takes, without an envelope.
 """
 
 from __future__ import annotations
@@ -335,34 +336,35 @@ class EdgeService:
     # fails, or can no longer complete; anything for it after that is
     # ignored, and a chunk counts in ``dropped_chunks``.
     def on_upload_message(self, data: bytes) -> None:
-        try:
-            msg = chunkwire.decode_as(data, (TransferMetadata, ChunkEnvelope))
-        except ChunkError:
-            self.malformed_messages += 1
-            return
-        image_id = msg.image_id
-        if isinstance(msg, TransferMetadata):
-            if image_id not in self._sessions:
-                self._sessions[image_id] = ReassemblySession(msg)
-            return
+        chunk = chunkwire.read_chunk(data)
+        if chunk is None:
+            try:
+                msg = chunkwire.decode_as(data, (TransferMetadata, ChunkEnvelope))
+            except ChunkError:
+                self.malformed_messages += 1
+                return
+            if isinstance(msg, TransferMetadata):
+                self._sessions.setdefault(msg.image_id, ReassemblySession(msg))
+                return
+            chunk = msg.image_id, msg.seq, msg.decoded, msg.crc32_chunk
+        image_id, seq, raw, crc = chunk
         session = self._sessions.get(image_id)
         if session is None:
             self.dropped_chunks += 1
             return
-        session.accept(msg)
+        session.add(image_id, seq, raw, crc, len(raw))
+        if len(session.chunks) + len(session.discarded) < session.metadata.total_chunks:
+            return  # a number has yet to arrive
+        self._sessions[image_id] = None
         if session.state is ReassemblyState.COMPLETE:
-            self._sessions[image_id] = None
             tr = self._collector.traces.get(image_id)
             if tr is not None:  # None once the image has ended
                 tr.reassembled_at = self._loop.now
             spawn(self._loop, self._serve_image(image_id, session.payload),
                   name=f"edge-serve-{image_id}")
-        elif session.state is ReassemblyState.FAILED or (
-                session.discarded and len(session.chunks) + len(session.discarded)
-                == session.metadata.total_chunks):
-            # Every number arrived once and one is still discarded: the
-            # sender never retransmits, so the transfer cannot complete.
-            self._sessions[image_id] = None
+        else:
+            # The whole failed its checks, or one number is still discarded:
+            # the sender never retransmits, so the transfer cannot complete.
             self._send_result(image_id, encode_result(
                 ResultMessage(image_id, "edge", False, None, False)))
 

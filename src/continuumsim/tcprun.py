@@ -217,7 +217,7 @@ class SocketLink:
     the frame goes to the socket at once and ``handler(key, payload)`` runs
     when the other end reads it. TCP keeps frames in order, so the handlers
     wait in a FIFO. The sender cannot see arrival, so the returned
-    Transmission ends at the write."""
+    Transmission ends at the write, and ``at``, a route's booking, is now."""
 
     def __init__(self, loop: WallClock, writer: _End, reader: _End):
         self._loop = loop
@@ -231,7 +231,8 @@ class SocketLink:
         return len(self._handlers)
 
     def deliver(self, key: str | None, payload: bytes,
-                handler: Callable[[str, bytes], None]) -> Transmission:
+                handler: Callable[[str, bytes], None],
+                at: Optional[float] = None) -> Transmission:
         self._handlers.append(handler)
         self.writer.write(b"" if key is None else key.encode("utf-8"), payload)
         now = self._loop.now

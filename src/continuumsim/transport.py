@@ -5,32 +5,26 @@
   the link and a receiver-side acknowledgment (one extra link latency) has
   returned. This is the blocking transport.
 * :class:`PubSubFabric` models a topic-keyed publish/subscribe layer. A put
-  enqueues the message on the outbound queue of every route that leads to a
-  matching subscriber and returns immediately; each route's drain transmits
-  queued messages in FIFO order. When a queue is full the put blocks until
-  space frees (backpressure). Routes and subscriptions live until the
-  fabric's ``close``; there is no cancel.
+  queues the message toward every route that leads to a matching subscriber
+  and returns at once; a message holds its queue slot until its last byte
+  has left the wire, and a put to a full queue waits (backpressure). Routes
+  and subscriptions live until the fabric's ``close``; there is no cancel.
 
-Both transports also send a stream of messages in one call, and return one
-handle for it, a :class:`StreamTicket`, which holds the stream's timeline.
-Its ``accepted`` gate resumes the caller once, after the last message, where
-a loop of ``send`` or ``put`` would resume it after each. ``put`` is the
-one-message stream, and ``send`` its gate. A stream is a chain of callbacks,
-not a process: the ack event of a blocking message books the next one, and a
-pub/sub message is offered to the queues when every target queue has taken
-the one before it. The chain schedules the events a loop of single sends
-schedules, in the same order.
+Both transports also send a stream of messages in one call and return one
+handle for it, a :class:`StreamTicket`, whose ``accepted`` gate resumes the
+caller once, after the last message, where a loop of ``send`` or ``put``
+would resume it after each. ``put`` is the one-message stream, and ``send``
+its gate. In a blocking stream the ack event of a message books the next.
+A pub/sub stream is booked whole at the call (``_Route.put``), at the
+instants that a chain of one wire-end event per message gave, and a link
+delivers from a FIFO whose head is its one event in the loop: a pub/sub
+message costs one event. A put by another publisher during a stream queues
+behind the whole stream.
 
 A put or ``put_all`` matches its publisher's key against the subscriptions
 once, at the call: every message of the stream goes to the routes and
 handlers that matched then, and a ``connect`` or ``subscribe`` made later
-reaches only later calls. The tiers make every connect and subscribe before
-the first put, send each image's upload as one ``put_all``, and publish each
-per-image key with one ``declare_publisher(...).put``.
-
-The pub/sub drain is a chain of callbacks too: sending the head message
-schedules the end of its wire time, and that event frees the slot and sends
-the next.
+reaches only later calls; the tiers make every one before the first put.
 
 Key expressions are ``/``-separated segments where ``*`` matches exactly one
 segment and nothing else.
@@ -115,33 +109,6 @@ class StreamTicket:
     accepted: Gate
     wire_start: Optional[float] = None
     ack_at: Optional[float] = None
-    # Target queues yet to take the message on offer, plus one that the
-    # offer holds until it has offered the message to every target.
-    _untaken: int = 1
-    # The key text, the targets every message goes to (each route with the
-    # call that hands a message to the handlers matched there) and the
-    # payloads not yet offered; None once every payload has been taken.
-    _stream: Optional[tuple[str, list[tuple[_Route, Handler]], Iterator[bytes]]] = None
-
-    def _taken(self) -> None:
-        self._untaken -= 1
-        if self._untaken == 0:
-            self._offer()
-
-    def _offer(self) -> None:
-        """Offer the next payloads to the targets until one of them must
-        wait for a slot, whose admission calls ``_taken``, or none is left."""
-        key, targets, payloads = self._stream
-        for payload in payloads:
-            self._untaken = 1
-            for route, dispatch in targets:
-                if not route.put((key, payload, dispatch, self)):
-                    self._untaken += 1
-            self._untaken -= 1
-            if self._untaken:
-                return
-        self._stream = None
-        self.accepted.set(None)
 
 
 class SessionEndpoint:
@@ -203,8 +170,8 @@ class SessionEndpoint:
         ack_at = tx.arrival + self._out_link.params.latency
         if ack_at - loop.now > self.timeout:
             self.closed = self.peer.closed = True
-            ticket.accepted.set_at(
-                self.timeout, SendTimeout(f"{self.name}: no ack within {self.timeout}s"))
+            loop.schedule(self.timeout, partial(
+                ticket.accepted.set, SendTimeout(f"{self.name}: no ack within {self.timeout}s")))
             return
         loop.schedule_at(tx.arrival, partial(self.peer._receive, None, payload))
         if ticket.wire_start is None:
@@ -228,9 +195,6 @@ def session_pair(loop: EventLoop, link_ab: SimLink, link_ba: SimLink,
 
 
 Handler = Callable[[str, bytes], None]
-# One queued message: key, payload, the call that hands it to the handlers
-# it matched, its ticket.
-_Entry = tuple[str, bytes, Handler, StreamTicket]
 
 
 class PubSubEndpoint:
@@ -253,77 +217,37 @@ def _dispatch(handlers: list[Handler], key: str, payload: bytes) -> None:
 
 
 class _Route:
-    """Directional src -> dst path: bounded outbound queue plus a drain
-    feeding one link. A message occupies its queue slot until its last byte
-    has left the wire, so queue capacity backpressures the publisher. A put
-    to an idle route sends at once, within the put."""
+    """Directional src -> dst path: a bounded outbound queue feeding one
+    link. ``put`` books each message at the call, so the route keeps only
+    the instants at which its last ``capacity`` messages leave the wire."""
 
     def __init__(self, loop: EventLoop, link: SimLink, dst: PubSubEndpoint,
                  capacity: int):
         self._loop = loop
         self.link = link
         self.dst = dst
-        self.capacity = capacity
-        self._items: deque[_Entry] = deque()
-        self._putters: deque[_Entry] = deque()
-        self._idle = True
-        self._flush_waiters: list[Gate] = []
+        # Oldest first; the last is when the route is next free to send.
+        self._frees = deque([0.0] * capacity, maxlen=capacity)
 
-    def put(self, entry: _Entry) -> bool:
-        """Queue ``entry``; False when the queue is full. The entry then
-        waits, and its ticket hears when a slot frees for it."""
-        if len(self._items) >= self.capacity:
-            self._putters.append(entry)
-            return False
-        self._items.append(entry)
-        if self._idle:
-            self._idle = False
-            self._send()
-        return True
+    def put(self, key: str, payload: bytes, dispatch: Handler,
+            offer: float) -> tuple[float, float]:
+        """Queue a message offered at ``offer`` and book it on the link;
+        returns when it is admitted and its wire start. It is admitted when
+        the message ``capacity`` places ahead has left the wire, if that is
+        later, and goes on the wire once the one before it has left."""
+        frees = self._frees
+        admitted = frees[0] if frees[0] > offer else offer
+        booked = frees[-1] if frees[-1] > admitted else admitted
+        tx = self.link.deliver(key, payload, dispatch, booked)
+        # The instant ``loop.schedule(tx.wire_end - booked, ...)`` fires at.
+        frees.append(booked + (tx.wire_end - booked) if tx.wire_end > booked else booked)
+        return admitted, tx.wire_start
 
     def flush(self) -> Gate:
         """Gate that fires once every queued message has left the wire."""
         gate = Gate(self._loop)
-        if not self._items and not self._putters:
-            gate.set(None)
-        else:
-            self._flush_waiters.append(gate)
+        self._loop.schedule_exact(max(self._frees[-1], self._loop.now), partial(gate.set, None))
         return gate
-
-    def _send(self) -> None:
-        """Put the head message on the wire. A message whose wire time ends
-        later frees its slot at that event; one that has already left (a
-        socket link books no wire time) frees it here, and the next is sent.
-        With nothing queued, the route goes idle."""
-        loop = self._loop
-        while self._items:
-            key, payload, dispatch, ticket = self._items[0]
-            tx = self.link.deliver(key, payload, dispatch)
-            if ticket.wire_start is None:
-                ticket.wire_start = tx.wire_start
-            if tx.wire_end > loop.now:
-                loop.schedule(tx.wire_end - loop.now, self._sent)
-                return
-            self._free_slot()
-        self._idle = True
-
-    def _sent(self) -> None:
-        self._free_slot()
-        self._send()
-
-    def _free_slot(self) -> None:
-        """The head message has left the wire: admit the first waiting
-        putter, and release the flush waiters once nothing is left."""
-        self._items.popleft()
-        if self._putters:
-            entry = self._putters.popleft()
-            self._items.append(entry)
-            _key, _payload, _dispatch, ticket = entry
-            ticket._taken()
-        if not self._items and not self._putters:
-            waiters, self._flush_waiters = self._flush_waiters, []
-            for w in waiters:
-                w.set(None)
 
 
 class Publisher:
@@ -379,12 +303,12 @@ class PubSubFabric:
         return self.put_all(publisher, (payload,))
 
     def put_all(self, publisher: Publisher, payloads: Iterable[bytes]) -> StreamTicket:
-        """Enqueue each of ``payloads`` toward every remote endpoint with a
+        """Queue each of ``payloads`` toward every remote endpoint with a
         subscription that matches the publisher's key at this call, for the
         handlers that match there, each once the one before has been taken
-        by every target queue. The ticket's ``accepted`` gate fires when all
-        target queues took the last message; with no matching subscriber
-        the messages are dropped and the put completes immediately."""
+        by every target queue; all are booked here. The ticket's ``accepted``
+        gate fires when all target queues took the last message; with no
+        matching subscriber the messages are dropped and it fires at once."""
         targets = []
         for (src, _dst), route in self._routes.items():
             if src == publisher.endpoint.name:
@@ -393,7 +317,21 @@ class PubSubFabric:
                     targets.append((route, handlers[0]))
                 elif handlers:
                     targets.append((route, partial(_dispatch, handlers)))
-        ticket = StreamTicket(Gate(self._loop),
-                              _stream=(str(publisher.key), targets, iter(payloads)))
-        ticket._offer()
+        loop = self._loop
+        ticket = StreamTicket(Gate(loop))
+        key = str(publisher.key)
+        offer = loop.now
+        for payload in payloads:
+            taken = offer
+            for route, dispatch in targets:
+                admitted, wire_start = route.put(key, payload, dispatch, offer)
+                if admitted > taken:
+                    taken = admitted
+                if ticket.wire_start is None or wire_start < ticket.wire_start:
+                    ticket.wire_start = wire_start
+            offer = taken
+        if offer > loop.now:
+            loop.schedule_exact(offer, partial(ticket.accepted.set, None))
+        else:
+            ticket.accepted.set(None)
         return ticket

@@ -1,4 +1,6 @@
 import base64
+import binascii
+import itertools
 import json
 
 import pytest
@@ -178,6 +180,16 @@ def test_chunks_short_of_total_bytes_fail_the_transfer():
     assert session.accept(envs[1]) is ReassemblyStatus.ALREADY_FAILED
 
 
+def test_chunk_of_other_than_its_payload_len_is_discarded():
+    meta, envs = fragment(b"\x55" * 2048, "img", 1024, (2, 2), "RAW")
+    long = ChunkEnvelope("img", 0, 2, 1023, envs[0].payload_b64, envs[0].crc32_chunk)
+    session = ReassemblySession(meta)
+    assert session.accept(long) is ReassemblyStatus.LENGTH_MISMATCH
+    assert session.discarded == {0} and session.state is ReassemblyState.AWAITING
+    assert session.accept(envs[0]) is ReassemblyStatus.ACCEPTED
+    assert session.discarded == set()
+
+
 def test_shuffled_duplicated_round_trip_over_seeded_payloads():
     rng = Prng(404)
     for case in range(60):
@@ -350,6 +362,73 @@ def test_canonical_chunk_decode_equals_json_decoder(chunk_size, image_id):
         assert _outcome(decode, data) == _outcome(decode_json, data)
 
 
+def _fed(session, status):
+    """A status and the session counters it left."""
+    return status, session.state, sorted(session.chunks), sorted(session.discarded)
+
+
+def _read_then_add(session, data: bytes):
+    """What the edge does with ``data``: ``read_chunk`` and ``add``, or
+    "fell through" where it hands ``data`` to the decoder instead."""
+    chunk = chunkwire.read_chunk(data)
+    if chunk is None:
+        return "fell through"
+    image_id, seq, raw, crc = chunk
+    return _fed(session, session.add(image_id, seq, raw, crc, len(raw)))
+
+
+def _decode_then_accept(session, data: bytes, monkeypatch):
+    """``decode_json`` and ``accept`` of ``data``, or "fell through" where
+    ``decode`` would hand ``data`` to ``decode_json``."""
+    calls = []
+    monkeypatch.setattr(chunkwire, "decode_json",
+                        lambda d: calls.append(d) or decode_json(d))
+    try:
+        decode(data)
+    except ChunkError:
+        pass
+    monkeypatch.undo()
+    if calls:
+        return "fell through"
+    return _fed(session, session.accept(decode_json(data)))
+
+
+def _edits(data: bytes) -> list[bytes]:
+    """A copy of ``data`` with a wrong CRC, ``data``, then copies that a
+    session must refuse or that are not canonical: a duplicate, a sequence
+    number past the meta's chunk count (still below the message's), and a
+    key out of order."""
+    doc = json.loads(data)
+    crc = b'"crc32_chunk":%d' % doc["crc32_chunk"]
+    seq = b'"seq":%d,"total_chunks":%d' % (doc["seq"], doc["total_chunks"])
+    return [data.replace(crc, b'"crc32_chunk":%d' % ((doc["crc32_chunk"] + 1) % 2**32)),
+            data, data,
+            data.replace(seq, b'"seq":%d,"total_chunks":%d' % (
+                doc["total_chunks"], doc["total_chunks"] + 1)),
+            encode_object(dict(reversed(doc.items())))]
+
+
+# The cases of test_canonical_chunk_decode_equals_json_decoder, each chunk
+# fed with its edits, in reverse order so that the last chunk is not last.
+@pytest.mark.parametrize("chunk_size", [64, 1000, 1024])
+@pytest.mark.parametrize("image_id", ["img00007", "img 7", "img-._~7"])
+def test_read_chunk_and_add_equal_decode_json_and_accept(chunk_size, image_id, monkeypatch):
+    payload = Prng(chunk_size).randbytes(3000)
+    meta_msg, *chunks = encode_upload(payload, image_id, chunk_size, (2, 2), "RAW")
+    read_session = ReassemblySession(decode_json(meta_msg))
+    decode_session = ReassemblySession(decode_json(meta_msg))
+    outcomes = []
+    for data in [edit for msg in reversed(chunks) for edit in _edits(msg)]:
+        outcome = _read_then_add(read_session, data)
+        assert outcome == _decode_then_accept(decode_session, data, monkeypatch)
+        outcomes.append(outcome if outcome == "fell through" else outcome[0])
+    assert read_session.payload == decode_session.payload == payload
+    assert set(outcomes) == {
+        ReassemblyStatus.ACCEPTED, ReassemblyStatus.COMPLETE, ReassemblyStatus.DUPLICATE,
+        ReassemblyStatus.CHUNK_CRC_MISMATCH, ReassemblyStatus.SEQ_OUT_OF_RANGE,
+        "fell through"}
+
+
 _CANONICAL = encode_upload(Prng(11).randbytes(100), "img0", 64, (2, 2), "RAW")[1]
 _B64 = json.loads(_CANONICAL)["payload_b64"].encode()
 
@@ -428,6 +507,41 @@ def test_base64_padding_rule_does_not_depend_on_the_interpreter(text, raw):
         assert outcome[0] == env and outcome[2] == b"ABC"
     else:
         assert outcome[0] is (Base64Error if raw is None else MalformedJson)
+
+
+@pytest.mark.parametrize("data", NEAR_CANONICAL.values(), ids=NEAR_CANONICAL.keys())
+def test_read_chunk_of_a_near_canonical_chunk_equals_decode(data, monkeypatch):
+    session = ReassemblySession(TransferMetadata("img0", 100, 2, 64, 0, 2, 2, "RAW"))
+    assert _read_then_add(session, data) == _decode_then_accept(
+        ReassemblySession(session.metadata), data, monkeypatch)
+
+
+def _strict_b64(text: str):
+    """What ``ChunkEnvelope.payload`` takes: the bytes of the strict decode,
+    if ``text`` is as long as their standard encoding; else None."""
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except binascii.Error:
+        return None
+    return raw if len(text) == (len(raw) + 2) // 3 * 4 else None
+
+
+# Every text of up to 6 characters over two base64 values, '/', '=' and a
+# character outside the alphabet, and the texts of BASE64_PADDING.
+@pytest.mark.parametrize("length", [*range(7), "padding_table"])
+def test_read_chunk_takes_exactly_the_strict_base64_text(length):
+    texts = (BASE64_PADDING if length == "padding_table"
+             else map("".join, itertools.product("AQ/=@", repeat=length)))
+    for text in texts:
+        raw = _strict_b64(text)
+        try:
+            lenient = len(binascii.a2b_base64(text))
+        except binascii.Error:
+            lenient = 0
+        for payload_len in {1, len(text) * 3 // 4, lenient} - {0}:
+            data = encode_envelope(ChunkEnvelope("img0", 0, 1, payload_len, text, 7))
+            expected = ("img0", 0, raw, 7) if raw and len(raw) == payload_len else None
+            assert chunkwire.read_chunk(data) == expected, (text, payload_len)
 
 
 # One sample of each message type and its exact wire bytes. Wire size feeds

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter, deque
 from functools import partial
 import re
 
@@ -6,7 +7,7 @@ import pytest
 
 from continuumsim import transport
 from continuumsim.domain import LinkParams
-from continuumsim.netsim import EventLoop, SimLink, spawn
+from continuumsim.netsim import EventLoop, Gate, SimLink, spawn
 from continuumsim.transport import (
     ConnectionClosed,
     InvalidPattern,
@@ -17,6 +18,7 @@ from continuumsim.transport import (
     match_key,
     session_pair,
 )
+from continuumsim.workload import Prng
 
 
 def _k(text: str) -> KeyExpr:
@@ -474,9 +476,14 @@ _PAYLOADS = [bytes([i]) * (100 * (i % 3 + 1)) for i in range(8)]
 
 
 def test_put_all_is_a_loop_of_put_under_capacity_one_backpressure():
-    run = _pubsub_run(True, _PAYLOADS)
-    assert run == _pubsub_run(False, _PAYLOADS)
-    got, resumed, wire_start, _executed = run
+    *run, executed = _pubsub_run(True, _PAYLOADS)
+    *looped, looped_executed = _pubsub_run(False, _PAYLOADS)
+    assert run == looped
+    # One event per delivery, plus the publisher's start. The stream adds
+    # one event for its accepted gate; the loop adds one for each of the
+    # seven puts that waits for the slot.
+    assert (executed, looped_executed) == (1 + 8 + 1, 1 + 8 + 7)
+    got, resumed, wire_start = run
     assert [d for _t, _dst, _k, d in got] == _PAYLOADS
     assert wire_start == 0.0
     # Accepted when the last message takes the one slot: the one before has
@@ -485,9 +492,12 @@ def test_put_all_is_a_loop_of_put_under_capacity_one_backpressure():
 
 
 def test_put_all_is_a_loop_of_put_across_two_full_queues():
-    run = _pubsub_run(True, _PAYLOADS, second_route=True)
-    assert run == _pubsub_run(False, _PAYLOADS, second_route=True)
-    got, _resumed, _wire_start, _executed = run
+    *run, executed = _pubsub_run(True, _PAYLOADS, second_route=True)
+    *looped, looped_executed = _pubsub_run(False, _PAYLOADS, second_route=True)
+    assert run == looped
+    # As above, with eight deliveries on each route.
+    assert (executed, looped_executed) == (1 + 16 + 1, 1 + 16 + 7)
+    got, _resumed, _wire_start = run
     assert sorted(d for _t, dst, _k, d in got if dst == "other") == sorted(_PAYLOADS)
 
 
@@ -509,3 +519,174 @@ def test_put_all_routes_each_message_as_a_put_would_after_a_change_mid_stream(ch
     # reaches the messages put after it; the stream was routed before it.
     looped, _resumed, _wire_start, _executed = _pubsub_run(False, _PAYLOADS, at=at)
     assert [d for _t, dst, _k, d in looped if dst == late]
+
+
+# ---------------------------------------------------------------------------
+# Booking at the call: a pub/sub stream is booked whole when put_all is
+# called, with the instants a chain of wire-end events gave.
+
+
+class _ChainRoute:
+    """A pub/sub route as a chain of wire-end events: it sends its head
+    message, and an event at the message's wire end frees its slot, admits
+    the first waiting message and sends the next. ``got`` receives (instant,
+    payload) at each delivery."""
+
+    def __init__(self, loop, link, capacity, got):
+        self.loop, self.link, self.capacity, self.got = loop, link, capacity, got
+        self.items, self.putters, self.idle = deque(), deque(), True
+
+    def put(self, payload, resume) -> bool:
+        if len(self.items) >= self.capacity:
+            self.putters.append((payload, resume))
+            return False
+        self.items.append(payload)
+        if self.idle:
+            self.idle = False
+            self._send()
+        return True
+
+    def _send(self):
+        loop = self.loop
+        while self.items:
+            payload = self.items[0]
+            tx = self.link.transmit(len(payload))
+            loop.schedule_at(tx.arrival, lambda p=payload: self.got.append((loop.now, p)))
+            if tx.wire_end > loop.now:
+                loop.schedule(tx.wire_end - loop.now, self._sent)
+                return
+            self._free()
+        self.idle = True
+
+    def _sent(self):
+        self._free()
+        self._send()
+
+    def _free(self):
+        self.items.popleft()
+        if self.putters:
+            payload, resume = self.putters.popleft()
+            self.items.append(payload)
+            resume()
+
+
+def _chain_put_all(route, payloads, accepted):
+    """Offer ``payloads`` to ``route`` one at a time, each once the one
+    before is taken; ``accepted`` is set when the last is taken."""
+    rest = iter(payloads)
+
+    def offer():
+        for payload in rest:
+            if not route.put(payload, offer):
+                return
+        accepted.set(None)
+
+    offer()
+
+
+def _streams(rng):
+    """Random streams: (pause before the put, payload sizes)."""
+    return [(rng.randrange(2) * 0.05 * rng.uniform(),
+             [1 + rng.randrange(300) for _ in range(1 + rng.randrange(40))])
+            for _ in range(1 + rng.randrange(5))]
+
+
+def _run_streams(streams, params, capacity, chain):
+    """Publish ``streams`` from one process, each when the one before is
+    accepted and its pause is over; returns the deliveries (instant and
+    payload) and, per stream, its accepted instant."""
+    loop = EventLoop()
+    link = SimLink(loop, params)
+    got, accepted_at = [], []
+    if chain:
+        route = _ChainRoute(loop, link, capacity, got)
+    else:
+        fabric = PubSubFabric(loop, queue_capacity=capacity)
+        fabric.connect("src", "dst", link)
+        fabric.endpoint("dst").subscribe("t/x", lambda _k, d: got.append((loop.now, d)))
+        pub = fabric.declare_publisher("src", "t/x")
+
+    def publisher():
+        for n, (pause, sizes) in enumerate(streams):
+            if pause:
+                yield pause
+            payloads = [bytes([n]) * size for size in sizes]
+            if chain:
+                accepted = Gate(loop)
+                _chain_put_all(route, payloads, accepted)
+            else:
+                accepted = pub.put_all(payloads).accepted
+            yield accepted
+            accepted_at.append(loop.now)
+
+    spawn(loop, publisher())
+    loop.run()
+    return got, accepted_at
+
+
+@pytest.mark.parametrize("capacity", [1, 2, 4])
+def test_stream_instants_are_those_of_a_chain_of_wire_end_events(capacity):
+    # Bandwidths and latencies whose quotients do not round evenly, so that
+    # ``b + (wire_end - b)`` differs from ``wire_end`` now and then.
+    rng = Prng(2020 + capacity)
+    for case in range(40):
+        params = LinkParams((0.0, 0.013, 1 / 3)[rng.randrange(3)],
+                            (18432.0, 1000 / 3, 7.0e5)[rng.randrange(3)])
+        streams = _streams(rng)
+        booked = _run_streams(streams, params, capacity, chain=False)
+        assert booked == _run_streams(streams, params, capacity, chain=True), case
+        instants = [t for t, _data in booked[0]]
+        assert instants == sorted(instants)
+        assert len(instants) == sum(len(sizes) for _pause, sizes in streams)
+
+
+def test_a_put_during_a_stream_queues_behind_the_whole_stream():
+    # Capacity 1 and 0.1 s of wire time per message. A put by a second
+    # publisher at 0.15 s, while the stream's third message waits for the
+    # slot, goes after the stream's last message, not after its third.
+    loop = EventLoop()
+    fabric = _fabric(loop, capacity=1, bandwidth=1000.0)
+    got = []
+    fabric.endpoint("dst").subscribe("t/*", lambda k, d: got.append((loop.now, k, d)))
+    stream = fabric.declare_publisher("src", "t/a").put_all(
+        [bytes([i]) * 100 for i in range(4)])
+    late = []
+
+    def second_publisher():
+        yield 0.15
+        ticket = fabric.declare_publisher("src", "t/b").put(b"b" * 100)
+        yield ticket.accepted
+        late.append((loop.now, ticket.wire_start))
+
+    spawn(loop, second_publisher())
+    loop.run()
+    assert [k for _t, k, _d in got] == ["t/a"] * 4 + ["t/b"]
+    assert [t for t, _k, _d in got] == pytest.approx([0.1, 0.2, 0.3, 0.4, 0.5])
+    assert stream.accepted.is_set
+    # Admitted when the stream's last message has left the wire.
+    assert late == [pytest.approx((0.4, 0.4))]
+
+
+def test_a_stream_keeps_one_pending_delivery_per_link():
+    # A far-edge upload of 100 KiB in 64 B chunks: 1,601 messages, all
+    # booked at the call, to two routes. Each link keeps one delivery event
+    # in the loop's heap, not one per message.
+    loop = EventLoop()
+    fabric = _fabric(loop, capacity=4, latency=0.05, bandwidth=18432.0)
+    fabric.connect("src", "other", SimLink(loop, LinkParams(0.05, 18432.0)))
+
+    def pending():
+        links = Counter(handle.action.__self__ for _t, _seq, handle in loop._heap
+                        if getattr(handle.action, "__func__", None) is SimLink._arrive)
+        return len(loop._heap), max(links.values(), default=0)
+
+    seen = []
+    for dst in ("dst", "other"):
+        fabric.endpoint(dst).subscribe("t/x", lambda k, d: seen.append(pending()))
+    ticket = fabric.declare_publisher("src", "t/x").put_all([b"m" * 64] * 1601)
+    # One delivery per link, and the stream's accepted event.
+    assert pending() == (3, 1)
+    loop.run()
+    assert ticket.accepted.is_set and len(seen) == 2 * 1601
+    assert max(per_link for _heap, per_link in seen) == 1
+    assert max(heap for heap, _per_link in seen) <= 3
