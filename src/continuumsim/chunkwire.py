@@ -33,12 +33,13 @@ in ``_CHUNK_TEMPLATE``'s canonical compact bytes, with one compiled
 pattern. The pattern admits only text whose JSON value is the captured
 text: an image id of printable ASCII without ``"``, ``\\``, ``/`` or
 ``*``, integers without sign or leading zeros, and base64 text that the
-decode and the padding rule prove holds only its alphabet. On any miss (no
-match, an integer over the digit limit, a value the envelope rejects, bad
-base64 or a length that does not match) ``decode`` returns what
-``decode_json`` returns or raises on the same bytes; ``read_chunk`` takes
-exactly what it takes, without an envelope. ``decode_json`` is the only path
-for other messages and for valid JSON in another form; tests hold both to it.
+decode and the padding rule prove holds only its alphabet. ``decode`` and
+``read_chunk`` (the bytes, without an envelope) read it with one check; on
+any miss (no match, an integer over the digit limit, a value the envelope
+rejects, bad base64, a length that does not match) ``decode`` returns what
+``decode_json`` does on the same bytes, and ``read_chunk`` None.
+``decode_json`` is the only path for other messages and for valid JSON in
+another form; tests hold both to it.
 
 The far edge goes from payload to wire messages in one step,
 ``encode_upload``: it slices, base64-encodes and CRCs each chunk
@@ -62,7 +63,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import contains
-from typing import NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .domain import MIN_CHUNK_SIZE, is_key_segment
 
@@ -295,16 +296,16 @@ class ReassemblySession:
 
     def accept(self, env: ChunkEnvelope) -> ReassemblyStatus:
         """:meth:`add` of one envelope. One built by hand, not by a decoder,
-        has its text decoded here, before any check."""
-        return self.add(env.image_id, env.seq, env.decoded or env.payload(),
-                        env.crc32_chunk, env.payload_len)
+        has its text decoded once its number is known to be in range and new."""
+        return self.add(env.image_id, env.seq, env.decoded, env.crc32_chunk,
+                        env.payload_len, env.payload)
 
-    def add(self, image_id: str, seq: int, raw: bytes, crc: int,
-            payload_len: int) -> ReassemblyStatus:
-        """Feed one chunk's bytes, with the fields its message gives. Duplicates
-        are no-ops; a chunk whose length or CRC fails is discarded
-        (retransmission is the sender's concern); a full-payload failure is
-        unrecoverable and latches the FAILED state."""
+    def add(self, image_id: str, seq: int, raw: Optional[bytes], crc: int,
+            payload_len: int, decode: Optional[Callable[[], bytes]] = None) -> ReassemblyStatus:
+        """Feed one chunk's bytes (``decode()`` if ``raw`` is None) and its
+        fields. Duplicates are no-ops; a chunk whose length or CRC fails is
+        discarded (retransmission is the sender's concern); a full-payload
+        failure is unrecoverable and latches the FAILED state."""
         if self.state is _FAILED:
             return ReassemblyStatus.ALREADY_FAILED
         if image_id != self.metadata.image_id:
@@ -313,6 +314,8 @@ class ReassemblySession:
             return ReassemblyStatus.SEQ_OUT_OF_RANGE
         if self.state is _COMPLETE or seq in self.chunks:
             return ReassemblyStatus.DUPLICATE
+        if raw is None:
+            raw = decode()
         if len(raw) != payload_len:
             self.discarded.add(seq)
             return ReassemblyStatus.LENGTH_MISMATCH
@@ -460,51 +463,45 @@ _match_chunk = re.compile(re.escape(_CHUNK_TEMPLATE).replace(b"%d", b"%s") % (
     rb'"([ !#-)+-.0-\[\]-~]+)"', _UINT, _UINT, _UINT, rb'([^"]*)', _UINT)).fullmatch
 
 
-def _chunk_fields(data: bytes) -> Optional[tuple[str, int, int, int, str, int]]:
-    """A canonical chunk message's fields, as ``ChunkEnvelope`` takes them."""
+def _canonical_chunk(data: bytes) -> Optional[tuple[str, int, int, int, str, int, bytes]]:
+    """A canonical chunk message's fields, as ``ChunkEnvelope`` takes them,
+    and the bytes its base64 text holds, if it passes every check
+    ``decode_json`` makes; else None."""
     match = _match_chunk(data)
     if match is None:
         return None
     image_id, seq, total_chunks, payload_len, payload_b64, crc = match.groups()
+    # ValueError: an integer over the digit limit, or bad base64. A lenient
+    # decode (3.10 has no strict one) skips non-base64 characters and stops
+    # at padding, so text it does not read whole breaks the rule or the length.
     try:
-        return (image_id.decode("ascii"), int(seq), int(total_chunks), int(payload_len),
-                payload_b64.decode("ascii"), int(crc))
+        seq, total_chunks, payload_len = int(seq), int(total_chunks), int(payload_len)
+        if seq >= total_chunks or payload_len < 1 or len(payload_b64) != (payload_len + 2) // 3 * 4:
+            return None
+        raw = binascii.a2b_base64(payload_b64)
+        chunk = (image_id.decode("ascii"), seq, total_chunks, payload_len,
+                 payload_b64.decode("ascii"), int(crc), raw)
     except ValueError:
         return None
+    return chunk if len(raw) == payload_len else None
 
 
 def read_chunk(data: bytes) -> Optional[tuple[str, int, bytes, int]]:
     """The image id, sequence number, bytes and CRC-32 of a canonical chunk
     message that passes every check ``decode`` makes, else None."""
-    fields = _chunk_fields(data)
-    if fields is None:
-        return None
-    image_id, seq, total_chunks, payload_len, payload_b64, crc = fields
-    if seq >= total_chunks or payload_len < 1 or len(payload_b64) != (payload_len + 2) // 3 * 4:
-        return None
-    # A lenient decode (3.10 has no strict one) skips non-base64 characters
-    # and stops at padding, so text it does not read whole breaks the rule.
-    try:
-        raw = binascii.a2b_base64(payload_b64)
-    except binascii.Error:
-        return None
-    return (image_id, seq, raw, crc) if len(raw) == payload_len else None
+    chunk = _canonical_chunk(data)
+    return None if chunk is None else (chunk[0], chunk[1], chunk[6], chunk[5])
 
 
 def decode(data: bytes) -> Message:
     """``decode_json(data)``, which it equals in value or exception; a
     canonical chunk message is decoded without parsing JSON."""
-    fields = _chunk_fields(data)
-    if fields is not None:
-        try:
-            env = ChunkEnvelope(*fields)
-            env.decoded = env.payload()
-        except (ValueError, Base64Error):
-            pass
-        else:
-            if len(env.decoded) == env.payload_len:
-                return env
-    return decode_json(data)
+    chunk = _canonical_chunk(data)
+    if chunk is None:
+        return decode_json(data)
+    env = ChunkEnvelope(*chunk[:6])
+    env.decoded = chunk[6]
+    return env
 
 
 def decode_json(data: bytes) -> Message:

@@ -21,6 +21,7 @@ bound method, never a closure made per event.
 from __future__ import annotations
 
 import heapq
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
@@ -239,8 +240,10 @@ class SimLink:
         self.busy_until = 0.0
         self.busy_time = 0.0
         self.bytes_sent = 0
-        # Per delivery not yet made, not as a tuple: instant, key, payload, handler.
-        self._due: deque = deque()
+        # Deliveries not yet made, in order: instants from index ``_next`` on,
+        # and (key, handler, payloads) per run with the same key and handler.
+        self._instants, self._next = array("d"), 0
+        self._runs: deque[tuple] = deque()
 
     def transmit(self, nbytes: int, at: Optional[float] = None) -> Transmission:
         """Book ``nbytes`` on the wire at the link's next free instant from
@@ -263,18 +266,28 @@ class SimLink:
         booking) and call ``handler(key, payload)`` where an event scheduled
         at ``at`` for its arrival would fire. ``key`` is opaque to the link."""
         tx = self.transmit(len(payload), at)
-        due = self._due
-        due.extend((at + max(0.0, tx.arrival - at), key, payload, handler))
-        if len(due) == 4:
-            self._loop.schedule_exact(due[0], self._arrive)
+        self._instants.append(at + max(0.0, tx.arrival - at))
+        runs = self._runs
+        if not runs or runs[-1][0] is not key or runs[-1][1] is not handler:
+            runs.append((key, handler, deque()))
+            if len(runs) == 1:  # the link had no delivery waiting
+                self._loop.schedule_exact(self._instants[self._next], self._arrive)
+        runs[-1][2].append(payload)
         return tx
 
     def _arrive(self) -> None:
         """Make the head delivery, after booking the event of the next."""
-        pop = self._due.popleft
-        _instant, key, payload, handler = pop(), pop(), pop(), pop()
-        if self._due:
-            self._loop.schedule_exact(self._due[0], self._arrive)
+        key, handler, payloads = self._runs[0]
+        payload = payloads.popleft()
+        if not payloads:
+            self._runs.popleft()
+        instants, read = self._instants, self._next + 1
+        if 2 * read >= len(instants):  # drop the instants read, once half are
+            del instants[:read]
+            read = 0
+        self._next = read
+        if instants:
+            self._loop.schedule_exact(instants[read], self._arrive)
         handler(key, payload)
 
 

@@ -217,7 +217,7 @@ class SocketLink:
     the frame goes to the socket at once and ``handler(key, payload)`` runs
     when the other end reads it. TCP keeps frames in order, so the handlers
     wait in a FIFO. The sender cannot see arrival, so the returned
-    Transmission ends at the write, and ``at``, a route's booking, is now."""
+    Transmission ends at the write, which is now whatever ``at`` says."""
 
     def __init__(self, loop: WallClock, writer: _End, reader: _End):
         self._loop = loop
@@ -231,8 +231,7 @@ class SocketLink:
         return len(self._handlers)
 
     def deliver(self, key: str | None, payload: bytes,
-                handler: Callable[[str, bytes], None],
-                at: Optional[float] = None) -> Transmission:
+                handler: Callable[[str, bytes], None], at: float) -> Transmission:
         self._handlers.append(handler)
         self.writer.write(b"" if key is None else key.encode("utf-8"), payload)
         now = self._loop.now
@@ -262,10 +261,10 @@ class SocketSession(SessionEndpoint):
             ticket.wire_start = self._loop.now
         timer = self._loop.schedule(self.timeout, partial(self._time_out, ticket.accepted))
         self._unacked.append((ticket, payloads, timer))
-        self._out_link.deliver(None, payload, self.peer._receive)
+        self._out_link.deliver(None, payload, self.peer._receive, self._loop.now)
 
     def _receive(self, key: str, payload: bytes) -> None:
-        self._out_link.deliver(None, b"", self.peer._acked)
+        self._out_link.deliver(None, b"", self.peer._acked, self._loop.now)
         super()._receive(key, payload)
 
     def _acked(self, _key: str, _payload: bytes) -> None:

@@ -226,8 +226,9 @@ class _Route:
         self._loop = loop
         self.link = link
         self.dst = dst
-        # Oldest first; the last is when the route is next free to send.
-        self._frees = deque([0.0] * capacity, maxlen=capacity)
+        # Oldest first, after a 0.0 (no later than any offer) for the start:
+        # the first is when the next message's slot frees, the last the wire.
+        self._frees = deque((0.0,), maxlen=capacity)
 
     def put(self, key: str, payload: bytes, dispatch: Handler,
             offer: float) -> tuple[float, float]:

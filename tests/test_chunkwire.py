@@ -1,5 +1,6 @@
 import base64
 import binascii
+import dataclasses
 import itertools
 import json
 
@@ -215,20 +216,43 @@ def test_envelope_base64_example_and_round_trip():
     assert env.payload() == b"AB"
 
 
+def test_accept_checks_a_hand_built_envelope_before_its_text():
+    # An envelope built by hand has its text decoded only once its number
+    # is in range and new: bad base64 on a chunk that is refused anyway
+    # gets the refusal, not a Base64Error.
+    meta, envs = fragment(b"\x01" * 100, "img", 64, (1, 1), "PNG")
+
+    def bad(**changes):
+        return dataclasses.replace(envs[0], payload_b64="!!!!", **changes)
+
+    session = ReassemblySession(meta)
+    assert session.accept(bad(image_id="other")) is ReassemblyStatus.ID_MISMATCH
+    assert session.accept(bad(seq=5, total_chunks=9)) is ReassemblyStatus.SEQ_OUT_OF_RANGE
+    assert session.accept(envs[0]) is ReassemblyStatus.ACCEPTED
+    assert session.accept(bad()) is ReassemblyStatus.DUPLICATE
+    with pytest.raises(Base64Error):
+        session.accept(bad(seq=1))
+    failed = ReassemblySession(dataclasses.replace(meta, crc32_full=meta.crc32_full ^ 1))
+    assert [failed.accept(env) for env in envs][-1] is ReassemblyStatus.FULL_CRC_MISMATCH
+    assert failed.accept(bad()) is ReassemblyStatus.ALREADY_FAILED
+
+
 def test_wire_chunk_is_base64_decoded_once(monkeypatch):
     payload = Prng(3).randbytes(300)
     meta, envs = fragment(payload, "img", 64, (1, 1), "PNG")
     decoded = [decode_envelope(encode_envelope(env)) for env in envs]
     assert decoded == envs and list(map(repr, decoded)) == list(map(repr, envs))
+    # Every base64 decode, the strict one of ``ChunkEnvelope.payload`` too,
+    # is a call of ``binascii.a2b_base64``.
     calls = []
-    original = ChunkEnvelope.payload
-    monkeypatch.setattr(ChunkEnvelope, "payload",
-                        lambda env: calls.append(env.seq) or original(env))
+    original = binascii.a2b_base64
+    monkeypatch.setattr(binascii, "a2b_base64",
+                        lambda text, **kw: calls.append(len(text)) or original(text, **kw))
     session = ReassemblySession(meta)
     for env in envs:
         session.accept(decode_envelope(encode_envelope(env)))
     assert session.payload == payload
-    assert calls == [env.seq for env in envs]
+    assert calls == [len(env.payload_b64) for env in envs]
 
 
 def test_envelope_wire_field_names_are_exact():

@@ -122,6 +122,46 @@ def test_link_serializes_back_to_back_sends():
     assert second.wire_end == pytest.approx(2.0)
 
 
+def test_link_delivers_every_booking_in_order_at_its_instant():
+    # Batches of bookings with one key and handler, keys that are equal but
+    # not the same object, pauses that let the link's deliveries run out or
+    # not, and bookings made from inside a delivery.
+    loop = EventLoop()
+    link = SimLink(loop, LinkParams(latency=0.013, bandwidth=18432.0))
+    rng = Prng(41)
+    got, want = [], []
+    serial = itertools.count()
+
+    def book(name, key, n):
+        for _ in range(n):
+            payload = next(serial).to_bytes(4, "big") * (1 + rng.randrange(8))
+            at = loop.now
+            tx = link.deliver(key, payload, handlers[name], at)
+            want.append((name, at + max(0.0, tx.arrival - at), key, payload))
+
+    def a(key, payload):
+        got.append(("a", loop.now, key, payload))
+
+    def b(key, payload):
+        got.append(("b", loop.now, key, payload))
+        if payload[3] % 5 == 0:
+            book("a", key, 1 + rng.randrange(3))
+
+    handlers = {"a": a, "b": b}
+
+    def publisher():
+        for _ in range(30):
+            key = "".join(("k", "01"[rng.randrange(2)]))
+            for _ in range(1 + rng.randrange(3)):
+                book("ab"[rng.randrange(2)], key, 1 + rng.randrange(600))
+            yield rng.randrange(3) * rng.uniform() * 5.0
+
+    spawn(loop, publisher())
+    loop.run()
+    assert len(got) == len(want) > 5000
+    assert got == want
+
+
 def test_link_busy_time_conservation_under_random_interleave():
     loop = EventLoop()
     link = SimLink(loop, LinkParams(latency=0.013, bandwidth=18432.0))

@@ -163,7 +163,7 @@ def test_a_frame_larger_than_the_send_buffer_arrives_intact():
         link.writer.sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
         payload = bytes(range(256)) * 8192  # 2 MiB
         got = []
-        link.deliver("big", payload, lambda key, data: got.append((key, data)))
+        link.deliver("big", payload, lambda key, data: got.append((key, data)), loop.now)
         assert link.writer.pending  # the socket took only part of the frame
         loop.run()
     finally:
@@ -183,7 +183,7 @@ def test_one_pass_reads_every_connection_with_a_frame_in_flight():
         cloud_link, _ = loop.connect(0)
         log = []
         edge.on_message(log.append)
-        cloud_link.deliver(None, b"cloud", lambda key, data: log.append(data))
+        cloud_link.deliver(None, b"cloud", lambda key, data: log.append(data), loop.now)
         payloads = [b"stream %d" % i for i in range(20)]
         far.send_all(payloads)
         loop.run()

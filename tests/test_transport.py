@@ -2,6 +2,8 @@ import itertools
 from collections import Counter, deque
 from functools import partial
 import re
+import sys
+import tracemalloc
 
 import pytest
 
@@ -665,6 +667,34 @@ def test_a_put_during_a_stream_queues_behind_the_whole_stream():
     assert stream.accepted.is_set
     # Admitted when the stream's last message has left the wire.
     assert late == [pytest.approx((0.4, 0.4))]
+
+
+def test_a_huge_queue_capacity_allocates_nothing_per_place():
+    # ``queue_capacity`` has no upper bound, so a huge one models an
+    # unbounded queue: a route keeps the free instants of the messages it
+    # has queued, not one per place, and admits a whole stream at the call.
+    def run(capacity):
+        loop = EventLoop()
+        fabric = _fabric(loop, capacity=capacity, latency=0.05)
+        got = []
+        fabric.endpoint("dst").subscribe("t/x", lambda _k, d: got.append((loop.now, d)))
+        ticket = fabric.declare_publisher("src", "t/x").put_all(
+            [bytes([i]) * 100 for i in range(50)])
+        accepted_at_call = ticket.accepted.is_set
+        flushed = fabric.route("src", "dst").flush()
+        loop.run()
+        return got, accepted_at_call, ticket.wire_start, flushed.is_set, loop.now
+
+    tracemalloc.start()
+    try:
+        huge = run(sys.maxsize)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert huge == run(50)
+    got, accepted_at_call, wire_start, flushed, _end = huge
+    assert len(got) == 50 and accepted_at_call and wire_start == 0.0 and flushed
 
 
 def test_a_stream_keeps_one_pending_delivery_per_link():
