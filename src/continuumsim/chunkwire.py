@@ -463,10 +463,10 @@ _match_chunk = re.compile(re.escape(_CHUNK_TEMPLATE).replace(b"%d", b"%s") % (
     rb'"([ !#-)+-.0-\[\]-~]+)"', _UINT, _UINT, _UINT, rb'([^"]*)', _UINT)).fullmatch
 
 
-def _canonical_chunk(data: bytes) -> Optional[tuple[str, int, int, int, str, int, bytes]]:
-    """A canonical chunk message's fields, as ``ChunkEnvelope`` takes them,
-    and the bytes its base64 text holds, if it passes every check
-    ``decode_json`` makes; else None."""
+def _canonical_chunk(data: bytes) -> Optional[tuple[str, int, int, int, bytes, int, bytes]]:
+    """A canonical chunk message's fields, as ``ChunkEnvelope`` takes them
+    but with the base64 text as ASCII bytes, and the bytes that text holds,
+    if it passes every check ``decode_json`` makes; else None."""
     match = _match_chunk(data)
     if match is None:
         return None
@@ -480,7 +480,7 @@ def _canonical_chunk(data: bytes) -> Optional[tuple[str, int, int, int, str, int
             return None
         raw = binascii.a2b_base64(payload_b64)
         chunk = (image_id.decode("ascii"), seq, total_chunks, payload_len,
-                 payload_b64.decode("ascii"), int(crc), raw)
+                 payload_b64, int(crc), raw)
     except ValueError:
         return None
     return chunk if len(raw) == payload_len else None
@@ -499,7 +499,7 @@ def decode(data: bytes) -> Message:
     chunk = _canonical_chunk(data)
     if chunk is None:
         return decode_json(data)
-    env = ChunkEnvelope(*chunk[:6])
+    env = ChunkEnvelope(*chunk[:4], chunk[4].decode("ascii"), chunk[5])
     env.decoded = chunk[6]
     return env
 

@@ -142,10 +142,6 @@ class StageDurations:
     cloud_latency_mean: float
     cloud_latency_jitter: float
 
-    @property
-    def t_detect_total(self) -> float:
-        return self.t_quality + self.t_infer1 + self.t_infer2
-
 
 @dataclass(frozen=True)
 class LinkParams:

@@ -14,8 +14,10 @@ yields a gate already set continues in place, in the same call, so a long run
 of such yields costs no stack depth. Links and cores are pure booking
 objects: a task reserves the next free interval of the resource when asked,
 keeping FIFO order and exclusivity, and a link keeps one delivery event at a
-time. The callback of each scheduled event is a ``functools.partial`` or a
-bound method, never a closure made per event.
+time. A booked instant is stored as it is computed: ``schedule_at`` fires at
+the instant it is given, ``schedule`` at now plus the delay. The callback of
+each scheduled event is a ``functools.partial`` or a bound method, never a
+closure made per event.
 """
 
 from __future__ import annotations
@@ -66,15 +68,6 @@ class EventLoop:
         return handle
 
     def schedule_at(self, fire_at: float, action: Callable[[], None]) -> EventHandle:
-        # ``now + (fire_at - now)`` is not always ``fire_at`` in floating
-        # point: the time is computed exactly as ``schedule`` computes it.
-        now = self.now
-        handle = EventHandle(action)
-        heapq.heappush(self._heap, (now + max(0.0, fire_at - now), self._seq, handle))
-        self._seq += 1
-        return handle
-
-    def schedule_exact(self, fire_at: float, action: Callable[[], None]) -> EventHandle:
         """Schedule ``action`` at exactly ``fire_at``, which is not past."""
         if fire_at < self.now:
             raise NegativeDelay(f"{fire_at} is before now, {self.now}")
@@ -263,15 +256,15 @@ class SimLink:
     def deliver(self, key: object, payload: bytes,
                 handler: Callable[[object, bytes], None], at: float) -> Transmission:
         """Book ``payload`` from instant ``at`` (not before now or an earlier
-        booking) and call ``handler(key, payload)`` where an event scheduled
-        at ``at`` for its arrival would fire. ``key`` is opaque to the link."""
+        booking) and call ``handler(key, payload)`` at its arrival instant.
+        ``key`` is opaque to the link."""
         tx = self.transmit(len(payload), at)
-        self._instants.append(at + max(0.0, tx.arrival - at))
+        self._instants.append(tx.arrival)
         runs = self._runs
         if not runs or runs[-1][0] is not key or runs[-1][1] is not handler:
             runs.append((key, handler, deque()))
             if len(runs) == 1:  # the link had no delivery waiting
-                self._loop.schedule_exact(self._instants[self._next], self._arrive)
+                self._loop.schedule_at(self._instants[self._next], self._arrive)
         runs[-1][2].append(payload)
         return tx
 
@@ -287,7 +280,7 @@ class SimLink:
             read = 0
         self._next = read
         if instants:
-            self._loop.schedule_exact(instants[read], self._arrive)
+            self._loop.schedule_at(instants[read], self._arrive)
         handler(key, payload)
 
 

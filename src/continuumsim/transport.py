@@ -16,8 +16,8 @@ caller once, after the last message, where a loop of ``send`` or ``put``
 would resume it after each. ``put`` is the one-message stream, and ``send``
 its gate. In a blocking stream the ack event of a message books the next.
 A pub/sub stream is booked whole at the call (``_Route.put``), at the
-instants that a chain of one wire-end event per message gave, and a link
-delivers from a FIFO whose head is its one event in the loop: a pub/sub
+instants that a chain of one wire-end event per message would give, and a
+link delivers from a FIFO whose head is its one event in the loop: a pub/sub
 message costs one event. A put by another publisher during a stream queues
 behind the whole stream.
 
@@ -176,7 +176,7 @@ class SessionEndpoint:
         loop.schedule_at(tx.arrival, partial(self.peer._receive, None, payload))
         if ticket.wire_start is None:
             ticket.wire_start = tx.wire_start
-        loop.schedule(ack_at - loop.now, partial(self._send_next, ticket, payloads, ack_at))
+        loop.schedule_at(ack_at, partial(self._send_next, ticket, payloads, ack_at))
 
     def _receive(self, _key: Optional[str], payload: bytes) -> None:
         """Hand an arrived message to the handler unless this end is closed."""
@@ -240,14 +240,13 @@ class _Route:
         admitted = frees[0] if frees[0] > offer else offer
         booked = frees[-1] if frees[-1] > admitted else admitted
         tx = self.link.deliver(key, payload, dispatch, booked)
-        # The instant ``loop.schedule(tx.wire_end - booked, ...)`` fires at.
-        frees.append(booked + (tx.wire_end - booked) if tx.wire_end > booked else booked)
+        frees.append(tx.wire_end)
         return admitted, tx.wire_start
 
     def flush(self) -> Gate:
         """Gate that fires once every queued message has left the wire."""
         gate = Gate(self._loop)
-        self._loop.schedule_exact(max(self._frees[-1], self._loop.now), partial(gate.set, None))
+        self._loop.schedule_at(max(self._frees[-1], self._loop.now), partial(gate.set, None))
         return gate
 
 
@@ -332,7 +331,7 @@ class PubSubFabric:
                     ticket.wire_start = wire_start
             offer = taken
         if offer > loop.now:
-            loop.schedule_exact(offer, partial(ticket.accepted.set, None))
+            loop.schedule_at(offer, partial(ticket.accepted.set, None))
         else:
             ticket.accepted.set(None)
         return ticket

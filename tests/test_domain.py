@@ -12,7 +12,6 @@ from continuumsim.domain import (
     LinkParams,
     PersonId,
     ScenarioConfig,
-    StageDurations,
     TimeMode,
     TransportKind,
     config_from_dict,
@@ -259,8 +258,3 @@ def test_image_record_invariants():
 def test_face_database_requires_distinct_ids():
     with pytest.raises(ValueError, match="distinct"):
         FaceDatabase(((PersonId(1, "a"), _unit(0)), (PersonId(1, "b"), _unit(1))))
-
-
-def test_stage_durations_detect_total_is_sum_of_stages():
-    sd = StageDurations(1.0, 0.62, 0.52, 3.31, 1.09, 0.0, 0.0)
-    assert sd.t_detect_total == pytest.approx(4.45)

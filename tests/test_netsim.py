@@ -77,6 +77,14 @@ def test_negative_delay_rejected():
     loop = EventLoop()
     with pytest.raises(NegativeDelay):
         loop.schedule(-0.1, lambda: None)
+    loop.schedule(2.5, lambda: None)
+    loop.run()
+    with pytest.raises(NegativeDelay):
+        loop.schedule_at(2.4, lambda: None)
+    fired = []
+    loop.schedule_at(2.5, lambda: fired.append(loop.now))
+    loop.run()
+    assert fired == [2.5]
 
 
 def test_zero_delay_chain_of_a_million_events():
@@ -137,7 +145,7 @@ def test_link_delivers_every_booking_in_order_at_its_instant():
             payload = next(serial).to_bytes(4, "big") * (1 + rng.randrange(8))
             at = loop.now
             tx = link.deliver(key, payload, handlers[name], at)
-            want.append((name, at + max(0.0, tx.arrival - at), key, payload))
+            want.append((name, max(at, tx.arrival), key, payload))
 
     def a(key, payload):
         got.append(("a", loop.now, key, payload))

@@ -187,10 +187,6 @@ class ShuffledTies(EventLoop):
         return self._push(self.now + delay, action)
 
     def schedule_at(self, fire_at, action):
-        now = self.now
-        return self._push(now + max(0.0, fire_at - now), action)
-
-    def schedule_exact(self, fire_at, action):
         if fire_at < self.now:
             raise netsim.NegativeDelay(f"instant {fire_at} is before now")
         return self._push(fire_at, action)
@@ -226,9 +222,6 @@ class TieCounting(EventLoop):
 
     def schedule_at(self, fire_at, action):
         return super().schedule_at(fire_at, partial(self._fire, action))
-
-    def schedule_exact(self, fire_at, action):
-        return super().schedule_exact(fire_at, partial(self._fire, action))
 
     def _fire(self, action):
         heap = self._heap

@@ -1,0 +1,144 @@
+"""Random valid configs: invariants that hold on every run, with no
+reference to compare against.
+
+``random_config`` draws configs far from the presets: zero and near-zero
+stage times, links from 50 B/s to 1 GB/s, queues of one slot and of 10^9,
+timeouts short enough to fail a run. Every run must raise nothing, give each
+image at most one record (exactly one unless the run failed), drain its loop
+and leave no per-image state behind, and replay identically.
+
+The generator is also the one to use when comparing two versions of the
+engine config by config: run the same seeds on both and compare records,
+summary and failure float for float.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+
+import pytest
+
+from continuumsim import nodes
+from continuumsim.domain import (
+    LinkParams,
+    ScenarioConfig,
+    StageDurations,
+    TransportKind,
+    validate_config,
+)
+from continuumsim.netsim import EventLoop, SimLink
+from continuumsim.transport import SessionEndpoint
+from continuumsim.workload import Prng
+
+CONFIGS = 300
+# Every REPLAY_EVERY-th config is run a second time and must replay.
+REPLAY_EVERY = 3
+
+
+def random_config(rng: Prng) -> ScenarioConfig:
+    """A valid config drawn from ``rng``. Durations are 0 one time in four,
+    so zero stage times, handoffs and latencies all occur, and so is the
+    whole detection stage: an image whose detection takes no time must still
+    wait for its read."""
+
+    def duration(top: float = 1.0) -> float:
+        return 0.0 if rng.randrange(4) == 0 else top * rng.uniform()
+
+    def bandwidth() -> float:  # log-uniform, 50 B/s to 1 GB/s
+        return 50.0 * (2e7 ** rng.uniform())
+
+    detection = (0.0, 0.0, 0.0) if rng.randrange(4) == 0 else (
+        duration(), duration(), duration())
+    sd = StageDurations(duration(), *detection, t_identify=duration(),
+                        cloud_latency_mean=duration(),
+                        cloud_latency_jitter=duration())
+    return ScenarioConfig(
+        transport=(TransportKind.PUBSUB, TransportKind.BLOCKING_SESSION)[rng.randrange(2)],
+        parallelism=rng.randrange(2) == 1,
+        cloud_enabled=rng.randrange(2) == 1,
+        dataset_size=1 + rng.randrange(10),
+        stage_durations=sd,
+        link_far_to_edge=LinkParams(duration(), bandwidth()),
+        link_edge_to_cloud=LinkParams(duration(), bandwidth()),
+        rng_seed=rng.randrange(1 << 32),
+        chunk_size_bytes=64 + rng.randrange(4096 - 64 + 1),
+        similarity_threshold=0.05 + 0.9 * rng.uniform(),
+        fp_rate=rng.uniform(),
+        queue_capacity=int(10 ** (9 * rng.uniform())),
+        payload_bytes=1 + rng.randrange(9000),
+        face_prob=rng.uniform(),
+        known_prob=rng.uniform(),
+        db_size=1 + rng.randrange(6),
+        jitter_pct=duration(0.95),
+        parallel_handoff_s=duration(),
+        parallel_io_penalty_s=duration(),
+        send_timeout_s=duration(120.0),
+        image_timeout_s=duration(120.0),
+        cloud_timeout_s=duration(120.0),
+        grant_ttl_s=duration(120.0),
+    )
+
+
+@pytest.fixture
+def made(monkeypatch) -> dict:
+    """The collector and edge service of the last run, kept by subclasses
+    that ``run_tiers`` builds in place of its own."""
+    made = {}
+
+    class SeenCollector(nodes.Collector):
+        def __init__(self, loop):
+            super().__init__(loop)
+            made["collector"] = self
+
+    class SeenEdge(nodes.EdgeService):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made["edge"] = self
+
+    monkeypatch.setattr(nodes, "Collector", SeenCollector)
+    monkeypatch.setattr(nodes, "EdgeService", SeenEdge)
+    return made
+
+
+def _run(cfg: ScenarioConfig, made: dict):
+    """Run ``cfg`` on a loop and links made here; returns the result, the
+    loop, the links, the collector and the edge service."""
+    loop = EventLoop()
+    links = tuple(SimLink(loop, params) for params in (
+        cfg.link_far_to_edge, cfg.link_far_to_edge,
+        cfg.link_edge_to_cloud, cfg.link_edge_to_cloud))
+    result = nodes.run_tiers(cfg, loop, links, SessionEndpoint)
+    return result, loop, links, made.pop("collector"), made.pop("edge")
+
+
+def test_random_configs_keep_every_run_invariant(made):
+    rng = Prng(2026)
+    kinds = Counter()
+    for case in range(CONFIGS):
+        cfg = random_config(rng)
+        assert validate_config(cfg).ok, case
+        result, loop, links, collector, edge = _run(cfg, made)
+        ids = [r.image_id for r in result.records]
+        assert len(ids) == len(set(ids)), case
+        if result.failure is None:
+            assert len(ids) == cfg.dataset_size, case
+            # Every transfer that opened has ended.
+            assert all(s is None for s in edge._sessions.values()), case
+        else:
+            assert len(ids) <= cfg.dataset_size, case
+        assert not loop._heap, case
+        assert not collector.traces, case
+        assert not edge._pending_cloud, case
+        assert all(not link._runs for link in links), case
+        if case % REPLAY_EVERY == 0:
+            again = _run(cfg, made)[0]
+            assert ((again.records, again.summary, again.failure)
+                    == (result.records, result.summary, result.failure)), case
+        sd = cfg.stage_durations
+        detects = sd.t_quality + sd.t_infer1 + sd.t_infer2 > 0.0
+        kinds[cfg.transport, cfg.parallelism, detects, result.failure is None] += 1
+    # The draw reaches both transports and both pipelines, each with and
+    # without detection time, and blocking runs that fail. A pub/sub run
+    # cannot fail: a put raises no transport error.
+    assert len({kind[:3] for kind in kinds}) == 8, kinds
+    assert any(not kind[3] for kind in kinds), kinds

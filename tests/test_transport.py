@@ -555,7 +555,7 @@ class _ChainRoute:
             tx = self.link.transmit(len(payload))
             loop.schedule_at(tx.arrival, lambda p=payload: self.got.append((loop.now, p)))
             if tx.wire_end > loop.now:
-                loop.schedule(tx.wire_end - loop.now, self._sent)
+                loop.schedule_at(tx.wire_end, self._sent)
                 return
             self._free()
         self.idle = True
@@ -628,8 +628,9 @@ def _run_streams(streams, params, capacity, chain):
 
 @pytest.mark.parametrize("capacity", [1, 2, 4])
 def test_stream_instants_are_those_of_a_chain_of_wire_end_events(capacity):
-    # Bandwidths and latencies whose quotients do not round evenly, so that
-    # ``b + (wire_end - b)`` differs from ``wire_end`` now and then.
+    # Bandwidths and latencies whose quotients do not round evenly: the
+    # closed form and the chain of events must compute each instant with the
+    # same float operations, in the same order, to agree exactly.
     rng = Prng(2020 + capacity)
     for case in range(40):
         params = LinkParams((0.0, 0.013, 1 / 3)[rng.randrange(3)],
