@@ -28,18 +28,18 @@ or a boolean; the non-JSON constants ``NaN``, ``Infinity`` and
 nested past the recursion limit are ``MalformedJson`` too. Each tier's
 handler is ``decode_as`` with the types it takes.
 
-``decode`` first tries the one form the far edge writes, a chunk message
-in ``_CHUNK_TEMPLATE``'s canonical compact bytes, with one compiled
-pattern. The pattern admits only text whose JSON value is the captured
+``read_chunk`` reads the one form the far edge writes, a chunk message in
+``_CHUNK_TEMPLATE``'s canonical compact bytes, with one compiled pattern,
+and returns the chunk's image id, number, bytes and CRC without making an
+envelope. The pattern admits only text whose JSON value is the captured
 text: an image id of printable ASCII without ``"``, ``\\``, ``/`` or
 ``*``, integers without sign or leading zeros, and base64 text that the
-decode and the padding rule prove holds only its alphabet. ``decode`` and
-``read_chunk`` (the bytes, without an envelope) read it with one check; on
-any miss (no match, an integer over the digit limit, a value the envelope
-rejects, bad base64, a length that does not match) ``decode`` returns what
-``decode_json`` does on the same bytes, and ``read_chunk`` None.
-``decode_json`` is the only path for other messages and for valid JSON in
-another form; tests hold both to it.
+decode and the padding rule prove holds only its alphabet. On any miss (no
+match, an integer over the digit limit, a value the envelope rejects, bad
+base64, a length that does not match) it returns None, and the caller
+hands the bytes to ``decode_json``, the path for every other message and
+for valid JSON in another form; tests hold ``read_chunk`` to it. It and
+``ChunkEnvelope.payload`` check base64 text with one rule, ``_b64decode``.
 
 The far edge goes from payload to wire messages in one step,
 ``encode_upload``: it slices, base64-encodes and CRCs each chunk
@@ -55,10 +55,8 @@ base64 text goes in as it is, because its alphabet (RFC 4648 §4:
 
 from __future__ import annotations
 
-import base64
 import binascii
 import json
-import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -120,7 +118,7 @@ class TransferMetadata:
             raise ValueError("total_bytes must be >= 1")
         if self.chunk_size_bytes < 1:
             raise ValueError("chunk_size_bytes must be >= 1")
-        expected = math.ceil(self.total_bytes / self.chunk_size_bytes)
+        expected = -(-self.total_bytes // self.chunk_size_bytes)
         if self.total_chunks != expected:
             raise ValueError("total_chunks inconsistent with total_bytes")
 
@@ -136,9 +134,9 @@ class ChunkEnvelope:
     payload_len: int
     payload_b64: str
     crc32_chunk: int
-    # The bytes ``payload_b64`` decodes to, once ``decode`` has checked
-    # them, so that reassembly does not decode them again. Not part of the
-    # envelope's value, and not copied by ``dataclasses.replace``.
+    # The bytes ``payload_b64`` decodes to, once ``decode_json`` has
+    # checked them, so that reassembly does not decode them again. Not part
+    # of the envelope's value, and not copied by ``dataclasses.replace``.
     decoded: Optional[bytes] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -148,19 +146,25 @@ class ChunkEnvelope:
             raise ValueError("payload_len must be >= 1")
 
     def payload(self) -> bytes:
-        """The bytes ``payload_b64`` holds. Its length must be a multiple of
-        4, with ``=`` only as its last one or two characters. Python 3.10 to
-        3.12 decode some text that breaks this rule, and 3.13 does not. On
-        each of them the strict decode takes only base64 characters followed
-        by ``=`` padding; such text keeps the rule exactly when it is as long
-        as the standard encoding of the bytes it decodes to."""
-        try:
-            raw = base64.b64decode(self.payload_b64, validate=True)
-        except (binascii.Error, ValueError, TypeError) as exc:
-            raise Base64Error(str(exc)) from None
-        if len(self.payload_b64) != (len(raw) + 2) // 3 * 4:
-            raise Base64Error("base64 padding is not one or two final '='")
-        return raw
+        """The bytes ``payload_b64`` holds (``_b64decode``)."""
+        return _b64decode(self.payload_b64)
+
+
+def _b64decode(text: Union[str, bytes]) -> bytes:
+    """The bytes ``text`` holds as standard padded base64, else
+    ``Base64Error``: its length must be a multiple of 4, with ``=`` only as
+    its last one or two characters. Python 3.10 to 3.12 decode some text
+    that breaks this rule and 3.13 does not, and 3.10 has no strict decode.
+    The lenient decode skips characters outside the alphabet and stops at
+    padding, so text it does not read whole is longer than the standard
+    encoding of the bytes it gives, which is what the rule compares."""
+    try:
+        raw = binascii.a2b_base64(text)
+    except (ValueError, TypeError) as exc:
+        raise Base64Error(str(exc)) from None
+    if len(text) != (len(raw) + 2) // 3 * 4:
+        raise Base64Error("base64 text is not standard padded base64")
+    return raw
 
 
 @dataclass(frozen=True)
@@ -218,7 +222,7 @@ def _transfer(
     return TransferMetadata(
         image_id=image_id,
         total_bytes=len(payload),
-        total_chunks=math.ceil(len(payload) / chunk_size),
+        total_chunks=-(-len(payload) // chunk_size),
         chunk_size_bytes=chunk_size,
         crc32_full=crc32(payload),
         width_px=image_dims[0],
@@ -370,7 +374,7 @@ def _decoding(cls: type, fields: tuple) -> tuple:
     return cls, names, frozenset(("msg_type",) + names), tuple(types for _, types in fields)
 
 
-# What ``decode`` reads off SCHEMAS by msg_type, and ``encode`` by class.
+# What ``decode_json`` reads off SCHEMAS by msg_type, and ``encode`` by class.
 _DECODING = {msg_type: _decoding(*schema) for msg_type, schema in SCHEMAS.items()}
 _ENCODING = {cls: (msg_type, names) for msg_type, (cls, names, _, _) in _DECODING.items()}
 
@@ -400,7 +404,7 @@ def encode(msg: Message) -> bytes:
 def encode_envelope(env: ChunkEnvelope) -> bytes:
     """``encode(env)``, byte for byte, from one template. Its integer
     fields must be ints and its ``payload_b64`` base64 text, as ``fragment``
-    and ``decode`` make them."""
+    and ``decode_json`` make them."""
     return _CHUNK_TEMPLATE % (
         _quote(env.image_id).encode("ascii"), env.seq, env.total_chunks,
         env.payload_len, env.payload_b64.encode("ascii"), env.crc32_chunk)
@@ -463,45 +467,21 @@ _match_chunk = re.compile(re.escape(_CHUNK_TEMPLATE).replace(b"%d", b"%s") % (
     rb'"([ !#-)+-.0-\[\]-~]+)"', _UINT, _UINT, _UINT, rb'([^"]*)', _UINT)).fullmatch
 
 
-def _canonical_chunk(data: bytes) -> Optional[tuple[str, int, int, int, bytes, int, bytes]]:
-    """A canonical chunk message's fields, as ``ChunkEnvelope`` takes them
-    but with the base64 text as ASCII bytes, and the bytes that text holds,
-    if it passes every check ``decode_json`` makes; else None."""
+def read_chunk(data: bytes) -> Optional[tuple[str, int, bytes, int]]:
+    """The image id, sequence number, bytes and CRC-32 of a canonical chunk
+    message that passes every check ``decode_json`` makes, else None."""
     match = _match_chunk(data)
     if match is None:
         return None
     image_id, seq, total_chunks, payload_len, payload_b64, crc = match.groups()
-    # ValueError: an integer over the digit limit, or bad base64. A lenient
-    # decode (3.10 has no strict one) skips non-base64 characters and stops
-    # at padding, so text it does not read whole breaks the rule or the length.
+    # ValueError: an integer over the digit limit.
     try:
-        seq, total_chunks, payload_len = int(seq), int(total_chunks), int(payload_len)
-        if seq >= total_chunks or payload_len < 1 or len(payload_b64) != (payload_len + 2) // 3 * 4:
-            return None
-        raw = binascii.a2b_base64(payload_b64)
-        chunk = (image_id.decode("ascii"), seq, total_chunks, payload_len,
-                 payload_b64, int(crc), raw)
-    except ValueError:
-        return None
-    return chunk if len(raw) == payload_len else None
-
-
-def read_chunk(data: bytes) -> Optional[tuple[str, int, bytes, int]]:
-    """The image id, sequence number, bytes and CRC-32 of a canonical chunk
-    message that passes every check ``decode`` makes, else None."""
-    chunk = _canonical_chunk(data)
-    return None if chunk is None else (chunk[0], chunk[1], chunk[6], chunk[5])
-
-
-def decode(data: bytes) -> Message:
-    """``decode_json(data)``, which it equals in value or exception; a
-    canonical chunk message is decoded without parsing JSON."""
-    chunk = _canonical_chunk(data)
-    if chunk is None:
-        return decode_json(data)
-    env = ChunkEnvelope(*chunk[:4], chunk[4].decode("ascii"), chunk[5])
-    env.decoded = chunk[6]
-    return env
+        seq, raw, crc = int(seq), _b64decode(payload_b64), int(crc)
+        if seq < int(total_chunks) and 0 < len(raw) == int(payload_len):
+            return image_id.decode("ascii"), seq, raw, crc
+    except (ValueError, Base64Error):
+        pass
+    return None
 
 
 def decode_json(data: bytes) -> Message:
@@ -542,9 +522,9 @@ def decode_json(data: bytes) -> Message:
 
 
 def decode_as(data: bytes, kinds: type | tuple[type, ...]) -> Message:
-    """``decode(data)``, which must be an instance of ``kinds``: a
+    """``decode_json(data)``, which must be an instance of ``kinds``: a
     well-formed message of another type is ``MalformedJson`` too."""
-    msg = decode(data)
+    msg = decode_json(data)
     if not isinstance(msg, kinds):
         raise MalformedJson(f"unexpected {_ENCODING[type(msg)][0]} message")
     return msg

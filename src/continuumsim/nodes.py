@@ -20,7 +20,7 @@ messages from the far edge and grants, refusals and results from the cloud;
 the cloud takes grant requests and uploads. Anything else is dropped and
 counted in the node's ``malformed_messages``, and its image ends by a
 timeout. The edge reads a canonical chunk with ``chunkwire.read_chunk``,
-which takes what ``decode`` takes, without an envelope.
+which takes what ``chunkwire.decode_json`` takes, without an envelope.
 """
 
 from __future__ import annotations

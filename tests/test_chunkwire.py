@@ -26,7 +26,6 @@ from continuumsim.chunkwire import (
     UnknownField,
     UploadRejected,
     crc32,
-    decode,
     decode_envelope,
     decode_json,
     decode_meta,
@@ -242,8 +241,7 @@ def test_wire_chunk_is_base64_decoded_once(monkeypatch):
     meta, envs = fragment(payload, "img", 64, (1, 1), "PNG")
     decoded = [decode_envelope(encode_envelope(env)) for env in envs]
     assert decoded == envs and list(map(repr, decoded)) == list(map(repr, envs))
-    # Every base64 decode, the strict one of ``ChunkEnvelope.payload`` too,
-    # is a call of ``binascii.a2b_base64``.
+    # Every base64 decode is a call of ``binascii.a2b_base64``.
     calls = []
     original = binascii.a2b_base64
     monkeypatch.setattr(binascii, "a2b_base64",
@@ -299,6 +297,19 @@ def test_decode_malformed_json_and_bad_base64():
 def test_meta_round_trip():
     meta, _ = fragment(b"\x01" * 5000, "img9", 512, (320, 240), "PNG")
     assert decode_meta(encode_meta(meta)) == meta
+
+
+def test_meta_chunk_count_is_exact_past_float_precision():
+    # 2**53 + 1 bytes in 1-byte chunks: a float quotient rounds to 2**53.
+    def meta(total_chunks):
+        return encode_object({
+            "msg_type": "meta", "image_id": "img", "total_bytes": 2**53 + 1,
+            "total_chunks": total_chunks, "chunk_size_bytes": 1, "crc32_full": 0,
+            "width_px": 1, "height_px": 1, "format": "RAW"})
+
+    assert decode_json(meta(2**53 + 1)).total_chunks == 2**53 + 1
+    with pytest.raises(MalformedJson):
+        decode_json(meta(2**53))
 
 
 def test_seeded_random_envelopes_round_trip():
@@ -359,10 +370,10 @@ def test_encoders_match_json_dumps_byte_for_byte(chunk_size):
 
 def test_decode_upload_dispatches_on_msg_type():
     meta, envs = fragment(b"\x42" * 200, 'img"\u2028', 64, (3, 4), "PNG")
-    assert decode(encode_meta(meta)) == meta
-    assert [decode(encode_envelope(env)) for env in envs] == envs
+    assert decode_json(encode_meta(meta)) == meta
+    assert [decode_json(encode_envelope(env)) for env in envs] == envs
     with pytest.raises(MissingField) as err:
-        decode(b'{"image_id":"img"}')
+        decode_json(b'{"image_id":"img"}')
     assert err.value.name == "msg_type"
 
 
@@ -374,16 +385,6 @@ def _outcome(decoder, data: bytes):
     except ChunkError as exc:
         return type(exc), str(exc)
     return msg, repr(msg), msg.decoded
-
-
-# The last chunk of 1000 bytes is short at all three sizes.
-@pytest.mark.parametrize("chunk_size", [64, 1000, 1024])
-@pytest.mark.parametrize("image_id", ["img00007", "img 7", "img-._~7"])
-def test_canonical_chunk_decode_equals_json_decoder(chunk_size, image_id):
-    payload = Prng(chunk_size).randbytes(3000)
-    for data in encode_upload(payload, image_id, chunk_size, (2, 2), "RAW")[1:]:
-        assert chunkwire._match_chunk(data) is not None
-        assert _outcome(decode, data) == _outcome(decode_json, data)
 
 
 def _fed(session, status):
@@ -401,20 +402,20 @@ def _read_then_add(session, data: bytes):
     return _fed(session, session.add(image_id, seq, raw, crc, len(raw)))
 
 
-def _decode_then_accept(session, data: bytes, monkeypatch):
+def _decode_then_accept(session, data: bytes):
     """``decode_json`` and ``accept`` of ``data``, or "fell through" where
-    ``decode`` would hand ``data`` to ``decode_json``."""
-    calls = []
-    monkeypatch.setattr(chunkwire, "decode_json",
-                        lambda d: calls.append(d) or decode_json(d))
-    try:
-        decode(data)
-    except ChunkError:
-        pass
-    monkeypatch.undo()
-    if calls:
+    ``data`` is not in the chunk pattern, ``decode_json`` refuses it, or it
+    is not the canonical encoding of what it decodes to (as base64 text
+    with a ``\\u`` escape is)."""
+    if chunkwire._match_chunk(data) is None:
         return "fell through"
-    return _fed(session, session.accept(decode_json(data)))
+    try:
+        env = decode_json(data)
+    except ChunkError:
+        return "fell through"
+    if encode(env) != data:
+        return "fell through"
+    return _fed(session, session.accept(env))
 
 
 def _edits(data: bytes) -> list[bytes]:
@@ -432,11 +433,11 @@ def _edits(data: bytes) -> list[bytes]:
             encode_object(dict(reversed(doc.items())))]
 
 
-# The cases of test_canonical_chunk_decode_equals_json_decoder, each chunk
-# fed with its edits, in reverse order so that the last chunk is not last.
+# Each chunk fed with its edits, in reverse order so that the last chunk is
+# not last. The last chunk of 1000 bytes is short at all three sizes.
 @pytest.mark.parametrize("chunk_size", [64, 1000, 1024])
 @pytest.mark.parametrize("image_id", ["img00007", "img 7", "img-._~7"])
-def test_read_chunk_and_add_equal_decode_json_and_accept(chunk_size, image_id, monkeypatch):
+def test_read_chunk_and_add_equal_decode_json_and_accept(chunk_size, image_id):
     payload = Prng(chunk_size).randbytes(3000)
     meta_msg, *chunks = encode_upload(payload, image_id, chunk_size, (2, 2), "RAW")
     read_session = ReassemblySession(decode_json(meta_msg))
@@ -444,7 +445,7 @@ def test_read_chunk_and_add_equal_decode_json_and_accept(chunk_size, image_id, m
     outcomes = []
     for data in [edit for msg in reversed(chunks) for edit in _edits(msg)]:
         outcome = _read_then_add(read_session, data)
-        assert outcome == _decode_then_accept(decode_session, data, monkeypatch)
+        assert outcome == _decode_then_accept(decode_session, data)
         outcomes.append(outcome if outcome == "fell through" else outcome[0])
     assert read_session.payload == decode_session.payload == payload
     assert set(outcomes) == {
@@ -485,12 +486,6 @@ NEAR_CANONICAL = {
 }
 
 
-@pytest.mark.parametrize("data", NEAR_CANONICAL.values(), ids=NEAR_CANONICAL.keys())
-def test_near_canonical_chunk_decodes_as_json_decoder(data):
-    assert data != _CANONICAL
-    assert _outcome(decode, data) == _outcome(decode_json, data)
-
-
 # Base64 text and the bytes it holds, or None where it breaks the padding
 # rule: a length that is a multiple of 4, with '=' only as the last one or
 # two characters. Python 3.10-3.12 decode "QUJD=" and "QUJD==" to b"ABC",
@@ -523,26 +518,28 @@ def test_base64_padding_rule_does_not_depend_on_the_interpreter(text, raw):
     else:
         assert env.payload() == raw
     # As a chunk message of payload_len 3, the text is accepted only if it
-    # holds exactly b"ABC", by the fast path and the JSON decoder alike.
+    # holds exactly b"ABC", by read_chunk and the JSON decoder alike.
     data = encode_envelope(env)
-    outcome = _outcome(decode, data)
-    assert outcome == _outcome(decode_json, data)
+    outcome = _outcome(decode_json, data)
     if raw == b"ABC":
         assert outcome[0] == env and outcome[2] == b"ABC"
+        assert chunkwire.read_chunk(data) == ("img0", 0, b"ABC", crc32(b"ABC"))
     else:
         assert outcome[0] is (Base64Error if raw is None else MalformedJson)
+        assert chunkwire.read_chunk(data) is None
 
 
 @pytest.mark.parametrize("data", NEAR_CANONICAL.values(), ids=NEAR_CANONICAL.keys())
-def test_read_chunk_of_a_near_canonical_chunk_equals_decode(data, monkeypatch):
+def test_read_chunk_of_a_near_canonical_chunk_equals_decode(data):
+    assert data != _CANONICAL
     session = ReassemblySession(TransferMetadata("img0", 100, 2, 64, 0, 2, 2, "RAW"))
     assert _read_then_add(session, data) == _decode_then_accept(
-        ReassemblySession(session.metadata), data, monkeypatch)
+        ReassemblySession(session.metadata), data)
 
 
 def _strict_b64(text: str):
-    """What ``ChunkEnvelope.payload`` takes: the bytes of the strict decode,
-    if ``text`` is as long as their standard encoding; else None."""
+    """Standard padded base64, by the strict decode: the bytes ``text``
+    holds, if it is as long as their standard encoding; else None."""
     try:
         raw = base64.b64decode(text, validate=True)
     except binascii.Error:
@@ -551,13 +548,20 @@ def _strict_b64(text: str):
 
 
 # Every text of up to 6 characters over two base64 values, '/', '=' and a
-# character outside the alphabet, and the texts of BASE64_PADDING.
+# character outside the alphabet, and the texts of BASE64_PADDING. An
+# envelope's payload and read_chunk take the same text.
 @pytest.mark.parametrize("length", [*range(7), "padding_table"])
 def test_read_chunk_takes_exactly_the_strict_base64_text(length):
     texts = (BASE64_PADDING if length == "padding_table"
              else map("".join, itertools.product("AQ/=@", repeat=length)))
     for text in texts:
         raw = _strict_b64(text)
+        env = ChunkEnvelope("img0", 0, 1, 1, text, 7)
+        if raw is None:
+            with pytest.raises(Base64Error):
+                env.payload()
+        else:
+            assert env.payload() == raw, text
         try:
             lenient = len(binascii.a2b_base64(text))
         except binascii.Error:
@@ -602,5 +606,5 @@ WIRE_CONTRACT = {
 @pytest.mark.parametrize("msg,wire", WIRE_CONTRACT.values(), ids=WIRE_CONTRACT.keys())
 def test_wire_contract(msg, wire):
     assert encode(msg) == wire
-    decoded = decode(wire)
+    decoded = decode_json(wire)
     assert type(decoded) is type(msg) and decoded == msg

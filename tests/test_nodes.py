@@ -32,6 +32,7 @@ from continuumsim.nodes import (
     _ImageTrace,
     run_scenario,
 )
+from continuumsim.presets import base_config
 from continuumsim.transport import (
     KEY_CLOUD_REQUESTS_PREFIX,
     KEY_CLOUD_RESULTS_PREFIX,
@@ -689,6 +690,8 @@ MALFORMED_UPLOADS = {
                          b'"total_chunks":1,"payload_len":1,"payload_b64":5,"crc32_chunk":0}',
     "non_string_image_id": _edited(_META, image_id=[]),
     "zero_chunk_size": _edited(_META, chunk_size_bytes=0),
+    # Its chunk count as a float quotient would overflow.
+    "inconsistent_huge_total_bytes": _edited(_META, total_bytes=10**400),
     "bool_seq": _edited(_CHUNK1, seq=True),
     "float_seq": _edited(_CHUNK0, seq=0.0),
     "empty_image_id": _edited(_META, image_id=""),
@@ -765,6 +768,22 @@ def test_upload_message_is_parsed_once(monkeypatch):
     assert parses == messages[:1]
     assert matches == messages[1:]
     assert edge.malformed_messages == edge.dropped_chunks == 0
+
+
+@pytest.mark.parametrize("transport", list(TransportKind), ids=lambda t: t.name.lower())
+def test_chunk_pattern_is_tried_once_per_upload_message(transport, monkeypatch):
+    # Only the edge's read_chunk tries the pattern: meta messages, results
+    # and cloud messages go straight to the JSON decoder.
+    attempts, uploads = [], []
+    match_chunk, on_upload_message = chunkwire._match_chunk, EdgeService.on_upload_message
+    monkeypatch.setattr(chunkwire, "_match_chunk",
+                        lambda data: attempts.append(data) or match_chunk(data))
+    monkeypatch.setattr(EdgeService, "on_upload_message",
+                        lambda self, data: uploads.append(data) or on_upload_message(self, data))
+    r = run_scenario(base_config(transport, dataset_size=4))
+    assert r.failure is None and len(r.records) == 4
+    assert any(rec.origin == "cloud" for rec in r.records)
+    assert len(uploads) > 4 and attempts == uploads
 
 
 GRANT_WITHOUT_TOKEN = b'{"msg_type":"grant","image_id":"imgQ"}'
