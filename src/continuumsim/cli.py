@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Optional
 
@@ -122,8 +122,8 @@ def _preset_comparison(name: str, summaries: dict[str, RunSummary],
             stats = summaries[tag].stats
             edge, cloud = stats["edge_rtt"], stats["cloud_rtt"]
             report[tag] = {
-                "edge_rtt": {"mean": edge.mean, "std": edge.std, "count": edge.count},
-                "cloud_rtt": {"mean": cloud.mean, "std": cloud.std, "count": cloud.count},
+                "edge_rtt": asdict(edge),
+                "cloud_rtt": asdict(cloud),
                 "cloud_over_edge_ratio":
                     cloud.mean / edge.mean if edge.mean > 0 else 0.0,
             }

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from typing import Optional
 
@@ -28,7 +28,6 @@ def is_key_segment(text: str) -> bool:
 
 class ImageFormat(Enum):
     PNG = "PNG"
-    RAW = "RAW"
 
 
 class TransportKind(Enum):
@@ -272,15 +271,9 @@ _NESTED_FIELDS = {
 
 
 def config_to_dict(cfg: ScenarioConfig) -> dict:
-    out: dict = {}
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if f.name in _ENUM_FIELDS:
-            out[f.name] = value.value
-        elif f.name in _NESTED_FIELDS:
-            out[f.name] = {nf.name: getattr(value, nf.name) for nf in fields(value)}
-        else:
-            out[f.name] = value
+    out = asdict(cfg)
+    for name in _ENUM_FIELDS:
+        out[name] = out[name].value
     return out
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -43,7 +43,9 @@ class MetricsRecord:
 
     ``cloud_rtt`` is present iff the result originated at the cloud;
     ``edge_rtt`` is meaningful only for edge-resolved images and is zero
-    otherwise. ``completion_s`` orders the CSV but is not emitted.
+    otherwise. ``t_detect_total`` is the detection stage's
+    ``DetectionResult.t_total``. ``completion_s`` orders the CSV but is not
+    emitted.
     """
 
     image_id: str
@@ -51,6 +53,7 @@ class MetricsRecord:
     t_quality: float = 0.0
     t_infer1: float = 0.0
     t_infer2: float = 0.0
+    t_detect_total: float = 0.0
     t_upload: float = 0.0
     t_identify: float = 0.0
     edge_rtt: float = 0.0
@@ -60,10 +63,6 @@ class MetricsRecord:
     label: Optional[str] = None
     completion_s: float = 0.0
     is_false_positive: bool = False
-
-    @property
-    def t_detect_total(self) -> float:
-        return self.t_quality + self.t_infer1 + self.t_infer2
 
 
 @dataclass(frozen=True)
@@ -81,8 +80,8 @@ class RunSummary:
     core0_util: float
     core1_util: float
     total_util: float
-    stats: dict[str, MetricStats] = field(default_factory=dict)
     fp_count: int = 0
+    stats: dict[str, MetricStats] = field(default_factory=dict)
 
 
 def _sample_std(values: list[float], mean: float) -> float:
@@ -182,19 +181,7 @@ def emit_csv(records: Iterable[MetricsRecord], path: str | Path) -> int:
 
 
 def summary_to_dict(summary: RunSummary) -> dict:
-    return {
-        "n_images": summary.n_images,
-        "total_runtime": summary.total_runtime,
-        "throughput": summary.throughput,
-        "core0_util": summary.core0_util,
-        "core1_util": summary.core1_util,
-        "total_util": summary.total_util,
-        "fp_count": summary.fp_count,
-        "stats": {
-            name: {"mean": s.mean, "std": s.std, "count": s.count}
-            for name, s in summary.stats.items()
-        },
-    }
+    return asdict(summary)
 
 
 def emit_summary_json(summary: RunSummary, path: str | Path) -> None:

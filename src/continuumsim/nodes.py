@@ -100,10 +100,10 @@ class Collector:
         self.traces: dict[str, _ImageTrace] = {}
         self.records: list[MetricsRecord] = []
 
-    def finalize(self, tr: _ImageTrace, origin: str, recognized: bool,
-                 label: Optional[str], is_fp: bool) -> None:
-        """Record ``tr``'s one result. Each image comes here once: from the
-        far edge's ``_resolve`` if it was uploaded, at detection if not. Its
+    def finalize(self, tr: _ImageTrace, result: Optional[ResultMessage]) -> None:
+        """Record ``tr``'s one outcome: ``result``, or no result (origin
+        "none") if it is None. Each image comes here once: from the far
+        edge's ``_resolve`` if it was uploaded, at detection if not. Its
         upload runs from its ticket's ``wire_start`` to its last ack on a
         session, else to its reassembly, and counts 0 if it had neither."""
         now = self._loop.now
@@ -114,7 +114,12 @@ class Collector:
             upload_end = ticket.ack_at if ticket.ack_at is not None else tr.reassembled_at
             if upload_end is not None:
                 t_upload = upload_end - start
-        span = (now - start) if (start is not None and origin in ("edge", "cloud")) else 0.0
+        if result is None:
+            origin, recognized, label, is_fp = "none", False, None, False
+        else:
+            origin, recognized, label, is_fp = (result.origin, result.recognized,
+                                                result.label, result.is_false_positive)
+        span = now - start if start is not None and result is not None else 0.0
         detection = tr.detection
         self.records.append(MetricsRecord(
             image_id=tr.image_id,
@@ -122,6 +127,7 @@ class Collector:
             t_quality=detection.t_quality,
             t_infer1=detection.t_infer1,
             t_infer2=detection.t_infer2,
+            t_detect_total=detection.t_total,
             t_upload=t_upload,
             t_identify=tr.t_identify,
             edge_rtt=span if origin == "edge" else 0.0,
@@ -186,19 +192,18 @@ class FarEdgeNode:
         except ChunkError:
             self.malformed_messages += 1
             return
-        self._resolve(msg.image_id, msg.origin, msg.recognized, msg.label,
-                      msg.is_false_positive)
+        self._resolve(msg.image_id, msg)
 
-    def _resolve(self, image_id: str, origin: str, recognized: bool,
-                 label: Optional[str], is_fp: bool) -> None:
-        """End uploaded image ``image_id`` with this result. The first of its
-        answer, its image timeout and the run's failure pops its trace from
-        ``traces``; whatever comes after finds nothing and is ignored."""
+    def _resolve(self, image_id: str, result: Optional[ResultMessage]) -> None:
+        """End uploaded image ``image_id`` with ``result``, None for no
+        result. The first of its answer, its image timeout and the run's
+        failure pops its trace from ``traces``; whatever comes after finds
+        nothing and is ignored."""
         tr = self._collector.traces.pop(image_id, None)
         if tr is None:
             return
         tr.timeout.cancel()
-        self._collector.finalize(tr, origin, recognized, label, is_fp)
+        self._collector.finalize(tr, result)
 
     def _fail(self, exc: TransportError) -> None:
         """The pipeline cannot send: keep the first failure, and end every
@@ -211,7 +216,7 @@ class FarEdgeNode:
         if self.failure is None:
             self.failure = str(exc)
         for image_id in list(self._collector.traces):
-            self._resolve(image_id, "none", False, None, False)
+            self._resolve(image_id, None)
 
     def _jitter_factor(self) -> float:
         if self._cfg.jitter_pct <= 0.0:
@@ -234,7 +239,7 @@ class FarEdgeNode:
                     if not self._blocking:
                         yield self._uplink.fabric.route("far", "edge").flush()
                 else:
-                    self._collector.finalize(tr, "none", False, None, False)
+                    self._collector.finalize(tr, None)
         except TransportError as exc:
             self._fail(exc)
 
@@ -261,7 +266,7 @@ class FarEdgeNode:
                 if self._cfg.parallel_handoff_s > 0.0:
                     yield self._cfg.parallel_handoff_s
                 if not detection.face_found:
-                    self._collector.finalize(tr, "none", False, None, False)
+                    self._collector.finalize(tr, None)
                 elif upload_q is None:
                     yield from self._upload(image, tr)
                 else:
@@ -287,7 +292,7 @@ class FarEdgeNode:
             (image.width_px, image.height_px), image.format.value)
         tr.timeout = self._loop.schedule(
             self._cfg.image_timeout_s,
-            partial(self._resolve, image.id, "none", False, None, False))
+            partial(self._resolve, image.id, None))
         self._collector.traces[image.id] = tr
         stream = self._uplink.send_all if self._blocking else self._uplink.put_all
         tr.upload_ticket = stream(messages)
@@ -311,7 +316,8 @@ class EdgeService:
                  cloud_send: Optional[Callable[[str, bytes], None]] = None):
         """``send_result(image_id, data)`` sends the result message ``data``
         of ``image_id`` to the far edge; ``cloud_send(key, data)`` publishes
-        ``data`` towards the cloud under the pub/sub key ``key``."""
+        ``data`` towards the cloud under the pub/sub key ``key``, and is
+        None when the cloud is off: the edge then never escalates."""
         self._loop = loop
         self._cfg = cfg
         self._db = db
@@ -383,7 +389,7 @@ class EdgeService:
             if ident.recognized:
                 result = ResultMessage(image_id, "edge", True,
                                        ident.best_person.label, False)
-        if result is None and cfg.cloud_enabled and self._cloud_send is not None:
+        if result is None and self._cloud_send is not None:
             result = yield from self._cloud_flow(image_id, payload)
         if result is None:
             result = ResultMessage(image_id, "edge", False, None, False)
@@ -445,28 +451,14 @@ class EdgeService:
 # Cloud.
 
 
-class InvalidGrant(RuntimeError):
-    pass
-
-
-class ExpiredGrant(RuntimeError):
-    pass
-
-
-@dataclass
-class PresignedGrant:
-    upload_token: str
-    image_id: str
-    expires_at: float
-    used: bool = False
-
-
 class CloudService:
     """Issues single-use upload grants and runs the recognizer after the
-    configured service latency. ``ground_truth`` maps each image id to the
-    known person its face shows, or None for an unknown face. A message that
-    does not decode to a grant request or an upload is dropped and counted in
-    ``malformed_messages``."""
+    configured service latency. An upload is refused if its image is
+    unknown, if its grant is unknown, spent or names another image, or if its
+    grant has expired; only a redeemed grant leaves the ledger.
+    ``ground_truth`` maps each image id to the known person its face shows,
+    or None for an unknown face. A message that does not decode to a grant
+    request or an upload is dropped and counted in ``malformed_messages``."""
 
     def __init__(self, loop: EventLoop, cfg: ScenarioConfig,
                  ground_truth: dict[str, Optional[PersonId]],
@@ -477,28 +469,10 @@ class CloudService:
         self._send_to_edge = send_to_edge
         self._fp_rng = workload.Prng(workload.substream(cfg.rng_seed, 3))
         self._latency_rng = workload.Prng(workload.substream(cfg.rng_seed, 4))
-        self._grants: dict[str, PresignedGrant] = {}
+        # The image id and expiry of each grant not yet redeemed, by token.
+        self._grants: dict[str, tuple[str, float]] = {}
         self._counter = 0
         self.malformed_messages = 0
-
-    def issue_grant(self, image_id: str) -> PresignedGrant:
-        self._counter += 1
-        grant = PresignedGrant(
-            upload_token=f"grant-{self._counter:06d}",
-            image_id=image_id,
-            expires_at=self._loop.now + self._cfg.grant_ttl_s,
-        )
-        self._grants[grant.upload_token] = grant
-        return grant
-
-    def redeem(self, token: str, image_id: str) -> PresignedGrant:
-        grant = self._grants.get(token)
-        if grant is None or grant.used or grant.image_id != image_id:
-            raise InvalidGrant(f"grant rejected for {image_id}")
-        if self._loop.now > grant.expires_at:
-            raise ExpiredGrant(f"grant expired for {image_id}")
-        grant.used = True
-        return grant
 
     def _latency(self) -> float:
         sd = self._cfg.stage_durations
@@ -515,32 +489,35 @@ class CloudService:
             return
         image_id = msg.image_id
         if type(msg) is GrantRequest:
-            grant = self.issue_grant(image_id)
-            self._send_to_edge(image_id, chunkwire.encode(
-                Grant(image_id, grant.upload_token, grant.expires_at)))
+            self._counter += 1
+            token = f"grant-{self._counter:06d}"
+            expires_at = self._loop.now + self._cfg.grant_ttl_s
+            self._grants[token] = image_id, expires_at
+            self._send_to_edge(image_id, chunkwire.encode(Grant(image_id, token, expires_at)))
             return
+        # A redeemed grant has left the ledger, so it is refused as unknown.
+        granted_id, expires_at = self._grants.get(msg.upload_token, (None, 0.0))
         if image_id not in self._ground_truth:
-            self._reject(image_id, f"no record of image {image_id}")
+            reason = "no record of image"
+        elif granted_id != image_id:
+            reason = "grant rejected for"
+        elif self._loop.now > expires_at:
+            reason = "grant expired for"
+        else:
+            del self._grants[msg.upload_token]
+            verdict = workload.cloud_recognize(
+                self._ground_truth[image_id], self._cfg.fp_rate, self._fp_rng)
+            payload = encode_result(ResultMessage(
+                image_id=image_id,
+                origin="cloud",
+                recognized=verdict.outcome is workload.CloudOutcome.MATCH,
+                label=verdict.label,
+                is_false_positive=verdict.is_false_positive,
+            ))
+            self._loop.schedule(self._latency(), partial(self._send_to_edge, image_id, payload))
             return
-        try:
-            self.redeem(msg.upload_token, image_id)
-        except (InvalidGrant, ExpiredGrant) as exc:
-            self._reject(image_id, str(exc))
-            return
-        verdict = workload.cloud_recognize(
-            image_id, self._ground_truth[image_id], self._cfg.fp_rate,
-            self._fp_rng, self._latency())
-        payload = encode_result(ResultMessage(
-            image_id=image_id,
-            origin="cloud",
-            recognized=verdict.outcome is workload.CloudOutcome.MATCH,
-            label=verdict.label,
-            is_false_positive=verdict.is_false_positive,
-        ))
-        self._loop.schedule(verdict.t_cloud, partial(self._send_to_edge, image_id, payload))
-
-    def _reject(self, image_id: str, reason: str) -> None:
-        self._send_to_edge(image_id, chunkwire.encode(UploadRejected(image_id, reason)))
+        self._send_to_edge(image_id, chunkwire.encode(
+            UploadRejected(image_id, f"{reason} {image_id}")))
 
 
 # ---------------------------------------------------------------------------

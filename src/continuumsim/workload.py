@@ -184,11 +184,8 @@ def generate_dataset(
     known_prob: float,
     db: FaceDatabase,
     payload_bytes: int,
-    width_px: int = 64,
-    height_px: int = 64,
-    format: ImageFormat = ImageFormat.PNG,
 ) -> list[ImageRecord]:
-    """Produce ``n`` records, fully determined by ``seed``.
+    """Produce ``n`` records of 64x64 PNG images, fully determined by ``seed``.
 
     Each record has a face with probability ``face_prob``; a face is a
     perturbed copy of a database embedding with probability ``known_prob``
@@ -223,9 +220,9 @@ def generate_dataset(
             id=f"img{k:05d}",
             payload_seed=rng.u64(),
             payload_size=payload_bytes,
-            width_px=width_px,
-            height_px=height_px,
-            format=format,
+            width_px=64,
+            height_px=64,
+            format=ImageFormat.PNG,
             has_face=has_face,
             ground_truth=ground_truth,
             embedding=embedding,
@@ -243,7 +240,6 @@ def cosine(a: EmbeddingVec, b: EmbeddingVec) -> float:
 
 @dataclass(frozen=True)
 class DetectionResult:
-    image_id: str
     face_found: bool
     t_quality: float
     t_infer1: float
@@ -260,7 +256,6 @@ def detection_for(image: ImageRecord, durations: StageDurations,
     caller books the core for ``t_total``; ``face_found`` passes the ground
     truth through."""
     return DetectionResult(
-        image_id=image.id,
         face_found=image.has_face,
         t_quality=durations.t_quality * jitter_factor,
         t_infer1=durations.t_infer1 * jitter_factor,
@@ -307,27 +302,23 @@ class CloudOutcome(Enum):
 
 @dataclass(frozen=True)
 class CloudResult:
-    image_id: str
     outcome: CloudOutcome
     label: Optional[str]
     is_false_positive: bool
-    t_cloud: float
 
 
-def cloud_recognize(image_id: str, person: Optional[PersonId], fp_rate: float,
-                    rng: Prng, latency: float) -> CloudResult:
-    """Simulated large-scale recognizer for the face of image ``image_id``:
-    a known ``person`` resolves correctly; an unknown face (``person`` None)
-    draws exactly one rng sample and is mislabeled as some celebrity with
-    probability ``fp_rate``."""
+def cloud_recognize(person: Optional[PersonId], fp_rate: float, rng: Prng) -> CloudResult:
+    """Simulated large-scale recognizer for one face: a known ``person``
+    resolves correctly; an unknown face (``person`` None) draws exactly one
+    rng sample and is mislabeled as some celebrity with probability
+    ``fp_rate``."""
     if not 0.0 <= fp_rate <= 1.0:
         raise ValueError("fp_rate must be in [0,1]")
     if person is not None:
-        return CloudResult(image_id, CloudOutcome.MATCH, person.label, False, latency)
+        return CloudResult(CloudOutcome.MATCH, person.label, False)
     u = rng.uniform()
     if fp_rate > 0.0 and u < fp_rate:
         index = min(int(u / fp_rate * len(CELEBRITY_LABELS)),
                     len(CELEBRITY_LABELS) - 1)
-        return CloudResult(image_id, CloudOutcome.MATCH,
-                           CELEBRITY_LABELS[index], True, latency)
-    return CloudResult(image_id, CloudOutcome.NO_MATCH, None, False, latency)
+        return CloudResult(CloudOutcome.MATCH, CELEBRITY_LABELS[index], True)
+    return CloudResult(CloudOutcome.NO_MATCH, None, False)

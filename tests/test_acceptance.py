@@ -273,7 +273,7 @@ def _fp_enumeration(cfg: ScenarioConfig) -> int:
     count = 0
     for image in dataset:
         if image.has_face and image.ground_truth is None:
-            verdict = cloud_recognize(image.id, image.ground_truth, cfg.fp_rate, rng, 0.0)
+            verdict = cloud_recognize(image.ground_truth, cfg.fp_rate, rng)
             count += verdict.is_false_positive
     return count
 

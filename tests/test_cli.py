@@ -224,3 +224,12 @@ def test_preset_run_that_raises_exits_3(tmp_path, capsys, monkeypatch):
     assert run_cli("--preset", "fig4_rtt", "--images", "2", "--out", str(out)) == 3
     assert capsys.readouterr().err == "error: pubsub: the run broke\n"
     assert not (out / "comparison.json").exists()
+
+
+def test_preset_whose_comparison_cannot_be_written_exits_3(tmp_path, capsys):
+    out = tmp_path / "o"
+    (out / "comparison.json").mkdir(parents=True)
+    assert run_cli("--preset", "fp_study", "--images", "2", "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write to {out}: ") and err.count("\n") == 1
+    assert (out / "fp_study" / "summary.json").exists()

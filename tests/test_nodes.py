@@ -24,8 +24,6 @@ from continuumsim.nodes import (
     CloudService,
     Collector,
     EdgeService,
-    ExpiredGrant,
-    InvalidGrant,
     ResultMessage,
     decode_result,
     encode_result,
@@ -628,21 +626,41 @@ def test_duplicated_result_delivery_changes_nothing(transport, cloud, monkeypatc
 def test_presigned_grants_are_single_use_and_expire():
     loop = EventLoop()
     cfg = tiny_config(n=1, cloud=True, grant_ttl_s=10.0)
-    cloud = CloudService(loop, cfg, {}, send_to_edge=lambda _id, _d: None)
-    grant = cloud.issue_grant("imgA")
-    assert cloud.redeem(grant.upload_token, "imgA").used
-    with pytest.raises(InvalidGrant):
-        cloud.redeem(grant.upload_token, "imgA")  # single use
-    with pytest.raises(InvalidGrant):
-        cloud.redeem("grant-999999", "imgA")  # unknown token
-    other = cloud.issue_grant("imgB")
-    with pytest.raises(InvalidGrant):
-        cloud.redeem(other.upload_token, "imgZ")  # bound to one image
-    stale = cloud.issue_grant("imgC")
+    replies = []
+    cloud = CloudService(loop, cfg, dict.fromkeys(["imgA", "imgB", "imgC", "imgZ"]),
+                         send_to_edge=lambda _id, data: replies.append(json.loads(data)))
+
+    def grant(image_id):
+        cloud.on_message(chunkwire.encode(chunkwire.GrantRequest(image_id)))
+        (reply,) = replies
+        replies.clear()
+        assert reply["msg_type"] == "grant"
+        return reply["upload_token"]
+
+    def upload(image_id, token):
+        cloud.on_message(chunkwire.encode(chunkwire.CloudUpload(image_id, token, "")))
+        loop.run()
+        (reply,) = replies
+        replies.clear()
+        return reply
+
+    def rejected(image_id, reason):
+        return {"msg_type": "upload_rejected", "image_id": image_id, "reason": reason}
+
+    token = grant("imgA")
+    assert upload("imgA", token)["msg_type"] == "result"
+    assert upload("imgA", token) == rejected("imgA", "grant rejected for imgA")  # single use
+    assert upload("imgA", "grant-999999") == rejected(
+        "imgA", "grant rejected for imgA")  # unknown token
+    other = grant("imgB")
+    assert upload("imgZ", other) == rejected(
+        "imgZ", "grant rejected for imgZ")  # bound to one image
+    stale = grant("imgC")
     loop.schedule(60.0, lambda: None)
     loop.run()
-    with pytest.raises(ExpiredGrant):
-        cloud.redeem(stale.upload_token, "imgC")
+    assert upload("imgC", stale) == rejected("imgC", "grant expired for imgC")
+    # A refused grant stays in the ledger; only the redeemed one has left it.
+    assert sorted(cloud._grants) == sorted([other, stale])
 
 
 def test_rejected_upload_becomes_negative_cloud_result():
@@ -700,6 +718,8 @@ MALFORMED_UPLOADS = {
     "chunk_image_id_with_wildcard": _edited(_CHUNK0, image_id="img*"),
     "huge_int_seq": _CHUNK0.replace(b'"seq":0,', b'"seq":' + b"1" * 5000 + b","),
     "deeply_nested": _META.replace(b'"img00000"', b"[" * 100_000 + b"]" * 100_000),
+    "zero_total_bytes": _edited(_META, total_bytes=0),
+    "zero_payload_len": _edited(_CHUNK0, payload_len=0),
 }
 
 
@@ -741,6 +761,47 @@ def test_image_id_that_is_not_a_key_segment_ends_by_timeout(bad_id, transport, m
     assert origins["img00000"] == "none"
     assert origins["img00001"] in ("edge", "cloud")
     assert len(r.records) == 2
+
+
+# Valid chunk messages in a JSON form other than the canonical one.
+RESERIALIZED_CHUNKS = {
+    "spaced_separators": lambda doc: json.dumps(doc).encode("utf-8"),
+    "reversed_keys": lambda doc: chunkwire.encode_object(dict(reversed(doc.items()))),
+}
+
+
+@pytest.mark.parametrize("reserialize", RESERIALIZED_CHUNKS.values(),
+                         ids=RESERIALIZED_CHUNKS.keys())
+@pytest.mark.parametrize("transport", list(TransportKind), ids=lambda t: t.name.lower())
+def test_valid_chunk_that_is_not_canonical_is_decoded_and_completes(transport, reserialize,
+                                                                    monkeypatch):
+    # ``chunkwire.read_chunk`` takes only the canonical form, so the edge
+    # decodes these chunks with ``decode_as``; every image still completes.
+    cfg = tiny_config(transport, n=3, cloud=True)
+    canonical = run_scenario(cfg)
+    encode_upload = chunkwire.encode_upload
+
+    def reserialized_upload(*args):
+        meta, *chunks = encode_upload(*args)
+        chunks = [reserialize(json.loads(data)) for data in chunks]
+        assert not any(map(chunkwire.read_chunk, chunks))
+        return [meta, *chunks]
+
+    edges = []
+
+    class RecordedEdge(EdgeService):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            edges.append(self)
+
+    monkeypatch.setattr(chunkwire, "encode_upload", reserialized_upload)
+    monkeypatch.setattr(nodes, "EdgeService", RecordedEdge)
+    r = run_scenario(cfg)
+    assert r.failure is None
+    assert r.result_multiset == canonical.result_multiset
+    assert all(rec.origin in ("edge", "cloud") and rec.t_upload > 0.0 for rec in r.records)
+    (edge,) = edges
+    assert (edge.malformed_messages, edge.dropped_chunks) == (0, 0)
 
 
 def test_upload_message_is_parsed_once(monkeypatch):
@@ -958,11 +1019,12 @@ def test_malformed_cloud_request_is_dropped_and_counted(doc):
     replies = []
     cloud = CloudService(loop, cfg, {"imgA": None},
                          send_to_edge=lambda _id, d: replies.append(d))
-    cloud.issue_grant("imgA")
+    cloud.on_message(chunkwire.encode(chunkwire.GrantRequest("imgA")))  # grant-000001
+    granted = list(replies)
     cloud.on_message(chunkwire.encode_object(doc))
     loop.run()
     assert cloud.malformed_messages == 1
-    assert replies == []
+    assert replies == granted
 
 
 WRONG_TYPE_MESSAGES = {

@@ -245,11 +245,10 @@ def test_cloud_recognize_known_face_resolves_correctly():
     record = next(r for r in generate_dataset(9, 40, 1.0, 1.0, db, 1))
     rng = Prng(0)
     state = rng.state
-    verdict = cloud_recognize(record.id, record.ground_truth, 0.627, rng, 1.5)
+    verdict = cloud_recognize(record.ground_truth, 0.627, rng)
     assert verdict.outcome is CloudOutcome.MATCH
     assert verdict.label == record.ground_truth.label
     assert not verdict.is_false_positive
-    assert verdict.t_cloud == 1.5
     assert rng.state == state  # known faces draw nothing
 
 
@@ -257,7 +256,7 @@ def test_cloud_recognize_fp_rate_zero_never_matches_unknowns():
     record = generate_dataset(9, 1, 1.0, 0.0, _db(), 1)[0]
     rng = Prng(1)
     for _ in range(50):
-        verdict = cloud_recognize(record.id, record.ground_truth, 0.0, rng, 0.1)
+        verdict = cloud_recognize(record.ground_truth, 0.0, rng)
         assert verdict.outcome is CloudOutcome.NO_MATCH
         assert verdict.label is None
 
@@ -267,7 +266,7 @@ def test_cloud_recognize_draws_exactly_one_sample_per_unknown():
     rng = Prng(42)
     shadow = Prng(42)
     for _ in range(20):
-        cloud_recognize(record.id, record.ground_truth, 0.627, rng, 0.0)
+        cloud_recognize(record.ground_truth, 0.627, rng)
         shadow.u64()
         assert rng.state == shadow.state
 
@@ -276,7 +275,7 @@ def test_cloud_recognize_fp_frequency_converges():
     record = generate_dataset(9, 1, 1.0, 0.0, _db(), 1)[0]
     rng = Prng(2024)
     n = 10_000
-    hits = sum(cloud_recognize(record.id, record.ground_truth, 0.627, rng, 0.0).is_false_positive
+    hits = sum(cloud_recognize(record.ground_truth, 0.627, rng).is_false_positive
                for _ in range(n))
     assert abs(hits / n - 0.627) <= 0.015
 
@@ -286,7 +285,7 @@ def test_false_positive_labels_come_from_celebrity_pool():
     rng = Prng(5)
     labels = set()
     for _ in range(500):
-        verdict = cloud_recognize(record.id, record.ground_truth, 0.627, rng, 0.0)
+        verdict = cloud_recognize(record.ground_truth, 0.627, rng)
         if verdict.is_false_positive:
             labels.add(verdict.label)
     assert labels <= set(CELEBRITY_LABELS)
