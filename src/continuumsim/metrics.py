@@ -151,8 +151,11 @@ def compare(base: RunSummary, variant: RunSummary) -> ComparisonReport:
     )
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.6f}"
+# One template per row: the image id, eight timings and ``cloud_rtt`` in
+# 6-decimal fixed point, then origin, recognized and label. A ``cloud_rtt``
+# of None takes the second template, whose ``%.0s`` writes it as nothing.
+_ROW = "%s" + ",%.6f" * 9 + ",%s,%s,%s"
+_ROW_NO_CLOUD = "%s" + ",%.6f" * 8 + ",%.0s,%s,%s,%s"
 
 
 def emit_csv(records: Iterable[MetricsRecord], path: str | Path) -> int:
@@ -161,21 +164,10 @@ def emit_csv(records: Iterable[MetricsRecord], path: str | Path) -> int:
     rows = sorted(records, key=lambda r: (r.completion_s, r.image_id))
     lines = [CSV_HEADER]
     for r in rows:
-        lines.append(",".join([
-            r.image_id,
-            _fmt(r.t_read_decode),
-            _fmt(r.t_quality),
-            _fmt(r.t_infer1),
-            _fmt(r.t_infer2),
-            _fmt(r.t_detect_total),
-            _fmt(r.t_upload),
-            _fmt(r.t_identify),
-            _fmt(r.edge_rtt),
-            _fmt(r.cloud_rtt) if r.cloud_rtt is not None else "",
-            r.origin,
-            "true" if r.recognized else "false",
-            r.label or "",
-        ]))
+        lines.append((_ROW if r.cloud_rtt is not None else _ROW_NO_CLOUD) % (
+            r.image_id, r.t_read_decode, r.t_quality, r.t_infer1, r.t_infer2,
+            r.t_detect_total, r.t_upload, r.t_identify, r.edge_rtt, r.cloud_rtt,
+            r.origin, "true" if r.recognized else "false", r.label or ""))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return len(rows)
 

@@ -13,9 +13,10 @@ event that resumes every waiter, in wait order, when set. A process that
 yields a gate already set continues in place, in the same call, so a long run
 of such yields costs no stack depth. Links and cores are pure booking
 objects: a task reserves the next free interval of the resource when asked,
-keeping FIFO order and exclusivity, and a link keeps one delivery event at a
-time. A booked instant is stored as it is computed: ``schedule_at`` fires at
-the instant it is given, ``schedule`` at now plus the delay. The callback of
+keeping FIFO order and exclusivity. A core booking costs no event, a wait
+for its end one (``gate_at``), and a link keeps one delivery event at a time.
+A booked instant is stored as it is computed: ``schedule_at`` fires at the
+instant it is given, ``schedule`` at now plus the delay. The callback of
 each scheduled event is a ``functools.partial`` or a bound method, never a
 closure made per event.
 """
@@ -75,6 +76,16 @@ class EventLoop:
         heapq.heappush(self._heap, (fire_at, self._seq, handle))
         self._seq += 1
         return handle
+
+    def gate_at(self, instant: float) -> Gate:
+        """A gate set with ``instant`` at ``instant``: at once, with no
+        event, if that is now."""
+        gate = Gate(self)
+        if instant == self.now:
+            gate.set(instant)
+        else:
+            self.schedule_at(instant, partial(gate.set, instant))
+        return gate
 
     def run(self) -> int:
         """Drain the queue completely; clock ends at the last event."""
@@ -293,19 +304,19 @@ class SimCore:
         self.free_at = 0.0
         self.busy_time = 0.0
 
-    def execute(self, duration: float) -> Gate:
-        """Reserve the core for ``duration`` starting at its next free
-        instant; the returned gate fires at completion, with the end instant.
-        Zero-duration tasks complete immediately and add no busy time."""
+    def book(self, duration: float, at: float) -> float:
+        """Reserve the core for ``duration`` from its first free instant at
+        or after ``at``, with no event; returns the end instant. A
+        zero-duration task ends at ``at`` and books nothing."""
         if duration < 0:
             raise ValueError("duration must be >= 0")
-        gate = Gate(self._loop)
         if duration == 0.0:
-            gate.set(self._loop.now)
-            return gate
-        start = max(self._loop.now, self.free_at)
-        end = start + duration
+            return at
+        end = (at if at >= self.free_at else self.free_at) + duration
         self.free_at = end
         self.busy_time += duration
-        self._loop.schedule_at(end, partial(gate.set, end))
-        return gate
+        return end
+
+    def execute(self, duration: float) -> Gate:
+        """``book(duration, now)``, as a gate set with its end instant then."""
+        return self._loop.gate_at(self.book(duration, self._loop.now))

@@ -229,11 +229,12 @@ class FarEdgeNode:
             for image in dataset:
                 jitter = self._jitter_factor()
                 tr = _ImageTrace(image.id)
-                t_io = durations.t_read_decode * jitter
-                yield self._core1.execute(t_io)
-                tr.t_read_decode = t_io
+                t_io = tr.t_read_decode = durations.t_read_decode * jitter
                 detection = tr.detection = workload.detection_for(image, durations, jitter)
-                yield self._core1.execute(detection.t_total)
+                # Nothing observes the read's end, so it costs no event: the
+                # detection is booked from it, and the frame waits once.
+                read_end = self._core1.book(t_io, self._loop.now)
+                yield self._loop.gate_at(self._core1.book(detection.t_total, read_end))
                 if detection.face_found:
                     yield from self._upload(image, tr)
                     if not self._blocking:
@@ -262,9 +263,8 @@ class FarEdgeNode:
             for _ in range(count):
                 image, tr, jitter = yield read_q.get()
                 detection = tr.detection = workload.detection_for(image, durations, jitter)
-                yield self._core0.execute(detection.t_total)
-                if self._cfg.parallel_handoff_s > 0.0:
-                    yield self._cfg.parallel_handoff_s
+                end = self._core0.book(detection.t_total, self._loop.now)
+                yield self._loop.gate_at(end + self._cfg.parallel_handoff_s)
                 if not detection.face_found:
                     self._collector.finalize(tr, None)
                 elif upload_q is None:

@@ -1,4 +1,6 @@
 import filecmp
+import math
+import struct
 
 import pytest
 
@@ -14,6 +16,7 @@ from continuumsim.metrics import (
     summarize,
     summary_to_dict,
 )
+from continuumsim.workload import Prng
 
 
 def _rec(image_id="img00000", **kwargs) -> MetricsRecord:
@@ -148,6 +151,57 @@ def test_emit_csv_replay_is_byte_identical(tmp_path):
     emit_csv(records, p1)
     emit_csv(list(records), p2)
     assert filecmp.cmp(p1, p2, shallow=False)
+
+
+def _per_field_csv(records) -> str:
+    """The CSV as ``emit_csv`` wrote it field by field, each float with
+    ``f"{v:.6f}"`` and the fields joined with commas: the reference for its
+    one template per row."""
+    def fmt(value):
+        return f"{value:.6f}"
+
+    lines = [CSV_HEADER]
+    for r in sorted(records, key=lambda r: (r.completion_s, r.image_id)):
+        lines.append(",".join([
+            r.image_id, fmt(r.t_read_decode), fmt(r.t_quality), fmt(r.t_infer1),
+            fmt(r.t_infer2), fmt(r.t_detect_total), fmt(r.t_upload),
+            fmt(r.t_identify), fmt(r.edge_rtt),
+            fmt(r.cloud_rtt) if r.cloud_rtt is not None else "",
+            r.origin, "true" if r.recognized else "false", r.label or ""]))
+    return "\n".join(lines) + "\n"
+
+
+def test_emit_csv_writes_the_bytes_of_the_per_field_formatter(tmp_path):
+    rng = Prng(2024)
+    # Ties and near-ties at the sixth decimal, with their float neighbours,
+    # signed zeros, the non-finite values and huge ones.
+    ties = [5e-7, 1.5e-6, 2.5e-6, 0.1234565, 1.0000005, 2.0000025, 8.1600005,
+            123456.7890125, 0.9999995]
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e300, 5e-324]
+    for t in ties:
+        special += [t, -t, math.nextafter(t, 0.0), math.nextafter(t, math.inf)]
+
+    def value():
+        draw = rng.randrange(4)
+        if draw == 0:
+            return special[rng.randrange(len(special))]
+        if draw == 1:  # any bit pattern
+            return struct.unpack("<d", struct.pack("<Q", rng.u64()))[0]
+        return (rng.uniform() - 0.5) * 10.0 ** (rng.randrange(16) - 8)
+
+    records = []
+    for i in range(2000):
+        floats = [value() for _ in range(8)]
+        records.append(MetricsRecord(
+            f"img{i:05d}", *floats,
+            cloud_rtt=value() if rng.randrange(2) else None,
+            origin=("edge", "cloud", "none")[rng.randrange(3)],
+            recognized=bool(rng.randrange(2)),
+            label=f"Person {rng.randrange(10)}" if rng.randrange(2) else None,
+            completion_s=float(rng.randrange(50))))
+    path = tmp_path / "random.csv"
+    assert emit_csv(records, path) == len(records)
+    assert path.read_bytes() == _per_field_csv(records).encode("utf-8")
 
 
 def test_summary_json_mirrors_fields(tmp_path):

@@ -254,6 +254,53 @@ def test_core_busy_intervals_never_overlap():
         sum(end - start for start, end in intervals), rel=1e-12)
 
 
+def test_core_book_of_zero_duration_returns_at_and_books_nothing():
+    loop = EventLoop()
+    core = SimCore(loop, 0)
+    assert core.book(0.0, 3.5) == 3.5
+    assert core.free_at == 0.0 and core.busy_time == 0.0
+    assert core.book(2.0, 0.0) == 2.0
+    # Behind a busy core too: a zero-duration task waits for nothing.
+    assert core.book(0.0, 1.0) == 1.0
+    assert core.free_at == 2.0 and core.busy_time == 2.0
+    assert loop._heap == []
+
+
+def test_core_book_starts_at_the_later_of_at_and_the_first_free_instant():
+    loop = EventLoop()
+    core = SimCore(loop, 0)
+    assert core.book(1.0, 0.0) == 1.0
+    assert core.book(1.0, 3.0) == 4.0  # a future ``at`` behind a busy core
+    assert core.book(1.0, 0.5) == 5.0  # an earlier ``at`` waits for the core
+    assert core.free_at == 5.0 and core.busy_time == 3.0
+    assert loop._heap == [] and loop.run() == 0 and loop.now == 0.0
+
+
+def test_core_execute_fires_at_its_booking_from_now():
+    """``execute(d)`` fires at ``book(d, now)`` of a twin core given the
+    same tasks at the same instants, with that instant as its value."""
+    loop = EventLoop()
+    core, twin = SimCore(loop, 0), SimCore(loop, 1)
+    rng = Prng(24)
+    fired = []
+
+    def proc():
+        for _ in range(60):
+            yield rng.uniform() * 0.3
+            duration = 0.0 if rng.uniform() < 0.3 else rng.uniform()
+            booked = twin.book(duration, loop.now)
+            gate = core.execute(duration)
+            gate.add_waiter(lambda end, booked=booked: fired.append((loop.now, end, booked)))
+            if rng.uniform() < 0.5:
+                yield gate
+
+    spawn(loop, proc())
+    loop.run()
+    assert len(fired) == 60
+    assert all(now == end == booked for now, end, booked in fired)
+    assert (core.free_at, core.busy_time) == (twin.free_at, twin.busy_time)
+
+
 def test_clock_is_monotonic_over_random_event_storm():
     loop = EventLoop()
     rng = Prng(77)

@@ -76,6 +76,34 @@ def test_sequential_runtime_is_exactly_n_times_per_image_cost():
     assert r.summary.core1_util == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("t_io, t_ai", [(0.25, 0.0), (0.0, 0.5), (0.0, 0.0)])
+def test_sequential_image_waits_for_its_read_and_its_detection(t_io, t_ai):
+    """Image k ends at exactly (k + 1) x (t_io + t_ai), also when one stage
+    or both take no time: a zero-duration detection still starts at the end
+    of the read booked before it."""
+    r = run_scenario(no_upload_config(t_io, t_ai, 8, parallelism=False))
+    step = t_io + t_ai
+    assert [rec.completion_s for rec in r.records] == [(k + 1) * step for k in range(8)]
+    assert r.wall == (8 * step if step else 1e-9)
+    assert r.summary.core1_util == (1.0 if step else 0.0)
+
+
+@pytest.mark.parametrize("t_io, t_ai, ends", [
+    (0.25, 0.0, [(k + 1) * 0.25 + 0.125 for k in range(8)]),
+    (0.0, 0.5, [(k + 1) * 0.625 for k in range(8)]),
+    (0.0, 0.0, [(k + 1) * 0.125 for k in range(8)]),
+])
+def test_parallel_worker_waits_once_for_detection_and_handoff(t_io, t_ai, ends):
+    """Each image ends 0.125 s of hand-off after its detection's end: image
+    k is read by (k + 1) x t_io, and the worker takes it once the image
+    before it has ended."""
+    cfg = replace(no_upload_config(t_io, t_ai, 8, parallelism=True),
+                  parallel_handoff_s=0.125)
+    r = run_scenario(cfg)
+    assert [rec.completion_s for rec in r.records] == ends
+    assert r.wall == ends[-1]
+
+
 def pipeline_oracle(t_io, t_ai, n, cap):
     """Brute-force event enumeration of the two-stage bounded-queue pipeline
     (pop-at-start consumer)."""
@@ -155,13 +183,19 @@ def _run_counting_events(cfg, monkeypatch):
 # message costs one event, its delivery, and a stream one more when its
 # last message waits for a queue slot: the pub/sub run took 219 events when
 # each message's wire end was an event of its own, which freed its slot and
-# sent the next.
+# sent the next. A core booking costs no event: a sequential frame costs one,
+# at its detection's end (the sequential row took 17 events when the read's
+# end was one too), and a parallel worker's detection and hand-off one (the
+# hand-off row took 27 when the hand-off was a delay of its own).
 @pytest.mark.parametrize("cfg, events", [
     (tiny_config(TransportKind.PUBSUB, True, n=3, cloud=True, chunk_size_bytes=64), 120),
     (tiny_config(TransportKind.BLOCKING_SESSION, True, n=3, cloud=True,
                  chunk_size_bytes=64), 218),
     (no_upload_config(0.25, 0.5, 8, parallelism=True), 19),
-], ids=["pubsub", "blocking", "no_upload"])
+    (no_upload_config(0.25, 0.5, 8, parallelism=False), 9),
+    (replace(no_upload_config(0.25, 0.5, 8, parallelism=True),
+             parallel_handoff_s=0.125), 19),
+], ids=["pubsub", "blocking", "no_upload", "no_upload_sequential", "no_upload_handoff"])
 def test_event_count_is_pinned(cfg, events, monkeypatch):
     r, executed = _run_counting_events(cfg, monkeypatch)
     assert len(r.records) == cfg.dataset_size and r.failure is None

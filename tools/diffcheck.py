@@ -1,6 +1,6 @@
 """Compare this working tree with a parent commit on random valid configs.
 
-    python tools/diffcheck.py --parent REV [--configs N] [--seed S]
+    python tools/diffcheck.py --parent REV [--configs N] [--seed S] [--ulps K]
 
 The configs are drawn once, here, with ``random_config`` of
 ``tests/test_random_configs.py`` from a ``Prng`` seeded with S, and passed
@@ -12,11 +12,21 @@ its records, its summary and its failure, every float written as
 is compared on its fields and on every column of the CSV header, so that a
 value one tree stores and the other computes is compared too.
 
-The counts of equal and differing configs are printed, with the parts in
-which the first difference lies, and that config is written to
+Each config is then equal, within K ulps (default 4) or different. It is
+within K ulps when the two runs have the same shape and every value in which
+they differ is a float at most K ulps from the other's, an ulp taken at the
+larger of the two magnitudes and the run's total runtime. Every time of a
+run is computed from instants up to its total runtime, so rounding there
+moves a difference of two instants (an RTT, an upload time) or a standard
+deviation by ulps of that scale, not of the value's own size. Anything
+else, such as another record count, origin or failure, a NaN, or a float
+further apart, makes the config different. The three counts are
+printed, with the largest ulp distance among the configs within K ulps and
+the parts in which the first difference lies (the first different config,
+else the first within K ulps). That config is written to
 ``diffcheck_first_diff.json`` in the current directory with
 ``config_to_json``, so that ``continuumsim --scenario`` replays it.
-Exit status: 0 if every config agrees, 1 if one differs, 2 if a tree
+Exit status: 0 if every config is equal, 1 if one is not, 2 if a tree
 could not run them.
 """
 
@@ -25,6 +35,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -45,6 +56,36 @@ def _exact(value):
     if isinstance(value, (list, tuple)):
         return [_exact(item) for item in value]
     return value
+
+
+def _ulps(a, b, scale: float) -> float:
+    """The distance of two runs written by ``_exact``, in ulps of the run's
+    time scale ``scale``: the largest over the values in which they differ
+    of ``|x - y| / ulp(max(|x|, |y|, scale))``. It is infinite if their
+    shapes differ, or if a differing value is not a float of both or is a
+    NaN."""
+    if a == b:
+        return 0.0
+    if isinstance(a, dict) and isinstance(b, dict):
+        if a.keys() != b.keys():
+            return math.inf
+        return max(_ulps(a[key], b[key], scale) for key in a)
+    if isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            return math.inf
+        return max(_ulps(x, y, scale) for x, y in zip(a, b))
+    try:
+        x, y = float.fromhex(a), float.fromhex(b)
+    except (TypeError, ValueError):
+        return math.inf
+    if math.isnan(x) or math.isnan(y):
+        return math.inf
+    return abs(x - y) / math.ulp(max(abs(x), abs(y), scale))
+
+
+def _scale(run: dict) -> float:
+    """A run's time scale: its total runtime, or 0.0 if it raised."""
+    return float.fromhex(run["summary"]["total_runtime"]) if "summary" in run else 0.0
 
 
 def _work(configs_path: str, out_path: str) -> None:
@@ -94,6 +135,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parent", metavar="REV", help="the commit to compare against")
     parser.add_argument("--configs", type=int, default=600, metavar="N")
     parser.add_argument("--seed", type=int, default=2026, metavar="S")
+    parser.add_argument("--ulps", type=int, default=4, metavar="K",
+                        help="the ulp distance still counted as within (default 4)")
     parser.add_argument("--work", nargs=2, metavar=("CONFIGS", "OUT"),
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -124,12 +167,17 @@ def main(argv: list[str] | None = None) -> int:
         with open(tmp / "parent.jsonl", encoding="utf-8") as a, \
                 open(tmp / "change.jsonl", encoding="utf-8") as b:
             runs = [(json.loads(x), json.loads(y)) for x, y in zip(a, b)]
-    differ = [i for i, (x, y) in enumerate(runs) if x != y]
+    distances = {i: _ulps(x, y, max(_scale(x), _scale(y)))
+                 for i, (x, y) in enumerate(runs) if x != y}
+    within = [i for i, d in distances.items() if d <= args.ulps]
+    differ = [i for i, d in distances.items() if d > args.ulps]
+    widest = f" (at most {max(distances[i] for i in within):g})" if within else ""
     print(f"diffcheck against {args.parent}: {len(runs)} configs at seed {args.seed}, "
-          f"{len(runs) - len(differ)} equal, {len(differ)} differ")
-    if not differ:
+          f"{len(runs) - len(within) - len(differ)} equal, "
+          f"{len(within)} within {args.ulps} ulps{widest}, {len(differ)} differ")
+    if not within and not differ:
         return 0
-    first = differ[0]
+    first = (differ or within)[0]
     x, y = runs[first]
     parts = sorted(key for key in x.keys() | y.keys() if x.get(key) != y.get(key))
     Path(FIRST_DIFF).write_text(config_to_json(config_from_dict(docs[first])),
