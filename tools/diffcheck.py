@@ -1,6 +1,6 @@
 """Compare this working tree with a parent commit on random valid configs.
 
-    python tools/diffcheck.py --parent REV [--configs N] [--seed S] [--ulps K]
+    python tools/diffcheck.py --parent REV [--configs N] [--seed S]
 
 The configs are drawn once, here, with ``random_config`` of
 ``tests/test_random_configs.py`` from a ``Prng`` seeded with S, and passed
@@ -12,20 +12,21 @@ its records, its summary and its failure, every float written as
 is compared on its fields and on every column of the CSV header, so that a
 value one tree stores and the other computes is compared too.
 
-Each config is then equal, within K ulps (default 4) or different. It is
-within K ulps when the two runs have the same shape and every value in which
-they differ is a float at most K ulps from the other's, an ulp taken at the
-larger of the two magnitudes and the run's total runtime. Every time of a
-run is computed from instants up to its total runtime, so rounding there
-moves a difference of two instants (an RTT, an upload time) or a standard
-deviation by ulps of that scale, not of the value's own size. Anything
-else, such as another record count, origin or failure, a NaN, or a float
-further apart, makes the config different. The three counts are
-printed, with the largest ulp distance among the configs within K ulps and
-the parts in which the first difference lies (the first different config,
-else the first within K ulps). That config is written to
-``diffcheck_first_diff.json`` in the current directory with
-``config_to_json``, so that ``continuumsim --scenario`` replays it.
+Each config is then equal, within ``ULPS`` (4) ulps or different. It is
+within 4 ulps when the two runs have the same shape and every value in
+which they differ is a finite float at most 4 ulps from the other's, an ulp
+taken at the larger of the two magnitudes and the run's total runtime.
+Every time of a run is computed from instants up to its total runtime, so
+rounding there moves a difference of two instants (an RTT, an upload time)
+or a standard deviation by ulps of that scale, not of the value's own size.
+Anything else, such as another record count, origin or failure, a NaN or an
+infinity, or a float further apart, makes the config different. The three
+counts are printed, with the largest ulp distance among the configs within
+4 ulps, so that a reader can judge any other bound, and the parts in which
+the first difference lies (the first different config, else the first
+within 4 ulps). That config is written to ``diffcheck_first_diff.json`` in
+the current directory with ``config_to_json``, so that
+``continuumsim --scenario`` replays it.
 Exit status: 0 if every config is equal, 1 if one is not, 2 if a tree
 could not run them.
 """
@@ -44,6 +45,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 FIRST_DIFF = "diffcheck_first_diff.json"
+ULPS = 4  # the ulp distance still counted as within
 
 
 def _exact(value):
@@ -62,8 +64,8 @@ def _ulps(a, b, scale: float) -> float:
     """The distance of two runs written by ``_exact``, in ulps of the run's
     time scale ``scale``: the largest over the values in which they differ
     of ``|x - y| / ulp(max(|x|, |y|, scale))``. It is infinite if their
-    shapes differ, or if a differing value is not a float of both or is a
-    NaN."""
+    shapes differ, or if a differing value is not a float of both or is not
+    finite."""
     if a == b:
         return 0.0
     if isinstance(a, dict) and isinstance(b, dict):
@@ -78,7 +80,7 @@ def _ulps(a, b, scale: float) -> float:
         x, y = float.fromhex(a), float.fromhex(b)
     except (TypeError, ValueError):
         return math.inf
-    if math.isnan(x) or math.isnan(y):
+    if not (math.isfinite(x) and math.isfinite(y)):
         return math.inf
     return abs(x - y) / math.ulp(max(abs(x), abs(y), scale))
 
@@ -135,8 +137,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parent", metavar="REV", help="the commit to compare against")
     parser.add_argument("--configs", type=int, default=600, metavar="N")
     parser.add_argument("--seed", type=int, default=2026, metavar="S")
-    parser.add_argument("--ulps", type=int, default=4, metavar="K",
-                        help="the ulp distance still counted as within (default 4)")
     parser.add_argument("--work", nargs=2, metavar=("CONFIGS", "OUT"),
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -169,12 +169,12 @@ def main(argv: list[str] | None = None) -> int:
             runs = [(json.loads(x), json.loads(y)) for x, y in zip(a, b)]
     distances = {i: _ulps(x, y, max(_scale(x), _scale(y)))
                  for i, (x, y) in enumerate(runs) if x != y}
-    within = [i for i, d in distances.items() if d <= args.ulps]
-    differ = [i for i, d in distances.items() if d > args.ulps]
+    within = [i for i, d in distances.items() if d <= ULPS]
+    differ = [i for i, d in distances.items() if d > ULPS]
     widest = f" (at most {max(distances[i] for i in within):g})" if within else ""
     print(f"diffcheck against {args.parent}: {len(runs)} configs at seed {args.seed}, "
           f"{len(runs) - len(within) - len(differ)} equal, "
-          f"{len(within)} within {args.ulps} ulps{widest}, {len(differ)} differ")
+          f"{len(within)} within {ULPS} ulps{widest}, {len(differ)} differ")
     if not within and not differ:
         return 0
     first = (differ or within)[0]
