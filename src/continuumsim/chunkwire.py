@@ -63,19 +63,11 @@ from enum import Enum
 from operator import contains
 from typing import Callable, NamedTuple, Optional, Union
 
-from .domain import MIN_CHUNK_SIZE, is_key_segment
+from .domain import is_key_segment
 
 
 class ChunkError(Exception):
     """Base class for protocol errors."""
-
-
-class EmptyPayload(ChunkError):
-    pass
-
-
-class ChunkSizeTooSmall(ChunkError):
-    pass
 
 
 class MalformedJson(ChunkError):
@@ -214,11 +206,8 @@ def _transfer(
     image_dims: tuple[int, int],
     format: str,
 ) -> TransferMetadata:
-    """The metadata of sending ``payload`` in chunks of ``chunk_size``."""
-    if len(payload) < 1:
-        raise EmptyPayload("payload must be at least 1 byte")
-    if chunk_size < MIN_CHUNK_SIZE:
-        raise ChunkSizeTooSmall(f"chunk_size must be >= {MIN_CHUNK_SIZE}")
+    """The metadata of sending ``payload``, not empty, in chunks of
+    ``chunk_size``, at least 1."""
     return TransferMetadata(
         image_id=image_id,
         total_bytes=len(payload),

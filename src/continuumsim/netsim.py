@@ -16,9 +16,10 @@ objects: a task reserves the next free interval of the resource when asked,
 keeping FIFO order and exclusivity. A core booking costs no event, a wait
 for its end one (``gate_at``), and a link keeps one delivery event at a time.
 A booked instant is stored as it is computed: ``schedule_at`` fires at the
-instant it is given, ``schedule`` at now plus the delay. The callback of
-each scheduled event is a ``functools.partial`` or a bound method, never a
-closure made per event.
+instant it is given, and ``schedule(delay)`` is ``schedule_at(now +
+delay)``, so every event, the gates of ``gate_at`` included, enters the
+queue through ``schedule_at``. The callback of each scheduled event is a
+``functools.partial`` or a bound method, never a closure made per event.
 """
 
 from __future__ import annotations
@@ -63,10 +64,7 @@ class EventLoop:
     def schedule(self, delay: float, action: Callable[[], None]) -> EventHandle:
         if delay < 0:
             raise NegativeDelay(f"delay must be >= 0, got {delay}")
-        handle = EventHandle(action)
-        heapq.heappush(self._heap, (self.now + delay, self._seq, handle))
-        self._seq += 1
-        return handle
+        return self.schedule_at(self.now + delay, action)
 
     def schedule_at(self, fire_at: float, action: Callable[[], None]) -> EventHandle:
         """Schedule ``action`` at exactly ``fire_at``, which is not past."""
@@ -80,7 +78,7 @@ class EventLoop:
     def gate_at(self, instant: float) -> Gate:
         """A gate set with ``instant`` at ``instant``: at once, with no
         event, if that is now."""
-        gate = Gate(self)
+        gate = Gate()
         if instant == self.now:
             gate.set(instant)
         else:
@@ -105,10 +103,9 @@ class EventLoop:
 class Gate:
     """One-shot event carrying a value. Waiters resume in wait order."""
 
-    __slots__ = ("_loop", "is_set", "value", "_waiters")
+    __slots__ = ("is_set", "value", "_waiters")
 
-    def __init__(self, loop: EventLoop):
-        self._loop = loop
+    def __init__(self) -> None:
         self.is_set = False
         self.value = None
         self._waiters: list[Callable[[object], None]] = []
@@ -180,10 +177,9 @@ class BoundedQueue:
     to work on it. A consumer that stops for good calls ``close``.
     """
 
-    def __init__(self, loop: EventLoop, capacity: int):
+    def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("queue capacity must be >= 1")
-        self._loop = loop
         self.capacity = capacity
         self._items: deque[object] = deque()
         self._getters: deque[Gate] = deque()
@@ -191,7 +187,7 @@ class BoundedQueue:
         self._closed = False
 
     def put(self, item: object) -> Gate:
-        gate = Gate(self._loop)
+        gate = Gate()
         if self._getters:
             self._getters.popleft().set(item)
             gate.set(None)
@@ -211,7 +207,7 @@ class BoundedQueue:
         self._putters.clear()
 
     def get(self) -> Gate:
-        gate = Gate(self._loop)
+        gate = Gate()
         if self._items:
             gate.set(self._items.popleft())
             if self._putters:
@@ -237,10 +233,9 @@ class SimLink:
     one-way latency. Transmissions never overlap and keep FIFO order, and
     its deliveries wait in a FIFO whose head is their one event in the loop."""
 
-    def __init__(self, loop: EventLoop, params: LinkParams, name: str = "link"):
+    def __init__(self, loop: EventLoop, params: LinkParams):
         self._loop = loop
         self.params = params
-        self.name = name
         self.busy_until = 0.0
         self.busy_time = 0.0
         self.bytes_sent = 0
@@ -298,9 +293,8 @@ class SimLink:
 class SimCore:
     """One CPU core: executes at most one compute task at a time, FIFO."""
 
-    def __init__(self, loop: EventLoop, core_id: int):
+    def __init__(self, loop: EventLoop):
         self._loop = loop
-        self.core_id = core_id
         self.free_at = 0.0
         self.busy_time = 0.0
 

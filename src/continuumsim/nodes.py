@@ -4,7 +4,9 @@ The far edge reads and decodes an image, runs detection, and uploads detected
 faces as a metadata frame plus chunk envelopes. The edge reassembles, tries
 local identification against its face database, and either answers directly
 or escalates to the cloud through a presigned-grant upload flow. Every
-uploaded image yields exactly one result back at the far edge.
+uploaded image yields exactly one result back at the far edge, which keeps
+each image's trace and its one metrics record; the edge only marks the
+traces of uploads in flight.
 
 With parallelism off, all stages of image k finish before image k+1 starts
 and both read/decode and detection run on core 1 (core 0 stays idle). With
@@ -72,13 +74,14 @@ from .transport import (
 
 
 # ---------------------------------------------------------------------------
-# Per-image measurement state, shared by the nodes of one run.
+# Far edge.
 
 
 @dataclass(slots=True)
 class _ImageTrace:
     """The far edge's record of one image, made at its read; an upload adds
-    its stream's ticket, the one timeline of its upload on either transport."""
+    its stream's ticket, the one timeline of its upload on either transport,
+    and the edge marks reassembly and identification on it."""
 
     image_id: str
     t_read_decode: float = 0.0
@@ -89,23 +92,76 @@ class _ImageTrace:
     timeout: Optional[EventHandle] = None
 
 
-class Collector:
-    """Run-global observer assembling MetricsRecords from both tiers.
-    ``traces`` holds the uploaded images in flight: the far edge adds a trace
-    before its upload's first send and pops it at the result, and the edge
-    marks reassembly and identification on it. No other image enters it."""
+class FarEdgeNode:
+    """Reads, detects and uploads, and records each image's outcome in
+    ``records``. ``uplink`` is the far end of the blocking session, or with
+    pub/sub the publisher of detected faces. ``traces`` holds the uploaded
+    images in flight: the far edge adds a trace before its upload's first
+    send and pops it at the result, and the edge marks it. No other image
+    enters it."""
 
-    def __init__(self, loop: EventLoop):
+    def __init__(self, loop: EventLoop, cfg: ScenarioConfig,
+                 uplink: SessionEndpoint | Publisher, core0: SimCore, core1: SimCore):
         self._loop = loop
+        self._cfg = cfg
+        self._uplink = uplink
+        self._blocking = cfg.transport is TransportKind.BLOCKING_SESSION
         self.traces: dict[str, _ImageTrace] = {}
         self.records: list[MetricsRecord] = []
+        self._core0 = core0
+        self._core1 = core1
+        self._jitter_rng = workload.Prng(workload.substream(cfg.rng_seed, 2))
+        self.failure: Optional[str] = None
+        self.malformed_messages = 0
 
-    def finalize(self, tr: _ImageTrace, result: Optional[ResultMessage]) -> None:
+    def start(self, dataset) -> None:
+        """Spawn the pipeline over ``dataset``. Only its processes hold the
+        dataset, each until it ends. Each image's trace is made at its read
+        and passed on with the image through the read and upload queues; an
+        upload adds it to ``traces``. The node itself is freed by reference
+        counting once ``run_tiers`` has closed the transports that call its
+        handler."""
+        if self._cfg.parallelism:
+            read_q = BoundedQueue(self._cfg.queue_capacity)
+            # The blocking transport offers no background transmission: the
+            # send call itself holds the detect stage.
+            upload_q = None if self._blocking else BoundedQueue(self._cfg.queue_capacity)
+            spawn(self._loop, self._reader(read_q, dataset), name="far-reader")
+            spawn(self._loop, self._worker(read_q, upload_q, len(dataset)),
+                  name="far-worker")
+            if upload_q is not None:
+                spawn(self._loop, self._uploader(upload_q), name="far-uploader")
+        else:
+            spawn(self._loop, self._sequential(dataset), name="far-sequential")
+
+    # The result handler is transport-independent. A message that does not
+    # decode to a result is dropped and counted; its image then ends by its
+    # timeout.
+    def on_result_message(self, data: bytes) -> None:
+        try:
+            msg = decode_result(data)
+        except ChunkError:
+            self.malformed_messages += 1
+            return
+        self._resolve(msg.image_id, msg)
+
+    def _resolve(self, image_id: str, result: Optional[ResultMessage]) -> None:
+        """End uploaded image ``image_id`` with ``result``, None for no
+        result. The first of its answer, its image timeout and the run's
+        failure pops its trace from ``traces``; whatever comes after finds
+        nothing and is ignored."""
+        tr = self.traces.pop(image_id, None)
+        if tr is None:
+            return
+        tr.timeout.cancel()
+        self._finalize(tr, result)
+
+    def _finalize(self, tr: _ImageTrace, result: Optional[ResultMessage]) -> None:
         """Record ``tr``'s one outcome: ``result``, or no result (origin
-        "none") if it is None. Each image comes here once: from the far
-        edge's ``_resolve`` if it was uploaded, at detection if not. Its
-        upload runs from its ticket's ``wire_start`` to its last ack on a
-        session, else to its reassembly, and counts 0 if it had neither."""
+        "none") if it is None. Each image comes here once: from ``_resolve``
+        if it was uploaded, at detection if not. Its upload runs from its
+        ticket's ``wire_start`` to its last ack on a session, else to its
+        reassembly, and counts 0 if it had neither."""
         now = self._loop.now
         ticket = tr.upload_ticket
         start = ticket.wire_start if ticket else None
@@ -139,72 +195,6 @@ class Collector:
             is_false_positive=is_fp,
         ))
 
-
-# ---------------------------------------------------------------------------
-# Far edge.
-
-
-class FarEdgeNode:
-    """Reads, detects and uploads. ``uplink`` is the far end of the blocking
-    session, or with pub/sub the publisher of detected faces."""
-
-    def __init__(self, loop: EventLoop, cfg: ScenarioConfig,
-                 uplink: SessionEndpoint | Publisher, collector: Collector,
-                 core0: SimCore, core1: SimCore):
-        self._loop = loop
-        self._cfg = cfg
-        self._uplink = uplink
-        self._blocking = cfg.transport is TransportKind.BLOCKING_SESSION
-        self._collector = collector
-        self._core0 = core0
-        self._core1 = core1
-        self._jitter_rng = workload.Prng(workload.substream(cfg.rng_seed, 2))
-        self.failure: Optional[str] = None
-        self.malformed_messages = 0
-
-    def start(self, dataset) -> None:
-        """Spawn the pipeline over ``dataset``. Only its processes hold the
-        dataset, each until it ends. Each image's trace is made at its read
-        and passed on with the image through the read and upload queues; an
-        upload adds it to the collector's ``traces``. The node itself is
-        freed by reference counting once ``run_tiers`` has closed the
-        transports that call its handler."""
-        if self._cfg.parallelism:
-            read_q = BoundedQueue(self._loop, self._cfg.queue_capacity)
-            # The blocking transport offers no background transmission: the
-            # send call itself holds the detect stage.
-            upload_q = None if self._blocking else BoundedQueue(
-                self._loop, self._cfg.queue_capacity)
-            spawn(self._loop, self._reader(read_q, dataset), name="far-reader")
-            spawn(self._loop, self._worker(read_q, upload_q, len(dataset)),
-                  name="far-worker")
-            if upload_q is not None:
-                spawn(self._loop, self._uploader(upload_q), name="far-uploader")
-        else:
-            spawn(self._loop, self._sequential(dataset), name="far-sequential")
-
-    # The result handler is transport-independent. A message that does not
-    # decode to a result is dropped and counted; its image then ends by its
-    # timeout.
-    def on_result_message(self, data: bytes) -> None:
-        try:
-            msg = decode_result(data)
-        except ChunkError:
-            self.malformed_messages += 1
-            return
-        self._resolve(msg.image_id, msg)
-
-    def _resolve(self, image_id: str, result: Optional[ResultMessage]) -> None:
-        """End uploaded image ``image_id`` with ``result``, None for no
-        result. The first of its answer, its image timeout and the run's
-        failure pops its trace from ``traces``; whatever comes after finds
-        nothing and is ignored."""
-        tr = self._collector.traces.pop(image_id, None)
-        if tr is None:
-            return
-        tr.timeout.cancel()
-        self._collector.finalize(tr, result)
-
     def _fail(self, exc: TransportError) -> None:
         """The pipeline cannot send: keep the first failure, and end every
         uploaded image in flight with no result. Only the text of ``exc`` is
@@ -215,7 +205,7 @@ class FarEdgeNode:
         exc.__traceback__ = None
         if self.failure is None:
             self.failure = str(exc)
-        for image_id in list(self._collector.traces):
+        for image_id in list(self.traces):
             self._resolve(image_id, None)
 
     def _jitter_factor(self) -> float:
@@ -240,7 +230,7 @@ class FarEdgeNode:
                     if not self._blocking:
                         yield self._uplink.fabric.route("far", "edge").flush()
                 else:
-                    self._collector.finalize(tr, None)
+                    self._finalize(tr, None)
         except TransportError as exc:
             self._fail(exc)
 
@@ -266,7 +256,7 @@ class FarEdgeNode:
                 end = self._core0.book(detection.t_total, self._loop.now)
                 yield self._loop.gate_at(end + self._cfg.parallel_handoff_s)
                 if not detection.face_found:
-                    self._collector.finalize(tr, None)
+                    self._finalize(tr, None)
                 elif upload_q is None:
                     yield from self._upload(image, tr)
                 else:
@@ -293,7 +283,7 @@ class FarEdgeNode:
         tr.timeout = self._loop.schedule(
             self._cfg.image_timeout_s,
             partial(self._resolve, image.id, None))
-        self._collector.traces[image.id] = tr
+        self.traces[image.id] = tr
         stream = self._uplink.send_all if self._blocking else self._uplink.put_all
         tr.upload_ticket = stream(messages)
         yield tr.upload_ticket.accepted
@@ -310,7 +300,7 @@ class EdgeService:
     is held only for the identification itself."""
 
     def __init__(self, loop: EventLoop, cfg: ScenarioConfig, db,
-                 embeddings: dict[str, object], collector: Collector,
+                 embeddings: dict[str, object], traces: dict[str, _ImageTrace],
                  edge_core: SimCore,
                  send_result: Callable[[str, bytes], None],
                  cloud_send: Optional[Callable[[str, bytes], None]] = None):
@@ -322,7 +312,7 @@ class EdgeService:
         self._cfg = cfg
         self._db = db
         self._embeddings = embeddings
-        self._collector = collector
+        self._traces = traces
         self._core = edge_core
         self._send_result = send_result
         self._cloud_send = cloud_send
@@ -363,7 +353,7 @@ class EdgeService:
             return  # a number has yet to arrive
         self._sessions[image_id] = None
         if session.state is ReassemblyState.COMPLETE:
-            tr = self._collector.traces.get(image_id)
+            tr = self._traces.get(image_id)
             if tr is not None:  # None once the image has ended
                 tr.reassembled_at = self._loop.now
             spawn(self._loop, self._serve_image(image_id, session.payload),
@@ -378,7 +368,7 @@ class EdgeService:
         cfg = self._cfg
         embedding = self._embeddings.get(image_id)
         yield self._core.execute(cfg.stage_durations.t_identify)
-        tr = self._collector.traces.get(image_id)
+        tr = self._traces.get(image_id)
         if tr is not None:
             tr.t_identify = cfg.stage_durations.t_identify
         result = None
@@ -401,7 +391,7 @@ class EdgeService:
         refusal, degrades to a negative cloud result; a reply for a step
         already passed is ignored (see ``_wake``). The timeout is cancelled
         on every way out, so it does not hold the run open."""
-        gate = Gate(self._loop)
+        gate = Gate()
         self._pending_cloud[image_id] = (gate, None)
         handle = self._loop.schedule(self._cfg.cloud_timeout_s,
                                      partial(self._wake, image_id, None))
@@ -410,7 +400,7 @@ class EdgeService:
                              chunkwire.encode(GrantRequest(image_id)))
             grant = yield gate
             if type(grant) is Grant:
-                gate = Gate(self._loop)
+                gate = Gate()
                 self._pending_cloud[image_id] = (gate, Grant)
                 self._cloud_send(KEY_CLOUD_UPLOADS_PREFIX + image_id, chunkwire.encode(
                     CloudUpload(image_id, grant.upload_token,
@@ -559,10 +549,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         return run_tcp_scenario(cfg)
 
     loop = EventLoop()
-    links = (SimLink(loop, cfg.link_far_to_edge, "far->edge"),
-             SimLink(loop, cfg.link_far_to_edge, "edge->far"),
-             SimLink(loop, cfg.link_edge_to_cloud, "edge->cloud"),
-             SimLink(loop, cfg.link_edge_to_cloud, "cloud->edge"))
+    links = (SimLink(loop, cfg.link_far_to_edge), SimLink(loop, cfg.link_far_to_edge),
+             SimLink(loop, cfg.link_edge_to_cloud), SimLink(loop, cfg.link_edge_to_cloud))
     return run_tiers(cfg, loop, links, SessionEndpoint)
 
 
@@ -580,11 +568,7 @@ def run_tiers(cfg: ScenarioConfig, loop: EventLoop, links: tuple,
     subscriptions, peers and handlers, so that the run is freed by
     reference counting when the caller lets go of its result."""
     db, dataset = build_dataset(cfg)
-    collector = Collector(loop)
-
-    core0 = SimCore(loop, 0)
-    core1 = SimCore(loop, 1)
-    edge_core = SimCore(loop, 2)
+    core0, core1, edge_core = SimCore(loop), SimCore(loop), SimCore(loop)
 
     uplink_link, downlink_link, up_cloud_link, down_cloud_link = links
 
@@ -625,12 +609,12 @@ def run_tiers(cfg: ScenarioConfig, loop: EventLoop, links: tuple,
     def edge_to_cloud(key: str, data: bytes) -> None:
         fabric.declare_publisher("edge", key).put(data)
 
+    far = FarEdgeNode(loop, cfg, uplink, core0, core1)
     edge = EdgeService(loop, cfg, db, {img.id: img.embedding for img in dataset},
-                       collector, edge_core, send_result,
+                       far.traces, edge_core, send_result,
                        edge_to_cloud if cfg.cloud_enabled else None)
     fabric.endpoint("edge").subscribe(
         KEY_CLOUD_RESULTS_PREFIX + "*", lambda _k, d: edge.on_cloud_message(d))
-    far = FarEdgeNode(loop, cfg, uplink, collector, core0, core1)
 
     if cfg.cloud_enabled:
         def cloud_to_edge(image_id: str, data: bytes) -> None:
@@ -650,8 +634,7 @@ def run_tiers(cfg: ScenarioConfig, loop: EventLoop, links: tuple,
         end.close()
 
     wall = loop.now if loop.now > 0 else 1e-9
-    summary = summarize(collector.records,
-                        {0: core0.busy_time, 1: core1.busy_time}, wall)
-    return RunResult(config=cfg, records=collector.records, summary=summary,
+    summary = summarize(far.records, {0: core0.busy_time, 1: core1.busy_time}, wall)
+    return RunResult(config=cfg, records=far.records, summary=summary,
                      wall=wall, failure=far.failure)
 

@@ -145,7 +145,7 @@ class SessionEndpoint:
         closed connection or when one exchange would exceed the timeout (the
         connection is then treated as dead and nothing more is delivered),
         at the instant a loop of ``send`` would."""
-        ticket = StreamTicket(Gate(self._loop))
+        ticket = StreamTicket(Gate())
         self._send_next(ticket, iter(payloads), None)
         return ticket
 
@@ -245,9 +245,7 @@ class _Route:
 
     def flush(self) -> Gate:
         """Gate that fires once every queued message has left the wire."""
-        gate = Gate(self._loop)
-        self._loop.schedule_at(max(self._frees[-1], self._loop.now), partial(gate.set, None))
-        return gate
+        return self._loop.gate_at(max(self._frees[-1], self._loop.now))
 
 
 class Publisher:
@@ -318,7 +316,7 @@ class PubSubFabric:
                 elif handlers:
                     targets.append((route, partial(_dispatch, handlers)))
         loop = self._loop
-        ticket = StreamTicket(Gate(loop))
+        ticket = StreamTicket(Gate())
         key = str(publisher.key)
         offer = loop.now
         for payload in payloads:

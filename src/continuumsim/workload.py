@@ -4,7 +4,8 @@ Detection is a ground-truth pass-through with a timed cost: the simulator
 evaluates system behavior, not model accuracy. Identification is a real
 cosine-similarity search over unit embeddings, and the cloud recognizer is a
 latency plus false-positive injection model calibrated through the scenario
-config.
+config. Sizes, probabilities and the face database come from a config that
+``domain.validate_config`` has passed, and are not checked again here.
 
 All randomness flows through splitmix64 so runs replay identically on any
 platform. A generated record carries one 64-bit seed for its payload, drawn
@@ -71,10 +72,6 @@ _LOW33 = _ONES * (1 << 64 | 1) * ((1 << 33) - 1)
 _PERTURB_SCALE = 0.025
 
 CELEBRITY_LABELS = tuple(f"Celebrity {i:02d}" for i in range(16))
-
-
-class EmptyDatabase(ValueError):
-    pass
 
 
 def _mix(z: int) -> int:
@@ -194,12 +191,6 @@ def generate_dataset(
     made when the record's ``payload`` is read; generating the dataset makes
     none of them.
     """
-    if n < 1:
-        raise ValueError("dataset size must be >= 1")
-    if not (0.0 <= face_prob <= 1.0 and 0.0 <= known_prob <= 1.0):
-        raise ValueError("probabilities must be in [0,1]")
-    if known_prob > 0.0 and len(db) == 0:
-        raise EmptyDatabase("known_prob > 0 requires a non-empty face database")
     rng = Prng(substream(seed, 1))
     records = []
     for k in range(n):
@@ -277,8 +268,6 @@ def identify(embedding: EmbeddingVec, db: FaceDatabase, threshold: float,
     """Score every database entry; the best match wins, ties going to the
     lowest person id; recognized iff the best similarity reaches the
     threshold."""
-    if len(db) == 0:
-        raise EmptyDatabase("identification requires a non-empty database")
     best_person = None
     best_sim = -math.inf
     for person, entry in db.entries:
@@ -312,8 +301,6 @@ def cloud_recognize(person: Optional[PersonId], fp_rate: float, rng: Prng) -> Cl
     resolves correctly; an unknown face (``person`` None) draws exactly one
     rng sample and is mislabeled as some celebrity with probability
     ``fp_rate``."""
-    if not 0.0 <= fp_rate <= 1.0:
-        raise ValueError("fp_rate must be in [0,1]")
     if person is not None:
         return CloudResult(CloudOutcome.MATCH, person.label, False)
     u = rng.uniform()

@@ -11,9 +11,7 @@ from continuumsim.chunkwire import (
     Base64Error,
     ChunkEnvelope,
     ChunkError,
-    ChunkSizeTooSmall,
     CloudUpload,
-    EmptyPayload,
     Grant,
     GrantRequest,
     MalformedJson,
@@ -83,11 +81,9 @@ def test_fragment_exact_boundary_is_single_chunk():
     assert envs[0].total_chunks == 1
 
 
-def test_fragment_rejects_empty_payload_and_tiny_chunks():
-    with pytest.raises(EmptyPayload):
+def test_fragment_rejects_empty_payload():
+    with pytest.raises(ValueError, match="total_bytes"):
         fragment(b"", "img", 1024, (1, 1), "PNG")
-    with pytest.raises(ChunkSizeTooSmall):
-        fragment(b"data", "img", 63, (1, 1), "PNG")
 
 
 def _session_for(payload: bytes, chunk_size: int = 1024):

@@ -87,6 +87,41 @@ def test_negative_delay_rejected():
     assert fired == [2.5]
 
 
+class InstantLog(EventLoop):
+    """Records the instant of each event it schedules. It overrides only
+    ``schedule_at``."""
+
+    def __init__(self):
+        super().__init__()
+        self.instants = []
+
+    def schedule_at(self, fire_at, action):
+        self.instants.append(fire_at)
+        return super().schedule_at(fire_at, action)
+
+
+def test_every_event_enters_the_queue_through_schedule_at():
+    loop = InstantLog()
+    core = SimCore(loop)
+    link = SimLink(loop, LinkParams(latency=0.5, bandwidth=4.0))
+    got = []
+
+    def proc():  # its start is an event at 0.0
+        yield 1.0
+        yield core.execute(2.0)
+        yield loop.gate_at(3.25)
+        # 2 bytes at 4 B/s leave the wire at 3.75 and arrive at 4.25.
+        link.deliver("k", b"ab", lambda _k, payload: got.append((loop.now, payload)),
+                     loop.now)
+
+    spawn(loop, proc())
+    loop.schedule(0.125, lambda: None)
+    loop.run()
+    assert loop.instants == [0.0, 0.125, 1.0, 3.0, 3.25, 4.25]
+    assert loop.executed == len(loop.instants)
+    assert got == [(4.25, b"ab")]
+
+
 def test_zero_delay_chain_of_a_million_events():
     loop = EventLoop()
     remaining = [1_000_000]
@@ -203,7 +238,7 @@ def _record_busy_intervals(loop, core):
 
 def test_core_execute_records_busy_interval():
     loop = EventLoop()
-    core = SimCore(loop, 0)
+    core = SimCore(loop)
     intervals = _record_busy_intervals(loop, core)
     done = []
     core.execute(4.45).add_waiter(lambda end: done.append(end))
@@ -215,7 +250,7 @@ def test_core_execute_records_busy_interval():
 
 def test_core_zero_duration_completes_immediately():
     loop = EventLoop()
-    core = SimCore(loop, 0)
+    core = SimCore(loop)
     intervals = _record_busy_intervals(loop, core)
     done = []
     core.execute(0.0).add_waiter(lambda end: done.append(end))
@@ -226,7 +261,7 @@ def test_core_zero_duration_completes_immediately():
 
 def test_core_runs_one_task_at_a_time():
     loop = EventLoop()
-    core = SimCore(loop, 0)
+    core = SimCore(loop)
     ends = []
     core.execute(1.0).add_waiter(lambda end: ends.append(end))
     core.execute(1.0).add_waiter(lambda end: ends.append(end))
@@ -236,7 +271,7 @@ def test_core_runs_one_task_at_a_time():
 
 def test_core_busy_intervals_never_overlap():
     loop = EventLoop()
-    core = SimCore(loop, 1)
+    core = SimCore(loop)
     intervals = _record_busy_intervals(loop, core)
     rng = Prng(8)
 
@@ -256,7 +291,7 @@ def test_core_busy_intervals_never_overlap():
 
 def test_core_book_of_zero_duration_returns_at_and_books_nothing():
     loop = EventLoop()
-    core = SimCore(loop, 0)
+    core = SimCore(loop)
     assert core.book(0.0, 3.5) == 3.5
     assert core.free_at == 0.0 and core.busy_time == 0.0
     assert core.book(2.0, 0.0) == 2.0
@@ -268,7 +303,7 @@ def test_core_book_of_zero_duration_returns_at_and_books_nothing():
 
 def test_core_book_starts_at_the_later_of_at_and_the_first_free_instant():
     loop = EventLoop()
-    core = SimCore(loop, 0)
+    core = SimCore(loop)
     assert core.book(1.0, 0.0) == 1.0
     assert core.book(1.0, 3.0) == 4.0  # a future ``at`` behind a busy core
     assert core.book(1.0, 0.5) == 5.0  # an earlier ``at`` waits for the core
@@ -280,7 +315,7 @@ def test_core_execute_fires_at_its_booking_from_now():
     """``execute(d)`` fires at ``book(d, now)`` of a twin core given the
     same tasks at the same instants, with that instant as its value."""
     loop = EventLoop()
-    core, twin = SimCore(loop, 0), SimCore(loop, 1)
+    core, twin = SimCore(loop), SimCore(loop)
     rng = Prng(24)
     fired = []
 
@@ -318,7 +353,7 @@ def test_clock_is_monotonic_over_random_event_storm():
 
 def test_bounded_queue_blocks_producer_at_capacity():
     loop = EventLoop()
-    queue = BoundedQueue(loop, capacity=2)
+    queue = BoundedQueue(capacity=2)
     progress = []
 
     def producer():
@@ -344,8 +379,7 @@ def test_bounded_queue_blocks_producer_at_capacity():
 
 
 def test_gate_resumes_waiters_in_wait_order():
-    loop = EventLoop()
-    gate = Gate(loop)
+    gate = Gate()
     seen = []
     gate.add_waiter(lambda v: seen.append(("first", v)))
     gate.add_waiter(lambda v: seen.append(("second", v)))
@@ -360,7 +394,7 @@ def test_deterministic_replay_same_event_count():
     def storm():
         loop = EventLoop()
         rng = Prng(123)
-        core = SimCore(loop, 0)
+        core = SimCore(loop)
         link = SimLink(loop, LinkParams(0.001, 10000.0))
 
         def proc():
@@ -382,7 +416,7 @@ def test_process_continues_in_place_through_gates_already_set():
     loop = EventLoop()
     gates = []
     for i in range(10_000):
-        gate = Gate(loop)
+        gate = Gate()
         gate.set(i)
         gates.append(gate)
     seen = []

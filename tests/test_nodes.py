@@ -22,7 +22,6 @@ from continuumsim.domain import (
 from continuumsim.netsim import EventHandle, EventLoop, SimCore, SimLink
 from continuumsim.nodes import (
     CloudService,
-    Collector,
     EdgeService,
     ResultMessage,
     decode_result,
@@ -208,23 +207,16 @@ def test_event_count_is_pinned(cfg, events, monkeypatch):
 
 class ShuffledTies(EventLoop):
     """Fires events due at the same instant in a seeded random order in
-    place of their scheduling order."""
+    place of their scheduling order. Every event enters through
+    ``schedule_at``."""
 
     def __init__(self, seed: int):
         super().__init__()
         self._rng = Prng(seed)
 
-    def schedule(self, delay, action):
-        if delay < 0:
-            raise netsim.NegativeDelay(f"delay must be >= 0, got {delay}")
-        return self._push(self.now + delay, action)
-
     def schedule_at(self, fire_at, action):
         if fire_at < self.now:
             raise netsim.NegativeDelay(f"instant {fire_at} is before now")
-        return self._push(fire_at, action)
-
-    def _push(self, fire_at, action):
         handle = EventHandle(action)
         heapq.heappush(self._heap, (fire_at, (self._rng.u64(), self._seq), handle))
         self._seq += 1
@@ -249,9 +241,6 @@ class TieCounting(EventLoop):
     def __init__(self):
         super().__init__()
         self.delivery_ties = 0
-
-    def schedule(self, delay, action):
-        return super().schedule(delay, partial(self._fire, action))
 
     def schedule_at(self, fire_at, action):
         return super().schedule_at(fire_at, partial(self._fire, action))
@@ -581,11 +570,10 @@ def test_reassembly_corruption_yields_negative_result_without_cloud_call(total, 
     loop = EventLoop()
     cfg = tiny_config(n=1, cloud=True)
     db = make_face_db(cfg.rng_seed, cfg.db_size)
-    collector = Collector(loop)
-    collector.traces["imgX"] = _ImageTrace("imgX")  # as the far edge does at upload
+    traces = {"imgX": _ImageTrace("imgX")}  # as the far edge makes at upload
     sent = []
     cloud_calls = []
-    edge = EdgeService(loop, cfg, db, {}, collector, SimCore(loop, 2),
+    edge = EdgeService(loop, cfg, db, {}, traces, SimCore(loop),
                        send_result=lambda _id, d: sent.append(d),
                        cloud_send=lambda key, _data: cloud_calls.append(key))
     meta, envs = chunkwire.fragment(b"\xee" * (1024 * total), "imgX", 1024, (2, 2), "RAW")
@@ -596,7 +584,7 @@ def test_reassembly_corruption_yields_negative_result_without_cloud_call(total, 
     assert len(sent) == (0 if completes else 1)
     loop.run()
     assert edge.dropped_chunks == 0
-    assert (collector.traces["imgX"].reassembled_at is not None) == completes
+    assert (traces["imgX"].reassembled_at is not None) == completes
     assert [decode_result(d) for d in sent] == [
         ResultMessage("imgX", "cloud" if completes else "edge", False, None, False)]
     assert cloud_calls == ([KEY_CLOUD_REQUESTS_PREFIX + "imgX"] if completes else [])
@@ -762,7 +750,7 @@ def test_malformed_upload_message_is_dropped_counted_and_times_out(data, monkeyp
     loop = EventLoop()
     cfg = tiny_config(n=1)
     edge = EdgeService(loop, cfg, make_face_db(cfg.rng_seed, cfg.db_size), {},
-                       Collector(loop), SimCore(loop, 2), send_result=None)
+                       {}, SimCore(loop), send_result=None)
     edge.on_upload_message(data)
     assert edge.malformed_messages == 1
 
@@ -842,7 +830,7 @@ def test_upload_message_is_parsed_once(monkeypatch):
     loop = EventLoop()
     cfg = tiny_config(n=1)
     edge = EdgeService(loop, cfg, make_face_db(cfg.rng_seed, cfg.db_size), {},
-                       Collector(loop), SimCore(loop, 2), send_result=lambda _id, _d: None)
+                       {}, SimCore(loop), send_result=lambda _id, _d: None)
     messages = _upload_messages("imgP", Prng(8).randbytes(300))
     # A canonical chunk is parsed by the compiled pattern, anything else
     # (here the meta message) by parse_object; each message exactly once.
@@ -909,7 +897,7 @@ def test_cloud_reply_without_its_keys_is_a_negative_counted_result(grant, verdic
         loop.schedule(0.1, lambda: edge.on_cloud_message(reply))
 
     edge = EdgeService(loop, cfg, make_face_db(cfg.rng_seed, cfg.db_size), {},
-                       Collector(loop), SimCore(loop, 2),
+                       {}, SimCore(loop),
                        send_result=lambda _id, d: sent.append(d),
                        cloud_send=cloud_send)
     for data in _upload_messages("imgQ", b"\x33" * 200):
@@ -932,7 +920,7 @@ def _edge_with_scripted_cloud(loop, cfg, replies, sent):
             loop.schedule(delay, partial(edge.on_cloud_message, reply))
 
     edge = EdgeService(loop, cfg, make_face_db(cfg.rng_seed, cfg.db_size), {},
-                       Collector(loop), SimCore(loop, 2),
+                       {}, SimCore(loop),
                        send_result=lambda _id, d: sent.append(d),
                        cloud_send=cloud_send)
     return edge
@@ -1017,7 +1005,7 @@ def test_malformed_cloud_leg_message_is_dropped_and_counted(data):
     replies = []
     cloud = CloudService(loop, cfg, {}, send_to_edge=lambda _id, d: replies.append(d))
     edge = EdgeService(loop, cfg, make_face_db(cfg.rng_seed, cfg.db_size), {},
-                       Collector(loop), SimCore(loop, 2),
+                       {}, SimCore(loop),
                        send_result=lambda _id, d: replies.append(d),
                        cloud_send=lambda _id, d: replies.append(d))
     cloud.on_message(data)
@@ -1078,10 +1066,9 @@ def test_handler_drops_and_counts_a_message_of_a_type_it_does_not_take(node, han
     cfg = tiny_config(n=1, cloud=True)
     sent = []
     tiers = {
-        "far": nodes.FarEdgeNode(loop, cfg, None, Collector(loop), SimCore(loop, 0),
-                                 SimCore(loop, 1)),
+        "far": nodes.FarEdgeNode(loop, cfg, None, SimCore(loop), SimCore(loop)),
         "edge": EdgeService(loop, cfg, make_face_db(cfg.rng_seed, cfg.db_size), {},
-                            Collector(loop), SimCore(loop, 2),
+                            {}, SimCore(loop),
                             send_result=lambda _id, d: sent.append(d),
                             cloud_send=lambda _key, d: sent.append(d)),
         "cloud": CloudService(loop, cfg, {"img00000": None},
@@ -1220,20 +1207,20 @@ def test_tcp_run_leaves_nothing_for_the_cyclic_collector(transport, monkeypatch)
 @pytest.mark.parametrize("transport", list(TransportKind), ids=lambda t: t.name.lower())
 def test_run_holds_no_trace_once_every_image_has_ended(transport, image_timeout_s,
                                                        monkeypatch):
-    collectors = []
+    fars = []
 
-    class Watched(Collector):
-        def __init__(self, loop):
-            super().__init__(loop)
-            collectors.append(self)
+    class Watched(nodes.FarEdgeNode):
+        def __init__(self, *args):
+            super().__init__(*args)
+            fars.append(self)
 
-    monkeypatch.setattr(nodes, "Collector", Watched)
+    monkeypatch.setattr(nodes, "FarEdgeNode", Watched)
     r = run_scenario(tiny_config(transport, True, n=8, cloud=True, face_prob=0.5,
                                  image_timeout_s=image_timeout_s))
     assert r.failure is None and len(r.records) == 8
     assert {rec.origin for rec in r.records} >= {"none"}
-    (collector,) = collectors
-    assert collector.traces == {}
+    (far,) = fars
+    assert far.traces == {}
 
 
 def test_failed_parallel_run_stops_reading_at_the_failure():
@@ -1306,8 +1293,7 @@ MALFORMED_RESULTS = {
 def test_malformed_result_is_dropped_counted_and_times_out(data, monkeypatch):
     loop = EventLoop()
     cfg = tiny_config(n=1)
-    far = nodes.FarEdgeNode(loop, cfg, None, Collector(loop), SimCore(loop, 0),
-                            SimCore(loop, 1))
+    far = nodes.FarEdgeNode(loop, cfg, None, SimCore(loop), SimCore(loop))
     far.on_result_message(data)
     assert far.malformed_messages == 1
 

@@ -5,7 +5,9 @@ reference to compare against.
 stage times, links from 50 B/s to 1 GB/s, queues of one slot and of 10^9,
 timeouts short enough to fail a run. Every run must raise nothing, give each
 image at most one record (exactly one unless the run failed), drain its loop
-and leave no per-image state behind, and replay identically.
+and leave no per-image state behind, and replay identically. A sequential
+run's face-less images before its first face have an exact oracle: each
+ends at its read and detection times added to the end of the one before.
 
 The generator is also the one to use when comparing two versions of the
 engine config by config: run the same seeds on both and compare records,
@@ -81,43 +83,44 @@ def random_config(rng: Prng) -> ScenarioConfig:
 
 @pytest.fixture
 def made(monkeypatch) -> dict:
-    """The collector and edge service of the last run, kept by subclasses
+    """The far edge and edge service of the last run, kept by subclasses
     that ``run_tiers`` builds in place of its own."""
     made = {}
 
-    class SeenCollector(nodes.Collector):
-        def __init__(self, loop):
-            super().__init__(loop)
-            made["collector"] = self
+    class SeenFar(nodes.FarEdgeNode):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made["far"] = self
 
     class SeenEdge(nodes.EdgeService):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             made["edge"] = self
 
-    monkeypatch.setattr(nodes, "Collector", SeenCollector)
+    monkeypatch.setattr(nodes, "FarEdgeNode", SeenFar)
     monkeypatch.setattr(nodes, "EdgeService", SeenEdge)
     return made
 
 
 def _run(cfg: ScenarioConfig, made: dict):
     """Run ``cfg`` on a loop and links made here; returns the result, the
-    loop, the links, the collector and the edge service."""
+    loop, the links, the far edge and the edge service."""
     loop = EventLoop()
     links = tuple(SimLink(loop, params) for params in (
         cfg.link_far_to_edge, cfg.link_far_to_edge,
         cfg.link_edge_to_cloud, cfg.link_edge_to_cloud))
     result = nodes.run_tiers(cfg, loop, links, SessionEndpoint)
-    return result, loop, links, made.pop("collector"), made.pop("edge")
+    return result, loop, links, made.pop("far"), made.pop("edge")
 
 
 def test_random_configs_keep_every_run_invariant(made):
     rng = Prng(2026)
     kinds = Counter()
+    timed = Counter()  # images the oracle checked, by whether detection took time
     for case in range(CONFIGS):
         cfg = random_config(rng)
         assert validate_config(cfg).ok, case
-        result, loop, links, collector, edge = _run(cfg, made)
+        result, loop, links, far, edge = _run(cfg, made)
         ids = [r.image_id for r in result.records]
         assert len(ids) == len(set(ids)), case
         if result.failure is None:
@@ -127,13 +130,23 @@ def test_random_configs_keep_every_run_invariant(made):
         else:
             assert len(ids) <= cfg.dataset_size, case
         assert not loop._heap, case
-        assert not collector.traces, case
+        assert not far.traces, case
         assert not edge._pending_cloud, case
         assert all(not link._runs for link in links), case
         if case % REPLAY_EVERY == 0:
             again = _run(cfg, made)[0]
             assert ((again.records, again.summary, again.failure)
                     == (result.records, result.summary, result.failure)), case
+        if not cfg.parallelism:
+            records = {r.image_id: r for r in result.records}
+            end = 0.0
+            for image in nodes.build_dataset(cfg)[1]:
+                if image.has_face:
+                    break
+                rec = records[image.id]
+                end = end + rec.t_read_decode + rec.t_detect_total
+                assert rec.completion_s == end, case
+                timed[rec.t_detect_total > 0.0] += 1
         sd = cfg.stage_durations
         detects = sd.t_quality + sd.t_infer1 + sd.t_infer2 > 0.0
         kinds[cfg.transport, cfg.parallelism, detects, result.failure is None] += 1
@@ -142,3 +155,4 @@ def test_random_configs_keep_every_run_invariant(made):
     # cannot fail: a put raises no transport error.
     assert len({kind[:3] for kind in kinds}) == 8, kinds
     assert any(not kind[3] for kind in kinds), kinds
+    assert timed[False] and timed[True], timed

@@ -614,7 +614,7 @@ def _run_streams(streams, params, capacity, chain):
                 yield pause
             payloads = [bytes([n]) * size for size in sizes]
             if chain:
-                accepted = Gate(loop)
+                accepted = Gate()
                 _chain_put_all(route, payloads, accepted)
             else:
                 accepted = pub.put_all(payloads).accepted
