@@ -14,7 +14,8 @@ yields a gate already set continues in place, in the same call, so a long run
 of such yields costs no stack depth. Links and cores are pure booking
 objects: a task reserves the next free interval of the resource when asked,
 keeping FIFO order and exclusivity. A core booking costs no event, a wait
-for its end one (``gate_at``), and a link keeps one delivery event at a time.
+for its end one (``gate_at``), which a process makes only where another needs
+that instant, and a link keeps one delivery event at a time.
 A booked instant is stored as it is computed: ``schedule_at`` fires at the
 instant it is given, and ``schedule(delay)`` is ``schedule_at(now +
 delay)``, so every event, the gates of ``gate_at`` included, enters the
@@ -174,7 +175,7 @@ class BoundedQueue:
 
     ``get`` hands the item over the moment it is available, freeing the slot
     immediately; that matches a consumer that pops its input before starting
-    to work on it. A consumer that stops for good calls ``close``.
+    to work on it.
     """
 
     def __init__(self, capacity: int):
@@ -184,7 +185,6 @@ class BoundedQueue:
         self._items: deque[object] = deque()
         self._getters: deque[Gate] = deque()
         self._putters: deque[tuple[Gate, object]] = deque()
-        self._closed = False
 
     def put(self, item: object) -> Gate:
         gate = Gate()
@@ -194,17 +194,9 @@ class BoundedQueue:
         elif len(self._items) < self.capacity:
             self._items.append(item)
             gate.set(None)
-        elif not self._closed:
+        else:
             self._putters.append((gate, item))
         return gate
-
-    def close(self) -> None:
-        """No get will come again. A put that finds the queue full never
-        completes, as before, but the queue no longer holds its gate or item:
-        a process waiting on that put is then freed by reference counting
-        instead of staying in a cycle through the queue."""
-        self._closed = True
-        self._putters.clear()
 
     def get(self) -> Gate:
         gate = Gate()

@@ -13,7 +13,9 @@ and both read/decode and detection run on core 1 (core 0 stays idle). With
 parallelism on, read/decode of image k+1 overlaps detection of image k on
 separate cores, and the upload overlaps both whenever the transport allows
 it: a pub/sub put returns at enqueue time while a blocking session send holds
-the detect stage until the ack returns.
+the detect stage until the ack returns. The far edge computes each image's
+instants by booking its cores, and waits on the loop only before an upload
+and once at its end: a face-less image costs no event.
 
 The tiers exchange only the messages of ``chunkwire.SCHEMAS``, and every
 handler follows one rule: decode with ``chunkwire.decode_as``, naming the
@@ -28,6 +30,8 @@ which takes what ``chunkwire.decode_json`` takes, without an envelope.
 from __future__ import annotations
 
 import base64
+import math
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
@@ -116,23 +120,20 @@ class FarEdgeNode:
 
     def start(self, dataset) -> None:
         """Spawn the pipeline over ``dataset``. Only its processes hold the
-        dataset, each until it ends. Each image's trace is made at its read
-        and passed on with the image through the read and upload queues; an
-        upload adds it to ``traces``. The node itself is freed by reference
-        counting once ``run_tiers`` has closed the transports that call its
-        handler."""
-        if self._cfg.parallelism:
-            read_q = BoundedQueue(self._cfg.queue_capacity)
-            # The blocking transport offers no background transmission: the
-            # send call itself holds the detect stage.
-            upload_q = None if self._blocking else BoundedQueue(self._cfg.queue_capacity)
-            spawn(self._loop, self._reader(read_q, dataset), name="far-reader")
-            spawn(self._loop, self._worker(read_q, upload_q, len(dataset)),
-                  name="far-worker")
-            if upload_q is not None:
-                spawn(self._loop, self._uploader(upload_q), name="far-uploader")
-        else:
+        dataset, each until it ends. Each image's trace is made at its read;
+        an upload adds it to ``traces``, and with pub/sub a parallel image
+        goes to the uploader with it through the upload queue. The node
+        itself is freed by reference counting once ``run_tiers`` has closed
+        the transports that call its handler."""
+        if not self._cfg.parallelism:
             spawn(self._loop, self._sequential(dataset), name="far-sequential")
+            return
+        # The blocking transport offers no background transmission: the
+        # send call itself holds the detect stage.
+        upload_q = None if self._blocking else BoundedQueue(self._cfg.queue_capacity)
+        spawn(self._loop, self._pipelined(dataset, upload_q), name="far-pipeline")
+        if upload_q is not None:
+            spawn(self._loop, self._uploader(upload_q), name="far-uploader")
 
     # The result handler is transport-independent. A message that does not
     # decode to a result is dropped and counted; its image then ends by its
@@ -156,13 +157,15 @@ class FarEdgeNode:
         tr.timeout.cancel()
         self._finalize(tr, result)
 
-    def _finalize(self, tr: _ImageTrace, result: Optional[ResultMessage]) -> None:
-        """Record ``tr``'s one outcome: ``result``, or no result (origin
-        "none") if it is None. Each image comes here once: from ``_resolve``
-        if it was uploaded, at detection if not. Its upload runs from its
-        ticket's ``wire_start`` to its last ack on a session, else to its
-        reassembly, and counts 0 if it had neither."""
-        now = self._loop.now
+    def _finalize(self, tr: _ImageTrace, result: Optional[ResultMessage],
+                  at: Optional[float] = None) -> None:
+        """Record ``tr``'s one outcome at ``at`` (by default now): ``result``,
+        or no result (origin "none") if it is None. Each image comes here
+        once: from ``_resolve`` if it was uploaded, at its booked detection
+        end if not. Its upload runs from its ticket's ``wire_start`` to its
+        last ack on a session, else to its reassembly, and counts 0 if it had
+        neither."""
+        now = self._loop.now if at is None else at
         ticket = tr.upload_ticket
         start = ticket.wire_start if ticket else None
         t_upload = 0.0
@@ -214,59 +217,88 @@ class FarEdgeNode:
         return 1.0 + self._cfg.jitter_pct * (2.0 * self._jitter_rng.uniform() - 1.0)
 
     def _sequential(self, dataset):
+        """Read and detect each image on core 1 from ``start``, the end of
+        the image before. A face-less image is recorded at its detection's
+        end with no event; the far edge waits on the loop only before an
+        upload, and once at its end."""
         durations = self._cfg.stage_durations
+        loop = self._loop
+        start = loop.now
         try:
             for image in dataset:
                 jitter = self._jitter_factor()
                 tr = _ImageTrace(image.id)
                 t_io = tr.t_read_decode = durations.t_read_decode * jitter
                 detection = tr.detection = workload.detection_for(image, durations, jitter)
-                # Nothing observes the read's end, so it costs no event: the
-                # detection is booked from it, and the frame waits once.
-                read_end = self._core1.book(t_io, self._loop.now)
-                yield self._loop.gate_at(self._core1.book(detection.t_total, read_end))
-                if detection.face_found:
-                    yield from self._upload(image, tr)
-                    if not self._blocking:
-                        yield self._uplink.fabric.route("far", "edge").flush()
-                else:
-                    self._finalize(tr, None)
+                end = self._core1.book(detection.t_total, self._core1.book(t_io, start))
+                if not detection.face_found:
+                    self._finalize(tr, None, end)
+                    start = end
+                    continue
+                yield loop.gate_at(end)
+                yield from self._upload(image, tr)
+                if not self._blocking:
+                    yield self._uplink.fabric.route("far", "edge").flush()
+                start = loop.now
+            if start > loop.now:
+                yield loop.gate_at(start)
         except TransportError as exc:
             self._fail(exc)
 
-    def _reader(self, queue: BoundedQueue, dataset):
-        durations = self._cfg.stage_durations
+    def _pipelined(self, dataset, upload_q: Optional[BoundedQueue]):
+        """The parallel far edge, as one process that computes its instants.
+        Core 1 reads image k (0-indexed) into a queue of C places, and core
+        0 takes it, detects it and hands it off:
+
+        - the read ends at ``R_k = core1.book(t_io_k, S_k)``
+        - the image is taken at ``G_k = max(R_k, W_{k-1})``
+        - it is done at ``W_k = core0.book(det_k, G_k) + parallel_handoff_s``
+        - the next read starts when the image's put finds a place, at
+          ``S_{k+1} = max(R_k, G_{k-C})`` (``R_k`` while k < C)
+
+        A face-less image is recorded at ``W_k`` with no event. A face image
+        waits for ``W_k`` on the loop, then is uploaded (blocking) or queued
+        for the uploader (pub/sub), and ``W_k`` is the instant that returns.
+        Once an upload has failed, at X, no image is taken (``G`` is
+        infinite) and no read starts at or after X. The process waits once
+        more at its end, for the last instant it booked."""
+        cfg, loop = self._cfg, self._loop
+        durations, capacity = cfg.stage_durations, cfg.queue_capacity
+        takes = deque(maxlen=capacity)  # G of the last C images read
+        start = done = read_end = loop.now  # S_k, W_{k-1} and R_{k-1}
+        failed_at = math.inf
         for image in dataset:
-            if self.failure is not None:
-                return  # nothing will process what it would read
+            if start >= failed_at:
+                break
             jitter = self._jitter_factor()
             tr = _ImageTrace(image.id)
-            t_io = durations.t_read_decode * jitter + self._cfg.parallel_io_penalty_s
-            yield self._core1.execute(t_io)
-            tr.t_read_decode = t_io
-            yield queue.put((image, tr, jitter))
-
-    def _worker(self, read_q: BoundedQueue, upload_q: Optional[BoundedQueue],
-                count: int):
-        durations = self._cfg.stage_durations
-        try:
-            for _ in range(count):
-                image, tr, jitter = yield read_q.get()
-                detection = tr.detection = workload.detection_for(image, durations, jitter)
-                end = self._core0.book(detection.t_total, self._loop.now)
-                yield self._loop.gate_at(end + self._cfg.parallel_handoff_s)
-                if not detection.face_found:
-                    self._finalize(tr, None)
-                elif upload_q is None:
+            t_io = tr.t_read_decode = (durations.t_read_decode * jitter
+                                       + cfg.parallel_io_penalty_s)
+            read_end = self._core1.book(t_io, start)
+            start = takes[0] if len(takes) == capacity and takes[0] > read_end else read_end
+            if failed_at < math.inf:
+                takes.append(math.inf)
+                continue
+            take = read_end if read_end >= done else done
+            takes.append(take)
+            detection = tr.detection = workload.detection_for(image, durations, jitter)
+            done = self._core0.book(detection.t_total, take) + cfg.parallel_handoff_s
+            if not detection.face_found:
+                self._finalize(tr, None, done)
+                continue
+            yield loop.gate_at(done)
+            try:
+                if upload_q is None:
                     yield from self._upload(image, tr)
                 else:
                     yield upload_q.put((image, tr))
-        except TransportError as exc:
-            self._fail(exc)
-            # Nothing takes from the read queue now, and the reader starts no
-            # new read. A put it waits on then waits on nothing that holds
-            # it, so the dataset is freed by reference counting.
-            read_q.close()
+            except TransportError as exc:
+                self._fail(exc)
+                failed_at = loop.now
+            done = loop.now
+        end = read_end if read_end > done else done
+        if end > loop.now:
+            yield loop.gate_at(end)
         if upload_q is not None:
             yield upload_q.put(None)
 

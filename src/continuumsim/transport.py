@@ -305,8 +305,9 @@ class PubSubFabric:
         subscription that matches the publisher's key at this call, for the
         handlers that match there, each once the one before has been taken
         by every target queue; all are booked here. The ticket's ``accepted``
-        gate fires when all target queues took the last message; with no
-        matching subscriber the messages are dropped and it fires at once."""
+        gate is ``EventLoop.gate_at`` the instant when all target queues took
+        the last message; with no matching subscriber the messages are
+        dropped and that is now."""
         targets = []
         for (src, _dst), route in self._routes.items():
             if src == publisher.endpoint.name:
@@ -315,21 +316,15 @@ class PubSubFabric:
                     targets.append((route, handlers[0]))
                 elif handlers:
                     targets.append((route, partial(_dispatch, handlers)))
-        loop = self._loop
-        ticket = StreamTicket(Gate())
         key = str(publisher.key)
-        offer = loop.now
+        offer, wire_start = self._loop.now, None
         for payload in payloads:
             taken = offer
             for route, dispatch in targets:
-                admitted, wire_start = route.put(key, payload, dispatch, offer)
+                admitted, started = route.put(key, payload, dispatch, offer)
                 if admitted > taken:
                     taken = admitted
-                if ticket.wire_start is None or wire_start < ticket.wire_start:
-                    ticket.wire_start = wire_start
+                if wire_start is None or started < wire_start:
+                    wire_start = started
             offer = taken
-        if offer > loop.now:
-            loop.schedule_at(offer, partial(ticket.accepted.set, None))
-        else:
-            ticket.accepted.set(None)
-        return ticket
+        return StreamTicket(self._loop.gate_at(offer), wire_start)

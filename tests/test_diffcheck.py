@@ -1,13 +1,17 @@
-"""The ulp distance of ``tools/diffcheck.py``: which pairs of runs it counts
-as within ``ULPS`` and which as different."""
+"""``tools/diffcheck.py``: the order in which it compares records, the
+configs it counts as reordered, and the ulp distance by which it counts a
+pair of runs as within ``ULPS`` or different."""
 
 from __future__ import annotations
 
 import importlib.util
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+
+from continuumsim.metrics import CSV_HEADER, MetricsRecord, emit_csv, summarize
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "diffcheck.py"
 _SPEC = importlib.util.spec_from_file_location("diffcheck", _PATH)
@@ -50,3 +54,42 @@ def test_a_non_finite_difference_outweighs_every_other_under_max():
     b = diffcheck._exact({"x": 1.0, "y": 1.0 + math.ulp(2.0)})
     assert diffcheck._ulps(a, b, 2.0) == math.inf
     assert diffcheck._ulps(b, a, 2.0) == math.inf
+
+
+def _record(image_id: str, completion_s: float) -> MetricsRecord:
+    return MetricsRecord(image_id=image_id, t_read_decode=0.25, t_quality=0.5,
+                         t_infer1=0.0, t_infer2=0.0, t_detect_total=0.5, t_upload=0.0,
+                         t_identify=0.0, edge_rtt=0.0, cloud_rtt=None, origin="none",
+                         recognized=False, label=None, completion_s=completion_s,
+                         is_false_positive=False)
+
+
+def _reduced(records: list[MetricsRecord]) -> dict:
+    result = SimpleNamespace(records=records, failure=None,
+                             summary=summarize(records, {0: 0.0, 1: 2.25}, 3.0))
+    return diffcheck._reduce(result, CSV_HEADER.split(","))
+
+
+def test_records_are_compared_in_the_order_metrics_csv_writes_them(tmp_path):
+    records = [_record("img00002", 0.75), _record("img00001", 3.0),
+               _record("img00000", 3.0)]
+    run = _reduced(records)
+    emit_csv(records, tmp_path / "metrics.csv")
+    rows = (tmp_path / "metrics.csv").read_text(encoding="utf-8").splitlines()[1:]
+    written = [row.split(",")[0] for row in rows]
+    assert written == ["img00002", "img00000", "img00001"]
+    assert [record["image_id"] for record in run["records"]] == written
+    assert run["order"] == ["img00002", "img00001", "img00000"]
+    assert _reduced(records[::-1])["records"] == run["records"]
+
+
+def test_runs_equal_but_for_their_record_order_are_counted_apart():
+    records = [_record("img00000", 0.75), _record("img00001", 1.5)]
+    later = [_record("img00000", 0.75), _record("img00001", 1.5 + math.ulp(1.5))]
+    runs = [(_reduced(records), _reduced(records[::-1])),  # reordered
+            (_reduced(records), _reduced(records)),  # equal
+            (_reduced(records), _reduced(later[::-1]))]  # not equal, in any order
+    distances, reordered = diffcheck._tally(runs)
+    assert reordered == [0]
+    assert distances == {2: 0.5}  # one ulp of 1.5 s in a run of 3.0 s
+    assert all("order" not in run for pair in runs for run in pair)

@@ -182,18 +182,23 @@ def _run_counting_events(cfg, monkeypatch):
 # message costs one event, its delivery, and a stream one more when its
 # last message waits for a queue slot: the pub/sub run took 219 events when
 # each message's wire end was an event of its own, which freed its slot and
-# sent the next. A core booking costs no event: a sequential frame costs one,
-# at its detection's end (the sequential row took 17 events when the read's
-# end was one too), and a parallel worker's detection and hand-off one (the
-# hand-off row took 27 when the hand-off was a delay of its own).
+# sent the next. A core booking costs no event, and a face-less frame costs
+# none: the far edge waits on the loop before each upload and once at its
+# pipeline's end. A no-upload run is then its processes' starts plus that one
+# wait (the parallel rows start the pub/sub uploader too); it took one event
+# per frame when each frame waited for its detection's end (9 sequential, 19
+# parallel with the reader's event per read), and 17 and 27 before that. The
+# two upload rows lost the reader's event per read of their three frames and
+# the start of the worker that the one pipeline process replaced; they end
+# with an upload, so they have no final wait.
 @pytest.mark.parametrize("cfg, events", [
-    (tiny_config(TransportKind.PUBSUB, True, n=3, cloud=True, chunk_size_bytes=64), 120),
+    (tiny_config(TransportKind.PUBSUB, True, n=3, cloud=True, chunk_size_bytes=64), 116),
     (tiny_config(TransportKind.BLOCKING_SESSION, True, n=3, cloud=True,
-                 chunk_size_bytes=64), 218),
-    (no_upload_config(0.25, 0.5, 8, parallelism=True), 19),
-    (no_upload_config(0.25, 0.5, 8, parallelism=False), 9),
+                 chunk_size_bytes=64), 214),
+    (no_upload_config(0.25, 0.5, 8, parallelism=True), 3),
+    (no_upload_config(0.25, 0.5, 8, parallelism=False), 2),
     (replace(no_upload_config(0.25, 0.5, 8, parallelism=True),
-             parallel_handoff_s=0.125), 19),
+             parallel_handoff_s=0.125), 3),
 ], ids=["pubsub", "blocking", "no_upload", "no_upload_sequential", "no_upload_handoff"])
 def test_event_count_is_pinned(cfg, events, monkeypatch):
     r, executed = _run_counting_events(cfg, monkeypatch)
@@ -1234,6 +1239,49 @@ def test_failed_parallel_run_stops_reading_at_the_failure():
     assert sequential.total_runtime == pytest.approx(1.0)
     assert parallel.total_runtime == pytest.approx(1.0)
     assert parallel.core1_util == pytest.approx(1.0)
+
+
+def test_failed_parallel_run_starts_no_read_at_the_failure_instant():
+    # With no ack time allowed, the first upload fails at once, at X = 0.25,
+    # the end of the first read: detection and hand-off take no time. The
+    # timeout is armed in the cascade that takes the first image, where the
+    # next read could start at X too. No read starts at the failure instant,
+    # so the run ends at X and core 1 was busy only for the first read.
+    cfg = replace(tiny_config(TransportKind.BLOCKING_SESSION, True, n=4, t_io=0.25,
+                              t_ai=0.0, send_timeout_s=0.0), parallel_handoff_s=0.0)
+    r = run_scenario(cfg)
+    assert r.failure is not None
+    assert r.summary.total_runtime == 0.25
+    assert r.summary.core1_util == 1.0  # 0.25 s busy over the 0.25 s run
+    assert [(rec.image_id, rec.origin) for rec in r.records] == [("img00000", "none")]
+
+
+def _only_first_image_has_a_face(build, cfg):
+    db, dataset = build(cfg)
+    return db, dataset[:1] + [replace(image, has_face=False, ground_truth=None,
+                                      embedding=None) for image in dataset[1:]]
+
+
+@pytest.mark.parametrize("parallelism", [False, True], ids=["sequential", "parallel"])
+def test_failure_raised_at_the_edge_reaches_the_far_edge_at_its_next_upload(
+        parallelism, monkeypatch):
+    # The edge's result for the one face image is too large to be acked
+    # within the send timeout, so its send closes the session and fails the
+    # run from the edge. Neither pipeline stops for a failure it did not
+    # raise before its next upload fails on the closed session; with no face
+    # left to upload, every face-less image after it is still recorded.
+    build = nodes.build_dataset
+    monkeypatch.setattr(nodes, "build_dataset", partial(_only_first_image_has_a_face, build))
+    monkeypatch.setattr(nodes, "encode_result", lambda _msg: b"x" * 10_000)
+    r = run_scenario(tiny_config(TransportKind.BLOCKING_SESSION, parallelism, n=12,
+                                 t_io=0.25, t_ai=0.25, payload_bytes=2048,
+                                 chunk_size_bytes=1024,
+                                 link_far_to_edge=LinkParams(0.0, 10_000.0),
+                                 send_timeout_s=0.5))
+    assert r.failure.startswith("session-b")  # the edge's end of the session
+    assert len(r.records) == 12
+    assert [rec.origin for rec in r.records if rec.image_id == "img00000"] == ["none"]
+    assert r.summary.total_runtime == max(rec.completion_s for rec in r.records)
 
 
 @pytest.mark.parametrize("parallelism", [False, True], ids=["sequential", "parallel"])

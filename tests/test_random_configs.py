@@ -5,9 +5,11 @@ reference to compare against.
 stage times, links from 50 B/s to 1 GB/s, queues of one slot and of 10^9,
 timeouts short enough to fail a run. Every run must raise nothing, give each
 image at most one record (exactly one unless the run failed), drain its loop
-and leave no per-image state behind, and replay identically. A sequential
-run's face-less images before its first face have an exact oracle: each
-ends at its read and detection times added to the end of the one before.
+and leave no per-image state behind, and replay identically. The face-less
+images before a run's first face have an exact oracle. In a sequential run
+each ends at its read and detection times added to the end of the one
+before. In a parallel run they follow the recurrence of a reader and a
+worker joined by a bounded queue (``parallel_completions``).
 
 The generator is also the one to use when comparing two versions of the
 engine config by config: run the same seeds on both and compare records,
@@ -29,6 +31,7 @@ from continuumsim.domain import (
     validate_config,
 )
 from continuumsim.netsim import EventLoop, SimLink
+from continuumsim.presets import build_preset
 from continuumsim.transport import SessionEndpoint
 from continuumsim.workload import Prng
 
@@ -81,6 +84,36 @@ def random_config(rng: Prng) -> ScenarioConfig:
     )
 
 
+def parallel_completions(cfg: ScenarioConfig, records: dict):
+    """Yield ``(record, W_k, queue_filled)`` for each face-less image k
+    (0-indexed) before the first face of a parallel run of ``cfg``, from
+    the read and detection times in ``records`` (by image id). Core 1 reads
+    into a queue of C places, from which core 0 takes each image, detects
+    it and hands it off (h), with ``S_0 = W_{-1} = 0``:
+
+    - the read ends at ``R_k = S_k + t_io_k``
+    - the image is taken at ``G_k = max(R_k, W_{k-1})``
+    - it is done at ``W_k = (G_k + det_k) + h``
+    - the next read starts once the put of image k finds a place, at
+      ``S_{k+1} = max(R_k, G_{k-C})``, or ``R_k`` while k < C
+
+    The queue filled when ``S_{k+1} > R_k``."""
+    capacity, handoff = cfg.queue_capacity, cfg.parallel_handoff_s
+    start = done = 0.0
+    taken = []
+    for image in nodes.build_dataset(cfg)[1]:
+        if image.has_face:
+            return
+        rec = records[image.id]
+        read_end = start + rec.t_read_decode
+        take = max(read_end, done)
+        done = (take + rec.t_detect_total) + handoff
+        k = len(taken)
+        start = max(read_end, taken[k - capacity]) if k >= capacity else read_end
+        taken.append(take)
+        yield rec, done, start > read_end
+
+
 @pytest.fixture
 def made(monkeypatch) -> dict:
     """The far edge and edge service of the last run, kept by subclasses
@@ -116,7 +149,10 @@ def _run(cfg: ScenarioConfig, made: dict):
 def test_random_configs_keep_every_run_invariant(made):
     rng = Prng(2026)
     kinds = Counter()
-    timed = Counter()  # images the oracle checked, by whether detection took time
+    # Images the oracles checked, by pipeline and whether detection took time,
+    # and parallel runs whose read queue filled before their first face.
+    timed = Counter()
+    filled = 0
     for case in range(CONFIGS):
         cfg = random_config(rng)
         assert validate_config(cfg).ok, case
@@ -137,8 +173,15 @@ def test_random_configs_keep_every_run_invariant(made):
             again = _run(cfg, made)[0]
             assert ((again.records, again.summary, again.failure)
                     == (result.records, result.summary, result.failure)), case
-        if not cfg.parallelism:
-            records = {r.image_id: r for r in result.records}
+        records = {r.image_id: r for r in result.records}
+        if cfg.parallelism:
+            queue_filled = False
+            for rec, done, full in parallel_completions(cfg, records):
+                assert rec.completion_s == done, case
+                timed[True, rec.t_detect_total > 0.0] += 1
+                queue_filled |= full
+            filled += queue_filled
+        else:
             end = 0.0
             for image in nodes.build_dataset(cfg)[1]:
                 if image.has_face:
@@ -146,7 +189,7 @@ def test_random_configs_keep_every_run_invariant(made):
                 rec = records[image.id]
                 end = end + rec.t_read_decode + rec.t_detect_total
                 assert rec.completion_s == end, case
-                timed[rec.t_detect_total > 0.0] += 1
+                timed[False, rec.t_detect_total > 0.0] += 1
         sd = cfg.stage_durations
         detects = sd.t_quality + sd.t_infer1 + sd.t_infer2 > 0.0
         kinds[cfg.transport, cfg.parallelism, detects, result.failure is None] += 1
@@ -155,4 +198,20 @@ def test_random_configs_keep_every_run_invariant(made):
     # cannot fail: a put raises no transport error.
     assert len({kind[:3] for kind in kinds}) == 8, kinds
     assert any(not kind[3] for kind in kinds), kinds
-    assert timed[False] and timed[True], timed
+    assert len(timed) == 4 and filled, (timed, filled)
+
+
+def test_parallel_fig3_runs_follow_the_recurrence_on_every_image():
+    # The two parallel runs of the paper's Fig. 3: 3,000 face-less images
+    # each, with the presets' stage times, jitter and queue.
+    runs = [run.config for run in build_preset("fig3_parallelism", 1009).runs
+            if run.config.parallelism]
+    checked = 0
+    for cfg in runs:
+        result = nodes.run_scenario(cfg)
+        records = {r.image_id: r for r in result.records}
+        ends = [done for _rec, done, _full in parallel_completions(cfg, records)]
+        assert [records[image.id].completion_s for image in nodes.build_dataset(cfg)[1]] == ends
+        assert result.summary.total_runtime == ends[-1]
+        checked += len(ends)
+    assert checked == 6000

@@ -8,9 +8,13 @@ to both trees as ``config_to_dict`` documents. REV is exported with
 ``git archive`` into a temporary directory. Each tree then runs every config
 with its own ``run_scenario`` in one subprocess, and each run is reduced to
 its records, its summary and its failure, every float written as
-``float.hex``: two runs are equal only if they agree bit for bit. A record
-is compared on its fields and on every column of the CSV header, so that a
-value one tree stores and the other computes is compared too.
+``float.hex``: two runs are equal only if they agree bit for bit. The
+records are compared in the order ``metrics.csv`` writes them, by
+completion and then image id, which is the pinned contract; the order in
+which a run returns them is not, and the configs whose runs return the same
+records in another order are counted apart. A record is compared on its
+fields and on every column of the CSV header, so that a value one tree
+stores and the other computes is compared too.
 
 Each config is then equal, within ``ULPS`` (4) ulps or different. It is
 within 4 ulps when the two runs have the same shape and every value in
@@ -22,7 +26,8 @@ or a standard deviation by ulps of that scale, not of the value's own size.
 Anything else, such as another record count, origin or failure, a NaN or an
 infinity, or a float further apart, makes the config different. The three
 counts are printed, with the largest ulp distance among the configs within
-4 ulps, so that a reader can judge any other bound, and the parts in which
+4 ulps, so that a reader can judge any other bound, how many of the equal
+configs return their records in another order, and the parts in which
 the first difference lies (the first different config, else the first
 within 4 ulps). That config is written to ``diffcheck_first_diff.json`` in
 the current directory with ``config_to_json``, so that
@@ -90,6 +95,22 @@ def _scale(run: dict) -> float:
     return float.fromhex(run["summary"]["total_runtime"]) if "summary" in run else 0.0
 
 
+def _reduce(result, columns: list[str]) -> dict:
+    """Run ``result`` as ``_exact`` JSON: its records in the order
+    ``metrics.emit_csv`` writes them, each with its fields and the CSV
+    ``columns``, its summary, its failure, and under ``order`` the image ids
+    in the order the run returned its records."""
+    records = []
+    for record in sorted(result.records, key=lambda r: (r.completion_s, r.image_id)):
+        names = [f.name for f in dataclasses.fields(record)]
+        names += [name for name in columns if name not in names]
+        records.append({name: getattr(record, name) for name in names})
+    return _exact({"records": records,
+                   "summary": dataclasses.asdict(result.summary),
+                   "failure": result.failure,
+                   "order": [record.image_id for record in result.records]})
+
+
 def _work(configs_path: str, out_path: str) -> None:
     """Run each config document of ``configs_path`` with the
     ``continuumsim`` on ``sys.path`` and write one JSON line per run."""
@@ -106,15 +127,21 @@ def _work(configs_path: str, out_path: str) -> None:
             except Exception as exc:  # noqa: BLE001 - part of what is compared
                 run = {"raised": f"{type(exc).__name__}: {exc}"}
             else:
-                records = []
-                for record in result.records:
-                    names = [f.name for f in dataclasses.fields(record)]
-                    names += [name for name in columns if name not in names]
-                    records.append({name: getattr(record, name) for name in names})
-                run = {"records": records,
-                       "summary": dataclasses.asdict(result.summary),
-                       "failure": result.failure}
-            out.write(json.dumps(_exact(run)) + "\n")
+                run = _reduce(result, columns)
+            out.write(json.dumps(run) + "\n")
+
+
+def _tally(runs: list[tuple[dict, dict]]) -> tuple[dict[int, float], list[int]]:
+    """The ulp distance of each pair of ``runs`` that is not equal, by
+    index, and the indices of the equal pairs whose records came back in
+    another order. Each run's ``order`` is popped."""
+    distances, reordered = {}, []
+    for i, (x, y) in enumerate(runs):
+        if x.pop("order", None) != y.pop("order", None) and x == y:
+            reordered.append(i)
+        elif x != y:
+            distances[i] = _ulps(x, y, max(_scale(x), _scale(y)))
+    return distances, reordered
 
 
 def _export(rev: str, dest: Path) -> None:
@@ -167,14 +194,14 @@ def main(argv: list[str] | None = None) -> int:
         with open(tmp / "parent.jsonl", encoding="utf-8") as a, \
                 open(tmp / "change.jsonl", encoding="utf-8") as b:
             runs = [(json.loads(x), json.loads(y)) for x, y in zip(a, b)]
-    distances = {i: _ulps(x, y, max(_scale(x), _scale(y)))
-                 for i, (x, y) in enumerate(runs) if x != y}
+    distances, reordered = _tally(runs)
     within = [i for i, d in distances.items() if d <= ULPS]
     differ = [i for i, d in distances.items() if d > ULPS]
     widest = f" (at most {max(distances[i] for i in within):g})" if within else ""
     print(f"diffcheck against {args.parent}: {len(runs)} configs at seed {args.seed}, "
-          f"{len(runs) - len(within) - len(differ)} equal, "
-          f"{len(within)} within {ULPS} ulps{widest}, {len(differ)} differ")
+          f"{len(runs) - len(distances)} equal ({len(reordered)} with their records "
+          f"in another order), {len(within)} within {ULPS} ulps{widest}, "
+          f"{len(differ)} differ")
     if not within and not differ:
         return 0
     first = (differ or within)[0]
