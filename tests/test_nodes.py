@@ -1247,9 +1247,8 @@ def test_failed_parallel_run_starts_no_read_at_the_failure_instant():
     # timeout is armed in the cascade that takes the first image, where the
     # next read could start at X too. No read starts at the failure instant,
     # so the run ends at X and core 1 was busy only for the first read.
-    cfg = replace(tiny_config(TransportKind.BLOCKING_SESSION, True, n=4, t_io=0.25,
-                              t_ai=0.0, send_timeout_s=0.0), parallel_handoff_s=0.0)
-    r = run_scenario(cfg)
+    r = run_scenario(tiny_config(TransportKind.BLOCKING_SESSION, True, n=4, t_io=0.25,
+                                 t_ai=0.0, send_timeout_s=0.0, parallel_handoff_s=0.0))
     assert r.failure is not None
     assert r.summary.total_runtime == 0.25
     assert r.summary.core1_util == 1.0  # 0.25 s busy over the 0.25 s run
