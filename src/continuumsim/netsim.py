@@ -170,47 +170,6 @@ def spawn(loop: EventLoop, gen: ProcGen, name: str = "proc") -> Process:
     return Process(loop, gen, name)
 
 
-class BoundedQueue:
-    """FIFO queue with blocking put when full and blocking get when empty.
-
-    ``get`` hands the item over the moment it is available, freeing the slot
-    immediately; that matches a consumer that pops its input before starting
-    to work on it.
-    """
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("queue capacity must be >= 1")
-        self.capacity = capacity
-        self._items: deque[object] = deque()
-        self._getters: deque[Gate] = deque()
-        self._putters: deque[tuple[Gate, object]] = deque()
-
-    def put(self, item: object) -> Gate:
-        gate = Gate()
-        if self._getters:
-            self._getters.popleft().set(item)
-            gate.set(None)
-        elif len(self._items) < self.capacity:
-            self._items.append(item)
-            gate.set(None)
-        else:
-            self._putters.append((gate, item))
-        return gate
-
-    def get(self) -> Gate:
-        gate = Gate()
-        if self._items:
-            gate.set(self._items.popleft())
-            if self._putters:
-                pgate, pitem = self._putters.popleft()
-                self._items.append(pitem)
-                pgate.set(None)
-        else:  # putters wait only on a full queue, so none waits here
-            self._getters.append(gate)
-        return gate
-
-
 @dataclass(slots=True)
 class Transmission:
     """Booking record for one message on a link."""

@@ -13,9 +13,10 @@ and both read/decode and detection run on core 1 (core 0 stays idle). With
 parallelism on, read/decode of image k+1 overlaps detection of image k on
 separate cores, and the upload overlaps both whenever the transport allows
 it: a pub/sub put returns at enqueue time while a blocking session send holds
-the detect stage until the ack returns. The far edge computes each image's
-instants by booking its cores, and waits on the loop only before an upload
-and once at its end: a face-less image costs no event.
+the detect stage until the ack returns. The far edge is one process that
+computes each image's instants by booking its cores and its upload queue,
+and waits on the loop only before an upload and once at its end: a
+face-less image costs no event.
 
 The tiers exchange only the messages of ``chunkwire.SCHEMAS``, and every
 handler follows one rule: decode with ``chunkwire.decode_as``, naming the
@@ -61,7 +62,7 @@ from .domain import (
     validate_config,
 )
 from .metrics import MetricsRecord, RunSummary, summarize
-from .netsim import BoundedQueue, EventHandle, EventLoop, Gate, SimCore, SimLink, spawn
+from .netsim import EventHandle, EventLoop, Gate, SimCore, SimLink, spawn
 from .transport import (
     KEY_CLOUD_REQUESTS_PREFIX,
     KEY_CLOUD_RESULTS_PREFIX,
@@ -119,21 +120,13 @@ class FarEdgeNode:
         self.malformed_messages = 0
 
     def start(self, dataset) -> None:
-        """Spawn the pipeline over ``dataset``. Only its processes hold the
-        dataset, each until it ends. Each image's trace is made at its read;
-        an upload adds it to ``traces``, and with pub/sub a parallel image
-        goes to the uploader with it through the upload queue. The node
-        itself is freed by reference counting once ``run_tiers`` has closed
-        the transports that call its handler."""
-        if not self._cfg.parallelism:
-            spawn(self._loop, self._sequential(dataset), name="far-sequential")
-            return
-        # The blocking transport offers no background transmission: the
-        # send call itself holds the detect stage.
-        upload_q = None if self._blocking else BoundedQueue(self._cfg.queue_capacity)
-        spawn(self._loop, self._pipelined(dataset, upload_q), name="far-pipeline")
-        if upload_q is not None:
-            spawn(self._loop, self._uploader(upload_q), name="far-uploader")
+        """Spawn the pipeline over ``dataset``, one process that alone holds
+        the dataset until it ends. Each image's trace is made at its read,
+        and an upload adds it to ``traces``. The node itself is freed by
+        reference counting once ``run_tiers`` has closed the transports that
+        call its handler."""
+        pipeline = self._pipelined if self._cfg.parallelism else self._sequential
+        spawn(self._loop, pipeline(dataset), name="far-edge")
 
     # The result handler is transport-independent. A message that does not
     # decode to a result is dropped and counted; its image then ends by its
@@ -236,7 +229,7 @@ class FarEdgeNode:
                     start = end
                     continue
                 yield loop.gate_at(end)
-                yield from self._upload(image, tr)
+                yield self._upload(image, tr).accepted
                 if not self._blocking:
                     yield self._uplink.fabric.route("far", "edge").flush()
                 start = loop.now
@@ -245,27 +238,33 @@ class FarEdgeNode:
         except TransportError as exc:
             self._fail(exc)
 
-    def _pipelined(self, dataset, upload_q: Optional[BoundedQueue]):
+    def _pipelined(self, dataset):
         """The parallel far edge, as one process that computes its instants.
         Core 1 reads image k (0-indexed) into a queue of C places, and core
-        0 takes it, detects it and hands it off:
+        0 takes it once free (at ``F_{k-1}``), detects it and hands it off:
 
         - the read ends at ``R_k = core1.book(t_io_k, S_k)``
-        - the image is taken at ``G_k = max(R_k, W_{k-1})``
+        - the image is taken at ``G_k = max(R_k, F_{k-1})``
         - it is done at ``W_k = core0.book(det_k, G_k) + parallel_handoff_s``
         - the next read starts when the image's put finds a place, at
           ``S_{k+1} = max(R_k, G_{k-C})`` (``R_k`` while k < C)
 
-        A face-less image is recorded at ``W_k`` with no event. A face image
-        waits for ``W_k`` on the loop, then is uploaded (blocking) or queued
-        for the uploader (pub/sub), and ``W_k`` is the instant that returns.
-        Once an upload has failed, at X, no image is taken (``G`` is
-        infinite) and no read starts at or after X. The process waits once
-        more at its end, for the last instant it booked."""
+        A face-less image is recorded at ``W_k`` with no event, and ``F_k =
+        W_k``. Face image j is uploaded at ``U_j = max(W_k, A_{j-1})``, ``A``
+        being when an upload was accepted: the process waits on the last
+        upload's gate, then on ``W_k`` if later. A blocking send holds the
+        worker, ``F_k = A_j``; a pub/sub put into an upload queue of C places
+        does until it finds a place, ``F_k = max(W_k, U_{j-C})``, which may
+        be before ``U_j``: a booking needs no event. Once an upload has
+        failed, at X, no image is taken (``G`` is infinite) and no read
+        starts at or after X. The process waits once more at its end, for
+        the last instant it booked."""
         cfg, loop = self._cfg, self._loop
         durations, capacity = cfg.stage_durations, cfg.queue_capacity
         takes = deque(maxlen=capacity)  # G of the last C images read
-        start = done = read_end = loop.now  # S_k, W_{k-1} and R_{k-1}
+        offers = deque(maxlen=capacity)  # U of the last C uploads
+        accepted = None  # the gate of the last upload
+        start = done = read_end = loop.now  # S_k, F_{k-1} and R_{k-1}
         failed_at = math.inf
         for image in dataset:
             if start >= failed_at:
@@ -286,28 +285,27 @@ class FarEdgeNode:
             if not detection.face_found:
                 self._finalize(tr, None, done)
                 continue
-            yield loop.gate_at(done)
             try:
-                if upload_q is None:
-                    yield from self._upload(image, tr)
-                else:
-                    yield upload_q.put((image, tr))
+                if accepted is not None:
+                    yield accepted
+                if done > loop.now:
+                    yield loop.gate_at(done)
+                if len(offers) == capacity and offers[0] > done:
+                    done = offers[0]
+                offers.append(loop.now)
+                accepted = self._upload(image, tr).accepted
+                if self._blocking:
+                    yield accepted
+                    done = loop.now
             except TransportError as exc:
                 self._fail(exc)
                 failed_at = loop.now
-            done = loop.now
         end = read_end if read_end > done else done
         if end > loop.now:
             yield loop.gate_at(end)
-        if upload_q is not None:
-            yield upload_q.put(None)
 
-    def _uploader(self, upload_q: BoundedQueue):
-        # A pub/sub put never raises a TransportError.
-        while (item := (yield upload_q.get())) is not None:
-            yield from self._upload(*item)
-
-    def _upload(self, image, tr: _ImageTrace):
+    def _upload(self, image, tr: _ImageTrace) -> StreamTicket:
+        """Start the upload of ``image`` now; returns its stream's ticket."""
         # Each read of ``image.payload`` makes the bytes: read it once.
         messages = chunkwire.encode_upload(
             image.payload, image.id, self._cfg.chunk_size_bytes,
@@ -318,7 +316,7 @@ class FarEdgeNode:
         self.traces[image.id] = tr
         stream = self._uplink.send_all if self._blocking else self._uplink.put_all
         tr.upload_ticket = stream(messages)
-        yield tr.upload_ticket.accepted
+        return tr.upload_ticket
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ import pytest
 
 from continuumsim.domain import LinkParams
 from continuumsim.netsim import (
-    BoundedQueue,
     EventLoop,
     Gate,
     NegativeDelay,
@@ -349,33 +348,6 @@ def test_clock_is_monotonic_over_random_event_storm():
     loop.schedule(0.0, note)
     loop.run()
     assert stamps == sorted(stamps)
-
-
-def test_bounded_queue_blocks_producer_at_capacity():
-    loop = EventLoop()
-    queue = BoundedQueue(capacity=2)
-    progress = []
-
-    def producer():
-        for i in range(4):
-            yield queue.put(i)
-            progress.append((loop.now, f"put{i}"))
-
-    def consumer():
-        yield 1.0
-        for _ in range(4):
-            item = yield queue.get()
-            progress.append((loop.now, f"got{item}"))
-            yield 1.0
-
-    spawn(loop, producer())
-    spawn(loop, consumer())
-    loop.run()
-    puts = [t for t, tag in progress if tag.startswith("put")]
-    assert puts[0] == 0.0 and puts[1] == 0.0  # capacity 2 absorbs two puts
-    assert puts[2] == 1.0 and puts[3] == 2.0  # rest wait for pops
-    got = [tag for _, tag in progress if tag.startswith("got")]
-    assert got == ["got0", "got1", "got2", "got3"]
 
 
 def test_gate_resumes_waiters_in_wait_order():

@@ -173,32 +173,27 @@ def _run_counting_events(cfg, monkeypatch):
 
 
 # Exact event counts: the engine must schedule no event these runs do not
-# need. A pub/sub route schedules nothing before its first put, which sends
-# at once, so each count is one event per route (four in the pub/sub and
-# no-upload runs, two in the blocking run) below that of a route that starts
-# with an event at time 0. The edge's blocking result send waits on its
-# send's gate and starts no process, so the blocking run's count is one event
-# per result (three) below that of a send run as a process. A pub/sub
-# message costs one event, its delivery, and a stream one more when its
-# last message waits for a queue slot: the pub/sub run took 219 events when
-# each message's wire end was an event of its own, which freed its slot and
-# sent the next. A core booking costs no event, and a face-less frame costs
-# none: the far edge waits on the loop before each upload and once at its
-# pipeline's end. A no-upload run is then its processes' starts plus that one
-# wait (the parallel rows start the pub/sub uploader too); it took one event
-# per frame when each frame waited for its detection's end (9 sequential, 19
-# parallel with the reader's event per read), and 17 and 27 before that. The
-# two upload rows lost the reader's event per read of their three frames and
-# the start of the worker that the one pipeline process replaced; they end
-# with an upload, so they have no final wait.
+# need. Each upload row sends 102 messages between far edge and edge: 33 per
+# image (a meta frame and 32 chunks of 64 B) and three results.
+# - A pub/sub message costs one event, its delivery from its link's FIFO,
+#   and a stream one more, its accepted gate, when its last message waits for
+#   a queue slot (all three streams here). A blocking message costs two, its
+#   delivery and its ack, which books the next.
+# - Each run starts one process, the far edge's, and the edge one per upload.
+# - A core booking costs no event, nor does a face-less frame. The far edge
+#   waits on the loop before each upload, for its frame's handoff to end,
+#   and once at its end for the last instant it booked, if it is not there
+#   yet; the edge waits for each identification.
+# So pubsub is 102 + 3 + (1 + 3) + 3 + 3 = 115, blocking 2 x 102 + (1 + 3) +
+# 3 + 3 = 214, and each no-upload row its one start and its final wait.
 @pytest.mark.parametrize("cfg, events", [
-    (tiny_config(TransportKind.PUBSUB, True, n=3, cloud=True, chunk_size_bytes=64), 116),
+    (tiny_config(TransportKind.PUBSUB, True, n=3, cloud=True, chunk_size_bytes=64), 115),
     (tiny_config(TransportKind.BLOCKING_SESSION, True, n=3, cloud=True,
                  chunk_size_bytes=64), 214),
-    (no_upload_config(0.25, 0.5, 8, parallelism=True), 3),
+    (no_upload_config(0.25, 0.5, 8, parallelism=True), 2),
     (no_upload_config(0.25, 0.5, 8, parallelism=False), 2),
     (replace(no_upload_config(0.25, 0.5, 8, parallelism=True),
-             parallel_handoff_s=0.125), 3),
+             parallel_handoff_s=0.125), 2),
 ], ids=["pubsub", "blocking", "no_upload", "no_upload_sequential", "no_upload_handoff"])
 def test_event_count_is_pinned(cfg, events, monkeypatch):
     r, executed = _run_counting_events(cfg, monkeypatch)

@@ -6,10 +6,11 @@ stage times, links from 50 B/s to 1 GB/s, queues of one slot and of 10^9,
 timeouts short enough to fail a run. Every run must raise nothing, give each
 image at most one record (exactly one unless the run failed), drain its loop
 and leave no per-image state behind, and replay identically. The face-less
-images before a run's first face have an exact oracle. In a sequential run
-each ends at its read and detection times added to the end of the one
-before. In a parallel run they follow the recurrence of a reader and a
-worker joined by a bounded queue (``parallel_completions``).
+images before a sequential run's first face have an exact oracle: each ends
+at its read and detection times added to the end of the one before. A
+parallel run follows the recurrence of a reader, a worker and an uploader
+joined by two bounded queues (``parallel_completions``), on every image of
+a run that did not fail and before the first face of one that did.
 
 The generator is also the one to use when comparing two versions of the
 engine config by config: run the same seeds on both and compare records,
@@ -31,8 +32,15 @@ from continuumsim.domain import (
     validate_config,
 )
 from continuumsim.netsim import EventLoop, SimLink
-from continuumsim.presets import build_preset
-from continuumsim.transport import SessionEndpoint
+from continuumsim.presets import (
+    PAR_RATE,
+    PARALLEL_HANDOFF_S,
+    PARALLEL_IO_PENALTY_S,
+    T_DETECT_TOTAL,
+    T_READ_DECODE,
+    build_preset,
+)
+from continuumsim.transport import PubSubFabric, SessionEndpoint
 from continuumsim.workload import Prng
 
 CONFIGS = 300
@@ -69,7 +77,9 @@ def random_config(rng: Prng) -> ScenarioConfig:
         chunk_size_bytes=64 + rng.randrange(4096 - 64 + 1),
         similarity_threshold=0.05 + 0.9 * rng.uniform(),
         fp_rate=rng.uniform(),
-        queue_capacity=int(10 ** (9 * rng.uniform())),
+        # Small queues half the time, so that both far-edge queues fill.
+        queue_capacity=(1 + rng.randrange(3) if rng.randrange(2) == 0
+                        else int(10 ** (9 * rng.uniform()))),
         payload_bytes=1 + rng.randrange(9000),
         face_prob=rng.uniform(),
         known_prob=rng.uniform(),
@@ -84,40 +94,62 @@ def random_config(rng: Prng) -> ScenarioConfig:
     )
 
 
-def parallel_completions(cfg: ScenarioConfig, records: dict):
-    """Yield ``(record, W_k, queue_filled)`` for each face-less image k
-    (0-indexed) before the first face of a parallel run of ``cfg``, from
-    the read and detection times in ``records`` (by image id). Core 1 reads
-    into a queue of C places, from which core 0 takes each image, detects
-    it and hands it off (h), with ``S_0 = W_{-1} = 0``:
+def parallel_completions(cfg: ScenarioConfig, records: dict, accepts=None):
+    """Yield ``(record, W_k, U_j, read_full, upload_held)`` for each image k
+    (0-indexed) of a parallel run of ``cfg``, from the read and detection
+    times in ``records`` (by image id). Core 1 reads into a queue of C
+    places, from which core 0 takes each image, detects it and hands it off
+    (h), with ``S_0 = W_{-1} = 0``:
 
     - the read ends at ``R_k = S_k + t_io_k``
-    - the image is taken at ``G_k = max(R_k, W_{k-1})``
+    - the image is taken at ``G_k = max(R_k, F_{k-1})``, where ``F`` is
+      when the worker is free again
     - it is done at ``W_k = (G_k + det_k) + h``
     - the next read starts once the put of image k finds a place, at
       ``S_{k+1} = max(R_k, G_{k-C})``, or ``R_k`` while k < C
 
-    The queue filled when ``S_{k+1} > R_k``."""
+    A face-less image leaves the worker free at ``F_k = W_k``. Face image j
+    is uploaded at ``U_j = max(W_k, A_{j-1})`` (``A_{-1} = 0``), where
+    ``A_j = accepts[j]`` is when upload j was accepted. On the blocking
+    transport the worker is free at ``F_k = A_j``. With pub/sub it is free
+    once its put into an upload queue of C places finds a place, at
+    ``F_k = max(W_k, U_{j-C})``, or ``W_k`` while j < C. ``U_j`` is None
+    for a face-less image, and without ``accepts`` the images from the
+    first face on are not yielded. The read queue filled when
+    ``S_{k+1} > R_k``, and the upload queue held the worker when a pub/sub
+    ``F_k > W_k``."""
     capacity, handoff = cfg.queue_capacity, cfg.parallel_handoff_s
-    start = done = 0.0
-    taken = []
+    blocking = cfg.transport is TransportKind.BLOCKING_SESSION
+    start = free = accepted = 0.0
+    taken, offers = [], []
     for image in nodes.build_dataset(cfg)[1]:
-        if image.has_face:
+        if image.has_face and accepts is None:
             return
         rec = records[image.id]
         read_end = start + rec.t_read_decode
-        take = max(read_end, done)
-        done = (take + rec.t_detect_total) + handoff
+        take = max(read_end, free)
+        done = free = (take + rec.t_detect_total) + handoff
         k = len(taken)
         start = max(read_end, taken[k - capacity]) if k >= capacity else read_end
         taken.append(take)
-        yield rec, done, start > read_end
+        offer = None
+        if image.has_face:
+            j = len(offers)
+            offer = max(done, accepted)
+            accepted = accepts[j]
+            if blocking:
+                free = accepted
+            elif j >= capacity:
+                free = max(done, offers[j - capacity])
+            offers.append(offer)
+        yield rec, done, offer, start > read_end, not blocking and free > done
 
 
 @pytest.fixture
 def made(monkeypatch) -> dict:
     """The far edge and edge service of the last run, kept by subclasses
-    that ``run_tiers`` builds in place of its own."""
+    that ``run_tiers`` builds in place of its own, and the far edge's
+    uploads: ``(offer, ticket)`` for each stream it started, at ``offer``."""
     made = {}
 
     class SeenFar(nodes.FarEdgeNode):
@@ -130,33 +162,55 @@ def made(monkeypatch) -> dict:
             super().__init__(*args, **kwargs)
             made["edge"] = self
 
+    put_all, send_all = PubSubFabric.put_all, SessionEndpoint.send_all
+
+    def seen_put_all(fabric, publisher, payloads):
+        offer = fabric._loop.now
+        ticket = put_all(fabric, publisher, payloads)
+        if publisher.endpoint.name == "far":
+            made.setdefault("uploads", []).append((offer, ticket))
+        return ticket
+
+    def seen_send_all(end, payloads):
+        offer = end._loop.now
+        ticket = send_all(end, payloads)
+        if end is made["far"]._uplink:
+            made.setdefault("uploads", []).append((offer, ticket))
+        return ticket
+
     monkeypatch.setattr(nodes, "FarEdgeNode", SeenFar)
     monkeypatch.setattr(nodes, "EdgeService", SeenEdge)
+    monkeypatch.setattr(PubSubFabric, "put_all", seen_put_all)
+    monkeypatch.setattr(SessionEndpoint, "send_all", seen_send_all)
     return made
 
 
 def _run(cfg: ScenarioConfig, made: dict):
     """Run ``cfg`` on a loop and links made here; returns the result, the
-    loop, the links, the far edge and the edge service."""
+    loop, the links, the far edge, the edge service and the far edge's
+    uploads."""
     loop = EventLoop()
     links = tuple(SimLink(loop, params) for params in (
         cfg.link_far_to_edge, cfg.link_far_to_edge,
         cfg.link_edge_to_cloud, cfg.link_edge_to_cloud))
     result = nodes.run_tiers(cfg, loop, links, SessionEndpoint)
-    return result, loop, links, made.pop("far"), made.pop("edge")
+    return (result, loop, links, made.pop("far"), made.pop("edge"),
+            made.pop("uploads", []))
 
 
 def test_random_configs_keep_every_run_invariant(made):
     rng = Prng(2026)
     kinds = Counter()
-    # Images the oracles checked, by pipeline and whether detection took time,
-    # and parallel runs whose read queue filled before their first face.
+    # Images the oracles checked, by pipeline and whether detection took time
+    # or, in a parallel run, whether the image was uploaded; and parallel runs
+    # whose read queue filled, and pub/sub ones whose upload queue held the
+    # worker.
     timed = Counter()
-    filled = 0
+    filled = held = 0
     for case in range(CONFIGS):
         cfg = random_config(rng)
         assert validate_config(cfg).ok, case
-        result, loop, links, far, edge = _run(cfg, made)
+        result, loop, links, far, edge, uploads = _run(cfg, made)
         ids = [r.image_id for r in result.records]
         assert len(ids) == len(set(ids)), case
         if result.failure is None:
@@ -175,12 +229,27 @@ def test_random_configs_keep_every_run_invariant(made):
                     == (result.records, result.summary, result.failure)), case
         records = {r.image_id: r for r in result.records}
         if cfg.parallelism:
-            queue_filled = False
-            for rec, done, full in parallel_completions(cfg, records):
-                assert rec.completion_s == done, case
-                timed[True, rec.t_detect_total > 0.0] += 1
-                queue_filled |= full
-            filled += queue_filled
+            accepts = None
+            if result.failure is None:  # each upload's acceptance instant
+                blocking = cfg.transport is TransportKind.BLOCKING_SESSION
+                accepts = [ticket.ack_at if blocking else ticket.accepted.value
+                           for _offer, ticket in uploads]
+            offers = []
+            read_full = upload_held = False
+            for rec, done, offer, full, held_by in parallel_completions(
+                    cfg, records, accepts):
+                if offer is None:
+                    assert rec.completion_s == done, case
+                    timed[True, rec.t_detect_total > 0.0] += 1
+                else:
+                    offers.append(offer)
+                    timed[True, "uploaded"] += 1
+                read_full |= full
+                upload_held |= held_by
+            if accepts is not None:
+                assert offers == [offer for offer, _ticket in uploads], case
+            filled += read_full
+            held += upload_held
         else:
             end = 0.0
             for image in nodes.build_dataset(cfg)[1]:
@@ -195,10 +264,11 @@ def test_random_configs_keep_every_run_invariant(made):
         kinds[cfg.transport, cfg.parallelism, detects, result.failure is None] += 1
     # The draw reaches both transports and both pipelines, each with and
     # without detection time, and blocking runs that fail. A pub/sub run
-    # cannot fail: a put raises no transport error.
+    # cannot fail: a put raises no transport error. Each far-edge queue
+    # fills in more than one run.
     assert len({kind[:3] for kind in kinds}) == 8, kinds
     assert any(not kind[3] for kind in kinds), kinds
-    assert len(timed) == 4 and filled, (timed, filled)
+    assert len(timed) == 5 and filled >= 2 and held >= 2, (timed, filled, held)
 
 
 def test_parallel_fig3_runs_follow_the_recurrence_on_every_image():
@@ -210,8 +280,30 @@ def test_parallel_fig3_runs_follow_the_recurrence_on_every_image():
     for cfg in runs:
         result = nodes.run_scenario(cfg)
         records = {r.image_id: r for r in result.records}
-        ends = [done for _rec, done, _full in parallel_completions(cfg, records)]
+        ends = [done for _rec, done, *_rest in parallel_completions(cfg, records)]
         assert [records[image.id].completion_s for image in nodes.build_dataset(cfg)[1]] == ends
         assert result.summary.total_runtime == ends[-1]
         checked += len(ends)
     assert checked == 6000
+
+
+def test_parallel_fig3_runs_settle_at_the_presets_fit():
+    # With the presets' stage times and no jitter the worker is the
+    # bottleneck from the first frame on: one image completes per
+    # T_DETECT_TOTAL + PARALLEL_HANDOFF_S = 1/PAR_RATE, and core 1 reads for
+    # T_READ_DECODE + PARALLEL_IO_PENALTY_S = 0.414/PAR_RATE of each period.
+    # The run's core 1 utilization is a little lower (0.41394 at this seed),
+    # as the worker waits for the first read.
+    period = T_DETECT_TOTAL + PARALLEL_HANDOFF_S
+    assert period == pytest.approx(1.0 / PAR_RATE, abs=1e-12)
+    busy = T_READ_DECODE + PARALLEL_IO_PENALTY_S
+    assert busy == pytest.approx(0.414 / PAR_RATE, abs=1e-12)
+    for run in build_preset("fig3_parallelism", 1009).runs:
+        cfg = run.config
+        if not cfg.parallelism:
+            continue
+        assert cfg.jitter_pct == 0.0
+        records = sorted(nodes.run_scenario(cfg).records, key=lambda r: r.completion_s)
+        ends = [r.completion_s for r in records]
+        assert all(abs(b - a - period) <= 1e-9 for a, b in zip(ends, ends[1:]))
+        assert all(abs(r.t_read_decode - busy) <= 1e-9 for r in records)
