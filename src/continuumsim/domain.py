@@ -93,6 +93,13 @@ class ImageRecord:
     the bytes of an image exist only while a caller holds them; a face-less
     image, which is never uploaded, never makes them.
 
+    The same holds for the embedding of a face image. ``embedding_seed`` is
+    the splitmix64 stream state where its draws start, with the person's
+    database vector for a known face or None for an unknown one. Each read
+    of ``embedding`` makes the vector from them anew: a perturbed copy of
+    that vector, or a fresh random unit vector. A face-less image has
+    neither an embedding seed nor a ground truth.
+
     ``ground_truth`` is set only when the pictured face belongs to a known
     database person; an unknown face has an embedding but no ground truth.
     """
@@ -105,7 +112,7 @@ class ImageRecord:
     format: ImageFormat
     has_face: bool
     ground_truth: Optional[PersonId] = None
-    embedding: Optional[EmbeddingVec] = None
+    embedding_seed: Optional[tuple[int, Optional[EmbeddingVec]]] = None
 
     def __post_init__(self) -> None:
         if self.payload_size < 1:
@@ -113,16 +120,24 @@ class ImageRecord:
         if self.width_px < 1 or self.height_px < 1:
             raise ValueError("image dimensions must be positive")
         if not self.has_face:
-            if self.ground_truth is not None or self.embedding is not None:
+            if self.ground_truth is not None or self.embedding_seed is not None:
                 raise ValueError("face-less image cannot carry identity or embedding")
-        elif self.embedding is None:
-            raise ValueError("image with a face must carry an embedding")
+        elif self.embedding_seed is None:
+            raise ValueError("image with a face must carry an embedding seed")
 
     @property
     def payload(self) -> bytes:
         # workload imports this module, so its stream is looked up here.
         from .workload import Prng
         return Prng(self.payload_seed).randbytes(self.payload_size)
+
+    @property
+    def embedding(self) -> Optional[EmbeddingVec]:
+        if self.embedding_seed is None:
+            return None
+        from .workload import Prng, draw_embedding
+        state, base = self.embedding_seed
+        return draw_embedding(Prng(state), base)
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,7 @@ from .chunkwire import (
 # perfbench/tracer.py wraps; tcprun re-exports it with ``decode_result``.
 from .chunkwire import encode as encode_result
 from .domain import (
+    ImageRecord,
     PersonId,
     ScenarioConfig,
     TimeMode,
@@ -330,7 +331,7 @@ class EdgeService:
     is held only for the identification itself."""
 
     def __init__(self, loop: EventLoop, cfg: ScenarioConfig, db,
-                 embeddings: dict[str, object], traces: dict[str, _ImageTrace],
+                 images: dict[str, ImageRecord], traces: dict[str, _ImageTrace],
                  edge_core: SimCore,
                  send_result: Callable[[str, bytes], None],
                  cloud_send: Optional[Callable[[str, bytes], None]] = None):
@@ -341,7 +342,7 @@ class EdgeService:
         self._loop = loop
         self._cfg = cfg
         self._db = db
-        self._embeddings = embeddings
+        self._images = images
         self._traces = traces
         self._core = edge_core
         self._send_result = send_result
@@ -396,14 +397,16 @@ class EdgeService:
 
     def _serve_image(self, image_id: str, payload: bytes):
         cfg = self._cfg
-        embedding = self._embeddings.get(image_id)
         yield self._core.execute(cfg.stage_durations.t_identify)
         tr = self._traces.get(image_id)
         if tr is not None:
             tr.t_identify = cfg.stage_durations.t_identify
         result = None
-        if embedding is not None:
-            ident = workload.identify(embedding, self._db,
+        image = self._images.get(image_id)
+        if image is not None and image.has_face:
+            # The embedding is made here and dropped after the call, so no
+            # image holds one while it waits for the core or the cloud.
+            ident = workload.identify(image.embedding, self._db,
                                       cfg.similarity_threshold,
                                       cfg.stage_durations.t_identify, image_id)
             if ident.recognized:
@@ -640,7 +643,7 @@ def run_tiers(cfg: ScenarioConfig, loop: EventLoop, links: tuple,
         fabric.declare_publisher("edge", key).put(data)
 
     far = FarEdgeNode(loop, cfg, uplink, core0, core1)
-    edge = EdgeService(loop, cfg, db, {img.id: img.embedding for img in dataset},
+    edge = EdgeService(loop, cfg, db, {img.id: img for img in dataset},
                        far.traces, edge_core, send_result,
                        edge_to_cloud if cfg.cloud_enabled else None)
     fabric.endpoint("edge").subscribe(

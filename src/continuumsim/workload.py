@@ -26,13 +26,31 @@ combine as ``even | odd << 64``: dense 64-bit words in stream order. The
 last xor-shift runs once on that int, masked to the low 33 bits of every
 word, the only bits ``z >> 31`` reaches within one word. One little-endian
 ``to_bytes`` then gives the block's bytes as the scalar stream writes them.
+
+A face record holds no embedding either, only the stream state where its
+draws start and, for a known face, the person's base vector; the
+``embedding`` property makes the vector from them on each read. An
+embedding takes ``EMBEDDING_DIM`` draws, one per ``uniform()`` of
+Box-Muller, so ``generate_dataset`` skips it by adding ``EMBEDDING_DIM``
+gammas to the state. That holds unless a ``uniform()`` reads 0.0, when
+Box-Muller takes one more draw. It reads 0.0 exactly when the output word
+is below 2**11, and the finalizer is a bijection, so exactly 2,048 states
+``b`` do that. A stream that starts at ``s0`` reaches ``b`` at draw
+``(b - s0)/gamma mod 2**64``; ``_extra_draw_marks`` holds ``b/gamma`` for
+each of them, sorted, so one bisect per dataset tells whether any falls
+within the draws the dataset can use. If one does, the dataset makes each
+embedding to advance its stream and still stores only the start state, so
+that the property takes the same extra draw when it makes the vector again.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from typing import Optional
 
 from .domain import (
@@ -50,6 +68,13 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _TO_UNIT = 2.0 ** -53
+_GOLDEN_INV = pow(_GOLDEN, -1, 1 << 64)
+_MIX1_INV = pow(_MIX1, -1, 1 << 64)
+_MIX2_INV = pow(_MIX2, -1, 1 << 64)
+# An image takes at most this many draws when no uniform() reads 0.0: face,
+# known, person, its embedding and its payload seed.
+_DRAWS_PER_IMAGE = 4 + EMBEDDING_DIM
+_EMBEDDING_STEP = EMBEDDING_DIM * _GOLDEN & _MASK64
 
 # Block constants for Prng.randbytes, 512 lanes of 128 bits: 1 in every
 # lane, the low 64 bits of every lane, gamma in every lane (the odd words'
@@ -78,6 +103,41 @@ def _mix(z: int) -> int:
     z = (z ^ (z >> 30)) * _MIX1 & _MASK64
     z = (z ^ (z >> 27)) * _MIX2 & _MASK64
     return z ^ (z >> 31)
+
+
+def _unshift(z: int, k: int) -> int:
+    """The inverse of ``z ^ (z >> k)`` on 64 bits."""
+    x = z
+    for _ in range(64 // k):
+        x = z ^ x >> k
+    return x
+
+
+def _unmix(z: int) -> int:
+    """The inverse of ``_mix``."""
+    z = _unshift(z, 31) * _MIX2_INV & _MASK64
+    z = _unshift(z, 27) * _MIX1_INV & _MASK64
+    return _unshift(z, 30)
+
+
+@cache
+def _extra_draw_marks() -> array:
+    """``b/gamma mod 2**64`` for each of the 2,048 states ``b`` whose output
+    is below 2**11, where ``uniform()`` reads 0.0, sorted: 16 KiB, built on
+    first use, not at import."""
+    return array("Q", sorted(_unmix(z) * _GOLDEN_INV & _MASK64 for z in range(1 << 11)))
+
+
+def _extra_draw_within(state: int, draws: int) -> bool:
+    """True iff one of the first ``draws`` draws of a stream at ``state``
+    lands on a state whose ``uniform()`` reads 0.0. Draw j lands on
+    ``state + j*gamma``, so that of mark t is ``(t - state/gamma) mod
+    2**64``, and the nearest mark above ``state/gamma`` gives the first."""
+    marks = _extra_draw_marks()
+    origin = state * _GOLDEN_INV & _MASK64
+    i = bisect_right(marks, origin)
+    first = marks[i] if i < len(marks) else marks[0] + (1 << 64)
+    return first - origin <= draws
 
 
 def _mix_lanes(z: int) -> int:
@@ -166,6 +226,12 @@ def perturbed_copy(base: EmbeddingVec, rng: Prng) -> EmbeddingVec:
     return EmbeddingVec(tuple(v / norm for v in values))
 
 
+def draw_embedding(rng: Prng, base: Optional[EmbeddingVec]) -> EmbeddingVec:
+    """The next embedding of ``rng``: a perturbed copy of ``base``, or a
+    fresh random unit vector if ``base`` is None."""
+    return random_unit_vector(rng) if base is None else perturbed_copy(base, rng)
+
+
 def make_face_db(seed: int, size: int) -> FaceDatabase:
     rng = Prng(substream(seed, 101))
     entries = tuple(
@@ -189,22 +255,25 @@ def generate_dataset(
     (carrying that person as ground truth), otherwise a fresh random unit
     vector with no ground truth. Each payload is seeded pseudo-random bytes,
     made when the record's ``payload`` is read; generating the dataset makes
-    none of them.
+    none of them. Each embedding is likewise made when the record's
+    ``embedding`` is read, and no record keeps one.
     """
     rng = Prng(substream(seed, 1))
+    skip = not _extra_draw_within(rng.state, n * _DRAWS_PER_IMAGE)
     records = []
     for k in range(n):
         has_face = rng.uniform() < face_prob
         ground_truth = None
-        embedding = None
+        embedding_seed = None
         if has_face:
-            known = rng.uniform() < known_prob
-            if known:
-                person, base = db.entries[rng.randrange(len(db))]
-                ground_truth = person
-                embedding = perturbed_copy(base, rng)
+            base = None
+            if rng.uniform() < known_prob:
+                ground_truth, base = db.entries[rng.randrange(len(db))]
+            embedding_seed = rng.state, base
+            if skip:
+                rng.state = rng.state + _EMBEDDING_STEP & _MASK64
             else:
-                embedding = random_unit_vector(rng)
+                draw_embedding(rng, base)
         # Payload bytes come from a per-image substream so identity draws do
         # not depend on payload size; the record makes them when read.
         records.append(ImageRecord(
@@ -216,7 +285,7 @@ def generate_dataset(
             format=ImageFormat.PNG,
             has_face=has_face,
             ground_truth=ground_truth,
-            embedding=embedding,
+            embedding_seed=embedding_seed,
         ))
     return records
 

@@ -1,6 +1,6 @@
 """``tools/diffcheck.py``: the order in which it compares records, the
-configs it counts as reordered, and the ulp distance by which it counts a
-pair of runs as within ``ULPS`` or different."""
+configs it counts as reordered, the ulp distance by which it counts a pair
+of runs as within ``ULPS`` or different, and the datasets it compares."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 from continuumsim.metrics import CSV_HEADER, MetricsRecord, emit_csv, summarize
+from continuumsim.presets import base_config
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "diffcheck.py"
 _SPEC = importlib.util.spec_from_file_location("diffcheck", _PATH)
@@ -93,3 +94,16 @@ def test_runs_equal_but_for_their_record_order_are_counted_apart():
     assert reordered == [0]
     assert distances == {2: 0.5}  # one ulp of 1.5 s in a run of 3.0 s
     assert all("order" not in run for pair in runs for run in pair)
+
+
+def test_a_dataset_is_compared_bit_for_bit():
+    # id, payload seed, face flag, ground truth and embedding per image; an
+    # embedding one ulp apart makes the config different, not within.
+    dataset = diffcheck._dataset(base_config(dataset_size=3, seed=7))
+    assert [image[0] for image in dataset] == ["img00000", "img00001", "img00002"]
+    assert all(image[2] and len(image[4].split()) == 128 for image in dataset)
+    first = float.fromhex(dataset[0][4].split()[0])
+    moved = [image[:] for image in dataset]
+    moved[0][4] = " ".join([math.nextafter(first, 2.0).hex()] + dataset[0][4].split()[1:])
+    assert diffcheck._ulps({"dataset": dataset}, {"dataset": dataset}, 2.0) == 0.0
+    assert diffcheck._ulps({"dataset": dataset}, {"dataset": moved}, 2.0) == math.inf

@@ -21,6 +21,7 @@ from continuumsim.domain import (
     validate_config,
 )
 from continuumsim.presets import base_config
+from continuumsim.workload import Prng, perturbed_copy, random_unit_vector
 
 
 def test_default_47_image_config_is_valid():
@@ -249,10 +250,18 @@ def test_image_record_invariants():
         ImageRecord("x", 5, 1, 1, 1, ImageFormat.PNG, has_face=True)
     with pytest.raises(ValueError, match="face-less"):
         ImageRecord("x", 5, 1, 1, 1, ImageFormat.PNG, has_face=False,
-                    embedding=_unit(0))
-    record = ImageRecord("x", 5, 1, 1, 1, ImageFormat.PNG, has_face=True,
-                         embedding=_unit(0))
-    assert record.ground_truth is None
+                    embedding_seed=(9, None))
+    assert ImageRecord("x", 5, 1, 1, 1, ImageFormat.PNG, has_face=False).embedding is None
+    unknown = ImageRecord("x", 5, 1, 1, 1, ImageFormat.PNG, has_face=True,
+                          embedding_seed=(9, None))
+    assert unknown.ground_truth is None
+    assert unknown.embedding == random_unit_vector(Prng(9))
+    # A known face's embedding is a perturbed copy of the person's vector,
+    # made anew on each read.
+    known = ImageRecord("x", 5, 1, 1, 1, ImageFormat.PNG, has_face=True,
+                        ground_truth=PersonId(0, "a"), embedding_seed=(9, _unit(0)))
+    assert known.embedding == perturbed_copy(_unit(0), Prng(9))
+    assert known.embedding is not known.embedding
 
 
 def test_face_database_requires_distinct_ids():

@@ -5,7 +5,7 @@ import itertools
 import json
 import weakref
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import partial
 
 import pytest
@@ -13,6 +13,8 @@ import pytest
 from continuumsim import chunkwire, netsim, nodes
 from continuumsim.chunkwire import MalformedJson, UnknownField, UploadRejected
 from continuumsim.domain import (
+    EmbeddingVec,
+    ImageRecord,
     LinkParams,
     ScenarioConfig,
     StageDurations,
@@ -1253,7 +1255,7 @@ def test_failed_parallel_run_starts_no_read_at_the_failure_instant():
 def _only_first_image_has_a_face(build, cfg):
     db, dataset = build(cfg)
     return db, dataset[:1] + [replace(image, has_face=False, ground_truth=None,
-                                      embedding=None) for image in dataset[1:]]
+                                      embedding_seed=None) for image in dataset[1:]]
 
 
 @pytest.mark.parametrize("parallelism", [False, True], ids=["sequential", "parallel"])
@@ -1292,6 +1294,41 @@ def test_payload_bytes_are_made_once_per_uploaded_image(transport, parallelism,
     r = run_scenario(tiny_config(transport, parallelism, n=5, cloud=True))
     assert all(rec.origin in ("edge", "cloud") for rec in r.records)
     assert calls == [2048] * 5
+
+
+@pytest.mark.parametrize("cloud", [False, True], ids=["cloud_off", "cloud_on"])
+@pytest.mark.parametrize("transport", list(TransportKind), ids=lambda t: t.name.lower())
+def test_embeddings_are_made_once_per_identified_image(transport, cloud, monkeypatch):
+    # A record holds the state its embedding's draws start at, and for a
+    # known face the database vector it perturbs. The edge makes the
+    # embedding when it identifies the image, once, and nothing makes one
+    # while the dataset is built.
+    made = []
+    embedding = ImageRecord.embedding
+    monkeypatch.setattr(ImageRecord, "embedding",
+                        property(lambda image: made.append(image.id) or embedding.fget(image)))
+    built = []
+    build = nodes.build_dataset
+
+    def checked_build(cfg):
+        db, dataset = build(cfg)
+        assert made == []
+        bases = [vec for _person, vec in db.entries]
+        for image in dataset:
+            assert not any(isinstance(getattr(image, f.name), EmbeddingVec)
+                           for f in fields(image))
+            if image.embedding_seed is not None:
+                base = image.embedding_seed[1]
+                assert base is None or any(base is vec for vec in bases)
+        built.extend(dataset)
+        return db, dataset
+
+    monkeypatch.setattr(nodes, "build_dataset", checked_build)
+    r = run_scenario(tiny_config(transport, n=8, cloud=cloud, face_prob=0.6))
+    faces = sorted(image.id for image in built if image.has_face)
+    assert 0 < len(faces) < 8
+    assert sorted(made) == faces
+    assert all(rec.origin in ("edge", "cloud") for rec in r.records if rec.image_id in faces)
 
 
 # ---------------------------------------------------------------------------

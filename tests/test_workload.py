@@ -19,7 +19,8 @@ from continuumsim.workload import (
     random_unit_vector,
     substream,
 )
-from continuumsim.presets import paper_stage_durations
+from continuumsim.nodes import build_dataset
+from continuumsim.presets import base_config, paper_stage_durations
 
 
 def test_splitmix64_reference_sequence():
@@ -120,6 +121,103 @@ def test_dataset_payload_bytes_are_pinned():
     assert len(payloads) == 5000
     assert hashlib.sha256(payloads).hexdigest() == \
         "bbda91566d7e42c245c7b1f2032f36772e995b5bb41f77918ef61e2fed4ce906"
+
+
+def _hex(embedding):
+    return None if embedding is None else tuple(v.hex() for v in embedding.values)
+
+
+def _eager_dataset(seed, n, face_prob, known_prob, db):
+    """The dataset stream as it was drawn when each record held its
+    embedding: ``(id, payload seed, has face, ground truth, embedding)`` of
+    each image, the embedding as ``float.hex`` of its values."""
+    rng = Prng(substream(seed, 1))
+    out = []
+    for k in range(n):
+        has_face = rng.uniform() < face_prob
+        ground_truth = embedding = None
+        if has_face:
+            if rng.uniform() < known_prob:
+                ground_truth, base = db.entries[rng.randrange(len(db))]
+                embedding = perturbed_copy(base, rng)
+            else:
+                embedding = random_unit_vector(rng)
+        out.append((f"img{k:05d}", rng.u64(), has_face, ground_truth, _hex(embedding)))
+    return out
+
+
+GAMMA = 0x9E3779B97F4A7C15
+MASK64 = 2**64 - 1
+
+
+def test_extra_draw_marks_are_the_states_where_uniform_reads_zero():
+    marks = workload._extra_draw_marks()
+    assert len(set(marks)) == len(marks) == 2048
+    assert list(marks) == sorted(marks)
+    for mark in marks:
+        assert workload._mix(mark * GAMMA & MASK64) < 2**11
+    for z in (0, 7, 2**11 - 1, 2**63 + 5, MASK64):
+        assert workload._mix(workload._unmix(z)) == z
+
+
+def test_extra_draw_guard_counts_draws_from_the_stream_state():
+    b = workload._unmix(7)
+    s0 = b - 5 * GAMMA & MASK64  # the fifth draw from s0 lands on b
+    assert workload._extra_draw_within(s0, 5)
+    assert not workload._extra_draw_within(s0, 4)
+    assert not workload._extra_draw_within(b, 1)  # b itself is no draw of its stream
+    # A stream past the largest mark first meets the smallest, 2**64 later.
+    marks = workload._extra_draw_marks()
+    state = (marks[-1] + 1) * GAMMA & MASK64
+    first = marks[0] + 2**64 - marks[-1] - 1
+    assert workload._extra_draw_within(state, first)
+    assert not workload._extra_draw_within(state, first - 1)
+
+
+@pytest.mark.parametrize("known_prob", [0.0, 1.0])
+def test_dataset_stream_with_an_extra_draw_matches_the_eager_draws(known_prob):
+    # The dataset stream starts at s0, and its fifth draw outputs 7, below
+    # 2**11, so that uniform() reads 0.0. With no known face, that draw is
+    # the first embedding's second u1, and Box-Muller draws once more; with
+    # a known face it is a u2, and takes no extra draw. Either way the
+    # guard trips, and the lazy records must equal the eager draws bit for
+    # bit. Skipping EMBEDDING_DIM draws per embedding here would move every
+    # later state.
+    b = workload._unmix(7)
+    s0 = b - 5 * GAMMA & MASK64
+    seed = workload._unmix(s0) ^ GAMMA
+    assert substream(seed, 1) == s0
+    rng = Prng(s0 + 2 * GAMMA & MASK64)  # after the face and known draws
+    random_unit_vector(rng)
+    assert rng.state == s0 + (3 + EMBEDDING_DIM) * GAMMA & MASK64
+    db = _db()
+    lazy = generate_dataset(seed, 6, 1.0, known_prob, db, 16)
+    assert [(r.id, r.payload_seed, r.has_face, r.ground_truth, _hex(r.embedding))
+            for r in lazy] == _eager_dataset(seed, 6, 1.0, known_prob, db)
+
+
+@pytest.mark.parametrize("seed", [1, 7, 2026])
+def test_dataset_skip_ahead_matches_the_eager_draws(seed):
+    db = _db()
+    lazy = generate_dataset(seed, 40, 0.7, 0.5, db, 16)
+    assert [(r.id, r.payload_seed, r.has_face, r.ground_truth, _hex(r.embedding))
+            for r in lazy] == _eager_dataset(seed, 40, 0.7, 0.5, db)
+
+
+def test_dataset_embeddings_are_pinned():
+    # Both pins were computed when each record held its embedding. The
+    # start states are integers and hold on every platform. The vectors go
+    # through math.log, sin and cos, which come from the platform's libm
+    # and need not be correctly rounded, so their pin holds for one libm
+    # only; CI runs on ubuntu only.
+    _db_, dataset = build_dataset(base_config(seed=7))
+    assert len(dataset) == 47 and all(r.has_face for r in dataset)
+    states = ",".join(f"{r.embedding_seed[0]:016x}" for r in dataset)
+    assert hashlib.sha256(states.encode()).hexdigest() == \
+        "a8793e9a13440c20f0e872f78835e0f30bfe8c83430c25beb1b25a8c98dada85"
+    floats = ",".join(v.hex() for r in dataset for v in r.embedding.values)
+    assert hashlib.sha256(floats.encode()).hexdigest() == \
+        "accfe998b62739c8348f4e5363af946fdf2b45c75d333a4bfaee09dc0cf0abaa"
 
 
 def test_dataset_identity_draws_do_not_depend_on_payload_size():

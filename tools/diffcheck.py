@@ -8,7 +8,11 @@ to both trees as ``config_to_dict`` documents. REV is exported with
 ``git archive`` into a temporary directory. Each tree then runs every config
 with its own ``run_scenario`` in one subprocess, and each run is reduced to
 its records, its summary and its failure, every float written as
-``float.hex``: two runs are equal only if they agree bit for bit. The
+``float.hex``: two runs are equal only if they agree bit for bit. Each
+config's dataset, as ``build_dataset`` makes it, is compared too: each
+image's id, payload seed, face flag, ground truth and embedding, so that an
+embedding's bits are compared directly and not only through the outcome of
+``identify``. The
 records are compared in the order ``metrics.csv`` writes them, by
 completion and then image id, which is the pinned contract; the order in
 which a run returns them is not, and the configs whose runs return the same
@@ -24,7 +28,8 @@ Every time of a run is computed from instants up to its total runtime, so
 rounding there moves a difference of two instants (an RTT, an upload time)
 or a standard deviation by ulps of that scale, not of the value's own size.
 Anything else, such as another record count, origin or failure, a NaN or an
-infinity, or a float further apart, makes the config different. The three
+infinity, a float further apart, or any difference in the dataset, makes
+the config different. The three
 counts are printed, with the largest ulp distance among the configs within
 4 ulps, so that a reader can judge any other bound, how many of the equal
 configs return their records in another order, and the parts in which
@@ -111,6 +116,22 @@ def _reduce(result, columns: list[str]) -> dict:
                    "order": [record.image_id for record in result.records]})
 
 
+def _dataset(cfg) -> list:
+    """The dataset of ``cfg`` as ``build_dataset`` makes it: per image its
+    id, payload seed, face flag, ground truth and embedding. The embedding
+    is one string of ``float.hex`` values, so that ``_ulps`` counts any
+    difference in it as infinitely far."""
+    from continuumsim.nodes import build_dataset
+
+    out = []
+    for image in build_dataset(cfg)[1]:
+        truth, embedding = image.ground_truth, image.embedding
+        out.append([image.id, image.payload_seed, image.has_face,
+                    None if truth is None else [truth.id, truth.label],
+                    None if embedding is None else " ".join(v.hex() for v in embedding.values)])
+    return out
+
+
 def _work(configs_path: str, out_path: str) -> None:
     """Run each config document of ``configs_path`` with the
     ``continuumsim`` on ``sys.path`` and write one JSON line per run."""
@@ -123,11 +144,13 @@ def _work(configs_path: str, out_path: str) -> None:
             open(out_path, "w", encoding="utf-8") as out:
         for line in src:
             try:
-                result = run_scenario(config_from_dict(json.loads(line)))
+                cfg = config_from_dict(json.loads(line))
+                result = run_scenario(cfg)
             except Exception as exc:  # noqa: BLE001 - part of what is compared
                 run = {"raised": f"{type(exc).__name__}: {exc}"}
             else:
                 run = _reduce(result, columns)
+                run["dataset"] = _dataset(cfg)
             out.write(json.dumps(run) + "\n")
 
 
