@@ -210,7 +210,7 @@ def test_dataset_embeddings_are_pinned():
     # through math.log, sin and cos, which come from the platform's libm
     # and need not be correctly rounded, so their pin holds for one libm
     # only; CI runs on ubuntu only.
-    _db_, dataset = build_dataset(base_config(seed=7))
+    _, dataset = build_dataset(base_config(seed=7))
     assert len(dataset) == 47 and all(r.has_face for r in dataset)
     states = ",".join(f"{r.embedding_seed[0]:016x}" for r in dataset)
     assert hashlib.sha256(states.encode()).hexdigest() == \
