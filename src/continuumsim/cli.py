@@ -26,7 +26,7 @@ from .domain import (
     validate_config,
 )
 from .metrics import RunSummary, compare, emit_csv, emit_summary_json, summary_to_dict
-from .nodes import run_scenario
+from .nodes import run_scenario, shared_datasets
 from .presets import PRESET_NAMES, DEFAULT_SEED, base_config, build_preset
 
 _TRANSPORT_FLAG = {"blocking": TransportKind.BLOCKING_SESSION,
@@ -196,9 +196,10 @@ def run(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    return run(args)
+    """Run the invocation ``argv``. Its runs share their dataset while it
+    runs: consecutive runs that ask for the same one build it once."""
+    with shared_datasets():
+        return run(_build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -33,6 +33,7 @@ from __future__ import annotations
 import base64
 import math
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
@@ -55,6 +56,7 @@ from .chunkwire import (
 # perfbench/tracer.py wraps; tcprun re-exports it with ``decode_result``.
 from .chunkwire import encode as encode_result
 from .domain import (
+    FaceDatabase,
     ImageRecord,
     PersonId,
     ScenarioConfig,
@@ -560,12 +562,40 @@ class RunResult:
         return sorted((r.image_id, r.recognized, r.label) for r in self.records)
 
 
-def build_dataset(cfg: ScenarioConfig):
+# The last dataset built inside ``shared_datasets``, by the config fields it
+# depends on; None outside that scope, where every build is fresh.
+_shared: Optional[dict] = None
+
+
+@contextmanager
+def shared_datasets():
+    """Within the block, ``build_dataset`` returns the dataset it built last
+    when a config asks for the same one, and drops it before it builds
+    another. Database and records are immutable, so the runs that share
+    them cannot tell."""
+    global _shared
+    outer, _shared = _shared, {}
+    try:
+        yield
+    finally:
+        _shared = outer
+
+
+def build_dataset(cfg: ScenarioConfig) -> tuple[FaceDatabase, list[ImageRecord]]:
+    key = (cfg.rng_seed, cfg.db_size, cfg.dataset_size, cfg.face_prob,
+           cfg.known_prob, cfg.payload_bytes)
+    shared = _shared
+    if shared is not None:
+        if key in shared:
+            return shared[key]
+        shared.clear()
     db = workload.make_face_db(cfg.rng_seed, cfg.db_size)
-    dataset = workload.generate_dataset(
+    built = db, workload.generate_dataset(
         cfg.rng_seed, cfg.dataset_size, cfg.face_prob, cfg.known_prob,
         db, cfg.payload_bytes)
-    return db, dataset
+    if shared is not None:
+        shared[key] = built
+    return built
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunResult:

@@ -3,10 +3,10 @@ from dataclasses import replace
 
 import pytest
 
-from continuumsim import cli
+from continuumsim import cli, nodes, workload
 from continuumsim.cli import main
 from continuumsim.domain import config_from_json, config_to_json
-from continuumsim.presets import base_config
+from continuumsim.presets import PRESET_NAMES, base_config, build_preset
 
 
 def run_cli(*argv) -> int:
@@ -233,3 +233,97 @@ def test_preset_whose_comparison_cannot_be_written_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write to {out}: ") and err.count("\n") == 1
     assert (out / "fp_study" / "summary.json").exists()
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Every dataset built from here on, in order, as
+    ``workload.generate_dataset`` returned it."""
+    built = []
+    generate = workload.generate_dataset
+
+    def spy(*args):
+        built.append(generate(*args))
+        return built[-1]
+
+    monkeypatch.setattr(workload, "generate_dataset", spy)
+    return built
+
+
+@pytest.mark.parametrize("preset,sizes", [
+    ("fig3_parallelism", [3000]),
+    ("fig4_rtt", [47]),
+    ("fig5_datasets", [47, 100, 150, 200] * 2),
+    ("fp_study", [158]),
+])
+def test_preset_invocation_builds_a_dataset_once_per_change_of_dataset(
+        preset, sizes, builds, tmp_path, monkeypatch):
+    # Each run asks for its dataset as a real run does, then answers with
+    # one small canned result, so that the presets keep their own sizes.
+    canned = nodes.run_scenario(replace(base_config(dataset_size=2), payload_bytes=64))
+    builds.clear()
+
+    def run_on_its_dataset(cfg):
+        nodes.build_dataset(cfg)
+        return canned
+
+    monkeypatch.setattr(cli, "run_scenario", run_on_its_dataset)
+    assert run_cli("--preset", preset, "--out", str(tmp_path)) == 0
+    assert [len(dataset) for dataset in builds] == sizes
+
+
+def test_invocations_build_their_dataset_once_each(builds, tmp_path):
+    for out in ("a", "b"):
+        assert run_cli("--preset", "fig3_parallelism", "--images", "3",
+                       "--out", str(tmp_path / out)) == 0
+    assert len(builds) == 2
+    # No run changed the list the four runs of an invocation shared.
+    shared = builds[-1]
+    cfg = build_preset("fig3_parallelism").runs[0].config
+    assert shared == nodes.build_dataset(replace(cfg, dataset_size=3))[1]
+
+
+def _broken_run(error):
+    def run(cfg):
+        nodes.build_dataset(cfg)
+        raise error
+    return run
+
+
+@pytest.mark.parametrize("fault", ["bad_flag", "run_raises", "interrupt"])
+def test_dataset_is_not_kept_after_an_invocation_that_fails(fault, builds, tmp_path,
+                                                            monkeypatch, capsys):
+    argv = ["--preset", "fig4_rtt", "--images", "2", "--out", str(tmp_path)]
+    if fault == "bad_flag":
+        with pytest.raises(SystemExit) as err:
+            run_cli(*argv, "--transport", "carrier-pigeon")
+        assert err.value.code == 2
+    elif fault == "run_raises":
+        monkeypatch.setattr(cli, "run_scenario", _broken_run(RuntimeError("the run broke")))
+        assert run_cli(*argv) == 3
+    else:
+        monkeypatch.setattr(cli, "run_scenario", _broken_run(KeyboardInterrupt()))
+        with pytest.raises(KeyboardInterrupt):
+            run_cli(*argv)
+    # Both builds are fresh: no scope is left open, empty or not.
+    built = len(builds)
+    nodes.build_dataset(base_config(dataset_size=2))
+    nodes.build_dataset(base_config(dataset_size=2))
+    assert len(builds) == built + 2
+
+
+def _files(root):
+    return {path.relative_to(root): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_preset_files_do_not_depend_on_its_runs_sharing_a_dataset(preset, builds, tmp_path):
+    argv = ["--preset", preset, "--images", "3", "--seed", "3"]
+    assert run_cli(*argv, "--out", str(tmp_path / "shared")) == 0
+    assert len(builds) == 1
+    # ``run`` is the invocation without its scope: every run builds afresh.
+    args = cli._build_parser().parse_args(argv + ["--out", str(tmp_path / "alone")])
+    assert cli.run(args) == 0
+    assert len(builds) == 1 + len(build_preset(preset).runs)
+    assert _files(tmp_path / "shared") == _files(tmp_path / "alone")

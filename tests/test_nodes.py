@@ -10,7 +10,7 @@ from functools import partial
 
 import pytest
 
-from continuumsim import chunkwire, netsim, nodes
+from continuumsim import chunkwire, netsim, nodes, workload
 from continuumsim.chunkwire import MalformedJson, UnknownField, UploadRejected
 from continuumsim.domain import (
     EmbeddingVec,
@@ -1191,6 +1191,52 @@ def test_failed_sequential_run_frees_its_dataset_without_the_cyclic_collector(mo
     assert r.failure is not None
     assert [ref() for ref in refs] == [None] * 6
     assert cyclic == {}
+
+
+# Each config field ``build_dataset`` reads, with a value that changes the
+# dataset or the database of ``base_config(dataset_size=6)``.
+_DATASET_FIELDS = {"rng_seed": 8, "db_size": 5, "dataset_size": 7, "face_prob": 0.5,
+                   "known_prob": 0.0, "payload_bytes": 2048}
+
+
+def test_shared_dataset_is_the_one_a_fresh_build_makes():
+    base = base_config(dataset_size=6)
+    fresh_base = nodes.build_dataset(base)
+    varied = {name: replace(base, **{name: value}) for name, value in _DATASET_FIELDS.items()}
+    fresh = {name: nodes.build_dataset(cfg) for name, cfg in varied.items()}
+    assert all(dataset != fresh_base for dataset in fresh.values())
+    with nodes.shared_datasets():
+        for name, cfg in varied.items():
+            assert nodes.build_dataset(base) == fresh_base
+            assert nodes.build_dataset(cfg) == fresh[name], name
+        # The transport is not part of the dataset: its runs share one.
+        shared = nodes.build_dataset(base)
+        assert nodes.build_dataset(replace(base, transport=TransportKind.BLOCKING_SESSION)) is shared
+    assert shared == fresh_base
+    assert nodes.build_dataset(base) is not shared
+
+
+def test_shared_dataset_is_dropped_before_the_next_is_built_and_at_the_end(monkeypatch):
+    refs = []
+    generate = workload.generate_dataset
+
+    def generate_and_watch(*args):
+        assert [ref() for ref in refs] == [None] * len(refs)
+        dataset = generate(*args)
+        refs.extend(weakref.ref(image) for image in dataset)
+        return dataset
+
+    monkeypatch.setattr(workload, "generate_dataset", generate_and_watch)
+    gc.disable()
+    try:
+        with nodes.shared_datasets():
+            nodes.build_dataset(base_config(dataset_size=3))
+            nodes.build_dataset(base_config(dataset_size=4))
+            assert sum(ref() is not None for ref in refs) == 4
+    finally:
+        gc.enable()
+    assert len(refs) == 7
+    assert [ref() for ref in refs] == [None] * 7
 
 
 @pytest.mark.parametrize("transport", list(TransportKind), ids=lambda t: t.name.lower())
