@@ -319,7 +319,7 @@ def _files(root):
 
 @pytest.mark.parametrize("preset", PRESET_NAMES)
 def test_preset_files_do_not_depend_on_its_runs_sharing_a_dataset(preset, builds, tmp_path):
-    argv = ["--preset", preset, "--images", "3", "--seed", "3"]
+    argv = ["--preset", preset, "--images", "2", "--seed", "3"]
     assert run_cli(*argv, "--out", str(tmp_path / "shared")) == 0
     assert len(builds) == 1
     # ``run`` is the invocation without its scope: every run builds afresh.
