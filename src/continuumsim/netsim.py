@@ -191,9 +191,11 @@ class SimLink:
         self.busy_time = 0.0
         self.bytes_sent = 0
         # Deliveries not yet made, in order: instants from index ``_next`` on,
-        # and (key, handler, payloads) per run with the same key and handler.
+        # and (key, handler, payloads) per run with the same key and handler;
+        # ``_event`` is the head's event while there is one.
         self._instants, self._next = array("d"), 0
         self._runs: deque[tuple] = deque()
+        self._event: Optional[EventHandle] = None
 
     def transmit(self, nbytes: int, at: Optional[float] = None) -> Transmission:
         """Book ``nbytes`` on the wire at the link's next free instant from
@@ -210,6 +212,12 @@ class SimLink:
         self.bytes_sent += nbytes
         return Transmission(wire_start, wire_end, wire_end + self.params.latency)
 
+    def arrival(self, nbytes: int, at: float) -> float:
+        """The arrival instant that ``transmit(nbytes, at)`` would book, by
+        the same float operations; books nothing."""
+        wire_start = at if at >= self.busy_until else self.busy_until
+        return wire_start + nbytes / self.params.bandwidth + self.params.latency
+
     def deliver(self, key: object, payload: bytes,
                 handler: Callable[[object, bytes], None], at: float) -> Transmission:
         """Book ``payload`` from instant ``at`` (not before now or an earlier
@@ -221,9 +229,27 @@ class SimLink:
         if not runs or runs[-1][0] is not key or runs[-1][1] is not handler:
             runs.append((key, handler, deque()))
             if len(runs) == 1:  # the link had no delivery waiting
-                self._loop.schedule_at(self._instants[self._next], self._arrive)
+                self._event = self._loop.schedule_at(self._instants[self._next], self._arrive)
         runs[-1][2].append(payload)
         return tx
+
+    def withdraw(self, count: int) -> None:
+        """Withdraw the last ``count`` deliveries booked, which belong to the
+        latest run: they are never made, and the head's event is cancelled
+        if none is left. The wire time they booked stays booked."""
+        instants, payloads = self._instants, self._runs[-1][2]
+        if count > len(payloads):
+            raise ValueError(f"the latest run holds {len(payloads)} deliveries, not {count}")
+        del instants[len(instants) - count:]
+        for _ in range(count):
+            payloads.pop()
+        if not payloads:
+            self._runs.pop()
+            if not self._runs:
+                self._event.cancel()
+                self._event = None
+                del instants[:]
+                self._next = 0
 
     def _arrive(self) -> None:
         """Make the head delivery, after booking the event of the next."""
@@ -236,8 +262,8 @@ class SimLink:
             del instants[:read]
             read = 0
         self._next = read
-        if instants:
-            self._loop.schedule_at(instants[read], self._arrive)
+        self._event = (self._loop.schedule_at(instants[read], self._arrive)
+                       if instants else None)
         handler(key, payload)
 
 

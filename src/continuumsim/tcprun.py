@@ -32,12 +32,12 @@ import time
 from collections import deque
 from dataclasses import fields, replace
 from functools import partial
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .domain import ScenarioConfig
 from .netsim import EventHandle, EventLoop, Gate, Transmission
 from .nodes import RunResult, run_tiers
-from .transport import SendTimeout, SessionEndpoint, StreamTicket
+from .transport import ConnectionClosed, SendTimeout, SessionEndpoint, StreamTicket
 
 # perfbench/tracer.py wraps these names on this module; nothing here calls them.
 from .metrics import summarize  # noqa: F401
@@ -256,7 +256,31 @@ class SocketSession(SessionEndpoint):
         # in write order, with the timer of that message.
         self._unacked: deque = deque()
 
+    def send_all(self, payloads: Iterable[bytes]) -> StreamTicket:
+        """Send ``payloads`` in order, each written when the ack frame of the
+        one before is read. The ticket's ``accepted`` gate resumes the
+        caller once, when the last ack frame is read; it raises into the
+        caller on a closed connection, or when a message is not acked within
+        the timeout (the connection is then closed)."""
+        ticket = StreamTicket(Gate())
+        self._send_next(ticket, iter(payloads), None)
+        return ticket
+
+    def _send_next(self, ticket: StreamTicket, payloads: Iterator[bytes],
+                   ack_at: Optional[float]) -> None:
+        """Write the next of ``payloads``, now that the ack of the one before
+        is back at ``ack_at``; with none left, that is the stream's end."""
+        payload = next(payloads, None)
+        if payload is None:
+            ticket.ack_at = ack_at
+            ticket.accepted.set(None)
+        elif self.closed or self.peer is None or self.peer.closed:
+            ticket.accepted.set(ConnectionClosed(f"{self.name}: send on closed connection"))
+        else:
+            self._book(ticket, payload, payloads)
+
     def _book(self, ticket: StreamTicket, payload: bytes, payloads: Iterator[bytes]) -> None:
+        """Write ``payload`` and start its timer."""
         if ticket.wire_start is None:
             ticket.wire_start = self._loop.now
         timer = self._loop.schedule(self.timeout, partial(self._time_out, ticket.accepted))

@@ -14,12 +14,21 @@ Both transports also send a stream of messages in one call and return one
 handle for it, a :class:`StreamTicket`, whose ``accepted`` gate resumes the
 caller once, after the last message, where a loop of ``send`` or ``put``
 would resume it after each. ``put`` is the one-message stream, and ``send``
-its gate. In a blocking stream the ack event of a message books the next.
-A pub/sub stream is booked whole at the call (``_Route.put``), at the
-instants that a chain of one wire-end event per message would give, and a
-link delivers from a FIFO whose head is its one event in the loop: a pub/sub
-message costs one event. A put by another publisher during a stream queues
-behind the whole stream.
+its gate. Both book a stream whole at the call, through ``SimLink.deliver``,
+and a link delivers from a FIFO whose head is its one event in the loop: a
+message costs one event on either transport.
+
+* A pub/sub stream is booked at the instants that a chain of one wire-end
+  event per message would give (``_Route.put``). A put by another publisher
+  during a stream queues behind the whole stream.
+* A blocking stream books message i at the instant the ack of message i-1
+  would be back, one latency after its arrival, and has one more event, at
+  its last ack. The out link of a session end is its streams' own: a
+  ``send_all`` while a stream of that end still books a message at or after
+  now raises ``RuntimeError``; one-message sends book at their call. A
+  close of either end fails a stream at its first ack at or after the close
+  (a close at an ack's instant counts as before it), unless that ack is the
+  last, and withdraws from the link the messages booked from the close on.
 
 A put or ``put_all`` matches its publisher's key against the subscriptions
 once, at the call: every message of the stream goes to the routes and
@@ -35,10 +44,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Optional
 
 from .domain import is_key_segment
-from .netsim import EventLoop, Gate, SimLink
+from .netsim import EventHandle, EventLoop, Gate, SimLink
 
 # perfbench/tracer.py wraps this name on this module; nothing here calls it.
 from .netsim import spawn  # noqa: F401
@@ -112,7 +121,9 @@ class StreamTicket:
 
 
 class SessionEndpoint:
-    """One side of a blocking full-duplex session."""
+    """One side of a blocking full-duplex session. Its out link carries its
+    own sends only, and a stream of more than one message is booked on it
+    whole, at its ``send_all``."""
 
     def __init__(self, loop: EventLoop, out_link: SimLink, timeout: float = 30.0,
                  name: str = "session"):
@@ -123,65 +134,221 @@ class SessionEndpoint:
         self.closed = False
         self.peer: Optional["SessionEndpoint"] = None
         self._handler: Optional[Callable[[bytes], None]] = None
+        # The latest stream of more than one message this end sent.
+        self._stream: Optional[_Stream] = None
 
     def on_message(self, handler: Callable[[bytes], None]) -> None:
         self._handler = handler
 
     def close(self) -> None:
         """Close this end: it sends and delivers nothing more, and lets go of
-        its peer and its handler."""
-        self.closed = True
+        its peer and its handler. A stream of either end fails at its first
+        ack at or after now (see :meth:`send_all`)."""
+        peer = self.peer
+        self._shut()
+        if peer is not None and peer._stream is not None:
+            peer._stream.cut()
         self.peer = None
         self._handler = None
+
+    def _shut(self) -> None:
+        """Mark this end closed, and cut its stream at now."""
+        self.closed = True
+        stream, self._stream = self._stream, None
+        if stream is not None:
+            stream.cut()
 
     def send(self, payload: bytes) -> Gate:
         """The ``accepted`` gate of :meth:`send_all` of ``(payload,)``."""
         return self.send_all((payload,)).accepted
 
     def send_all(self, payloads: Iterable[bytes]) -> StreamTicket:
-        """Send ``payloads`` in order, each booked when the ack of the one
-        before is back. The ticket's ``accepted`` gate resumes the caller
-        once, when the last ack is back; it raises into the caller on a
-        closed connection or when one exchange would exceed the timeout (the
-        connection is then treated as dead and nothing more is delivered),
-        at the instant a loop of ``send`` would."""
-        ticket = StreamTicket(Gate())
-        self._send_next(ticket, iter(payloads), None)
-        return ticket
+        """Send ``payloads`` in order, each booked on the out link when the
+        ack of the one before is back: the first now, message i at ack i-1,
+        where an ack is back one latency after its message arrives. All are
+        booked here, and each costs one event, its delivery; one more, at the
+        last ack, sets ``ack_at`` and resumes the caller through the ticket's
+        ``accepted`` gate. The instants are those of a chain that books each
+        message when the ack of the one before is back.
 
-    def _send_next(self, ticket: StreamTicket, payloads: Iterator[bytes],
-                   ack_at: Optional[float]) -> None:
-        """Book the next of ``payloads``, now that the ack of the one before
-        is back at ``ack_at``; with none left, that is the stream's end."""
+        The stream's bookings assume the out link is its own until its last
+        booking: a ``send_all`` on this end while a stream of it still books
+        a message at or after now raises ``RuntimeError``, as ``Gate.set``
+        does when set twice. A one-message stream books at the call, so
+        concurrent ones interleave on the link as their calls do.
+
+        The gate raises into the caller:
+
+        * ``ConnectionClosed`` at once if either end is closed at the call;
+        * ``SendTimeout`` when one exchange would exceed the timeout: that
+          message is not booked, both ends close when the ack before it is
+          back (at once for the first), and the gate raises one timeout
+          after that instant;
+        * ``ConnectionClosed`` at the first ack at or after a close of either
+          end (its ``close`` or the peer's timeout), unless that ack is the
+          last: a close after the last booking leaves the stream to succeed.
+          A close at the instant of an ack counts as before it, whatever the
+          order of their events; so does a close at the instant the stream
+          times out. The messages booked at or after the close, each at the
+          ack before it, are withdrawn from the link and never delivered,
+          even to an end still open. The receiving end drops what arrives
+          once it is closed.
+        """
+        ticket = StreamTicket(Gate())
+        payloads = iter(payloads)
         payload = next(payloads, None)
         if payload is None:
-            ticket.ack_at = ack_at
             ticket.accepted.set(None)
-        elif self.closed or self.peer is None or self.peer.closed:
+            return ticket
+        if self.closed or self.peer is None or self.peer.closed:
             ticket.accepted.set(ConnectionClosed(f"{self.name}: send on closed connection"))
+            return ticket
+        loop, link, timeout = self._loop, self._out_link, self.timeout
+        now = loop.now
+        if self._stream is not None and self._stream.booked_until >= now:
+            raise RuntimeError(f"{self.name}: a stream still books on this end")
+        latency = link.params.latency
+        stream = _Stream(self, ticket, latency)
+        arrival, deliver = link.arrival, link.deliver
+        at = booked_until = now
+        count = 0
+        while payload is not None:
+            ack = arrival(len(payload), at) + latency
+            if ack - at > timeout:
+                break
+            tx = deliver(None, payload, stream, at)
+            if not count:
+                ticket.wire_start = tx.wire_start
+            count += 1
+            booked_until, at = at, ack
+            payload = next(payloads, None)
+        if not count:
+            self._close_on_timeout(ticket)
+            return ticket
+        stream.last, stream.end_at = count - 1, at
+        if payload is None:
+            stream.book_success()
         else:
-            self._book(ticket, payload, payloads)
+            stream.complete, booked_until = False, at
+        if count > 1 or payload is not None:
+            stream.booked_until = booked_until
+            self._stream = stream
+        return ticket
 
-    def _book(self, ticket: StreamTicket, payload: bytes, payloads: Iterator[bytes]) -> None:
-        """Put ``payload`` on the link and schedule its delivery, then its
-        ack, which sends the rest of the stream."""
-        loop = self._loop
-        tx = self._out_link.transmit(len(payload))
-        ack_at = tx.arrival + self._out_link.params.latency
-        if ack_at - loop.now > self.timeout:
-            self.closed = self.peer.closed = True
-            loop.schedule(self.timeout, partial(
-                ticket.accepted.set, SendTimeout(f"{self.name}: no ack within {self.timeout}s")))
-            return
-        loop.schedule_at(tx.arrival, partial(self.peer._receive, None, payload))
-        if ticket.wire_start is None:
-            ticket.wire_start = tx.wire_start
-        loop.schedule_at(ack_at, partial(self._send_next, ticket, payloads, ack_at))
+    def _close_on_timeout(self, ticket: StreamTicket) -> EventHandle:
+        """Close both ends now, as the next exchange of ``ticket``'s stream
+        would exceed the timeout; returns the event that fails the stream
+        one timeout later."""
+        self._shut()
+        self.peer._shut()
+        return self._loop.schedule(self.timeout, partial(
+            ticket.accepted.set, SendTimeout(f"{self.name}: no ack within {self.timeout}s")))
 
     def _receive(self, _key: Optional[str], payload: bytes) -> None:
         """Hand an arrived message to the handler unless this end is closed."""
         if not self.closed and self._handler is not None:
             self._handler(payload)
+
+
+class _Stream:
+    """The bookings of one ``send_all`` after its call: the link hands this
+    object each message of the stream in turn, and it passes the message on
+    to the receiving end. A stream booked whole books its success at its
+    last ack at the call; one cut short by its timeout or a close books its
+    end at the ack of its last message delivered, when that message is
+    delivered. The stream keeps no state per message: a close finds the
+    first ack at or after it from the latest delivery."""
+
+    __slots__ = ("_sender", "_receiver", "_ticket", "_loop", "_latency", "last",
+                 "complete", "end_at", "booked_until", "_delivered", "_arrival",
+                 "_success", "_timeout", "_settled", "_cut")
+
+    def __init__(self, sender: SessionEndpoint, ticket: StreamTicket, latency: float):
+        self._sender, self._receiver, self._ticket = sender, sender.peer, ticket
+        self._loop, self._latency = sender._loop, latency
+        # The index of the last message to deliver, whether every message is
+        # booked (no timeout), the ack instant of the last one booked and
+        # the last booking instant (the timeout's instant if it has one).
+        self.last = -1
+        self.complete = True
+        self.end_at = self.booked_until = 0.0
+        self._delivered = 0
+        self._arrival = 0.0  # of the latest delivery
+        # The success event, booked at the call, and the SendTimeout event,
+        # once the stream has timed out.
+        self._success: Optional[EventHandle] = None
+        self._timeout: Optional[EventHandle] = None
+        self._settled = self._cut = False
+
+    def book_success(self) -> None:
+        """Book the stream's success at ``end_at``, its last ack."""
+        self._success = self._loop.schedule_at(self.end_at, self._end)
+        self._settled = True
+
+    def __call__(self, key: None, payload: bytes) -> None:
+        """Deliver the next message; after the last one kept, book the end."""
+        k = self._delivered
+        self._delivered = k + 1
+        self._arrival = now = self._loop.now
+        self._receiver._receive(key, payload)
+        if k == self.last and not self._settled:
+            self._settle(now + self._latency)
+
+    def cut(self) -> None:
+        """Apply a close at now: unless that leaves the stream to succeed,
+        it fails at its first ack at or after now, and the messages booked
+        at or after now are withdrawn from the link. That ack is the latest
+        delivery's, if it is not yet past, else the next message's. A close
+        at the instant of an ack counts as before it, even once the ack's
+        event has run: a stream that timed out at now fails as closed."""
+        now = self._loop.now
+        if self._cut or self._ticket.accepted.is_set:
+            return
+        if self._timeout is not None:
+            if now == self.end_at:
+                self._timeout.cancel()
+                self._timeout = None
+                self._cut = True
+                self._end()
+            return
+        done = self._delivered
+        first = done - 1 if done and self._arrival + self._latency >= now else done
+        if self.complete and first >= self.last:
+            return
+        self._cut = True
+        if self._success is not None:
+            self._success.cancel()
+            self._success = None
+            self._settled = False
+        if first < self.last:
+            self._sender._out_link.withdraw(self.last - first)
+            self.last = first
+        if first < done and not self._settled:
+            self._settle(self._arrival + self._latency)
+
+    def _settle(self, ack: float) -> None:
+        """Book the stream's end at ``ack``: at once if that is now."""
+        self._settled = True
+        if ack == self._loop.now:
+            self._end()
+        else:
+            self._loop.schedule_at(ack, self._end)
+
+    def _end(self) -> None:
+        """At the last ack kept: succeed, fail on a close, or time out."""
+        ticket, sender = self._ticket, self._sender
+        self._success = None
+        if self._cut:
+            ticket.accepted.set(ConnectionClosed(f"{sender.name}: send on closed connection"))
+        elif self.complete:
+            ticket.ack_at = self._loop.now
+            ticket.accepted.set(None)
+        else:
+            # Closing both ends must not cut this stream; a close at this
+            # instant must still reach it.
+            sender._stream = None
+            self._timeout = sender._close_on_timeout(ticket)
+            sender._stream = self
 
 
 def session_pair(loop: EventLoop, link_ab: SimLink, link_ba: SimLink,

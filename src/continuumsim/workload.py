@@ -46,11 +46,13 @@ that the property takes the same extra draw when it makes the vector again.
 from __future__ import annotations
 
 import math
+import struct
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
+from itertools import chain
 from typing import Optional
 
 from .domain import (
@@ -75,6 +77,7 @@ _MIX2_INV = pow(_MIX2, -1, 1 << 64)
 # known, person, its embedding and its payload seed.
 _DRAWS_PER_IMAGE = 4 + EMBEDDING_DIM
 _EMBEDDING_STEP = EMBEDDING_DIM * _GOLDEN & _MASK64
+_EMBEDDING_WORDS = struct.Struct(f"<{EMBEDDING_DIM}Q")
 
 # Block constants for Prng.randbytes, 512 lanes of 128 bits: 1 in every
 # lane, the low 64 bits of every lane, gamma in every lane (the odd words'
@@ -152,11 +155,10 @@ class Prng:
     """splitmix64 stream: state advances by the 64-bit golden gamma, outputs
     go through the standard finalizer."""
 
-    __slots__ = ("state", "_spare_gauss")
+    __slots__ = ("state",)
 
     def __init__(self, seed: int):
         self.state = seed & _MASK64
-        self._spare_gauss: Optional[float] = None
 
     def u64(self) -> int:
         self.state = (self.state + _GOLDEN) & _MASK64
@@ -165,20 +167,6 @@ class Prng:
     def uniform(self) -> float:
         """Uniform in [0, 1) with 53 random bits."""
         return (self.u64() >> 11) * _TO_UNIT
-
-    def gauss(self) -> float:
-        if self._spare_gauss is not None:
-            value, self._spare_gauss = self._spare_gauss, None
-            return value
-        # Box-Muller; guard the log argument away from zero.
-        u1 = self.uniform()
-        while u1 <= 0.0:
-            u1 = self.uniform()
-        u2 = self.uniform()
-        radius = math.sqrt(-2.0 * math.log(u1))
-        theta = 2.0 * math.pi * u2
-        self._spare_gauss = radius * math.sin(theta)
-        return radius * math.cos(theta)
 
     def randbytes(self, n: int) -> bytes:
         """The next ``n`` bytes of the stream: ``ceil(n/8)`` words of
@@ -214,14 +202,35 @@ def substream(seed: int, tag: int) -> int:
     return _mix((seed ^ (tag * _GOLDEN)) & _MASK64)
 
 
+def _gaussians(rng: Prng) -> list[float]:
+    """The next ``EMBEDDING_DIM`` standard normal values of ``rng``, by
+    Box-Muller over its words read as ``uniform()`` reads them: a u1 and a
+    u2 give ``radius * cos(theta)``, then ``radius * sin(theta)``, and a u1
+    of 0.0 (a word below 2**11) takes the next word. The words come from
+    one ``randbytes`` block of ``EMBEDDING_DIM`` words, then, past it, from
+    ``u64()``."""
+    words = chain(_EMBEDDING_WORDS.unpack(rng.randbytes(8 * EMBEDDING_DIM)),
+                  iter(rng.u64, None))
+    values: list[float] = []
+    while len(values) < EMBEDDING_DIM:
+        u1 = (next(words) >> 11) * _TO_UNIT
+        if u1 <= 0.0:
+            continue
+        radius = math.sqrt(-2.0 * math.log(u1))
+        theta = 2.0 * math.pi * ((next(words) >> 11) * _TO_UNIT)
+        values.append(radius * math.cos(theta))
+        values.append(radius * math.sin(theta))
+    return values
+
+
 def random_unit_vector(rng: Prng) -> EmbeddingVec:
-    values = [rng.gauss() for _ in range(EMBEDDING_DIM)]
+    values = _gaussians(rng)
     norm = math.sqrt(math.fsum(v * v for v in values))
     return EmbeddingVec(tuple(v / norm for v in values))
 
 
 def perturbed_copy(base: EmbeddingVec, rng: Prng) -> EmbeddingVec:
-    values = [v + _PERTURB_SCALE * rng.gauss() for v in base.values]
+    values = [v + _PERTURB_SCALE * g for v, g in zip(base.values, _gaussians(rng))]
     norm = math.sqrt(math.fsum(v * v for v in values))
     return EmbeddingVec(tuple(v / norm for v in values))
 

@@ -107,3 +107,20 @@ def test_a_dataset_is_compared_bit_for_bit():
     moved[0][4] = " ".join([math.nextafter(first, 2.0).hex()] + dataset[0][4].split()[1:])
     assert diffcheck._ulps({"dataset": dataset}, {"dataset": dataset}, 2.0) == 0.0
     assert diffcheck._ulps({"dataset": dataset}, {"dataset": moved}, 2.0) == math.inf
+
+
+def test_failed_runs_are_listed_by_transport_end_and_kind():
+    # A config counts under the failure of either of its runs, once per
+    # kind, and as equal if its two runs are; a transport with no failed
+    # run is listed empty.
+    timeout = {"failure": "session-a: no ack within 0.25s"}
+    closed = {"failure": "session-a: send on closed connection"}
+    ok = {"failure": None}
+    runs = [(timeout, timeout), (timeout, dict(timeout)), (timeout, closed), (ok, ok),
+            ({"raised": "ValueError: x"}, {"raised": "ValueError: x"})]
+    transports = ["BLOCKING_SESSION"] * 4 + ["PUBSUB"]
+    assert diffcheck._failures(runs, transports, {2: math.inf}) == {
+        "BLOCKING_SESSION": {"session-a: no ack": [3, 2],
+                             "session-a: send on closed connection": [1, 0]},
+        "PUBSUB": {},
+    }

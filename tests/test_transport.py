@@ -1,3 +1,4 @@
+import heapq
 import itertools
 from collections import Counter, deque
 from functools import partial
@@ -9,13 +10,14 @@ import pytest
 
 from continuumsim import transport
 from continuumsim.domain import LinkParams
-from continuumsim.netsim import EventLoop, Gate, SimLink, spawn
+from continuumsim.netsim import EventHandle, EventLoop, Gate, SimLink, spawn
 from continuumsim.transport import (
     ConnectionClosed,
     InvalidPattern,
     KeyExpr,
     PubSubFabric,
     SendTimeout,
+    SessionEndpoint,
     StreamTicket,
     match_key,
     session_pair,
@@ -407,7 +409,13 @@ def _blocking_run(stream, sizes, latency=0.01, bandwidth=1000.0, timeout=30.0,
 def test_send_all_delivers_and_resumes_as_a_loop_of_send():
     sizes = [300, 5, 1000, 40, 7]
     got, outcome, executed = _blocking_run(True, sizes)
-    assert (got, outcome, executed) == _blocking_run(False, sizes)
+    loop_got, loop_outcome, loop_executed = _blocking_run(False, sizes)
+    assert (got, outcome) == (loop_got, loop_outcome)
+    # Each run starts its sender process. A stream of five messages then
+    # costs five deliveries and one event at its last ack; a loop of five
+    # one-message streams costs two events per message, its delivery and
+    # its ack.
+    assert (executed, loop_executed) == (1 + 5 + 1, 1 + 2 * 5)
     assert [len(data) for _t, data in got] == sizes
     ((t_resume, (wire_start, ack_at)),) = outcome
     assert wire_start == 0.0
@@ -419,22 +427,36 @@ def test_send_all_fails_like_a_loop_of_send_on_a_connection_closed_mid_stream():
         if count == 2:
             b.close()
 
-    run = _blocking_run(True, [100] * 5, on_delivery=close_after_second)
-    assert run == _blocking_run(False, [100] * 5, on_delivery=close_after_second)
-    got, outcome, _executed = run
+    got, outcome, executed = _blocking_run(True, [100] * 5, on_delivery=close_after_second)
+    loop_got, loop_outcome, loop_executed = _blocking_run(
+        False, [100] * 5, on_delivery=close_after_second)
+    assert (got, outcome) == (loop_got, loop_outcome)
     assert len(got) == 2
     # The third message finds the connection closed when the second ack is back.
     assert outcome == [(pytest.approx(2 * 0.12), ConnectionClosed)]
+    # The stream: the start, two deliveries (the close withdraws the three
+    # messages booked after it) and its failure at the second ack. The loop:
+    # the start and two events for each of two messages; its third send
+    # fails at the call.
+    assert (executed, loop_executed) == (1 + 2 + 1, 1 + 2 * 2)
 
 
 def test_send_all_times_out_like_a_loop_of_send_and_delivers_nothing_after():
     # 1.0 s and 1.0 s exchanges, then one of 20 s against a 5 s timeout.
     sizes = [100, 100, 2000, 100]
-    run = _blocking_run(True, sizes, latency=0.0, bandwidth=100.0, timeout=5.0)
-    assert run == _blocking_run(False, sizes, latency=0.0, bandwidth=100.0, timeout=5.0)
-    got, outcome, _executed = run
+    got, outcome, executed = _blocking_run(True, sizes, latency=0.0, bandwidth=100.0,
+                                           timeout=5.0)
+    loop_got, loop_outcome, loop_executed = _blocking_run(
+        False, sizes, latency=0.0, bandwidth=100.0, timeout=5.0)
+    assert (got, outcome) == (loop_got, loop_outcome)
     assert [t for t, _data in got] == [1.0, 2.0]
     assert outcome == [(7.0, SendTimeout)]
+    # The stream: the start, two deliveries, and its failure one timeout
+    # after the second ack; with no latency that ack is the second
+    # delivery's instant, which closes both ends with no event of its own.
+    # The loop: the start, two events for each of two messages, and the
+    # failure of the third send, which closes both ends at its call.
+    assert (executed, loop_executed) == (1 + 2 + 1, 1 + 2 * 2 + 1)
 
 
 def _pubsub_run(stream, payloads, capacity=1, second_route=False, at=None):
@@ -721,3 +743,261 @@ def test_a_stream_keeps_one_pending_delivery_per_link():
     assert ticket.accepted.is_set and len(seen) == 2 * 1601
     assert max(per_link for _heap, per_link in seen) == 1
     assert max(heap for heap, _per_link in seen) <= 3
+
+
+# ---------------------------------------------------------------------------
+# Booking a blocking stream at the call: the instants of a chain of ack
+# events, with one event per message.
+
+
+class _ChainSession(SessionEndpoint):
+    """The blocking session as a chain of ack events: each message is booked
+    when the ack event of the one before fires, and its own ack event books
+    the next. A close or a timeout is seen by the next ack event."""
+
+    def send_all(self, payloads):
+        ticket = StreamTicket(Gate())
+        self._send_next(ticket, iter(payloads), None)
+        return ticket
+
+    def _send_next(self, ticket, payloads, ack_at):
+        payload = next(payloads, None)
+        if payload is None:
+            ticket.ack_at = ack_at
+            ticket.accepted.set(None)
+        elif self.closed or self.peer is None or self.peer.closed:
+            ticket.accepted.set(ConnectionClosed(f"{self.name}: send on closed connection"))
+        else:
+            self._book(ticket, payload, payloads)
+
+    def _book(self, ticket, payload, payloads):
+        loop = self._loop
+        tx = self._out_link.transmit(len(payload))
+        ack_at = tx.arrival + self._out_link.params.latency
+        if ack_at - loop.now > self.timeout:
+            self.closed = self.peer.closed = True
+            loop.schedule(self.timeout, partial(
+                ticket.accepted.set, SendTimeout(f"{self.name}: no ack within {self.timeout}s")))
+            return
+        loop.schedule_at(tx.arrival, partial(self.peer._receive, None, payload))
+        if ticket.wire_start is None:
+            ticket.wire_start = tx.wire_start
+        loop.schedule_at(ack_at, partial(self._send_next, ticket, payloads, ack_at))
+
+
+class _ShuffledTies(EventLoop):
+    """Fires events due at the same instant in a seeded random order."""
+
+    def __init__(self, seed):
+        super().__init__()
+        self._rng = Prng(seed)
+
+    def schedule_at(self, fire_at, action):
+        if fire_at < self.now:
+            raise ValueError(f"{fire_at} is before now, {self.now}")
+        handle = EventHandle(action)
+        heapq.heappush(self._heap, (fire_at, (self._rng.u64(), self._seq), handle))
+        self._seq += 1
+        return handle
+
+
+def _session_case(rng, replies=True):
+    """A random stream from a to b: its link, the b -> a link, the sizes of
+    its 1-50 messages of 1-5,000 bytes, a timeout that passes, trips on the
+    first message or trips on a later one, and 0-3 one-message sends from b
+    at random instants (instant, size)."""
+
+    def params():  # latency 0 one time in four; bandwidth 50 B/s to 1 GB/s
+        latency = 0.0 if rng.randrange(4) == 0 else 0.5 * rng.uniform()
+        return LinkParams(latency, 50.0 * (2e7 ** rng.uniform()))
+
+    forward, back = params(), params()
+    sizes = [1 + rng.randrange(5000) for _ in range(1 + rng.randrange(50))]
+    exchanges = [size / forward.bandwidth + 2 * forward.latency for size in sizes]
+    kind = rng.randrange(3)
+    timeout = 1e9
+    if kind == 1:
+        timeout = exchanges[0] * rng.uniform()
+    elif kind == 2:
+        trips = [k for k in range(1, len(sizes))
+                 if exchanges[k] > 1.001 * max(exchanges[:k])]
+        if trips:
+            k = trips[rng.randrange(len(trips))]
+            timeout = (max(exchanges[:k]) + exchanges[k]) / 2
+    span = sum(exchanges)
+    sends = [(span * rng.uniform(), 1 + rng.randrange(5000))
+             for _ in range(rng.randrange(4) if replies else 0)]
+    return forward, back, sizes, timeout, sends
+
+
+def _run_session(case, endpoint, close=None, loop=None):
+    """Run ``case`` with ``endpoint`` sessions; ``close`` is (instant, "a"
+    or "b"), whose event is scheduled first. Returns the deliveries at each
+    end (instant, bytes), each stream's outcome (label, instant, error
+    type, wire start, ack instant), sorted, and the instant the loop
+    drained at."""
+    forward, back, sizes, timeout, sends = case
+    loop = EventLoop() if loop is None else loop
+    a, b = session_pair(loop, SimLink(loop, forward), SimLink(loop, back),
+                        timeout=timeout, endpoint=endpoint)
+    got = {"a": [], "b": []}
+    a.on_message(lambda data: got["a"].append((loop.now, data)))
+    b.on_message(lambda data: got["b"].append((loop.now, data)))
+    if close is not None:
+        loop.schedule_at(close[0], {"a": a, "b": b}[close[1]].close)
+    outcomes = []
+
+    def watch(label, ticket):
+        ticket.accepted.add_waiter(lambda value: outcomes.append(
+            (label, loop.now, None if value is None else type(value).__name__,
+             ticket.wire_start, ticket.ack_at)))
+
+    for n, (at, size) in enumerate(sends):
+        loop.schedule_at(at, lambda n=n, size=size: watch(
+            f"send {n}", b.send_all((bytes([n]) * size,))))
+    watch("stream", a.send_all([bytes([k % 256]) * size for k, size in enumerate(sizes)]))
+    loop.run()
+    return got, sorted(outcomes, key=repr), loop.now
+
+
+def _close_instants(rng, case):
+    """A close for ``case``: none, at a random instant, at an arrival
+    instant or at an ack instant of its stream in a run with no close, by
+    either end."""
+    got, _outcomes, end = _run_session(case, _ChainSession)
+    latency = case[0].latency
+    arrivals = [t for t, _data in got["b"]]
+    where = rng.randrange(4)
+    closer = "ab"[rng.randrange(2)]
+    if where == 0 or not arrivals:
+        return None
+    if where == 1:
+        return end * rng.uniform(), closer
+    k = rng.randrange(len(arrivals))
+    return (arrivals[k] if where == 2 else arrivals[k] + latency), closer
+
+
+def test_session_stream_is_a_chain_of_ack_events_instant_for_instant():
+    # The stream is booked whole at the call, with the instants a chain of
+    # ack events gives: every delivery (instant and bytes) at both ends,
+    # each ticket's wire start and ack instant, each outcome's type and
+    # instant, and the instant the loop drains at (so nothing is delivered
+    # after a close), with a close of either end at a random instant, an
+    # arrival or an ack, by an event that comes first at its instant.
+    rng = Prng(3131)
+    seen = Counter()
+    for case_no in range(400):
+        case = _session_case(rng)
+        close = _close_instants(rng, case)
+        chain = _run_session(case, _ChainSession, close)
+        assert _run_session(case, SessionEndpoint, close) == chain, case_no
+        (stream,) = [o for o in chain[1] if o[0] == "stream"]
+        seen[stream[2], stream[3] is None, close is not None] += 1
+        seen["send timed out"] += any(o[2] == "SendTimeout" for o in chain[1] if o[0] != "stream")
+    # Each path ran: successes with and without a close, timeouts on the
+    # first message (no wire start) and on a later one, closes mid-stream,
+    # and timeouts of the one-message sends, which close both ends.
+    assert min(seen[None, False, False], seen[None, False, True],
+               seen["SendTimeout", True, False], seen["SendTimeout", False, False],
+               seen["ConnectionClosed", False, True], seen["send timed out"]) >= 5, seen
+
+
+def test_a_close_at_an_ack_instant_fails_the_stream_there_in_any_event_order():
+    # The same-instant rule: a close at the instant of an ack counts as
+    # before it, in whatever order their events fire. The stream fails at
+    # that ack, unless it is the last; the message the ack would book is
+    # never sent; a stream that times out at that instant fails as closed.
+    # That is what the chain of ack events does when the close fires first.
+    # A delivery to the closed end at the instant of the close may be made
+    # or dropped, by the order of the two events, and is not compared.
+    rng = Prng(4242)
+    seen = Counter()
+    for case_no in range(150):
+        case = _session_case(rng, replies=False)
+        got, ((*_, unclosed, _wire_start, _ack_at),), _end = _run_session(case, _ChainSession)
+        arrivals = [t for t, _data in got["b"]]
+        if not arrivals:
+            continue
+        # The last ack (a success, or the instant of a timeout) one time in
+        # four.
+        k = len(arrivals) - 1 if rng.randrange(4) == 0 else rng.randrange(len(arrivals))
+        closer = "ab"[rng.randrange(2)]
+        instant = arrivals[k] + case[0].latency
+        if closer == "a" and rng.randrange(2):
+            instant = arrivals[k]  # the sender's close at an arrival
+        expected = _run_session(case, _ChainSession, (instant, closer))
+        seen[unclosed, expected[1][0][2]] += 1
+
+        def shown(run):
+            got, outcomes, end = run
+            closed = got[closer]
+            return ({**got, closer: [d for d in closed if d[0] != instant]}, outcomes, end)
+
+        for seed in range(4):
+            shuffled = _run_session(case, SessionEndpoint, (instant, closer),
+                                    loop=_ShuffledTies(seed))
+            assert shown(shuffled) == shown(expected), (case_no, seed)
+    # Closes that fail a stream that would succeed, that leave it to succeed
+    # and that fail one that would time out.
+    assert min(seen[None, "ConnectionClosed"], seen[None, None],
+               seen["SendTimeout", "ConnectionClosed"]) >= 5, seen
+
+
+def test_a_second_stream_on_an_end_still_booking_raises():
+    loop = EventLoop()
+    a, b = _pair(loop, latency=0.01, bandwidth=1000.0)
+    first = a.send_all([b"x" * 100] * 3)  # booked at 0, 0.12 and 0.24
+    with pytest.raises(RuntimeError):
+        a.send_all([b"y"] * 2)
+    with pytest.raises(RuntimeError):
+        a.send(b"y")
+    late = []
+
+    def later():
+        yield 0.24  # the stream's last booking: still raises
+        with pytest.raises(RuntimeError):
+            a.send(b"y")
+        yield 0.01
+        late.append(a.send_all([b"z"] * 2))
+        b.send(b"w")  # the other end has its own link
+
+    spawn(loop, later())
+    loop.run()
+    assert first.accepted.is_set and first.accepted.value is None
+    assert late[0].accepted.is_set and late[0].accepted.value is None
+
+
+def test_a_one_message_send_books_at_its_call_and_interleaves():
+    # The edge sends one-message results, each at its call: two sends 0.05 s
+    # apart share the link, the second on the wire when the first is off.
+    loop = EventLoop()
+    a, b = _pair(loop, latency=0.01, bandwidth=1000.0)
+    got = []
+    b.on_message(lambda data: got.append((loop.now, data)))
+    first = a.send_all((b"1" * 100,))
+    second = []
+    loop.schedule(0.05, lambda: second.append(a.send_all((b"2" * 100,))))
+    loop.run()
+    assert got == [(pytest.approx(0.11), b"1" * 100), (pytest.approx(0.21), b"2" * 100)]
+    assert first.ack_at == pytest.approx(0.12) and second[0].ack_at == pytest.approx(0.22)
+    assert second[0].wire_start == pytest.approx(0.1)
+
+
+def test_a_blocking_stream_keeps_one_pending_delivery_and_frees_itself():
+    # A far-edge upload of 100 KiB in 64 B chunks, booked at the call: the
+    # heap holds the link's one delivery event and the stream's success
+    # event, and the stream is freed by reference counting once the ends
+    # are closed.
+    loop = EventLoop()
+    a, b = _pair(loop, latency=0.05, bandwidth=18432.0)
+    seen = []
+    b.on_message(lambda data: seen.append(len(loop._heap)))
+    ticket = a.send_all([b"m" * 64] * 1601)
+    assert len(loop._heap) == 2
+    loop.run()
+    assert len(seen) == 1601 and max(seen) <= 2
+    assert ticket.ack_at == loop.now and ticket.accepted.value is None
+    stream = a._stream
+    a.close()
+    b.close()
+    assert sys.getrefcount(stream) == 2  # this name and the call's argument

@@ -283,6 +283,56 @@ def test_cosine_against_high_precision_summation_oracle():
         assert -1.0 - 1e-9 <= value <= 1.0 + 1e-9
 
 
+def _scalar_gaussians(rng, n):
+    """``n`` values of the Gaussian draw each embedding used to make one at
+    a time: Box-Muller over ``uniform()``, a u1 of 0.0 drawn again, the
+    cosine value returned and the sine value kept for the next call."""
+    values = []
+    while len(values) < n:
+        u1 = rng.uniform()
+        while u1 <= 0.0:
+            u1 = rng.uniform()
+        u2 = rng.uniform()
+        radius = math.sqrt(-2.0 * math.log(u1))
+        theta = 2.0 * math.pi * u2
+        values += (radius * math.cos(theta), radius * math.sin(theta))
+    return values
+
+
+def _scalar_vector(rng, base=None):
+    gauss = _scalar_gaussians(rng, EMBEDDING_DIM)
+    values = gauss if base is None else [
+        v + workload._PERTURB_SCALE * g for v, g in zip(base.values, gauss)]
+    norm = math.sqrt(math.fsum(v * v for v in values))
+    return EmbeddingVec(tuple(v / norm for v in values))
+
+
+# The draw of an embedding's stream that outputs 7, below 2**11, where
+# uniform() reads 0.0: the first u1, the first u2, the last u1 (whose extra
+# draw comes after the block of EMBEDDING_DIM words) and the last u2; and
+# ordinary seeds, with no such draw.
+@pytest.mark.parametrize("state", [
+    *(workload._unmix(7) - draw * GAMMA & MASK64 for draw in (1, 2, 127, 128)),
+    1, 7, 2026], ids=["zero_first_u1", "zero_first_u2", "zero_last_u1", "zero_last_u2",
+                      "seed_1", "seed_7", "seed_2026"])
+def test_embeddings_from_one_block_equal_the_scalar_box_muller(state):
+    base = random_unit_vector(Prng(99))
+    rng, scalar = Prng(state), Prng(state)
+    assert _hex(random_unit_vector(rng)) == _hex(_scalar_vector(scalar))
+    assert rng.state == scalar.state
+    rng, scalar = Prng(state), Prng(state)
+    assert _hex(perturbed_copy(base, rng)) == _hex(_scalar_vector(scalar, base))
+    assert rng.state == scalar.state
+
+
+def test_an_embedding_takes_one_more_draw_when_a_u1_reads_zero():
+    b = workload._unmix(7)
+    for draw, extra in ((1, 1), (2, 0), (127, 1), (128, 0)):
+        rng = Prng(b - draw * GAMMA & MASK64)
+        random_unit_vector(rng)
+        assert rng.state == b + (EMBEDDING_DIM + extra - draw) * GAMMA & MASK64
+
+
 def test_perturbed_copy_stays_close():
     rng = Prng(6)
     base = random_unit_vector(rng)

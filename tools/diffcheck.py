@@ -34,7 +34,11 @@ counts are printed, with the largest ulp distance among the configs within
 4 ulps, so that a reader can judge any other bound, how many of the equal
 configs return their records in another order, and the parts in which
 the first difference lies (the first different config, else the first
-within 4 ulps). That config is written to ``diffcheck_first_diff.json`` in
+within 4 ulps). After the counts, the runs that ended in a failure are
+listed for each transport, by failing end and kind (``session-a: no ack``,
+``session-b: send on closed connection``), each with how many of its
+configs were equal: a failure path with no config, or with none equal, was
+not compared against the parent. That config is written to ``diffcheck_first_diff.json`` in
 the current directory with ``config_to_json``, so that
 ``continuumsim --scenario`` replays it.
 Exit status: 0 if every config is equal, 1 if one is not, 2 if a tree
@@ -48,6 +52,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -167,6 +172,29 @@ def _tally(runs: list[tuple[dict, dict]]) -> tuple[dict[int, float], list[int]]:
     return distances, reordered
 
 
+def _failure_kind(run: dict) -> str | None:
+    """A run's failure as its failing end and kind, without the figures of
+    its message (``session-a: no ack``), or None if it did not fail."""
+    failure = run.get("failure")
+    if failure is None:
+        return None
+    return re.sub(r" within \S+$", "", failure)
+
+
+def _failures(runs: list[tuple[dict, dict]], transports: list[str],
+              distances: dict[int, float]) -> dict[str, dict[str, list[int]]]:
+    """Per transport, the failure kinds of ``runs`` (of either tree), each
+    with its count of configs and how many of those are equal; each
+    transport of ``transports`` is listed, if only with no kind."""
+    table: dict[str, dict[str, list[int]]] = {transport: {} for transport in transports}
+    for i, (pair, transport) in enumerate(zip(runs, transports)):
+        for kind in sorted({_failure_kind(run) for run in pair} - {None}):
+            counts = table[transport].setdefault(kind, [0, 0])
+            counts[0] += 1
+            counts[1] += i not in distances
+    return table
+
+
 def _export(rev: str, dest: Path) -> None:
     """Extract the tree of ``rev`` into ``dest``."""
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
@@ -225,6 +253,11 @@ def main(argv: list[str] | None = None) -> int:
           f"{len(runs) - len(distances)} equal ({len(reordered)} with their records "
           f"in another order), {len(within)} within {ULPS} ulps{widest}, "
           f"{len(differ)} differ")
+    for transport, kinds in sorted(_failures(runs, [doc["transport"] for doc in docs],
+                                             distances).items()):
+        listed = "; ".join(f"{kind}: {n} ({equal} equal)"
+                           for kind, (n, equal) in sorted(kinds.items()))
+        print(f"  failed {transport} runs: {listed or 'none'}")
     if not within and not differ:
         return 0
     first = (differ or within)[0]
