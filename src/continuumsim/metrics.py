@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -98,9 +99,10 @@ def _metric_values(records: list[MetricsRecord], metric: str) -> list[float]:
         return [r.edge_rtt for r in records if r.origin == "edge"]
     if metric == "cloud_rtt":
         return [r.cloud_rtt for r in records if r.cloud_rtt is not None]
+    value = attrgetter(metric)
     if metric in ("t_upload", "t_identify"):
-        return [getattr(r, metric) for r in records if r.t_upload > 0.0]
-    return [getattr(r, metric) for r in records]
+        return [value(r) for r in records if r.t_upload > 0.0]
+    return list(map(value, records))
 
 
 def summarize(records: list[MetricsRecord], core_busy: dict[int, float],
@@ -161,7 +163,7 @@ _ROW_NO_CLOUD = "%s" + ",%.6f" * 8 + ",%.0s,%s,%s,%s"
 def emit_csv(records: Iterable[MetricsRecord], path: str | Path) -> int:
     """Write one row per record ordered by completion time then image id;
     returns the number of data rows."""
-    rows = sorted(records, key=lambda r: (r.completion_s, r.image_id))
+    rows = sorted(records, key=attrgetter("completion_s", "image_id"))
     lines = [CSV_HEADER]
     for r in rows:
         lines.append((_ROW if r.cloud_rtt is not None else _ROW_NO_CLOUD) % (

@@ -175,24 +175,12 @@ class FarEdgeNode:
             origin, recognized, label, is_fp = (result.origin, result.recognized,
                                                 result.label, result.is_false_positive)
         span = now - start if start is not None and result is not None else 0.0
-        detection = tr.detection
+        _found, t_quality, t_infer1, t_infer2, t_total = tr.detection
+        # Positional, in MetricsRecord's field order.
         self.records.append(MetricsRecord(
-            image_id=tr.image_id,
-            t_read_decode=tr.t_read_decode,
-            t_quality=detection.t_quality,
-            t_infer1=detection.t_infer1,
-            t_infer2=detection.t_infer2,
-            t_detect_total=detection.t_total,
-            t_upload=t_upload,
-            t_identify=tr.t_identify,
-            edge_rtt=span if origin == "edge" else 0.0,
-            cloud_rtt=span if origin == "cloud" else None,
-            origin=origin,
-            recognized=recognized,
-            label=label,
-            completion_s=now,
-            is_false_positive=is_fp,
-        ))
+            tr.image_id, tr.t_read_decode, t_quality, t_infer1, t_infer2, t_total,
+            t_upload, tr.t_identify, span if origin == "edge" else 0.0,
+            span if origin == "cloud" else None, origin, recognized, label, now, is_fp))
 
     def _fail(self, exc: TransportError) -> None:
         """The pipeline cannot send: keep the first failure, and end every
@@ -562,17 +550,21 @@ class RunResult:
         return sorted((r.image_id, r.recognized, r.label) for r in self.records)
 
 
-# The last dataset built inside ``shared_datasets``, by the config fields it
-# depends on; None outside that scope, where every build is fresh.
+# The largest dataset built inside ``shared_datasets``, by the config fields
+# it depends on other than its size; None outside that scope, where every
+# build is fresh.
 _shared: Optional[dict] = None
 
 
 @contextmanager
 def shared_datasets():
-    """Within the block, ``build_dataset`` returns the dataset it built last
-    when a config asks for the same one, and drops it before it builds
-    another. Database and records are immutable, so the runs that share
-    them cannot tell."""
+    """Within the block, ``build_dataset`` keeps the dataset it built last
+    and answers a config that asks for it, or for fewer of its images, with
+    its database and first ``dataset_size`` records: record k does not
+    depend on the dataset's size, so these are the ones a fresh build makes.
+    Before it builds another or a larger dataset it drops the one it kept.
+    Database and records are immutable, so the runs that share them cannot
+    tell."""
     global _shared
     outer, _shared = _shared, {}
     try:
@@ -582,17 +574,17 @@ def shared_datasets():
 
 
 def build_dataset(cfg: ScenarioConfig) -> tuple[FaceDatabase, list[ImageRecord]]:
-    key = (cfg.rng_seed, cfg.db_size, cfg.dataset_size, cfg.face_prob,
-           cfg.known_prob, cfg.payload_bytes)
+    key = (cfg.rng_seed, cfg.db_size, cfg.face_prob, cfg.known_prob, cfg.payload_bytes)
+    n = cfg.dataset_size
     shared = _shared
     if shared is not None:
-        if key in shared:
-            return shared[key]
+        if key in shared and len(shared[key][1]) >= n:
+            db, dataset = kept = shared[key]
+            return kept if len(dataset) == n else (db, dataset[:n])
         shared.clear()
     db = workload.make_face_db(cfg.rng_seed, cfg.db_size)
     built = db, workload.generate_dataset(
-        cfg.rng_seed, cfg.dataset_size, cfg.face_prob, cfg.known_prob,
-        db, cfg.payload_bytes)
+        cfg.rng_seed, n, cfg.face_prob, cfg.known_prob, db, cfg.payload_bytes)
     if shared is not None:
         shared[key] = built
     return built

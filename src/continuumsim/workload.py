@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from itertools import chain
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .domain import (
     EMBEDDING_DIM,
@@ -285,17 +285,11 @@ def generate_dataset(
                 draw_embedding(rng, base)
         # Payload bytes come from a per-image substream so identity draws do
         # not depend on payload size; the record makes them when read.
+        # Positional, in field order: id, payload seed and size, width,
+        # height, format, face, ground truth and embedding seed.
         records.append(ImageRecord(
-            id=f"img{k:05d}",
-            payload_seed=rng.u64(),
-            payload_size=payload_bytes,
-            width_px=64,
-            height_px=64,
-            format=ImageFormat.PNG,
-            has_face=has_face,
-            ground_truth=ground_truth,
-            embedding_seed=embedding_seed,
-        ))
+            f"img{k:05d}", rng.u64(), payload_bytes, 64, 64, ImageFormat.PNG,
+            has_face, ground_truth, embedding_seed))
     return records
 
 
@@ -307,29 +301,24 @@ def cosine(a: EmbeddingVec, b: EmbeddingVec) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class DetectionResult:
+class DetectionResult(NamedTuple):
     face_found: bool
     t_quality: float
     t_infer1: float
     t_infer2: float
-
-    @property
-    def t_total(self) -> float:
-        return self.t_quality + self.t_infer1 + self.t_infer2
+    t_total: float
 
 
 def detection_for(image: ImageRecord, durations: StageDurations,
                   jitter_factor: float = 1.0) -> DetectionResult:
     """Outcome and cost of the far-edge detection stage for one image. The
-    caller books the core for ``t_total``; ``face_found`` passes the ground
-    truth through."""
-    return DetectionResult(
-        face_found=image.has_face,
-        t_quality=durations.t_quality * jitter_factor,
-        t_infer1=durations.t_infer1 * jitter_factor,
-        t_infer2=durations.t_infer2 * jitter_factor,
-    )
+    caller books the core for ``t_total``, the sum of the three stages in
+    their order; ``face_found`` passes the ground truth through."""
+    t_quality = durations.t_quality * jitter_factor
+    t_infer1 = durations.t_infer1 * jitter_factor
+    t_infer2 = durations.t_infer2 * jitter_factor
+    return DetectionResult(image.has_face, t_quality, t_infer1, t_infer2,
+                           (t_quality + t_infer1) + t_infer2)
 
 
 @dataclass(frozen=True)

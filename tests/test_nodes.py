@@ -15,6 +15,7 @@ import pytest
 from continuumsim import chunkwire, netsim, nodes, workload
 from continuumsim.chunkwire import MalformedJson, UnknownField, UploadRejected
 from continuumsim.domain import (
+    EMBEDDING_DIM,
     EmbeddingVec,
     ImageRecord,
     LinkParams,
@@ -1217,6 +1218,39 @@ def test_shared_dataset_is_the_one_a_fresh_build_makes():
         assert nodes.build_dataset(replace(base, transport=TransportKind.BLOCKING_SESSION)) is shared
     assert shared == fresh_base
     assert nodes.build_dataset(base) is not shared
+
+
+def test_shared_dataset_answers_a_smaller_one_with_its_first_records(monkeypatch):
+    # Draw 1,000 of the dataset stream lands on a state whose uniform()
+    # reads 0.0: within the draws 10 images can take, past those of 6. The
+    # 10-image build takes the eager path and the 6-image one skips ahead,
+    # and record k is the same either way.
+    gamma, mask = 0x9E3779B97F4A7C15, 2**64 - 1
+    s0 = workload._unmix(7) - 1000 * gamma & mask
+    seed = workload._unmix(s0) ^ gamma
+    assert workload.substream(seed, 1) == s0
+    draws = 4 + EMBEDDING_DIM
+    assert workload._extra_draw_within(s0, 10 * draws)
+    assert not workload._extra_draw_within(s0, 6 * draws)
+    large, small = (replace(base_config(dataset_size=n, seed=seed), face_prob=0.7)
+                    for n in (10, 6))
+    fresh = nodes.build_dataset(small)
+    builds = []
+    generate = workload.generate_dataset
+
+    def generate_and_count(*args):
+        builds.append(args[1])
+        return generate(*args)
+
+    monkeypatch.setattr(workload, "generate_dataset", generate_and_count)
+    with nodes.shared_datasets():
+        db, dataset = nodes.build_dataset(large)
+        assert nodes.build_dataset(small) == fresh == (db, dataset[:6])
+        assert nodes.build_dataset(large)[1] is dataset
+        # A larger dataset than the one kept is built anew.
+        assert len(nodes.build_dataset(replace(large, dataset_size=11))[1]) == 11
+    assert builds == [10, 11]
+    assert [r.embedding for r in fresh[1]] == [r.embedding for r in dataset[:6]]
 
 
 def test_shared_dataset_is_dropped_before_the_next_is_built_and_at_the_end(monkeypatch):

@@ -366,14 +366,25 @@ def test_detection_passes_ground_truth_through():
     durations = paper_stage_durations()
     det = detection_for(record, durations)
     assert det.face_found
-    assert det.t_total == pytest.approx(4.45)
     assert (det.t_quality, det.t_infer1, det.t_infer2) == (0.62, 0.52, 3.31)
+    # The stages add up in their order, as the summed total always did.
+    assert det.t_total == (0.62 + 0.52) + 3.31
+    with pytest.raises(AttributeError):
+        det.t_total = 0.0
+    with pytest.raises(AttributeError):
+        det.face_found = False
 
 
 def test_detection_jitter_scales_all_stages():
     record = generate_dataset(1, 1, 1.0, 0.0, _db(), 32)[0]
-    det = detection_for(record, paper_stage_durations(), jitter_factor=0.92)
-    assert det.t_total == pytest.approx(4.45 * 0.92)
+    durations = paper_stage_durations()
+    det = detection_for(record, durations, jitter_factor=0.92)
+    stages = (durations.t_quality * 0.92, durations.t_infer1 * 0.92,
+              durations.t_infer2 * 0.92)
+    assert (det.t_quality, det.t_infer1, det.t_infer2) == stages
+    assert det.t_total == (stages[0] + stages[1]) + stages[2]
+    with pytest.raises(AttributeError):
+        det.t_quality = 1.0
     # a 4.08 s observation sits inside the +-10% jitter band around 4.45
     assert 4.45 * 0.9 <= 4.08 <= 4.45 * 1.1
 
