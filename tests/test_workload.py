@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -367,8 +368,11 @@ def test_detection_passes_ground_truth_through():
     det = detection_for(record, durations)
     assert det.face_found
     assert (det.t_quality, det.t_infer1, det.t_infer2) == (0.62, 0.52, 3.31)
-    # The stages add up in their order, as the summed total always did.
+    # The stages add up in their order, as the summed total always did; at
+    # 0.1, 0.2 and 0.3 s the two orders of the sum give different floats.
     assert det.t_total == (0.62 + 0.52) + 3.31
+    odd = detection_for(record, replace(durations, t_quality=0.1, t_infer1=0.2, t_infer2=0.3))
+    assert odd.t_total == (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
     with pytest.raises(AttributeError):
         det.t_total = 0.0
     with pytest.raises(AttributeError):
