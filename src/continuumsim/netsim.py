@@ -182,7 +182,9 @@ class Transmission:
 class SimLink:
     """Serializing point-to-point link: n/bandwidth wire time plus fixed
     one-way latency. Transmissions never overlap and keep FIFO order, and
-    its deliveries wait in a FIFO whose head is their one event in the loop."""
+    its deliveries wait in a FIFO whose head is their one event in the loop.
+    The FIFO keeps each delivery's instant in an array of doubles and its
+    key, handler and payload in three deques beside it."""
 
     def __init__(self, loop: EventLoop, params: LinkParams):
         self._loop = loop
@@ -191,10 +193,12 @@ class SimLink:
         self.busy_time = 0.0
         self.bytes_sent = 0
         # Deliveries not yet made, in order: instants from index ``_next`` on,
-        # and (key, handler, payloads) per run with the same key and handler;
-        # ``_event`` is the head's event while there is one.
+        # and their keys, handlers and payloads; ``_event`` is the head's
+        # event while there is one.
         self._instants, self._next = array("d"), 0
-        self._runs: deque[tuple] = deque()
+        self._keys: deque = deque()
+        self._handlers: deque = deque()
+        self._payloads: deque = deque()
         self._event: Optional[EventHandle] = None
 
     def transmit(self, nbytes: int, at: Optional[float] = None) -> Transmission:
@@ -225,38 +229,32 @@ class SimLink:
         ``key`` is opaque to the link."""
         tx = self.transmit(len(payload), at)
         self._instants.append(tx.arrival)
-        runs = self._runs
-        if not runs or runs[-1][0] is not key or runs[-1][1] is not handler:
-            runs.append((key, handler, deque()))
-            if len(runs) == 1:  # the link had no delivery waiting
-                self._event = self._loop.schedule_at(self._instants[self._next], self._arrive)
-        runs[-1][2].append(payload)
+        self._keys.append(key)
+        self._handlers.append(handler)
+        payloads = self._payloads
+        payloads.append(payload)
+        if len(payloads) == 1:  # the link had no delivery waiting
+            self._event = self._loop.schedule_at(tx.arrival, self._arrive)
         return tx
 
-    def withdraw(self, count: int) -> None:
-        """Withdraw the last ``count`` deliveries booked, which belong to the
-        latest run: they are never made, and the head's event is cancelled
-        if none is left. The wire time they booked stays booked."""
-        instants, payloads = self._instants, self._runs[-1][2]
-        if count > len(payloads):
-            raise ValueError(f"the latest run holds {len(payloads)} deliveries, not {count}")
-        del instants[len(instants) - count:]
-        for _ in range(count):
-            payloads.pop()
-        if not payloads:
-            self._runs.pop()
-            if not self._runs:
-                self._event.cancel()
-                self._event = None
-                del instants[:]
-                self._next = 0
+    def withdraw(self) -> None:
+        """Withdraw the last delivery booked: it is never made, and the
+        head's event is cancelled if none is left. The wire time it booked
+        stays booked."""
+        self._instants.pop()
+        self._keys.pop()
+        self._handlers.pop()
+        self._payloads.pop()
+        if not self._payloads:
+            self._event.cancel()
+            self._event = None
+            del self._instants[:]
+            self._next = 0
 
     def _arrive(self) -> None:
         """Make the head delivery, after booking the event of the next."""
-        key, handler, payloads = self._runs[0]
-        payload = payloads.popleft()
-        if not payloads:
-            self._runs.popleft()
+        key, handler = self._keys.popleft(), self._handlers.popleft()
+        payload = self._payloads.popleft()
         instants, read = self._instants, self._next + 1
         if 2 * read >= len(instants):  # drop the instants read, once half are
             del instants[:read]

@@ -14,21 +14,22 @@ Both transports also send a stream of messages in one call and return one
 handle for it, a :class:`StreamTicket`, whose ``accepted`` gate resumes the
 caller once, after the last message, where a loop of ``send`` or ``put``
 would resume it after each. ``put`` is the one-message stream, and ``send``
-its gate. Both book a stream whole at the call, through ``SimLink.deliver``,
-and a link delivers from a FIFO whose head is its one event in the loop: a
-message costs one event on either transport.
+its gate. Both book their messages through ``SimLink.deliver``, and a link
+delivers from a FIFO whose head is its one event in the loop: a message
+costs one event on either transport.
 
-* A pub/sub stream is booked at the instants that a chain of one wire-end
-  event per message would give (``_Route.put``). A put by another publisher
-  during a stream queues behind the whole stream.
-* A blocking stream books message i at the instant the ack of message i-1
-  would be back, one latency after its arrival, and has one more event, at
-  its last ack. The out link of a session end is its streams' own: a
-  ``send_all`` while a stream of that end still books a message at or after
-  now raises ``RuntimeError``; one-message sends book at their call. A
-  close of either end fails a stream at its first ack at or after the close
-  (a close at an ack's instant counts as before it), unless that ack is the
-  last, and withdraws from the link the messages booked from the close on.
+* A pub/sub stream is booked whole at the call, at the instants that a
+  chain of one wire-end event per message would give (``_Route.put``). A
+  put by another publisher during a stream queues behind the whole stream.
+* A blocking stream is the chain of its acks: its first message is booked
+  at the call, and each delivery books the next message at its ack, one
+  latency after its arrival, so the stream has at most one message on its
+  link. One more event, at the last ack, resumes the caller. A
+  ``send_all`` while a stream of that end still books a message at or
+  after now raises ``RuntimeError``; one-message sends book at their call.
+  A close of either end fails a stream at its first ack at or after the
+  close (a close at an ack's instant counts as before it), unless that ack
+  is the last, and withdraws from the link the message booked at that ack.
 
 A put or ``put_all`` matches its publisher's key against the subscriptions
 once, at the call: every message of the stream goes to the routes and
@@ -41,6 +42,7 @@ segment and nothing else.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
@@ -122,8 +124,8 @@ class StreamTicket:
 
 class SessionEndpoint:
     """One side of a blocking full-duplex session. Its out link carries its
-    own sends only, and a stream of more than one message is booked on it
-    whole, at its ``send_all``."""
+    own sends only, and a stream on it has at most one message on the link
+    at a time."""
 
     def __init__(self, loop: EventLoop, out_link: SimLink, timeout: float = 30.0,
                  name: str = "session"):
@@ -164,16 +166,15 @@ class SessionEndpoint:
 
     def send_all(self, payloads: Iterable[bytes]) -> StreamTicket:
         """Send ``payloads`` in order, each booked on the out link when the
-        ack of the one before is back: the first now, message i at ack i-1,
-        where an ack is back one latency after its message arrives. All are
-        booked here, and each costs one event, its delivery; one more, at the
-        last ack, sets ``ack_at`` and resumes the caller through the ticket's
-        ``accepted`` gate. The instants are those of a chain that books each
-        message when the ack of the one before is back.
+        ack of the one before is back, one latency after its arrival: the
+        first here, and each next one by the delivery of the one before, at
+        its ack. Each message costs one event, its delivery; one more, at
+        the last ack, sets ``ack_at`` and resumes the caller through the
+        ticket's ``accepted`` gate, at once if that ack is the delivery's
+        instant.
 
-        The stream's bookings assume the out link is its own until its last
-        booking: a ``send_all`` on this end while a stream of it still books
-        a message at or after now raises ``RuntimeError``, as ``Gate.set``
+        A ``send_all`` on this end while a stream of it still books a
+        message at or after now raises ``RuntimeError``, as ``Gate.set``
         does when set twice. A one-message stream books at the call, so
         concurrent ones interleave on the link as their calls do.
 
@@ -189,57 +190,40 @@ class SessionEndpoint:
           last: a close after the last booking leaves the stream to succeed.
           A close at the instant of an ack counts as before it, whatever the
           order of their events; so does a close at the instant the stream
-          times out. The messages booked at or after the close, each at the
-          ack before it, are withdrawn from the link and never delivered,
-          even to an end still open. The receiving end drops what arrives
-          once it is closed.
+          times out. The message booked at that ack is withdrawn from the
+          link and never delivered, even to an end still open. The receiving
+          end drops what arrives once it is closed.
         """
         ticket = StreamTicket(Gate())
-        payloads = iter(payloads)
-        payload = next(payloads, None)
-        if payload is None:
+        rest = deque(payloads)
+        if not rest:
             ticket.accepted.set(None)
             return ticket
         if self.closed or self.peer is None or self.peer.closed:
             ticket.accepted.set(ConnectionClosed(f"{self.name}: send on closed connection"))
             return ticket
-        loop, link, timeout = self._loop, self._out_link, self.timeout
-        now = loop.now
-        if self._stream is not None and self._stream.booked_until >= now:
+        link, now = self._out_link, self._loop.now
+        # The latest stream still books if a message after the one on the
+        # link is left, or if that one was booked at an ack at or after now.
+        stream = self._stream
+        if stream is not None and stream.rest and (len(stream.rest) > 1 or stream.ack >= now):
             raise RuntimeError(f"{self.name}: a stream still books on this end")
-        latency = link.params.latency
-        stream = _Stream(self, ticket, latency)
-        arrival, deliver = link.arrival, link.deliver
-        at = booked_until = now
-        count = 0
-        while payload is not None:
-            ack = arrival(len(payload), at) + latency
-            if ack - at > timeout:
-                break
-            tx = deliver(None, payload, stream, at)
-            if not count:
-                ticket.wire_start = tx.wire_start
-            count += 1
-            booked_until, at = at, ack
-            payload = next(payloads, None)
-        if not count:
+        payload = rest[0]
+        if link.arrival(len(payload), now) + link.params.latency - now > self.timeout:
             self._close_on_timeout(ticket)
             return ticket
-        stream.last, stream.end_at = count - 1, at
-        if payload is None:
-            stream.book_success()
-        else:
-            stream.complete, booked_until = False, at
-        if count > 1 or payload is not None:
-            stream.booked_until = booked_until
+        stream = _Stream(self, ticket, rest)
+        ticket.wire_start = link.deliver(None, payload, stream, now).wire_start
+        if len(rest) > 1:
             self._stream = stream
         return ticket
 
     def _close_on_timeout(self, ticket: StreamTicket) -> EventHandle:
         """Close both ends now, as the next exchange of ``ticket``'s stream
         would exceed the timeout; returns the event that fails the stream
-        one timeout later."""
-        self._shut()
+        one timeout later. This end's stream is not cut, so that a close at
+        this instant still reaches it."""
+        self.closed = True
         self.peer._shut()
         return self._loop.schedule(self.timeout, partial(
             ticket.accepted.set, SendTimeout(f"{self.name}: no ack within {self.timeout}s")))
@@ -251,104 +235,84 @@ class SessionEndpoint:
 
 
 class _Stream:
-    """The bookings of one ``send_all`` after its call: the link hands this
-    object each message of the stream in turn, and it passes the message on
-    to the receiving end. A stream booked whole books its success at its
-    last ack at the call; one cut short by its timeout or a close books its
-    end at the ack of its last message delivered, when that message is
-    delivered. The stream keeps no state per message: a close finds the
-    first ack at or after it from the latest delivery."""
+    """One ``send_all`` after its call, as the chain of its acks: the link
+    hands this object each message in turn, and it passes the message on to
+    the receiving end and then books the next on the link at the message's
+    ack, or ends the stream there. ``rest`` holds the messages not yet
+    delivered, the one on the link first, so that each delivered one is
+    freed at once; ``ack`` is the ack instant of the latest delivery."""
 
-    __slots__ = ("_sender", "_receiver", "_ticket", "_loop", "_latency", "last",
-                 "complete", "end_at", "booked_until", "_delivered", "_arrival",
-                 "_success", "_timeout", "_settled", "_cut")
+    __slots__ = ("_sender", "_receiver", "_ticket", "_loop", "_link", "_latency", "rest",
+                 "ack", "_booked", "_cut", "_timeout")
 
-    def __init__(self, sender: SessionEndpoint, ticket: StreamTicket, latency: float):
+    def __init__(self, sender: SessionEndpoint, ticket: StreamTicket, rest: deque):
         self._sender, self._receiver, self._ticket = sender, sender.peer, ticket
-        self._loop, self._latency = sender._loop, latency
-        # The index of the last message to deliver, whether every message is
-        # booked (no timeout), the ack instant of the last one booked and
-        # the last booking instant (the timeout's instant if it has one).
-        self.last = -1
-        self.complete = True
-        self.end_at = self.booked_until = 0.0
-        self._delivered = 0
-        self._arrival = 0.0  # of the latest delivery
-        # The success event, booked at the call, and the SendTimeout event,
-        # once the stream has timed out.
-        self._success: Optional[EventHandle] = None
+        self._loop, self._link = sender._loop, sender._out_link
+        self._latency = self._link.params.latency
+        self.rest = rest
+        self.ack = -math.inf  # no delivery yet
+        # Whether the message on the link was booked at ``ack``: the first,
+        # booked at the call, is not.
+        self._booked = False
+        self._cut = False
+        # The SendTimeout event, once the stream has timed out.
         self._timeout: Optional[EventHandle] = None
-        self._settled = self._cut = False
-
-    def book_success(self) -> None:
-        """Book the stream's success at ``end_at``, its last ack."""
-        self._success = self._loop.schedule_at(self.end_at, self._end)
-        self._settled = True
 
     def __call__(self, key: None, payload: bytes) -> None:
-        """Deliver the next message; after the last one kept, book the end."""
-        k = self._delivered
-        self._delivered = k + 1
-        self._arrival = now = self._loop.now
+        """Deliver the next message, then book the one after at this ack if
+        its exchange is within the timeout, else end the stream there."""
+        rest = self.rest
+        rest.popleft()
+        self._booked = False
+        ack = self.ack = self._loop.now + self._latency
         self._receiver._receive(key, payload)
-        if k == self.last and not self._settled:
-            self._settle(now + self._latency)
+        if rest and not self._cut:
+            link, payload = self._link, rest[0]
+            if link.arrival(len(payload), ack) + self._latency - ack <= self._sender.timeout:
+                link.deliver(None, payload, self, ack)
+                self._booked = True
+                return
+        self._settle()
 
     def cut(self) -> None:
-        """Apply a close at now: unless that leaves the stream to succeed,
-        it fails at its first ack at or after now, and the messages booked
-        at or after now are withdrawn from the link. That ack is the latest
-        delivery's, if it is not yet past, else the next message's. A close
-        at the instant of an ack counts as before it, even once the ack's
-        event has run: a stream that timed out at now fails as closed."""
-        now = self._loop.now
-        if self._cut or self._ticket.accepted.is_set:
-            return
-        if self._timeout is not None:
-            if now == self.end_at:
-                self._timeout.cancel()
-                self._timeout = None
-                self._cut = True
-                self._end()
-            return
-        done = self._delivered
-        first = done - 1 if done and self._arrival + self._latency >= now else done
-        if self.complete and first >= self.last:
+        """Apply a close at now: the stream fails at its first ack at or
+        after now, unless that ack is the last. A message booked at an ack
+        at or after now is withdrawn from the link, and the stream ends at
+        that ack. A close at the instant of an ack counts as before it, even
+        once the ack's event has run: a stream that timed out at now fails
+        as closed."""
+        if self._ticket.accepted.is_set:
             return
         self._cut = True
-        if self._success is not None:
-            self._success.cancel()
-            self._success = None
-            self._settled = False
-        if first < self.last:
-            self._sender._out_link.withdraw(self.last - first)
-            self.last = first
-        if first < done and not self._settled:
-            self._settle(self._arrival + self._latency)
+        now = self._loop.now
+        if self._timeout is not None:
+            if now == self.ack:
+                self._timeout.cancel()
+                self._timeout = None
+                self._end()
+        elif self._booked and self.ack >= now:
+            self._link.withdraw()
+            self._booked = False
+            self._settle()
 
-    def _settle(self, ack: float) -> None:
+    def _settle(self) -> None:
         """Book the stream's end at ``ack``: at once if that is now."""
-        self._settled = True
-        if ack == self._loop.now:
+        if self.ack == self._loop.now:
             self._end()
         else:
-            self._loop.schedule_at(ack, self._end)
+            self._loop.schedule_at(self.ack, self._end)
 
     def _end(self) -> None:
-        """At the last ack kept: succeed, fail on a close, or time out."""
+        """At the ack of the last message delivered: succeed if none is
+        left, fail if the stream was cut, else time out."""
         ticket, sender = self._ticket, self._sender
-        self._success = None
-        if self._cut:
-            ticket.accepted.set(ConnectionClosed(f"{sender.name}: send on closed connection"))
-        elif self.complete:
+        if not self.rest:
             ticket.ack_at = self._loop.now
             ticket.accepted.set(None)
+        elif self._cut:
+            ticket.accepted.set(ConnectionClosed(f"{sender.name}: send on closed connection"))
         else:
-            # Closing both ends must not cut this stream; a close at this
-            # instant must still reach it.
-            sender._stream = None
             self._timeout = sender._close_on_timeout(ticket)
-            sender._stream = self
 
 
 def session_pair(loop: EventLoop, link_ab: SimLink, link_ba: SimLink,

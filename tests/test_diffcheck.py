@@ -1,18 +1,23 @@
 """``tools/diffcheck.py``: the order in which it compares records, the
 configs it counts as reordered, the ulp distance by which it counts a pair
-of runs as within ``ULPS`` or different, and the datasets it compares."""
+of runs as within ``ULPS`` or different, the datasets it compares and the
+configs it draws."""
 
 from __future__ import annotations
 
 import importlib.util
+import json
 import math
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+from continuumsim.domain import config_to_dict
 from continuumsim.metrics import CSV_HEADER, MetricsRecord, emit_csv, summarize
 from continuumsim.presets import base_config
+from continuumsim.workload import Prng
+from test_random_configs import random_config
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "diffcheck.py"
 _SPEC = importlib.util.spec_from_file_location("diffcheck", _PATH)
@@ -123,4 +128,22 @@ def test_failed_runs_are_listed_by_transport_end_and_kind():
         "BLOCKING_SESSION": {"session-a: no ack": [3, 2],
                              "session-a: send on closed connection": [1, 0]},
         "PUBSUB": {},
+    }
+
+
+def test_every_draw_ends_with_the_two_configs_that_close_a_session_mid_upload(tmp_path):
+    # The random draw never closes a session during an upload; the two
+    # configs after it do, so the listing names that failure for both, and
+    # a tree compared with itself counts both equal.
+    docs = diffcheck._draw(2026, 3)
+    rng = Prng(2026)
+    assert docs[:3] == [config_to_dict(random_config(rng)) for _ in range(3)]
+    assert len(docs) == 5
+    configs, out = tmp_path / "configs.jsonl", tmp_path / "out.jsonl"
+    configs.write_text("".join(json.dumps(doc) + "\n" for doc in docs[3:]), encoding="utf-8")
+    diffcheck._work(str(configs), str(out))
+    runs = [(json.loads(line), json.loads(line)) for line in out.read_text().splitlines()]
+    distances, _reordered = diffcheck._tally(runs)
+    assert diffcheck._failures(runs, [doc["transport"] for doc in docs[3:]], distances) == {
+        "BLOCKING_SESSION": {"session-a: send on closed connection": [2, 2]},
     }

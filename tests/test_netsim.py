@@ -217,33 +217,33 @@ def test_link_arrival_is_the_instant_transmit_books_and_books_nothing():
 
 
 def test_link_withdraws_the_last_deliveries_booked():
+    # A withdraw takes back the last delivery booked, b3, here from inside
+    # the delivery of b1.
     loop = EventLoop()
     link = SimLink(loop, LinkParams(latency=0.5, bandwidth=100.0))
     got = []
 
     def take(key, payload):
         got.append((loop.now, key, payload))
-        if payload == b"b1":  # the rest of run b, from inside a delivery
-            link.withdraw(2)
+        if payload == b"b1":
+            link.withdraw()
 
     for key, payload in ((None, b"a0"), ("b", b"b0"), ("b", b"b1"), ("b", b"b2"),
                          ("b", b"b3")):
         link.deliver(key, payload, take, loop.now)
-    with pytest.raises(ValueError):
-        link.withdraw(5)  # run b holds four
     loop.run()
     # 0.02 s of wire each, one after the other, and 0.5 s of latency.
     assert got == [(pytest.approx(0.52), None, b"a0"), (pytest.approx(0.54), "b", b"b0"),
-                   (pytest.approx(0.56), "b", b"b1")]
+                   (pytest.approx(0.56), "b", b"b1"), (pytest.approx(0.58), "b", b"b2")]
     # The wire stays booked for all five, and the link has no event left.
     end = loop.now
     assert end == got[-1][0] and link.busy_until == pytest.approx(0.1)
     link.deliver("c", b"c0", take, end)
-    link.withdraw(1)
+    link.withdraw()  # the only delivery left: the head's event is cancelled
     assert loop.run() == 0 and loop.now == end
     link.deliver("c", b"c1", take, 6.0)
     loop.run()
-    assert got[3:] == [(pytest.approx(6.52), "c", b"c1")]
+    assert got[4:] == [(pytest.approx(6.52), "c", b"c1")]
 
 
 def test_link_busy_time_conservation_under_random_interleave():

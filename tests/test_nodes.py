@@ -46,7 +46,7 @@ from continuumsim.transport import (
     _Stream,
 )
 from continuumsim.workload import Prng, make_face_db
-from test_random_configs import random_config
+from test_random_configs import _edge_close_config, random_config
 
 
 def tiny_config(transport=TransportKind.PUBSUB, parallelism=False, n=4,
@@ -265,7 +265,11 @@ def _tie_order_matrix():
     tie-dense timing (zero-latency links, equal stage times, an instant
     cloud) makes deliveries, acks and route events share instants. The
     failure rows take the send timeout, image timeout, cloud timeout and
-    expired grant paths under both timings."""
+    expired grant paths under both timings. The zero-wire rows (wire time
+    below one ulp, no latency, every stage 0.25 s) put each delivery at the
+    instant its message is sent, so a blocking stream's deliveries and
+    acks tie with the pipeline's stages; with jitter, or in a sequential
+    run, none tie, so those rows are left out."""
     timings = {
         "plain": {},
         "dense": dict(t_io=0.25, t_ai=0.25, cloud_latency=0.0,
@@ -289,6 +293,15 @@ def _tie_order_matrix():
         yield ((name, timing, transport.name, par, cap),
                tiny_config(transport, par, 6, cloud=True, queue_capacity=cap,
                            **{**times, **fault}))
+    zero_wire = dict(
+        stage_durations=StageDurations(0.25, 0.25, 0.0, 0.0, t_identify=0.25,
+                                       cloud_latency_mean=0.0, cloud_latency_jitter=0.0),
+        link_far_to_edge=LinkParams(0.0, 1e300), link_edge_to_cloud=LinkParams(0.0, 1e300))
+    for transport, cloud, cap, chunk, n in itertools.product(
+            TransportKind, (False, True), (1, 4), (64, 1024, 4096), (6, 12)):
+        yield (("zero_wire", transport.name, True, cloud, cap, chunk, 0.0, n),
+               tiny_config(transport, True, n, cloud=cloud, queue_capacity=cap,
+                           chunk_size_bytes=chunk, **zero_wire))
 
 
 def test_outputs_do_not_depend_on_the_order_of_same_instant_events(monkeypatch):
@@ -320,7 +333,7 @@ def test_outputs_do_not_depend_on_the_order_of_same_instant_events(monkeypatch):
         if ((list(shuffled.records), shuffled.summary, shuffled.failure)
                 != (list(ordered.records), ordered.summary, ordered.failure)):
             differ.append(label)
-    assert runs == 448
+    assert runs == 496
     assert differ == []
     # The rows of each transport put deliveries in ties, so the shuffle
     # reorders deliveries on both.
@@ -1361,22 +1374,6 @@ def test_failure_raised_at_the_edge_reaches_the_far_edge_at_its_next_upload(
     assert len(r.records) == 12
     assert [rec.origin for rec in r.records if rec.image_id == "img00000"] == ["none"]
     assert r.summary.total_runtime == max(rec.completion_s for rec in r.records)
-
-
-def _edge_close_config(rng) -> ScenarioConfig:
-    """A random config in which the edge's result send may time out, and so
-    close the session, while the far edge's upload is in flight: blocking,
-    parallel, the cloud on with latency jitter, 64 B chunks over a 1,000 B/s
-    link, a send timeout of 0.16-0.26 s and payloads under 700 bytes."""
-    cfg = random_config(rng)
-    return replace(cfg, transport=TransportKind.BLOCKING_SESSION, parallelism=True,
-                   cloud_enabled=True,
-                   stage_durations=replace(cfg.stage_durations,
-                                           cloud_latency_jitter=rng.uniform()),
-                   chunk_size_bytes=64,
-                   link_far_to_edge=LinkParams(cfg.link_far_to_edge.latency, 1000.0),
-                   send_timeout_s=0.16 + 0.1 * rng.uniform(),
-                   payload_bytes=1 + rng.randrange(699))
 
 
 def _records_digest(records) -> str:

@@ -20,6 +20,7 @@ summary and failure float for float.
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -92,6 +93,22 @@ def random_config(rng: Prng) -> ScenarioConfig:
         cloud_timeout_s=duration(120.0),
         grant_ttl_s=duration(120.0),
     )
+
+
+def _edge_close_config(rng) -> ScenarioConfig:
+    """A random config in which the edge's result send may time out, and so
+    close the session, while the far edge's upload is in flight: blocking,
+    parallel, the cloud on with latency jitter, 64 B chunks over a 1,000 B/s
+    link, a send timeout of 0.16-0.26 s and payloads under 700 bytes."""
+    cfg = random_config(rng)
+    return replace(cfg, transport=TransportKind.BLOCKING_SESSION, parallelism=True,
+                   cloud_enabled=True,
+                   stage_durations=replace(cfg.stage_durations,
+                                           cloud_latency_jitter=rng.uniform()),
+                   chunk_size_bytes=64,
+                   link_far_to_edge=LinkParams(cfg.link_far_to_edge.latency, 1000.0),
+                   send_timeout_s=0.16 + 0.1 * rng.uniform(),
+                   payload_bytes=1 + rng.randrange(699))
 
 
 def parallel_completions(cfg: ScenarioConfig, records: dict, accepts=None):
@@ -222,7 +239,8 @@ def test_random_configs_keep_every_run_invariant(made):
         assert not loop._heap, case
         assert not far.traces, case
         assert not edge._pending_cloud, case
-        assert all(not link._runs for link in links), case
+        assert all(not (link._instants or link._keys or link._handlers or link._payloads)
+                   for link in links), case
         if case % REPLAY_EVERY == 0:
             again = _run(cfg, made)[0]
             assert ((again.records, again.summary, again.failure)

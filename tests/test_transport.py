@@ -454,9 +454,11 @@ def test_send_all_times_out_like_a_loop_of_send_and_delivers_nothing_after():
     # The stream: the start, two deliveries, and its failure one timeout
     # after the second ack; with no latency that ack is the second
     # delivery's instant, which closes both ends with no event of its own.
-    # The loop: the start, two events for each of two messages, and the
-    # failure of the third send, which closes both ends at its call.
-    assert (executed, loop_executed) == (1 + 2 + 1, 1 + 2 * 2 + 1)
+    # The loop: the start, one delivery for each of two messages, each of
+    # whose ack is its delivery's instant, so that the send succeeds and the
+    # sender resumes and sends again inside that delivery, and the failure
+    # of the third send, which closes both ends at its call: 1 + 2 + 1.
+    assert (executed, loop_executed) == (1 + 2 + 1, 1 + 2 + 1)
 
 
 def _pubsub_run(stream, payloads, capacity=1, second_route=False, at=None):
@@ -984,20 +986,69 @@ def test_a_one_message_send_books_at_its_call_and_interleaves():
 
 
 def test_a_blocking_stream_keeps_one_pending_delivery_and_frees_itself():
-    # A far-edge upload of 100 KiB in 64 B chunks, booked at the call: the
-    # heap holds the link's one delivery event and the stream's success
-    # event, and the stream is freed by reference counting once the ends
-    # are closed.
-    loop = EventLoop()
+    # A far-edge upload of 100 KiB in 64 B chunks. The call books message 0
+    # only, so the heap holds the link's one delivery event. Each delivery
+    # pops that event, hands its message to the receiver with the heap
+    # empty (0 when the handler runs), and then pushes one event: the next
+    # message's delivery, or after the last message the stream's end at its
+    # ack. The heap so never holds more than 1 event, within the bound of 2
+    # that a stream booked whole with its success event kept. The stream
+    # is freed by reference counting once the ends are closed.
+    sizes = []
+
+    class Watched(EventLoop):
+        def schedule_at(self, fire_at, action):
+            handle = super().schedule_at(fire_at, action)
+            sizes.append(len(self._heap))
+            return handle
+
+    loop = Watched()
     a, b = _pair(loop, latency=0.05, bandwidth=18432.0)
     seen = []
     b.on_message(lambda data: seen.append(len(loop._heap)))
     ticket = a.send_all([b"m" * 64] * 1601)
-    assert len(loop._heap) == 2
+    assert len(loop._heap) == 1
     loop.run()
-    assert len(seen) == 1601 and max(seen) <= 2
+    assert seen == [0] * 1601
+    assert len(sizes) == 1601 + 1 and max(sizes) == 1
     assert ticket.ack_at == loop.now and ticket.accepted.value is None
     stream = a._stream
     a.close()
     b.close()
     assert sys.getrefcount(stream) == 2  # this name and the call's argument
+
+
+def test_a_blocking_stream_holds_no_message_it_has_delivered():
+    # The link holds at most one message of the stream at any booking, and
+    # once a message is delivered neither the stream nor the link refers to
+    # it, nor to the list it came in: at the delivery of message k, message
+    # k-1 is referred to by the test's own list and the argument of
+    # getrefcount only, and after the run every message is, while the
+    # stream is still alive. The list passed to send_all is a copy that
+    # only the call refers to.
+    held = []
+
+    class Watched(SimLink):
+        def deliver(self, key, payload, handler, at):
+            tx = super().deliver(key, payload, handler, at)
+            held.append(len(self._payloads))
+            return tx
+
+    loop = EventLoop()
+    a, b = session_pair(loop, Watched(loop, LinkParams(0.05, 18432.0)),
+                        Watched(loop, LinkParams(0.05, 18432.0)))
+    payloads = [k.to_bytes(2, "big") * 32 for k in range(1601)]
+    counts = []
+
+    def received(data):
+        k = len(counts)
+        assert data is payloads[k]
+        counts.append(sys.getrefcount(payloads[k - 1]) if k else 2)
+
+    b.on_message(received)
+    ticket = a.send_all(list(payloads))
+    loop.run()
+    assert ticket.accepted.value is None and a._stream is not None
+    assert len(held) == 1601 and max(held) == 1
+    assert counts == [2] * 1601
+    assert [sys.getrefcount(payloads[k]) for k in range(1601)] == [2] * 1601

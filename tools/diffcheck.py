@@ -4,9 +4,14 @@
 
 The configs are drawn once, here, with ``random_config`` of
 ``tests/test_random_configs.py`` from a ``Prng`` seeded with S, and passed
-to both trees as ``config_to_dict`` documents. REV is exported with
-``git archive`` into a temporary directory. Each tree then runs every config
-with its own ``run_scenario`` in one subprocess, and each run is reduced to
+to both trees as ``config_to_dict`` documents. No random draw reaches the
+close of a session during an upload, so two configs that do follow the N
+random ones: configs 1064 and 1437 of ``_edge_close_config`` at
+``Prng(5)``, in which the edge's timeout closes the session mid-upload, as
+``test_edge_close_during_an_upload_keeps_the_records_of_the_chain_of_acks``
+pins. REV is exported with ``git archive`` into a temporary directory.
+Each tree then runs every config with its own ``run_scenario`` in one
+subprocess, and each run is reduced to
 its records, its summary and its failure, every float written as
 ``float.hex``: two runs are equal only if they agree bit for bit. Each
 config's dataset, as ``build_dataset`` makes it, is compared too: each
@@ -61,6 +66,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 FIRST_DIFF = "diffcheck_first_diff.json"
 ULPS = 4  # the ulp distance still counted as within
+EDGE_CLOSES = (1064, 1437)  # the close-path configs of _edge_close_config at Prng(5)
 
 
 def _exact(value):
@@ -195,6 +201,20 @@ def _failures(runs: list[tuple[dict, dict]], transports: list[str],
     return table
 
 
+def _draw(seed: int, count: int) -> list[dict]:
+    """``count`` configs of ``random_config`` from ``Prng(seed)``, then the
+    two close-path configs, as ``config_to_dict`` documents."""
+    from continuumsim.domain import config_to_dict
+    from continuumsim.workload import Prng
+    from test_random_configs import _edge_close_config, random_config
+
+    rng = Prng(seed)
+    configs = [random_config(rng) for _ in range(count)]
+    rng = Prng(5)
+    closes = [_edge_close_config(rng) for _ in range(EDGE_CLOSES[-1] + 1)]
+    return [config_to_dict(cfg) for cfg in configs + [closes[i] for i in EDGE_CLOSES]]
+
+
 def _export(rev: str, dest: Path) -> None:
     """Extract the tree of ``rev`` into ``dest``."""
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
@@ -225,12 +245,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--parent is required")
 
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
-    from continuumsim.domain import config_from_dict, config_to_dict, config_to_json
-    from continuumsim.workload import Prng
-    from test_random_configs import random_config
+    from continuumsim.domain import config_from_dict, config_to_json
 
-    rng = Prng(args.seed)
-    docs = [config_to_dict(random_config(rng)) for _ in range(args.configs)]
+    docs = _draw(args.seed, args.configs)
     with tempfile.TemporaryDirectory(prefix="diffcheck-") as tmp:
         tmp = Path(tmp)
         parent = tmp / "parent"
@@ -249,7 +266,8 @@ def main(argv: list[str] | None = None) -> int:
     within = [i for i, d in distances.items() if d <= ULPS]
     differ = [i for i, d in distances.items() if d > ULPS]
     widest = f" (at most {max(distances[i] for i in within):g})" if within else ""
-    print(f"diffcheck against {args.parent}: {len(runs)} configs at seed {args.seed}, "
+    print(f"diffcheck against {args.parent}: {len(runs)} configs ({args.configs} at seed "
+          f"{args.seed} and {len(EDGE_CLOSES)} close-path configs), "
           f"{len(runs) - len(distances)} equal ({len(reordered)} with their records "
           f"in another order), {len(within)} within {ULPS} ulps{widest}, "
           f"{len(differ)} differ")
