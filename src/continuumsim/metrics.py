@@ -15,7 +15,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from operator import attrgetter
+from itertools import repeat
+from operator import attrgetter, is_, sub
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -86,11 +87,12 @@ class RunSummary:
 
 
 def _sample_std(values: list[float], mean: float) -> float:
-    # Sample standard deviation (n-1); zero for a single observation.
+    # Sample standard deviation (n-1); zero for a single observation. The
+    # maps square each deviation as ``(v - mean) ** 2`` does, looping in C.
     n = len(values)
     if n < 2:
         return 0.0
-    var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
+    var = math.fsum(map(pow, map(sub, values, repeat(mean)), repeat(2))) / (n - 1)
     return var ** 0.5
 
 
@@ -132,7 +134,7 @@ def summarize(records: list[MetricsRecord], core_busy: dict[int, float],
         core1_util=core1,
         total_util=(core0 + core1) / 2.0,
         stats=stats,
-        fp_count=sum(1 for r in records if r.is_false_positive),
+        fp_count=sum(map(attrgetter("is_false_positive"), records)),
     )
 
 
@@ -153,23 +155,35 @@ def compare(base: RunSummary, variant: RunSummary) -> ComparisonReport:
     )
 
 
-# One template per row: the image id, eight timings and ``cloud_rtt`` in
-# 6-decimal fixed point, then origin, recognized and label. A ``cloud_rtt``
-# of None takes the second template, whose ``%.0s`` writes it as nothing.
-_ROW = "%s" + ",%.6f" * 9 + ",%s,%s,%s"
-_ROW_NO_CLOUD = "%s" + ",%.6f" * 8 + ",%.0s,%s,%s,%s"
+# One template for the text of a row after its image id: eight timings and
+# ``cloud_rtt`` in 6-decimal fixed point, then origin, recognized and label.
+# A ``cloud_rtt`` of None takes the second template, whose ``%.0s`` writes it
+# as nothing.
+_TAIL = ",%.6f" * 9 + ",%s,%s,%s"
+_TAIL_NO_CLOUD = ",%.6f" * 8 + ",%.0s,%s,%s,%s"
+_TAIL_FIELDS = attrgetter("t_read_decode", "t_quality", "t_infer1", "t_infer2",
+                          "t_detect_total", "t_upload", "t_identify", "edge_rtt",
+                          "cloud_rtt", "origin", "recognized", "label")
 
 
 def emit_csv(records: Iterable[MetricsRecord], path: str | Path) -> int:
     """Write one row per record ordered by completion time then image id;
-    returns the number of data rows."""
+    returns the number of data rows.
+
+    A row whose fields after the image id are each the very object of the
+    row before's (a jitter-free run's face-less frames share theirs) reuses
+    that row's text. The test is identity, not ``==``: ``0.0 == -0.0``, yet
+    the two print differently. Any other row is formatted from its values."""
     rows = sorted(records, key=attrgetter("completion_s", "image_id"))
     lines = [CSV_HEADER]
+    fields = None
     for r in rows:
-        lines.append((_ROW if r.cloud_rtt is not None else _ROW_NO_CLOUD) % (
-            r.image_id, r.t_read_decode, r.t_quality, r.t_infer1, r.t_infer2,
-            r.t_detect_total, r.t_upload, r.t_identify, r.edge_rtt, r.cloud_rtt,
-            r.origin, "true" if r.recognized else "false", r.label or ""))
+        last, fields = fields, _TAIL_FIELDS(r)
+        if last is None or not all(map(is_, fields, last)):
+            *values, recognized, label = fields
+            tail = (_TAIL if values[8] is not None else _TAIL_NO_CLOUD) % (
+                *values, "true" if recognized else "false", label or "")
+        lines.append(r.image_id + tail)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return len(rows)
 

@@ -87,13 +87,13 @@ from .transport import (
 
 @dataclass(slots=True)
 class _ImageTrace:
-    """The far edge's record of one image, made at its read; an upload adds
-    its stream's ticket, the one timeline of its upload on either transport,
+    """The far edge's record of one image, made at its read with its
+    ``stages`` (see ``FarEdgeNode._frame_stages``); an upload adds its
+    stream's ticket, the one timeline of its upload on either transport,
     and the edge marks reassembly and identification on it."""
 
     image_id: str
-    t_read_decode: float = 0.0
-    detection: Optional[workload.DetectionResult] = None
+    stages: tuple = ()
     upload_ticket: Optional[StreamTicket] = None
     reassembled_at: Optional[float] = None
     t_identify: float = 0.0
@@ -119,6 +119,8 @@ class FarEdgeNode:
         self._core0 = core0
         self._core1 = core1
         self._jitter_rng = workload.Prng(workload.substream(cfg.rng_seed, 2))
+        self._stages_jitter = math.nan  # the factor of ``_stages``
+        self._stages: tuple = ()
         self.failure: Optional[str] = None
         self.malformed_messages = 0
 
@@ -175,12 +177,11 @@ class FarEdgeNode:
             origin, recognized, label, is_fp = (result.origin, result.recognized,
                                                 result.label, result.is_false_positive)
         span = now - start if start is not None and result is not None else 0.0
-        _found, t_quality, t_infer1, t_infer2, t_total = tr.detection
         # Positional, in MetricsRecord's field order.
         self.records.append(MetricsRecord(
-            tr.image_id, tr.t_read_decode, t_quality, t_infer1, t_infer2, t_total,
-            t_upload, tr.t_identify, span if origin == "edge" else 0.0,
-            span if origin == "cloud" else None, origin, recognized, label, now, is_fp))
+            tr.image_id, *tr.stages, t_upload, tr.t_identify,
+            span if origin == "edge" else 0.0, span if origin == "cloud" else None,
+            origin, recognized, label, now, is_fp))
 
     def _fail(self, exc: TransportError) -> None:
         """The pipeline cannot send: keep the first failure, and end every
@@ -195,27 +196,38 @@ class FarEdgeNode:
         for image_id in list(self.traces):
             self._resolve(image_id, None)
 
-    def _jitter_factor(self) -> float:
-        if self._cfg.jitter_pct <= 0.0:
-            return 1.0
-        return 1.0 + self._cfg.jitter_pct * (2.0 * self._jitter_rng.uniform() - 1.0)
+    def _frame_stages(self, image) -> tuple:
+        """Draw the jitter factor of frame ``image`` and return its read time
+        and detection stages, in MetricsRecord's field order: t_read_decode,
+        t_quality, t_infer1, t_infer2, t_detect_total. They are a function
+        of the factor alone, computed again only when it changes, so the
+        records of a jitter-free run share one tuple of floats."""
+        cfg = self._cfg
+        jitter = 1.0
+        if cfg.jitter_pct > 0.0:
+            jitter += cfg.jitter_pct * (2.0 * self._jitter_rng.uniform() - 1.0)
+        if jitter != self._stages_jitter:
+            t_io = cfg.stage_durations.t_read_decode * jitter
+            if cfg.parallelism:
+                t_io += cfg.parallel_io_penalty_s
+            _found, *detection = workload.detection_for(image, cfg.stage_durations, jitter)
+            self._stages = (t_io, *detection)
+            self._stages_jitter = jitter
+        return self._stages
 
     def _sequential(self, dataset):
         """Read and detect each image on core 1 from ``start``, the end of
         the image before. A face-less image is recorded at its detection's
         end with no event; the far edge waits on the loop only before an
         upload, and once at its end."""
-        durations = self._cfg.stage_durations
         loop = self._loop
         start = loop.now
         try:
             for image in dataset:
-                jitter = self._jitter_factor()
-                tr = _ImageTrace(image.id)
-                t_io = tr.t_read_decode = durations.t_read_decode * jitter
-                detection = tr.detection = workload.detection_for(image, durations, jitter)
-                end = self._core1.book(detection.t_total, self._core1.book(t_io, start))
-                if not detection.face_found:
+                stages = self._frame_stages(image)
+                tr = _ImageTrace(image.id, stages)
+                end = self._core1.book(stages[4], self._core1.book(stages[0], start))
+                if not image.has_face:
                     self._finalize(tr, None, end)
                     start = end
                     continue
@@ -251,7 +263,7 @@ class FarEdgeNode:
         starts at or after X. The process waits once more at its end, for
         the last instant it booked."""
         cfg, loop = self._cfg, self._loop
-        durations, capacity = cfg.stage_durations, cfg.queue_capacity
+        capacity = cfg.queue_capacity
         takes = deque(maxlen=capacity)  # G of the last C images read
         offers = deque(maxlen=capacity)  # U of the last C uploads
         accepted = None  # the gate of the last upload
@@ -260,20 +272,17 @@ class FarEdgeNode:
         for image in dataset:
             if start >= failed_at:
                 break
-            jitter = self._jitter_factor()
-            tr = _ImageTrace(image.id)
-            t_io = tr.t_read_decode = (durations.t_read_decode * jitter
-                                       + cfg.parallel_io_penalty_s)
-            read_end = self._core1.book(t_io, start)
+            stages = self._frame_stages(image)
+            tr = _ImageTrace(image.id, stages)
+            read_end = self._core1.book(stages[0], start)
             start = takes[0] if len(takes) == capacity and takes[0] > read_end else read_end
             if failed_at < math.inf:
                 takes.append(math.inf)
                 continue
             take = read_end if read_end >= done else done
             takes.append(take)
-            detection = tr.detection = workload.detection_for(image, durations, jitter)
-            done = self._core0.book(detection.t_total, take) + cfg.parallel_handoff_s
-            if not detection.face_found:
+            done = self._core0.book(stages[4], take) + cfg.parallel_handoff_s
+            if not image.has_face:
                 self._finalize(tr, None, done)
                 continue
             try:

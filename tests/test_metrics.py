@@ -6,10 +6,12 @@ import pytest
 
 from continuumsim.metrics import (
     CSV_HEADER,
+    SUMMARY_METRICS,
     EmptyRecords,
     MetricsRecord,
     MismatchedScenarios,
     RunSummary,
+    _metric_values,
     compare,
     emit_csv,
     emit_summary_json,
@@ -202,6 +204,78 @@ def test_emit_csv_writes_the_bytes_of_the_per_field_formatter(tmp_path):
     path = tmp_path / "random.csv"
     assert emit_csv(records, path) == len(records)
     assert path.read_bytes() == _per_field_csv(records).encode("utf-8")
+
+
+def test_emit_csv_reuses_a_row_only_when_every_field_is_the_same_object(tmp_path):
+    # Runs of records share every field object, as a jitter-free run's
+    # face-less frames do. Between runs, one field is swapped for an equal
+    # value that is another object and may print otherwise: -0.0 for 0.0, a
+    # second NaN, a float for a None cloud_rtt, and an origin or label built
+    # at run time for the literal.
+    rng = Prng(34)
+    zero = float.fromhex("0x0p+0")
+    base = [zero] * 8 + [None, "none", False, None]
+    swaps = []
+    for j in range(9):
+        swaps += [(j, -zero), (j, float("nan")), (j, float("nan")), (j, zero)]
+    swaps += [(8, zero), (8, None), (8, float.fromhex("0x1p-1")), (8, 0.5),
+              (9, "edge"), (9, "".join(["ed", "ge"])), (9, "none"),
+              (10, True), (11, "Person 1"), (11, " ".join(["Person", "1"])),
+              (11, None), (10, False)]
+    field_sets = []
+    for j, value in swaps:
+        fields = list(field_sets[-1] if field_sets else base)
+        fields[j] = value
+        field_sets.append(fields)
+    records = []
+    for fields in field_sets:
+        for _ in range(1 + rng.randrange(3)):
+            records.append(MetricsRecord(f"img{len(records):05d}", *fields,
+                                         completion_s=float(len(records))))
+    assert records[1].t_read_decode is records[0].t_read_decode
+    path = tmp_path / "runs.csv"
+    assert emit_csv(records, path) == len(records)
+    assert path.read_bytes() == _per_field_csv(records).encode("utf-8")
+    assert "-0.000000" in path.read_text()
+
+
+def _summary_reference(records):
+    """Each metric's (mean, std, count) and the run's fp_count by the
+    summary's generator formulas, the floats as ``float.hex``."""
+    stats = {}
+    for metric in SUMMARY_METRICS:
+        values = _metric_values(records, metric)
+        n = len(values)
+        if not n:
+            stats[metric] = (0.0.hex(), 0.0.hex(), 0)
+            continue
+        mean = math.fsum(values) / n
+        std = (math.fsum((v - mean) ** 2 for v in values) / (n - 1)) ** 0.5 if n > 1 else 0.0
+        stats[metric] = (mean.hex(), std.hex(), n)
+    return stats, sum(1 for r in records if r.is_false_positive)
+
+
+def test_summarize_computes_the_generator_formulas_bit_for_bit():
+    # Random finite values and signed zeros; cloud_rtt has one value and
+    # edge_rtt none.
+    rng = Prng(3401)
+
+    def value():
+        if rng.randrange(5) == 0:
+            return (0.0, -0.0)[rng.randrange(2)]
+        return (rng.uniform() - 0.25) * 10.0 ** (rng.randrange(16) - 8)
+
+    records = [MetricsRecord(f"img{i:05d}", *(value() for _ in range(7)),
+                             origin=("none", "cloud")[i == 17],
+                             cloud_rtt=value() if i == 17 else None,
+                             is_false_positive=bool(rng.randrange(2)))
+               for i in range(500)]
+    summary = summarize(records, {0: 1.0, 1: 2.0}, wall=10.0)
+    stats, fp_count = _summary_reference(records)
+    assert {m: (s.mean.hex(), s.std.hex(), s.count) for m, s in summary.stats.items()} == stats
+    assert stats["cloud_rtt"][2] == 1 and stats["edge_rtt"][2] == 0
+    assert 1 < stats["t_upload"][2] < len(records)
+    assert type(summary.fp_count) is int and summary.fp_count == fp_count
 
 
 def test_summary_json_mirrors_fields(tmp_path):

@@ -1543,6 +1543,63 @@ def test_records_carry_configured_stage_times():
         assert rec.t_identify == pytest.approx(0.05)
 
 
+_STAGE_FIELDS = ("t_read_decode", "t_quality", "t_infer1", "t_infer2", "t_detect_total")
+
+
+def _frame_stage_reference(cfg, jitter):
+    """A frame's read time and detection stages at jitter factor ``jitter``,
+    each written out as the far edge computed it per frame."""
+    d = cfg.stage_durations
+    if cfg.parallelism:
+        t_io = d.t_read_decode * jitter + cfg.parallel_io_penalty_s
+    else:
+        t_io = d.t_read_decode * jitter
+    t_quality, t_infer1, t_infer2 = d.t_quality * jitter, d.t_infer1 * jitter, d.t_infer2 * jitter
+    return [t.hex() for t in (t_io, t_quality, t_infer1, t_infer2,
+                              (t_quality + t_infer1) + t_infer2)]
+
+
+def _stage_config(transport, parallelism, jitter_pct):
+    # The preset stage times, with face and face-less frames and uploads.
+    return replace(base_config(transport, parallelism, cloud_enabled=False, dataset_size=24),
+                   face_prob=0.5, payload_bytes=2048, jitter_pct=jitter_pct)
+
+
+@pytest.mark.parametrize("parallelism", [False, True], ids=["sequential", "parallel"])
+@pytest.mark.parametrize("transport", list(TransportKind), ids=lambda t: t.name)
+def test_a_jitter_free_run_shares_one_set_of_stage_values(transport, parallelism):
+    # The stage values are a function of the jitter factor alone, so the
+    # records of a run at factor 1.0 hold the same float objects, each the
+    # per-frame expression's value.
+    cfg = _stage_config(transport, parallelism, 0.0)
+    r = run_scenario(cfg)
+    assert r.failure is None and len(r.records) == cfg.dataset_size
+    assert {rec.origin for rec in r.records} == {"none", "edge"}
+    first = r.records[0]
+    for rec in r.records:
+        assert all(getattr(rec, f) is getattr(first, f) for f in _STAGE_FIELDS)
+    assert [getattr(first, f).hex() for f in _STAGE_FIELDS] == _frame_stage_reference(cfg, 1.0)
+
+
+@pytest.mark.parametrize("parallelism", [False, True], ids=["sequential", "parallel"])
+@pytest.mark.parametrize("transport", list(TransportKind), ids=lambda t: t.name)
+def test_a_jittered_run_draws_one_factor_per_frame_and_computes_its_stages(transport,
+                                                                           parallelism):
+    # Frame k's factor is the jitter stream's k-th draw, and each of its
+    # stage values is the per-frame expression's at that factor.
+    cfg = _stage_config(transport, parallelism, 0.3)
+    r = run_scenario(cfg)
+    assert r.failure is None and len(r.records) == cfg.dataset_size
+    rng = Prng(workload.substream(cfg.rng_seed, 2))
+    frames = sorted(r.records, key=lambda rec: rec.image_id)
+    for k, rec in enumerate(frames):
+        assert rec.image_id == f"img{k:05d}"
+        jitter = 1.0 + cfg.jitter_pct * (2.0 * rng.uniform() - 1.0)
+        reference = _frame_stage_reference(cfg, jitter)
+        assert [getattr(rec, f).hex() for f in _STAGE_FIELDS] == reference
+    assert len({rec.t_detect_total for rec in frames}) == cfg.dataset_size
+
+
 def test_parallel_mode_uses_both_cores():
     r = run_scenario(no_upload_config(0.3, 0.4, 6, parallelism=True))
     assert r.summary.core0_util > 0.0
