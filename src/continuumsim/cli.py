@@ -27,10 +27,9 @@ from .domain import (
 )
 from .metrics import RunSummary, compare, emit_csv, emit_summary_json, summary_to_dict
 from .nodes import run_scenario, shared_datasets
-from .presets import PRESET_NAMES, DEFAULT_SEED, base_config, build_preset
+from .presets import PRESET_NAMES, DEFAULT_SEED, base_config, build_preset, transport_tag
 
-_TRANSPORT_FLAG = {"blocking": TransportKind.BLOCKING_SESSION,
-                   "pubsub": TransportKind.PUBSUB}
+_TRANSPORT_FLAG = {transport_tag(kind): kind for kind in TransportKind}
 _MODE_FLAG = {"sim": TimeMode.VIRTUAL, "tcp": TimeMode.WALLCLOCK_TCP}
 
 
@@ -74,6 +73,14 @@ def _apply_flags(cfg: ScenarioConfig, args: argparse.Namespace) -> ScenarioConfi
     if args.time_scale is not None:
         updates["time_scale"] = args.time_scale
     return replace(cfg, **updates) if updates else cfg
+
+
+def _invalid(cfg: ScenarioConfig) -> bool:
+    """Print each rule of ``validate_config`` that ``cfg`` violates; True if any."""
+    check = validate_config(cfg)
+    if not check.ok:
+        print("error: " + "; ".join(check.violations), file=sys.stderr)
+    return not check.ok
 
 
 def _run_and_write(cfg: ScenarioConfig, out_dir: Path, label: str) -> Optional[RunSummary]:
@@ -159,9 +166,7 @@ def run(args: argparse.Namespace) -> int:
         summaries: dict[str, RunSummary] = {}
         for preset_run in preset.runs:
             cfg = _apply_flags(preset_run.config, args)
-            check = validate_config(cfg)
-            if not check.ok:
-                print("error: " + "; ".join(check.violations), file=sys.stderr)
+            if _invalid(cfg):
                 return 2
             summary = _run_and_write(cfg, out_root / preset_run.name, f"{preset_run.name}: ")
             if summary is None:
@@ -188,9 +193,7 @@ def run(args: argparse.Namespace) -> int:
     else:
         cfg = base_config()
     cfg = _apply_flags(cfg, args)
-    check = validate_config(cfg)
-    if not check.ok:
-        print("error: " + "; ".join(check.violations), file=sys.stderr)
+    if _invalid(cfg):
         return 2
     return 3 if _run_and_write(cfg, out_root, "") is None else 0
 

@@ -20,15 +20,16 @@ from operator import attrgetter, is_, sub
 from pathlib import Path
 from typing import Iterable, Optional
 
-CSV_HEADER = ("image_id,t_read_decode,t_quality,t_infer1,t_infer2,"
-              "t_detect_total,t_upload,t_identify,edge_rtt,cloud_rtt,"
-              "origin,recognized,label")
+# The CSV's columns, in order: the image id, the nine timings, then the
+# outcome.
+_COLUMNS = ("image_id", "t_read_decode", "t_quality", "t_infer1", "t_infer2",
+            "t_detect_total", "t_upload", "t_identify", "edge_rtt", "cloud_rtt",
+            "origin", "recognized", "label")
+CSV_HEADER = ",".join(_COLUMNS)
 
-# Metrics summarized with mean/std. Each is averaged over the records where
-# the stage actually ran (see _metric_values).
-SUMMARY_METRICS = ("t_read_decode", "t_quality", "t_infer1", "t_infer2",
-                   "t_detect_total", "t_upload", "t_identify",
-                   "edge_rtt", "cloud_rtt")
+# Metrics summarized with mean/std: the timings. Each is averaged over the
+# records where the stage actually ran (see _metric_values).
+SUMMARY_METRICS = _COLUMNS[1:10]
 
 
 class EmptyRecords(ValueError):
@@ -45,9 +46,9 @@ class MetricsRecord:
 
     ``cloud_rtt`` is present iff the result originated at the cloud;
     ``edge_rtt`` is meaningful only for edge-resolved images and is zero
-    otherwise. ``t_detect_total`` is the detection stage's
-    ``DetectionResult.t_total``. ``completion_s`` orders the CSV but is not
-    emitted.
+    otherwise. ``t_detect_total`` is the total of the detection stage's
+    three stages, the last value of ``workload.detection_for``.
+    ``completion_s`` orders the CSV but is not emitted.
     """
 
     image_id: str
@@ -161,9 +162,7 @@ def compare(base: RunSummary, variant: RunSummary) -> ComparisonReport:
 # as nothing.
 _TAIL = ",%.6f" * 9 + ",%s,%s,%s"
 _TAIL_NO_CLOUD = ",%.6f" * 8 + ",%.0s,%s,%s,%s"
-_TAIL_FIELDS = attrgetter("t_read_decode", "t_quality", "t_infer1", "t_infer2",
-                          "t_detect_total", "t_upload", "t_identify", "edge_rtt",
-                          "cloud_rtt", "origin", "recognized", "label")
+_TAIL_FIELDS = attrgetter(*_COLUMNS[1:])
 
 
 def emit_csv(records: Iterable[MetricsRecord], path: str | Path) -> int:

@@ -58,7 +58,6 @@ from .chunkwire import encode as encode_result
 from .domain import (
     FaceDatabase,
     ImageRecord,
-    PersonId,
     ScenarioConfig,
     TimeMode,
     TransportKind,
@@ -196,8 +195,8 @@ class FarEdgeNode:
         for image_id in list(self.traces):
             self._resolve(image_id, None)
 
-    def _frame_stages(self, image) -> tuple:
-        """Draw the jitter factor of frame ``image`` and return its read time
+    def _frame_stages(self) -> tuple:
+        """Draw the jitter factor of the next frame and return its read time
         and detection stages, in MetricsRecord's field order: t_read_decode,
         t_quality, t_infer1, t_infer2, t_detect_total. They are a function
         of the factor alone, computed again only when it changes, so the
@@ -210,8 +209,7 @@ class FarEdgeNode:
             t_io = cfg.stage_durations.t_read_decode * jitter
             if cfg.parallelism:
                 t_io += cfg.parallel_io_penalty_s
-            _found, *detection = workload.detection_for(image, cfg.stage_durations, jitter)
-            self._stages = (t_io, *detection)
+            self._stages = (t_io, *workload.detection_for(cfg.stage_durations, jitter))
             self._stages_jitter = jitter
         return self._stages
 
@@ -224,7 +222,7 @@ class FarEdgeNode:
         start = loop.now
         try:
             for image in dataset:
-                stages = self._frame_stages(image)
+                stages = self._frame_stages()
                 tr = _ImageTrace(image.id, stages)
                 end = self._core1.book(stages[4], self._core1.book(stages[0], start))
                 if not image.has_face:
@@ -272,7 +270,7 @@ class FarEdgeNode:
         for image in dataset:
             if start >= failed_at:
                 break
-            stages = self._frame_stages(image)
+            stages = self._frame_stages()
             tr = _ImageTrace(image.id, stages)
             read_end = self._core1.book(stages[0], start)
             start = takes[0] if len(takes) == capacity and takes[0] > read_end else read_end
@@ -477,17 +475,18 @@ class CloudService:
     """Issues single-use upload grants and runs the recognizer after the
     configured service latency. An upload is refused if its image is
     unknown, if its grant is unknown, spent or names another image, or if its
-    grant has expired; only a redeemed grant leaves the ledger.
-    ``ground_truth`` maps each image id to the known person its face shows,
-    or None for an unknown face. A message that does not decode to a grant
-    request or an upload is dropped and counted in ``malformed_messages``."""
+    grant has expired; only a redeemed grant leaves the ledger. ``images``
+    maps each image id to its record, whose ground truth is the known person
+    its face shows, or None for an unknown face. A message that does not
+    decode to a grant request or an upload is dropped and counted in
+    ``malformed_messages``."""
 
     def __init__(self, loop: EventLoop, cfg: ScenarioConfig,
-                 ground_truth: dict[str, Optional[PersonId]],
+                 images: dict[str, ImageRecord],
                  send_to_edge: Callable[[str, bytes], None]):
         self._loop = loop
         self._cfg = cfg
-        self._ground_truth = ground_truth
+        self._images = images
         self._send_to_edge = send_to_edge
         self._fp_rng = workload.Prng(workload.substream(cfg.rng_seed, 3))
         self._latency_rng = workload.Prng(workload.substream(cfg.rng_seed, 4))
@@ -519,7 +518,7 @@ class CloudService:
             return
         # A redeemed grant has left the ledger, so it is refused as unknown.
         granted_id, expires_at = self._grants.get(msg.upload_token, (None, 0.0))
-        if image_id not in self._ground_truth:
+        if image_id not in self._images:
             reason = "no record of image"
         elif granted_id != image_id:
             reason = "grant rejected for"
@@ -528,14 +527,8 @@ class CloudService:
         else:
             del self._grants[msg.upload_token]
             verdict = workload.cloud_recognize(
-                self._ground_truth[image_id], self._cfg.fp_rate, self._fp_rng)
-            payload = encode_result(ResultMessage(
-                image_id=image_id,
-                origin="cloud",
-                recognized=verdict.outcome is workload.CloudOutcome.MATCH,
-                label=verdict.label,
-                is_false_positive=verdict.is_false_positive,
-            ))
+                self._images[image_id].ground_truth, self._cfg.fp_rate, self._fp_rng)
+            payload = encode_result(ResultMessage(image_id, "cloud", *verdict))
             self._loop.schedule(self._latency(), partial(self._send_to_edge, image_id, payload))
             return
         self._send_to_edge(image_id, chunkwire.encode(
@@ -551,7 +544,6 @@ class RunResult:
     config: ScenarioConfig
     records: list[MetricsRecord]
     summary: RunSummary
-    wall: float
     failure: Optional[str] = None
 
     @property
@@ -673,9 +665,9 @@ def run_tiers(cfg: ScenarioConfig, loop: EventLoop, links: tuple,
     def edge_to_cloud(key: str, data: bytes) -> None:
         fabric.declare_publisher("edge", key).put(data)
 
+    images = {img.id: img for img in dataset}
     far = FarEdgeNode(loop, cfg, uplink, core0, core1)
-    edge = EdgeService(loop, cfg, db, {img.id: img for img in dataset},
-                       far.traces, edge_core, send_result,
+    edge = EdgeService(loop, cfg, db, images, far.traces, edge_core, send_result,
                        edge_to_cloud if cfg.cloud_enabled else None)
     fabric.endpoint("edge").subscribe(
         KEY_CLOUD_RESULTS_PREFIX + "*", lambda _k, d: edge.on_cloud_message(d))
@@ -684,8 +676,7 @@ def run_tiers(cfg: ScenarioConfig, loop: EventLoop, links: tuple,
         def cloud_to_edge(image_id: str, data: bytes) -> None:
             fabric.declare_publisher("cloud", KEY_CLOUD_RESULTS_PREFIX + image_id).put(data)
 
-        cloud = CloudService(loop, cfg, {img.id: img.ground_truth for img in dataset},
-                             cloud_to_edge)
+        cloud = CloudService(loop, cfg, images, cloud_to_edge)
         fabric.endpoint("cloud").subscribe(
             KEY_CLOUD_REQUESTS_PREFIX + "*", lambda _k, d: cloud.on_message(d))
         fabric.endpoint("cloud").subscribe(
@@ -700,5 +691,5 @@ def run_tiers(cfg: ScenarioConfig, loop: EventLoop, links: tuple,
     wall = loop.now if loop.now > 0 else 1e-9
     summary = summarize(far.records, {0: core0.busy_time, 1: core1.busy_time}, wall)
     return RunResult(config=cfg, records=far.records, summary=summary,
-                     wall=wall, failure=far.failure)
+                     failure=far.failure)
 

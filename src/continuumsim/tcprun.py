@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Iterator, Optional
 from .domain import ScenarioConfig
 from .netsim import EventHandle, EventLoop, Gate, Transmission
 from .nodes import RunResult, run_tiers
-from .transport import ConnectionClosed, SendTimeout, SessionEndpoint, StreamTicket
+from .transport import SessionEndpoint, StreamTicket
 
 # perfbench/tracer.py wraps these names on this module; nothing here calls them.
 from .metrics import summarize  # noqa: F401
@@ -268,24 +268,21 @@ class SocketSession(SessionEndpoint):
 
     def _send_next(self, ticket: StreamTicket, payloads: Iterator[bytes],
                    ack_at: Optional[float]) -> None:
-        """Write the next of ``payloads``, now that the ack of the one before
-        is back at ``ack_at``; with none left, that is the stream's end."""
+        """Write the next of ``payloads`` and start its timer, now that the
+        ack of the one before is back at ``ack_at``; with none left, that is
+        the stream's end."""
         payload = next(payloads, None)
         if payload is None:
             ticket.ack_at = ack_at
             ticket.accepted.set(None)
         elif self.closed or self.peer is None or self.peer.closed:
-            ticket.accepted.set(ConnectionClosed(f"{self.name}: send on closed connection"))
+            ticket.accepted.set(self._closed_error())
         else:
-            self._book(ticket, payload, payloads)
-
-    def _book(self, ticket: StreamTicket, payload: bytes, payloads: Iterator[bytes]) -> None:
-        """Write ``payload`` and start its timer."""
-        if ticket.wire_start is None:
-            ticket.wire_start = self._loop.now
-        timer = self._loop.schedule(self.timeout, partial(self._time_out, ticket.accepted))
-        self._unacked.append((ticket, payloads, timer))
-        self._out_link.deliver(None, payload, self.peer._receive, self._loop.now)
+            if ticket.wire_start is None:
+                ticket.wire_start = self._loop.now
+            timer = self._loop.schedule(self.timeout, partial(self._time_out, ticket.accepted))
+            self._unacked.append((ticket, payloads, timer))
+            self._out_link.deliver(None, payload, self.peer._receive, self._loop.now)
 
     def _receive(self, key: str, payload: bytes) -> None:
         self._out_link.deliver(None, b"", self.peer._acked, self._loop.now)
@@ -299,7 +296,7 @@ class SocketSession(SessionEndpoint):
 
     def _time_out(self, gate: Gate) -> None:
         self.closed = self.peer.closed = True
-        gate.set(SendTimeout(f"{self.name}: no ack within {self.timeout}s"))
+        gate.set(self._timeout_error())
 
 
 def run_tcp_scenario(cfg: ScenarioConfig) -> RunResult:

@@ -49,7 +49,7 @@ from functools import partial
 from typing import Callable, Iterable, Optional
 
 from .domain import is_key_segment
-from .netsim import EventHandle, EventLoop, Gate, SimLink
+from .netsim import EventHandle, EventLoop, Gate, SimLink, Transmission
 
 # perfbench/tracer.py wraps this name on this module; nothing here calls it.
 from .netsim import spawn  # noqa: F401
@@ -200,33 +200,31 @@ class SessionEndpoint:
             ticket.accepted.set(None)
             return ticket
         if self.closed or self.peer is None or self.peer.closed:
-            ticket.accepted.set(ConnectionClosed(f"{self.name}: send on closed connection"))
+            ticket.accepted.set(self._closed_error())
             return ticket
-        link, now = self._out_link, self._loop.now
+        now = self._loop.now
         # The latest stream still books if a message after the one on the
         # link is left, or if that one was booked at an ack at or after now.
         stream = self._stream
         if stream is not None and stream.rest and (len(stream.rest) > 1 or stream.ack >= now):
             raise RuntimeError(f"{self.name}: a stream still books on this end")
-        payload = rest[0]
-        if link.arrival(len(payload), now) + link.params.latency - now > self.timeout:
-            self._close_on_timeout(ticket)
-            return ticket
         stream = _Stream(self, ticket, rest)
-        ticket.wire_start = link.deliver(None, payload, stream, now).wire_start
+        booked = stream.book(now)
+        if booked is None:
+            stream._end()
+            return ticket
+        ticket.wire_start = booked.wire_start
         if len(rest) > 1:
             self._stream = stream
         return ticket
 
-    def _close_on_timeout(self, ticket: StreamTicket) -> EventHandle:
-        """Close both ends now, as the next exchange of ``ticket``'s stream
-        would exceed the timeout; returns the event that fails the stream
-        one timeout later. This end's stream is not cut, so that a close at
-        this instant still reaches it."""
-        self.closed = True
-        self.peer._shut()
-        return self._loop.schedule(self.timeout, partial(
-            ticket.accepted.set, SendTimeout(f"{self.name}: no ack within {self.timeout}s")))
+    def _closed_error(self) -> ConnectionClosed:
+        """What a send of this end raises once either end is closed."""
+        return ConnectionClosed(f"{self.name}: send on closed connection")
+
+    def _timeout_error(self) -> SendTimeout:
+        """What a send of this end raises when an exchange exceeds the timeout."""
+        return SendTimeout(f"{self.name}: no ack within {self.timeout}s")
 
     def _receive(self, _key: Optional[str], payload: bytes) -> None:
         """Hand an arrived message to the handler unless this end is closed."""
@@ -235,10 +233,10 @@ class SessionEndpoint:
 
 
 class _Stream:
-    """One ``send_all`` after its call, as the chain of its acks: the link
-    hands this object each message in turn, and it passes the message on to
-    the receiving end and then books the next on the link at the message's
-    ack, or ends the stream there. ``rest`` holds the messages not yet
+    """One ``send_all`` as the chain of its acks: it books the first message
+    at the call, the link hands it each message in turn, and it passes the
+    message on to the receiving end and then books the next on the link at
+    the message's ack, or ends the stream there. ``rest`` holds the messages not yet
     delivered, the one on the link first, so that each delivered one is
     freed at once; ``ack`` is the ack instant of the latest delivery."""
 
@@ -266,13 +264,19 @@ class _Stream:
         self._booked = False
         ack = self.ack = self._loop.now + self._latency
         self._receiver._receive(key, payload)
-        if rest and not self._cut:
-            link, payload = self._link, rest[0]
-            if link.arrival(len(payload), ack) + self._latency - ack <= self._sender.timeout:
-                link.deliver(None, payload, self, ack)
-                self._booked = True
-                return
+        if rest and not self._cut and self.book(ack) is not None:
+            self._booked = True
+            return
         self._settle()
+
+    def book(self, at: float) -> Optional[Transmission]:
+        """Book the next message at ``at`` (the call for the first, the ack
+        of the one before for a later one) if its exchange, from ``at`` to
+        its ack, is within the timeout; returns its transmission, or None."""
+        link, payload = self._link, self.rest[0]
+        if link.arrival(len(payload), at) + self._latency - at > self._sender.timeout:
+            return None
+        return link.deliver(None, payload, self, at)
 
     def cut(self) -> None:
         """Apply a close at now: the stream fails at its first ack at or
@@ -303,16 +307,22 @@ class _Stream:
             self._loop.schedule_at(self.ack, self._end)
 
     def _end(self) -> None:
-        """At the ack of the last message delivered: succeed if none is
-        left, fail if the stream was cut, else time out."""
+        """At the ack of the last message delivered, or at the call if the
+        first is not booked: succeed if none is left, fail if the stream was
+        cut, else time out. A timeout closes both ends now and fails the
+        stream one timeout later. The sender's stream is not cut, so that a
+        close at this instant still reaches it."""
         ticket, sender = self._ticket, self._sender
         if not self.rest:
             ticket.ack_at = self._loop.now
             ticket.accepted.set(None)
         elif self._cut:
-            ticket.accepted.set(ConnectionClosed(f"{sender.name}: send on closed connection"))
+            ticket.accepted.set(sender._closed_error())
         else:
-            self._timeout = sender._close_on_timeout(ticket)
+            sender.closed = True
+            sender.peer._shut()
+            self._timeout = self._loop.schedule(sender.timeout, partial(
+                ticket.accepted.set, sender._timeout_error()))
 
 
 def session_pair(loop: EventLoop, link_ab: SimLink, link_ba: SimLink,

@@ -1,11 +1,12 @@
 """Synthetic dataset generation and the three AI stage models.
 
-Detection is a ground-truth pass-through with a timed cost: the simulator
-evaluates system behavior, not model accuracy. Identification is a real
-cosine-similarity search over unit embeddings, and the cloud recognizer is a
-latency plus false-positive injection model calibrated through the scenario
-config. Sizes, probabilities and the face database come from a config that
-``domain.validate_config`` has passed, and are not checked again here.
+Detection is a timed cost whose outcome is the image's ground truth: the
+simulator evaluates system behavior, not model accuracy. Identification is a
+real cosine-similarity search over unit embeddings, and the cloud recognizer
+is a latency plus false-positive injection model calibrated through the
+scenario config. Sizes, probabilities and the face database come from a
+config that ``domain.validate_config`` has passed, and are not checked again
+here.
 
 All randomness flows through splitmix64 so runs replay identically on any
 platform. A generated record carries one 64-bit seed for its payload, drawn
@@ -50,7 +51,6 @@ import struct
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from enum import Enum
 from functools import cache
 from itertools import chain
 from typing import NamedTuple, Optional
@@ -223,28 +223,20 @@ def _gaussians(rng: Prng) -> list[float]:
     return values
 
 
-def random_unit_vector(rng: Prng) -> EmbeddingVec:
-    values = _gaussians(rng)
-    norm = math.sqrt(math.fsum(v * v for v in values))
-    return EmbeddingVec(tuple(v / norm for v in values))
-
-
-def perturbed_copy(base: EmbeddingVec, rng: Prng) -> EmbeddingVec:
-    values = [v + _PERTURB_SCALE * g for v, g in zip(base.values, _gaussians(rng))]
-    norm = math.sqrt(math.fsum(v * v for v in values))
-    return EmbeddingVec(tuple(v / norm for v in values))
-
-
 def draw_embedding(rng: Prng, base: Optional[EmbeddingVec]) -> EmbeddingVec:
     """The next embedding of ``rng``: a perturbed copy of ``base``, or a
-    fresh random unit vector if ``base`` is None."""
-    return random_unit_vector(rng) if base is None else perturbed_copy(base, rng)
+    fresh random unit vector if ``base`` is None, normalized to unit length."""
+    values = _gaussians(rng)
+    if base is not None:
+        values = [v + _PERTURB_SCALE * g for v, g in zip(base.values, values)]
+    norm = math.sqrt(math.fsum(v * v for v in values))
+    return EmbeddingVec(tuple(v / norm for v in values))
 
 
 def make_face_db(seed: int, size: int) -> FaceDatabase:
     rng = Prng(substream(seed, 101))
     entries = tuple(
-        (PersonId(i, f"Person {i}"), random_unit_vector(rng)) for i in range(size)
+        (PersonId(i, f"Person {i}"), draw_embedding(rng, None)) for i in range(size)
     )
     return FaceDatabase(entries)
 
@@ -301,24 +293,15 @@ def cosine(a: EmbeddingVec, b: EmbeddingVec) -> float:
     return total
 
 
-class DetectionResult(NamedTuple):
-    face_found: bool
-    t_quality: float
-    t_infer1: float
-    t_infer2: float
-    t_total: float
-
-
-def detection_for(image: ImageRecord, durations: StageDurations,
-                  jitter_factor: float = 1.0) -> DetectionResult:
-    """Outcome and cost of the far-edge detection stage for one image. The
-    caller books the core for ``t_total``, the sum of the three stages in
-    their order; ``face_found`` passes the ground truth through."""
+def detection_for(durations: StageDurations,
+                  jitter_factor: float = 1.0) -> tuple[float, float, float, float]:
+    """Cost of the far-edge detection stage for one image: its quality,
+    first and second inference stages, then their total, the sum in their
+    order, for which the caller books the core."""
     t_quality = durations.t_quality * jitter_factor
     t_infer1 = durations.t_infer1 * jitter_factor
     t_infer2 = durations.t_infer2 * jitter_factor
-    return DetectionResult(image.has_face, t_quality, t_infer1, t_infer2,
-                           (t_quality + t_infer1) + t_infer2)
+    return t_quality, t_infer1, t_infer2, (t_quality + t_infer1) + t_infer2
 
 
 @dataclass(frozen=True)
@@ -351,28 +334,25 @@ def identify(embedding: EmbeddingVec, db: FaceDatabase, threshold: float,
     )
 
 
-class CloudOutcome(Enum):
-    MATCH = "MATCH"
-    NO_MATCH = "NO_MATCH"
+class CloudVerdict(NamedTuple):
+    """The cloud recognizer's verdict, in ``ResultMessage``'s field order
+    after its image id and origin."""
 
-
-@dataclass(frozen=True)
-class CloudResult:
-    outcome: CloudOutcome
+    recognized: bool
     label: Optional[str]
     is_false_positive: bool
 
 
-def cloud_recognize(person: Optional[PersonId], fp_rate: float, rng: Prng) -> CloudResult:
+def cloud_recognize(person: Optional[PersonId], fp_rate: float, rng: Prng) -> CloudVerdict:
     """Simulated large-scale recognizer for one face: a known ``person``
     resolves correctly; an unknown face (``person`` None) draws exactly one
     rng sample and is mislabeled as some celebrity with probability
     ``fp_rate``."""
     if person is not None:
-        return CloudResult(CloudOutcome.MATCH, person.label, False)
+        return CloudVerdict(True, person.label, False)
     u = rng.uniform()
     if fp_rate > 0.0 and u < fp_rate:
         index = min(int(u / fp_rate * len(CELEBRITY_LABELS)),
                     len(CELEBRITY_LABELS) - 1)
-        return CloudResult(CloudOutcome.MATCH, CELEBRITY_LABELS[index], True)
-    return CloudResult(CloudOutcome.NO_MATCH, None, False)
+        return CloudVerdict(True, CELEBRITY_LABELS[index], True)
+    return CloudVerdict(False, None, False)

@@ -170,7 +170,7 @@ def test_c2_pipeline_analytic_equivalence():
                     oracle = _enumeration_oracle(t_io, t_ai, n, cap=4)
                     worst = max(worst, abs(oracle - closed_form))
                 run = run_scenario(_analytic_cfg(t_io, t_ai, n, True))
-                worst = max(worst, abs(run.wall - closed_form))
+                worst = max(worst, abs(run.summary.total_runtime - closed_form))
                 cases += 1
     ok = worst <= 1e-9
     report("C2 pipeline analytic equivalence",

@@ -21,7 +21,7 @@ from continuumsim.domain import (
     validate_config,
 )
 from continuumsim.presets import base_config
-from continuumsim.workload import Prng, perturbed_copy, random_unit_vector
+from continuumsim.workload import Prng, draw_embedding
 
 
 def test_default_47_image_config_is_valid():
@@ -255,12 +255,12 @@ def test_image_record_invariants():
     unknown = ImageRecord("x", 5, 1, 1, 1, ImageFormat.PNG, has_face=True,
                           embedding_seed=(9, None))
     assert unknown.ground_truth is None
-    assert unknown.embedding == random_unit_vector(Prng(9))
+    assert unknown.embedding == draw_embedding(Prng(9), None)
     # A known face's embedding is a perturbed copy of the person's vector,
     # made anew on each read.
     known = ImageRecord("x", 5, 1, 1, 1, ImageFormat.PNG, has_face=True,
                         ground_truth=PersonId(0, "a"), embedding_seed=(9, _unit(0)))
-    assert known.embedding == perturbed_copy(_unit(0), Prng(9))
+    assert known.embedding == draw_embedding(Prng(9), _unit(0))
     assert known.embedding is not known.embedding
 
 

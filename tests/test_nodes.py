@@ -17,6 +17,7 @@ from continuumsim.chunkwire import MalformedJson, UnknownField, UploadRejected
 from continuumsim.domain import (
     EMBEDDING_DIM,
     EmbeddingVec,
+    ImageFormat,
     ImageRecord,
     LinkParams,
     ScenarioConfig,
@@ -76,7 +77,7 @@ def no_upload_config(t_io, t_ai, n, parallelism) -> ScenarioConfig:
 
 def test_sequential_runtime_is_exactly_n_times_per_image_cost():
     r = run_scenario(no_upload_config(t_io=0.25, t_ai=0.5, n=8, parallelism=False))
-    assert r.wall == pytest.approx(8 * 0.75, abs=1e-12)
+    assert r.summary.total_runtime == pytest.approx(8 * 0.75, abs=1e-12)
     assert r.summary.core0_util == 0.0  # sequential baseline leaves core 0 idle
     assert r.summary.core1_util == pytest.approx(1.0)
 
@@ -89,7 +90,7 @@ def test_sequential_image_waits_for_its_read_and_its_detection(t_io, t_ai):
     r = run_scenario(no_upload_config(t_io, t_ai, 8, parallelism=False))
     step = t_io + t_ai
     assert [rec.completion_s for rec in r.records] == [(k + 1) * step for k in range(8)]
-    assert r.wall == (8 * step if step else 1e-9)
+    assert r.summary.total_runtime == (8 * step if step else 1e-9)
     assert r.summary.core1_util == (1.0 if step else 0.0)
 
 
@@ -106,7 +107,7 @@ def test_parallel_worker_waits_once_for_detection_and_handoff(t_io, t_ai, ends):
                   parallel_handoff_s=0.125)
     r = run_scenario(cfg)
     assert [rec.completion_s for rec in r.records] == ends
-    assert r.wall == ends[-1]
+    assert r.summary.total_runtime == ends[-1]
 
 
 def pipeline_oracle(t_io, t_ai, n, cap):
@@ -134,13 +135,13 @@ def test_parallel_runtime_matches_enumeration_oracle_and_closed_form(t_io, t_ai)
         oracle = pipeline_oracle(t_io, t_ai, n, cap=4)
         closed_form = t_io + t_ai + (n - 1) * max(t_io, t_ai)
         assert oracle == pytest.approx(closed_form, abs=1e-9)
-        assert r.wall == pytest.approx(closed_form, abs=1e-9)
+        assert r.summary.total_runtime == pytest.approx(closed_form, abs=1e-9)
 
 
 def test_parallel_runtime_with_queue_capacity_one():
     cfg = replace(no_upload_config(2.0, 0.5, 6, parallelism=True), queue_capacity=1)
     r = run_scenario(cfg)
-    assert r.wall == pytest.approx(pipeline_oracle(2.0, 0.5, 6, cap=1), abs=1e-9)
+    assert r.summary.total_runtime == pytest.approx(pipeline_oracle(2.0, 0.5, 6, cap=1), abs=1e-9)
 
 
 def test_parallelism_never_hurts():
@@ -152,7 +153,7 @@ def test_parallelism_never_hurts():
         for transport in (TransportKind.PUBSUB, TransportKind.BLOCKING_SESSION):
             seq = run_scenario(tiny_config(transport, False, n, t_io, t_ai))
             par = run_scenario(tiny_config(transport, True, n, t_io, t_ai))
-            assert par.wall <= seq.wall + 1e-9
+            assert par.summary.total_runtime <= seq.summary.total_runtime + 1e-9
 
 
 def test_pubsub_never_slower_than_blocking_session():
@@ -160,7 +161,7 @@ def test_pubsub_never_slower_than_blocking_session():
         blocking = run_scenario(tiny_config(TransportKind.BLOCKING_SESSION,
                                             parallelism, n=5))
         pubsub = run_scenario(tiny_config(TransportKind.PUBSUB, parallelism, n=5))
-        assert pubsub.wall <= blocking.wall + 1e-9
+        assert pubsub.summary.total_runtime <= blocking.summary.total_runtime + 1e-9
 
 
 def _run_counting_events(cfg, monkeypatch):
@@ -464,7 +465,7 @@ def test_no_face_images_are_skipped_after_detection_cost():
     cfg = tiny_config(n=5, cloud=True, face_prob=0.0)
     r = run_scenario(cfg)
     assert all(rec.origin == "none" and rec.t_upload == 0.0 for rec in r.records)
-    assert r.wall == pytest.approx(5 * 0.5, abs=1e-9)
+    assert r.summary.total_runtime == pytest.approx(5 * 0.5, abs=1e-9)
 
 
 def test_cloud_rtt_strictly_exceeds_edge_rtt():
@@ -668,7 +669,10 @@ def test_presigned_grants_are_single_use_and_expire():
     loop = EventLoop()
     cfg = tiny_config(n=1, cloud=True, grant_ttl_s=10.0)
     replies = []
-    cloud = CloudService(loop, cfg, dict.fromkeys(["imgA", "imgB", "imgC", "imgZ"]),
+    images = {image_id: ImageRecord(image_id, 0, 1, 1, 1, ImageFormat.PNG, True,
+                                    embedding_seed=(0, None))
+              for image_id in ("imgA", "imgB", "imgC", "imgZ")}
+    cloud = CloudService(loop, cfg, images,
                          send_to_edge=lambda _id, data: replies.append(json.loads(data)))
 
     def grant(image_id):

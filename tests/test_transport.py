@@ -1,5 +1,6 @@
 import heapq
 import itertools
+import math
 from collections import Counter, deque
 from functools import partial
 import re
@@ -459,6 +460,28 @@ def test_send_all_times_out_like_a_loop_of_send_and_delivers_nothing_after():
     # sender resumes and sends again inside that delivery, and the failure
     # of the third send, which closes both ends at its call: 1 + 2 + 1.
     assert (executed, loop_executed) == (1 + 2 + 1, 1 + 2 + 1)
+
+
+@pytest.mark.parametrize("stream", [True, False], ids=["stream", "loop_of_send"])
+@pytest.mark.parametrize("sizes,arrivals,last_ack", [
+    ([8], [1.25], 0.0), ([4, 8], [0.75, 2.25], 1.0)], ids=["first", "later"])
+def test_an_exchange_of_exactly_the_timeout_books_and_one_past_it_times_out(
+        sizes, arrivals, last_ack, stream):
+    # Dyadic sizes, latency and bandwidth keep every instant exact. The
+    # last message's exchange, 1.0 s on the wire and two latencies of
+    # 0.25 s, is 1.5 s; a message of 4 bytes before it takes 1.0 s, and its
+    # ack is back at ``last_ack``.
+    got, outcome, _ = _blocking_run(stream, sizes, latency=0.25, bandwidth=8.0, timeout=1.5)
+    assert [t for t, _data in got] == arrivals
+    assert outcome == [(last_ack + 1.5, (0.0, last_ack + 1.5))]
+    # One ulp less: that message is not booked, both ends close when the
+    # ack before it is back (at once for the first) and the gate raises one
+    # timeout after that instant.
+    timeout = math.nextafter(1.5, 0.0)
+    got, outcome, _ = _blocking_run(stream, sizes, latency=0.25, bandwidth=8.0,
+                                    timeout=timeout)
+    assert [t for t, _data in got] == arrivals[:-1]
+    assert outcome == [(last_ack + timeout, SendTimeout)]
 
 
 def _pubsub_run(stream, payloads, capacity=1, second_route=False, at=None):

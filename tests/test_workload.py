@@ -1,23 +1,23 @@
 import hashlib
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 from continuumsim import workload
+from continuumsim.chunkwire import ResultMessage
 from continuumsim.domain import EMBEDDING_DIM, EmbeddingVec, FaceDatabase, PersonId
 from continuumsim.workload import (
     CELEBRITY_LABELS,
-    CloudOutcome,
+    CloudVerdict,
     Prng,
     cloud_recognize,
     cosine,
     detection_for,
+    draw_embedding,
     generate_dataset,
     identify,
     make_face_db,
-    perturbed_copy,
-    random_unit_vector,
     substream,
 )
 from continuumsim.nodes import build_dataset
@@ -140,9 +140,9 @@ def _eager_dataset(seed, n, face_prob, known_prob, db):
         if has_face:
             if rng.uniform() < known_prob:
                 ground_truth, base = db.entries[rng.randrange(len(db))]
-                embedding = perturbed_copy(base, rng)
+                embedding = draw_embedding(rng, base)
             else:
-                embedding = random_unit_vector(rng)
+                embedding = draw_embedding(rng, None)
         out.append((f"img{k:05d}", rng.u64(), has_face, ground_truth, _hex(embedding)))
     return out
 
@@ -189,7 +189,7 @@ def test_dataset_stream_with_an_extra_draw_matches_the_eager_draws(known_prob):
     seed = workload._unmix(s0) ^ GAMMA
     assert substream(seed, 1) == s0
     rng = Prng(s0 + 2 * GAMMA & MASK64)  # after the face and known draws
-    random_unit_vector(rng)
+    draw_embedding(rng, None)
     assert rng.state == s0 + (3 + EMBEDDING_DIM) * GAMMA & MASK64
     db = _db()
     lazy = generate_dataset(seed, 6, 1.0, known_prob, db, 16)
@@ -276,8 +276,8 @@ def test_cosine_identity_and_orthogonality():
 def test_cosine_against_high_precision_summation_oracle():
     rng = Prng(1234)
     for _ in range(100):
-        a = random_unit_vector(rng)
-        b = random_unit_vector(rng)
+        a = draw_embedding(rng, None)
+        b = draw_embedding(rng, None)
         oracle = math.fsum(x * y for x, y in zip(a.values, b.values))
         value = cosine(a, b)
         assert abs(value - oracle) <= 1e-12
@@ -317,12 +317,12 @@ def _scalar_vector(rng, base=None):
     1, 7, 2026], ids=["zero_first_u1", "zero_first_u2", "zero_last_u1", "zero_last_u2",
                       "seed_1", "seed_7", "seed_2026"])
 def test_embeddings_from_one_block_equal_the_scalar_box_muller(state):
-    base = random_unit_vector(Prng(99))
+    base = draw_embedding(Prng(99), None)
     rng, scalar = Prng(state), Prng(state)
-    assert _hex(random_unit_vector(rng)) == _hex(_scalar_vector(scalar))
+    assert _hex(draw_embedding(rng, None)) == _hex(_scalar_vector(scalar))
     assert rng.state == scalar.state
     rng, scalar = Prng(state), Prng(state)
-    assert _hex(perturbed_copy(base, rng)) == _hex(_scalar_vector(scalar, base))
+    assert _hex(draw_embedding(rng, base)) == _hex(_scalar_vector(scalar, base))
     assert rng.state == scalar.state
 
 
@@ -330,14 +330,14 @@ def test_an_embedding_takes_one_more_draw_when_a_u1_reads_zero():
     b = workload._unmix(7)
     for draw, extra in ((1, 1), (2, 0), (127, 1), (128, 0)):
         rng = Prng(b - draw * GAMMA & MASK64)
-        random_unit_vector(rng)
+        draw_embedding(rng, None)
         assert rng.state == b + (EMBEDDING_DIM + extra - draw) * GAMMA & MASK64
 
 
 def test_perturbed_copy_stays_close():
     rng = Prng(6)
-    base = random_unit_vector(rng)
-    copy = perturbed_copy(base, rng)
+    base = draw_embedding(rng, None)
+    copy = draw_embedding(rng, base)
     assert cosine(base, copy) > 0.9
 
 
@@ -355,42 +355,42 @@ def test_identify_tie_breaks_on_lowest_person_id():
 def test_identify_threshold_changes_recognition_not_selection():
     rng = Prng(44)
     db = _db()
-    probe = perturbed_copy(db.entries[2][1], rng)
+    probe = draw_embedding(rng, db.entries[2][1])
     low = identify(probe, db, 0.1, 1.0)
     high = identify(probe, db, 0.999, 1.0)
     assert low.best_person == high.best_person
     assert low.recognized and not high.recognized
 
 
-def test_detection_passes_ground_truth_through():
-    record = generate_dataset(1, 1, 1.0, 0.0, _db(), 32)[0]
+def test_detection_sums_its_stages_in_order():
     durations = paper_stage_durations()
-    det = detection_for(record, durations)
-    assert det.face_found
-    assert (det.t_quality, det.t_infer1, det.t_infer2) == (0.62, 0.52, 3.31)
+    det = detection_for(durations)
+    assert det[:3] == (0.62, 0.52, 3.31)
     # The stages add up in their order, as the summed total always did; at
     # 0.1, 0.2 and 0.3 s the two orders of the sum give different floats.
-    assert det.t_total == (0.62 + 0.52) + 3.31
-    odd = detection_for(record, replace(durations, t_quality=0.1, t_infer1=0.2, t_infer2=0.3))
-    assert odd.t_total == (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
-    with pytest.raises(AttributeError):
-        det.t_total = 0.0
-    with pytest.raises(AttributeError):
-        det.face_found = False
+    assert det[3] == (0.62 + 0.52) + 3.31
+    odd = detection_for(replace(durations, t_quality=0.1, t_infer1=0.2, t_infer2=0.3))
+    assert odd[3] == (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
+    with pytest.raises(TypeError):
+        det[3] = 0.0
 
 
 def test_detection_jitter_scales_all_stages():
-    record = generate_dataset(1, 1, 1.0, 0.0, _db(), 32)[0]
     durations = paper_stage_durations()
-    det = detection_for(record, durations, jitter_factor=0.92)
+    det = detection_for(durations, jitter_factor=0.92)
     stages = (durations.t_quality * 0.92, durations.t_infer1 * 0.92,
               durations.t_infer2 * 0.92)
-    assert (det.t_quality, det.t_infer1, det.t_infer2) == stages
-    assert det.t_total == (stages[0] + stages[1]) + stages[2]
-    with pytest.raises(AttributeError):
-        det.t_quality = 1.0
+    assert det[:3] == stages
+    assert det[3] == (stages[0] + stages[1]) + stages[2]
+    with pytest.raises(TypeError):
+        det[0] = 1.0
     # a 4.08 s observation sits inside the +-10% jitter band around 4.45
     assert 4.45 * 0.9 <= 4.08 <= 4.45 * 1.1
+
+
+def test_cloud_verdict_fields_are_those_of_a_result_after_its_origin():
+    # The cloud sends ``ResultMessage(image_id, "cloud", *verdict)``.
+    assert CloudVerdict._fields == tuple(f.name for f in fields(ResultMessage))[2:]
 
 
 def test_cloud_recognize_known_face_resolves_correctly():
@@ -399,7 +399,7 @@ def test_cloud_recognize_known_face_resolves_correctly():
     rng = Prng(0)
     state = rng.state
     verdict = cloud_recognize(record.ground_truth, 0.627, rng)
-    assert verdict.outcome is CloudOutcome.MATCH
+    assert verdict.recognized
     assert verdict.label == record.ground_truth.label
     assert not verdict.is_false_positive
     assert rng.state == state  # known faces draw nothing
@@ -410,7 +410,7 @@ def test_cloud_recognize_fp_rate_zero_never_matches_unknowns():
     rng = Prng(1)
     for _ in range(50):
         verdict = cloud_recognize(record.ground_truth, 0.0, rng)
-        assert verdict.outcome is CloudOutcome.NO_MATCH
+        assert not verdict.recognized
         assert verdict.label is None
 
 
