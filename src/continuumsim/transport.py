@@ -236,9 +236,9 @@ class _Stream:
     """One ``send_all`` as the chain of its acks: it books the first message
     at the call, the link hands it each message in turn, and it passes the
     message on to the receiving end and then books the next on the link at
-    the message's ack, or ends the stream there. ``rest`` holds the messages not yet
-    delivered, the one on the link first, so that each delivered one is
-    freed at once; ``ack`` is the ack instant of the latest delivery."""
+    the message's ack, or ends the stream there. ``rest`` holds the messages
+    not yet delivered, the one on the link first, so that each delivered one
+    is freed at once; ``ack`` is the ack instant of the latest delivery."""
 
     __slots__ = ("_sender", "_receiver", "_ticket", "_loop", "_link", "_latency", "rest",
                  "ack", "_booked", "_cut", "_timeout")
