@@ -15,8 +15,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from itertools import repeat
-from operator import attrgetter, is_, sub
+from itertools import repeat, tee
+from operator import attrgetter, is_, mul, sub
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -88,13 +88,13 @@ class RunSummary:
 
 
 def _sample_std(values: list[float], mean: float) -> float:
-    # Sample standard deviation (n-1); zero for a single observation. The
-    # maps square each deviation as ``(v - mean) ** 2`` does, looping in C.
+    # Sample standard deviation (n-1), zero for one value; squares are products,
+    # not pow, of deviations that ``tee`` hands out one at a time, in no list.
     n = len(values)
     if n < 2:
         return 0.0
-    var = math.fsum(map(pow, map(sub, values, repeat(mean)), repeat(2))) / (n - 1)
-    return var ** 0.5
+    deviations = tee(map(sub, values, repeat(mean)))
+    return math.sqrt(math.fsum(map(mul, *deviations)) / (n - 1))
 
 
 def _metric_values(records: list[MetricsRecord], metric: str) -> list[float]:

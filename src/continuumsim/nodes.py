@@ -171,7 +171,7 @@ class FarEdgeNode:
             if upload_end is not None:
                 t_upload = upload_end - start
         if result is None:
-            origin, recognized, label, is_fp = "none", False, None, False
+            origin, (recognized, label, is_fp) = "none", workload.NO_MATCH
         else:
             origin, recognized, label, is_fp = (result.origin, result.recognized,
                                                 result.label, result.is_false_positive)
@@ -390,7 +390,7 @@ class EdgeService:
             # The whole failed its checks, or one number is still discarded:
             # the sender never retransmits, so the transfer cannot complete.
             self._send_result(image_id, encode_result(
-                ResultMessage(image_id, "edge", False, None, False)))
+                ResultMessage(image_id, "edge", *workload.NO_MATCH)))
 
     def _serve_image(self, image_id: str, payload: bytes):
         cfg = self._cfg
@@ -412,7 +412,7 @@ class EdgeService:
         if result is None and self._cloud_send is not None:
             result = yield from self._cloud_flow(image_id, payload)
         if result is None:
-            result = ResultMessage(image_id, "edge", False, None, False)
+            result = ResultMessage(image_id, "edge", *workload.NO_MATCH)
         self._send_result(image_id, encode_result(result))
 
     def _cloud_flow(self, image_id: str, payload: bytes):
@@ -440,7 +440,7 @@ class EdgeService:
                     return verdict
         finally:
             handle.cancel()
-        return ResultMessage(image_id, "cloud", False, None, False)
+        return ResultMessage(image_id, "cloud", *workload.NO_MATCH)
 
     # A cloud reply that does not decode to a grant, a refusal or a result is
     # dropped and counted; its image then ends by the cloud timeout.

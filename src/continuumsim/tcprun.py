@@ -275,7 +275,7 @@ class SocketSession(SessionEndpoint):
         if payload is None:
             ticket.ack_at = ack_at
             ticket.accepted.set(None)
-        elif self.closed or self.peer is None or self.peer.closed:
+        elif self._either_end_closed():
             ticket.accepted.set(self._closed_error())
         else:
             if ticket.wire_start is None:

@@ -199,7 +199,7 @@ class SessionEndpoint:
         if not rest:
             ticket.accepted.set(None)
             return ticket
-        if self.closed or self.peer is None or self.peer.closed:
+        if self._either_end_closed():
             ticket.accepted.set(self._closed_error())
             return ticket
         now = self._loop.now
@@ -217,6 +217,10 @@ class SessionEndpoint:
         if len(rest) > 1:
             self._stream = stream
         return ticket
+
+    def _either_end_closed(self) -> bool:
+        """True if a send of this end fails at the call as closed."""
+        return self.closed or self.peer is None or self.peer.closed
 
     def _closed_error(self) -> ConnectionClosed:
         """What a send of this end raises once either end is closed."""

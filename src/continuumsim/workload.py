@@ -31,28 +31,16 @@ word, the only bits ``z >> 31`` reaches within one word. One little-endian
 A face record holds no embedding either, only the stream state where its
 draws start and, for a known face, the person's base vector; the
 ``embedding`` property makes the vector from them on each read. An
-embedding takes ``EMBEDDING_DIM`` draws, one per ``uniform()`` of
-Box-Muller, so ``generate_dataset`` skips it by adding ``EMBEDDING_DIM``
-gammas to the state. That holds unless a ``uniform()`` reads 0.0, when
-Box-Muller takes one more draw. It reads 0.0 exactly when the output word
-is below 2**11, and the finalizer is a bijection, so exactly 2,048 states
-``b`` do that. A stream that starts at ``s0`` reaches ``b`` at draw
-``(b - s0)/gamma mod 2**64``; ``_extra_draw_marks`` holds ``b/gamma`` for
-each of them, sorted, so one bisect per dataset tells whether any falls
-within the draws the dataset can use. If one does, the dataset makes each
-embedding to advance its stream and still stores only the start state, so
-that the property takes the same extra draw when it makes the vector again.
+embedding takes exactly ``EMBEDDING_DIM`` draws, so ``generate_dataset``
+skips it by adding ``EMBEDDING_DIM`` gammas to the state.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from array import array
-from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cache
-from itertools import chain
+from operator import add
 from typing import NamedTuple, Optional
 
 from .domain import (
@@ -69,15 +57,10 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-_TO_UNIT = 2.0 ** -53
-_GOLDEN_INV = pow(_GOLDEN, -1, 1 << 64)
-_MIX1_INV = pow(_MIX1, -1, 1 << 64)
-_MIX2_INV = pow(_MIX2, -1, 1 << 64)
-# An image takes at most this many draws when no uniform() reads 0.0: face,
-# known, person, its embedding and its payload seed.
-_DRAWS_PER_IMAGE = 4 + EMBEDDING_DIM
+_TO_UNIT = 1.1102230246251565e-16  # 2**-53
 _EMBEDDING_STEP = EMBEDDING_DIM * _GOLDEN & _MASK64
-_EMBEDDING_WORDS = struct.Struct(f"<{EMBEDDING_DIM}Q")
+_EMBEDDING_FIELDS = struct.Struct(f"<{4 * EMBEDDING_DIM}H")
+_FIELD_SUM_SCALE = 1.0 / math.sqrt((2**32 - 1) / 3)
 
 # Block constants for Prng.randbytes, 512 lanes of 128 bits: 1 in every
 # lane, the low 64 bits of every lane, gamma in every lane (the odd words'
@@ -106,41 +89,6 @@ def _mix(z: int) -> int:
     z = (z ^ (z >> 30)) * _MIX1 & _MASK64
     z = (z ^ (z >> 27)) * _MIX2 & _MASK64
     return z ^ (z >> 31)
-
-
-def _unshift(z: int, k: int) -> int:
-    """The inverse of ``z ^ (z >> k)`` on 64 bits."""
-    x = z
-    for _ in range(64 // k):
-        x = z ^ x >> k
-    return x
-
-
-def _unmix(z: int) -> int:
-    """The inverse of ``_mix``."""
-    z = _unshift(z, 31) * _MIX2_INV & _MASK64
-    z = _unshift(z, 27) * _MIX1_INV & _MASK64
-    return _unshift(z, 30)
-
-
-@cache
-def _extra_draw_marks() -> array:
-    """``b/gamma mod 2**64`` for each of the 2,048 states ``b`` whose output
-    is below 2**11, where ``uniform()`` reads 0.0, sorted: 16 KiB, built on
-    first use, not at import."""
-    return array("Q", sorted(_unmix(z) * _GOLDEN_INV & _MASK64 for z in range(1 << 11)))
-
-
-def _extra_draw_within(state: int, draws: int) -> bool:
-    """True iff one of the first ``draws`` draws of a stream at ``state``
-    lands on a state whose ``uniform()`` reads 0.0. Draw j lands on
-    ``state + j*gamma``, so that of mark t is ``(t - state/gamma) mod
-    2**64``, and the nearest mark above ``state/gamma`` gives the first."""
-    marks = _extra_draw_marks()
-    origin = state * _GOLDEN_INV & _MASK64
-    i = bisect_right(marks, origin)
-    first = marks[i] if i < len(marks) else marks[0] + (1 << 64)
-    return first - origin <= draws
 
 
 def _mix_lanes(z: int) -> int:
@@ -203,24 +151,13 @@ def substream(seed: int, tag: int) -> int:
 
 
 def _gaussians(rng: Prng) -> list[float]:
-    """The next ``EMBEDDING_DIM`` standard normal values of ``rng``, by
-    Box-Muller over its words read as ``uniform()`` reads them: a u1 and a
-    u2 give ``radius * cos(theta)``, then ``radius * sin(theta)``, and a u1
-    of 0.0 (a word below 2**11) takes the next word. The words come from
-    one ``randbytes`` block of ``EMBEDDING_DIM`` words, then, past it, from
-    ``u64()``."""
-    words = chain(_EMBEDDING_WORDS.unpack(rng.randbytes(8 * EMBEDDING_DIM)),
-                  iter(rng.u64, None))
-    values: list[float] = []
-    while len(values) < EMBEDDING_DIM:
-        u1 = (next(words) >> 11) * _TO_UNIT
-        if u1 <= 0.0:
-            continue
-        radius = math.sqrt(-2.0 * math.log(u1))
-        theta = 2.0 * math.pi * ((next(words) >> 11) * _TO_UNIT)
-        values.append(radius * math.cos(theta))
-        values.append(radius * math.sin(theta))
-    return values
+    """The next ``EMBEDDING_DIM`` standard values of ``rng``, one per word of
+    one ``randbytes`` block: the sum of its four 16-bit fields, minus their
+    mean 131,070, times ``1/sqrt((2**32 - 1)/3)`` (one over their standard
+    deviation). That is Irwin-Hall of order 4, discrete: mean 0, variance 1."""
+    fields = _EMBEDDING_FIELDS.unpack(rng.randbytes(8 * EMBEDDING_DIM))
+    sums = map(add, map(add, fields[0::4], fields[1::4]), map(add, fields[2::4], fields[3::4]))
+    return [(s - 131070) * _FIELD_SUM_SCALE for s in sums]
 
 
 def draw_embedding(rng: Prng, base: Optional[EmbeddingVec]) -> EmbeddingVec:
@@ -260,7 +197,6 @@ def generate_dataset(
     ``embedding`` is read, and no record keeps one.
     """
     rng = Prng(substream(seed, 1))
-    skip = not _extra_draw_within(rng.state, n * _DRAWS_PER_IMAGE)
     records = []
     for k in range(n):
         has_face = rng.uniform() < face_prob
@@ -271,10 +207,7 @@ def generate_dataset(
             if rng.uniform() < known_prob:
                 ground_truth, base = db.entries[rng.randrange(len(db))]
             embedding_seed = rng.state, base
-            if skip:
-                rng.state = rng.state + _EMBEDDING_STEP & _MASK64
-            else:
-                draw_embedding(rng, base)
+            rng.state = rng.state + _EMBEDDING_STEP & _MASK64
         # Payload bytes come from a per-image substream so identity draws do
         # not depend on payload size; the record makes them when read.
         # Positional, in field order: id, payload seed and size, width,
@@ -343,6 +276,9 @@ class CloudVerdict(NamedTuple):
     is_false_positive: bool
 
 
+NO_MATCH = CloudVerdict(False, None, False)
+
+
 def cloud_recognize(person: Optional[PersonId], fp_rate: float, rng: Prng) -> CloudVerdict:
     """Simulated large-scale recognizer for one face: a known ``person``
     resolves correctly; an unknown face (``person`` None) draws exactly one
@@ -355,4 +291,4 @@ def cloud_recognize(person: Optional[PersonId], fp_rate: float, rng: Prng) -> Cl
         index = min(int(u / fp_rate * len(CELEBRITY_LABELS)),
                     len(CELEBRITY_LABELS) - 1)
         return CloudVerdict(True, CELEBRITY_LABELS[index], True)
-    return CloudVerdict(False, None, False)
+    return NO_MATCH

@@ -147,3 +147,18 @@ def test_every_draw_ends_with_the_two_configs_that_close_a_session_mid_upload(tm
     assert diffcheck._failures(runs, [doc["transport"] for doc in docs[3:]], distances) == {
         "BLOCKING_SESSION": {"session-a: send on closed connection": [2, 2]},
     }
+
+
+def test_configs_not_equal_are_counted_by_each_part_that_differs():
+    # A config counts once under each part in which its runs differ; the
+    # four parts are listed even when no config differs in one, and a run
+    # that raised adds its own part.
+    run = {"records": [], "summary": {}, "failure": None, "dataset": [["img00000"]]}
+    moved = {**run, "dataset": [["img00001"]]}
+    later = {**moved, "records": [{"rtt": "0x1.0p+0"}], "summary": {"n": 1}}
+    runs = [(run, run), (run, moved), (run, later), (run, {"raised": "ValueError: x"})]
+    assert diffcheck._parts(runs, [1, 2]) == {
+        "records": 1, "summary": 1, "failure": 0, "dataset": 2}
+    assert diffcheck._parts(runs, [0]) == dict.fromkeys(diffcheck.PARTS, 0)
+    assert diffcheck._parts(runs, [3]) == {
+        "records": 1, "summary": 1, "failure": 0, "dataset": 1, "raised": 1}

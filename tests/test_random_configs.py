@@ -58,6 +58,10 @@ def random_config(rng: Prng) -> ScenarioConfig:
     def duration(top: float = 1.0) -> float:
         return 0.0 if rng.randrange(4) == 0 else top * rng.uniform()
 
+    # ``2e7 ** u`` here and ``10 ** (9 * u)`` below call libm ``pow``, so a
+    # config may differ by an ulp on another libm. They stay as they are:
+    # an exact draw would move the configs pinned by index (1064 and 1437
+    # of _edge_close_config, and tools/diffcheck.py's EDGE_CLOSES).
     def bandwidth() -> float:  # log-uniform, 50 B/s to 1 GB/s
         return 50.0 * (2e7 ** rng.uniform())
 

@@ -151,52 +151,6 @@ GAMMA = 0x9E3779B97F4A7C15
 MASK64 = 2**64 - 1
 
 
-def test_extra_draw_marks_are_the_states_where_uniform_reads_zero():
-    marks = workload._extra_draw_marks()
-    assert len(set(marks)) == len(marks) == 2048
-    assert list(marks) == sorted(marks)
-    for mark in marks:
-        assert workload._mix(mark * GAMMA & MASK64) < 2**11
-    for z in (0, 7, 2**11 - 1, 2**63 + 5, MASK64):
-        assert workload._mix(workload._unmix(z)) == z
-
-
-def test_extra_draw_guard_counts_draws_from_the_stream_state():
-    b = workload._unmix(7)
-    s0 = b - 5 * GAMMA & MASK64  # the fifth draw from s0 lands on b
-    assert workload._extra_draw_within(s0, 5)
-    assert not workload._extra_draw_within(s0, 4)
-    assert not workload._extra_draw_within(b, 1)  # b itself is no draw of its stream
-    # A stream past the largest mark first meets the smallest, 2**64 later.
-    marks = workload._extra_draw_marks()
-    state = (marks[-1] + 1) * GAMMA & MASK64
-    first = marks[0] + 2**64 - marks[-1] - 1
-    assert workload._extra_draw_within(state, first)
-    assert not workload._extra_draw_within(state, first - 1)
-
-
-@pytest.mark.parametrize("known_prob", [0.0, 1.0])
-def test_dataset_stream_with_an_extra_draw_matches_the_eager_draws(known_prob):
-    # The dataset stream starts at s0, and its fifth draw outputs 7, below
-    # 2**11, so that uniform() reads 0.0. With no known face, that draw is
-    # the first embedding's second u1, and Box-Muller draws once more; with
-    # a known face it is a u2, and takes no extra draw. Either way the
-    # guard trips, and the lazy records must equal the eager draws bit for
-    # bit. Skipping EMBEDDING_DIM draws per embedding here would move every
-    # later state.
-    b = workload._unmix(7)
-    s0 = b - 5 * GAMMA & MASK64
-    seed = workload._unmix(s0) ^ GAMMA
-    assert substream(seed, 1) == s0
-    rng = Prng(s0 + 2 * GAMMA & MASK64)  # after the face and known draws
-    draw_embedding(rng, None)
-    assert rng.state == s0 + (3 + EMBEDDING_DIM) * GAMMA & MASK64
-    db = _db()
-    lazy = generate_dataset(seed, 6, 1.0, known_prob, db, 16)
-    assert [(r.id, r.payload_seed, r.has_face, r.ground_truth, _hex(r.embedding))
-            for r in lazy] == _eager_dataset(seed, 6, 1.0, known_prob, db)
-
-
 @pytest.mark.parametrize("seed", [1, 7, 2026])
 def test_dataset_skip_ahead_matches_the_eager_draws(seed):
     db = _db()
@@ -206,11 +160,11 @@ def test_dataset_skip_ahead_matches_the_eager_draws(seed):
 
 
 def test_dataset_embeddings_are_pinned():
-    # Both pins were computed when each record held its embedding. The
-    # start states are integers and hold on every platform. The vectors go
-    # through math.log, sin and cos, which come from the platform's libm
-    # and need not be correctly rounded, so their pin holds for one libm
-    # only; CI runs on ubuntu only.
+    # The states pin was computed when each record held its embedding. The
+    # floats pin was computed when the Gaussian draw became a sum of 16-bit
+    # fields (the draw before it called libm's log, sin and cos). Both hold
+    # on every platform: the states are integers, and each vector is made
+    # with correctly rounded operations only.
     _, dataset = build_dataset(base_config(seed=7))
     assert len(dataset) == 47 and all(r.has_face for r in dataset)
     states = ",".join(f"{r.embedding_seed[0]:016x}" for r in dataset)
@@ -218,7 +172,7 @@ def test_dataset_embeddings_are_pinned():
         "a8793e9a13440c20f0e872f78835e0f30bfe8c83430c25beb1b25a8c98dada85"
     floats = ",".join(v.hex() for r in dataset for v in r.embedding.values)
     assert hashlib.sha256(floats.encode()).hexdigest() == \
-        "accfe998b62739c8348f4e5363af946fdf2b45c75d333a4bfaee09dc0cf0abaa"
+        "0cd5c2aa92b07e7bf3450375a72f74039e3b451493eb67c28abc99d0278c0408"
 
 
 def test_dataset_identity_draws_do_not_depend_on_payload_size():
@@ -284,39 +238,36 @@ def test_cosine_against_high_precision_summation_oracle():
         assert -1.0 - 1e-9 <= value <= 1.0 + 1e-9
 
 
-def _scalar_gaussians(rng, n):
-    """``n`` values of the Gaussian draw each embedding used to make one at
-    a time: Box-Muller over ``uniform()``, a u1 of 0.0 drawn again, the
-    cosine value returned and the sine value kept for the next call."""
+def _scalar_gaussians(rng):
+    """The ``EMBEDDING_DIM`` values of an embedding, one ``u64()`` each: the
+    sum of the word's four 16-bit fields, centred and scaled to variance 1."""
     values = []
-    while len(values) < n:
-        u1 = rng.uniform()
-        while u1 <= 0.0:
-            u1 = rng.uniform()
-        u2 = rng.uniform()
-        radius = math.sqrt(-2.0 * math.log(u1))
-        theta = 2.0 * math.pi * u2
-        values += (radius * math.cos(theta), radius * math.sin(theta))
+    for _ in range(EMBEDDING_DIM):
+        word = rng.u64()
+        fields = sum(word >> shift & 0xFFFF for shift in (0, 16, 32, 48))
+        values.append((fields - 131070) * (1 / math.sqrt((2**32 - 1) / 3)))
     return values
 
 
 def _scalar_vector(rng, base=None):
-    gauss = _scalar_gaussians(rng, EMBEDDING_DIM)
+    gauss = _scalar_gaussians(rng)
     values = gauss if base is None else [
         v + workload._PERTURB_SCALE * g for v, g in zip(base.values, gauss)]
     norm = math.sqrt(math.fsum(v * v for v in values))
     return EmbeddingVec(tuple(v / norm for v in values))
 
 
-# The draw of an embedding's stream that outputs 7, below 2**11, where
-# uniform() reads 0.0: the first u1, the first u2, the last u1 (whose extra
-# draw comes after the block of EMBEDDING_DIM words) and the last u2; and
-# ordinary seeds, with no such draw.
-@pytest.mark.parametrize("state", [
-    *(workload._unmix(7) - draw * GAMMA & MASK64 for draw in (1, 2, 127, 128)),
-    1, 7, 2026], ids=["zero_first_u1", "zero_first_u2", "zero_last_u1", "zero_last_u2",
-                      "seed_1", "seed_7", "seed_2026"])
-def test_embeddings_from_one_block_equal_the_scalar_box_muller(state):
+# By draw: a state whose draw outputs the word 7, below 2**11 (three of its
+# four 16-bit fields are zero), at the first, second and last two draws of
+# an embedding.
+_WORD_7_STATES = {1: 0xF4077B0DBEBC73C0, 2: 0x55D001543F71F7AB,
+                  127: 0x14B991C11813616A, 128: 0x7682180798C8E555}
+
+
+@pytest.mark.parametrize("state", [*_WORD_7_STATES.values(), 1, 7, 2026],
+                         ids=[*(f"word7_at_draw{d}" for d in _WORD_7_STATES),
+                              "seed_1", "seed_7", "seed_2026"])
+def test_embeddings_from_one_block_equal_the_scalar_field_sums(state):
     base = draw_embedding(Prng(99), None)
     rng, scalar = Prng(state), Prng(state)
     assert _hex(draw_embedding(rng, None)) == _hex(_scalar_vector(scalar))
@@ -326,12 +277,25 @@ def test_embeddings_from_one_block_equal_the_scalar_box_muller(state):
     assert rng.state == scalar.state
 
 
-def test_an_embedding_takes_one_more_draw_when_a_u1_reads_zero():
-    b = workload._unmix(7)
-    for draw, extra in ((1, 1), (2, 0), (127, 1), (128, 0)):
-        rng = Prng(b - draw * GAMMA & MASK64)
-        draw_embedding(rng, None)
-        assert rng.state == b + (EMBEDDING_DIM + extra - draw) * GAMMA & MASK64
+def test_an_embedding_takes_exactly_embedding_dim_draws():
+    for draw, state in _WORD_7_STATES.items():
+        rng = Prng(state)
+        assert [rng.u64() for _ in range(draw)][-1] == 7
+    for state in (*_WORD_7_STATES.values(), 0, 1, MASK64):
+        for base in (None, draw_embedding(Prng(99), None)):
+            rng = Prng(state)
+            draw_embedding(rng, base)
+            assert rng.state == state + EMBEDDING_DIM * GAMMA & MASK64
+
+
+def test_gaussian_draw_has_mean_zero_and_unit_variance():
+    # Irwin-Hall of order 4, within sqrt(12) of 0; 25,600 values.
+    rng = Prng(3)
+    values = [v for _ in range(200) for v in workload._gaussians(rng)]
+    mean = math.fsum(values) / len(values)
+    var = math.fsum((v - mean) * (v - mean) for v in values) / (len(values) - 1)
+    assert abs(mean) < 0.03 and abs(var - 1.0) < 0.03
+    assert all(abs(v) <= math.sqrt(12.0) for v in values)
 
 
 def test_perturbed_copy_stays_close():

@@ -39,8 +39,12 @@ counts are printed, with the largest ulp distance among the configs within
 4 ulps, so that a reader can judge any other bound, how many of the equal
 configs return their records in another order, and the parts in which
 the first difference lies (the first different config, else the first
-within 4 ulps). After the counts, the runs that ended in a failure are
-listed for each transport, by failing end and kind (``session-a: no ack``,
+within 4 ulps). The configs that are not equal are also counted by each
+part in which they differ, ``records``, ``summary``, ``failure`` and
+``dataset``, so that a deliberate change to one part (every embedding's
+bits, say) reads apart from what it moves downstream. After the counts,
+the runs that ended in a failure are listed for each transport, by
+failing end and kind (``session-a: no ack``,
 ``session-b: send on closed connection``), each with how many of its
 configs were equal: a failure path with no config, or with none equal, was
 not compared against the parent. That config is written to ``diffcheck_first_diff.json`` in
@@ -67,6 +71,7 @@ ROOT = Path(__file__).resolve().parent.parent
 FIRST_DIFF = "diffcheck_first_diff.json"
 ULPS = 4  # the ulp distance still counted as within
 EDGE_CLOSES = (1064, 1437)  # the close-path configs of _edge_close_config at Prng(5)
+PARTS = ("records", "summary", "failure", "dataset")
 
 
 def _exact(value):
@@ -178,6 +183,23 @@ def _tally(runs: list[tuple[dict, dict]]) -> tuple[dict[int, float], list[int]]:
     return distances, reordered
 
 
+def _differing(x: dict, y: dict) -> list[str]:
+    """The parts of two runs that differ, such as ``records`` or
+    ``dataset``, sorted."""
+    return sorted(key for key in x.keys() | y.keys() if x.get(key) != y.get(key))
+
+
+def _parts(runs: list[tuple[dict, dict]], indices) -> dict[str, int]:
+    """For each part, how many of the pairs ``indices`` of ``runs`` differ
+    in it: ``records``, ``summary``, ``failure`` and ``dataset`` always, and
+    any other part (``raised``) in which one does."""
+    counts = dict.fromkeys(PARTS, 0)
+    for i in indices:
+        for part in _differing(*runs[i]):
+            counts[part] = counts.get(part, 0) + 1
+    return counts
+
+
 def _failure_kind(run: dict) -> str | None:
     """A run's failure as its failing end and kind, without the figures of
     its message (``session-a: no ack``), or None if it did not fail."""
@@ -271,6 +293,9 @@ def main(argv: list[str] | None = None) -> int:
           f"{len(runs) - len(distances)} equal ({len(reordered)} with their records "
           f"in another order), {len(within)} within {ULPS} ulps{widest}, "
           f"{len(differ)} differ")
+    if distances:
+        counts = ", ".join(f"{part} {n}" for part, n in _parts(runs, distances).items())
+        print(f"  configs not equal, by part that differs: {counts}")
     for transport, kinds in sorted(_failures(runs, [doc["transport"] for doc in docs],
                                              distances).items()):
         listed = "; ".join(f"{kind}: {n} ({equal} equal)"
@@ -279,8 +304,7 @@ def main(argv: list[str] | None = None) -> int:
     if not within and not differ:
         return 0
     first = (differ or within)[0]
-    x, y = runs[first]
-    parts = sorted(key for key in x.keys() | y.keys() if x.get(key) != y.get(key))
+    parts = _differing(*runs[first])
     Path(FIRST_DIFF).write_text(config_to_json(config_from_dict(docs[first])),
                                 encoding="utf-8")
     print(f"first difference: config {first}, in {', '.join(parts)}; written to {FIRST_DIFF}")
