@@ -14,19 +14,20 @@ the ASCII bytes "123456789".
 Every wire message is a compact JSON object (``encode_object``) whose
 ``msg_type`` names one of seven types: ``meta``, ``chunk`` and ``result``
 between far edge and edge, ``grant_request``, ``grant``, ``cloud_upload``
-and ``upload_rejected`` between edge and cloud. ``SCHEMAS`` holds each
-type's class and its fields in wire order with the JSON types each may
-take, and the one ``encode`` and the one general decoder, ``decode_json``,
-read it. ``decode_json`` parses a message once (``parse_object``), requires
-its type's exact key set (one set comparison; which key is missing or
-unknown is worked out only when that fails) and value types, requires its
-image id to be one pub/sub key segment (``domain.is_key_segment``, since
-the tiers publish under keys that end in it) and builds its class; anything
-else raises a ``ChunkError``. A JSON integer is an ``int``, never a float
-or a boolean; the non-JSON constants ``NaN``, ``Infinity`` and
-``-Infinity``, an integer over the interpreter's digit limit and input
-nested past the recursion limit are ``MalformedJson`` too. Each tier's
-handler is ``decode_as`` with the types it takes.
+and ``upload_rejected`` between edge and cloud. ``SCHEMAS`` maps each
+type to its class, whose constructor fields are the type's wire fields in
+order; each takes the JSON values of its annotation (``domain.JSON_TYPES``).
+The one ``encode`` and the one general decoder, ``decode_json``, read it.
+``decode_json`` parses a message once (``parse_object``, with
+``domain.read_json``), requires its type's exact key set (one set
+comparison; which key is missing or unknown is worked out only when that
+fails) and value types, requires its image id to be one pub/sub key segment
+(``domain.is_key_segment``, since the tiers publish under keys that end in
+it) and builds its class; anything else raises a ``ChunkError``. What
+``read_json`` refuses (not UTF-8, ``NaN``, an integer over the digit limit,
+deep nesting) is ``MalformedJson``. A JSON integer fills an ``int`` or
+``float`` field, a boolean only a ``bool`` one. Each tier's handler is
+``decode_as`` with the types it takes.
 
 ``read_chunk`` reads the one form the far edge writes, a chunk message in
 ``_CHUNK_TEMPLATE``'s canonical compact bytes, with one compiled pattern,
@@ -56,6 +57,7 @@ base64 text goes in as it is, because its alphabet (RFC 4648 §4:
 from __future__ import annotations
 
 import binascii
+import inspect
 import json
 import re
 from dataclasses import dataclass, field
@@ -63,7 +65,7 @@ from enum import Enum
 from operator import contains
 from typing import Callable, NamedTuple, Optional, Union
 
-from .domain import is_key_segment
+from .domain import JSON_TYPES, is_key_segment, read_json
 
 
 class ChunkError(Exception):
@@ -332,39 +334,26 @@ class ReassemblySession:
         return ReassemblyStatus.COMPLETE
 
 
-_STR, _INT, _BOOL = (str,), (int,), (bool,)
-
-# msg_type -> (class, ((field, JSON types), ...)). The fields are in wire
-# order, which is also the order of the class's constructor arguments, and
-# every type has an image id. Wire field names are part of the protocol
-# contract and must not drift.
-SCHEMAS = {
-    "meta": (TransferMetadata, (
-        ("image_id", _STR), ("total_bytes", _INT), ("total_chunks", _INT),
-        ("chunk_size_bytes", _INT), ("crc32_full", _INT), ("width_px", _INT),
-        ("height_px", _INT), ("format", _STR))),
-    "chunk": (ChunkEnvelope, (
-        ("image_id", _STR), ("seq", _INT), ("total_chunks", _INT),
-        ("payload_len", _INT), ("payload_b64", _STR), ("crc32_chunk", _INT))),
-    "result": (ResultMessage, (
-        ("image_id", _STR), ("origin", _STR), ("recognized", _BOOL),
-        ("label", (str, type(None))), ("is_false_positive", _BOOL))),
-    "grant_request": (GrantRequest, (("image_id", _STR),)),
-    "grant": (Grant, (
-        ("image_id", _STR), ("upload_token", _STR), ("expires_at", (int, float)))),
-    "cloud_upload": (CloudUpload, (
-        ("image_id", _STR), ("upload_token", _STR), ("payload_b64", _STR))),
-    "upload_rejected": (UploadRejected, (("image_id", _STR), ("reason", _STR))),
-}
+# msg_type -> class. A type's wire fields are its class's constructor
+# fields, in order, and each takes the JSON values of its annotation
+# (``domain.JSON_TYPES``); every type has an image id. Wire field names are
+# part of the protocol contract and must not drift.
+SCHEMAS = {"meta": TransferMetadata, "chunk": ChunkEnvelope, "result": ResultMessage,
+           "grant_request": GrantRequest, "grant": Grant, "cloud_upload": CloudUpload,
+           "upload_rejected": UploadRejected}
 
 
-def _decoding(cls: type, fields: tuple) -> tuple:
-    names = tuple(name for name, _ in fields)
-    return cls, names, frozenset(("msg_type",) + names), tuple(types for _, types in fields)
+def _decoding(cls: type) -> tuple:
+    params = inspect.signature(cls).parameters.values()
+    names = tuple(p.name for p in params)
+    # A NamedTuple's annotations are ForwardRefs of their text.
+    types = tuple(JSON_TYPES[getattr(p.annotation, "__forward_arg__", p.annotation)][1]
+                  for p in params)
+    return cls, names, frozenset(("msg_type",) + names), types
 
 
 # What ``decode_json`` reads off SCHEMAS by msg_type, and ``encode`` by class.
-_DECODING = {msg_type: _decoding(*schema) for msg_type, schema in SCHEMAS.items()}
+_DECODING = {msg_type: _decoding(cls) for msg_type, cls in SCHEMAS.items()}
 _ENCODING = {cls: (msg_type, names) for msg_type, (cls, names, _, _) in _DECODING.items()}
 
 # The chunk message in wire order. The image id is filled in already
@@ -424,23 +413,13 @@ def encode_upload(
     return messages
 
 
-def _reject_constant(name: str):
-    raise MalformedJson(f"{name} is not a JSON value")
-
-
-# ``json.loads`` would take NaN, Infinity and -Infinity (RFC 8259 §6 has
-# no such values).
-_JSON_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
-
-
 def parse_object(data: bytes) -> dict:
-    """The JSON object a wire message holds; ``MalformedJson`` if the bytes
-    are not UTF-8, not JSON, or not a JSON object."""
+    """The JSON object a wire message holds (``domain.read_json``);
+    ``MalformedJson`` if the bytes are not UTF-8, not JSON, or not a JSON
+    object."""
     try:
-        doc = _JSON_DECODER.decode(data.decode("utf-8"))
-    except (ValueError, RecursionError) as exc:
-        # ValueError covers bad UTF-8, bad JSON and an integer over
-        # sys.get_int_max_str_digits(); RecursionError, deep nesting.
+        doc = read_json(data)
+    except ValueError as exc:
         raise MalformedJson(str(exc)) from None
     if not isinstance(doc, dict):
         raise MalformedJson("wire message must be a JSON object")

@@ -15,7 +15,6 @@ import json
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
-from typing import Optional
 
 from .domain import (
     ConfigError,
@@ -23,7 +22,6 @@ from .domain import (
     TimeMode,
     TransportKind,
     config_from_json,
-    validate_config,
 )
 from .metrics import RunSummary, compare, emit_csv, emit_summary_json, summary_to_dict
 from .nodes import run_scenario, shared_datasets
@@ -75,33 +73,29 @@ def _apply_flags(cfg: ScenarioConfig, args: argparse.Namespace) -> ScenarioConfi
     return replace(cfg, **updates) if updates else cfg
 
 
-def _invalid(cfg: ScenarioConfig) -> bool:
-    """Print each rule of ``validate_config`` that ``cfg`` violates; True if any."""
-    check = validate_config(cfg)
-    if not check.ok:
-        print("error: " + "; ".join(check.violations), file=sys.stderr)
-    return not check.ok
-
-
-def _run_and_write(cfg: ScenarioConfig, out_dir: Path, label: str) -> Optional[RunSummary]:
+def _run_and_write(cfg: ScenarioConfig, out_dir: Path, label: str) -> RunSummary | int:
     """Run ``cfg`` and write its files to ``out_dir``. Returns the run's
-    summary, or None once it has printed why the run failed or its files
-    could not be written; nothing else of the run is kept."""
+    summary, or the exit code once it has printed why there is none: 2 if
+    ``cfg`` is not valid, 3 if the run failed or its files could not be
+    written. Nothing else of the run is kept."""
     try:
         result = run_scenario(cfg)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:  # noqa: BLE001 - surfaced as exit code
         print(f"error: {label}{exc}", file=sys.stderr)
-        return None
+        return 3
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         emit_csv(result.records, out_dir / "metrics.csv")
         emit_summary_json(result.summary, out_dir / "summary.json")
     except OSError as exc:
         print(f"error: {label}cannot write to {out_dir}: {exc}", file=sys.stderr)
-        return None
+        return 3
     if result.failure:
         print(f"error: {label}{result.failure}", file=sys.stderr)
-        return None
+        return 3
     return result.summary
 
 
@@ -166,11 +160,9 @@ def run(args: argparse.Namespace) -> int:
         summaries: dict[str, RunSummary] = {}
         for preset_run in preset.runs:
             cfg = _apply_flags(preset_run.config, args)
-            if _invalid(cfg):
-                return 2
             summary = _run_and_write(cfg, out_root / preset_run.name, f"{preset_run.name}: ")
-            if summary is None:
-                return 3
+            if isinstance(summary, int):
+                return summary
             summaries[preset_run.name] = summary
         comparison = _preset_comparison(preset.name, summaries, cfg.fp_rate)
         try:
@@ -183,7 +175,7 @@ def run(args: argparse.Namespace) -> int:
 
     if args.scenario:
         try:
-            cfg = config_from_json(Path(args.scenario).read_text(encoding="utf-8"))
+            cfg = config_from_json(Path(args.scenario).read_bytes())
         except OSError as exc:
             print(f"error: cannot read scenario file: {exc}", file=sys.stderr)
             return 2
@@ -192,10 +184,8 @@ def run(args: argparse.Namespace) -> int:
             return 2
     else:
         cfg = base_config()
-    cfg = _apply_flags(cfg, args)
-    if _invalid(cfg):
-        return 2
-    return 3 if _run_and_write(cfg, out_root, "") is None else 0
+    summary = _run_and_write(_apply_flags(cfg, args), out_root, "")
+    return summary if isinstance(summary, int) else 0
 
 
 def main(argv: list[str] | None = None) -> int:

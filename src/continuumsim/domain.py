@@ -273,11 +273,14 @@ class ConfigError(ValueError):
 
 
 _ENUM_FIELDS = {"transport": TransportKind, "time_mode": TimeMode}
-# The JSON values each scalar field type takes, by the type's name. A JSON
-# boolean is a Python int too, so only a bool field takes one.
-_JSON_TYPES = {"bool": ("true or false", (bool,)),
-               "int": ("an integer", (int,)),
-               "float": ("a number", (int, float))}
+# The JSON values a field takes, by its annotation: their name in an error
+# and their exact Python types. A JSON boolean is a Python int too, so only
+# a bool field takes one; a float field takes an integer.
+JSON_TYPES = {"bool": ("true or false", (bool,)),
+              "int": ("an integer", (int,)),
+              "float": ("a number", (int, float)),
+              "str": ("a string", (str,)),
+              "Optional[str]": ("a string or null", (str, type(None)))}
 _NESTED_FIELDS = {
     "stage_durations": StageDurations,
     "link_far_to_edge": LinkParams,
@@ -334,11 +337,11 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
         raise ConfigError(str(exc)) from None
 
 
-def _check_type(name: str, type_name: str, value: object) -> None:
-    """Raise ConfigError unless ``value`` is a JSON value of the kind a field
-    of type ``type_name`` takes."""
-    kind, accepted = _JSON_TYPES[type_name]
-    if isinstance(value, bool) != (type_name == "bool") or not isinstance(value, accepted):
+def _check_type(name: str, annotation: str, value: object) -> None:
+    """Raise ConfigError unless ``value`` is a JSON value that a field
+    annotated ``annotation`` takes (``JSON_TYPES``)."""
+    kind, accepted = JSON_TYPES[annotation]
+    if type(value) not in accepted:
         raise ConfigError(f"{name} must be {kind}, not {value!r}")
 
 
@@ -347,13 +350,28 @@ def config_to_json(cfg: ScenarioConfig) -> str:
 
 
 def _reject_constant(name: str):
-    raise ConfigError(f"invalid JSON: {name} is not a JSON value")
+    raise ValueError(f"{name} is not a JSON value")
 
 
-def config_from_json(text: str) -> ScenarioConfig:
+# ``json.loads`` would take NaN, Infinity and -Infinity (RFC 8259 §6 has
+# no such values).
+_JSON_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
+def read_json(data: bytes | str) -> object:
+    """The JSON value ``data`` holds, as UTF-8 if bytes: the one reader of
+    JSON from outside. Every failure is a ``ValueError``: not UTF-8, not JSON
+    (RFC 8259), ``NaN``, ``Infinity`` or ``-Infinity``, an integer over the
+    digit limit, nesting past the recursion limit."""
     try:
-        # ``json.loads`` alone would take NaN, Infinity and -Infinity.
-        doc = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+        return _JSON_DECODER.decode(data if isinstance(data, str) else data.decode("utf-8"))
+    except RecursionError as exc:
+        raise ValueError(str(exc)) from None
+
+
+def config_from_json(data: bytes | str) -> ScenarioConfig:
+    try:
+        doc = read_json(data)
+    except ValueError as exc:
         raise ConfigError(f"invalid JSON: {exc}") from None
     return config_from_dict(doc)

@@ -56,6 +56,7 @@ from .chunkwire import (
 # perfbench/tracer.py wraps; tcprun re-exports it with ``decode_result``.
 from .chunkwire import encode as encode_result
 from .domain import (
+    ConfigError,
     FaceDatabase,
     ImageRecord,
     ScenarioConfig,
@@ -596,10 +597,11 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
 
     VIRTUAL mode runs the tiers on the deterministic event loop over booked
     links; WALLCLOCK_TCP mode runs the same tiers on the loopback-TCP driver.
+    This is the one check of a run's config: ``ConfigError`` of its violations.
     """
     check = validate_config(cfg)
     if not check.ok:
-        raise ValueError("invalid scenario: " + "; ".join(check.violations))
+        raise ConfigError("; ".join(check.violations))
     if cfg.time_mode is TimeMode.WALLCLOCK_TCP:
         from .tcprun import run_tcp_scenario
         return run_tcp_scenario(cfg)

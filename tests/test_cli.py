@@ -1,3 +1,4 @@
+import csv
 import json
 from dataclasses import replace
 
@@ -7,6 +8,7 @@ from continuumsim import cli, nodes, workload
 from continuumsim.cli import main
 from continuumsim.domain import config_from_json, config_to_json
 from continuumsim.presets import PRESET_NAMES, base_config, build_preset
+from test_domain import UNREADABLE_SCENARIOS
 
 
 def run_cli(*argv) -> int:
@@ -87,6 +89,28 @@ def test_non_finite_scenario_value_exits_2(tmp_path, capsys):
     assert run_cli("--scenario", str(scenario), "--out", str(tmp_path / "o")) == 2
     assert "NaN is not a JSON value" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("data", UNREADABLE_SCENARIOS.values(), ids=UNREADABLE_SCENARIOS.keys())
+def test_scenario_file_that_is_not_json_exits_2(tmp_path, capsys, data):
+    scenario = tmp_path / "bad.json"
+    scenario.write_bytes(data)
+    assert run_cli("--scenario", str(scenario), "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid JSON: ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flag", ["on", "off"])
+def test_cloud_flag_overrides_the_scenario_file(tmp_path, flag):
+    # Every face is unknown, so each goes on to the cloud if it is on.
+    scenario = tmp_path / "s.json"
+    scenario.write_text(small_scenario_text(known_prob=0.0, cloud_enabled=flag == "off"))
+    out = tmp_path / "out"
+    assert run_cli("--scenario", str(scenario), "--cloud", flag, "--out", str(out)) == 0
+    with open(out / "metrics.csv", encoding="utf-8", newline="") as rows:
+        origins = [row["origin"] for row in csv.DictReader(rows)]
+    assert origins == (["cloud"] * 3 if flag == "on" else ["edge"] * 3)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -116,19 +116,36 @@ def test_a_dataset_is_compared_bit_for_bit():
 
 def test_failed_runs_are_listed_by_transport_end_and_kind():
     # A config counts under the failure of either of its runs, once per
-    # kind, and as equal if its two runs are; a transport with no failed
-    # run is listed empty.
+    # kind, as equal if its two runs are, and as the same failure if their
+    # failure parts are equal, whatever its other parts; a transport with
+    # no failed run is listed empty.
     timeout = {"failure": "session-a: no ack within 0.25s"}
     closed = {"failure": "session-a: send on closed connection"}
     ok = {"failure": None}
     runs = [(timeout, timeout), (timeout, dict(timeout)), (timeout, closed), (ok, ok),
-            ({"raised": "ValueError: x"}, {"raised": "ValueError: x"})]
-    transports = ["BLOCKING_SESSION"] * 4 + ["PUBSUB"]
-    assert diffcheck._failures(runs, transports, {2: math.inf}) == {
-        "BLOCKING_SESSION": {"session-a: no ack": [3, 2],
-                             "session-a: send on closed connection": [1, 0]},
-        "PUBSUB": {},
+            ({"raised": "ValueError: x"}, {"raised": "ValueError: x"}),
+            ({**timeout, "dataset": [["img00000"]]}, {**timeout, "dataset": [["img00001"]]})]
+    transports = ["BLOCKING_SESSION"] * 4 + ["PUBSUB"] * 2
+    assert diffcheck._failures(runs, transports, {2: math.inf, 5: math.inf}) == {
+        "BLOCKING_SESSION": {"session-a: no ack": [3, 2, 2],
+                             "session-a: send on closed connection": [1, 0, 0]},
+        "PUBSUB": {"session-a: no ack": [1, 0, 1]},
     }
+
+
+def test_a_change_to_datasets_alone_lists_every_failure_as_the_same():
+    # Every config's dataset differs and no failure does: the listing reads
+    # no config equal, and every one with the same failure.
+    timeout = {"failure": "session-a: no ack within 0.25s"}
+    runs = [({**timeout, "dataset": [["img00000"]]}, {**timeout, "dataset": [["img00001"]]}),
+            ({**timeout, "dataset": [["img00002"]]}, {**timeout, "dataset": [["img00003"]]})]
+    distances = {0: math.inf, 1: math.inf}
+    assert diffcheck._parts(runs, distances) == {
+        "records": 0, "summary": 0, "failure": 0, "dataset": 2}
+    kinds = diffcheck._failures(runs, ["BLOCKING_SESSION"] * 2, distances)["BLOCKING_SESSION"]
+    assert diffcheck._failure_line("BLOCKING_SESSION", kinds) == (
+        "  failed BLOCKING_SESSION runs: session-a: no ack: 2 (0 equal, 2 same failure)")
+    assert diffcheck._failure_line("PUBSUB", {}) == "  failed PUBSUB runs: none"
 
 
 def test_every_draw_ends_with_the_two_configs_that_close_a_session_mid_upload(tmp_path):
@@ -145,7 +162,7 @@ def test_every_draw_ends_with_the_two_configs_that_close_a_session_mid_upload(tm
     runs = [(json.loads(line), json.loads(line)) for line in out.read_text().splitlines()]
     distances, _reordered = diffcheck._tally(runs)
     assert diffcheck._failures(runs, [doc["transport"] for doc in docs[3:]], distances) == {
-        "BLOCKING_SESSION": {"session-a: send on closed connection": [2, 2]},
+        "BLOCKING_SESSION": {"session-a: send on closed connection": [2, 2, 2]},
     }
 
 

@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from continuumsim.chunkwire import MalformedJson, decode_json
 from continuumsim.domain import (
     ConfigError,
     EmbeddingVec,
@@ -210,6 +211,33 @@ def test_non_json_number_constant_is_a_config_error(constant):
     text = text.replace('"image_timeout_s": 120.0,', f'"image_timeout_s": {constant},')
     with pytest.raises(ConfigError, match=f"{constant} is not a JSON value"):
         config_from_json(text)
+
+
+def _spoiled(text: str) -> dict[str, bytes]:
+    """Copies of JSON document ``text``, whose ``"image_timeout_s"`` is
+    120.0, that are not JSON a reader may take: in UTF-16, not UTF-8; with
+    that value an integer of 5,001 digits, over the interpreter's digit
+    limit; and with it nested 100,000 deep, past the recursion limit."""
+    value = '"image_timeout_s": 120.0'
+    assert text.count(value) == 1
+    return {"utf16": text.encode("utf-16"),
+            "long_integer": text.replace(value, value[:-5] + "1" * 5001).encode(),
+            "deep_nesting": text.replace(
+                value, value[:-5] + "[" * 100_000 + "]" * 100_000).encode()}
+
+
+# Each of these once stopped the CLI with a traceback and exit status 1.
+UNREADABLE_SCENARIOS = _spoiled(config_to_json(base_config()))
+
+
+@pytest.mark.parametrize("data", UNREADABLE_SCENARIOS.values(), ids=UNREADABLE_SCENARIOS.keys())
+def test_a_file_that_is_not_json_is_a_config_error_as_a_wire_message_is_malformed(data):
+    # One reader refuses it on both sides, with the same text.
+    with pytest.raises(MalformedJson) as wire:
+        decode_json(data)
+    with pytest.raises(ConfigError) as err:
+        config_from_json(data)
+    assert str(err.value) == f"invalid JSON: {wire.value}"
 
 
 def test_embedding_must_be_unit_norm():

@@ -9,12 +9,12 @@ from functools import partial
 
 import pytest
 
-from continuumsim.domain import TimeMode, TransportKind
+from continuumsim.domain import LinkParams, TimeMode, TransportKind
 from continuumsim.nodes import run_scenario
 from continuumsim.presets import base_config
-from continuumsim.netsim import spawn
+from continuumsim.netsim import EventLoop, SimLink, spawn
 from continuumsim.tcprun import SocketSession, WallClock, run_tcp_scenario
-from continuumsim.transport import SendTimeout, session_pair
+from continuumsim.transport import ConnectionClosed, SendTimeout, SessionEndpoint, session_pair
 
 
 def tcp_config(transport, n=5, cloud=True, seed=7):
@@ -191,3 +191,47 @@ def test_one_pass_reads_every_connection_with_a_frame_in_flight():
         loop.close()
     assert sorted(log) == sorted(payloads + [b"cloud"])
     assert log.index(b"cloud") <= 1
+
+
+@pytest.fixture(params=[SessionEndpoint, SocketSession], ids=["sim", "socket"])
+def sessions(request):
+    """A session pair of the endpoint class of the param, on its own loop
+    and links, with every message that ``session-a`` puts on its link
+    logged: (loop, a, b, log, got), where ``got`` is what ``b`` receives."""
+    if request.param is SocketSession:
+        loop = WallClock()
+        links = loop.connect(0)
+    else:
+        loop = EventLoop()
+        links = SimLink(loop, LinkParams(0.01, 1000.0)), SimLink(loop, LinkParams(0.01, 1000.0))
+    a, b = session_pair(loop, *links, timeout=10.0, endpoint=request.param)
+    log, got = [], []
+    deliver = a._out_link.deliver
+    a._out_link.deliver = lambda key, payload, *rest: log.append(payload) or deliver(
+        key, payload, *rest)
+    b.on_message(got.append)
+    yield loop, a, b, log, got
+    if request.param is SocketSession:
+        loop.close()
+
+
+def test_a_send_of_no_message_resolves_at_once_and_delivers_nothing(sessions):
+    loop, a, _b, log, got = sessions
+    ticket = a.send_all(())
+    assert ticket.accepted.is_set and ticket.accepted.value is None
+    assert ticket.wire_start is None and ticket.ack_at is None
+    loop.run()
+    assert log == [] and got == []
+
+
+def test_a_send_with_the_peer_closed_fails_at_the_call_and_writes_nothing(sessions):
+    loop, a, b, log, got = sessions
+    b.close()
+    ticket = a.send_all((b"data",))
+    assert ticket.accepted.is_set
+    error = ticket.accepted.value
+    assert type(error) is ConnectionClosed
+    assert str(error) == "session-a: send on closed connection"
+    loop.run()
+    assert log == [] and got == []
+    assert ticket.wire_start is None

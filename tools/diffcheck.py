@@ -46,8 +46,10 @@ bits, say) reads apart from what it moves downstream. After the counts,
 the runs that ended in a failure are listed for each transport, by
 failing end and kind (``session-a: no ack``,
 ``session-b: send on closed connection``), each with how many of its
-configs were equal: a failure path with no config, or with none equal, was
-not compared against the parent. That config is written to ``diffcheck_first_diff.json`` in
+configs were equal and how many had an equal ``failure`` part: a failure
+path with no config, or with no equal failure, was not compared against
+the parent, and one whose configs differ only in other parts (a change to
+datasets, say) still fails the same way. That config is written to ``diffcheck_first_diff.json`` in
 the current directory with ``config_to_json``, so that
 ``continuumsim --scenario`` replays it.
 Exit status: 0 if every config is equal, 1 if one is not, 2 if a tree
@@ -212,15 +214,25 @@ def _failure_kind(run: dict) -> str | None:
 def _failures(runs: list[tuple[dict, dict]], transports: list[str],
               distances: dict[int, float]) -> dict[str, dict[str, list[int]]]:
     """Per transport, the failure kinds of ``runs`` (of either tree), each
-    with its count of configs and how many of those are equal; each
-    transport of ``transports`` is listed, if only with no kind."""
+    with its count of configs, how many of those are equal and how many
+    have an equal ``failure`` part; each transport of ``transports`` is
+    listed, if only with no kind."""
     table: dict[str, dict[str, list[int]]] = {transport: {} for transport in transports}
     for i, (pair, transport) in enumerate(zip(runs, transports)):
         for kind in sorted({_failure_kind(run) for run in pair} - {None}):
-            counts = table[transport].setdefault(kind, [0, 0])
+            counts = table[transport].setdefault(kind, [0, 0, 0])
             counts[0] += 1
             counts[1] += i not in distances
+            counts[2] += pair[0].get("failure") == pair[1].get("failure")
     return table
+
+
+def _failure_line(transport: str, kinds: dict[str, list[int]]) -> str:
+    """The line that lists the failure kinds of one transport, as
+    ``_failures`` counts them."""
+    listed = "; ".join(f"{kind}: {n} ({equal} equal, {same} same failure)"
+                       for kind, (n, equal, same) in sorted(kinds.items()))
+    return f"  failed {transport} runs: {listed or 'none'}"
 
 
 def _draw(seed: int, count: int) -> list[dict]:
@@ -298,9 +310,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  configs not equal, by part that differs: {counts}")
     for transport, kinds in sorted(_failures(runs, [doc["transport"] for doc in docs],
                                              distances).items()):
-        listed = "; ".join(f"{kind}: {n} ({equal} equal)"
-                           for kind, (n, equal) in sorted(kinds.items()))
-        print(f"  failed {transport} runs: {listed or 'none'}")
+        print(_failure_line(transport, kinds))
     if not within and not differ:
         return 0
     first = (differ or within)[0]
