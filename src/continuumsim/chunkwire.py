@@ -57,10 +57,9 @@ base64 text goes in as it is, because its alphabet (RFC 4648 §4:
 from __future__ import annotations
 
 import binascii
-import inspect
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from operator import contains
 from typing import Callable, NamedTuple, Optional, Union
@@ -344,11 +343,15 @@ SCHEMAS = {"meta": TransferMetadata, "chunk": ChunkEnvelope, "result": ResultMes
 
 
 def _decoding(cls: type) -> tuple:
-    params = inspect.signature(cls).parameters.values()
-    names = tuple(p.name for p in params)
-    # A NamedTuple's annotations are ForwardRefs of their text.
-    types = tuple(JSON_TYPES[getattr(p.annotation, "__forward_arg__", p.annotation)][1]
-                  for p in params)
+    # The constructor fields and their annotations: a NamedTuple's fields,
+    # whose annotations are ForwardRefs of their text, or a dataclass's
+    # init fields.
+    if hasattr(cls, "_fields"):
+        params = [(n, cls.__annotations__[n]) for n in cls._fields]
+    else:
+        params = [(f.name, f.type) for f in fields(cls) if f.init]
+    names = tuple(name for name, _ in params)
+    types = tuple(JSON_TYPES[getattr(a, "__forward_arg__", a)][1] for _, a in params)
     return cls, names, frozenset(("msg_type",) + names), types
 
 
