@@ -248,13 +248,6 @@ def fragment(
         for seq, (length, b64, crc) in enumerate(_chunks(payload, chunk_size))]
 
 
-class ReassemblyState(Enum):
-    AWAITING = "AWAITING"
-    INCOMPLETE = "INCOMPLETE"
-    COMPLETE = "COMPLETE"
-    FAILED = "FAILED"
-
-
 class ReassemblyStatus(Enum):
     ACCEPTED = "ACCEPTED"
     DUPLICATE = "DUPLICATE"
@@ -268,8 +261,7 @@ class ReassemblyStatus(Enum):
 
 
 # Read per chunk: a member read through its enum class costs 0.2 us on 3.11.
-_INCOMPLETE, _COMPLETE = ReassemblyState.INCOMPLETE, ReassemblyState.COMPLETE
-_FAILED, _ACCEPTED = ReassemblyState.FAILED, ReassemblyStatus.ACCEPTED
+_ACCEPTED = ReassemblyStatus.ACCEPTED
 
 
 @dataclass
@@ -277,16 +269,27 @@ class ReassemblySession:
     """Receiver-side state for one transfer. Single-owner: exactly one
     activity may feed it.
 
-    ``discarded`` holds the sequence numbers whose only copies so far failed
-    the length or CRC check; a clean copy moves its number to ``chunks``.
-    The two are disjoint, so every number has arrived once when together
-    they hold ``total_chunks`` of them."""
+    ``chunks`` holds each number's clean bytes. ``discarded`` holds the
+    numbers whose only copies so far failed the length or CRC check; a
+    clean copy moves its number to ``chunks``. Once ``chunks`` holds every
+    number, the whole is checked: ``payload`` is set if it passes, else
+    ``failed`` is, and every later chunk is ``ALREADY_FAILED``. The
+    transfer has ``ended`` once every number has arrived, clean or
+    discarded; then ``payload`` is set, the whole failed, or a number is
+    still discarded."""
 
     metadata: TransferMetadata
     chunks: dict[int, bytes] = field(default_factory=dict)
-    state: ReassemblyState = ReassemblyState.AWAITING
     payload: Optional[bytes] = None
+    failed: bool = False
     discarded: set[int] = field(default_factory=set)
+
+    @property
+    def ended(self) -> bool:
+        """Whether every number has arrived once, clean or discarded. The
+        two sets are disjoint, so that is when together they hold
+        ``total_chunks`` numbers."""
+        return len(self.chunks) + len(self.discarded) == self.metadata.total_chunks
 
     def accept(self, env: ChunkEnvelope) -> ReassemblyStatus:
         """:meth:`add` of one envelope. One built by hand, not by a decoder,
@@ -299,14 +302,14 @@ class ReassemblySession:
         """Feed one chunk's bytes (``decode()`` if ``raw`` is None) and its
         fields. Duplicates are no-ops; a chunk whose length or CRC fails is
         discarded (retransmission is the sender's concern); a full-payload
-        failure is unrecoverable and latches the FAILED state."""
-        if self.state is _FAILED:
+        failure is unrecoverable and sets ``failed``."""
+        if self.failed:
             return ReassemblyStatus.ALREADY_FAILED
         if image_id != self.metadata.image_id:
             return ReassemblyStatus.ID_MISMATCH
         if not 0 <= seq < self.metadata.total_chunks:
             return ReassemblyStatus.SEQ_OUT_OF_RANGE
-        if self.state is _COMPLETE or seq in self.chunks:
+        if seq in self.chunks:
             return ReassemblyStatus.DUPLICATE
         if raw is None:
             raw = decode()
@@ -319,17 +322,15 @@ class ReassemblySession:
         self.chunks[seq] = raw
         self.discarded.discard(seq)
         if len(self.chunks) < self.metadata.total_chunks:
-            self.state = _INCOMPLETE
             return _ACCEPTED
         assembled = b"".join(self.chunks[i] for i in range(self.metadata.total_chunks))
         if len(assembled) != self.metadata.total_bytes:
-            self.state = ReassemblyState.FAILED
+            self.failed = True
             return ReassemblyStatus.LENGTH_MISMATCH
         if crc32(assembled) != self.metadata.crc32_full:
-            self.state = ReassemblyState.FAILED
+            self.failed = True
             return ReassemblyStatus.FULL_CRC_MISMATCH
         self.payload = assembled
-        self.state = ReassemblyState.COMPLETE
         return ReassemblyStatus.COMPLETE
 
 

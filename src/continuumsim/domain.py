@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from typing import Optional
@@ -19,11 +20,16 @@ EMBEDDING_NORM_TOL = 1e-6
 MIN_CHUNK_SIZE = 64
 
 
+# The code points UTF-8 cannot encode.
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
 def is_key_segment(text: str) -> bool:
     """True iff ``text`` can stand as one concrete segment of a pub/sub key:
-    non-empty, with no ``/`` and no ``*``. The tiers publish an image's
-    messages under a key prefix plus its id, so an image id must be one."""
-    return bool(text) and "/" not in text and "*" not in text
+    non-empty, with no ``/`` and no ``*``, and text that UTF-8 can encode,
+    as TCP mode writes every key. The tiers publish an image's messages
+    under a key prefix plus its id, so an image id must be one."""
+    return bool(text) and "/" not in text and "*" not in text and not _SURROGATE.search(text)
 
 
 class ImageFormat(Enum):

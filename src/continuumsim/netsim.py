@@ -201,14 +201,13 @@ class SimLink:
         self._payloads: deque = deque()
         self._event: Optional[EventHandle] = None
 
-    def transmit(self, nbytes: int, at: Optional[float] = None) -> Transmission:
+    def transmit(self, nbytes: int, at: float) -> Transmission:
         """Book ``nbytes`` on the wire at the link's next free instant from
-        ``at`` (by default now); returns the booked timeline. The caller is
-        responsible for scheduling delivery at ``arrival``."""
+        ``at``; returns the booked timeline. The caller is responsible for
+        scheduling delivery at ``arrival``."""
         if nbytes < 1:
             raise ValueError("nbytes must be >= 1")
-        now = self._loop.now if at is None else at
-        wire_start = now if now >= self.busy_until else self.busy_until
+        wire_start = at if at >= self.busy_until else self.busy_until
         serialization = nbytes / self.params.bandwidth
         wire_end = wire_start + serialization
         self.busy_until = wire_end

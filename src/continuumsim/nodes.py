@@ -46,7 +46,6 @@ from .chunkwire import (
     Grant,
     GrantRequest,
     ReassemblySession,
-    ReassemblyState,
     ResultMessage,
     TransferMetadata,
     UploadRejected,
@@ -357,9 +356,9 @@ class EdgeService:
     # Transport-facing entry point for both meta and chunk messages. A
     # message that does not decode to one of them is dropped and counted;
     # its image then ends through the far edge's image timeout. A transfer
-    # opens with its first meta message and ends when its session completes,
-    # fails, or can no longer complete; anything for it after that is
-    # ignored, and a chunk counts in ``dropped_chunks``.
+    # opens with its first meta message and ends when its session has
+    # ``ended``; anything for it after that is ignored, and a chunk counts in
+    # ``dropped_chunks``.
     def on_upload_message(self, data: bytes) -> None:
         chunk = chunkwire.read_chunk(data)
         if chunk is None:
@@ -378,10 +377,10 @@ class EdgeService:
             self.dropped_chunks += 1
             return
         session.add(image_id, seq, raw, crc, len(raw))
-        if len(session.chunks) + len(session.discarded) < session.metadata.total_chunks:
-            return  # a number has yet to arrive
+        if not session.ended:
+            return
         self._sessions[image_id] = None
-        if session.state is ReassemblyState.COMPLETE:
+        if session.payload is not None:
             tr = self._traces.get(image_id)
             if tr is not None:  # None once the image has ended
                 tr.reassembled_at = self._loop.now

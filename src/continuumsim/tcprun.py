@@ -6,10 +6,11 @@
 :class:`SocketLink`, one direction of a loopback TCP connection, in place of
 a booked ``SimLink``. One connection carries the far edge <-> edge leg and
 one the edge <-> cloud leg. Everything runs on the calling thread, and no
-write blocks. Between timers the clock makes one read pass: it reads once
-from each link with frames in flight, which on loopback have nearly always
-arrived, and waits in a selector for the next timer or socket frame only
-when that pass read nothing.
+write blocks. Between timers the clock makes one read pass: it flushes each
+partly written frame and reads once from each link with frames in flight,
+which on loopback have nearly always arrived. Only when that pass read
+nothing does it wait in a selector, for the next timer or for a socket to
+become ready; the next pass does the flushing and reading.
 
 Frames: a ``>IH`` header (payload length, key length), the pub/sub key in
 UTF-8 (empty on the blocking session), then the payload, which is the same
@@ -85,16 +86,16 @@ class WallClock(EventLoop):
             accepted, _ = server.accept()
         a, b = _End(self._selector, client), _End(self._selector, accepted)
         a_to_b, b_to_a = SocketLink(self, a, b), SocketLink(self, b, a)
-        # In the selector's registration order of their readers, the order
-        # in which select reports ends that are ready together.
+        # The order in which the read pass takes them.
         self._links += (b_to_a, a_to_b)
         return a_to_b, b_to_a
 
     def run(self) -> int:
         """Fire timers as they fall due and deliver frames as they arrive,
         until no live timer is left and no frame is in flight. Once no timer
-        is due, a read pass reads what has arrived; the loop waits in the
-        selector only when that pass read nothing."""
+        is due, a read pass flushes and reads (``_read_pass``); only when
+        that pass read nothing does the loop wait in the selector, until the
+        next timer or a socket is ready, and it reads nothing there."""
         self._origin = time.monotonic()
         count = 0
         while True:
@@ -108,13 +109,7 @@ class WallClock(EventLoop):
                 continue
             if not self._heap and not in_flight:
                 break
-            timeout = self._heap[0][0] - self.now if self._heap else None
-            for key, mask in self._selector.select(timeout):
-                end = key.data
-                if mask & selectors.EVENT_WRITE:
-                    end.flush()
-                if mask & selectors.EVENT_READ:
-                    self._receive(end)
+            self._selector.select(self._heap[0][0] - self.now if self._heap else None)
         self.executed += count
         return count
 
@@ -168,7 +163,7 @@ class _End:
         self._out = bytearray()
         self._in = bytearray()
         self._events = selectors.EVENT_READ
-        selector.register(sock, self._events, self)
+        selector.register(sock, self._events)
 
     def write(self, key: bytes, payload: bytes) -> None:
         self._out += _HEADER.pack(len(payload), len(key))
@@ -189,7 +184,7 @@ class _End:
         events = selectors.EVENT_READ | (selectors.EVENT_WRITE if self._out else 0)
         if events != self._events:
             self._events = events
-            self._selector.modify(self.sock, events, self)
+            self._selector.modify(self.sock, events)
 
     def read(self) -> list[tuple[str, bytes]]:
         """Receive once; returns every frame now complete, as (key, payload).
@@ -249,8 +244,7 @@ class SocketSession(SessionEndpoint):
     ticket's wire start is the write of the first message and its ack
     instant is the read of the last ack frame."""
 
-    def __init__(self, loop: EventLoop, out_link: SocketLink, timeout: float = 30.0,
-                 name: str = "session"):
+    def __init__(self, loop: EventLoop, out_link: SocketLink, timeout: float, name: str):
         super().__init__(loop, out_link, timeout, name)
         # The ticket and the rest of the stream of each message in flight,
         # in write order, with the timer of that message.

@@ -37,7 +37,10 @@ handlers that matched then, and a ``connect`` or ``subscribe`` made later
 reaches only later calls; the tiers make every one before the first put.
 
 Key expressions are ``/``-separated segments where ``*`` matches exactly one
-segment and nothing else.
+segment and nothing else. A key's text is parsed once, where it enters
+(``key_segments``, from ``subscribe`` and ``declare_publisher``); a
+publisher's key holds no ``*``, and each put matches its segments against
+each subscription's.
 """
 
 from __future__ import annotations
@@ -79,35 +82,24 @@ KEY_CLOUD_REQUESTS_PREFIX = "tricloud/cloud/requests/"
 KEY_CLOUD_UPLOADS_PREFIX = "tricloud/cloud/uploads/"
 
 
-@dataclass(frozen=True)
-class KeyExpr:
-    segments: tuple[str, ...]
-
-    @staticmethod
-    def parse(text: str) -> "KeyExpr":
-        segments = tuple(text.split("/"))
-        for seg in segments:
-            if seg != "*" and not is_key_segment(seg):
-                raise InvalidPattern(
-                    f"segment {seg!r} of {text!r} is empty or has a '*' in it")
-        return KeyExpr(segments)
-
-    @property
-    def is_concrete(self) -> bool:
-        return "*" not in self.segments
-
-    def __str__(self) -> str:
-        return "/".join(self.segments)
+def key_segments(text: str) -> tuple[str, ...]:
+    """The ``/``-separated segments of key text ``text``, each ``*`` or one
+    key segment (``domain.is_key_segment``), else ``InvalidPattern``."""
+    segments = tuple(text.split("/"))
+    for seg in segments:
+        if seg != "*" and not is_key_segment(seg):
+            raise InvalidPattern(f"segment {seg!r} of {text!r} is empty, has a '*' in it "
+                                 "or cannot be encoded as UTF-8")
+    return segments
 
 
-def match_key(pattern: KeyExpr, key: KeyExpr) -> bool:
+def match_key(pattern: tuple[str, ...], key: tuple[str, ...]) -> bool:
     """True iff segment counts are equal and each pattern segment equals the
-    key segment or is the single-segment wildcard. ``key`` must be concrete."""
-    if not key.is_concrete:
-        raise InvalidPattern("match target must be a concrete key")
-    if len(pattern.segments) != len(key.segments):
+    key segment or is the single-segment wildcard. ``key`` is a publisher's,
+    which holds no wildcard."""
+    if len(pattern) != len(key):
         return False
-    return all(p == "*" or p == k for p, k in zip(pattern.segments, key.segments))
+    return all(p == "*" or p == k for p, k in zip(pattern, key))
 
 
 @dataclass(slots=True)
@@ -127,8 +119,7 @@ class SessionEndpoint:
     own sends only, and a stream on it has at most one message on the link
     at a time."""
 
-    def __init__(self, loop: EventLoop, out_link: SimLink, timeout: float = 30.0,
-                 name: str = "session"):
+    def __init__(self, loop: EventLoop, out_link: SimLink, timeout: float, name: str):
         self._loop = loop
         self._out_link = out_link
         self.timeout = timeout
@@ -345,13 +336,14 @@ Handler = Callable[[str, bytes], None]
 class PubSubEndpoint:
     def __init__(self, name: str):
         self.name = name
-        self.subscriptions: list[tuple[KeyExpr, Handler]] = []
+        self.subscriptions: list[tuple[tuple[str, ...], Handler]] = []
 
     def subscribe(self, pattern: str, handler: Handler) -> None:
-        self.subscriptions.append((KeyExpr.parse(pattern), handler))
+        self.subscriptions.append((key_segments(pattern), handler))
 
-    def handlers(self, key: KeyExpr) -> list[Handler]:
-        """The handlers whose pattern matches ``key``, in subscription order."""
+    def handlers(self, key: tuple[str, ...]) -> list[Handler]:
+        """The handlers whose pattern matches the segments ``key``, in
+        subscription order."""
         return [handler for pattern, handler in self.subscriptions
                 if match_key(pattern, key)]
 
@@ -394,10 +386,15 @@ class _Route:
 
 
 class Publisher:
-    def __init__(self, fabric: "PubSubFabric", endpoint: PubSubEndpoint, key: KeyExpr):
+    """A concrete key declared on an endpoint: its text, which goes with
+    each message, and its segments, which subscriptions match."""
+
+    def __init__(self, fabric: "PubSubFabric", endpoint: PubSubEndpoint, key: str,
+                 segments: tuple[str, ...]):
         self.fabric = fabric
         self.endpoint = endpoint
         self.key = key
+        self.segments = segments
 
     def put(self, payload: bytes) -> StreamTicket:
         return self.fabric.put(self, payload)
@@ -436,10 +433,10 @@ class PubSubFabric:
             endpoint.subscriptions.clear()
 
     def declare_publisher(self, endpoint_name: str, key: str) -> Publisher:
-        expr = KeyExpr.parse(key)
-        if not expr.is_concrete:
+        segments = key_segments(key)
+        if "*" in segments:
             raise InvalidPattern("publishers must declare a concrete key")
-        return Publisher(self, self.endpoint(endpoint_name), expr)
+        return Publisher(self, self.endpoint(endpoint_name), key, segments)
 
     def put(self, publisher: Publisher, payload: bytes) -> StreamTicket:
         """:meth:`put_all` of the one message ``payload``."""
@@ -456,12 +453,12 @@ class PubSubFabric:
         targets = []
         for (src, _dst), route in self._routes.items():
             if src == publisher.endpoint.name:
-                handlers = route.dst.handlers(publisher.key)
+                handlers = route.dst.handlers(publisher.segments)
                 if len(handlers) == 1:
                     targets.append((route, handlers[0]))
                 elif handlers:
                     targets.append((route, partial(_dispatch, handlers)))
-        key = str(publisher.key)
+        key = publisher.key
         offer, wire_start = self._loop.now, None
         for payload in payloads:
             taken = offer

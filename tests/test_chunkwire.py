@@ -17,7 +17,6 @@ from continuumsim.chunkwire import (
     MalformedJson,
     MissingField,
     ReassemblySession,
-    ReassemblyState,
     ReassemblyStatus,
     ResultMessage,
     TransferMetadata,
@@ -96,8 +95,7 @@ def test_reassembly_in_order():
     session, envs = _session_for(payload)
     statuses = [session.accept(env) for env in envs]
     assert statuses[-1] is ReassemblyStatus.COMPLETE
-    assert session.state is ReassemblyState.COMPLETE
-    assert session.payload == payload
+    assert session.payload == payload and not session.failed
 
 
 def test_reassembly_out_of_order_with_duplicate():
@@ -117,8 +115,8 @@ def test_reassembly_rejects_seq_out_of_range():
                         envs[0].payload_b64, envs[0].crc32_chunk)
     before = dict(session.chunks)
     assert session.accept(bad) is ReassemblyStatus.SEQ_OUT_OF_RANGE
-    assert session.chunks == before
-    assert session.state is ReassemblyState.AWAITING
+    assert session.chunks == before == {}
+    assert session.discarded == set()
 
 
 def test_reassembly_rejects_id_mismatch():
@@ -134,7 +132,7 @@ def test_corrupt_chunk_is_discarded_then_recovered_by_clean_copy():
                             envs[0].payload_len, envs[0].payload_b64,
                             envs[0].crc32_chunk ^ 1)
     assert session.accept(corrupt) is ReassemblyStatus.CHUNK_CRC_MISMATCH
-    assert session.state is not ReassemblyState.COMPLETE
+    assert session.payload is None
     assert session.accept(envs[1]) is ReassemblyStatus.ACCEPTED
     assert session.accept(envs[0]) is ReassemblyStatus.COMPLETE
     assert session.payload == payload
@@ -149,10 +147,10 @@ def test_full_crc_mismatch_is_unrecoverable():
     session = ReassemblySession(forged)
     session.accept(envs[0])
     assert session.accept(envs[1]) is ReassemblyStatus.FULL_CRC_MISMATCH
-    assert session.state is ReassemblyState.FAILED
-    # no transition out of FAILED
+    assert session.failed and session.payload is None
+    # no way back from a failed whole
     assert session.accept(envs[0]) is ReassemblyStatus.ALREADY_FAILED
-    assert session.state is ReassemblyState.FAILED
+    assert session.failed and session.payload is None
 
 
 def _shuffle(rng: Prng, items: list) -> None:
@@ -172,7 +170,7 @@ def test_chunks_short_of_total_bytes_fail_the_transfer():
     session = ReassemblySession(meta)
     assert session.accept(envs[0]) is ReassemblyStatus.ACCEPTED
     assert session.accept(short) is ReassemblyStatus.LENGTH_MISMATCH
-    assert session.state is ReassemblyState.FAILED
+    assert session.failed
     assert session.accept(envs[1]) is ReassemblyStatus.ALREADY_FAILED
 
 
@@ -181,9 +179,47 @@ def test_chunk_of_other_than_its_payload_len_is_discarded():
     long = ChunkEnvelope("img", 0, 2, 1023, envs[0].payload_b64, envs[0].crc32_chunk)
     session = ReassemblySession(meta)
     assert session.accept(long) is ReassemblyStatus.LENGTH_MISMATCH
-    assert session.discarded == {0} and session.state is ReassemblyState.AWAITING
+    assert session.discarded == {0} and not session.chunks and not session.failed
     assert session.accept(envs[0]) is ReassemblyStatus.ACCEPTED
     assert session.discarded == set()
+
+
+def test_a_transfer_with_a_number_missing_has_not_ended():
+    session, envs = _session_for(b"\x31" * 3000)
+    assert not session.ended
+    session.accept(envs[0])
+    session.accept(envs[2])
+    assert not session.ended and session.payload is None and not session.failed
+
+
+def test_a_transfer_whose_chunks_all_arrive_clean_ends_with_its_payload():
+    payload = b"\x32" * 3000
+    session, envs = _session_for(payload)
+    for env in envs:
+        session.accept(env)
+    assert session.ended and session.payload == payload and not session.failed
+
+
+def test_a_transfer_with_a_number_discarded_ends_until_a_clean_copy_completes_it():
+    payload = b"\x33" * 3000
+    session, envs = _session_for(payload)
+    corrupt = dataclasses.replace(envs[1], crc32_chunk=envs[1].crc32_chunk ^ 1)
+    assert session.accept(envs[0]) is ReassemblyStatus.ACCEPTED
+    assert session.accept(corrupt) is ReassemblyStatus.CHUNK_CRC_MISMATCH
+    assert session.accept(envs[2]) is ReassemblyStatus.ACCEPTED
+    assert session.ended and session.payload is None and not session.failed
+    assert session.accept(envs[1]) is ReassemblyStatus.COMPLETE
+    assert session.ended and session.payload == payload and not session.discarded
+
+
+def test_a_transfer_whose_whole_fails_ends_failed():
+    meta, envs = fragment(b"\x34" * 3000, "img", 1024, (64, 64), "PNG")
+    session = ReassemblySession(dataclasses.replace(meta, crc32_full=meta.crc32_full ^ 1))
+    for env in envs[:-1]:
+        session.accept(env)
+    assert session.accept(envs[-1]) is ReassemblyStatus.FULL_CRC_MISMATCH
+    assert session.ended and session.failed and session.payload is None
+    assert session.accept(envs[0]) is ReassemblyStatus.ALREADY_FAILED
 
 
 def test_shuffled_duplicated_round_trip_over_seeded_payloads():
@@ -290,6 +326,12 @@ def test_decode_malformed_json_and_bad_base64():
         decode_envelope(json.dumps(doc).encode())
 
 
+def test_an_image_id_that_utf8_cannot_encode_is_malformed():
+    # A JSON escape can name a lone surrogate, which no key can hold.
+    with pytest.raises(MalformedJson, match="not one key segment"):
+        decode_json(b'{"msg_type":"grant_request","image_id":"img\\udc80"}')
+
+
 def test_meta_round_trip():
     meta, _ = fragment(b"\x01" * 5000, "img9", 512, (320, 240), "PNG")
     assert decode_meta(encode_meta(meta)) == meta
@@ -384,8 +426,9 @@ def _outcome(decoder, data: bytes):
 
 
 def _fed(session, status):
-    """A status and the session counters it left."""
-    return status, session.state, sorted(session.chunks), sorted(session.discarded)
+    """A status and the session state it left."""
+    return (status, session.failed, session.payload, sorted(session.chunks),
+            sorted(session.discarded))
 
 
 def _read_then_add(session, data: bytes):

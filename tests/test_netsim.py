@@ -150,15 +150,15 @@ def test_cancelled_event_does_not_run_or_advance_clock():
 def test_link_transmit_arithmetic():
     loop = EventLoop()
     link = SimLink(loop, LinkParams(latency=0.010, bandwidth=1048576))
-    tx = link.transmit(102400)
+    tx = link.transmit(102400, loop.now)
     assert tx.arrival == pytest.approx(0.10765625, abs=1e-12)
 
 
 def test_link_serializes_back_to_back_sends():
     loop = EventLoop()
     link = SimLink(loop, LinkParams(latency=0.0, bandwidth=1024))
-    first = link.transmit(1024)
-    second = link.transmit(1024)
+    first = link.transmit(1024, loop.now)
+    second = link.transmit(1024, loop.now)
     assert first.wire_end == pytest.approx(1.0)
     assert second.wire_start == pytest.approx(1.0)
     assert second.wire_end == pytest.approx(2.0)
@@ -254,7 +254,7 @@ def test_link_busy_time_conservation_under_random_interleave():
     for _ in range(47 * 11):
         nbytes = 1 + rng.randrange(1500)
         total += nbytes
-        link.transmit(nbytes)
+        link.transmit(nbytes, loop.now)
     assert link.busy_time == pytest.approx(total / 18432.0, rel=1e-9)
     assert link.bytes_sent == total
 
@@ -415,7 +415,7 @@ def test_deterministic_replay_same_event_count():
             for _ in range(200):
                 yield rng.uniform() * 0.01
                 yield core.execute(rng.uniform() * 0.02)
-                link.transmit(1 + rng.randrange(900))
+                link.transmit(1 + rng.randrange(900), loop.now)
 
         spawn(loop, proc())
         loop.run()

@@ -760,6 +760,7 @@ MALFORMED_UPLOADS = {
     "wildcard_image_id": _edited(_META, image_id="*"),
     "image_id_with_slash": _edited(_META, image_id="a/b"),
     "chunk_image_id_with_wildcard": _edited(_CHUNK0, image_id="img*"),
+    "image_id_utf8_cannot_encode": _edited(_META, image_id="img\udc80"),
     "huge_int_seq": _CHUNK0.replace(b'"seq":0,', b'"seq":' + b"1" * 5000 + b","),
     "deeply_nested": _META.replace(b'"img00000"', b"[" * 100_000 + b"]" * 100_000),
     "zero_total_bytes": _edited(_META, total_bytes=0),
@@ -774,7 +775,7 @@ def test_malformed_upload_message_is_dropped_counted_and_times_out(data, monkeyp
     edge = EdgeService(loop, cfg, make_face_db(cfg.rng_seed, cfg.db_size), {},
                        {}, SimCore(loop), send_result=None)
     edge.on_upload_message(data)
-    assert edge.malformed_messages == 1
+    assert edge.malformed_messages == 1 and not edge._sessions
 
     # In a run, the first image's meta message is replaced by ``data``: the
     # edge drops it and every chunk after it, and the image ends through the

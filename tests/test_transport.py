@@ -15,19 +15,19 @@ from continuumsim.netsim import EventHandle, EventLoop, Gate, SimLink, spawn
 from continuumsim.transport import (
     ConnectionClosed,
     InvalidPattern,
-    KeyExpr,
     PubSubFabric,
     SendTimeout,
     SessionEndpoint,
     StreamTicket,
+    key_segments,
     match_key,
     session_pair,
 )
 from continuumsim.workload import Prng
 
 
-def _k(text: str) -> KeyExpr:
-    return KeyExpr.parse(text)
+def _k(text: str) -> tuple[str, ...]:
+    return key_segments(text)
 
 
 def test_match_key_examples():
@@ -55,10 +55,18 @@ def test_match_key_against_regex_oracle():
 
 def test_invalid_patterns_rejected():
     for bad in ("", "a//b", "a/*b/c", "**"):
-        with pytest.raises(InvalidPattern):
-            KeyExpr.parse(bad)
-    with pytest.raises(InvalidPattern):
-        match_key(_k("a/*"), _k("a/*"))  # match target must be concrete
+        with pytest.raises(InvalidPattern, match="is empty, has a"):
+            key_segments(bad)
+
+
+def test_a_key_that_utf8_cannot_encode_is_rejected_where_it_enters():
+    fabric = _fabric(EventLoop())
+    bad = "tricloud/results/img\udc80"
+    with pytest.raises(InvalidPattern, match="cannot be encoded as UTF-8"):
+        fabric.declare_publisher("src", bad)
+    with pytest.raises(InvalidPattern, match="cannot be encoded as UTF-8"):
+        fabric.endpoint("dst").subscribe(bad, lambda k, d: None)
+    assert fabric.endpoint("dst").subscriptions == []
 
 
 def _pair(loop, latency=0.01, bandwidth=1000.0, timeout=30.0):
@@ -245,7 +253,7 @@ def test_key_is_matched_once_at_put(monkeypatch):
             pattern, lambda k, d, name=name: got.append((name, k, d)))
     calls = []
     monkeypatch.setattr(transport, "match_key",
-                        lambda p, k: calls.append(str(p)) or match_key(p, k))
+                        lambda p, k: calls.append("/".join(p)) or match_key(p, k))
     fabric.declare_publisher("src", "t/x").put(b"m")
     loop.run()
     assert calls == ["t/*", "u/*", "t/x"]
@@ -335,7 +343,7 @@ def test_a_publisher_matches_its_key_once_while_the_topology_stands(monkeypatch)
     fabric.endpoint("dst").subscribe("t/*", lambda k, d: None)
     calls = []
     monkeypatch.setattr(transport, "match_key",
-                        lambda p, k: calls.append(str(p)) or match_key(p, k))
+                        lambda p, k: calls.append("/".join(p)) or match_key(p, k))
     pub = fabric.declare_publisher("src", "t/x")
 
     def publisher():
@@ -599,7 +607,7 @@ class _ChainRoute:
         loop = self.loop
         while self.items:
             payload = self.items[0]
-            tx = self.link.transmit(len(payload))
+            tx = self.link.transmit(len(payload), loop.now)
             loop.schedule_at(tx.arrival, lambda p=payload: self.got.append((loop.now, p)))
             if tx.wire_end > loop.now:
                 loop.schedule_at(tx.wire_end, self._sent)
@@ -797,7 +805,7 @@ class _ChainSession(SessionEndpoint):
 
     def _book(self, ticket, payload, payloads):
         loop = self._loop
-        tx = self._out_link.transmit(len(payload))
+        tx = self._out_link.transmit(len(payload), loop.now)
         ack_at = tx.arrival + self._out_link.params.latency
         if ack_at - loop.now > self.timeout:
             self.closed = self.peer.closed = True
