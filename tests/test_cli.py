@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -352,3 +354,19 @@ def test_preset_files_do_not_depend_on_its_runs_sharing_a_dataset(preset, builds
     assert cli.run(args) == 0
     assert len(builds) == 1 + len(build_preset(preset).runs)
     assert _files(tmp_path / "shared") == _files(tmp_path / "alone")
+
+
+PINS = json.loads((Path(__file__).parent / "golden" / "pins.json").read_text())
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_preset_files_match_their_pins(preset, tmp_path):
+    # Every file a preset writes at seed 7, by SHA-256. A deliberate change
+    # of outputs rewrites tests/golden/pins.json and says why.
+    assert run_cli("--preset", preset, "--seed", "7", "--out", str(tmp_path)) == 0
+    digests = {path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in tmp_path.rglob("*") if path.is_file()}
+    pinned = PINS[preset]
+    differ = {rel: digests.get(rel, "missing") for rel in sorted(set(digests) | set(pinned))
+              if digests.get(rel) != pinned.get(rel)}
+    assert not differ, f"{preset}: files that differ from their pins, with their new digests: {differ}"
