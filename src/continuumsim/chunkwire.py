@@ -64,7 +64,7 @@ from enum import Enum
 from operator import contains
 from typing import Callable, NamedTuple, Optional, Union
 
-from .domain import JSON_TYPES, is_key_segment, read_json
+from .domain import JSON_TYPES, is_csv_field, is_key_segment, read_json
 
 
 class ChunkError(Exception):
@@ -172,6 +172,8 @@ class ResultMessage:
     def __post_init__(self) -> None:
         if self.origin not in ("edge", "cloud"):
             raise ValueError(f"origin must be 'edge' or 'cloud', got {self.origin!r}")
+        if self.label is not None and not is_csv_field(self.label):
+            raise ValueError(f"label {self.label!r} is not one CSV field")
 
 
 class GrantRequest(NamedTuple):

@@ -32,6 +32,18 @@ def is_key_segment(text: str) -> bool:
     return bool(text) and "/" not in text and "*" not in text and not _SURROGATE.search(text)
 
 
+# The characters that end, quote or break an unquoted CSV field.
+_CSV_SPECIAL = re.compile(r'[,"\x00-\x1f\x7f]')
+
+
+def is_csv_field(text: str) -> bool:
+    """True iff ``text`` can stand unquoted as one field of a CSV row, as
+    ``metrics.csv`` writes a result's label: no comma, no double quote, no
+    control character (U+0000-U+001F or U+007F), and text that UTF-8 can
+    encode, since the file is written in UTF-8."""
+    return not _CSV_SPECIAL.search(text) and not _SURROGATE.search(text)
+
+
 class ImageFormat(Enum):
     PNG = "PNG"
 

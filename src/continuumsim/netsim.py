@@ -7,15 +7,15 @@ heap of ``(fire_at, seq_no, handle)`` tuples: ``seq_no`` is unique, so
 ``heapq`` orders entries by comparing two numbers in C and never compares
 handles.
 
-Concurrency is expressed as generator processes. A process yields either a
-non-negative delay (seconds of virtual time) or a :class:`Gate`, a one-shot
-event that resumes every waiter, in wait order, when set. A process that
-yields a gate already set continues in place, in the same call, so a long run
-of such yields costs no stack depth. Links and cores are pure booking
-objects: a task reserves the next free interval of the resource when asked,
-keeping FIFO order and exclusivity. A core booking costs no event, a wait
-for its end one (``gate_at``), which a process makes only where another needs
-that instant, and a link keeps one delivery event at a time.
+Concurrency is expressed as generator processes. A process yields only
+:class:`Gate` objects, one-shot events that resume every waiter, in wait
+order, when set; it waits for an instant by yielding ``gate_at(instant)``. A
+process that yields a gate already set continues in place, in the same call,
+so a long run of such yields costs no stack depth. Links and cores are pure
+booking objects: a task reserves the next free interval of the resource when
+asked, keeping FIFO order and exclusivity. A core booking costs no event, a
+wait for its end one (``gate_at``), which a process makes only where another
+needs that instant, and a link keeps one delivery event at a time.
 A booked instant is stored as it is computed: ``schedule_at`` fires at the
 instant it is given, and ``schedule(delay)`` is ``schedule_at(now +
 delay)``, so every event, the gates of ``gate_at`` included, enters the
@@ -63,8 +63,6 @@ class EventLoop:
         self.executed = 0
 
     def schedule(self, delay: float, action: Callable[[], None]) -> EventHandle:
-        if delay < 0:
-            raise NegativeDelay(f"delay must be >= 0, got {delay}")
         return self.schedule_at(self.now + delay, action)
 
     def schedule_at(self, fire_at: float, action: Callable[[], None]) -> EventHandle:
@@ -127,47 +125,34 @@ class Gate:
             self._waiters.append(callback)
 
 
-ProcGen = Generator[object, object, None]
+ProcGen = Generator[Gate, object, None]
 
 
-class Process:
-    """Drives a generator, interpreting yielded delays and gates.
+def spawn(loop: EventLoop, gen: ProcGen) -> None:
+    """Start ``gen`` as a process at now. It yields only gates, and resumes
+    with each one's value once it is set.
 
-    The callbacks it schedules are partials made at each schedule and not
-    kept on the process: one stored on it would refer back to the process
-    and hold it, its generator and everything the generator holds in a
-    reference cycle."""
-
-    def __init__(self, loop: EventLoop, gen: ProcGen, name: str = "proc"):
-        self._loop = loop
-        self._gen = gen
-        self.name = name
-        loop.schedule(0.0, partial(self._step, None))
-
-    def _step(self, value: object) -> None:
-        gen = self._gen
-        while True:
-            try:
-                if isinstance(value, BaseException):
-                    cmd = gen.throw(value)
-                else:
-                    cmd = gen.send(value)
-            except StopIteration:
-                return
-            if isinstance(cmd, Gate):
-                if not cmd.is_set:
-                    cmd._waiters.append(self._step)
-                    return
-                value = cmd.value
-            elif isinstance(cmd, (int, float)):
-                self._loop.schedule(float(cmd), partial(self._step, None))
-                return
-            else:
-                raise TypeError(f"process {self.name} yielded {cmd!r}")
+    A process is its generator and nothing else. The event that starts it
+    and, while it waits, the gate it waits on hold it through a partial made
+    then and kept nowhere else: one kept for the process would hold its
+    generator, and everything the generator holds, in a reference cycle."""
+    loop.schedule_at(loop.now, partial(_resume, gen, None))
 
 
-def spawn(loop: EventLoop, gen: ProcGen, name: str = "proc") -> Process:
-    return Process(loop, gen, name)
+def _resume(gen: ProcGen, value: object) -> None:
+    """Send ``value`` into ``gen`` (throw it, if it is an exception) and run
+    it up to its first wait on a gate not yet set."""
+    while True:
+        try:
+            cmd = gen.throw(value) if isinstance(value, BaseException) else gen.send(value)
+        except StopIteration:
+            return
+        if not isinstance(cmd, Gate):
+            raise TypeError(f"a process yielded {cmd!r}")
+        if not cmd.is_set:
+            cmd._waiters.append(partial(_resume, gen))
+            return
+        value = cmd.value
 
 
 @dataclass(slots=True)

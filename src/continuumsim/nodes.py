@@ -130,7 +130,7 @@ class FarEdgeNode:
         reference counting once ``run_tiers`` has closed the transports that
         call its handler."""
         pipeline = self._pipelined if self._cfg.parallelism else self._sequential
-        spawn(self._loop, pipeline(dataset), name="far-edge")
+        spawn(self._loop, pipeline(dataset))
 
     # The result handler is transport-independent. A message that does not
     # decode to a result is dropped and counted; its image then ends by its
@@ -152,17 +152,14 @@ class FarEdgeNode:
         if tr is None:
             return
         tr.timeout.cancel()
-        self._finalize(tr, result)
+        self._finalize(tr, result, self._loop.now)
 
-    def _finalize(self, tr: _ImageTrace, result: Optional[ResultMessage],
-                  at: Optional[float] = None) -> None:
-        """Record ``tr``'s one outcome at ``at`` (by default now): ``result``,
-        or no result (origin "none") if it is None. Each image comes here
-        once: from ``_resolve`` if it was uploaded, at its booked detection
-        end if not. Its upload runs from its ticket's ``wire_start`` to its
-        last ack on a session, else to its reassembly, and counts 0 if it had
-        neither."""
-        now = self._loop.now if at is None else at
+    def _finalize(self, tr: _ImageTrace, result: Optional[ResultMessage], at: float) -> None:
+        """Record ``tr``'s one outcome at ``at``: ``result``, or no result
+        (origin "none") if it is None. Each image comes here once: from
+        ``_resolve`` if it was uploaded, at its booked detection end if not.
+        Its upload runs from its ticket's ``wire_start`` to its last ack on a
+        session, else to its reassembly, and counts 0 if it had neither."""
         ticket = tr.upload_ticket
         start = ticket.wire_start if ticket else None
         t_upload = 0.0
@@ -175,12 +172,12 @@ class FarEdgeNode:
         else:
             origin, recognized, label, is_fp = (result.origin, result.recognized,
                                                 result.label, result.is_false_positive)
-        span = now - start if start is not None and result is not None else 0.0
+        span = at - start if start is not None and result is not None else 0.0
         # Positional, in MetricsRecord's field order.
         self.records.append(MetricsRecord(
             tr.image_id, *tr.stages, t_upload, tr.t_identify,
             span if origin == "edge" else 0.0, span if origin == "cloud" else None,
-            origin, recognized, label, now, is_fp))
+            origin, recognized, label, at, is_fp))
 
     def _fail(self, exc: TransportError) -> None:
         """The pipeline cannot send: keep the first failure, and end every
@@ -384,8 +381,7 @@ class EdgeService:
             tr = self._traces.get(image_id)
             if tr is not None:  # None once the image has ended
                 tr.reassembled_at = self._loop.now
-            spawn(self._loop, self._serve_image(image_id, session.payload),
-                  name=f"edge-serve-{image_id}")
+            spawn(self._loop, self._serve_image(image_id, session.payload))
         else:
             # The whole failed its checks, or one number is still discarded:
             # the sender never retransmits, so the transfer cannot complete.

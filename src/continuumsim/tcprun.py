@@ -124,29 +124,28 @@ class WallClock(EventLoop):
                 link.writer.flush()
             if link.in_flight:
                 in_flight = True
-                if self._receive(link.reader):
+                if self._receive(link):
                     read = True
         return read, in_flight
 
-    def _receive(self, end: _End) -> bool:
-        """Read once from ``end`` and hand on each frame now complete;
-        False if nothing had arrived."""
+    def _receive(self, link: SocketLink) -> bool:
+        """Read once from ``link`` and hand each frame now complete to the
+        next of its handlers; False if nothing had arrived."""
         try:
-            frames = end.read()
+            frames = link.reader.read()
         except BlockingIOError:
             return False
         for key, payload in frames:
             self._tick()
-            end.on_frame(key, payload)
+            link.handlers.popleft()(key, payload)
         return True
 
     def close(self) -> None:
         """Close the sockets and drop the links, which refer back to the
-        clock and, through their readers, to themselves."""
+        clock."""
         self._selector.close()
         for link in self._links:
             link.writer.sock.close()
-            link.reader.on_frame = None
         self._links.clear()
 
 
@@ -158,7 +157,6 @@ class _End:
         sock.setblocking(False)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.sock = sock
-        self.on_frame: Callable[[str, bytes], None] | None = None
         self._selector = selector
         self._out = bytearray()
         self._in = bytearray()
@@ -210,30 +208,27 @@ class _End:
 class SocketLink:
     """One direction of a connection, with ``SimLink.deliver``'s contract:
     the frame goes to the socket at once and ``handler(key, payload)`` runs
-    when the other end reads it. TCP keeps frames in order, so the handlers
-    wait in a FIFO. The sender cannot see arrival, so the returned
-    Transmission ends at the write, which is now whatever ``at`` says."""
+    when the clock's read pass reads it at the other end. TCP keeps frames in
+    order, so the handlers wait in a FIFO, ``handlers``, which that pass
+    pops. The sender cannot see arrival, so the returned Transmission ends at
+    the write, which is now whatever ``at`` says."""
 
     def __init__(self, loop: WallClock, writer: _End, reader: _End):
         self._loop = loop
         self.writer = writer
         self.reader = reader
-        self._handlers: deque = deque()
-        reader.on_frame = self._arrived
+        self.handlers: deque = deque()
 
     @property
     def in_flight(self) -> int:
-        return len(self._handlers)
+        return len(self.handlers)
 
     def deliver(self, key: str | None, payload: bytes,
                 handler: Callable[[str, bytes], None], at: float) -> Transmission:
-        self._handlers.append(handler)
+        self.handlers.append(handler)
         self.writer.write(b"" if key is None else key.encode("utf-8"), payload)
         now = self._loop.now
         return Transmission(now, now, now)
-
-    def _arrived(self, key: str, payload: bytes) -> None:
-        self._handlers.popleft()(key, payload)
 
 
 class SocketSession(SessionEndpoint):

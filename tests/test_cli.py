@@ -364,9 +364,9 @@ def test_preset_files_match_their_pins(preset, tmp_path):
     # Every file a preset writes at seed 7, by SHA-256. A deliberate change
     # of outputs rewrites tests/golden/pins.json and says why.
     assert run_cli("--preset", preset, "--seed", "7", "--out", str(tmp_path)) == 0
-    digests = {path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-               for path in tmp_path.rglob("*") if path.is_file()}
+    digests = {rel.as_posix(): hashlib.sha256(data).hexdigest()
+               for rel, data in _files(tmp_path).items()}
     pinned = PINS[preset]
     differ = {rel: digests.get(rel, "missing") for rel in sorted(set(digests) | set(pinned))
               if digests.get(rel) != pinned.get(rel)}
-    assert not differ, f"{preset}: files that differ from their pins, with their new digests: {differ}"
+    assert not differ, f"{preset}: files that differ from their pins, by new digest: {differ}"

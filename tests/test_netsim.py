@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -106,7 +107,7 @@ def test_every_event_enters_the_queue_through_schedule_at():
     got = []
 
     def proc():  # its start is an event at 0.0
-        yield 1.0
+        yield loop.gate_at(loop.now + 1.0)
         yield core.execute(2.0)
         yield loop.gate_at(3.25)
         # 2 bytes at 4 B/s leave the wire at 3.75 and arrive at 4.25.
@@ -119,6 +120,21 @@ def test_every_event_enters_the_queue_through_schedule_at():
     assert loop.instants == [0.0, 0.125, 1.0, 3.0, 3.25, 4.25]
     assert loop.executed == len(loop.instants)
     assert got == [(4.25, b"ab")]
+
+
+@pytest.mark.parametrize("value", [1.0, None])
+def test_a_process_that_yields_anything_but_a_gate_raises(value):
+    loop = InstantLog()
+    loop.schedule(2.0, lambda: None)
+    loop.run()
+
+    def proc():
+        yield value
+
+    spawn(loop, proc())
+    assert loop.instants == [2.0, 2.0]  # the process starts by one event, at now
+    with pytest.raises(TypeError, match=f"yielded {re.escape(repr(value))}$"):
+        loop.run()
 
 
 def test_zero_delay_chain_of_a_million_events():
@@ -196,7 +212,7 @@ def test_link_delivers_every_booking_in_order_at_its_instant():
             key = "".join(("k", "01"[rng.randrange(2)]))
             for _ in range(1 + rng.randrange(3)):
                 book("ab"[rng.randrange(2)], key, 1 + rng.randrange(600))
-            yield rng.randrange(3) * rng.uniform() * 5.0
+            yield loop.gate_at(loop.now + rng.randrange(3) * rng.uniform() * 5.0)
 
     spawn(loop, publisher())
     loop.run()
@@ -318,7 +334,7 @@ def test_core_busy_intervals_never_overlap():
 
     def proc():
         for _ in range(40):
-            yield rng.uniform() * 0.3
+            yield loop.gate_at(loop.now + rng.uniform() * 0.3)
             yield core.execute(rng.uniform())
 
     spawn(loop, proc())
@@ -362,7 +378,7 @@ def test_core_execute_fires_at_its_booking_from_now():
 
     def proc():
         for _ in range(60):
-            yield rng.uniform() * 0.3
+            yield loop.gate_at(loop.now + rng.uniform() * 0.3)
             duration = 0.0 if rng.uniform() < 0.3 else rng.uniform()
             booked = twin.book(duration, loop.now)
             gate = core.execute(duration)
@@ -413,7 +429,7 @@ def test_deterministic_replay_same_event_count():
 
         def proc():
             for _ in range(200):
-                yield rng.uniform() * 0.01
+                yield loop.gate_at(loop.now + rng.uniform() * 0.01)
                 yield core.execute(rng.uniform() * 0.02)
                 link.transmit(1 + rng.randrange(900), loop.now)
 
@@ -438,7 +454,7 @@ def test_process_continues_in_place_through_gates_already_set():
     def proc():
         for gate in gates:
             seen.append((yield gate))
-        yield 1.5
+        yield loop.gate_at(loop.now + 1.5)
         seen.append(loop.now)
 
     spawn(loop, proc())

@@ -358,14 +358,14 @@ def test_far_edge_resumes_as_often_per_image_at_any_chunk_size(transport, monkey
     # is 3 messages at 1 KiB and 33 at 64 B. A capacity-1 queue makes the
     # pub/sub upload wait at both sizes.
     steps = []
-    step = netsim.Process._step
+    resume = netsim._resume
 
-    def counting_step(proc, value):
-        if proc.name.startswith("far-"):
+    def counting_resume(gen, value):
+        if gen.gi_code.co_name in ("_sequential", "_pipelined"):
             steps[-1] += 1
-        step(proc, value)
+        resume(gen, value)
 
-    monkeypatch.setattr(netsim.Process, "_step", counting_step)
+    monkeypatch.setattr(netsim, "_resume", counting_resume)
     for chunk in (1024, 64):
         steps.append(0)
         r = run_scenario(tiny_config(transport, n=3, chunk_size_bytes=chunk,
@@ -1482,6 +1482,9 @@ BAD_RESULT_VALUES = {
     "unknown_origin": {"origin": "moon"},
     "string_recognized": {"recognized": "yes"},
     "integer_label": {"label": 7},
+    "label_of_more_than_one_csv_field": {"label": 'Person 1,"x"\nimg99999'},
+    "label_with_a_delete_character": {"label": "Person\x7f1"},
+    "label_that_utf8_cannot_encode": {"label": "Person \udc80"},
     "integer_false_positive_flag": {"is_false_positive": 0},
 }
 
@@ -1498,6 +1501,12 @@ MALFORMED_RESULTS = {
     "missing_keys": b'{"msg_type":"result"}',
     "wrong_types": b'{"msg_type":"result","image_id":"img00000","origin":"moon",'
                    b'"recognized":"yes","label":7,"is_false_positive":0}',
+    "label_of_more_than_one_csv_field":
+        b'{"msg_type":"result","image_id":"img00000","origin":"edge","recognized":true,'
+        b'"label":"Person 1,\\"x\\"\\nimg99999","is_false_positive":false}',
+    "label_that_utf8_cannot_encode":
+        b'{"msg_type":"result","image_id":"img00000","origin":"edge","recognized":true,'
+        b'"label":"Person \\udc80","is_false_positive":false}',
 }
 
 

@@ -666,7 +666,7 @@ def _run_streams(streams, params, capacity, chain):
     def publisher():
         for n, (pause, sizes) in enumerate(streams):
             if pause:
-                yield pause
+                yield loop.gate_at(loop.now + pause)
             payloads = [bytes([n]) * size for size in sizes]
             if chain:
                 accepted = Gate()
@@ -711,7 +711,7 @@ def test_a_put_during_a_stream_queues_behind_the_whole_stream():
     late = []
 
     def second_publisher():
-        yield 0.15
+        yield loop.gate_at(loop.now + 0.15)
         ticket = fabric.declare_publisher("src", "t/b").put(b"b" * 100)
         yield ticket.accepted
         late.append((loop.now, ticket.wire_start))
@@ -987,10 +987,10 @@ def test_a_second_stream_on_an_end_still_booking_raises():
     late = []
 
     def later():
-        yield 0.24  # the stream's last booking: still raises
+        yield loop.gate_at(loop.now + 0.24)  # the stream's last booking: still raises
         with pytest.raises(RuntimeError):
             a.send(b"y")
-        yield 0.01
+        yield loop.gate_at(loop.now + 0.01)
         late.append(a.send_all([b"z"] * 2))
         b.send(b"w")  # the other end has its own link
 
