@@ -227,9 +227,10 @@ class FarEdgeNode:
                     start = end
                     continue
                 yield loop.gate_at(end)
-                yield self._upload(image, tr).accepted
+                ticket = self._upload(image, tr)
+                yield ticket.accepted
                 if not self._blocking:
-                    yield self._uplink.fabric.route("far", "edge").flush()
+                    yield loop.gate_at(ticket.wire_end)
                 start = loop.now
             if start > loop.now:
                 yield loop.gate_at(start)

@@ -9,8 +9,10 @@ one the edge <-> cloud leg. Everything runs on the calling thread, and no
 write blocks. Between timers the clock makes one read pass: it flushes each
 partly written frame and reads once from each link with frames in flight,
 which on loopback have nearly always arrived. Only when that pass read
-nothing does it wait in a selector, for the next timer or for a socket to
-become ready; the next pass does the flushing and reading.
+nothing does it wait, in one ``select`` call, for the next timer, for a
+socket with frames in flight to become readable or for one with a partly
+written frame to become writable; the next pass does the flushing and
+reading.
 
 Frames: a ``>IH`` header (payload length, key length), the pub/sub key in
 UTF-8 (empty on the blocking session), then the payload, which is the same
@@ -26,7 +28,7 @@ time the run reports is wall-clock.
 from __future__ import annotations
 
 import heapq
-import selectors
+import select
 import socket
 import struct
 import time
@@ -36,7 +38,7 @@ from functools import partial
 from typing import Callable, Iterable, Iterator, Optional
 
 from .domain import ScenarioConfig
-from .netsim import EventHandle, EventLoop, Gate, Transmission
+from .netsim import EventLoop, Gate, Transmission
 from .nodes import RunResult, run_tiers
 from .transport import SessionEndpoint, StreamTicket
 
@@ -55,28 +57,11 @@ class WallClock(EventLoop):
     def __init__(self) -> None:
         super().__init__()
         self._origin = 0.0
-        # select(2) takes microsecond timeouts; epoll and poll round up to
-        # milliseconds, which would stretch every scaled stage.
-        self._selector = selectors.SelectSelector()
         self._links: list[SocketLink] = []
 
     def _tick(self) -> float:
         self.now = time.monotonic() - self._origin
         return self.now
-
-    def _pop_due(self, t_end: float) -> Optional[tuple[float, int, EventHandle]]:
-        """The first live heap entry due by ``t_end``, removed; cancelled
-        entries ahead of it are discarded."""
-        heap = self._heap
-        while heap:
-            fire_at, _, head = heap[0]
-            if head.cancelled:
-                heapq.heappop(heap)
-                continue
-            if fire_at > t_end:
-                return None
-            return heapq.heappop(heap)
-        return None
 
     def connect(self, port: int) -> tuple[SocketLink, SocketLink]:
         """Open one loopback connection, listening on ``port`` (0: any free
@@ -84,8 +69,10 @@ class WallClock(EventLoop):
         with socket.create_server(("127.0.0.1", port)) as server:
             client = socket.create_connection(server.getsockname())
             accepted, _ = server.accept()
-        a, b = _End(self._selector, client), _End(self._selector, accepted)
-        a_to_b, b_to_a = SocketLink(self, a, b), SocketLink(self, b, a)
+        for sock in (client, accepted):
+            sock.setblocking(False)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        a_to_b, b_to_a = SocketLink(self, client, accepted), SocketLink(self, accepted, client)
         # The order in which the read pass takes them.
         self._links += (b_to_a, a_to_b)
         return a_to_b, b_to_a
@@ -93,105 +80,106 @@ class WallClock(EventLoop):
     def run(self) -> int:
         """Fire timers as they fall due and deliver frames as they arrive,
         until no live timer is left and no frame is in flight. Once no timer
-        is due, a read pass flushes and reads (``_read_pass``); only when
-        that pass read nothing does the loop wait in the selector, until the
-        next timer or a socket is ready, and it reads nothing there."""
+        is due, a read pass flushes every partly written frame and reads once
+        from every link with frames in flight, each link in turn, so that a
+        busy link does not starve the others. Only when that pass read
+        nothing does the loop wait in one ``select`` call, until the next
+        timer, a socket with frames in flight is readable or one with a
+        partly written frame is writable; it reads nothing there. ``select``
+        takes microsecond timeouts, where epoll and poll round up to
+        milliseconds, which would stretch every scaled stage."""
         self._origin = time.monotonic()
+        heap, links = self._heap, self._links
         count = 0
         while True:
-            entry = self._pop_due(self._tick())
-            if entry is not None:
-                entry[2].action()
+            now = self._tick()
+            while heap and heap[0][2].cancelled:
+                heapq.heappop(heap)
+            if heap and heap[0][0] <= now:
+                heapq.heappop(heap)[2].action()
                 count += 1
                 continue
-            read, in_flight = self._read_pass()
+            read, in_flight = False, []
+            for link in links:
+                if link.pending:
+                    link.flush()
+                if link.handlers:
+                    in_flight.append(link.in_sock)
+                    if link.receive():
+                        read = True
             if read:
                 continue
-            if not self._heap and not in_flight:
+            if not heap and not in_flight:
                 break
-            self._selector.select(self._heap[0][0] - self.now if self._heap else None)
+            # Positive: the due check above used this tick.
+            select.select(in_flight, [link.out_sock for link in links if link.pending], [],
+                          heap[0][0] - now if heap else None)
         self.executed += count
         return count
 
-    def _read_pass(self) -> tuple[bool, bool]:
-        """Flush every partly written frame and read once from every link
-        with frames in flight, each link in turn, so that a busy link does
-        not starve the others. Returns whether any bytes were read and
-        whether any frame was in flight."""
-        read = in_flight = False
-        for link in self._links:
-            if link.writer.pending:
-                link.writer.flush()
-            if link.in_flight:
-                in_flight = True
-                if self._receive(link):
-                    read = True
-        return read, in_flight
-
-    def _receive(self, link: SocketLink) -> bool:
-        """Read once from ``link`` and hand each frame now complete to the
-        next of its handlers; False if nothing had arrived."""
-        try:
-            frames = link.reader.read()
-        except BlockingIOError:
-            return False
-        for key, payload in frames:
-            self._tick()
-            link.handlers.popleft()(key, payload)
-        return True
-
     def close(self) -> None:
-        """Close the sockets and drop the links, which refer back to the
-        clock."""
-        self._selector.close()
+        """Close the sockets, each as the write socket of its one link, and
+        drop the links, which refer back to the clock."""
         for link in self._links:
-            link.writer.sock.close()
+            link.out_sock.close()
         self._links.clear()
 
 
-class _End:
-    """One end of a connection. Outgoing frames are buffered and written as
-    far as the socket takes them; incoming bytes are cut into frames."""
+class SocketLink:
+    """One direction of a connection, with ``SimLink.deliver``'s contract:
+    the frame goes to the socket at once and ``handler(key, payload)`` runs
+    when the clock's read pass reads it at the other end. The link owns its
+    write socket ``out_sock`` and the bytes of written frames the socket has
+    not yet taken, and its read socket ``in_sock`` and the bytes read that do
+    not yet make a whole frame. TCP keeps frames in order, so the handlers
+    wait in a FIFO, ``handlers``, which ``deliver`` appends to and
+    ``receive`` pops. The sender cannot see arrival, so the returned
+    Transmission ends at the write, which is now whatever ``at`` says."""
 
-    def __init__(self, selector: selectors.BaseSelector, sock: socket.socket):
-        sock.setblocking(False)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self.sock = sock
-        self._selector = selector
+    def __init__(self, loop: WallClock, out_sock: socket.socket, in_sock: socket.socket):
+        self._loop = loop
+        self.out_sock = out_sock
+        self.in_sock = in_sock
         self._out = bytearray()
         self._in = bytearray()
-        self._events = selectors.EVENT_READ
-        selector.register(sock, self._events)
-
-    def write(self, key: bytes, payload: bytes) -> None:
-        self._out += _HEADER.pack(len(payload), len(key))
-        self._out += key
-        self._out += payload
-        self.flush()
+        self.handlers: deque = deque()
 
     @property
     def pending(self) -> bool:
         """Whether part of a written frame still waits for the socket."""
         return bool(self._out)
 
+    def deliver(self, key: str | None, payload: bytes,
+                handler: Callable[[str, bytes], None], at: float) -> Transmission:
+        self.handlers.append(handler)
+        key_bytes = b"" if key is None else key.encode("utf-8")
+        self._out += _HEADER.pack(len(payload), len(key_bytes))
+        self._out += key_bytes
+        self._out += payload
+        self.flush()
+        now = self._loop.now
+        return Transmission(now, now, now)
+
     def flush(self) -> None:
+        """Write as much of the pending bytes as the socket takes."""
         try:
-            del self._out[:self.sock.send(self._out)]
+            del self._out[:self.out_sock.send(self._out)]
         except BlockingIOError:
             pass
-        events = selectors.EVENT_READ | (selectors.EVENT_WRITE if self._out else 0)
-        if events != self._events:
-            self._events = events
-            self._selector.modify(self.sock, events)
 
-    def read(self) -> list[tuple[str, bytes]]:
-        """Receive once; returns every frame now complete, as (key, payload).
-        Raises BlockingIOError when nothing has arrived."""
-        data = self.sock.recv(_RECV_BYTES)
+    def receive(self) -> bool:
+        """Read once from the socket and hand each frame now complete to the
+        next of the handlers, each at a fresh tick of the clock; False if
+        nothing had arrived. Raises ConnectionError if the peer has closed."""
+        try:
+            data = self.in_sock.recv(_RECV_BYTES)
+        except BlockingIOError:
+            return False
         if not data:
             raise ConnectionError("loopback peer closed the connection")
         buf = self._in
         buf += data
+        del data  # freed before the handlers run, which lowers the peak RSS
         frames, pos = [], 0
         while len(buf) - pos >= _HEADER.size:
             size, key_size = _HEADER.unpack_from(buf, pos)
@@ -202,33 +190,10 @@ class _End:
                            bytes(buf[start:start + size])))
             pos = start + size
         del buf[:pos]
-        return frames
-
-
-class SocketLink:
-    """One direction of a connection, with ``SimLink.deliver``'s contract:
-    the frame goes to the socket at once and ``handler(key, payload)`` runs
-    when the clock's read pass reads it at the other end. TCP keeps frames in
-    order, so the handlers wait in a FIFO, ``handlers``, which that pass
-    pops. The sender cannot see arrival, so the returned Transmission ends at
-    the write, which is now whatever ``at`` says."""
-
-    def __init__(self, loop: WallClock, writer: _End, reader: _End):
-        self._loop = loop
-        self.writer = writer
-        self.reader = reader
-        self.handlers: deque = deque()
-
-    @property
-    def in_flight(self) -> int:
-        return len(self.handlers)
-
-    def deliver(self, key: str | None, payload: bytes,
-                handler: Callable[[str, bytes], None], at: float) -> Transmission:
-        self.handlers.append(handler)
-        self.writer.write(b"" if key is None else key.encode("utf-8"), payload)
-        now = self._loop.now
-        return Transmission(now, now, now)
+        for key, payload in frames:
+            self._loop._tick()
+            self.handlers.popleft()(key, payload)
+        return True
 
 
 class SocketSession(SessionEndpoint):

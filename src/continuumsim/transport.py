@@ -107,11 +107,14 @@ class StreamTicket:
     """Handle on one ``send_all`` or ``put_all``: ``accepted`` fires when
     the last ack is back or every target queue has taken the last message.
     ``wire_start`` is when the first message first hit a wire; ``ack_at``,
-    set by a session only, is when its last ack came back."""
+    set by a session only, is when its last ack came back; ``wire_end``,
+    set by pub/sub only, is when the last message leaves its last wire, or
+    the call's instant if no subscription matched."""
 
     accepted: Gate
     wire_start: Optional[float] = None
     ack_at: Optional[float] = None
+    wire_end: Optional[float] = None
 
 
 class SessionEndpoint:
@@ -358,9 +361,7 @@ class _Route:
     link. ``put`` books each message at the call, so the route keeps only
     the instants at which its last ``capacity`` messages leave the wire."""
 
-    def __init__(self, loop: EventLoop, link: SimLink, dst: PubSubEndpoint,
-                 capacity: int):
-        self._loop = loop
+    def __init__(self, link: SimLink, dst: PubSubEndpoint, capacity: int):
         self.link = link
         self.dst = dst
         # Oldest first, after a 0.0 (no later than any offer) for the start:
@@ -368,9 +369,9 @@ class _Route:
         self._frees = deque((0.0,), maxlen=capacity)
 
     def put(self, key: str, payload: bytes, dispatch: Handler,
-            offer: float) -> tuple[float, float]:
+            offer: float) -> tuple[float, Transmission]:
         """Queue a message offered at ``offer`` and book it on the link;
-        returns when it is admitted and its wire start. It is admitted when
+        returns when it is admitted and its transmission. It is admitted when
         the message ``capacity`` places ahead has left the wire, if that is
         later, and goes on the wire once the one before it has left."""
         frees = self._frees
@@ -378,11 +379,7 @@ class _Route:
         booked = frees[-1] if frees[-1] > admitted else admitted
         tx = self.link.deliver(key, payload, dispatch, booked)
         frees.append(tx.wire_end)
-        return admitted, tx.wire_start
-
-    def flush(self) -> Gate:
-        """Gate that fires once every queued message has left the wire."""
-        return self._loop.gate_at(max(self._frees[-1], self._loop.now))
+        return admitted, tx
 
 
 class Publisher:
@@ -418,12 +415,9 @@ class PubSubFabric:
         return self.endpoints[name]
 
     def connect(self, src: str, dst: str, link: SimLink) -> _Route:
-        route = _Route(self._loop, link, self.endpoint(dst), self.queue_capacity)
+        route = _Route(link, self.endpoint(dst), self.queue_capacity)
         self._routes[(src, dst)] = route
         return route
-
-    def route(self, src: str, dst: str) -> _Route:
-        return self._routes[(src, dst)]
 
     def close(self) -> None:
         """Drop every route and every endpoint's subscriptions. A put after
@@ -449,7 +443,8 @@ class PubSubFabric:
         by every target queue; all are booked here. The ticket's ``accepted``
         gate is ``EventLoop.gate_at`` the instant when all target queues took
         the last message; with no matching subscriber the messages are
-        dropped and that is now."""
+        dropped and that is now. Its ``wire_end`` is when the last message
+        leaves the last of its wires, or now with no matching subscriber."""
         targets = []
         for (src, _dst), route in self._routes.items():
             if src == publisher.endpoint.name:
@@ -459,14 +454,17 @@ class PubSubFabric:
                 elif handlers:
                     targets.append((route, partial(_dispatch, handlers)))
         key = publisher.key
-        offer, wire_start = self._loop.now, None
+        offer = wire_end = self._loop.now
+        wire_start = None
         for payload in payloads:
             taken = offer
             for route, dispatch in targets:
-                admitted, started = route.put(key, payload, dispatch, offer)
+                admitted, tx = route.put(key, payload, dispatch, offer)
                 if admitted > taken:
                     taken = admitted
-                if wire_start is None or started < wire_start:
-                    wire_start = started
+                if wire_start is None or tx.wire_start < wire_start:
+                    wire_start = tx.wire_start
+                if tx.wire_end > wire_end:
+                    wire_end = tx.wire_end
             offer = taken
-        return StreamTicket(self._loop.gate_at(offer), wire_start)
+        return StreamTicket(self._loop.gate_at(offer), wire_start, wire_end=wire_end)

@@ -1,5 +1,6 @@
 """Loopback-TCP mode: the virtual-time tiers on real sockets and real time."""
 
+import select
 import socket
 import threading
 import time
@@ -132,17 +133,23 @@ def test_socket_session_send_times_out_when_its_ack_is_withheld():
     assert a._unacked == deque()
 
 
-def test_a_stream_waits_in_select_less_often_than_it_sends():
+def _count_selects(monkeypatch) -> list:
+    """Count the clock's waits: each ``select.select`` call appends its
+    timeout to the list returned."""
+    timeouts = []
+    original = select.select
+
+    def counted(rlist, wlist, xlist, timeout=None):
+        timeouts.append(timeout)
+        return original(rlist, wlist, xlist, timeout)
+
+    monkeypatch.setattr(select, "select", counted)
+    return timeouts
+
+
+def test_a_stream_waits_in_select_less_often_than_it_sends(monkeypatch):
     loop = WallClock()
-    selects = 0
-    select = loop._selector.select
-
-    def counted(timeout=None):
-        nonlocal selects
-        selects += 1
-        return select(timeout)
-
-    loop._selector.select = counted
+    selects = _count_selects(monkeypatch)
     try:
         a, b = session_pair(loop, *loop.connect(0), timeout=10.0, endpoint=SocketSession)
         got = []
@@ -153,23 +160,38 @@ def test_a_stream_waits_in_select_less_often_than_it_sends():
     finally:
         loop.close()
     assert got == payloads
-    assert selects < len(payloads)
+    assert len(selects) < len(payloads)
+
+
+def test_a_lone_timer_waits_in_select_once_and_fires_no_earlier_than_its_instant(monkeypatch):
+    loop = WallClock()
+    selects = _count_selects(monkeypatch)
+    fired = []
+    try:
+        loop.connect(0)  # a connection with no frame in flight
+        loop.schedule(0.05, lambda: fired.append(loop.now))
+        assert loop.run() == 1
+    finally:
+        loop.close()
+    assert len(selects) == 1 and 0.0 < selects[0] <= 0.05
+    (t_fired,) = fired
+    assert t_fired >= 0.05
 
 
 def test_a_frame_larger_than_the_send_buffer_arrives_intact():
     loop = WallClock()
     try:
         link, _ = loop.connect(0)
-        link.writer.sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        link.out_sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
         payload = bytes(range(256)) * 8192  # 2 MiB
         got = []
         link.deliver("big", payload, lambda key, data: got.append((key, data)), loop.now)
-        assert link.writer.pending  # the socket took only part of the frame
+        assert link.pending  # the socket took only part of the frame
         loop.run()
     finally:
         loop.close()
     assert got == [("big", payload)]
-    assert link.in_flight == 0
+    assert not link.handlers
 
 
 def test_one_pass_reads_every_connection_with_a_frame_in_flight():

@@ -179,9 +179,9 @@ def test_put_returns_at_enqueue_and_delivers_async():
 
 def test_put_before_the_run_is_on_the_wire_within_the_put():
     loop = EventLoop()
-    fabric = _fabric(loop, bandwidth=1000.0)
+    fabric = PubSubFabric(loop)
+    route = fabric.connect("src", "dst", SimLink(loop, LinkParams(0.0, 1000.0)))
     fabric.endpoint("dst").subscribe("t/a", lambda k, d: None)
-    route = fabric.route("src", "dst")
     ticket = fabric.declare_publisher("src", "t/a").put(b"a" * 500)
     assert ticket.wire_start == 0.0
     assert route.link.busy_until == pytest.approx(0.5)
@@ -291,18 +291,34 @@ def test_unmatched_put_is_dropped_quietly():
     assert done == [0.0]
 
 
-def test_route_flush_waits_for_wire_idle():
+def test_an_unmatched_stream_ends_on_the_wire_at_its_call():
+    loop = EventLoop()
+    fabric = _fabric(loop)
+    pub = fabric.declare_publisher("src", "t/silent")
+    tickets = []
+
+    def publisher():
+        yield loop.gate_at(0.25)
+        tickets.append(pub.put_all([b"a", b"b"]))
+
+    spawn(loop, publisher())
+    loop.run()
+    (ticket,) = tickets
+    assert ticket.wire_start is None and ticket.wire_end == 0.25
+
+
+def test_ticket_wire_end_waits_for_wire_idle():
     loop = EventLoop()
     fabric = _fabric(loop, bandwidth=100.0)
     fabric.endpoint("dst").subscribe("t/a", lambda k, d: None)
     pub = fabric.declare_publisher("src", "t/a")
-    route = fabric.route("src", "dst")
     flushed = []
 
     def publisher():
         yield pub.put(b"z" * 100).accepted  # 1 s of wire time
-        yield pub.put(b"z" * 100).accepted
-        yield route.flush()
+        ticket = pub.put(b"z" * 100)
+        yield ticket.accepted
+        yield loop.gate_at(ticket.wire_end)
         flushed.append(loop.now)
 
     spawn(loop, publisher())
@@ -737,7 +753,7 @@ def test_a_huge_queue_capacity_allocates_nothing_per_place():
         ticket = fabric.declare_publisher("src", "t/x").put_all(
             [bytes([i]) * 100 for i in range(50)])
         accepted_at_call = ticket.accepted.is_set
-        flushed = fabric.route("src", "dst").flush()
+        flushed = loop.gate_at(ticket.wire_end)
         loop.run()
         return got, accepted_at_call, ticket.wire_start, flushed.is_set, loop.now
 
