@@ -26,7 +26,9 @@ fails) and value types, requires its image id to be one pub/sub key segment
 it) and builds its class; anything else raises a ``ChunkError``. What
 ``read_json`` refuses (not UTF-8, ``NaN``, an integer over the digit limit,
 deep nesting) is ``MalformedJson``. A JSON integer fills an ``int`` or
-``float`` field, a boolean only a ``bool`` one. Each tier's handler is
+``float`` field, a boolean only a ``bool`` one, and a ``float`` field takes
+only a number that converts to a finite double, as a scenario file's do:
+``1e400`` or a 401-digit integer is malformed. Each tier's handler is
 ``decode_as`` with the types it takes.
 
 ``read_chunk`` reads the one form the far edge writes, a chunk message in
@@ -37,10 +39,12 @@ text: an image id of printable ASCII without ``"``, ``\\``, ``/`` or
 ``*``, integers without sign or leading zeros, and base64 text that the
 decode and the padding rule prove holds only its alphabet. On any miss (no
 match, an integer over the digit limit, a value the envelope rejects, bad
-base64, a length that does not match) it returns None, and the caller
-hands the bytes to ``decode_json``, the path for every other message and
-for valid JSON in another form; tests hold ``read_chunk`` to it. It and
-``ChunkEnvelope.payload`` check base64 text with one rule, ``_b64decode``.
+base64, a length that does not match) it returns None. It is the edge's
+only reader of chunks: the edge reads anything else as a meta message, so
+a chunk in another JSON form, valid or not, is malformed there. Tests hold
+``read_chunk`` to ``decode_json``, which still decodes a chunk in any form.
+It and ``ChunkEnvelope.payload`` check base64 text with one rule,
+``_b64decode``.
 
 The far edge goes from payload to wire messages in one step,
 ``encode_upload``: it slices, base64-encodes and CRCs each chunk
@@ -61,7 +65,6 @@ import json
 import re
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from operator import contains
 from typing import Callable, NamedTuple, Optional, Union
 
 from .domain import JSON_TYPES, is_csv_field, is_key_segment, read_json
@@ -354,8 +357,8 @@ def _decoding(cls: type) -> tuple:
     else:
         params = [(f.name, f.type) for f in fields(cls) if f.init]
     names = tuple(name for name, _ in params)
-    types = tuple(JSON_TYPES[getattr(a, "__forward_arg__", a)][1] for _, a in params)
-    return cls, names, frozenset(("msg_type",) + names), types
+    tests = tuple(JSON_TYPES[getattr(a, "__forward_arg__", a)][1] for _, a in params)
+    return cls, names, frozenset(("msg_type",) + names), tests
 
 
 # What ``decode_json`` reads off SCHEMAS by msg_type, and ``encode`` by class.
@@ -443,7 +446,9 @@ _match_chunk = re.compile(re.escape(_CHUNK_TEMPLATE).replace(b"%d", b"%s") % (
 
 def read_chunk(data: bytes) -> Optional[tuple[str, int, bytes, int]]:
     """The image id, sequence number, bytes and CRC-32 of a canonical chunk
-    message that passes every check ``decode_json`` makes, else None."""
+    message that passes every check ``decode_json`` makes, else None. The
+    edge reads chunks with this alone, so a chunk in another form is
+    malformed there."""
     match = _match_chunk(data)
     if match is None:
         return None
@@ -473,14 +478,14 @@ def decode_json(data: bytes) -> Message:
         if "msg_type" not in doc:
             raise MissingField("msg_type")
         raise MalformedJson(f"unknown msg_type {msg_type!r}")
-    cls, names, key_set, types = schema
+    cls, names, key_set, tests = schema
     if doc.keys() != key_set:
         for name in names:
             if name not in doc:
                 raise MissingField(name)
         raise UnknownField(f"unknown fields: {', '.join(sorted(doc.keys() - key_set))}")
     values = list(map(doc.__getitem__, names))
-    if not all(map(contains, types, map(type, values))):
+    if not all(accepts(value) for accepts, value in zip(tests, values)):
         raise MalformedJson(f"{msg_type} field of the wrong type")
     if not is_key_segment(doc["image_id"]):
         raise MalformedJson(f"image_id {doc['image_id']!r} is not one key segment")

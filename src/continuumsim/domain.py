@@ -222,25 +222,18 @@ class ScenarioConfig:
     tcp_port_cloud: int = 0
 
 
-@dataclass(frozen=True)
-class ValidationResult:
-    ok: bool
-    violations: tuple[str, ...] = ()
-
-
-def validate_config(cfg: ScenarioConfig) -> ValidationResult:
-    """Check every scenario invariant and return the full violation list.
-
-    An OK result means every module can consume the config without further
-    range checks.
+def validate_config(cfg: ScenarioConfig) -> tuple[str, ...]:
+    """Every scenario invariant ``cfg`` breaks, as the tuple of its
+    violations. An empty tuple means every module can consume the config
+    without further range checks.
     """
     v: list[str] = []
-    # NaN fails every comparison below, so finiteness is checked on its own.
-    for prefix, value in (("", cfg), ("stage_durations.", cfg.stage_durations),
-                          ("link_far_to_edge.", cfg.link_far_to_edge),
-                          ("link_edge_to_cloud.", cfg.link_edge_to_cloud)):
+    # NaN fails every comparison below, so finiteness is checked on its own:
+    # the reader refuses non-finite numbers, and a config built in Python
+    # comes here with whatever it holds.
+    for prefix, value in (("", cfg), *((f"{n}.", getattr(cfg, n)) for n in _NESTED_FIELDS)):
         for f in fields(value):
-            if f.type == "float" and not math.isfinite(getattr(value, f.name)):
+            if f.type == "float" and not _finite_double(getattr(value, f.name)):
                 v.append(f"{prefix}{f.name} must be finite")
     if cfg.dataset_size < 1:
         v.append("dataset_size must be >= 1")
@@ -283,22 +276,33 @@ def validate_config(cfg: ScenarioConfig) -> ValidationResult:
     for name in ("tcp_port_edge", "tcp_port_cloud"):
         if not 0 <= getattr(cfg, name) <= 65535:
             v.append(f"{name} must be a valid TCP port (0 = auto)")
-    return ValidationResult(ok=not v, violations=tuple(v))
+    return tuple(v)
 
 
 class ConfigError(ValueError):
     """Raised for malformed or unknown-key scenario documents."""
 
 
+def _finite_double(value: object) -> bool:
+    """Whether ``value`` is an int or a float that converts to a finite
+    double: not NaN, not infinite, and not an integer too large for one."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an int too large for a double
+        return False
+
+
 _ENUM_FIELDS = {"transport": TransportKind, "time_mode": TimeMode}
 # The JSON values a field takes, by its annotation: their name in an error
-# and their exact Python types. A JSON boolean is a Python int too, so only
-# a bool field takes one; a float field takes an integer.
-JSON_TYPES = {"bool": ("true or false", (bool,)),
-              "int": ("an integer", (int,)),
-              "float": ("a number", (int, float)),
-              "str": ("a string", (str,)),
-              "Optional[str]": ("a string or null", (str, type(None)))}
+# and the test a value must pass. A JSON boolean is a Python int too, so
+# only a bool field takes one; a float field takes an integer, and either
+# only if it is a finite double. The scenario reader and the wire decoder
+# both read this table.
+JSON_TYPES = {"bool": ("true or false", lambda x: type(x) is bool),
+              "int": ("an integer", lambda x: type(x) is int),
+              "float": ("a finite number", _finite_double),
+              "str": ("a string", lambda x: type(x) is str),
+              "Optional[str]": ("a string or null", lambda x: x is None or type(x) is str)}
 _NESTED_FIELDS = {
     "stage_durations": StageDurations,
     "link_far_to_edge": LinkParams,
@@ -358,8 +362,8 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
 def _check_type(name: str, annotation: str, value: object) -> None:
     """Raise ConfigError unless ``value`` is a JSON value that a field
     annotated ``annotation`` takes (``JSON_TYPES``)."""
-    kind, accepted = JSON_TYPES[annotation]
-    if type(value) not in accepted:
+    kind, accepts = JSON_TYPES[annotation]
+    if not accepts(value):
         raise ConfigError(f"{name} must be {kind}, not {value!r}")
 
 

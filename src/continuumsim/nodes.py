@@ -19,13 +19,15 @@ and waits on the loop only before an upload and once at its end: a
 face-less image costs no event.
 
 The tiers exchange only the messages of ``chunkwire.SCHEMAS``, and every
-handler follows one rule: decode with ``chunkwire.decode_as``, naming the
-types it takes. The far edge takes results; the edge takes meta and chunk
-messages from the far edge and grants, refusals and results from the cloud;
-the cloud takes grant requests and uploads. Anything else is dropped and
-counted in the node's ``malformed_messages``, and its image ends by a
-timeout. The edge reads a canonical chunk with ``chunkwire.read_chunk``,
-which takes what ``chunkwire.decode_json`` takes, without an envelope.
+handler refuses input through one rule, ``_decode_or_count``: decode with
+``chunkwire.decode_as``, naming the types it takes, or count the message in
+the node's ``malformed_messages`` and drop it; its image then ends by a
+timeout. The far edge takes results; the edge takes meta and chunk messages
+from the far edge and grants, refusals and results from the cloud; the
+cloud takes grant requests and uploads. Each upload message has one reader:
+a chunk is the canonical bytes the far edge writes, read by
+``chunkwire.read_chunk`` without an envelope, and anything else must decode
+as a meta message. A chunk in any other JSON form is malformed.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from typing import Callable, Optional
 
 from . import chunkwire, workload
 from .chunkwire import (
-    ChunkEnvelope,
     ChunkError,
     CloudUpload,
     Grant,
@@ -49,11 +50,14 @@ from .chunkwire import (
     ResultMessage,
     TransferMetadata,
     UploadRejected,
-    decode_result,
 )
 # Results are encoded through this name, which tests replace and
-# perfbench/tracer.py wraps; tcprun re-exports it with ``decode_result``.
+# perfbench/tracer.py wraps; tcprun re-exports it.
 from .chunkwire import encode as encode_result
+# No handler calls it (the far edge decodes results through
+# ``_decode_or_count``), but perfbench/tracer.py wraps it on this module and
+# tcprun re-exports it.
+from .chunkwire import decode_result  # noqa: F401
 from .domain import (
     ConfigError,
     FaceDatabase,
@@ -78,6 +82,17 @@ from .transport import (
     TransportError,
     session_pair,
 )
+
+
+def _decode_or_count(node, data: bytes, kinds: type | tuple) -> Optional[chunkwire.Message]:
+    """The message ``data`` holds if it decodes as one of ``kinds``, else
+    None, counted in ``node.malformed_messages``: the one rule by which
+    every handler refuses input."""
+    try:
+        return chunkwire.decode_as(data, kinds)
+    except ChunkError:
+        node.malformed_messages += 1
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -136,12 +151,9 @@ class FarEdgeNode:
     # decode to a result is dropped and counted; its image then ends by its
     # timeout.
     def on_result_message(self, data: bytes) -> None:
-        try:
-            msg = decode_result(data)
-        except ChunkError:
-            self.malformed_messages += 1
-            return
-        self._resolve(msg.image_id, msg)
+        msg = _decode_or_count(self, data, ResultMessage)
+        if msg is not None:
+            self._resolve(msg.image_id, msg)
 
     def _resolve(self, image_id: str, result: Optional[ResultMessage]) -> None:
         """End uploaded image ``image_id`` with ``result``, None for no
@@ -351,24 +363,20 @@ class EdgeService:
         self.malformed_messages = 0
         self.stale_replies = 0
 
-    # Transport-facing entry point for both meta and chunk messages. A
-    # message that does not decode to one of them is dropped and counted;
-    # its image then ends through the far edge's image timeout. A transfer
-    # opens with its first meta message and ends when its session has
-    # ``ended``; anything for it after that is ignored, and a chunk counts in
-    # ``dropped_chunks``.
+    # Transport-facing entry point for both meta and chunk messages. A chunk
+    # is read by ``read_chunk`` alone, and anything else must decode as a
+    # meta message: a message that is neither, such as a chunk in another
+    # JSON form, is dropped and counted, and its image then ends through the
+    # far edge's image timeout. A transfer opens with its first meta message
+    # and ends when its session has ``ended``; anything for it after that is
+    # ignored, and a chunk counts in ``dropped_chunks``.
     def on_upload_message(self, data: bytes) -> None:
         chunk = chunkwire.read_chunk(data)
         if chunk is None:
-            try:
-                msg = chunkwire.decode_as(data, (TransferMetadata, ChunkEnvelope))
-            except ChunkError:
-                self.malformed_messages += 1
-                return
-            if isinstance(msg, TransferMetadata):
-                self._sessions.setdefault(msg.image_id, ReassemblySession(msg))
-                return
-            chunk = msg.image_id, msg.seq, msg.decoded, msg.crc32_chunk
+            meta = _decode_or_count(self, data, TransferMetadata)
+            if meta is not None:
+                self._sessions.setdefault(meta.image_id, ReassemblySession(meta))
+            return
         image_id, seq, raw, crc = chunk
         session = self._sessions.get(image_id)
         if session is None:
@@ -442,12 +450,9 @@ class EdgeService:
     # A cloud reply that does not decode to a grant, a refusal or a result is
     # dropped and counted; its image then ends by the cloud timeout.
     def on_cloud_message(self, data: bytes) -> None:
-        try:
-            msg = chunkwire.decode_as(data, (Grant, UploadRejected, ResultMessage))
-        except ChunkError:
-            self.malformed_messages += 1
-            return
-        self._wake(msg.image_id, msg)
+        msg = _decode_or_count(self, data, (Grant, UploadRejected, ResultMessage))
+        if msg is not None:
+            self._wake(msg.image_id, msg)
 
     def _wake(self, image_id: str, reply: Optional[chunkwire.Message]) -> None:
         """Resume ``image_id``'s cloud flow with ``reply``, or with None on its
@@ -500,10 +505,8 @@ class CloudService:
         return max(0.0, sd.cloud_latency_mean + spread)
 
     def on_message(self, data: bytes) -> None:
-        try:
-            msg = chunkwire.decode_as(data, (GrantRequest, CloudUpload))
-        except ChunkError:
-            self.malformed_messages += 1
+        msg = _decode_or_count(self, data, (GrantRequest, CloudUpload))
+        if msg is None:
             return
         image_id = msg.image_id
         if type(msg) is GrantRequest:
@@ -595,9 +598,9 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     links; WALLCLOCK_TCP mode runs the same tiers on the loopback-TCP driver.
     This is the one check of a run's config: ``ConfigError`` of its violations.
     """
-    check = validate_config(cfg)
-    if not check.ok:
-        raise ConfigError("; ".join(check.violations))
+    violations = validate_config(cfg)
+    if violations:
+        raise ConfigError("; ".join(violations))
     if cfg.time_mode is TimeMode.WALLCLOCK_TCP:
         from .tcprun import run_tcp_scenario
         return run_tcp_scenario(cfg)

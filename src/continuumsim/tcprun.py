@@ -181,14 +181,18 @@ class SocketLink:
         buf += data
         del data  # freed before the handlers run, which lowers the peak RSS
         frames, pos = [], 0
-        while len(buf) - pos >= _HEADER.size:
-            size, key_size = _HEADER.unpack_from(buf, pos)
-            start = pos + _HEADER.size + key_size
-            if start + size > len(buf):
-                break
-            frames.append((buf[pos + _HEADER.size:start].decode("utf-8"),
-                           bytes(buf[start:start + size])))
-            pos = start + size
+        # Each payload is copied once, out of a view of the buffer. The view
+        # is released before the buffer is cut: a bytearray with a view open
+        # cannot be resized.
+        with memoryview(buf) as view:
+            while len(buf) - pos >= _HEADER.size:
+                size, key_size = _HEADER.unpack_from(buf, pos)
+                start = pos + _HEADER.size + key_size
+                if start + size > len(buf):
+                    break
+                frames.append((buf[pos + _HEADER.size:start].decode("utf-8"),
+                               bytes(view[start:start + size])))
+                pos = start + size
         del buf[:pos]
         for key, payload in frames:
             self._loop._tick()

@@ -26,6 +26,8 @@ from continuumsim.metrics import emit_csv, emit_summary_json
 from continuumsim.nodes import build_dataset, run_scenario
 from continuumsim.presets import DEFAULT_SEED, base_config, build_preset, scenario_3000
 from continuumsim.workload import Prng, cloud_recognize, substream
+from test_chunkwire import _shuffle, crc32_bitwise
+from test_nodes import pipeline_oracle
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_FP_COUNT = 101  # fp_study preset at the default seed
@@ -76,22 +78,6 @@ def matrix47_cloud_on():
 # Criterion 1: chunk protocol round trip.
 
 
-def _crc32_bitwise(data: bytes) -> int:
-    crc = 0xFFFFFFFF
-    for byte in data:
-        crc ^= byte
-        for _ in range(8):
-            crc = (crc >> 1) ^ 0xEDB88320 if crc & 1 else crc >> 1
-    return crc ^ 0xFFFFFFFF
-
-
-def _shuffle(rng: Prng, items: list) -> None:
-    """Fisher-Yates shuffle of ``items`` in place, drawing from ``rng``."""
-    for i in range(len(items) - 1, 0, -1):
-        j = rng.randrange(i + 1)
-        items[i], items[j] = items[j], items[i]
-
-
 def _round_trip(payload: bytes, chunk_size: int, rng: Prng) -> bool:
     meta, envs = fragment(payload, "img", chunk_size, (8, 8), "RAW")
     feed = list(envs)
@@ -105,7 +91,7 @@ def _round_trip(payload: bytes, chunk_size: int, rng: Prng) -> bool:
 
 def test_c1_chunk_round_trip_property():
     started = time.monotonic()
-    ok = crc32(b"123456789") == 0xCBF43926 == _crc32_bitwise(b"123456789")
+    ok = crc32(b"123456789") == 0xCBF43926 == crc32_bitwise(b"123456789")
     rng = Prng(0xC1)
     sizes = [1, 1 << 20] * 4 + [
         max(1, int(math.exp(rng.uniform() * math.log(1 << 20))))
@@ -146,19 +132,6 @@ def _analytic_cfg(t_io: float, t_ai: float, n: int, par: bool) -> ScenarioConfig
         rng_seed=1, face_prob=0.0, known_prob=0.0, payload_bytes=64)
 
 
-def _enumeration_oracle(t_io: float, t_ai: float, n: int, cap: int) -> float:
-    put = [0.0] * n
-    det_start = [0.0] * n
-    det_end = [0.0] * n
-    for k in range(n):
-        read_end = (put[k - 1] if k else 0.0) + t_io
-        space_at = det_start[k - cap] if k >= cap else 0.0
-        put[k] = max(read_end, space_at)
-        det_start[k] = max(put[k], det_end[k - 1] if k else 0.0)
-        det_end[k] = det_start[k] + t_ai
-    return det_end[-1]
-
-
 def test_c2_pipeline_analytic_equivalence():
     worst = 0.0
     cases = 0
@@ -167,7 +140,7 @@ def test_c2_pipeline_analytic_equivalence():
             for n in (1, 5, 10, 100):
                 closed_form = t_io + t_ai + (n - 1) * max(t_io, t_ai)
                 if n <= 10:
-                    oracle = _enumeration_oracle(t_io, t_ai, n, cap=4)
+                    oracle = pipeline_oracle(t_io, t_ai, n, cap=4)
                     worst = max(worst, abs(oracle - closed_form))
                 run = run_scenario(_analytic_cfg(t_io, t_ai, n, True))
                 worst = max(worst, abs(run.summary.total_runtime - closed_form))

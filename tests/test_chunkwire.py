@@ -647,3 +647,30 @@ def test_wire_contract(msg, wire):
     assert encode(msg) == wire
     decoded = decode_json(wire)
     assert type(decoded) is type(msg) and decoded == msg
+
+
+# 2**1024 - 2**970 lies halfway between the largest double and 2**1024, and
+# rounds to even, which is 2**1024: it is the smallest integer that converts
+# to no finite double.
+FLOAT_FIELD_VALUES = {
+    "1e308": (b"1e308", True),
+    "largest_integer_that_fits": (b"%d" % (2**1024 - 2**970 - 1), True),
+    "1e400": (b"1e400", False),
+    "-1e400": (b"-1e400", False),
+    "smallest_integer_that_overflows": (b"%d" % (2**1024 - 2**970), False),
+}
+
+
+@pytest.mark.parametrize("text,finite", FLOAT_FIELD_VALUES.values(),
+                         ids=FLOAT_FIELD_VALUES.keys())
+def test_a_float_field_takes_only_a_finite_double(text, finite):
+    # JSON puts no limit on a number; a number that is no finite double would
+    # re-encode as Infinity, which no reader takes, or as an integer that
+    # means nothing in seconds.
+    wire = WIRE_CONTRACT["grant"][1].replace(b"12.5", text)
+    if not finite:
+        with pytest.raises(MalformedJson, match="grant field of the wrong type"):
+            decode_json(wire)
+        return
+    grant = decode_json(wire)
+    assert decode_json(encode(grant)) == grant

@@ -93,6 +93,20 @@ def test_non_finite_scenario_value_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("value", ["1e400", "1" + "0" * 400], ids=["1e400", "401_digits"])
+def test_scenario_number_that_is_no_finite_double_exits_2(tmp_path, capsys, value):
+    # A 401-digit integer once stopped the run with "int too large to
+    # convert to float" and exit status 3.
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(small_scenario_text().replace(
+        '"image_timeout_s": 120.0,', f'"image_timeout_s": {value},'))
+    assert run_cli("--scenario", str(scenario), "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: image_timeout_s must be a finite number, not ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("data", UNREADABLE_SCENARIOS.values(), ids=UNREADABLE_SCENARIOS.keys())
 def test_scenario_file_that_is_not_json_exits_2(tmp_path, capsys, data):
     scenario = tmp_path / "bad.json"

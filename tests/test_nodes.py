@@ -818,18 +818,23 @@ RESERIALIZED_CHUNKS = {
 @pytest.mark.parametrize("reserialize", RESERIALIZED_CHUNKS.values(),
                          ids=RESERIALIZED_CHUNKS.keys())
 @pytest.mark.parametrize("transport", list(TransportKind), ids=lambda t: t.name.lower())
-def test_valid_chunk_that_is_not_canonical_is_decoded_and_completes(transport, reserialize,
-                                                                    monkeypatch):
-    # ``chunkwire.read_chunk`` takes only the canonical form, so the edge
-    # decodes these chunks with ``decode_as``; every image still completes.
-    cfg = tiny_config(transport, n=3, cloud=True)
+def test_non_canonical_chunk_is_malformed_and_its_image_times_out(
+        transport, reserialize, monkeypatch):
+    # The edge reads chunks with ``chunkwire.read_chunk`` alone, which takes
+    # only the canonical form. The first image's chunks, sent in another
+    # form, are each counted as malformed, and that image ends with no
+    # result at its timeout; the other images complete.
+    cfg = tiny_config(transport, n=3, cloud=True, image_timeout_s=30.0)
     canonical = run_scenario(cfg)
     encode_upload = chunkwire.encode_upload
+    reserialized = []
 
-    def reserialized_upload(*args):
-        meta, *chunks = encode_upload(*args)
-        chunks = [reserialize(json.loads(data)) for data in chunks]
-        assert not any(map(chunkwire.read_chunk, chunks))
+    def reserialized_upload(payload, image_id, *rest):
+        meta, *chunks = encode_upload(payload, image_id, *rest)
+        if image_id == "img00000":
+            chunks = [reserialize(json.loads(data)) for data in chunks]
+            assert not any(map(chunkwire.read_chunk, chunks))
+            reserialized.extend(chunks)
         return [meta, *chunks]
 
     edges = []
@@ -843,10 +848,17 @@ def test_valid_chunk_that_is_not_canonical_is_decoded_and_completes(transport, r
     monkeypatch.setattr(nodes, "EdgeService", RecordedEdge)
     r = run_scenario(cfg)
     assert r.failure is None
-    assert r.result_multiset == canonical.result_multiset
-    assert all(rec.origin in ("edge", "cloud") and rec.t_upload > 0.0 for rec in r.records)
     (edge,) = edges
-    assert (edge.malformed_messages, edge.dropped_chunks) == (0, 0)
+    assert reserialized and (edge.malformed_messages, edge.dropped_chunks) == (
+        len(reserialized), 0)
+    first, *others = sorted(r.records, key=lambda rec: rec.image_id)
+    assert first.image_id == "img00000" and first.origin == "none"
+    # The image was uploaded once its read and detection had ended.
+    assert first.completion_s == (
+        first.t_read_decode + first.t_detect_total + cfg.image_timeout_s)
+    assert [(rec.image_id, rec.recognized, rec.label) for rec in others] == (
+        canonical.result_multiset[1:])
+    assert all(rec.origin in ("edge", "cloud") and rec.t_upload > 0.0 for rec in others)
 
 
 def test_upload_message_is_parsed_once(monkeypatch):
@@ -1018,6 +1030,9 @@ MALFORMED_CLOUD_LEG = {
                                 b'"reason":"expired","hops":1}',
     "id_with_slash": b'{"msg_type":"upload_rejected","image_id":"a/b","reason":"expired"}',
     "grant_with_nan_expiry": GRANT.replace(b"9.0", b"NaN"),
+    # Neither converts to a finite double, which a float field requires.
+    "grant_with_overflowing_expiry": GRANT.replace(b"9.0", b"1e400"),
+    "grant_with_401_digit_expiry": GRANT.replace(b"9.0", b"1" + b"0" * 400),
 }
 
 

@@ -4,6 +4,7 @@ import select
 import socket
 import threading
 import time
+import tracemalloc
 from collections import deque
 from dataclasses import replace
 from functools import partial
@@ -14,7 +15,7 @@ from continuumsim.domain import LinkParams, TimeMode, TransportKind
 from continuumsim.nodes import run_scenario
 from continuumsim.presets import base_config
 from continuumsim.netsim import EventLoop, SimLink, spawn
-from continuumsim.tcprun import SocketSession, WallClock, run_tcp_scenario
+from continuumsim.tcprun import _HEADER, SocketSession, WallClock, run_tcp_scenario
 from continuumsim.transport import ConnectionClosed, SendTimeout, SessionEndpoint, session_pair
 
 
@@ -192,6 +193,33 @@ def test_a_frame_larger_than_the_send_buffer_arrives_intact():
         loop.close()
     assert got == [("big", payload)]
     assert not link.handlers
+
+
+def test_a_received_frame_is_copied_once():
+    # The link holds all of a 1 MiB frame but its last byte, which one
+    # receive reads; the frame's payload is then made once, from a view of
+    # the buffer, and not from a copy of its slice.
+    size = 1 << 20
+    loop = WallClock()
+    tracemalloc.start()  # before the buffer is made, so that its growth counts as growth
+    try:
+        link, _ = loop.connect(0)
+        frame = _HEADER.pack(size, 3) + b"big" + bytes(range(256)) * (size // 256)
+        link._in += frame[:-1]
+        got = []
+        link.handlers.append(lambda key, data: got.append((key, len(data), data[-1])))
+        link.out_sock.send(frame[-1:])
+        assert select.select([link.in_sock], [], [], 5.0)[0]
+        before, _peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        assert link.receive()
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        loop.close()
+    assert got == [("big", size, 255)] and not link._in
+    # One copy of the payload is 1 MiB; two would be 2 MiB.
+    assert peak - before < 1.5 * size, peak - before
 
 
 def test_one_pass_reads_every_connection_with_a_frame_in_flight():

@@ -1,4 +1,3 @@
-import heapq
 import itertools
 import math
 from collections import Counter, deque
@@ -11,7 +10,7 @@ import pytest
 
 from continuumsim import transport
 from continuumsim.domain import LinkParams
-from continuumsim.netsim import EventHandle, EventLoop, Gate, SimLink, spawn
+from continuumsim.netsim import EventLoop, Gate, SimLink, spawn
 from continuumsim.transport import (
     ConnectionClosed,
     InvalidPattern,
@@ -24,6 +23,7 @@ from continuumsim.transport import (
     session_pair,
 )
 from continuumsim.workload import Prng
+from test_nodes import ShuffledTies
 
 
 def _k(text: str) -> tuple[str, ...]:
@@ -834,22 +834,6 @@ class _ChainSession(SessionEndpoint):
         loop.schedule_at(ack_at, partial(self._send_next, ticket, payloads, ack_at))
 
 
-class _ShuffledTies(EventLoop):
-    """Fires events due at the same instant in a seeded random order."""
-
-    def __init__(self, seed):
-        super().__init__()
-        self._rng = Prng(seed)
-
-    def schedule_at(self, fire_at, action):
-        if fire_at < self.now:
-            raise ValueError(f"{fire_at} is before now, {self.now}")
-        handle = EventHandle(action)
-        heapq.heappush(self._heap, (fire_at, (self._rng.u64(), self._seq), handle))
-        self._seq += 1
-        return handle
-
-
 def _session_case(rng, replies=True):
     """A random stream from a to b: its link, the b -> a link, the sizes of
     its 1-50 messages of 1-5,000 bytes, a timeout that passes, trips on the
@@ -984,7 +968,7 @@ def test_a_close_at_an_ack_instant_fails_the_stream_there_in_any_event_order():
 
         for seed in range(4):
             shuffled = _run_session(case, SessionEndpoint, (instant, closer),
-                                    loop=_ShuffledTies(seed))
+                                    loop=ShuffledTies(seed))
             assert shown(shuffled) == shown(expected), (case_no, seed)
     # Closes that fail a stream that would succeed, that leave it to succeed
     # and that fail one that would time out.
